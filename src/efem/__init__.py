@@ -17,7 +17,6 @@ from efem.interface import (
     SphereLevelSet,
     classify_elements,
     cut_exterior_faces,
-    evaluate_distance,
     nodal_distances,
     snap_distances,
     split_simplex,

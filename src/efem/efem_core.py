@@ -20,6 +20,7 @@ sparsity pattern in every mode.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,12 @@ class MaterialPair:
     eps2: float
 
     def __post_init__(self):
-        if self.eps1 <= 0.0 or self.eps2 <= 0.0:
-            raise ValueError("permittivities must be positive")
+        for name in ("eps1", "eps2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"permittivity {name} must be finite, got {value}")
+            if value <= 0.0:
+                raise ValueError(f"permittivity {name} must be positive, got {value}")
 
     @classmethod
     def from_ratio(cls, q: float) -> "MaterialPair":
@@ -244,6 +249,8 @@ class AssembledSystem:
     cut_data: dict[int, CutElementData]
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
+    measures: np.ndarray                     # (M,) element measures
+    grads: np.ndarray                        # (M, d+1, d) P1 gradients
     fallback_elements: list[int] = field(default_factory=list)
 
     @property
@@ -296,12 +303,12 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     fallback: list[int] = []
     for e in cl.cut_elements:
         coords = mesh.element_coords(int(e))
-        block, data = _cut_element_block(
+        block, data, fell_back = _cut_element_block(
             int(e), coords, measures[e], grads[e], cl.element_d[e], materials, mode,
             skip_faces=frozenset(boundary_faces_of.get(int(e), ())))
         if data is not None:
             cut_data[int(e)] = data
-        else:
+        if fell_back:
             fallback.append(int(e))
         rows_c.append(np.repeat(conn[e], nv))
         cols_c.append(np.tile(conn[e], nv))
@@ -317,20 +324,24 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     _apply_dirichlet(A, rhs, dir_nodes, dir_values)
 
     return AssembledSystem(A, rhs, mode, mesh, materials, cl, cut_data,
-                           dir_nodes, dir_values, fallback)
+                           dir_nodes, dir_values, measures, grads, fallback)
 
 
 def _cut_element_block(e, coords, measure, egrads, nodal_d, materials, mode, skip_faces):
-    """Condensed (or averaged) block of one cut element plus its cut state."""
+    """Block of one cut element, its cut state and whether it fell back.
+
+    Standard mode averages the permittivity and keeps no cut state; only a
+    degenerate cut or a singular condensation counts as a fallback.
+    """
     try:
         deco = split_simplex(coords, nodal_d)
     except DegenerateCutError as err:
         log.warning("element %d: degenerate cut (%s); treated as uncut", e, err)
-        return _majority_block(None, coords, measure, egrads, nodal_d, materials), None
+        return _majority_block(None, coords, measure, egrads, nodal_d, materials), None, True
 
     if mode == "standard":
         mean_eps = sum(materials.for_sign(c.sign) * c.measure for c in deco.children) / measure
-        return mean_eps * measure * (egrads @ egrads.T), None
+        return mean_eps * measure * (egrads @ egrads.T), None, False
 
     system = element_matrices(coords, measure, egrads, materials, deco)
     if mode == "efem":
@@ -340,10 +351,10 @@ def _cut_element_block(e, coords, measure, egrads, nodal_d, materials, mode, ski
         condense(system)
     except SingularEnrichmentError as err:
         log.warning("element %d: %s; treated as uncut", e, err)
-        return _majority_block(deco, coords, measure, egrads, nodal_d, materials), None
+        return _majority_block(deco, coords, measure, egrads, nodal_d, materials), None, True
 
     g_pos, g_neg = hat_gradients(egrads, deco.nodal_d)
-    return system.condensed, CutElementData(deco, system.recovery, g_pos, g_neg)
+    return system.condensed, CutElementData(deco, system.recovery, g_pos, g_neg), False
 
 
 def _majority_block(deco, coords, measure, egrads, nodal_d, materials):

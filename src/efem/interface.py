@@ -27,14 +27,21 @@ class DegenerateCutError(Exception):
 # level sets
 
 
+def _finite(name: str, value) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+    return arr
+
+
 class PlaneLevelSet:
     """Signed distance to a plane: d(x) = (x - point) . normal."""
 
     kind = "plane"
 
     def __init__(self, point, normal):
-        self.point = np.asarray(point, dtype=float)
-        n = np.asarray(normal, dtype=float)
+        self.point = _finite("plane point", point)
+        n = _finite("plane normal", normal)
         norm = np.linalg.norm(n)
         if norm == 0.0:
             raise ValueError("plane normal must be nonzero")
@@ -53,10 +60,10 @@ class CircleLevelSet:
     kind = "circle"
 
     def __init__(self, center, radius):
-        if radius <= 0.0:
+        self.center = _finite(f"{self.kind} center", center)
+        self.radius = float(_finite(f"{self.kind} radius", radius))
+        if self.radius <= 0.0:
             raise ValueError("radius must be positive")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
 
     def evaluate(self, x) -> float:
         return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center) - self.radius)
@@ -82,16 +89,16 @@ class NodalLevelSet:
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
+        bad = np.nonzero(~np.isfinite(self.values))[0]
+        if bad.size:
+            raise ValueError(f"nodal level set value at node {int(bad[0])} is not finite "
+                             f"({self.values[bad[0]]}); {bad.size} non-finite in all")
 
     def evaluate(self, x) -> float:
         raise ValueError("nodal level set has no off-node distance; use nodal values")
 
     def evaluate_many(self, points) -> np.ndarray:
         raise ValueError("nodal level set has no off-node distance; use nodal values")
-
-
-def evaluate_distance(levelset, x) -> float:
-    return levelset.evaluate(x)
 
 
 def nodal_distances(levelset, mesh: Mesh) -> np.ndarray:

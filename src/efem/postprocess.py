@@ -5,6 +5,10 @@ phi_h = sum_i N_i phi_i + Nbar phi*, with the enrichment amplitude phi*
 recovered per element from the condensation data.  The electric field
 follows the convention E = grad(phi); it is constant per element for uncut
 elements and constant per child side for cut ones.
+
+Point location, line sampling and field evaluation share one batched
+kernel: the barycentric coordinates of x in element e are the affine map
+lam(x) = e_0 + grads[e] (x - X[e, 0]), so no per-point linear solve is needed.
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from efem.efem_core import AssembledSystem, CutElementData, barycentric, hat_value
-from efem.mesh import Mesh, all_geometry
+from efem.mesh import Mesh, local_faces
 
 _CONTAIN_TOL = 1e-9
+# Pieces of a segment shorter than this, relative to the mesh extent, are
+# rounding slivers where it passes through a vertex or an edge.
+_SLIVER = 1e-13
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -34,12 +41,9 @@ class SolutionField:
     is_cut: np.ndarray
     cut_data: dict[int, CutElementData]
     phi_star: dict[int, float]
-    grads: np.ndarray = field(repr=False, default=None)
+    grads: np.ndarray = field(repr=False)    # (M, d+1, d) P1 gradients
     _tree: cKDTree = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.grads is None:
-            _, self.grads = all_geometry(self.mesh)
+    _enrichment: tuple = field(repr=False, default=None)
 
     @property
     def tree(self) -> cKDTree:
@@ -47,6 +51,18 @@ class SolutionField:
             centroids = self.mesh.nodes[self.mesh.elements].mean(axis=1)
             self._tree = cKDTree(centroids)
         return self._tree
+
+    @property
+    def enrichment(self) -> tuple:
+        """(ids, phi*, grad_pos, grad_neg) of the enriched elements, ids ascending."""
+        if self._enrichment is None:
+            ids = np.array(sorted(self.cut_data), dtype=np.int64)
+            dim = self.mesh.dim
+            star = np.array([self.phi_star.get(int(e), 0.0) for e in ids])
+            gpos = np.array([self.cut_data[int(e)].grad_pos for e in ids]).reshape(-1, dim)
+            gneg = np.array([self.cut_data[int(e)].grad_neg for e in ids]).reshape(-1, dim)
+            self._enrichment = (ids, star, gpos, gneg)
+        return self._enrichment
 
 
 def recover_enrichment(assembled: AssembledSystem, phi: np.ndarray) -> dict[int, float]:
@@ -64,7 +80,60 @@ def build_solution(assembled: AssembledSystem, phi: np.ndarray) -> SolutionField
     return SolutionField(assembled.mesh, phi, assembled.mode,
                          assembled.classification.element_d,
                          assembled.classification.is_cut,
-                         assembled.cut_data, stars)
+                         assembled.cut_data, stars, assembled.grads)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+
+
+def _barycentric_at(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (P, d+1) of points x (P, d) in elements elems (P,)."""
+    m = sol.mesh
+    lam = np.einsum("pid,pd->pi", sol.grads[elems], x - m.nodes[m.elements[elems, 0]])
+    lam[:, 0] += 1.0
+    return lam
+
+
+def _evaluate(sol: SolutionField, elems, x, sides):
+    """(phi (P,), E (P, d), side (P,)) of the reconstructed field.
+
+    Point x[p] is evaluated in element elems[p].  sides[p] picks the child
+    (+1 / -1) when the point sits on the intra-element interface, 0 lets the
+    interpolated distance decide; it is ignored away from the interface.  The
+    returned side is sides[p] where given, else the sign of the interpolated
+    distance (+1 on it).
+    """
+    elems = np.asarray(elems, dtype=np.int64)
+    x = np.asarray(x, dtype=float)
+    sides = np.asarray(sides, dtype=np.int64)
+    lam = _barycentric_at(sol, elems, x)
+    nodal = sol.phi[sol.mesh.elements[elems]]
+    phi = np.einsum("pi,pi->p", lam, nodal)
+    E = np.einsum("pid,pi->pd", sol.grads[elems], nodal)
+    d = sol.element_d[elems]
+    L = np.einsum("pi,pi->p", lam, d)
+    side = np.where(sides != 0, sides, np.where(L >= 0.0, 1, -1))
+
+    ids, star, gpos, gneg = sol.enrichment
+    if ids.size:
+        pos = np.minimum(np.searchsorted(ids, elems), ids.size - 1)
+        hit = np.nonzero(ids[pos] == elems)[0]
+        k = pos[hit]
+        Lh, dh = L[hit], d[hit]
+        near = np.abs(Lh) <= 1e-12 * np.abs(dh).max(axis=1)
+        child = np.where(near, np.where(sides[hit] != 0, sides[hit], 1),
+                         np.where(Lh > 0.0, 1, -1))
+        hat = np.einsum("pi,pi->p", lam[hit], np.abs(dh)) - np.abs(Lh)
+        phi[hit] += hat * star[k]
+        E[hit] += np.where((child > 0)[:, None], gpos[k], gneg[k]) * star[k][:, None]
+    return phi, E, side
+
+
+def _containing(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The elements of elems whose closure holds the point x."""
+    lam = _barycentric_at(sol, elems, np.broadcast_to(x, (elems.size, x.size)))
+    return elems[lam.min(axis=1) >= -_CONTAIN_TOL]
 
 
 # ---------------------------------------------------------------------------
@@ -80,22 +149,20 @@ def locate(sol: SolutionField, x, k: int = 32) -> int:
 
 
 def elements_containing(sol: SolutionField, x, k: int = 32) -> list[int]:
-    """All candidate elements containing x, ascending by element index."""
+    """All candidate elements containing x, ascending by element index.
+
+    The candidates are the k elements with the nearest centroids; when none
+    of them holds x, every element is tested.
+    """
     x = np.asarray(x, dtype=float)
-    m = sol.mesh
-    k = min(k, m.n_elements)
+    n = sol.mesh.n_elements
+    k = min(k, n)
     _, idx = sol.tree.query(x, k=k)
-    idx = np.atleast_1d(idx)
-    hits = [int(e) for e in idx if _inside(sol, int(e), x)]
-    if not hits and k < m.n_elements:
-        # fall back to a full scan; only reachable for thin stretched meshes
-        hits = [e for e in range(m.n_elements) if _inside(sol, e, x)]
-    return sorted(hits)
-
-
-def _inside(sol: SolutionField, e: int, x) -> bool:
-    lam = barycentric(sol.mesh.element_coords(e), x)
-    return bool(lam.min() >= -_CONTAIN_TOL)
+    hits = _containing(sol, np.atleast_1d(idx), x)
+    if hits.size == 0 and k < n:
+        # only reachable for thin stretched meshes
+        hits = _containing(sol, np.arange(n), x)
+    return np.sort(hits).tolist()
 
 
 def eval_in_element(sol: SolutionField, e: int, x, side: int = 0):
@@ -105,24 +172,8 @@ def eval_in_element(sol: SolutionField, e: int, x, side: int = 0):
     (+1 positive material, -1 negative); elsewhere the interpolated distance
     decides and side is ignored.
     """
-    m = sol.mesh
-    lam = barycentric(m.element_coords(e), x)
-    conn = m.elements[e]
-    phi = float(lam @ sol.phi[conn])
-    E = sol.grads[e].T @ sol.phi[conn]
-    data = sol.cut_data.get(e)
-    if data is None:
-        return phi, E
-    d = sol.element_d[e]
-    L = float(lam @ d)
-    scale = float(np.abs(d).max())
-    s = side if abs(L) <= 1e-12 * scale else (1 if L > 0 else -1)
-    if s == 0:
-        s = 1
-    star = sol.phi_star.get(e, 0.0)
-    phi += hat_value(lam, d) * star
-    E = E + (data.grad_pos if s > 0 else data.grad_neg) * star
-    return phi, E
+    phi, E, _ = _evaluate(sol, [e], np.asarray(x, dtype=float)[None], [side])
+    return float(phi[0]), E[0]
 
 
 def eval_field(sol: SolutionField, x, side: int = 0):
@@ -132,9 +183,8 @@ def eval_field(sol: SolutionField, x, side: int = 0):
 
 def side_of(sol: SolutionField, e: int, x) -> int:
     """Material side of x inside element e from the interpolated distance."""
-    lam = barycentric(sol.mesh.element_coords(e), x)
-    L = float(lam @ sol.element_d[e])
-    return 1 if L >= 0.0 else -1
+    _, _, side = _evaluate(sol, [e], np.asarray(x, dtype=float)[None], [0])
+    return int(side[0])
 
 
 # ---------------------------------------------------------------------------
@@ -164,86 +214,163 @@ class LineSample:
         return self.t * float(np.linalg.norm(self.end - self.start))
 
 
+def _clip(sol: SolutionField, start: np.ndarray, v: np.ndarray):
+    """Parameter intervals of the segment start + t v, t in [0, 1], per element.
+
+    Along the segment lam(t) = lam0 + t dlam is affine, so each closure is an
+    interval in t bounded by ratios of barycentric coordinates (the exit step
+    of a walk in a triangulation, taken for all elements at once).  Returns
+    the candidate elements (those within twice the containment tolerance
+    somewhere on the segment), their tolerance-widened intervals (a superset
+    for point tests) and their exact intervals.  A barycentric coordinate
+    that changes by less than the tolerance over the whole segment gives no
+    exact bound; the element keeps it only if it holds at both ends.
+    """
+    m = sol.mesh
+    lam0 = np.einsum("eid,ed->ei", sol.grads, start - m.nodes[m.elements[:, 0]])
+    lam0[:, 0] += 1.0
+    dlam = np.einsum("eid,d->ei", sol.grads, v)
+
+    tol = 2.0 * _CONTAIN_TOL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = (-tol - lam0) / dlam
+    lo = np.maximum(np.where(dlam > 0.0, ratio, -np.inf).max(axis=1), 0.0)
+    hi = np.minimum(np.where(dlam < 0.0, ratio, np.inf).min(axis=1), 1.0)
+    flat_ok = ((dlam != 0.0) | (lam0 >= -tol)).all(axis=1)
+    cand = np.nonzero(flat_ok & (lo <= hi))[0]
+    lo, hi = lo[cand], hi[cand]
+
+    l0, dl = lam0[cand], dlam[cand]
+    steep = np.abs(dl) > _CONTAIN_TOL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = -l0 / dl
+    a = np.maximum(np.where(steep & (dl > 0.0), ratio, -np.inf).max(axis=1), 0.0)
+    b = np.minimum(np.where(steep & (dl < 0.0), ratio, np.inf).min(axis=1), 1.0)
+    flat_ok = (steep | (np.minimum(l0, l0 + dl) >= -_CONTAIN_TOL)).all(axis=1)
+    b = np.where(flat_ok, b, -np.inf)
+    return cand, lo, hi, a, b
+
+
+def _ranges(first: np.ndarray, count: np.ndarray):
+    """(i, k) for every k in range(first[i], first[i] + count[i]), all i."""
+    i = np.repeat(np.arange(first.size), count)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + first[i]
+
+
+def _owners(sol: SolutionField, pts: np.ndarray, t: np.ndarray,
+            cand: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Smallest-index element whose closure holds each point (the locate rule).
+
+    pts are the points at ascending parameters t; only candidate c with
+    t in [lo[c], hi[c]] is tested for a point.
+    """
+    first = np.searchsorted(t, lo, "left")
+    c, j = _ranges(first, np.searchsorted(t, hi, "right") - first)
+    inside = _barycentric_at(sol, cand[c], pts[j]).min(axis=1) >= -_CONTAIN_TOL
+    owner = np.full(t.size, np.iinfo(np.int64).max)
+    np.minimum.at(owner, j[inside], cand[c][inside])
+    missing = np.nonzero(owner == np.iinfo(np.int64).max)[0]
+    if missing.size:
+        raise ValueError(f"point {pts[missing[0]]} is outside the mesh")
+    return owner
+
+
+def _walk(cand, lo, hi, a, b, sliver: float, start, v):
+    """Owner runs along the segment: (owners (R,), bounds (R+1,) from 0 to 1).
+
+    The exact interval endpoints cut [0, 1] into pieces.  A piece's owner is
+    the smallest index among the elements whose exact interval covers it:
+    the locate rule away from faces, and on faces the segment runs along.
+    Rounding can leave a gap between neighbours where the segment crosses a
+    face; the widened intervals, which overlap there, own it.  Pieces no
+    longer than sliver (in t) are rounding slivers at vertices and edges and
+    join their neighbours.  Run bounds are exact endpoints, so each lies on a
+    face of both elements it separates.
+    """
+    none = np.iinfo(np.int64).max
+    keep = b - a > sliver
+    cuts = np.unique(np.concatenate([a[keep], b[keep], [0.0, 1.0]]))
+    first = np.searchsorted(cuts, a[keep])
+    c, piece = _ranges(first, np.searchsorted(cuts, b[keep]) - first)
+    owner = np.full(cuts.size - 1, none)
+    np.minimum.at(owner, piece, cand[keep][c])
+
+    gap = np.nonzero(owner == none)[0]
+    if gap.size:
+        cover = (lo <= cuts[gap, None]) & (hi >= cuts[gap + 1, None])
+        owner[gap] = np.where(cover, cand, none).min(axis=1)
+        if (owner == none).any():
+            t = cuts[gap[np.argmax(owner[gap] == none)]]
+            raise ValueError(f"point {start + t * v} is outside the mesh")
+
+    length = np.diff(cuts)
+    real = length > sliver
+    if not real.any():                   # the segment is shorter than a sliver
+        real = length == length.max()
+    owner, ends = owner[real], cuts[1:][real]
+    change = np.nonzero(owner[1:] != owner[:-1])[0]
+    owners = np.append(owner[change], owner[-1])
+    bounds = np.concatenate([[0.0], ends[change], [1.0]])
+    return owners, bounds
+
+
 def sample_line(sol: SolutionField, start, end, count: int = 1001) -> LineSample:
+    """Sample phi, E and the material side along the segment start -> end.
+
+    Holds count equally spaced base samples, each evaluated in the
+    smallest-index element whose closure holds it (the locate rule), plus
+    one pair of entries at every element boundary the segment crosses and at
+    every interface crossing inside a cut element.  Boundary pairs sit at
+    the exact face parameter and hold the values of the element before and
+    after; crossing pairs hold the approach side first.
+    """
     if count < 2:
         raise ValueError("count must be at least 2")
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
+    v = end - start
 
     base_t = np.linspace(0.0, 1.0, count)
-    pts = start + base_t[:, None] * (end - start)
-    elems = [locate(sol, p) for p in pts]
+    base_pts = start + base_t[:, None] * v
+    cand, lo, hi, a, b = _clip(sol, start, v)
+    base_e = _owners(sol, base_pts, base_t, cand, lo, hi)
+    length = float(np.linalg.norm(v))
+    extent = float(np.ptp(sol.mesh.nodes, axis=0).max())
+    sliver = _SLIVER * extent / length if length > 0.0 else np.inf
+    owners, bounds = _walk(cand, lo, hi, a, b, sliver, start, v)
+    runs = np.arange(owners.size)
 
-    def point_at(t):
-        return start + t * (end - start)
+    # interface crossings: the interpolated distance is linear along the
+    # segment, so its root inside a cut element's run is exact
+    cut = np.nonzero(sol.is_cut[owners])[0]
+    tb = np.concatenate([bounds[cut], bounds[cut + 1]])
+    L = np.einsum("pi,pi->p",
+                  _barycentric_at(sol, np.tile(owners[cut], 2), start + tb[:, None] * v),
+                  np.tile(sol.element_d[owners[cut]], (2, 1)))
+    L0, L1 = L[:cut.size], L[cut.size:]
+    hit = (L0 != 0.0) & (L1 != 0.0) & ((L0 > 0.0) != (L1 > 0.0))
+    r_x = cut[hit]
+    t_x = bounds[r_x] + (bounds[r_x + 1] - bounds[r_x]) * L0[hit] / (L0[hit] - L1[hit])
+    s_x = np.where(L0[hit] > 0.0, 1, -1)
 
-    # element-boundary crossings by recursive bisection on the element id
-    entries: list[tuple[float, int, int]] = [(float(t), e, 0) for t, e in zip(base_t, elems)]
+    # entries: (t, run, rank within equal t and run, element, forced side)
+    # ranks: 0 run start, 1 base sample, 2/3 crossing approach/departure, 4 run end
+    # a base sample on a run bound goes with the run its owner belongs to
+    base_run = np.searchsorted(bounds, base_t, "right").clip(1, owners.size) - 1
+    base_run -= (base_run > 0) & (bounds[base_run] == base_t) & (owners[base_run - 1] == base_e)
+    inner = bounds[1:-1]
+    t = np.concatenate([base_t, inner, inner, t_x, t_x])
+    run = np.concatenate([base_run, runs[:-1], runs[1:], r_x, r_x])
+    rank = np.concatenate([np.full(count, 1), np.full(inner.size, 4), np.zeros(inner.size, int),
+                           np.full(r_x.size, 2), np.full(r_x.size, 3)])
+    elem = np.concatenate([base_e, owners[:-1], owners[1:], owners[r_x], owners[r_x]])
+    forced = np.concatenate([np.zeros(count + 2 * inner.size, int), s_x, -s_x])
 
-    def refine(t0, e0, t1, e1, depth=0):
-        if e0 == e1:
-            return
-        if (t1 - t0) <= 1e-12 or depth > 60:
-            # the pair shares one coordinate; phi is continuous across the
-            # face so both one-sided records are exact there
-            tb = 0.5 * (t0 + t1)
-            entries.append((tb, e0, 0))
-            entries.append((tb, e1, 0))
-            return
-        tm = 0.5 * (t0 + t1)
-        em = locate(sol, point_at(tm))
-        refine(t0, e0, tm, em, depth + 1)
-        refine(tm, em, t1, e1, depth + 1)
-
-    for i in range(count - 1):
-        if elems[i] != elems[i + 1]:
-            refine(base_t[i], elems[i], base_t[i + 1], elems[i + 1])
-
-    entries.sort(key=lambda r: (r[0], r[1]))
-
-    # interface crossings inside cut elements: the interpolated distance is
-    # linear along the segment, so the root between same-element samples is exact
-    crossings: list[tuple[float, int]] = []
-    for (t0, e0, _), (t1, e1, _) in zip(entries[:-1], entries[1:]):
-        if e0 != e1 or not sol.is_cut[e0] or t1 <= t0:
-            continue
-        d = sol.element_d[e0]
-        L0 = float(barycentric(sol.mesh.element_coords(e0), point_at(t0)) @ d)
-        L1 = float(barycentric(sol.mesh.element_coords(e0), point_at(t1)) @ d)
-        if L0 == 0.0 or L1 == 0.0 or (L0 > 0) == (L1 > 0):
-            continue
-        ts = t0 + (t1 - t0) * L0 / (L0 - L1)
-        s_before = 1 if L0 > 0 else -1
-        crossings.append((ts, e0))
-        entries.append((ts, e0, s_before))
-        entries.append((ts, e0, -s_before))
-
-    entries.sort(key=lambda r: (r[0], r[1]))
-
-    rows = []
-    for t, e, forced in entries:
-        p = point_at(t)
-        if forced:
-            phi, E = eval_in_element(sol, e, p, side=forced)
-            s = forced
-        else:
-            phi, E = eval_in_element(sol, e, p)
-            s = side_of(sol, e, p)
-        rows.append((t, p, phi, E, s, e))
-
-    # stable order: ascending t; at equal t keep negative-side-first so the
-    # approach side comes before the departure side
-    order = sorted(range(len(rows)), key=lambda i: (rows[i][0], i))
-    t_arr = np.array([rows[i][0] for i in order])
-    return LineSample(
-        start, end,
-        np.array([rows[i][1] for i in order]),
-        t_arr,
-        np.array([rows[i][2] for i in order]),
-        np.array([rows[i][3] for i in order]),
-        np.array([rows[i][4] for i in order], dtype=int),
-        np.array([rows[i][5] for i in order], dtype=int),
-    )
+    order = np.lexsort((rank, run, t))
+    t, elem, forced = t[order], elem[order], forced[order]
+    pts = start + t[:, None] * v
+    phi, E, side = _evaluate(sol, elem, pts, forced)
+    return LineSample(start, end, pts, t, phi, E, side, elem)
 
 
 def crossings(sample: LineSample) -> list[dict]:
@@ -298,35 +425,51 @@ def observed_order(hs, errors) -> float:
 # interface diagnostics
 
 
+def _interior_faces(mesh: Mesh):
+    """(first, second, local face in first) of every face two elements share.
+
+    first is the smaller element index.  Faces are matched by their sorted
+    node keys, so no adjacency lookup is needed.
+    """
+    faces = np.array(local_faces(mesh.dim))
+    nf = faces.shape[0]
+    keys = np.sort(mesh.elements[:, faces], axis=2).reshape(-1, faces.shape[1])
+    elem = np.repeat(np.arange(mesh.n_elements), nf)
+    order = np.lexsort((elem,) + tuple(keys.T[::-1]))
+    k = keys[order]
+    shared = np.nonzero((k[1:] == k[:-1]).all(axis=1))[0]
+    first, second = order[shared], order[shared + 1]
+    return elem[first], elem[second], first % nf
+
+
 def interface_potential_mismatch(sol: SolutionField) -> float:
     """Largest inter-element disagreement of phi_h at interface crossings.
 
     For every interior mesh face crossed by the interface, the two adjacent
     elements reconstruct their own trace; the hat function is identical on
     the shared face, so any disagreement comes from differing enrichment
-    amplitudes.  Returns the max absolute mismatch (2D meshes).
+    amplitudes.  The crossing point comes from the snapped distances of the
+    smaller-index element.  Returns the max absolute mismatch (2D meshes).
     """
     m = sol.mesh
     if m.dim != 2:
         raise ValueError("mismatch scan is defined for 2D meshes")
-    inv_conn = {e: {int(n): i for i, n in enumerate(m.elements[e])} for e in range(m.n_elements)}
-    worst = 0.0
-    for key, (first, second) in m.face_adjacency.items():
-        if second is None:
-            continue
-        (e1, _), (e2, _) = first, second
-        a, b = key
-        l1a, l1b = inv_conn[e1][a], inv_conn[e1][b]
-        d1 = sol.element_d[e1]
-        if (d1[l1a] > 0) == (d1[l1b] > 0):
-            continue
-        xa, xb = m.nodes[a], m.nodes[b]
-        t = d1[l1a] / (d1[l1a] - d1[l1b])
-        xi = xa + t * (xb - xa)
-        p1, _ = eval_in_element(sol, e1, xi, side=1)
-        p2, _ = eval_in_element(sol, e2, xi, side=1)
-        worst = max(worst, abs(p1 - p2))
-    return worst
+    e1, e2, lf = _interior_faces(m)
+    face = np.array(local_faces(2))[lf]
+    rows = np.arange(e1.size)[:, None]
+    nodes = m.elements[e1][rows, face]
+    local = np.where((nodes[:, 0] > nodes[:, 1])[:, None], face[:, ::-1], face)
+    ends = m.elements[e1][rows, local]                  # (a, b) with a < b
+    d = sol.element_d[e1][rows, local]
+    crossed = np.nonzero((d[:, 0] > 0.0) != (d[:, 1] > 0.0))[0]
+    if crossed.size == 0:
+        return 0.0
+    da, db = d[crossed, 0], d[crossed, 1]
+    xa, xb = m.nodes[ends[crossed, 0]], m.nodes[ends[crossed, 1]]
+    xi = xa + (da / (da - db))[:, None] * (xb - xa)
+    phi, _, _ = _evaluate(sol, np.concatenate([e1[crossed], e2[crossed]]),
+                          np.concatenate([xi, xi]), np.ones(2 * crossed.size, dtype=np.int64))
+    return float(np.abs(phi[:crossed.size] - phi[crossed.size:]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ from efem.efem_core import (
     hat_gradients,
     hat_value,
 )
-from efem.interface import PlaneLevelSet, classify_elements, cut_exterior_faces, split_simplex
+from efem.interface import (
+    CircleLevelSet,
+    NodalLevelSet,
+    PlaneLevelSet,
+    classify_elements,
+    cut_exterior_faces,
+    split_simplex,
+)
 from efem.mesh import (
     BoundaryTag,
     all_geometry,
@@ -27,6 +34,7 @@ from efem.mesh import (
     p1_geometry,
 )
 from efem.oracles import box_boundary, planar_levelset, planar_materials, planar_solution
+from efem.postprocess import build_solution
 from efem.solver import solve
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -284,6 +292,47 @@ def test_assembly_rejects_unknown_mode():
     mesh = generate_structured(2, 3, 3)
     with pytest.raises(ValueError, match="unknown mode"):
         assemble_global(mesh, planar_levelset(), planar_materials(3), "fem", box_boundary(2))
+
+
+@pytest.mark.parametrize("eps1, eps2, field, cause", [
+    (float("nan"), 1.0, "eps1", "finite"),
+    (1.0, float("inf"), "eps2", "finite"),
+    (-1.0, 1.0, "eps1", "positive"),
+    (1.0, 0.0, "eps2", "positive"),
+])
+def test_material_pair_rejects_bad_permittivity(eps1, eps2, field, cause):
+    with pytest.raises(ValueError, match=f"{field} must be {cause}"):
+        MaterialPair(eps1, eps2)
+
+
+def test_standard_mode_records_no_fallback():
+    # standard mode averages eps in cut elements by design; that is no fallback
+    mesh = generate_structured(2, 12, 12)
+    levelset = CircleLevelSet((0.45, 0.55), 0.27)
+    for mode in MODES:
+        asm = assemble_global(mesh, levelset, MaterialPair(3.0, 1.0), mode, box_boundary(2))
+        assert asm.classification.cut_elements.size > 0
+        assert asm.fallback_elements == []
+
+
+def test_degenerate_cut_is_a_fallback_in_every_mode():
+    mesh = generate_structured(2, 2, 2)
+    values = np.ones(mesh.n_nodes)
+    values[4] = -1e-17                       # centre node: sliver children, no snapping
+    for mode in MODES:
+        asm = assemble_global(mesh, NodalLevelSet(values), MaterialPair(3.0, 1.0), mode,
+                              box_boundary(2), snap_tol=0.0)
+        assert asm.classification.cut_elements.size > 0
+        assert asm.fallback_elements == asm.classification.cut_elements.tolist()
+
+
+def test_assembly_shares_geometry_with_solution():
+    asm = _planar_system(3.0, 4, "efem")
+    measures, grads = all_geometry(asm.mesh)
+    assert np.array_equal(asm.measures, measures)
+    assert np.array_equal(asm.grads, grads)
+    phi, _ = solve(asm.matrix, asm.rhs, tol=1e-10)
+    assert build_solution(asm, phi).grads is asm.grads
 
 
 def test_assembly_requires_dirichlet():

@@ -48,6 +48,25 @@ def test_nodal_levelset_size_mismatch():
         classify_elements(mesh, ls)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nodal_levelset_rejects_non_finite(bad):
+    values = np.array([0.5, -0.5, 0.25, 0.1])
+    values[2] = bad
+    with pytest.raises(ValueError, match="node 2 is not finite"):
+        NodalLevelSet(values)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: PlaneLevelSet((0.0, np.nan), (0.0, 1.0)), "plane point"),
+    (lambda: PlaneLevelSet((0.0, 0.5), (np.inf, 1.0)), "plane normal"),
+    (lambda: CircleLevelSet((0.5, np.nan), 0.2), "circle center"),
+    (lambda: SphereLevelSet((0.5, 0.5, 0.5), np.nan), "sphere radius"),
+])
+def test_analytic_levelsets_reject_non_finite(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
+
+
 def test_classify_straddling_row():
     mesh = generate_structured(2, 5, 5)
     cls = classify_elements(mesh, PlaneLevelSet((0.0, 0.5), (0.0, 1.0)))

@@ -6,7 +6,7 @@ statically condensed enrichment unknown that restores the gradient kink of
 the potential across the interface.
 """
 
-from efem.mesh import BoundaryTag, Mesh, MeshError, element_geometry, generate_structured, read_mesh, write_mesh
+from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_mesh, write_mesh
 from efem.interface import (
     CircleLevelSet,
     Classification,

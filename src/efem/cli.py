@@ -20,7 +20,7 @@ import numpy as np
 
 from efem import oracles
 from efem.efem_core import MODES, MaterialPair, assemble_global
-from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet
+from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet, classify_elements
 from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_mesh
 from efem.postprocess import (build_solution, export_csv, export_vtk,
                               interface_potential_mismatch, l2_line_error,
@@ -205,9 +205,7 @@ def _case_text(name_or_path: str) -> tuple[str, str, Path | None]:
 
 def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
     if cfg.mesh_kind == "structured":
-        if cfg.dim == 2:
-            return generate_structured(2, cfg.mesh_n, cfg.mesh_n)
-        return generate_structured(3, cfg.mesh_n, cfg.mesh_n, cfg.mesh_n)
+        return generate_structured(cfg.dim, cfg.mesh_n)
     candidates = []
     if base is not None:
         candidates.append(base / cfg.mesh_file)
@@ -250,10 +248,14 @@ def _reference_evaluator(cfg: CaseConfig):
     raise ConfigError(f"reference: unknown kind {kind!r}")
 
 
-def _assemble(cfg: CaseConfig, mesh: Mesh, mode: str):
+def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
+    """Yield the assembled system of each mode in turn; the mesh is classified once."""
     levelset = _build_levelset(cfg)
     try:
-        return assemble_global(mesh, levelset, cfg.materials, mode, cfg.boundary)
+        classification = classify_elements(mesh, levelset)
+        for mode in modes:
+            yield assemble_global(mesh, levelset, cfg.materials, mode, cfg.boundary,
+                                  classification=classification)
     except (MeshError, ValueError, KeyError) as exc:
         raise IncompatibleError(f"case is incompatible with the mesh: {exc}") from exc
 
@@ -266,7 +268,7 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
              direct: bool = False) -> tuple[int, dict]:
     t0 = time.perf_counter()
     mesh = _load_mesh(cfg, base)
-    assembled = _assemble(cfg, mesh, cfg.mode)
+    assembled = next(_assemble(cfg, mesh, [cfg.mode]))
     n = mesh.n_nodes
     if direct and n > DIRECT_LIMIT:
         raise ConfigError(
@@ -338,27 +340,21 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
     if reference is None:
         raise ConfigError("converge: case has no reference to measure against")
 
-    table: dict[str, dict] = {name: {} for name in cfg.lines}
+    errors = {mode: {name: [] for name in cfg.lines} for mode in modes}
     converged = True
-    for mode in modes:
-        results: dict[str, list[float]] = {name: [] for name in cfg.lines}
-        for h in h_list:
-            n = oracles.resolution(h)
-            mesh = (generate_structured(2, n, n) if cfg.dim == 2
-                    else generate_structured(3, n, n, n))
-            assembled = _assemble(cfg, mesh, mode)
+    for h in h_list:
+        mesh = generate_structured(cfg.dim, oracles.resolution(h))
+        for mode, assembled in zip(modes, _assemble(cfg, mesh, modes)):
             phi, report = bicgstab(assembled.matrix, assembled.rhs, tol=cfg.tol)
             converged = converged and report.converged
             sol = build_solution(assembled, phi)
             for name, (start, end) in cfg.lines.items():
-                results[name].append(l2_line_error(sol, reference, start, end))
-        for name in cfg.lines:
-            errs = results[name]
-            table[name][mode] = {
-                "h": list(h_list),
-                "errors": errs,
-                "order": observed_order(h_list, errs),
-            }
+                errors[mode][name].append(l2_line_error(sol, reference, start, end))
+    table = {name: {mode: {"h": list(h_list),
+                           "errors": errors[mode][name],
+                           "order": observed_order(h_list, errors[mode][name])}
+                    for mode in modes}
+             for name in cfg.lines}
 
     report_doc = {"case": cfg.name, "reference": cfg.reference, "lines": table}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -396,8 +392,6 @@ def _parser() -> argparse.ArgumentParser:
     sv.add_argument("--tol", type=float, help="override solver tolerance")
     sv.add_argument("--direct", action="store_true",
                     help=f"dense LU instead of BiCGSTAB (up to {DIRECT_LIMIT} nodes)")
-    sv.add_argument("--threads", type=int, default=1,
-                    help="worker threads (only 1 is implemented)")
     sv.add_argument("--out", default=".", help="output directory")
 
     cv = sub.add_parser("converge", help="error-vs-h sweep across modes")
@@ -406,7 +400,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="comma-separated element sizes, e.g. 0.3,0.15,0.075")
     cv.add_argument("--modes", default="efem",
                     help="comma-separated modes, e.g. efem,efem-nod")
-    cv.add_argument("--threads", type=int, default=1)
     cv.add_argument("--out", default=".")
     return ap
 
@@ -414,8 +407,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         text, name, base = _case_text(args.case)
         cfg = parse_case(text, name)
         if args.command == "solve":

@@ -367,7 +367,8 @@ def _majority_block(deco, coords, measure, egrads, nodal_d, materials):
 
 
 def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
-    seen: dict[int, float] = {}
+    """Dirichlet nodes and values; ValueError if two tags give one node different values."""
+    seen: dict[int, tuple[float, str]] = {}
     for e, lf, tag_name in mesh.boundary_faces:
         tag = boundary.get(tag_name)
         if tag is None:
@@ -375,11 +376,17 @@ def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
         if tag.kind != "dirichlet":
             continue
         for node in mesh.face_nodes(e, lf):
-            seen[int(node)] = tag.value_at(mesh.nodes[int(node)])
+            node = int(node)
+            value = tag.value_at(mesh.nodes[node])
+            prev, prev_tag = seen.setdefault(node, (value, tag_name))
+            if value != prev:
+                raise ValueError(
+                    f"node {node} has conflicting Dirichlet values: {prev!r} from tag "
+                    f"{prev_tag!r} and {value!r} from tag {tag_name!r}")
     if not seen:
         return np.empty(0, dtype=np.int64), np.empty(0)
     nodes = np.array(sorted(seen), dtype=np.int64)
-    values = np.array([seen[int(i)] for i in nodes])
+    values = np.array([seen[int(i)][0] for i in nodes])
     return nodes, values
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from efem.mesh import Mesh, char_lengths, local_faces, p1_geometry
+from efem.mesh import Mesh, char_lengths, local_faces
 
 SNAP_TOL = 1e-6
 

@@ -62,19 +62,25 @@ class BoundaryTag:
 
 @dataclass
 class Mesh:
-    """Immutable simplex mesh.
+    """Immutable simplex mesh, made only by :meth:`Mesh.build`.
 
     nodes: (n_nodes, dim) coordinates.
     elements: (n_elements, dim+1) node indices, positively oriented.
     boundary_faces: list of (element, local_face, tag name).
-    face_adjacency: sorted node tuple -> ((elem, lf), (elem, lf) | None).
+    face_keys: (n_faces, dim) sorted node indices of every distinct face,
+        rows in ascending lexicographic order.
+    face_first, face_second: (n_faces, 2) (element, local face) of the two
+        elements sharing each face, the smaller element first; face_second
+        is -1 for a boundary face.
     """
 
     dim: int
     nodes: np.ndarray
     elements: np.ndarray
     boundary_faces: list[tuple[int, int, str]]
-    face_adjacency: dict = field(repr=False, default_factory=dict)
+    face_keys: np.ndarray = field(repr=False, default=None)
+    face_first: np.ndarray = field(repr=False, default=None)
+    face_second: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -86,7 +92,7 @@ class Mesh:
 
     @staticmethod
     def build(dim, nodes, elements, boundary_faces) -> "Mesh":
-        """Validate arrays, build adjacency and freeze the result."""
+        """Validate arrays, pair faces, check boundary tags and freeze the result."""
         nodes = np.ascontiguousarray(nodes, dtype=float)
         elements = np.ascontiguousarray(elements, dtype=np.int64)
         if dim not in (2, 3):
@@ -97,22 +103,24 @@ class Mesh:
             raise MeshError(f"elements must have shape (*, {dim + 1})")
         mesh = Mesh(dim, nodes, elements, list(boundary_faces))
         mesh._validate()
-        mesh.face_adjacency = _build_adjacency(mesh)
-        mesh._check_boundary_tags()
-        nodes.setflags(write=False)
-        elements.setflags(write=False)
+        mesh.face_keys, mesh.face_first, mesh.face_second, slot_face = _pair_faces(dim, elements)
+        mesh._check_boundary_tags(slot_face)
+        for a in (nodes, elements, mesh.face_keys, mesh.face_first, mesh.face_second):
+            a.setflags(write=False)
         return mesh
 
     def _validate(self):
         n = self.n_nodes
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= n):
-            for e, conn in enumerate(self.elements):
-                out = conn[(conn < 0) | (conn >= n)]
-                if out.size:
-                    raise MeshError(f"element {e} references node {int(out[0])} but mesh has {n} nodes")
-        for e, conn in enumerate(self.elements):
-            if len(set(int(c) for c in conn)) != self.dim + 1:
-                raise MeshError(f"element {e} has repeated node indices")
+        out = (self.elements < 0) | (self.elements >= n)
+        bad = np.flatnonzero(out.any(axis=1))
+        if bad.size:
+            e = int(bad[0])
+            node = int(self.elements[e][out[e]][0])
+            raise MeshError(f"element {e} references node {node} but mesh has {n} nodes")
+        conn = np.sort(self.elements, axis=1)
+        bad = np.flatnonzero((conn[:, 1:] == conn[:, :-1]).any(axis=1))
+        if bad.size:
+            raise MeshError(f"element {int(bad[0])} has repeated node indices")
         vols = signed_measures(self)
         bad = np.nonzero(vols <= 0.0)[0]
         if bad.size:
@@ -121,22 +129,34 @@ class Mesh:
                 f"(signed measure {vols[int(bad[0])]:.3e}); fix the input ordering"
             )
 
-    def _check_boundary_tags(self):
-        tagged = set()
-        for e, lf, tag in self.boundary_faces:
-            if not (0 <= e < self.n_elements):
-                raise MeshError(f"boundary face references element {e} out of range")
-            faces = local_faces(self.dim)
-            if not (0 <= lf < len(faces)):
-                raise MeshError(f"boundary face of element {e} has local face {lf} out of range")
-            key = tuple(sorted(int(i) for i in self.elements[e][list(faces[lf])]))
-            if self.face_adjacency[key][1] is not None:
-                raise MeshError(f"face {key} of element {e} is tagged {tag!r} but is interior")
-            tagged.add(key)
-        for key, (first, second) in self.face_adjacency.items():
-            if second is None and key not in tagged:
-                e, lf = first
-                raise MeshError(f"boundary face {key} (element {e}, local face {lf}) has no tag")
+    def _check_boundary_tags(self, slot_face: np.ndarray):
+        nf = self.dim + 1
+        tagged = np.zeros(len(self.face_keys), dtype=bool)
+        if self.boundary_faces:
+            e, lf = (np.array([b[i] for b in self.boundary_faces], dtype=np.int64) for i in (0, 1))
+            bad_e = (e < 0) | (e >= self.n_elements)
+            bad_lf = (lf < 0) | (lf >= nf)
+            ok = ~(bad_e | bad_lf)
+            face = np.zeros(e.size, dtype=np.int64)
+            face[ok] = slot_face[e[ok] * nf + lf[ok]]
+            interior = ok & (self.face_second[face, 0] >= 0)
+            bad = np.flatnonzero(~ok | interior)
+            if bad.size:
+                i = int(bad[0])
+                ei, lfi, tag = self.boundary_faces[i]
+                if bad_e[i]:
+                    raise MeshError(f"boundary face references element {ei} out of range")
+                if bad_lf[i]:
+                    raise MeshError(f"boundary face of element {ei} has local face {lfi} out of range")
+                raise MeshError(f"face {_key(self.face_keys[face[i]])} of element {ei} "
+                                f"is tagged {tag!r} but is interior")
+            tagged[face] = True
+        untagged = np.flatnonzero((self.face_second[:, 0] < 0) & ~tagged)
+        if untagged.size:
+            f = untagged[_smallest(self.face_first[untagged])]
+            e, lf = (int(v) for v in self.face_first[f])
+            raise MeshError(f"boundary face {_key(self.face_keys[f])} "
+                            f"(element {e}, local face {lf}) has no tag")
 
     def face_nodes(self, e: int, lf: int) -> np.ndarray:
         return self.elements[e][list(local_faces(self.dim)[lf])]
@@ -145,21 +165,46 @@ class Mesh:
         return self.nodes[self.elements[e]]
 
 
-def _build_adjacency(mesh: Mesh) -> dict:
-    adj: dict = {}
-    faces = local_faces(mesh.dim)
-    for e in range(mesh.n_elements):
-        conn = mesh.elements[e]
-        for lf, face in enumerate(faces):
-            key = tuple(sorted(int(conn[i]) for i in face))
-            slot = adj.get(key)
-            if slot is None:
-                adj[key] = ((e, lf), None)
-            elif slot[1] is None:
-                adj[key] = (slot[0], (e, lf))
-            else:
-                raise MeshError(f"face {key} is shared by more than two elements")
-    return adj
+def _pair_faces(dim: int, elements: np.ndarray):
+    """Group the faces of all elements by their sorted node keys.
+
+    Face slot s = e * (dim + 1) + lf is local face lf of element e.  Returns
+    (keys (F, dim), first (F, 2), second (F, 2), slot_face (M * (dim + 1),)):
+    the distinct sorted keys in ascending order, the (element, local face)
+    of the first and second slot holding each key (-1 where there is no
+    second), and the face index of every slot.  The sort is stable, so the
+    first slot is the one of the smaller element.
+    """
+    faces = np.array(local_faces(dim))
+    nf = dim + 1
+    keys = np.sort(elements[:, faces], axis=2).reshape(-1, dim)
+    order = np.lexsort(keys.T[::-1])
+    k = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (k[1:] != k[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    count = np.diff(np.append(start, order.size))
+    if (count > 2).any():
+        third = order[start[count > 2] + 2].min()
+        raise MeshError(f"face {_key(keys[third])} is shared by more than two elements")
+    first = order[start]
+    second = np.where(count == 2, order[np.minimum(start + 1, order.size - 1)], -1)
+    slot_face = np.empty(order.size, dtype=np.int64)
+    slot_face[order] = np.cumsum(new) - 1
+
+    def element_and_face(slot):
+        return np.where(slot[:, None] >= 0, np.stack([slot // nf, slot % nf], axis=1), -1)
+
+    return keys[first], element_and_face(first), element_and_face(second), slot_face
+
+
+def _key(row) -> tuple:
+    return tuple(int(i) for i in row)
+
+
+def _smallest(pairs: np.ndarray) -> int:
+    """Row index of the lexicographically smallest (element, local face) pair."""
+    return int(np.lexsort(pairs.T[::-1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +217,6 @@ def signed_measures(mesh: Mesh) -> np.ndarray:
     B = X[:, 1:, :] - X[:, :1, :]               # (M, d, d) edge matrix
     det = np.linalg.det(B)
     return det / math.factorial(mesh.dim)
-
-
-def element_geometry(mesh: Mesh, e: int):
-    """Coordinates, measure and constant P1 shape gradients of one element.
-
-    Returns (coords (d+1, d), measure, grads (d+1, d)).
-    """
-    coords = mesh.element_coords(e)
-    return coords, *p1_geometry(coords)
 
 
 def p1_geometry(coords: np.ndarray):
@@ -246,9 +282,23 @@ def face_measure_normal(face_coords: np.ndarray, elem_centroid: np.ndarray):
 # ---------------------------------------------------------------------------
 # structured generation
 
-_TET_PERMS = (
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-)
+# Simplices of one grid cell as corner offsets, each positively oriented.
+# 2D: the two triangles either side of the (0, 0)-(1, 1) diagonal.  3D: the
+# six tetrahedra along the main diagonal, one per order of the axis steps
+# (x y z, x z y, y x z, y z x, z x y, z y x), with the last two vertices
+# swapped for the odd orders.
+_CELL_SIMPLICES = {
+    2: (((0, 0), (1, 0), (1, 1)),
+        ((0, 0), (1, 1), (0, 1))),
+    3: (((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)),
+        ((0, 0, 0), (1, 0, 0), (1, 1, 1), (1, 0, 1)),
+        ((0, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, 0)),
+        ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)),
+        ((0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)),
+        ((0, 0, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1))),
+}
+
+_SIDE_NAMES = ("left", "right", "bottom", "top", "front", "back")
 
 
 def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None = None,
@@ -257,106 +307,42 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 
     2D: each grid square is split into two triangles along the same diagonal
     (corner (i, j) to (i+1, j+1)).  3D: each cube is split into six
-    tetrahedra sharing the main diagonal.  Boundary faces are tagged
-    left/right (x), bottom/top (y) and front/back (z).
+    tetrahedra sharing the main diagonal.  Elements run over cells i, j, k,
+    then over the cell's simplices.  Boundary faces are tagged left/right
+    (x), bottom/top (y) and front/back (z).
     """
-    if dim == 2:
-        return _structured_2d(nx, ny if ny is not None else nx, box)
-    if dim == 3:
-        return _structured_3d(nx, ny if ny is not None else nx, nz if nz is not None else nx, box)
-    raise MeshError(f"dim must be 2 or 3, got {dim}")
+    if dim not in (2, 3):
+        raise MeshError(f"dim must be 2 or 3, got {dim}")
+    counts = (nx, nx if ny is None else ny, nx if nz is None else nz)[:dim]
+    if min(counts) < 1:
+        raise MeshError("nx and ny must be at least 1" if dim == 2
+                        else "nx, ny and nz must be at least 1")
+    box = box or (0.0, 1.0) * dim
+    axes = [np.linspace(box[2 * i], box[2 * i + 1], counts[i] + 1) for i in range(dim)]
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
+    ids = np.arange(nodes.shape[0]).reshape([c + 1 for c in counts])
+    corner = ids[(slice(0, -1),) * dim].ravel()
+    table = np.array(_CELL_SIMPLICES[dim])                      # (S, d+1, d)
+    offset = ids[tuple(np.moveaxis(table, -1, 0))]              # (S, d+1)
+    elements = (corner[:, None, None] + offset).reshape(-1, dim + 1)
 
-def _grid_nodes(counts, box):
-    axes = [np.linspace(box[2 * i], box[2 * i + 1], counts[i] + 1) for i in range(len(counts))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _structured_2d(nx, ny, box):
-    if nx < 1 or ny < 1:
-        raise MeshError("nx and ny must be at least 1")
-    box = box or (0.0, 1.0, 0.0, 1.0)
-    nodes = _grid_nodes((nx, ny), box)
-
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    elements = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            elements.append((a, b, c))
-            elements.append((a, c, d))
-    return _finish_structured(2, nodes, np.array(elements), box)
-
-
-def _structured_3d(nx, ny, nz, box):
-    if nx < 1 or ny < 1 or nz < 1:
-        raise MeshError("nx, ny and nz must be at least 1")
-    box = box or (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-    nodes = _grid_nodes((nx, ny, nz), box)
-
-    def nid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    basis = np.eye(3, dtype=int)
-    elements = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                corner = np.array([i, j, k])
-                for perm in _TET_PERMS:
-                    verts = [corner.copy()]
-                    for axis in perm:
-                        verts.append(verts[-1] + basis[axis])
-                    conn = [nid(*v) for v in verts]
-                    # odd permutations produce negative volume; swap to fix
-                    if _perm_parity(perm) < 0:
-                        conn[2], conn[3] = conn[3], conn[2]
-                    elements.append(tuple(conn))
-    return _finish_structured(3, nodes, np.array(elements), box)
-
-
-def _perm_parity(perm) -> int:
-    inversions = sum(1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b])
-    return -1 if inversions % 2 else 1
-
-
-_SIDE_NAMES = {0: ("left", "right"), 1: ("bottom", "top"), 2: ("front", "back")}
-
-
-def _finish_structured(dim, nodes, elements, box) -> Mesh:
-    mesh = Mesh(dim, np.asarray(nodes, dtype=float), np.asarray(elements, dtype=np.int64), [])
-    mesh._validate()
-    mesh.face_adjacency = _build_adjacency(mesh)
+    keys, first, second, _ = _pair_faces(dim, elements)
+    outer = np.flatnonzero(second[:, 0] < 0)
+    coords = nodes[keys[outer]]                                 # (B, d, d)
     extent = max(box[2 * i + 1] - box[2 * i] for i in range(dim))
     tol = 1e-12 * max(extent, 1.0)
-    boundary = []
-    for key, (first, second) in mesh.face_adjacency.items():
-        if second is not None:
-            continue
-        e, lf = first
-        coords = mesh.nodes[list(key)]
-        tag = None
-        for axis in range(dim):
-            lo, hi = box[2 * axis], box[2 * axis + 1]
-            if np.all(np.abs(coords[:, axis] - lo) < tol):
-                tag = _SIDE_NAMES[axis][0]
-            elif np.all(np.abs(coords[:, axis] - hi) < tol):
-                tag = _SIDE_NAMES[axis][1]
-            if tag:
-                break
-        if tag is None:
-            raise MeshError(f"boundary face {key} does not lie on a box side")
-        boundary.append((e, lf, tag))
-    boundary.sort()
-    mesh.boundary_faces = boundary
-    mesh._check_boundary_tags()
-    mesh.nodes.setflags(write=False)
-    mesh.elements.setflags(write=False)
-    return mesh
+    side = np.full(outer.size, -1)
+    for s in range(2 * dim):
+        on = (np.abs(coords[:, :, s // 2] - box[s]) < tol).all(axis=1)
+        side[(side < 0) & on] = s
+    if (side < 0).any():
+        stray = outer[side < 0]
+        f = stray[_smallest(first[stray])]
+        raise MeshError(f"boundary face {_key(keys[f])} does not lie on a box side")
+    boundary = sorted((e, lf, _SIDE_NAMES[t]) for (e, lf), t in
+                      zip(first[outer].tolist(), side.tolist()))
+    return Mesh.build(dim, nodes, elements, boundary)
 
 
 # ---------------------------------------------------------------------------

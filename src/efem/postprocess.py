@@ -425,23 +425,6 @@ def observed_order(hs, errors) -> float:
 # interface diagnostics
 
 
-def _interior_faces(mesh: Mesh):
-    """(first, second, local face in first) of every face two elements share.
-
-    first is the smaller element index.  Faces are matched by their sorted
-    node keys, so no adjacency lookup is needed.
-    """
-    faces = np.array(local_faces(mesh.dim))
-    nf = faces.shape[0]
-    keys = np.sort(mesh.elements[:, faces], axis=2).reshape(-1, faces.shape[1])
-    elem = np.repeat(np.arange(mesh.n_elements), nf)
-    order = np.lexsort((elem,) + tuple(keys.T[::-1]))
-    k = keys[order]
-    shared = np.nonzero((k[1:] == k[:-1]).all(axis=1))[0]
-    first, second = order[shared], order[shared + 1]
-    return elem[first], elem[second], first % nf
-
-
 def interface_potential_mismatch(sol: SolutionField) -> float:
     """Largest inter-element disagreement of phi_h at interface crossings.
 
@@ -454,12 +437,13 @@ def interface_potential_mismatch(sol: SolutionField) -> float:
     m = sol.mesh
     if m.dim != 2:
         raise ValueError("mismatch scan is defined for 2D meshes")
-    e1, e2, lf = _interior_faces(m)
+    pairs = np.flatnonzero(m.face_second[:, 0] >= 0)
+    (e1, lf), e2 = m.face_first[pairs].T, m.face_second[pairs, 0]
     face = np.array(local_faces(2))[lf]
     rows = np.arange(e1.size)[:, None]
     nodes = m.elements[e1][rows, face]
     local = np.where((nodes[:, 0] > nodes[:, 1])[:, None], face[:, ::-1], face)
-    ends = m.elements[e1][rows, local]                  # (a, b) with a < b
+    ends = m.face_keys[pairs]                           # (a, b) with a < b
     d = sol.element_d[e1][rows, local]
     crossed = np.nonzero((d[:, 0] > 0.0) != (d[:, 1] > 0.0))[0]
     if crossed.size == 0:

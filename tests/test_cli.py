@@ -98,10 +98,12 @@ def test_direct_refuses_large_mesh(tmp_path, capsys):
     assert "--direct" in capsys.readouterr().err
 
 
-def test_threads_must_be_positive(tmp_path, capsys):
-    rc = main(["solve", write_case(tmp_path, GOOD_CASE), "--threads", "0",
-               "--out", str(tmp_path)])
-    assert rc == 2
+def test_conflicting_dirichlet_values_exit_4(tmp_path, capsys):
+    broken = GOOD_CASE.replace("left = neumann", "left = dirichlet 5.0")
+    rc = main(["solve", write_case(tmp_path, broken), "--out", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "conflicting Dirichlet values" in err and "'left'" in err and "'bottom'" in err
 
 
 def test_solve_writes_summary_and_artifacts(tmp_path, capsys):

@@ -350,6 +350,27 @@ def test_assembly_names_missing_tag():
         assemble_global(mesh, planar_levelset(), planar_materials(3), "efem", partial)
 
 
+def test_assembly_rejects_conflicting_dirichlet_values():
+    # left and bottom meet at corner node 0
+    mesh = generate_structured(2, 2)
+    boundary = box_boundary(2)
+    boundary["left"] = BoundaryTag("left", "dirichlet", 5.0)
+    with pytest.raises(ValueError) as info:
+        assemble_global(mesh, planar_levelset(), planar_materials(3), "efem", boundary)
+    message = str(info.value)
+    assert message.startswith("node 0 has conflicting Dirichlet values")
+    for part in ("'left'", "'bottom'", "5.0", "0.0"):
+        assert part in message
+
+
+def test_assembly_accepts_equal_dirichlet_values_on_shared_nodes():
+    mesh = generate_structured(2, 2)
+    boundary = {t: BoundaryTag(t, "dirichlet", 0.0) for t in ("left", "bottom")}
+    boundary.update({t: BoundaryTag(t, "neumann") for t in ("right", "top")})
+    asm = assemble_global(mesh, planar_levelset(), planar_materials(3), "efem", boundary)
+    assert 0 in asm.dirichlet_nodes
+
+
 def test_sparsity_pattern_identical_across_modes():
     systems = [_planar_system(3.0, 5, mode) for mode in MODES]
     base = systems[0].matrix

@@ -1,5 +1,7 @@
 """Structured generation, text round-trips and P1 geometry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from efem.mesh import (
     MeshError,
     all_geometry,
     char_lengths,
-    element_geometry,
     face_measure_normal,
     generate_structured,
     p1_geometry,
@@ -41,8 +42,7 @@ def test_structured_2d_counts():
 def test_structured_one_cell_has_single_interior_face():
     mesh = generate_structured(2, 1, 1)
     assert mesh.n_elements == 2
-    interior = [k for k, (a, b) in mesh.face_adjacency.items() if b is not None]
-    assert len(interior) == 1
+    assert np.count_nonzero(mesh.face_second[:, 0] >= 0) == 1
 
 
 def test_structured_3d_counts_and_volume():
@@ -67,14 +67,13 @@ def test_structured_boundary_tags_cover_all_sides():
 
 def test_adjacency_symmetry():
     mesh = generate_structured(2, 4, 4)
-    for key, (first, second) in mesh.face_adjacency.items():
-        if second is None:
+    for key, (e1, lf1), (e2, lf2) in zip(mesh.face_keys.tolist(), mesh.face_first.tolist(),
+                                         mesh.face_second.tolist()):
+        if e2 < 0:
             continue
-        e1, lf1 = first
-        e2, lf2 = second
-        k1 = tuple(sorted(int(i) for i in mesh.face_nodes(e1, lf1)))
-        k2 = tuple(sorted(int(i) for i in mesh.face_nodes(e2, lf2)))
-        assert k1 == key and k2 == key
+        assert e1 < e2
+        assert sorted(mesh.face_nodes(e1, lf1).tolist()) == key
+        assert sorted(mesh.face_nodes(e2, lf2).tolist()) == key
 
 
 def test_p1_geometry_unit_right_triangle():
@@ -119,7 +118,7 @@ def test_all_geometry_matches_per_element():
     mesh = generate_structured(3, 2, 2, 2)
     measures, grads = all_geometry(mesh)
     for e in (0, 13, 47):
-        _, m, g = element_geometry(mesh, e)
+        m, g = p1_geometry(mesh.element_coords(e))
         assert abs(measures[e] - m) < 1e-15
         assert np.allclose(grads[e], g, atol=1e-13)
 
@@ -151,8 +150,7 @@ def test_read_two_triangle_square(tmp_path):
     mesh = read_mesh(path)
     assert mesh.n_nodes == 4
     assert mesh.n_elements == 2
-    interior = [k for k, (a, b) in mesh.face_adjacency.items() if b is not None]
-    assert len(interior) == 1
+    assert np.count_nonzero(mesh.face_second[:, 0] >= 0) == 1
 
 
 def test_read_inverted_element_names_element(tmp_path):
@@ -216,3 +214,51 @@ def test_build_rejects_repeated_node():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="repeated"):
         Mesh.build(2, nodes, np.array([[0, 1, 1]]), [])
+
+
+def _square_arrays():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    elements = np.array([[0, 1, 2], [0, 2, 3]])
+    tags = [(0, 0, "bottom"), (0, 1, "right"), (1, 1, "top"), (1, 2, "left")]
+    return nodes, elements, tags
+
+
+@pytest.mark.parametrize("extra, message", [
+    ((0, 2, "diag"), r"face \(0, 2\) of element 0 is tagged 'diag' but is interior"),
+    ((5, 0, "far"), "boundary face references element 5 out of range"),
+    ((0, 3, "far"), "boundary face of element 0 has local face 3 out of range"),
+])
+def test_build_rejects_bad_boundary_face(extra, message):
+    nodes, elements, tags = _square_arrays()
+    with pytest.raises(MeshError, match=message):
+        Mesh.build(2, nodes, elements, tags + [extra])
+
+
+def test_build_rejects_face_shared_by_three_elements():
+    # three triangles fanning out from the edge (0, 1)
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    elements = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshError, match=r"face \(0, 1\) is shared by more than two elements"):
+        Mesh.build(2, nodes, elements, [])
+
+
+# sha256 of nodes (<f8), elements (<i8) and repr(boundary_faces); downstream
+# artifacts are byte-identical only while this order holds.
+MESH_DIGESTS = {
+    (2, 3, 2): ("87c079098b5ea3dec8ca3f78abf17e28cfb16bc337939cc8d3fa1fb5001e9fda",
+                "79ac7566919aff605ee18a7287c07f407e576b29d7720571d0427a5ba7fe4dec",
+                "d1d92f893dab44d84024d552eaf6486219732ede72d2f2ebc36e9e9e24593428"),
+    (3, 2, 2, 2): ("43a8d7ee3627633d420c35535f712e8f1309f8bb2262d5640ade1e630eb66dee",
+                   "b62f705da54a2ceb9c53e2917b24db7ccc0fb2c67859fc90069793dd4afe5047",
+                   "ab16d9a6bb521439cdd3e8592a5d60956374d1b002940b70655cb5672ff9db64"),
+}
+
+
+@pytest.mark.parametrize("args", list(MESH_DIGESTS))
+def test_structured_mesh_order_is_pinned(args):
+    mesh = generate_structured(*args)
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+        np.ascontiguousarray(mesh.nodes, dtype="<f8").tobytes(),
+        np.ascontiguousarray(mesh.elements, dtype="<i8").tobytes(),
+        repr(mesh.boundary_faces).encode()))
+    assert digests == MESH_DIGESTS[args]

@@ -125,6 +125,9 @@ def parse_case(text: str, name: str) -> CaseConfig:
         raise ConfigError(f"levelset: missing key {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ConfigError(f"levelset: {exc}") from exc
+    for key, value in params.items():
+        if not np.isfinite(value).all():
+            raise ConfigError(f"levelset: {key} must be finite, got {ls_sec[key]!r}")
 
     mat = need("materials")
     try:

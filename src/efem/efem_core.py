@@ -105,9 +105,17 @@ def hat_gradients(grads: np.ndarray, nodal_d: np.ndarray):
     return g_abs - g_lin, g_abs + g_lin
 
 
-def hat_value(shape_values: np.ndarray, nodal_d: np.ndarray) -> float:
-    """Nbar from P1 shape function values at a point."""
-    return float(shape_values @ np.abs(nodal_d) - abs(shape_values @ nodal_d))
+def hat_value(shape_values: np.ndarray, nodal_d: np.ndarray):
+    """Nbar from P1 shape function values.
+
+    shape_values (k, d+1) with nodal_d (k, d+1) or (d+1,) give (k,); one
+    point (d+1,) gives a float.
+    """
+    lam = np.asarray(shape_values, dtype=float)
+    d = np.asarray(nodal_d, dtype=float)
+    if lam.ndim == 1:
+        return float(hat_value(lam[None], d)[0])
+    return row_dot(lam, np.abs(d)) - np.abs(row_dot(lam, d))
 
 
 def hat_eval(coords: np.ndarray, nodal_d: np.ndarray, x) -> float:
@@ -117,11 +125,26 @@ def hat_eval(coords: np.ndarray, nodal_d: np.ndarray, x) -> float:
 
 
 def barycentric(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P1 shape values of point x in the simplex with rows coords."""
-    d = coords.shape[1]
-    A = np.vstack([coords.T, np.ones(d + 1)])
-    b = np.append(np.asarray(x, dtype=float), 1.0)
-    return np.linalg.solve(A, b)
+    """P1 shape values of points in simplices, one linear solve per point.
+
+    coords (k, d+1, d) and x (k, d) give (k, d+1); one simplex (d+1, d) and
+    one point (d,) give (d+1,).
+    """
+    coords = np.asarray(coords, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if coords.ndim == 2:
+        return barycentric(coords[None], x[None])[0]
+    k, n, d = coords.shape
+    A = np.ones((k, n, n))
+    A[:, :d, :] = coords.transpose(0, 2, 1)
+    b = np.ones((k, n, 1))
+    b[:, :d, 0] = x
+    return np.linalg.solve(A, b)[..., 0]
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; the same bits as one 1-D a[i] @ b[i] per row."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +200,36 @@ def element_displacement_terms(coords, grads, materials: MaterialPair,
     if face_cuts is None:
         face_cuts = cut_exterior_faces(deco)
 
-    D = np.zeros(n)
-    Denr = 0.0
+    pieces = []                          # (outward normal, piece) in face order
     for fc in face_cuts:
         if fc.local_face in skip_faces or not fc.crossed:
             continue
         face_idx = local_faces(dim)[fc.local_face]
         _, normal = face_measure_normal(coords[list(face_idx)], centroid)
-        for piece in fc.pieces:
-            eps = materials.for_sign(piece.sign)
-            gbar = g_pos if piece.sign > 0 else g_neg
-            if dim == 2:
-                mid = 0.5 * (piece.vertices[0] + piece.vertices[1])
-                nbar_int = hat_eval(coords, deco.nodal_d, mid) * piece.measure
-            else:
-                pts = _TRI_PTS @ piece.vertices
-                w = piece.measure / 3.0
-                nbar_int = w * sum(hat_eval(coords, deco.nodal_d, p) for p in pts)
-            flux = eps * (grads @ normal)            # (n,) one value per shape fn
-            D += nbar_int * flux
-            Denr += nbar_int * eps * float(gbar @ normal)
+        pieces += [(normal, piece) for piece in fc.pieces]
+    D = np.zeros(n)
+    Denr = 0.0
+    if not pieces:
+        return D, Denr
+    # Nbar at every quadrature point of every piece in one batched solve
+    if dim == 2:
+        pts = np.array([0.5 * (p.vertices[0] + p.vertices[1]) for _, p in pieces])
+    else:
+        pts = np.concatenate([_TRI_PTS @ p.vertices for _, p in pieces])
+    nbar = hat_value(barycentric(np.broadcast_to(coords, (len(pts),) + coords.shape), pts),
+                     deco.nodal_d)
+    measure = np.array([p.measure for _, p in pieces])
+    if dim == 2:
+        nbar_int = nbar * measure
+    else:
+        nbar_int = measure / 3.0 * ((nbar[0::3] + nbar[1::3]) + nbar[2::3])
+
+    for (normal, piece), w in zip(pieces, nbar_int.tolist()):
+        eps = materials.for_sign(piece.sign)
+        gbar = g_pos if piece.sign > 0 else g_neg
+        flux = eps * (grads @ normal)            # (n,) one value per shape fn
+        D += w * flux
+        Denr += w * eps * float(gbar @ normal)
     return D, Denr
 
 

@@ -327,21 +327,18 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
     offset = ids[tuple(np.moveaxis(table, -1, 0))]              # (S, d+1)
     elements = (corner[:, None, None] + offset).reshape(-1, dim + 1)
 
-    keys, first, second, _ = _pair_faces(dim, elements)
-    outer = np.flatnonzero(second[:, 0] < 0)
-    coords = nodes[keys[outer]]                                 # (B, d, d)
-    extent = max(box[2 * i + 1] - box[2 * i] for i in range(dim))
-    tol = 1e-12 * max(extent, 1.0)
-    side = np.full(outer.size, -1)
+    # a face lies on box side s when all its nodes sit at that side's extreme
+    # grid index; the first side in _SIDE_NAMES order wins
+    grid = np.indices([c + 1 for c in counts]).reshape(dim, -1)
+    faces = np.array(local_faces(dim))
+    side = np.full((elements.shape[0], dim + 1), -1, dtype=np.int8)
     for s in range(2 * dim):
-        on = (np.abs(coords[:, :, s // 2] - box[s]) < tol).all(axis=1)
+        node_on = grid[s // 2] == (0 if s % 2 == 0 else counts[s // 2])
+        on = node_on[elements][:, faces].all(axis=2)
         side[(side < 0) & on] = s
-    if (side < 0).any():
-        stray = outer[side < 0]
-        f = stray[_smallest(first[stray])]
-        raise MeshError(f"boundary face {_key(keys[f])} does not lie on a box side")
-    boundary = sorted((e, lf, _SIDE_NAMES[t]) for (e, lf), t in
-                      zip(first[outer].tolist(), side.tolist()))
+    e, lf = np.nonzero(side >= 0)
+    boundary = [(a, b, _SIDE_NAMES[t]) for a, b, t in
+                zip(e.tolist(), lf.tolist(), side[e, lf].tolist())]
     return Mesh.build(dim, nodes, elements, boundary)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from efem.efem_core import AssembledSystem, CutElementData, barycentric, hat_value
+from efem.efem_core import AssembledSystem, CutElementData, barycentric, hat_value, row_dot
 from efem.mesh import Mesh, local_faces
 
 _CONTAIN_TOL = 1e-9
@@ -461,86 +461,101 @@ def interface_potential_mismatch(sol: SolutionField) -> float:
 
 
 _VTK_CELL = {2: 5, 3: 10}        # triangle, tetrahedron
+_ROWS_PER_WRITE = 1 << 15
+
+
+def _write_rows(f, fmt: str, rows: np.ndarray) -> None:
+    """Write rows (N, k) with the %-format fmt of one row, a block at a time."""
+    for i in range(0, rows.shape[0], _ROWS_PER_WRITE):
+        block = rows[i:i + _ROWS_PER_WRITE]
+        f.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def export_vtk(sol: SolutionField, path) -> None:
     """Legacy ASCII VTK unstructured grid; cut elements appear as children.
 
-    Virtual interface points are duplicated per element on purpose: the two
-    reconstructions may disagree there and the jump should be visible.
+    Points are the mesh nodes, then the virtual interface points of each cut
+    element in element order.  They are duplicated per element on purpose:
+    the two reconstructions may disagree there and the jump should be
+    visible.  A cut element's children take its place in the cell order;
+    every cell carries its constant E.
     """
     m = sol.mesh
-    points = [m.nodes[i] for i in range(m.n_nodes)]
-    pdata = [float(sol.phi[i]) for i in range(m.n_nodes)]
-    cells: list[list[int]] = []
-    cdata: list[np.ndarray] = []
+    conn = m.elements
+    nv = m.dim + 1
+    E = np.matmul(sol.grads.transpose(0, 2, 1), sol.phi[conn][..., None])[..., 0]
 
-    for e in range(m.n_elements):
-        conn = m.elements[e]
-        data = sol.cut_data.get(e)
-        if data is None:
-            cells.append([int(i) for i in conn])
-            cdata.append(sol.grads[e].T @ sol.phi[conn])
-            continue
-        star = sol.phi_star.get(e, 0.0)
-        local_ids: dict = {}
-        for i in range(m.dim + 1):
-            local_ids[("n", i)] = int(conn[i])
-        for key, xv in data.deco.virtual_nodes.items():
-            lam = barycentric(m.element_coords(e), xv)
-            phi_v = float(lam @ sol.phi[conn]) + hat_value(lam, sol.element_d[e]) * star
-            local_ids[("x", key)] = len(points)
-            points.append(np.asarray(xv))
-            pdata.append(phi_v)
-        base_E = sol.grads[e].T @ sol.phi[conn]
-        for child in data.deco.children:
-            cells.append([local_ids[r] for r in child.refs])
-            gbar = data.grad_pos if child.sign > 0 else data.grad_neg
-            cdata.append(base_E + gbar * star)
+    # children and virtual nodes of the cut elements, in element order; k
+    # indexes the enriched elements
+    ids, star, gpos, gneg = sol.enrichment
+    n_children = np.ones(m.n_elements, dtype=np.int64)
+    child_rows, child_of, child_sign, virt_of, virt_x = [], [], [], [], []
+    for k, e in enumerate(ids.tolist()):
+        deco = sol.cut_data[e].deco
+        local = {("n", i): int(conn[e, i]) for i in range(nv)}
+        for key, xv in deco.virtual_nodes.items():
+            local[("x", key)] = m.n_nodes + len(virt_x)
+            virt_of.append(k)
+            virt_x.append(xv)
+        for child in deco.children:
+            child_rows.append([local[r] for r in child.refs])
+            child_of.append(k)
+            child_sign.append(child.sign)
+        n_children[e] = len(deco.children)
 
+    points, pdata, cells, cdata = m.nodes, sol.phi, conn, E
+    if ids.size:
+        ve = ids[virt_of]
+        lam = barycentric(m.nodes[conn[ve]], np.array(virt_x))
+        phi_v = (row_dot(lam, sol.phi[conn[ve]])
+                 + hat_value(lam, sol.element_d[ve]) * star[virt_of])
+        points = np.concatenate([m.nodes, virt_x])
+        pdata = np.concatenate([sol.phi, phi_v])
+
+        uncut = np.ones(m.n_elements, dtype=bool)
+        uncut[ids] = False
+        is_child = np.ones(int(n_children.sum()), dtype=bool)
+        is_child[(np.cumsum(n_children) - n_children)[uncut]] = False
+        k = np.array(child_of)
+        gbar = np.where((np.array(child_sign) > 0)[:, None], gpos[k], gneg[k])
+        cells = np.empty((is_child.size, nv), dtype=np.int64)
+        cdata = np.empty((is_child.size, m.dim))
+        cells[~is_child], cdata[~is_child] = conn[uncut], E[uncut]
+        cells[is_child], cdata[is_child] = child_rows, E[ids[k]] + gbar * star[k][:, None]
+
+    n_points, n_cells = points.shape[0], cells.shape[0]
+    xyz = " ".join(["%.17g"] * m.dim + ["0"] * (3 - m.dim)) + "\n"     # 2D rows get z = 0
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write("efem solution\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {len(points)} double\n")
-        for p in points:
-            xyz = np.zeros(3)
-            xyz[: m.dim] = p
-            f.write(" ".join(f"{v:.17g}" for v in xyz) + "\n")
-        nv = m.dim + 1
-        f.write(f"CELLS {len(cells)} {len(cells) * (nv + 1)}\n")
-        for c in cells:
-            f.write(f"{nv} " + " ".join(str(i) for i in c) + "\n")
-        f.write(f"CELL_TYPES {len(cells)}\n")
-        for _ in cells:
-            f.write(f"{_VTK_CELL[m.dim]}\n")
-        f.write(f"POINT_DATA {len(points)}\n")
+        f.write(f"POINTS {n_points} double\n")
+        _write_rows(f, xyz, points)
+        f.write(f"CELLS {n_cells} {n_cells * (nv + 1)}\n")
+        _write_rows(f, f"{nv}" + " %d" * nv + "\n", cells)
+        f.write(f"CELL_TYPES {n_cells}\n")
+        _write_rows(f, "%d\n", np.broadcast_to(_VTK_CELL[m.dim], (n_cells, 1)))
+        f.write(f"POINT_DATA {n_points}\n")
         f.write("SCALARS phi double 1\nLOOKUP_TABLE default\n")
-        for v in pdata:
-            f.write(f"{v:.17g}\n")
-        f.write(f"CELL_DATA {len(cells)}\n")
+        _write_rows(f, "%.17g\n", pdata[:, None])
+        f.write(f"CELL_DATA {n_cells}\n")
         f.write("VECTORS efield double\n")
-        for vec in cdata:
-            xyz = np.zeros(3)
-            xyz[: m.dim] = vec
-            f.write(" ".join(f"{v:.17g}" for v in xyz) + "\n")
+        _write_rows(f, xyz, cdata)
 
 
 def export_csv(sample: LineSample, path) -> None:
-    """Line sample as CSV with 17 significant digits (lossless round-trip)."""
+    """Line sample as CSV with 17 significant digits (lossless round-trip).
+
+    Lines end in CR LF, as the csv module's default dialect writes them.
+    """
     dim = sample.points.shape[1]
     cols = ["x", "y", "z"][:dim]
     header = cols + ["phi"] + [f"E{c}" for c in cols] + ["side"]
+    rows = np.column_stack([sample.points, sample.phi, sample.E, sample.side])
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for i in range(sample.points.shape[0]):
-            row = [f"{v:.17g}" for v in sample.points[i]]
-            row.append(f"{sample.phi[i]:.17g}")
-            row += [f"{v:.17g}" for v in sample.E[i]]
-            row.append(str(int(sample.side[i])))
-            w.writerow(row)
+        f.write(",".join(header) + "\r\n")
+        _write_rows(f, ",".join(["%.17g"] * (2 * dim + 1) + ["%d"]) + "\r\n", rows)
 
 
 def read_csv_sample(path):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ csv = yes
 kind = planar
 q = 3.0
 """
+
+CYLINDER_CASE = resources.files("efem").joinpath("cases", "cylinder.cfg").read_text()
 
 SUMMARY_KEYS = {
     "case", "mode", "method", "n_nodes", "n_elements", "n_cut", "n_fallback",
@@ -104,6 +107,21 @@ def test_conflicting_dirichlet_values_exit_4(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert "conflicting Dirichlet values" in err and "'left'" in err and "'bottom'" in err
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("radius", "radius = 0.2", "radius = nan"),
+    ("center", "center = 0.25 0.75", "center = 0.25 inf"),
+    ("point", "point = 0.0 0.5", "point = 0.0 nan"),
+    ("normal", "normal = 0.0 1.0", "normal = -inf 1.0"),
+])
+def test_non_finite_levelset_exits_2_naming_key(tmp_path, capsys, key, old, new):
+    base = CYLINDER_CASE if key in ("radius", "center") else GOOD_CASE
+    assert old in base
+    rc = main(["solve", write_case(tmp_path, base.replace(old, new)), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"levelset: {key} must be finite" in err and new.split(" = ")[1] in err
 
 
 def test_solve_writes_summary_and_artifacts(tmp_path, capsys):

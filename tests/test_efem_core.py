@@ -10,6 +10,7 @@ from efem.efem_core import (
     SingularEnrichmentError,
     SingularSystemError,
     assemble_global,
+    barycentric,
     condense,
     element_displacement_terms,
     element_matrices,
@@ -97,6 +98,68 @@ def test_hat_gradients_match_finite_differences():
             for e in np.eye(2)
         ])
         assert np.abs(fd - g).max() < 1e-6
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_kernels_match_single_points_bitwise(dim):
+    rng = np.random.default_rng(40 + dim)
+    coords = rng.normal(size=(50, dim + 1, dim))
+    x = rng.normal(size=(50, dim))
+    d = rng.normal(size=(50, dim + 1))
+    lam = barycentric(coords, x)
+    assert lam.shape == (50, dim + 1)
+    single = [barycentric(c, p) for c, p in zip(coords, x)]
+    assert all(s.shape == (dim + 1,) for s in single)
+    assert np.array_equal(lam, np.array(single))
+    hats = hat_value(lam, d)
+    single = [hat_value(lv, dv) for lv, dv in zip(lam, d)]
+    assert all(type(h) is float for h in single)
+    assert np.array_equal(hats, np.array(single))
+    assert np.array_equal(hat_value(lam, d[0]), np.array([hat_value(lv, d[0]) for lv in lam]))
+    assert hat_eval(coords[0], d[0], x[0]) == hats[0]
+
+
+def _displacement_terms_per_point(coords, grads, mat, deco):
+    """D and Denr with one hat_eval per quadrature point, summed piece by piece."""
+    tri_pts = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
+    dim = deco.dim
+    g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
+    D, Denr = np.zeros(dim + 1), 0.0
+    for fc in cut_exterior_faces(deco):
+        if not fc.crossed:
+            continue
+        idx = list(local_faces(dim)[fc.local_face])
+        _, normal = face_measure_normal(coords[idx], coords.mean(axis=0))
+        for piece in fc.pieces:
+            eps = mat.for_sign(piece.sign)
+            gbar = g_pos if piece.sign > 0 else g_neg
+            if dim == 2:
+                mid = 0.5 * (piece.vertices[0] + piece.vertices[1])
+                nbar_int = hat_eval(coords, deco.nodal_d, mid) * piece.measure
+            else:
+                nbar_int = piece.measure / 3.0 * sum(
+                    hat_eval(coords, deco.nodal_d, p) for p in tri_pts @ piece.vertices)
+            D += nbar_int * (eps * (grads @ normal))
+            Denr += nbar_int * eps * float(gbar @ normal)
+    return D, Denr
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_displacement_terms_match_per_point_quadrature_bitwise(dim):
+    rng = np.random.default_rng(50 + dim)
+    mat = MaterialPair(3.0, 1.0)
+    checked = 0
+    while checked < 40:
+        coords = rng.normal(size=(dim + 1, dim))
+        d = rng.normal(size=dim + 1)
+        if np.linalg.det(coords[1:] - coords[0]) <= 0.0 or (d > 0).all() or (d < 0).all():
+            continue
+        _, grads = p1_geometry(coords)
+        deco = split_simplex(coords, d)
+        D, Denr = element_displacement_terms(coords, grads, mat, deco)
+        D_ref, Denr_ref = _displacement_terms_per_point(coords, grads, mat, deco)
+        assert np.array_equal(D, D_ref) and Denr == Denr_ref
+        checked += 1
 
 
 def test_uncut_stiffness_unit_triangle():

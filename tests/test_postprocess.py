@@ -1,13 +1,17 @@
 """Field reconstruction, line sampling, error norms and exporters."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from efem.efem_core import MaterialPair, assemble_global
-from efem.interface import PlaneLevelSet
+from efem import postprocess
+from efem.efem_core import MaterialPair, assemble_global, barycentric, hat_value
+from efem.interface import CircleLevelSet, NodalLevelSet, PlaneLevelSet, SphereLevelSet
 from efem.mesh import BoundaryTag, generate_structured
 from efem.oracles import box_boundary, planar_levelset, planar_materials, planar_slopes, planar_solution
 from efem.postprocess import (
+    SolutionField,
     build_solution,
     crossings,
     eval_field,
@@ -230,6 +234,20 @@ def test_vtk_3d_cell_type(tmp_path):
     assert lines[i + 1] == "10"
 
 
+@pytest.mark.parametrize("rows_per_write", [postprocess._ROWS_PER_WRITE, 10])
+def test_csv_matches_csv_module_writer(tmp_path, monkeypatch, planar_q3_efem, rows_per_write):
+    monkeypatch.setattr(postprocess, "_ROWS_PER_WRITE", rows_per_write)
+    s = sample_line(planar_q3_efem, (0.3, 0.0), (0.7, 1.0), count=101)
+    export_csv(s, tmp_path / "line.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["x", "y", "phi", "Ex", "Ey", "side"])
+        for i in range(s.t.size):
+            w.writerow([f"{v:.17g}" for v in (*s.points[i], s.phi[i], *s.E[i])]
+                       + [str(int(s.side[i]))])
+    assert (tmp_path / "line.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path, planar_q3_efem):
     s = sample_line(planar_q3_efem, (0.3, 0.0), (0.7, 1.0), count=211)
     path = tmp_path / "line.csv"
@@ -239,3 +257,141 @@ def test_csv_round_trip_is_bit_exact(tmp_path, planar_q3_efem):
     assert np.array_equal(phi, s.phi)
     assert np.array_equal(E, s.E)
     assert np.array_equal(side, s.side)
+
+
+# ---------------------------------------------------------------------------
+# VTK export against a per-element reference writer
+
+
+def _reference_vtk(sol: SolutionField, path) -> None:
+    """The export written one element at a time, with a solve per virtual node."""
+    m = sol.mesh
+    points = [m.nodes[i] for i in range(m.n_nodes)]
+    pdata = [float(sol.phi[i]) for i in range(m.n_nodes)]
+    cells, cdata = [], []
+    for e in range(m.n_elements):
+        conn = m.elements[e]
+        data = sol.cut_data.get(e)
+        if data is None:
+            cells.append([int(i) for i in conn])
+            cdata.append(sol.grads[e].T @ sol.phi[conn])
+            continue
+        star = sol.phi_star.get(e, 0.0)
+        local_ids = {("n", i): int(conn[i]) for i in range(m.dim + 1)}
+        for key, xv in data.deco.virtual_nodes.items():
+            lam = barycentric(m.element_coords(e), xv)
+            local_ids[("x", key)] = len(points)
+            points.append(np.asarray(xv))
+            pdata.append(float(lam @ sol.phi[conn]) + hat_value(lam, sol.element_d[e]) * star)
+        base_E = sol.grads[e].T @ sol.phi[conn]
+        for child in data.deco.children:
+            cells.append([local_ids[r] for r in child.refs])
+            cdata.append(base_E + (data.grad_pos if child.sign > 0 else data.grad_neg) * star)
+
+    cell_type = {2: 5, 3: 10}[m.dim]
+
+    def xyz(v):
+        out = np.zeros(3)
+        out[: m.dim] = v
+        return " ".join(f"{c:.17g}" for c in out) + "\n"
+
+    nv = m.dim + 1
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 3.0\nefem solution\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {len(points)} double\n")
+        f.writelines(xyz(p) for p in points)
+        f.write(f"CELLS {len(cells)} {len(cells) * (nv + 1)}\n")
+        f.writelines(f"{nv} " + " ".join(str(i) for i in c) + "\n" for c in cells)
+        f.write(f"CELL_TYPES {len(cells)}\n")
+        f.writelines(f"{cell_type}\n" for _ in cells)
+        f.write(f"POINT_DATA {len(points)}\nSCALARS phi double 1\nLOOKUP_TABLE default\n")
+        f.writelines(f"{v:.17g}\n" for v in pdata)
+        f.write(f"CELL_DATA {len(cells)}\nVECTORS efield double\n")
+        f.writelines(xyz(v) for v in cdata)
+
+
+def _check_section_counts(text: str, dim: int) -> tuple[int, int]:
+    """Walk the sections; every header count must match the rows under it."""
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    assert lines[:4] == ["# vtk DataFile Version 3.0", "efem solution", "ASCII",
+                         "DATASET UNSTRUCTURED_GRID"]
+    i = 4
+
+    def rows(header, count, skip=0):
+        nonlocal i
+        assert lines[i] == header
+        i += 1 + skip
+        block = [ln.split() for ln in lines[i:i + count]]
+        i += count
+        assert len(block) == count
+        return block
+
+    n_points = int(lines[i].split()[1])
+    assert all(len(r) == 3 for r in rows(f"POINTS {n_points} double", n_points))
+    n_cells, size = (int(v) for v in lines[i].split()[1:])
+    cells = rows(f"CELLS {n_cells} {size}", n_cells)
+    assert sum(len(r) for r in cells) == size
+    assert all(len(r) == dim + 2 and int(r[0]) == dim + 1 for r in cells)
+    assert max(int(v) for r in cells for v in r[1:]) == n_points - 1
+    assert rows(f"CELL_TYPES {n_cells}", n_cells) == [[str({2: 5, 3: 10}[dim])]] * n_cells
+    assert all(len(r) == 1 for r in rows(f"POINT_DATA {n_points}", n_points, skip=2))
+    assert lines[i - n_points - 2:i - n_points] == ["SCALARS phi double 1", "LOOKUP_TABLE default"]
+    assert all(len(r) == 3 for r in rows(f"CELL_DATA {n_cells}", n_cells, skip=1))
+    assert lines[i - n_cells - 1] == "VECTORS efield double"
+    assert i == len(lines)
+    return n_points, n_cells
+
+
+def _solved(mesh, levelset, mode, **kw):
+    asm = assemble_global(mesh, levelset, MaterialPair(3.0, 1.0), mode, box_boundary(mesh.dim), **kw)
+    phi, report = solve(asm.matrix, asm.rhs, tol=1e-10)
+    assert report.converged
+    return asm, build_solution(asm, phi)
+
+
+def _assert_vtk_matches_reference(sol, tmp_path):
+    export_vtk(sol, tmp_path / "batched.vtk")
+    _reference_vtk(sol, tmp_path / "reference.vtk")
+    text = (tmp_path / "batched.vtk").read_bytes()
+    assert text == (tmp_path / "reference.vtk").read_bytes()
+    return _check_section_counts(text.decode(), sol.mesh.dim)
+
+
+@pytest.mark.parametrize("rows_per_write", [postprocess._ROWS_PER_WRITE, 7])
+def test_vtk_matches_reference_circle_2d(tmp_path, monkeypatch, rows_per_write):
+    monkeypatch.setattr(postprocess, "_ROWS_PER_WRITE", rows_per_write)
+    _, sol = _solved(generate_structured(2, 9, 7), CircleLevelSet((0.45, 0.55), 0.27), "efem")
+    assert sol.cut_data
+    n_points, n_cells = _assert_vtk_matches_reference(sol, tmp_path)
+    assert n_points > sol.mesh.n_nodes and n_cells > sol.mesh.n_elements
+
+
+def test_vtk_matches_reference_sphere_3d(tmp_path):
+    _, sol = _solved(generate_structured(3, 5), SphereLevelSet((0.48, 0.5, 0.53), 0.3), "efem")
+    assert len(sol.cut_data) > 20
+    _assert_vtk_matches_reference(sol, tmp_path)
+
+
+def test_vtk_matches_reference_standard_mode(tmp_path):
+    asm, sol = _solved(generate_structured(3, 4), SphereLevelSet((0.5, 0.5, 0.5), 0.3), "standard")
+    assert asm.classification.cut_elements.size > 0 and not sol.cut_data
+    assert _assert_vtk_matches_reference(sol, tmp_path) == (sol.mesh.n_nodes, sol.mesh.n_elements)
+
+
+def test_vtk_matches_reference_with_degenerate_cut_fallback(tmp_path):
+    mesh = generate_structured(2, 8, 8)
+    values = np.linalg.norm(mesh.nodes - (0.3, 0.3), axis=1) - 0.2
+    far = int(np.argmin(np.linalg.norm(mesh.nodes - (0.75, 0.75), axis=1)))
+    values[far] = -1e-17                 # sliver children around one node, no snapping
+    asm, sol = _solved(mesh, NodalLevelSet(values), "efem", snap_tol=0.0)
+    assert asm.fallback_elements and sol.cut_data
+    assert not set(asm.fallback_elements) & set(sol.cut_data)
+    _assert_vtk_matches_reference(sol, tmp_path)
+
+
+def test_vtk_matches_reference_across_write_chunks(tmp_path):
+    mesh = generate_structured(2, 129)
+    assert mesh.n_nodes < postprocess._ROWS_PER_WRITE < mesh.n_elements
+    _, sol = _solved(mesh, CircleLevelSet((0.5, 0.5), 0.3), "efem")
+    _assert_vtk_matches_reference(sol, tmp_path)

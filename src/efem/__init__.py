@@ -16,34 +16,21 @@ from efem.interface import (
     PlaneLevelSet,
     SphereLevelSet,
     classify_elements,
-    cut_exterior_faces,
     nodal_distances,
-    snap_distances,
-    split_simplex,
 )
 from efem.efem_core import (
     MODES,
     AssembledSystem,
-    CutElementData,
-    ElementSystem,
     MaterialPair,
     SingularEnrichmentError,
     SingularSystemError,
     assemble_global,
-    barycentric,
-    condense,
-    element_displacement_terms,
-    element_matrices,
-    hat_eval,
-    hat_gradients,
-    hat_value,
 )
 from efem.solver import (
     DIRECT_LIMIT,
     SolveReport,
     bicgstab,
     direct_solve,
-    jacobi_precondition,
     solve,
 )
 from efem.postprocess import (
@@ -61,7 +48,6 @@ from efem.postprocess import (
     locate,
     observed_order,
     read_csv_sample,
-    recover_enrichment,
     sample_line,
     side_of,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -67,6 +68,20 @@ def _floats(raw: str, want: int | None = None) -> list[float]:
     return vals
 
 
+def _positive(what: str, value: float) -> float:
+    """value if it is finite and above zero; else a ConfigError naming what."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{what} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _number(what: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{what}: bad number {raw!r}") from None
+
+
 def parse_case(text: str, name: str) -> CaseConfig:
     import configparser
 
@@ -101,7 +116,7 @@ def parse_case(text: str, name: str) -> CaseConfig:
     mesh_n = mesh_file = None
     if mesh_kind == "structured":
         if "h" in cp["mesh"]:
-            mesh_n = oracles.resolution(get("mesh", "h", float))
+            mesh_n = oracles.resolution(_positive("mesh: h", get("mesh", "h", float)))
         else:
             mesh_n = get("mesh", "n", int, required=True)
         if mesh_n < 1:
@@ -147,7 +162,11 @@ def parse_case(text: str, name: str) -> CaseConfig:
         if kind == "dirichlet":
             if len(parts) != 2:
                 raise ConfigError(f"boundary: {tag}: dirichlet needs one value")
-            boundary[tag] = BoundaryTag(tag, "dirichlet", float(parts[1]))
+            value = _number(f"boundary: {tag}: dirichlet value", parts[1])
+            if not math.isfinite(value):
+                raise ConfigError(f"boundary: {tag}: dirichlet value must be finite, "
+                                  f"got {parts[1]!r}")
+            boundary[tag] = BoundaryTag(tag, "dirichlet", value)
         elif kind == "neumann":
             boundary[tag] = BoundaryTag(tag, "neumann")
         else:
@@ -159,6 +178,7 @@ def parse_case(text: str, name: str) -> CaseConfig:
     if mode not in MODES:
         raise ConfigError(f"solver: unknown mode {mode!r}")
     tol = get("solver", "tol", float, 1e-8) if cp.has_section("solver") else 1e-8
+    _positive("solver: tol", tol)
 
     lines: dict[str, tuple] = {}
     vtk = None
@@ -179,10 +199,10 @@ def parse_case(text: str, name: str) -> CaseConfig:
     if cp.has_section("reference"):
         ref = cp["reference"]
         reference = {"kind": ref.get("kind", "none")}
-        if "q" in ref:
-            reference["q"] = float(ref["q"])
-        if "fine_h" in ref:
-            reference["fine_h"] = float(ref["fine_h"])
+        for key in ("q", "fine_h"):
+            if key in ref:
+                what = f"reference: {key}"
+                reference[key] = _positive(what, _number(what, ref[key]))
         if reference["kind"] not in ("none", "planar", "sphere", "cylinder-model",
                                      "conforming-inclined", "self"):
             raise ConfigError(f"reference: unknown kind {reference['kind']!r}")
@@ -416,11 +436,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.mode:
                 cfg.mode = args.mode
             if args.tol is not None:
-                cfg.tol = args.tol
+                cfg.tol = _positive("--tol", args.tol)
             if args.h is not None:
                 if cfg.mesh_kind != "structured":
                     raise ConfigError("--h override requires a structured mesh")
-                cfg.mesh_n = oracles.resolution(args.h)
+                cfg.mesh_n = oracles.resolution(_positive("--h", args.h))
             status, summary = run_case(cfg, base, Path(args.out), direct=args.direct)
             if status == EXIT_NO_CONVERGENCE:
                 print(f"solver stalled at residual {summary['residual']:.3e}",
@@ -429,7 +449,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{cfg.name}: {summary['iterations']} iterations, "
                       f"residual {summary['residual']:.3e}")
             return status
-        h_list = [float(v) for v in args.h_list.split(",") if v]
+        h_list = [_positive("--h-list", _number("--h-list", v))
+                  for v in args.h_list.split(",") if v]
         modes = [m for m in args.modes.split(",") if m]
         status, _ = run_convergence(cfg, base, Path(args.out), h_list, modes)
         return status

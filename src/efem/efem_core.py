@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from efem.mesh import BoundaryTag, Mesh, all_geometry, face_measure_normal, local_faces
+from efem.mesh import BoundaryTag, Mesh, face_measure_normal, local_faces, row_dot
 from efem.interface import (
     Classification,
     CutDecomposition,
@@ -142,11 +142,6 @@ def barycentric(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)[..., 0]
 
 
-def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products; the same bits as one 1-D a[i] @ b[i] per row."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # element integrals
 
@@ -180,9 +175,7 @@ def element_matrices(coords, measure, grads, materials: MaterialPair,
 
 
 def element_displacement_terms(coords, grads, materials: MaterialPair,
-                               deco: CutDecomposition,
-                               face_cuts=None,
-                               skip_faces: frozenset | set = frozenset()):
+                               deco: CutDecomposition):
     """Exterior-face blocks D_i = int Nbar n.(eps grad N_i) and Denr.
 
     Integrates over every exterior face where Nbar does not vanish (it is
@@ -190,27 +183,20 @@ def element_displacement_terms(coords, grads, materials: MaterialPair,
     sign-homogeneous sub-facet the integrand is linear Nbar times a constant
     flux: midpoint rule in 2D, 3-point rule on sub-triangles in 3D, both
     exact.  eps and grad Nbar come from the child side owning the sub-facet;
-    n is the element outward normal.  Faces listed in skip_faces (local
-    indices) are excluded.
+    n is the element outward normal of the crossed face.
     """
     dim = deco.dim
     n = grads.shape[0]
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
-    centroid = coords.mean(axis=0)
-    if face_cuts is None:
-        face_cuts = cut_exterior_faces(deco)
-
-    pieces = []                          # (outward normal, piece) in face order
-    for fc in face_cuts:
-        if fc.local_face in skip_faces or not fc.crossed:
-            continue
-        face_idx = local_faces(dim)[fc.local_face]
-        _, normal = face_measure_normal(coords[list(face_idx)], centroid)
-        pieces += [(normal, piece) for piece in fc.pieces]
     D = np.zeros(n)
     Denr = 0.0
-    if not pieces:
+    crossed = [fc for fc in cut_exterior_faces(deco) if fc.crossed]
+    if not crossed:
         return D, Denr
+    faces = np.array(local_faces(dim))[[fc.local_face for fc in crossed]]
+    _, normals = face_measure_normal(coords[faces], coords.mean(axis=0))
+    # (outward normal, piece) in face order
+    pieces = [(normal, piece) for fc, normal in zip(crossed, normals) for piece in fc.pieces]
     # Nbar at every quadrature point of every piece in one batched solve
     if dim == 2:
         pts = np.array([0.5 * (p.vertices[0] + p.vertices[1]) for _, p in pieces])
@@ -282,8 +268,6 @@ class AssembledSystem:
     cut_data: dict[int, CutElementData]
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
-    measures: np.ndarray                     # (M,) element measures
-    grads: np.ndarray                        # (M, d+1, d) P1 gradients
     fallback_elements: list[int] = field(default_factory=list)
 
     @property
@@ -293,7 +277,6 @@ class AssembledSystem:
 
 def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
                     boundary: dict[str, BoundaryTag],
-                    d_on_boundary: bool = True,
                     snap_tol: float = SNAP_TOL,
                     classification: Classification | None = None) -> AssembledSystem:
     """Assemble the condensed global system for one of the three modes.
@@ -309,17 +292,12 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     nn = mesh.n_nodes
     nv = mesh.dim + 1
     cl = classification if classification is not None else classify_elements(mesh, levelset, snap_tol)
-    measures, grads = all_geometry(mesh)
+    measures, grads = mesh.measures, mesh.grads
 
     # Dirichlet set first: an unconstrained system is singular, fail early.
     dir_nodes, dir_values = _collect_dirichlet(mesh, boundary)
     if dir_nodes.size == 0:
         raise SingularSystemError("no Dirichlet boundary: the system is singular")
-
-    boundary_faces_of = {}
-    if not d_on_boundary:
-        for e, lf, _tag in mesh.boundary_faces:
-            boundary_faces_of.setdefault(e, set()).add(lf)
 
     uncut = ~cl.is_cut
     eps_uncut = np.where(cl.element_sign > 0, materials.eps1, materials.eps2)
@@ -337,8 +315,7 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     for e in cl.cut_elements:
         coords = mesh.element_coords(int(e))
         block, data, fell_back = _cut_element_block(
-            int(e), coords, measures[e], grads[e], cl.element_d[e], materials, mode,
-            skip_faces=frozenset(boundary_faces_of.get(int(e), ())))
+            int(e), coords, measures[e], grads[e], cl.element_d[e], materials, mode)
         if data is not None:
             cut_data[int(e)] = data
         if fell_back:
@@ -357,10 +334,10 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     _apply_dirichlet(A, rhs, dir_nodes, dir_values)
 
     return AssembledSystem(A, rhs, mode, mesh, materials, cl, cut_data,
-                           dir_nodes, dir_values, measures, grads, fallback)
+                           dir_nodes, dir_values, fallback)
 
 
-def _cut_element_block(e, coords, measure, egrads, nodal_d, materials, mode, skip_faces):
+def _cut_element_block(e, coords, measure, egrads, nodal_d, materials, mode):
     """Block of one cut element, its cut state and whether it fell back.
 
     Standard mode averages the permittivity and keeps no cut state; only a
@@ -378,8 +355,7 @@ def _cut_element_block(e, coords, measure, egrads, nodal_d, materials, mode, ski
 
     system = element_matrices(coords, measure, egrads, materials, deco)
     if mode == "efem":
-        system.D, system.Denr = element_displacement_terms(
-            coords, egrads, materials, deco, skip_faces=skip_faces)
+        system.D, system.Denr = element_displacement_terms(coords, egrads, materials, deco)
     try:
         condense(system)
     except SingularEnrichmentError as err:
@@ -411,6 +387,9 @@ def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
         for node in mesh.face_nodes(e, lf):
             node = int(node)
             value = tag.value_at(mesh.nodes[node])
+            if not math.isfinite(value):
+                raise ValueError(f"node {node} has a non-finite Dirichlet value {value!r} "
+                                 f"from tag {tag_name!r}")
             prev, prev_tag = seen.setdefault(node, (value, tag_name))
             if value != prev:
                 raise ValueError(

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from efem.mesh import Mesh, char_lengths, local_faces
+from efem.mesh import Mesh, char_lengths, face_measure_normal, local_faces, row_dot, signed_measures
 
 SNAP_TOL = 1e-6
 
@@ -238,20 +238,6 @@ def _virtual_node(coords, d, a, b):
     return coords[a] + t * (coords[b] - coords[a])
 
 
-def _simplex_measure(vertices) -> float:
-    B = np.asarray(vertices[1:]) - np.asarray(vertices[0])
-    det = np.linalg.det(B)
-    k = B.shape[0]
-    return abs(det) / (2.0 if k == 2 else 6.0) if k >= 2 else float(abs(det))
-
-
-def _tri_area(vertices) -> float:
-    u = vertices[1] - vertices[0]
-    v = vertices[2] - vertices[0]
-    c = np.cross(u, v)
-    return 0.5 * float(np.linalg.norm(c)) if np.ndim(c) else 0.5 * abs(float(c))
-
-
 def split_simplex(coords, nodal_d) -> CutDecomposition:
     """Decompose a cut simplex into sign-homogeneous children.
 
@@ -269,7 +255,7 @@ def split_simplex(coords, nodal_d) -> CutDecomposition:
         deco = _split_triangle(coords, d)
     else:
         deco = _split_tet(coords, d)
-    parent = _simplex_measure(coords)
+    parent = abs(signed_measures(coords))
     for child in deco.children:
         if child.measure < 1e-14 * parent:
             raise DegenerateCutError(
@@ -278,14 +264,19 @@ def split_simplex(coords, nodal_d) -> CutDecomposition:
     return deco
 
 
-def _mk_child(refs, coords_of, sign):
-    verts = np.array([coords_of[r] for r in refs])
-    # reorder to positive orientation so downstream geometry never sees a flip
-    B = verts[1:] - verts[0]
-    if np.linalg.det(B) < 0.0:
-        refs = (refs[0], refs[2], refs[1]) + tuple(refs[3:])
-        verts = np.array([coords_of[r] for r in refs])
-    return Child(verts, sign, _simplex_measure(verts), tuple(refs))
+def _mk_children(simplices, coords_of, signs) -> list[Child]:
+    """Children from vertex refs, each reordered to positive orientation.
+
+    All children are oriented in one stacked call and measured in a second
+    one, so a child's measure comes from its final vertex order.
+    """
+    refs = [tuple(t) for t in simplices]
+    verts = np.array([[coords_of[r] for r in t] for t in refs])
+    for i in np.flatnonzero(signed_measures(verts) < 0.0).tolist():
+        refs[i] = (refs[i][0], refs[i][2], refs[i][1]) + refs[i][3:]
+        verts[i, [1, 2]] = verts[i, [2, 1]]
+    measures = np.abs(signed_measures(verts)).tolist()
+    return [Child(v, sign, m, r) for v, sign, m, r in zip(verts, signs, measures, refs)]
 
 
 def _split_triangle(coords, d) -> CutDecomposition:
@@ -300,13 +291,13 @@ def _split_triangle(coords, d) -> CutDecomposition:
     coords_of = {("n", 0): coords[0], ("n", 1): coords[1], ("n", 2): coords[2],
                  ("x", k1): xi1, ("x", k2): xi2}
 
-    children = [_mk_child((("x", k1), ("x", k2), ("n", lone)), coords_of, s_lone)]
+    lone_tri = (("x", k1), ("x", k2), ("n", lone))
     # quad xi1 - o1 - o2 - xi2, split along its shorter diagonal
     if np.dot(xi1 - coords[o2], xi1 - coords[o2]) <= np.dot(coords[o1] - xi2, coords[o1] - xi2):
         tris = ((("x", k1), ("n", o1), ("n", o2)), (("x", k1), ("n", o2), ("x", k2)))
     else:
         tris = ((("x", k1), ("n", o1), ("x", k2)), (("n", o1), ("n", o2), ("x", k2)))
-    children += [_mk_child(t, coords_of, -s_lone) for t in tris]
+    children = _mk_children((lone_tri,) + tris, coords_of, (s_lone, -s_lone, -s_lone))
 
     return CutDecomposition(coords, d.copy(), children,
                             interface_facet=[np.array([xi1, xi2])],
@@ -326,15 +317,14 @@ def _split_tet(coords, d) -> CutDecomposition:
         xi = [_virtual_node(coords, d, lone, oi) for oi in o]
         for k, x in zip(keys, xi):
             coords_of[("x", k)] = x
-        children = [_mk_child((("n", lone),) + tuple(("x", k) for k in keys), coords_of, s_lone)]
-        # prism xi1 xi2 xi3 | o1 o2 o3 with planar lateral quads: staircase split
         X, O = [("x", k) for k in keys], [("n", oi) for oi in o]
+        lone_tet = (("n", lone), X[0], X[1], X[2])
+        # prism xi1 xi2 xi3 | o1 o2 o3 with planar lateral quads: staircase split
         prism = ((X[0], X[1], X[2], O[0]), (X[1], X[2], O[0], O[1]), (X[2], O[0], O[1], O[2]))
-        children += [_mk_child(t, coords_of, -s_lone) for t in prism]
-        deco = CutDecomposition(coords, d.copy(), children,
+        children = _mk_children((lone_tet,) + prism, coords_of, (s_lone,) + (-s_lone,) * 3)
+        return CutDecomposition(coords, d.copy(), children,
                                 interface_facet=[np.array(xi)],
                                 virtual_nodes=dict(zip(keys, xi)))
-        return deco
 
     # 2-2 split: quad interface, 3 + 3 children
     a1, a2 = pos
@@ -346,34 +336,26 @@ def _split_tet(coords, d) -> CutDecomposition:
         coords_of[("x", k)] = x
     Xq = [("x", k) for k in keys]
 
-    def build(diag_first):
-        if diag_first:
-            quad_tris = ((Xq[0], Xq[1], Xq[2]), (Xq[0], Xq[2], Xq[3]))
-        else:
-            quad_tris = ((Xq[0], Xq[1], Xq[3]), (Xq[1], Xq[2], Xq[3]))
+    def tets(quad_tris):
         pos_tets = [(("n", a1),) + t for t in quad_tris]
         pos_tets.append((("n", a1), ("n", a2), Xq[3], Xq[2]))   # a2's virtual nodes
         neg_tets = [(("n", b1),) + t for t in quad_tris]
         neg_tets.append((("n", b1), ("n", b2), Xq[1], Xq[2]))   # b2's virtual nodes
-        kids = [_mk_child(t, coords_of, 1) for t in pos_tets]
-        kids += [_mk_child(t, coords_of, -1) for t in neg_tets]
-        return kids, quad_tris
+        return pos_tets + neg_tets
 
-    def worst_aspect(kids):
-        worst = 0.0
-        for c in kids:
-            edges = [np.linalg.norm(c.vertices[a] - c.vertices[b])
-                     for a, b in combinations(range(4), 2)]
-            lmax = max(edges)
-            worst = max(worst, lmax ** 3 / max(c.measure, 1e-300))
-        return worst
-
-    kids_a, quad_a = build(True)
-    kids_b, quad_b = build(False)
-    if worst_aspect(kids_a) <= worst_aspect(kids_b):
-        kids, quad_tris = kids_a, quad_a
+    # the quad splits along either diagonal; keep the split whose worst child
+    # has the smaller longest-edge-cubed to volume ratio
+    quad_a = ((Xq[0], Xq[1], Xq[2]), (Xq[0], Xq[2], Xq[3]))
+    quad_b = ((Xq[0], Xq[1], Xq[3]), (Xq[1], Xq[2], Xq[3]))
+    both = _mk_children(tets(quad_a) + tets(quad_b), coords_of, (1, 1, 1, -1, -1, -1) * 2)
+    V = np.array([c.vertices for c in both])
+    edges = np.stack([V[:, a] - V[:, b] for a, b in combinations(range(4), 2)], axis=1)
+    lmax = np.sqrt(row_dot(edges, edges)).max(axis=1).tolist()
+    aspect = [lm ** 3 / max(c.measure, 1e-300) for lm, c in zip(lmax, both)]
+    if max(aspect[:6]) <= max(aspect[6:]):
+        kids, quad_tris = both[:6], quad_a
     else:
-        kids, quad_tris = kids_b, quad_b
+        kids, quad_tris = both[6:], quad_b
     facet = [np.array([coords_of[r] for r in t]) for t in quad_tris]
     return CutDecomposition(coords, d.copy(), kids,
                             interface_facet=facet,
@@ -388,53 +370,41 @@ def cut_exterior_faces(deco: CutDecomposition) -> list[FaceCut]:
     """Partition each exterior face of a cut element into sign-homogeneous pieces.
 
     Faces not crossed by the interface come back whole with their single
-    sign.  Piece measures sum to the face measure exactly.
+    sign.  Piece measures sum to the face measure exactly; all pieces of the
+    element are measured in one stacked call.
     """
     coords, d = deco.coords, deco.nodal_d
     dim = deco.dim
-    result = []
+    faces = []                           # (local face, [(vertices, sign), ...])
     for lf, face in enumerate(local_faces(dim)):
-        fc = [coords[i] for i in face]
-        fd = [d[i] for i in face]
-        if all(v > 0 for v in fd) or all(v < 0 for v in fd):
-            verts = np.array(fc)
-            measure = np.linalg.norm(fc[1] - fc[0]) if dim == 2 else _tri_area(verts)
-            result.append(FaceCut(lf, [FacePiece(verts, 1 if fd[0] > 0 else -1, float(measure))]))
-            continue
-        if dim == 2:
+        signs = [1 if d[i] > 0 else -1 for i in face]
+        if len(set(signs)) == 1:
+            faces.append((lf, [([coords[i] for i in face], signs[0])]))
+        elif dim == 2:
             a, b = face
-            xi = deco.virtual_nodes.get(tuple(sorted((a, b))))
-            if xi is None:
-                xi = _virtual_node(coords, d, a, b)
-            pa = FacePiece(np.array([coords[a], xi]), 1 if d[a] > 0 else -1,
-                           float(np.linalg.norm(xi - coords[a])))
-            pb = FacePiece(np.array([xi, coords[b]]), 1 if d[b] > 0 else -1,
-                           float(np.linalg.norm(coords[b] - xi)))
-            result.append(FaceCut(lf, [pa, pb]))
+            xi = _face_virtual_node(deco, a, b)
+            faces.append((lf, [([coords[a], xi], signs[0]), ([xi, coords[b]], signs[1])]))
         else:
-            result.append(FaceCut(lf, _cut_triangle_face(deco, face)))
-    return result
+            faces.append((lf, _triangle_face_pieces(deco, face, signs)))
+    verts = np.array([v for _, pieces in faces for v, _ in pieces])
+    measures = iter(face_measure_normal(verts, coords.mean(axis=0))[0].tolist())
+    rows = iter(verts)
+    return [FaceCut(lf, [FacePiece(next(rows), sign, next(measures)) for _, sign in pieces])
+            for lf, pieces in faces]
 
 
-def _cut_triangle_face(deco: CutDecomposition, face) -> list[FacePiece]:
-    coords, d = deco.coords, deco.nodal_d
-    signs = [1 if d[i] > 0 else -1 for i in face]
-    lone_pos = [k for k in range(3) if signs[k] != signs[(k + 1) % 3] and signs[k] != signs[(k + 2) % 3]]
-    m = lone_pos[0]
-    p, q = [(k) for k in range(3) if k != m]
+def _face_virtual_node(deco: CutDecomposition, a: int, b: int) -> np.ndarray:
+    x = deco.virtual_nodes.get(tuple(sorted((a, b))))
+    return x if x is not None else _virtual_node(deco.coords, deco.nodal_d, a, b)
+
+
+def _triangle_face_pieces(deco: CutDecomposition, face, signs) -> list:
+    """(vertices, sign) of the pieces of a crossed triangle face: the lone
+    node's triangle, then the two triangles of the quad on the other side."""
+    coords = deco.coords
+    m = next(k for k in range(3) if signs[k] != signs[(k + 1) % 3] and signs[k] != signs[(k + 2) % 3])
+    p, q = [k for k in range(3) if k != m]
     vm, vp, vq = (coords[face[m]], coords[face[p]], coords[face[q]])
-
-    def xi_for(i, j):
-        key = tuple(sorted((i, j)))
-        x = deco.virtual_nodes.get(key)
-        return x if x is not None else _virtual_node(coords, d, i, j)
-
-    xp = xi_for(face[m], face[p])
-    xq = xi_for(face[m], face[q])
-    pieces = [FacePiece(np.array([vm, xp, xq]), signs[m], _tri_area(np.array([vm, xp, xq])))]
-    t1 = np.array([xp, vp, vq])
-    t2 = np.array([xp, vq, xq])
-    s_other = -signs[m]
-    pieces.append(FacePiece(t1, s_other, _tri_area(t1)))
-    pieces.append(FacePiece(t2, s_other, _tri_area(t2)))
-    return pieces
+    xp = _face_virtual_node(deco, face[m], face[p])
+    xq = _face_virtual_node(deco, face[m], face[q])
+    return [([vm, xp, xq], signs[m]), ([xp, vp, vq], -signs[m]), ([xp, vq, xq], -signs[m])]

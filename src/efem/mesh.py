@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -121,7 +122,7 @@ class Mesh:
         bad = np.flatnonzero((conn[:, 1:] == conn[:, :-1]).any(axis=1))
         if bad.size:
             raise MeshError(f"element {int(bad[0])} has repeated node indices")
-        vols = signed_measures(self)
+        vols = signed_measures(self.nodes[self.elements])
         bad = np.nonzero(vols <= 0.0)[0]
         if bad.size:
             raise MeshError(
@@ -157,6 +158,23 @@ class Mesh:
             e, lf = (int(v) for v in self.face_first[f])
             raise MeshError(f"boundary face {_key(self.face_keys[f])} "
                             f"(element {e}, local face {lf}) has no tag")
+
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        measures, grads = p1_geometry(self.nodes[self.elements])
+        for a in (measures, grads):
+            a.setflags(write=False)
+        return measures, grads
+
+    @property
+    def measures(self) -> np.ndarray:
+        """(n_elements,) element measures, computed on first use."""
+        return self._geometry[0]
+
+    @property
+    def grads(self) -> np.ndarray:
+        """(n_elements, dim+1, dim) P1 gradients, computed on first use."""
+        return self._geometry[1]
 
     def face_nodes(self, e: int, lf: int) -> np.ndarray:
         return self.elements[e][list(local_faces(self.dim)[lf])]
@@ -209,42 +227,73 @@ def _smallest(pairs: np.ndarray) -> int:
 
 # ---------------------------------------------------------------------------
 # geometry
+#
+# The one place simplex geometry is computed.  Each kernel takes a stack of
+# k simplices (k, d+1, d) or facets (k, d, d) and gives k results; one
+# simplex or facet is a batch of one and gets scalars back.  A batch gives
+# the bits of one call per simplex.
 
 
-def signed_measures(mesh: Mesh) -> np.ndarray:
-    """Signed element measures (area/volume), vectorized."""
-    X = mesh.nodes[mesh.elements]               # (M, d+1, d)
-    B = X[:, 1:, :] - X[:, :1, :]               # (M, d, d) edge matrix
-    det = np.linalg.det(B)
-    return det / math.factorial(mesh.dim)
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; the same bits as one 1-D a[i] @ b[i] per row."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def p1_geometry(coords: np.ndarray):
-    """Measure and P1 gradients from simplex vertex coordinates."""
-    d = coords.shape[1]
-    B = coords[1:] - coords[0]
-    det = np.linalg.det(B)
-    measure = abs(det) / math.factorial(d)
-    if measure == 0.0:
+def signed_measures(simplices) -> np.ndarray:
+    """Signed measures (area/volume) of simplices (k, d+1, d), positive when
+    the vertices are positively oriented."""
+    X = np.asarray(simplices, dtype=float)
+    if X.ndim == 2:
+        return float(signed_measures(X[None])[0])
+    return np.linalg.det(X[:, 1:] - X[:, :1]) / math.factorial(X.shape[-1])
+
+
+def p1_geometry(simplices):
+    """Measures (k,) and P1 gradients (k, d+1, d) of simplices (k, d+1, d).
+
+    Raises MeshError if a simplex has zero measure.
+    """
+    X = np.asarray(simplices, dtype=float)
+    if X.ndim == 2:
+        measure, grads = p1_geometry(X[None])
+        return float(measure[0]), grads[0]
+    k, n, d = X.shape
+    B = X[:, 1:] - X[:, :1]                     # rows are edge vectors
+    measures = np.abs(np.linalg.det(B)) / math.factorial(d)
+    if (measures == 0.0).any():
         raise MeshError("degenerate simplex (zero measure)")
-    grads = np.empty((d + 1, d))
-    grads[1:] = np.linalg.inv(B).T          # B rows are edge vectors
-    grads[0] = -grads[1:].sum(axis=0)
-    return measure, grads
-
-
-def all_geometry(mesh: Mesh):
-    """Vectorized (measures (M,), grads (M, d+1, d)) for every element."""
-    d = mesh.dim
-    X = mesh.nodes[mesh.elements]
-    B = X[:, 1:, :] - X[:, :1, :]
-    det = np.linalg.det(B)
-    measures = np.abs(det) / math.factorial(d)
-    inv = np.linalg.inv(B).transpose(0, 2, 1)   # columns of inv(B) = gradients 1..d
-    grads = np.empty((mesh.n_elements, d + 1, d))
-    grads[:, 1:, :] = inv
-    grads[:, 0, :] = -inv.sum(axis=1)
+    # inv before grads: the other order leaves a 3D n=32 assembly 11 MB
+    # higher in peak RSS (heap layout; the traced allocations are equal)
+    inv = np.linalg.inv(B).transpose(0, 2, 1)    # rows: gradients of N_1..N_d
+    grads = np.empty((k, n, d))
+    grads[:, 1:] = inv
+    grads[:, 0] = -inv.sum(axis=1)
     return measures, grads
+
+
+def face_measure_normal(faces, centroids):
+    """Measures (k,) and outward unit normals (k, d) of facets (k, d, d).
+
+    A facet is an edge in 2D and a triangle in 3D.  Each normal points away
+    from its element's centroid, given per facet (k, d) or once (d,).
+    """
+    F = np.asarray(faces, dtype=float)
+    c = np.asarray(centroids, dtype=float)
+    if F.ndim == 2:
+        measure, normal = face_measure_normal(F[None], c)
+        return float(measure[0]), normal[0]
+    t = F[:, 1:] - F[:, :1]
+    if F.shape[-1] == 2:
+        t = t[:, 0]
+        measure = np.sqrt(row_dot(t, t))
+        normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / measure[:, None]
+    else:
+        w = np.cross(t[:, 0], t[:, 1])
+        twice = np.sqrt(row_dot(w, w))
+        measure = 0.5 * twice
+        normal = w / twice[:, None]
+    inward = row_dot(normal, F.mean(axis=1) - c) < 0.0
+    return measure, np.where(inward[:, None], -normal, normal)
 
 
 def char_lengths(mesh: Mesh) -> np.ndarray:
@@ -255,28 +304,6 @@ def char_lengths(mesh: Mesh) -> np.ndarray:
     for a, b in edges:
         h = np.maximum(h, np.linalg.norm(X[:, a, :] - X[:, b, :], axis=1))
     return h
-
-
-def face_measure_normal(face_coords: np.ndarray, elem_centroid: np.ndarray):
-    """Measure and outward unit normal of an element face.
-
-    face_coords: (d, d) vertex coordinates of the face (edge in 2D, triangle
-    in 3D).  The normal is oriented away from elem_centroid.
-    """
-    if face_coords.shape[1] == 2:
-        t = face_coords[1] - face_coords[0]
-        measure = float(np.linalg.norm(t))
-        n = np.array([t[1], -t[0]]) / measure
-    else:
-        u = face_coords[1] - face_coords[0]
-        v = face_coords[2] - face_coords[0]
-        c = np.cross(u, v)
-        twice = float(np.linalg.norm(c))
-        measure = 0.5 * twice
-        n = c / twice
-    if np.dot(n, face_coords.mean(axis=0) - elem_centroid) < 0.0:
-        n = -n
-    return measure, n
 
 
 # ---------------------------------------------------------------------------

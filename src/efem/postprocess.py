@@ -8,7 +8,8 @@ elements and constant per child side for cut ones.
 
 Point location, line sampling and field evaluation share one batched
 kernel: the barycentric coordinates of x in element e are the affine map
-lam(x) = e_0 + grads[e] (x - X[e, 0]), so no per-point linear solve is needed.
+lam(x) = e_0 + mesh.grads[e] (x - X[e, 0]), so no per-point linear solve is
+needed.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from efem.efem_core import AssembledSystem, CutElementData, barycentric, hat_value, row_dot
-from efem.mesh import Mesh, local_faces
+from efem.efem_core import AssembledSystem, CutElementData, barycentric, hat_value
+from efem.mesh import Mesh, local_faces, row_dot
 
 _CONTAIN_TOL = 1e-9
 # Pieces of a segment shorter than this, relative to the mesh extent, are
@@ -41,7 +42,6 @@ class SolutionField:
     is_cut: np.ndarray
     cut_data: dict[int, CutElementData]
     phi_star: dict[int, float]
-    grads: np.ndarray = field(repr=False)    # (M, d+1, d) P1 gradients
     _tree: cKDTree = field(repr=False, default=None)
     _enrichment: tuple = field(repr=False, default=None)
 
@@ -80,7 +80,7 @@ def build_solution(assembled: AssembledSystem, phi: np.ndarray) -> SolutionField
     return SolutionField(assembled.mesh, phi, assembled.mode,
                          assembled.classification.element_d,
                          assembled.classification.is_cut,
-                         assembled.cut_data, stars, assembled.grads)
+                         assembled.cut_data, stars)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def build_solution(assembled: AssembledSystem, phi: np.ndarray) -> SolutionField
 def _barycentric_at(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Barycentric coordinates (P, d+1) of points x (P, d) in elements elems (P,)."""
     m = sol.mesh
-    lam = np.einsum("pid,pd->pi", sol.grads[elems], x - m.nodes[m.elements[elems, 0]])
+    lam = np.einsum("pid,pd->pi", m.grads[elems], x - m.nodes[m.elements[elems, 0]])
     lam[:, 0] += 1.0
     return lam
 
@@ -110,7 +110,7 @@ def _evaluate(sol: SolutionField, elems, x, sides):
     lam = _barycentric_at(sol, elems, x)
     nodal = sol.phi[sol.mesh.elements[elems]]
     phi = np.einsum("pi,pi->p", lam, nodal)
-    E = np.einsum("pid,pi->pd", sol.grads[elems], nodal)
+    E = np.einsum("pid,pi->pd", sol.mesh.grads[elems], nodal)
     d = sol.element_d[elems]
     L = np.einsum("pi,pi->p", lam, d)
     side = np.where(sides != 0, sides, np.where(L >= 0.0, 1, -1))
@@ -227,9 +227,9 @@ def _clip(sol: SolutionField, start: np.ndarray, v: np.ndarray):
     exact bound; the element keeps it only if it holds at both ends.
     """
     m = sol.mesh
-    lam0 = np.einsum("eid,ed->ei", sol.grads, start - m.nodes[m.elements[:, 0]])
+    lam0 = np.einsum("eid,ed->ei", m.grads, start - m.nodes[m.elements[:, 0]])
     lam0[:, 0] += 1.0
-    dlam = np.einsum("eid,d->ei", sol.grads, v)
+    dlam = np.einsum("eid,d->ei", m.grads, v)
 
     tol = 2.0 * _CONTAIN_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -483,7 +483,7 @@ def export_vtk(sol: SolutionField, path) -> None:
     m = sol.mesh
     conn = m.elements
     nv = m.dim + 1
-    E = np.matmul(sol.grads.transpose(0, 2, 1), sol.phi[conn][..., None])[..., 0]
+    E = np.matmul(m.grads.transpose(0, 2, 1), sol.phi[conn][..., None])[..., 0]
 
     # children and virtual nodes of the cut elements, in element order; k
     # indexes the enriched elements

@@ -1,5 +1,6 @@
 """Driver behavior: exit codes, artifact schema, determinism, mode isolation."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -124,6 +125,39 @@ def test_non_finite_levelset_exits_2_naming_key(tmp_path, capsys, key, old, new)
     assert f"levelset: {key} must be finite" in err and new.split(" = ")[1] in err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("bottom = dirichlet 0.0", "bottom = dirichlet abc", "boundary: bottom: dirichlet value"),
+    ("bottom = dirichlet 0.0", "bottom = dirichlet nan", "boundary: bottom: dirichlet value"),
+    ("n = 5", "h = 0", "mesh: h"),
+    ("n = 5", "h = nan", "mesh: h"),
+    ("[output]", "[solver]\ntol = nan\n\n[output]", "solver: tol"),
+    ("[output]", "[solver]\ntol = -1\n\n[output]", "solver: tol"),
+    ("kind = planar\nq = 3.0", "kind = planar\nq = abc", "reference: q"),
+    ("kind = planar\nq = 3.0", "kind = planar\nq = 3.0\nfine_h = nan", "reference: fine_h"),
+])
+def test_malformed_case_number_exits_2_naming_key(tmp_path, capsys, old, new, named):
+    assert old in GOOD_CASE
+    rc = main(["solve", write_case(tmp_path, GOOD_CASE.replace(old, new)), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"config error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--h", "0"),
+    ("solve", "--h", "-1"),
+    ("solve", "--h", "nan"),
+    ("solve", "--tol", "nan"),
+    ("solve", "--tol", "-1"),
+    ("converge", "--h-list", "0.3,x"),
+    ("converge", "--h-list", "0.3,0"),
+])
+def test_malformed_number_flag_exits_2_naming_flag(tmp_path, capsys, command, flag, value):
+    rc = main([command, "planar_q3", flag, value, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith((f"config error: {flag} ", f"config error: {flag}:"))
+
+
 def test_solve_writes_summary_and_artifacts(tmp_path, capsys):
     rc = main(["solve", "planar_q3", "--out", str(tmp_path)])
     assert rc == 0
@@ -157,15 +191,39 @@ def test_interface_error_reported_per_mode(tmp_path):
     assert 1e-3 < nod["interface_mismatch"] < 1.0
 
 
-def test_repeat_runs_are_byte_identical(tmp_path):
+# sha256 of the CSV and VTK files of three bundled cases.  The sphere case
+# covers the 3D children, exterior-face pieces and face normals; a change to
+# any bit of them, or of the sampling or export, shows here.
+ARTIFACT_DIGESTS = {
+    "planar_q3": {
+        "line_mid.csv": "7b43c4f41b30ce741140c22b22314d8798351384893b0e99736b0a4b2df8caa0",
+        "planar_q3.vtk": "9616b6cbd1a472fb185d810d274710137abfdf03500852cc165ab6456b039f88",
+    },
+    "inclined": {
+        "line_x0.csv": "78c2cca37d62b496f812cb1287f890d00f4d060ab6993d8432df3c364fec5520",
+        "line_y07.csv": "c0248b212170d2c705d169cf23f91849f09352e807457d89cbf2a62892c8d6f3",
+    },
+    "sphere": {
+        "line_poles.csv": "1f9800b14fb8530c6e899c38f240d27a2726d2dbbd7ed7e86a707f07c08422a9",
+        "sphere.vtk": "6a98d85d708a7f2f08cace07efaa2be436d40342058652f03d3ab2016187b677",
+    },
+}
+
+
+@pytest.mark.parametrize("case", ["planar_q3", "inclined", "sphere"])
+def test_repeat_runs_are_byte_identical(tmp_path, case):
     dirs = []
     for run in ("a", "b"):
         out = tmp_path / run
-        assert main(["solve", "planar_q3", "--out", str(out)]) == 0
+        assert main(["solve", case, "--out", str(out)]) == 0
         dirs.append(out)
     a, b = dirs
-    assert (a / "line_mid.csv").read_bytes() == (b / "line_mid.csv").read_bytes()
-    assert (a / "planar_q3.vtk").read_bytes() == (b / "planar_q3.vtk").read_bytes()
+    files = sorted(f.name for f in a.iterdir() if f.name != "summary.json")
+    assert files == sorted(f.name for f in b.iterdir() if f.name != "summary.json")
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    digests = {name: hashlib.sha256((a / name).read_bytes()).hexdigest() for name in files}
+    assert digests == ARTIFACT_DIGESTS[case]
     sa = json.loads((a / "summary.json").read_text())
     sb = json.loads((b / "summary.json").read_text())
     sa.pop("wall_time_s")

@@ -26,9 +26,9 @@ from efem.interface import (
     cut_exterior_faces,
     split_simplex,
 )
+from efem import mesh as mesh_mod
 from efem.mesh import (
     BoundaryTag,
-    all_geometry,
     face_measure_normal,
     generate_structured,
     local_faces,
@@ -280,19 +280,6 @@ def test_displacement_terms_centroid_rule_3d():
     assert abs(Denr - Denr_ref) < 1e-12
 
 
-def test_skip_faces_drops_contributions():
-    measure, grads = p1_geometry(REF_TRI)
-    deco = split_simplex(REF_TRI, D_TRI)
-    mat = MaterialPair(3.0, 1.0)
-    full, _ = element_displacement_terms(REF_TRI, grads, mat, deco)
-    none, denr_none = element_displacement_terms(
-        REF_TRI, grads, mat, deco, skip_faces={0, 1, 2})
-    assert not none.any() and denr_none == 0.0
-    partial, _ = element_displacement_terms(REF_TRI, grads, mat, deco, skip_faces={1})
-    # face 1 (the hypotenuse) is not crossed, skipping it changes nothing
-    assert np.allclose(partial, full, atol=1e-15)
-
-
 def test_condense_without_enrichment_is_identity():
     K = np.array([[2.0, -1.0], [-1.0, 2.0]])
     sys_ = ElementSystem(K, np.zeros(2), 0.0, np.zeros(2), 0.0)
@@ -389,13 +376,23 @@ def test_degenerate_cut_is_a_fallback_in_every_mode():
         assert asm.fallback_elements == asm.classification.cut_elements.tolist()
 
 
-def test_assembly_shares_geometry_with_solution():
-    asm = _planar_system(3.0, 4, "efem")
-    measures, grads = all_geometry(asm.mesh)
-    assert np.array_equal(asm.measures, measures)
-    assert np.array_equal(asm.grads, grads)
-    phi, _ = solve(asm.matrix, asm.rhs, tol=1e-10)
-    assert build_solution(asm, phi).grads is asm.grads
+def test_assembly_shares_geometry_with_solution(monkeypatch):
+    # the mesh owns the element geometry: one p1_geometry call serves the
+    # assembly of every mode and the solution built from it
+    calls = []
+    real = mesh_mod.p1_geometry
+    monkeypatch.setattr(mesh_mod, "p1_geometry", lambda X: calls.append(len(X)) or real(X))
+    mesh = generate_structured(2, 4, 4)
+    assert calls == []
+    for mode in MODES:
+        asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), mode,
+                              box_boundary(2))
+        phi, _ = solve(asm.matrix, asm.rhs, tol=1e-10)
+        assert build_solution(asm, phi).mesh is mesh
+    assert calls == [mesh.n_elements]
+    measures, grads = real(mesh.nodes[mesh.elements])
+    assert np.array_equal(mesh.measures, measures)
+    assert np.array_equal(mesh.grads, grads)
 
 
 def test_assembly_requires_dirichlet():
@@ -424,6 +421,17 @@ def test_assembly_rejects_conflicting_dirichlet_values():
     assert message.startswith("node 0 has conflicting Dirichlet values")
     for part in ("'left'", "'bottom'", "5.0", "0.0"):
         assert part in message
+
+
+def test_assembly_rejects_non_finite_callable_dirichlet_value():
+    mesh = generate_structured(2, 2)
+    boundary = box_boundary(2)
+    boundary["top"] = BoundaryTag("top", "dirichlet", lambda x: float("nan"))
+    e, lf = next((e, lf) for e, lf, tag in mesh.boundary_faces if tag == "top")
+    node = int(mesh.face_nodes(e, lf)[0])
+    with pytest.raises(ValueError) as info:
+        assemble_global(mesh, planar_levelset(), planar_materials(3), "efem", boundary)
+    assert str(info.value) == f"node {node} has a non-finite Dirichlet value nan from tag 'top'"
 
 
 def test_assembly_accepts_equal_dirichlet_values_on_shared_nodes():
@@ -533,7 +541,7 @@ def test_condensed_equals_explicit_block_system():
         assert rep.converged
 
         cl = classify_elements(mesh, levelset)
-        measures, grads = all_geometry(mesh)
+        measures, grads = mesh.measures, mesh.grads
         nn = mesh.n_nodes
         cut = [int(e) for e in cl.cut_elements]
         enr = {e: nn + k for k, e in enumerate(cut)}

@@ -8,7 +8,6 @@ import pytest
 from efem.mesh import (
     Mesh,
     MeshError,
-    all_geometry,
     char_lengths,
     face_measure_normal,
     generate_structured,
@@ -48,13 +47,13 @@ def test_structured_one_cell_has_single_interior_face():
 def test_structured_3d_counts_and_volume():
     mesh = generate_structured(3, 2, 2, 2)
     assert mesh.n_elements == 48
-    assert abs(signed_measures(mesh).sum() - 1.0) < 1e-12
+    assert abs(signed_measures(mesh.nodes[mesh.elements]).sum() - 1.0) < 1e-12
 
 
 def test_structured_measures_positive_and_sum_to_box():
     for dim in (2, 3):
         mesh = generate_structured(dim, 3)
-        vols = signed_measures(mesh)
+        vols = signed_measures(mesh.nodes[mesh.elements])
         assert (vols > 0).all()
         assert abs(vols.sum() - 1.0) < 1e-10
 
@@ -104,7 +103,7 @@ def test_p1_geometry_reference_tet():
 
 def test_partition_of_unity_at_sampled_points():
     mesh = generate_structured(2, 3, 3)
-    _, grads = all_geometry(mesh)
+    grads = mesh.grads
     rng = np.random.default_rng(3)
     for e in range(mesh.n_elements):
         coords = mesh.element_coords(e)
@@ -114,13 +113,12 @@ def test_partition_of_unity_at_sampled_points():
         assert np.abs(grads[e].sum(axis=0)).max() < 1e-12
 
 
-def test_all_geometry_matches_per_element():
+def test_mesh_geometry_matches_per_element():
     mesh = generate_structured(3, 2, 2, 2)
-    measures, grads = all_geometry(mesh)
     for e in (0, 13, 47):
         m, g = p1_geometry(mesh.element_coords(e))
-        assert abs(measures[e] - m) < 1e-15
-        assert np.allclose(grads[e], g, atol=1e-13)
+        assert mesh.measures[e] == m
+        assert np.array_equal(mesh.grads[e], g)
 
 
 def test_char_lengths_structured():

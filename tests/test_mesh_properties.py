@@ -53,7 +53,7 @@ def _check_mesh(mesh, box):
     assert mesh.boundary_faces == sorted(want)
     assert all(type(v) is int for e, lf, _ in mesh.boundary_faces for v in (e, lf))
 
-    vols = signed_measures(mesh)
+    vols = signed_measures(mesh.nodes[mesh.elements])
     assert (vols > 0).all()
     volume = math.prod(box[2 * i + 1] - box[2 * i] for i in range(dim))
     assert abs(vols.sum() - volume) <= 1e-12 * volume * mesh.n_elements

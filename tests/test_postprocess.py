@@ -274,7 +274,7 @@ def _reference_vtk(sol: SolutionField, path) -> None:
         data = sol.cut_data.get(e)
         if data is None:
             cells.append([int(i) for i in conn])
-            cdata.append(sol.grads[e].T @ sol.phi[conn])
+            cdata.append(sol.mesh.grads[e].T @ sol.phi[conn])
             continue
         star = sol.phi_star.get(e, 0.0)
         local_ids = {("n", i): int(conn[i]) for i in range(m.dim + 1)}
@@ -283,7 +283,7 @@ def _reference_vtk(sol: SolutionField, path) -> None:
             local_ids[("x", key)] = len(points)
             points.append(np.asarray(xv))
             pdata.append(float(lam @ sol.phi[conn]) + hat_value(lam, sol.element_d[e]) * star)
-        base_E = sol.grads[e].T @ sol.phi[conn]
+        base_E = sol.mesh.grads[e].T @ sol.phi[conn]
         for child in data.deco.children:
             cells.append([local_ids[r] for r in child.refs])
             cdata.append(base_E + (data.grad_pos if child.sign > 0 else data.grad_neg) * star)

@@ -118,7 +118,7 @@ def _check_sample(name, start, end, count):
         for e in (s.element[i], s.element[i + 1]):
             lam = _barycentric_all(mesh, s.points[i])[e]
             assert lam.min() >= -_CONTAIN_TOL
-            depth = lam / np.linalg.norm(sol.grads[e], axis=1)
+            depth = lam / np.linalg.norm(sol.mesh.grads[e], axis=1)
             assert depth.min() <= 1e-12, (e, lam)
 
 

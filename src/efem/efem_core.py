@@ -29,8 +29,8 @@ import scipy.sparse as sp
 from efem.mesh import BoundaryTag, Mesh, face_measure_normal, local_faces, row_dot
 from efem.interface import (
     Classification,
+    CutBatch,
     CutDecomposition,
-    DegenerateCutError,
     SNAP_TOL,
     classify_elements,
     cut_exterior_faces,
@@ -41,9 +41,8 @@ log = logging.getLogger("efem")
 
 MODES = ("standard", "efem-nod", "efem")
 
-# 3-point rule on the unit triangle, exact through quadratics; used for the
-# face integrals of (linear Nbar) x (constant flux) on sub-triangles.
-_TRI_PTS = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
+# Relative size of Kenr - Denr against |K| below which condensation is refused.
+CONDENSE_GUARD = 1e-14
 
 
 class SingularEnrichmentError(Exception):
@@ -79,7 +78,10 @@ class MaterialPair:
 
 @dataclass
 class ElementSystem:
-    """Uncondensed blocks of one element; enrichment parts are zero if uncut."""
+    """Uncondensed blocks of one element, or of k elements stacked along a
+    first axis; enrichment parts are zero if uncut.  condense fills in the
+    condensed block, the recovery vector and the margin |Kenr - Denr| /
+    max(|K|, 1) (inf where there is no enrichment)."""
 
     K: np.ndarray                # (n, n)
     B: np.ndarray                # (n,)
@@ -88,6 +90,7 @@ class ElementSystem:
     Denr: float
     condensed: np.ndarray | None = None
     recovery: np.ndarray | None = None
+    margin: float | np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +101,17 @@ def hat_gradients(grads: np.ndarray, nodal_d: np.ndarray):
     """Constant enrichment gradient on the positive and negative side.
 
     grad Nbar = sum_i grad N_i |d_i| - s * sum_i grad N_i d_i  with s the
-    side sign.  Returns (grad_pos, grad_neg).
+    side sign.  Returns (grad_pos, grad_neg): (k, d) each for grads
+    (k, d+1, d) and nodal_d (k, d+1), (d,) each for one element.
     """
-    g_abs = grads.T @ np.abs(nodal_d)
-    g_lin = grads.T @ nodal_d
+    grads = np.asarray(grads, dtype=float)
+    d = np.asarray(nodal_d, dtype=float)
+    if grads.ndim == 2:
+        g_pos, g_neg = hat_gradients(grads[None], d[None])
+        return g_pos[0], g_neg[0]
+    gT = grads.transpose(0, 2, 1)
+    g_abs = np.matmul(gT, np.abs(d)[..., None])[..., 0]
+    g_lin = np.matmul(gT, d[..., None])[..., 0]
     return g_abs - g_lin, g_abs + g_lin
 
 
@@ -144,101 +154,116 @@ def barycentric(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # element integrals
+#
+# Each kernel takes k elements stacked along a first axis; one element is a
+# batch of one and gets today's scalar types back.
 
 
 def element_matrices(coords, measure, grads, materials: MaterialPair,
-                     deco: CutDecomposition | None = None, sign: int = 1) -> ElementSystem:
-    """Volume blocks K, B, Kenr of one element.
+                     deco: CutBatch | CutDecomposition | None = None, sign=1) -> ElementSystem:
+    """Volume blocks K, B, Kenr.
 
     All integrands are piecewise constant (P1 plus hat), so one centroid
-    value per child integrates exactly.  Uncut elements take the single
-    permittivity of their side.
+    value per child integrates exactly; children are summed in table order.
+    Uncut elements take the single permittivity of their side.
     """
-    n = grads.shape[0]
+    grads = np.asarray(grads, dtype=float)
+    if grads.ndim == 2:
+        out = element_matrices(np.asarray(coords)[None], np.atleast_1d(measure), grads[None],
+                               materials, None if deco is None else deco.batch,
+                               np.atleast_1d(sign))
+        return ElementSystem(out.K[0], out.B[0], float(out.Kenr[0]), out.D[0], float(out.Denr[0]))
+    k, n, dim = grads.shape
+    gg = np.matmul(grads, grads.transpose(0, 2, 1))
+    zeros = (np.zeros((k, n)), np.zeros(k))
     if deco is None:
-        K = materials.for_sign(sign) * measure * (grads @ grads.T)
-        return ElementSystem(K, np.zeros(n), 0.0, np.zeros(n), 0.0)
+        eps = np.where(np.asarray(sign) > 0, materials.eps1, materials.eps2)
+        K = (eps * np.asarray(measure, dtype=float))[:, None, None] * gg
+        return ElementSystem(K, np.zeros((k, n)), np.zeros(k), *zeros)
 
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
-    eps_meas = 0.0
-    b_accum = np.zeros(grads.shape[1])
-    kenr = 0.0
-    for child in deco.children:
-        eps = materials.for_sign(child.sign)
-        gbar = g_pos if child.sign > 0 else g_neg
-        eps_meas += eps * child.measure
-        b_accum += eps * child.measure * gbar
-        kenr += eps * child.measure * float(gbar @ gbar)
-    K = eps_meas * (grads @ grads.T)
-    B = grads @ b_accum
-    return ElementSystem(K, B, kenr, np.zeros(n), 0.0)
+    eps_meas = np.zeros(k)
+    b_accum = np.zeros((k, dim))
+    kenr = np.zeros(k)
+    for m, s in zip(deco.child_measure.T, deco.child_sign.T):
+        em = np.where(s > 0, materials.eps1, materials.eps2) * m
+        gbar = np.where((s > 0)[:, None], g_pos, g_neg)
+        eps_meas += em
+        b_accum += em[:, None] * gbar
+        kenr += em * row_dot(gbar, gbar)
+    K = eps_meas[:, None, None] * gg
+    B = np.matmul(grads, b_accum[..., None])[..., 0]
+    return ElementSystem(K, B, kenr, *zeros)
 
 
 def element_displacement_terms(coords, grads, materials: MaterialPair,
-                               deco: CutDecomposition):
+                               deco: CutBatch | CutDecomposition):
     """Exterior-face blocks D_i = int Nbar n.(eps grad N_i) and Denr.
 
-    Integrates over every exterior face where Nbar does not vanish (it is
-    identically zero on faces whose nodes share one sign).  Per
-    sign-homogeneous sub-facet the integrand is linear Nbar times a constant
-    flux: midpoint rule in 2D, 3-point rule on sub-triangles in 3D, both
-    exact.  eps and grad Nbar come from the child side owning the sub-facet;
-    n is the element outward normal of the crossed face.
+    Integrates over every exterior face piece; Nbar vanishes identically on
+    faces whose nodes share one sign.  Nbar is linear on each
+    sign-homogeneous piece, zero at the parent vertices and
+    (1-t)|d_a| + t|d_b| at the virtual node on edge (a, b), so the mean of
+    its vertex values times the piece measure integrates it exactly.  eps
+    and grad Nbar come from the side owning the piece; n is the element
+    outward normal of the face.  Returns (D (k, n), Denr (k,)), or (D (n,),
+    Denr float) for one element.
     """
-    dim = deco.dim
-    n = grads.shape[0]
+    grads = np.asarray(grads, dtype=float)
+    if grads.ndim == 2:
+        D, Denr = element_displacement_terms(np.asarray(coords)[None], grads[None],
+                                             materials, deco.batch)
+        return D[0], float(Denr[0])
+    coords = np.asarray(coords, dtype=float)
+    k, n, dim = grads.shape
+    pieces = cut_exterior_faces(deco)
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
-    D = np.zeros(n)
-    Denr = 0.0
-    crossed = [fc for fc in cut_exterior_faces(deco) if fc.crossed]
-    if not crossed:
-        return D, Denr
-    faces = np.array(local_faces(dim))[[fc.local_face for fc in crossed]]
-    _, normals = face_measure_normal(coords[faces], coords.mean(axis=0))
-    # (outward normal, piece) in face order
-    pieces = [(normal, piece) for fc, normal in zip(crossed, normals) for piece in fc.pieces]
-    # Nbar at every quadrature point of every piece in one batched solve
-    if dim == 2:
-        pts = np.array([0.5 * (p.vertices[0] + p.vertices[1]) for _, p in pieces])
-    else:
-        pts = np.concatenate([_TRI_PTS @ p.vertices for _, p in pieces])
-    nbar = hat_value(barycentric(np.broadcast_to(coords, (len(pts),) + coords.shape), pts),
-                     deco.nodal_d)
-    measure = np.array([p.measure for _, p in pieces])
-    if dim == 2:
-        nbar_int = nbar * measure
-    else:
-        nbar_int = measure / 3.0 * ((nbar[0::3] + nbar[1::3]) + nbar[2::3])
-
-    for (normal, piece), w in zip(pieces, nbar_int.tolist()):
-        eps = materials.for_sign(piece.sign)
-        gbar = g_pos if piece.sign > 0 else g_neg
-        flux = eps * (grads @ normal)            # (n,) one value per shape fn
-        D += w * flux
-        Denr += w * eps * float(gbar @ normal)
-    return D, Denr
+    faces = np.array(local_faces(dim))
+    _, normals = face_measure_normal(coords[:, faces].reshape(-1, dim, dim),
+                                     np.repeat(coords.mean(axis=1), n, axis=0))
+    normals = normals.reshape(k, n, dim)                               # one per local face
+    nbar = np.concatenate([np.zeros((k, n)), deco.virtual_nbar], axis=1)
+    at_points = nbar[np.arange(k)[:, None, None, None], pieces.points]
+    nbar_int = pieces.measure * at_points.sum(axis=-1) / dim
+    positive = pieces.sign > 0
+    w = np.where(positive, materials.eps1, materials.eps2) * nbar_int   # (k, faces, pieces)
+    flux = np.matmul(grads[:, None], normals[..., None])[..., 0]       # grads @ n per face
+    D = np.einsum("kfp,kfi->ki", w, flux)
+    gn = np.where(positive, row_dot(g_pos[:, None], normals)[..., None],
+                  row_dot(g_neg[:, None], normals)[..., None])
+    return D, (w * gn).sum(axis=(1, 2))
 
 
-def condense(system: ElementSystem, guard: float = 1e-14) -> ElementSystem:
+def condense(system: ElementSystem, guard: float = CONDENSE_GUARD) -> ElementSystem:
     """Eliminate phi*: condensed = K - B (Kenr - Denr)^-1 (B - D)^T.
 
     The recovery vector r gives phi* = r . phi_element.  With D terms the
     condensed block is generally nonsymmetric.  A block with no enrichment
-    at all (uncut element) passes through unchanged with r = 0.
+    at all (uncut element) passes through unchanged with r = 0.  Sets
+    margin = |Kenr - Denr| / max(|K|, 1); a stack of blocks keeps going
+    past singular ones (margin <= guard), which hold no meaningful result,
+    while a single one raises SingularEnrichmentError.
     """
-    if (system.Kenr == 0.0 and system.Denr == 0.0
-            and not system.B.any() and not system.D.any()):
-        system.condensed = system.K.copy()
-        system.recovery = np.zeros_like(system.B)
+    if np.ndim(system.K) == 2:
+        one = condense(ElementSystem(system.K[None], system.B[None], np.array([system.Kenr]),
+                                     system.D[None], np.array([system.Denr])), guard)
+        if one.margin[0] <= guard:
+            raise SingularEnrichmentError(
+                f"enrichment scalar {system.Kenr - system.Denr:.3e} is singular against "
+                f"|K| = {np.linalg.norm(system.K):.3e}")
+        system.condensed, system.recovery = one.condensed[0], one.recovery[0]
+        system.margin = float(one.margin[0])
         return system
+    K, B, D = system.K, system.B, system.D
+    k = K.shape[0]
+    plain = (system.Kenr == 0.0) & (system.Denr == 0.0) & ~B.any(axis=1) & ~D.any(axis=1)
     scalar = system.Kenr - system.Denr
-    knorm = float(np.linalg.norm(system.K))
-    if abs(scalar) <= guard * max(knorm, 1.0):
-        raise SingularEnrichmentError(
-            f"enrichment scalar {scalar:.3e} is singular against |K| = {knorm:.3e}"
-        )
-    r = -(system.B - system.D) / scalar
-    system.condensed = system.K + np.outer(system.B, r)
+    flat = K.reshape(k, K.shape[1] * K.shape[2])
+    knorm = np.sqrt(row_dot(flat, flat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        system.margin = np.where(plain, np.inf, np.abs(scalar) / np.maximum(knorm, 1.0))
+        r = np.where(plain[:, None], 0.0, -(B - D) / scalar[:, None])
+        system.condensed = K + B[:, :, None] * r[:, None, :]
     system.recovery = r
     return system
 
@@ -248,27 +273,49 @@ def condense(system: ElementSystem, guard: float = 1e-14) -> ElementSystem:
 
 
 @dataclass
-class CutElementData:
-    """Per-element enrichment state kept for recovery and evaluation."""
+class CutState:
+    """Stacked enrichment state of the enriched elements, ids ascending.
 
-    deco: CutDecomposition
-    recovery: np.ndarray | None
-    grad_pos: np.ndarray
-    grad_neg: np.ndarray
+    children and virtual are the decomposition tables the VTK export draws:
+    a child vertex p < dim+1 is the element's local vertex p, p = dim+1+j
+    its j-th virtual node.  Rows past n_children / n_virtual are padding.
+    """
+
+    ids: np.ndarray              # (k,)
+    recovery: np.ndarray         # (k, dim+1): phi* = recovery . phi_element
+    grad_pos: np.ndarray         # (k, dim)
+    grad_neg: np.ndarray         # (k, dim)
+    children: np.ndarray         # (k, C, dim+1)
+    child_sign: np.ndarray       # (k, C)
+    n_children: np.ndarray       # (k,)
+    virtual: np.ndarray          # (k, nx, dim) virtual node coordinates
+    n_virtual: np.ndarray        # (k,)
+
+    def __len__(self) -> int:
+        return self.ids.size
 
 
 @dataclass
 class AssembledSystem:
+    """The condensed global system with its cut state.
+
+    fallback_reasons holds one reason per fallback element ("degenerate cut"
+    or "singular condensation"); condense_margin is the smallest
+    |Kenr - Denr| / max(|K|, 1) over the condensed elements (inf if none).
+    """
+
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mode: str
     mesh: Mesh
     materials: MaterialPair
     classification: Classification
-    cut_data: dict[int, CutElementData]
+    cut_data: CutState
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
     fallback_elements: list[int] = field(default_factory=list)
+    fallback_reasons: list[str] = field(default_factory=list)
+    condense_margin: float = math.inf
 
     @property
     def n(self) -> int:
@@ -283,14 +330,17 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
 
     standard: no enrichment; cut elements get the child-volume-weighted
     arithmetic mean permittivity.  efem-nod: enrichment without the
-    displacement terms (D = Denr = 0).  efem: the full formulation.  The
-    sparsity pattern (a row-identity Dirichlet treatment included) is
-    identical across modes and equals the node adjacency graph of the mesh.
+    displacement terms (D = Denr = 0).  efem: the full formulation.  A cut
+    element whose cut is degenerate, or whose enrichment cannot be
+    condensed, falls back to the permittivity of its larger side.
+
+    Every element block is scattered into the mesh's fixed P1 pattern by one
+    bincount, so each matrix entry sums its element contributions in
+    element order.  The pattern (a row-identity Dirichlet treatment
+    included) is identical across modes and level sets.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    nn = mesh.n_nodes
-    nv = mesh.dim + 1
     cl = classification if classification is not None else classify_elements(mesh, levelset, snap_tol)
     measures, grads = mesh.measures, mesh.grads
 
@@ -299,102 +349,90 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     if dir_nodes.size == 0:
         raise SingularSystemError("no Dirichlet boundary: the system is singular")
 
-    uncut = ~cl.is_cut
-    eps_uncut = np.where(cl.element_sign > 0, materials.eps1, materials.eps2)
-    blocks_uncut = np.einsum("e,eid,ejd->eij", eps_uncut[uncut] * measures[uncut],
-                             grads[uncut], grads[uncut])
+    eps1, eps2 = materials.eps1, materials.eps2
+    weight = np.where(cl.element_sign > 0, eps1, eps2) * measures     # eps * measure
+    cut = cl.cut_elements
+    coords = mesh.nodes[mesh.elements[cut]]
+    deco = split_simplex(coords, cl.element_d[cut])
+    pos, neg = deco.side_measures()
+    reasons = np.full(cut.size, "", dtype=object)
+    reasons[deco.degenerate] = "degenerate cut"
+    # a fallback takes the permittivity of the larger side, by child volume;
+    # by the summed distances for a degenerate cut
+    larger = np.where(deco.degenerate, cl.element_d[cut].sum(axis=1) >= 0.0, pos >= neg)
+    fallback_weight = np.where(larger, eps1, eps2) * measures[cut]
 
-    conn = mesh.elements
-    rows_u = np.repeat(conn[uncut], nv, axis=1).ravel()
-    cols_u = np.tile(conn[uncut], (1, nv)).ravel()
-    vals_u = blocks_uncut.ravel()
-
-    rows_c, cols_c, vals_c = [], [], []
-    cut_data: dict[int, CutElementData] = {}
-    fallback: list[int] = []
-    for e in cl.cut_elements:
-        coords = mesh.element_coords(int(e))
-        block, data, fell_back = _cut_element_block(
-            int(e), coords, measures[e], grads[e], cl.element_d[e], materials, mode)
-        if data is not None:
-            cut_data[int(e)] = data
-        if fell_back:
-            fallback.append(int(e))
-        rows_c.append(np.repeat(conn[e], nv))
-        cols_c.append(np.tile(conn[e], nv))
-        vals_c.append(block.ravel())
-
-    rows = np.concatenate([rows_u] + rows_c) if rows_c else rows_u
-    cols = np.concatenate([cols_u] + cols_c) if cols_c else cols_u
-    vals = np.concatenate([vals_u] + vals_c) if vals_c else vals_u
-
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
-    A.sort_indices()
-    rhs = np.zeros(nn)
-    _apply_dirichlet(A, rhs, dir_nodes, dir_values)
-
-    return AssembledSystem(A, rhs, mode, mesh, materials, cl, cut_data,
-                           dir_nodes, dir_values, fallback)
-
-
-def _cut_element_block(e, coords, measure, egrads, nodal_d, materials, mode):
-    """Block of one cut element, its cut state and whether it fell back.
-
-    Standard mode averages the permittivity and keeps no cut state; only a
-    degenerate cut or a singular condensation counts as a fallback.
-    """
-    try:
-        deco = split_simplex(coords, nodal_d)
-    except DegenerateCutError as err:
-        log.warning("element %d: degenerate cut (%s); treated as uncut", e, err)
-        return _majority_block(None, coords, measure, egrads, nodal_d, materials), None, True
-
+    nv = mesh.dim + 1
+    live = np.flatnonzero(~deco.degenerate)          # positions in cut
     if mode == "standard":
-        mean_eps = sum(materials.for_sign(c.sign) * c.measure for c in deco.children) / measure
-        return mean_eps * measure * (egrads @ egrads.T), None, False
-
-    system = element_matrices(coords, measure, egrads, materials, deco)
-    if mode == "efem":
-        system.D, system.Denr = element_displacement_terms(coords, egrads, materials, deco)
-    try:
-        condense(system)
-    except SingularEnrichmentError as err:
-        log.warning("element %d: %s; treated as uncut", e, err)
-        return _majority_block(deco, coords, measure, egrads, nodal_d, materials), None, True
-
-    g_pos, g_neg = hat_gradients(egrads, deco.nodal_d)
-    return system.condensed, CutElementData(deco, system.recovery, g_pos, g_neg), False
-
-
-def _majority_block(deco, coords, measure, egrads, nodal_d, materials):
-    """Uncut fallback: single permittivity of the larger-volume side."""
-    if deco is not None:
-        sign = 1 if deco.measure_by_sign(1) >= deco.measure_by_sign(-1) else -1
+        weight[cut] = np.where(deco.degenerate, fallback_weight, eps1 * pos + eps2 * neg)
+        live = live[:0]
+        condensed, recovery, margins = np.empty((0, nv, nv)), np.empty((0, nv)), np.empty(0)
     else:
-        sign = 1 if float(np.sum(nodal_d)) >= 0.0 else -1
-    return materials.for_sign(sign) * measure * (egrads @ egrads.T)
+        kept = deco.take(live)
+        e = cut[live]
+        system = element_matrices(coords[live], measures[e], grads[e], materials, kept)
+        if mode == "efem":
+            system.D, system.Denr = element_displacement_terms(coords[live], grads[e],
+                                                               materials, kept)
+        condense(system)
+        condensed, recovery, margins = system.condensed, system.recovery, system.margin
+        weight[cut] = fallback_weight
+    ok = ~(margins <= CONDENSE_GUARD)
+    reasons[live[~ok]] = "singular condensation"
+    good = live[ok]
+    ids = cut[good]
+
+    blocks = np.matmul(grads, np.ascontiguousarray(grads.transpose(0, 2, 1)))
+    blocks *= weight[:, None, None]
+    blocks[ids] = condensed[ok]
+    pattern = mesh.pattern
+    data = np.bincount(pattern.slots.ravel(), weights=blocks.ravel(), minlength=pattern.nnz)
+    del blocks
+    rhs = np.zeros(mesh.n_nodes)
+    _apply_dirichlet(pattern, data, rhs, dir_nodes, dir_values)
+    A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                      shape=(mesh.n_nodes, mesh.n_nodes))
+
+    fell = reasons != ""
+    if fell.any():
+        n_degenerate = int(deco.degenerate.sum())
+        log.warning("%d of %d cut elements treated as uncut: %d degenerate cuts, "
+                    "%d singular condensations", fell.sum(), cut.size, n_degenerate,
+                    fell.sum() - n_degenerate)
+    g_pos, g_neg = hat_gradients(grads[ids], cl.element_d[ids])
+    state = CutState(ids, recovery[ok], g_pos, g_neg, deco.children[good],
+                     deco.child_sign[good], deco.n_children[good], deco.points[good, nv:],
+                     deco.n_virtual[good])
+    margin = float(margins[ok].min()) if ids.size else math.inf
+    return AssembledSystem(A, rhs, mode, mesh, materials, cl, state, dir_nodes, dir_values,
+                           cut[fell].tolist(), reasons[fell].tolist(), margin)
 
 
 def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
-    """Dirichlet nodes and values; ValueError if two tags give one node different values."""
+    """Dirichlet nodes and values; ValueError if two tags give one node different values.
+
+    Each (node, tag) pair is evaluated once, in the order a walk over the
+    boundary faces first reaches it, so every error names the node and tags
+    such a walk would meet first.
+    """
     seen: dict[int, tuple[float, str]] = {}
-    for e, lf, tag_name in mesh.boundary_faces:
+    nodes, tags = mesh.boundary_node_tags
+    for node, tag_name in zip(nodes.tolist(), tags):
         tag = boundary.get(tag_name)
         if tag is None:
             raise KeyError(f"mesh tag {tag_name!r} has no boundary assignment")
         if tag.kind != "dirichlet":
             continue
-        for node in mesh.face_nodes(e, lf):
-            node = int(node)
-            value = tag.value_at(mesh.nodes[node])
-            if not math.isfinite(value):
-                raise ValueError(f"node {node} has a non-finite Dirichlet value {value!r} "
-                                 f"from tag {tag_name!r}")
-            prev, prev_tag = seen.setdefault(node, (value, tag_name))
-            if value != prev:
-                raise ValueError(
-                    f"node {node} has conflicting Dirichlet values: {prev!r} from tag "
-                    f"{prev_tag!r} and {value!r} from tag {tag_name!r}")
+        value = tag.value_at(mesh.nodes[node])
+        if not math.isfinite(value):
+            raise ValueError(f"node {node} has a non-finite Dirichlet value {value!r} "
+                             f"from tag {tag_name!r}")
+        prev, prev_tag = seen.setdefault(node, (value, tag_name))
+        if value != prev:
+            raise ValueError(
+                f"node {node} has conflicting Dirichlet values: {prev!r} from tag "
+                f"{prev_tag!r} and {value!r} from tag {tag_name!r}")
     if not seen:
         return np.empty(0, dtype=np.int64), np.empty(0)
     nodes = np.array(sorted(seen), dtype=np.int64)
@@ -402,20 +440,19 @@ def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
     return nodes, values
 
 
-def _apply_dirichlet(A: sp.csr_matrix, rhs: np.ndarray, nodes: np.ndarray, values: np.ndarray):
-    """Row-identity plus column elimination, preserving the sparsity pattern.
+def _apply_dirichlet(pattern, data: np.ndarray, rhs: np.ndarray, nodes: np.ndarray,
+                     values: np.ndarray):
+    """Row-identity plus column elimination on the CSR data of the pattern.
 
     Off-diagonal entries are zeroed in place (kept as structural entries) so
     the matrix graph stays identical across modes and level sets.
     """
-    n = A.shape[0]
+    n = rhs.shape[0]
     isdir = np.zeros(n, dtype=bool)
     isdir[nodes] = True
     val_of = np.zeros(n)
     val_of[nodes] = values
-
-    indptr, indices, data = A.indptr, A.indices, A.data
-    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    indices, row_of = pattern.indices, pattern.rows
 
     # move Dirichlet columns of free rows to the rhs
     m = isdir[indices] & ~isdir[row_of]
@@ -425,6 +462,5 @@ def _apply_dirichlet(A: sp.csr_matrix, rhs: np.ndarray, nodes: np.ndarray, value
     # identity rows for constrained nodes
     rdir = isdir[row_of]
     data[rdir] = 0.0
-    diag = rdir & (indices == row_of)
-    data[diag] = 1.0
+    data[rdir & (indices == row_of)] = 1.0
     rhs[nodes] = values

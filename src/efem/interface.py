@@ -9,7 +9,7 @@ measures sum to the parent measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -180,6 +180,63 @@ def classify_elements(mesh: Mesh, levelset, snap_tol: float = SNAP_TOL) -> Class
 
 
 # ---------------------------------------------------------------------------
+# cut tables
+#
+# A cut simplex takes one of three configurations, each a constant table in
+# the manner of marching tetrahedra (Doi & Koide, IEICE Trans. 1991): the 2D
+# lone node, the 3D 1-3 split and the 3D 2-2 split.  Roles order the
+# vertices of an element: the vertex alone on its side first, then the rest
+# ascending; for 2-2 the positive pair, then the negative pair, each
+# ascending.  In a table, point p < nv is the vertex in role p and point
+# nv + k is the virtual node on role edge k, placed from the edge's first
+# role.  Child signs are relative to the vertex in role 0.  Where a quad
+# can split along either diagonal there is one table per diagonal.
+
+_CONFIGS = {
+    2: (
+        # lone node; the quad X0 o1 o2 X1 splits along X0-o2, or along o1-X1
+        (((0, 1), (0, 2)), ((3, 4, 0), (3, 1, 2), (3, 2, 4)), (1, -1, -1), ((3, 4),)),
+        (((0, 1), (0, 2)), ((3, 4, 0), (3, 1, 4), (1, 2, 4)), (1, -1, -1), ((3, 4),)),
+    ),
+    3: (
+        # 1-3: the lone vertex's tet, then the prism X0 X1 X2 | o1 o2 o3 in a
+        # staircase split (its lateral quads are planar)
+        (((0, 1), (0, 2), (0, 3)),
+         ((0, 4, 5, 6), (4, 5, 6, 1), (5, 6, 1, 2), (6, 1, 2, 3)), (1, -1, -1, -1),
+         ((4, 5, 6),)),
+        # 2-2: the interface quad X0 X1 X2 X3 (edges a1b1, a1b2, a2b2, a2b1)
+        # splits along X0-X2, or along X1-X3
+        (((0, 2), (0, 3), (1, 3), (1, 2)),
+         ((0, 4, 5, 6), (0, 4, 6, 7), (0, 1, 7, 6), (2, 4, 5, 6), (2, 4, 6, 7), (2, 3, 5, 6)),
+         (1, 1, 1, -1, -1, -1), ((4, 5, 6), (4, 6, 7))),
+        (((0, 2), (0, 3), (1, 3), (1, 2)),
+         ((0, 4, 5, 7), (0, 5, 6, 7), (0, 1, 7, 6), (2, 4, 5, 7), (2, 5, 6, 7), (2, 3, 5, 6)),
+         (1, 1, 1, -1, -1, -1), ((4, 5, 7), (5, 6, 7))),
+    ),
+}
+_LONE, _TWO_TWO_A, _TWO_TWO_B = 0, 1, 2       # 3D table indices
+_DIAG_A, _DIAG_B = 0, 1                        # 2D table indices
+
+
+class _Tables:
+    """The configurations of one dimension as arrays, padded to the widest
+    with copies of their first entry."""
+
+    def __init__(self, configs):
+        nx = max(len(c[0]) for c in configs)
+        nc = max(len(c[1]) for c in configs)
+        self.virtual = np.array([c[0] + c[0][:1] * (nx - len(c[0])) for c in configs])
+        self.children = np.array([c[1] + c[1][:1] * (nc - len(c[1])) for c in configs])
+        self.signs = np.array([c[2] + c[2][:1] * (nc - len(c[2])) for c in configs])
+        self.n_virtual = np.array([len(c[0]) for c in configs])
+        self.n_children = np.array([len(c[1]) for c in configs])
+        self.facets = [c[3] for c in configs]
+
+
+_TABLES = {dim: _Tables(configs) for dim, configs in _CONFIGS.items()}
+
+
+# ---------------------------------------------------------------------------
 # decomposition types
 
 
@@ -215,14 +272,53 @@ class FaceCut:
 
 
 @dataclass
+class CutBatch:
+    """Exact sign-homogeneous decomposition of k cut simplices, stacked.
+
+    points holds each element's parent vertices in local order, then its
+    virtual nodes; children, interface facets and face pieces index it.
+    Entries past n_virtual / n_children pad the widest configuration;
+    padding children have zero measure.  A degenerate element has a child
+    below 1e-14 of its measure and is decomposed all the same.
+    """
+
+    coords: np.ndarray           # (k, nv, dim)
+    nodal_d: np.ndarray          # (k, nv) snapped distances
+    measure: np.ndarray          # (k,) parent measures
+    config: np.ndarray           # (k,) table index
+    points: np.ndarray           # (k, nv + nx, dim)
+    virtual_edges: np.ndarray    # (k, nx, 2) local edge of each virtual node, ascending
+    virtual_nbar: np.ndarray     # (k, nx) enrichment value at each virtual node
+    n_virtual: np.ndarray        # (k,)
+    children: np.ndarray         # (k, C, nv) point indices, positively oriented
+    child_sign: np.ndarray       # (k, C)
+    child_measure: np.ndarray    # (k, C)
+    n_children: np.ndarray       # (k,)
+    degenerate: np.ndarray       # (k,) bool
+
+    def take(self, rows) -> "CutBatch":
+        """The elements at rows, as a batch of their own."""
+        return CutBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def side_measures(self):
+        """Summed child measures on the positive and the negative side, (k,) each."""
+        pos = np.zeros(self.measure.shape)
+        neg = np.zeros(self.measure.shape)
+        for m, s in zip(self.child_measure.T, self.child_sign.T):
+            pos += np.where(s > 0, m, 0.0)
+            neg += np.where(s < 0, m, 0.0)
+        return pos, neg
+
+
+@dataclass
 class CutDecomposition:
-    """Exact sign-homogeneous decomposition of one cut simplex."""
+    """Exact sign-homogeneous decomposition of one cut simplex: a batch of one."""
 
     coords: np.ndarray           # parent vertices, (dim+1, dim)
     nodal_d: np.ndarray          # snapped distances, (dim+1,)
     children: list[Child]
-    interface_facet: list[np.ndarray] = field(default_factory=list)
-    virtual_nodes: dict = field(default_factory=dict)   # (a, b) -> coords
+    interface_facet: list[np.ndarray]
+    batch: CutBatch = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -232,179 +328,191 @@ class CutDecomposition:
         return sum(c.measure for c in self.children if c.sign == sign)
 
 
-def _virtual_node(coords, d, a, b):
-    """Interface point on the edge between local nodes a and b."""
-    t = d[a] / (d[a] - d[b])
-    return coords[a] + t * (coords[b] - coords[a])
+def split_simplex(coords, nodal_d):
+    """Decompose cut simplices into sign-homogeneous children.
 
-
-def split_simplex(coords, nodal_d) -> CutDecomposition:
-    """Decompose a cut simplex into sign-homogeneous children.
-
-    2D produces 1 + 2 triangles; 3D produces 1 + 3 (one node isolated) or
-    3 + 3 (two nodes per side) tetrahedra.  Child measures sum exactly to the
-    parent measure; a child below 1e-14 of the parent raises
-    DegenerateCutError and the caller falls back to an uncut treatment.
+    coords (k, d+1, d) and nodal_d (k, d+1) give a :class:`CutBatch`.  2D
+    produces 1 + 2 triangles; 3D produces 1 + 3 (one node isolated) or
+    3 + 3 (two nodes per side) tetrahedra.  Child measures sum exactly to
+    the parent measure.  One simplex (d+1, d) gives a
+    :class:`CutDecomposition`, and a child below 1e-14 of the parent raises
+    DegenerateCutError so the caller can fall back to an uncut treatment.
     """
     coords = np.asarray(coords, dtype=float)
-    d = np.asarray(nodal_d, dtype=float)
-    if (d == 0.0).any() or not ((d > 0).any() and (d < 0).any()):
-        raise ValueError("split_simplex needs snapped, strictly mixed-sign distances")
-    dim = coords.shape[1]
-    if dim == 2:
-        deco = _split_triangle(coords, d)
-    else:
-        deco = _split_tet(coords, d)
-    parent = abs(signed_measures(coords))
-    for child in deco.children:
-        if child.measure < 1e-14 * parent:
+    d = np.array(nodal_d, dtype=float)
+    if coords.ndim == 2:
+        batch = split_simplex(coords[None], d[None])
+        small = batch.child_measure[0][:batch.n_children[0]] < 1e-14 * batch.measure[0]
+        if small.any():
             raise DegenerateCutError(
-                f"child measure {child.measure:.3e} below 1e-14 of parent {parent:.3e}"
-            )
-    return deco
+                f"child measure {batch.child_measure[0][np.argmax(small)]:.3e} below 1e-14 "
+                f"of parent {batch.measure[0]:.3e}")
+        return _decomposition(batch)
+    if (d == 0.0).any() or not ((d > 0).any(axis=1) & (d < 0).any(axis=1)).all():
+        raise ValueError("split_simplex needs snapped, strictly mixed-sign distances")
+    k, nv, dim = coords.shape
+    tables = _TABLES[dim]
+    pos = d > 0
+    n_pos = pos.sum(axis=1)
+    lone_negative = n_pos == nv - 1
+    roles = np.argsort(np.where(lone_negative[:, None], pos, ~pos), axis=1, kind="stable")
+    two_two = n_pos == 2 if dim == 3 else np.zeros(k, dtype=bool)
+    config = np.where(two_two, _TWO_TWO_A, _LONE)
+
+    rows = np.arange(k)[:, None]
+    edges = roles[rows[:, :, None], tables.virtual[config]]          # (k, nx, 2) local
+    a, b = edges[..., 0], edges[..., 1]
+    da, db = d[rows, a], d[rows, b]
+    t = da / (da - db)
+    ca = coords[rows, a]
+    x = ca + t[..., None] * (coords[rows, b] - ca)
+    points = np.concatenate([coords, x], axis=1)
+
+    if dim == 2:
+        # the shorter quad diagonal
+        u = x[:, 0] - coords[rows[:, 0], roles[:, 2]]
+        w = coords[rows[:, 0], roles[:, 1]] - x[:, 1]
+        config = np.where(row_dot(u, u) <= row_dot(w, w), _DIAG_A, _DIAG_B)
+    children, verts, measures = _oriented(points, roles, tables.children[config])
+    if two_two.any():
+        # keep the diagonal whose worst child has the smaller longest-edge-
+        # cubed to volume ratio
+        i = np.flatnonzero(two_two)
+        other = _oriented(points[i], roles[i], tables.children[np.full(i.size, _TWO_TWO_B)])
+        V = np.concatenate([verts[i], other[1]], axis=1)
+        m = np.concatenate([measures[i], other[2]], axis=1)
+        sides = np.stack([V[:, :, p] - V[:, :, q] for p, q in combinations(range(4), 2)], axis=2)
+        lmax = np.sqrt(row_dot(sides, sides)).max(axis=2)
+        # Python's float power: numpy's rounds differently in the last bit
+        cubed = np.array([v ** 3 for v in lmax.ravel().tolist()]).reshape(lmax.shape)
+        aspect = cubed / np.maximum(m, 1e-300)
+        use_b = aspect[:, :6].max(axis=1) > aspect[:, 6:].max(axis=1)
+        j = i[use_b]
+        config[j] = _TWO_TWO_B
+        children[j], measures[j] = other[0][use_b], other[2][use_b]
+
+    n_children = tables.n_children[config]
+    real = np.arange(measures.shape[1]) < n_children[:, None]
+    measures = np.where(real, measures, 0.0)
+    parent = np.abs(signed_measures(coords))
+    lone_sign = np.where(pos[rows[:, 0], roles[:, 0]], 1, -1)
+    return CutBatch(
+        coords, d, parent, config, points, np.sort(edges, axis=-1),
+        (1.0 - t) * np.abs(da) + t * np.abs(db), tables.n_virtual[config],
+        children, tables.signs[config] * lone_sign[:, None], measures, n_children,
+        (real & (measures < 1e-14 * parent[:, None])).any(axis=1))
 
 
-def _mk_children(simplices, coords_of, signs) -> list[Child]:
-    """Children from vertex refs, each reordered to positive orientation.
+def _oriented(points, roles, table):
+    """Children of a table as point indices, each reordered to positive
+    orientation, with their vertices and their measures.
 
     All children are oriented in one stacked call and measured in a second
     one, so a child's measure comes from its final vertex order.
     """
-    refs = [tuple(t) for t in simplices]
-    verts = np.array([[coords_of[r] for r in t] for t in refs])
-    for i in np.flatnonzero(signed_measures(verts) < 0.0).tolist():
-        refs[i] = (refs[i][0], refs[i][2], refs[i][1]) + refs[i][3:]
-        verts[i, [1, 2]] = verts[i, [2, 1]]
-    measures = np.abs(signed_measures(verts)).tolist()
-    return [Child(v, sign, m, r) for v, sign, m, r in zip(verts, signs, measures, refs)]
+    k, c, nv = table.shape
+    dim = points.shape[2]
+    rows = np.arange(k)[:, None, None]
+    refs = np.where(table < nv, roles[rows, np.minimum(table, nv - 1)], table)
+    verts = points[rows, refs]
+    flip = signed_measures(verts.reshape(-1, nv, dim)).reshape(k, c) < 0.0
+    swap = [0, 2, 1] + list(range(3, nv))
+    refs[flip] = refs[flip][:, swap]
+    verts[flip] = verts[flip][:, swap]
+    measures = np.abs(signed_measures(verts.reshape(-1, nv, dim))).reshape(k, c)
+    return refs, verts, measures
 
 
-def _split_triangle(coords, d) -> CutDecomposition:
-    lone = int(np.nonzero(d > 0)[0][0]) if (d > 0).sum() == 1 else int(np.nonzero(d < 0)[0][0])
-    others = [i for i in range(3) if i != lone]
-    o1, o2 = others
-    s_lone = 1 if d[lone] > 0 else -1
-
-    xi1 = _virtual_node(coords, d, lone, o1)
-    xi2 = _virtual_node(coords, d, lone, o2)
-    k1, k2 = tuple(sorted((lone, o1))), tuple(sorted((lone, o2)))
-    coords_of = {("n", 0): coords[0], ("n", 1): coords[1], ("n", 2): coords[2],
-                 ("x", k1): xi1, ("x", k2): xi2}
-
-    lone_tri = (("x", k1), ("x", k2), ("n", lone))
-    # quad xi1 - o1 - o2 - xi2, split along its shorter diagonal
-    if np.dot(xi1 - coords[o2], xi1 - coords[o2]) <= np.dot(coords[o1] - xi2, coords[o1] - xi2):
-        tris = ((("x", k1), ("n", o1), ("n", o2)), (("x", k1), ("n", o2), ("x", k2)))
-    else:
-        tris = ((("x", k1), ("n", o1), ("x", k2)), (("n", o1), ("n", o2), ("x", k2)))
-    children = _mk_children((lone_tri,) + tris, coords_of, (s_lone, -s_lone, -s_lone))
-
-    return CutDecomposition(coords, d.copy(), children,
-                            interface_facet=[np.array([xi1, xi2])],
-                            virtual_nodes={k1: xi1, k2: xi2})
-
-
-def _split_tet(coords, d) -> CutDecomposition:
-    pos = [i for i in range(4) if d[i] > 0]
-    neg = [i for i in range(4) if d[i] < 0]
-    coords_of = {("n", i): coords[i] for i in range(4)}
-
-    if len(pos) == 1 or len(neg) == 1:
-        lone = pos[0] if len(pos) == 1 else neg[0]
-        s_lone = 1 if d[lone] > 0 else -1
-        o = [i for i in range(4) if i != lone]
-        keys = [tuple(sorted((lone, oi))) for oi in o]
-        xi = [_virtual_node(coords, d, lone, oi) for oi in o]
-        for k, x in zip(keys, xi):
-            coords_of[("x", k)] = x
-        X, O = [("x", k) for k in keys], [("n", oi) for oi in o]
-        lone_tet = (("n", lone), X[0], X[1], X[2])
-        # prism xi1 xi2 xi3 | o1 o2 o3 with planar lateral quads: staircase split
-        prism = ((X[0], X[1], X[2], O[0]), (X[1], X[2], O[0], O[1]), (X[2], O[0], O[1], O[2]))
-        children = _mk_children((lone_tet,) + prism, coords_of, (s_lone,) + (-s_lone,) * 3)
-        return CutDecomposition(coords, d.copy(), children,
-                                interface_facet=[np.array(xi)],
-                                virtual_nodes=dict(zip(keys, xi)))
-
-    # 2-2 split: quad interface, 3 + 3 children
-    a1, a2 = pos
-    b1, b2 = neg
-    pairs = [(a1, b1), (a1, b2), (a2, b2), (a2, b1)]      # quad cycle
-    keys = [tuple(sorted(p)) for p in pairs]
-    xi = [_virtual_node(coords, d, p[0], p[1]) for p in pairs]
-    for k, x in zip(keys, xi):
-        coords_of[("x", k)] = x
-    Xq = [("x", k) for k in keys]
-
-    def tets(quad_tris):
-        pos_tets = [(("n", a1),) + t for t in quad_tris]
-        pos_tets.append((("n", a1), ("n", a2), Xq[3], Xq[2]))   # a2's virtual nodes
-        neg_tets = [(("n", b1),) + t for t in quad_tris]
-        neg_tets.append((("n", b1), ("n", b2), Xq[1], Xq[2]))   # b2's virtual nodes
-        return pos_tets + neg_tets
-
-    # the quad splits along either diagonal; keep the split whose worst child
-    # has the smaller longest-edge-cubed to volume ratio
-    quad_a = ((Xq[0], Xq[1], Xq[2]), (Xq[0], Xq[2], Xq[3]))
-    quad_b = ((Xq[0], Xq[1], Xq[3]), (Xq[1], Xq[2], Xq[3]))
-    both = _mk_children(tets(quad_a) + tets(quad_b), coords_of, (1, 1, 1, -1, -1, -1) * 2)
-    V = np.array([c.vertices for c in both])
-    edges = np.stack([V[:, a] - V[:, b] for a, b in combinations(range(4), 2)], axis=1)
-    lmax = np.sqrt(row_dot(edges, edges)).max(axis=1).tolist()
-    aspect = [lm ** 3 / max(c.measure, 1e-300) for lm, c in zip(lmax, both)]
-    if max(aspect[:6]) <= max(aspect[6:]):
-        kids, quad_tris = both[:6], quad_a
-    else:
-        kids, quad_tris = both[6:], quad_b
-    facet = [np.array([coords_of[r] for r in t]) for t in quad_tris]
-    return CutDecomposition(coords, d.copy(), kids,
-                            interface_facet=facet,
-                            virtual_nodes=dict(zip(keys, xi)))
+def _decomposition(batch: CutBatch) -> CutDecomposition:
+    """The single element of a batch of one in per-child form."""
+    nv = batch.coords.shape[1]
+    pts = batch.points[0]
+    ref = ([("n", p) for p in range(nv)]
+           + [("x", (a, b)) for a, b in batch.virtual_edges[0].tolist()])
+    children = [Child(pts[c], s, m, tuple(ref[p] for p in c))
+                for c, s, m in zip(batch.children[0][:batch.n_children[0]].tolist(),
+                                   batch.child_sign[0].tolist(), batch.child_measure[0].tolist())]
+    dim = batch.coords.shape[2]
+    facets = [pts[list(f)] for f in _TABLES[dim].facets[batch.config[0]]]
+    return CutDecomposition(batch.coords[0], batch.nodal_d[0], children, facets, batch)
 
 
 # ---------------------------------------------------------------------------
 # exterior faces
 
+# Positions in a triangle face of the two vertices other than position m.
+_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
 
-def cut_exterior_faces(deco: CutDecomposition) -> list[FaceCut]:
-    """Partition each exterior face of a cut element into sign-homogeneous pieces.
 
-    Faces not crossed by the interface come back whole with their single
-    sign.  Piece measures sum to the face measure exactly; all pieces of the
-    element are measured in one stacked call.
+@dataclass
+class FacePieces:
+    """Sign-homogeneous pieces of the exterior faces of k cut simplices.
+
+    Face f is local face f.  points (k, nf, P, dim) index the points of the
+    decomposition; the first count[e, f] pieces of a face are real (one for
+    a face the interface misses), the rest are padding with zero measure.
     """
-    coords, d = deco.coords, deco.nodal_d
-    dim = deco.dim
-    faces = []                           # (local face, [(vertices, sign), ...])
-    for lf, face in enumerate(local_faces(dim)):
-        signs = [1 if d[i] > 0 else -1 for i in face]
-        if len(set(signs)) == 1:
-            faces.append((lf, [([coords[i] for i in face], signs[0])]))
-        elif dim == 2:
-            a, b = face
-            xi = _face_virtual_node(deco, a, b)
-            faces.append((lf, [([coords[a], xi], signs[0]), ([xi, coords[b]], signs[1])]))
-        else:
-            faces.append((lf, _triangle_face_pieces(deco, face, signs)))
-    verts = np.array([v for _, pieces in faces for v, _ in pieces])
-    measures = iter(face_measure_normal(verts, coords.mean(axis=0))[0].tolist())
-    rows = iter(verts)
-    return [FaceCut(lf, [FacePiece(next(rows), sign, next(measures)) for _, sign in pieces])
-            for lf, pieces in faces]
+
+    points: np.ndarray
+    sign: np.ndarray             # (k, nf, P)
+    measure: np.ndarray          # (k, nf, P)
+    count: np.ndarray            # (k, nf)
 
 
-def _face_virtual_node(deco: CutDecomposition, a: int, b: int) -> np.ndarray:
-    x = deco.virtual_nodes.get(tuple(sorted((a, b))))
-    return x if x is not None else _virtual_node(deco.coords, deco.nodal_d, a, b)
+def cut_exterior_faces(deco):
+    """Partition each exterior face of cut elements into sign-homogeneous pieces.
 
+    A :class:`CutBatch` gives :class:`FacePieces`; one
+    :class:`CutDecomposition` gives a FaceCut per local face.  A face the
+    interface misses comes back whole with its single sign.  A crossed edge
+    splits at its virtual node; a crossed triangle splits into the lone
+    vertex's triangle (m, P, Q) and the quad (P, p, q, Q) cut along P-q,
+    with p, q in face order and P, Q the virtual nodes on edges (m, p) and
+    (m, q).  Piece measures sum to the face measure exactly; all pieces are
+    measured in one stacked call.
+    """
+    if isinstance(deco, CutDecomposition):
+        pieces = cut_exterior_faces(deco.batch)
+        pts = deco.batch.points[0]
+        cuts = []
+        for f, n in enumerate(pieces.count[0].tolist()):
+            rows = zip(pieces.points[0, f, :n], pieces.sign[0, f, :n].tolist(),
+                       pieces.measure[0, f, :n].tolist())
+            cuts.append(FaceCut(f, [FacePiece(pts[p], s, m) for p, s, m in rows]))
+        return cuts
+    b = deco
+    k, nv, dim = b.coords.shape
+    rows = np.arange(k)[:, None]
+    vmap = np.zeros((k, nv, nv), dtype=np.intp)           # local edge -> virtual point
+    real = np.arange(b.virtual_edges.shape[1]) < b.n_virtual[:, None]
+    e, j = np.nonzero(real)
+    ends = b.virtual_edges[real]
+    vmap[e, ends[:, 0], ends[:, 1]] = vmap[e, ends[:, 1], ends[:, 0]] = nv + j
 
-def _triangle_face_pieces(deco: CutDecomposition, face, signs) -> list:
-    """(vertices, sign) of the pieces of a crossed triangle face: the lone
-    node's triangle, then the two triangles of the quad on the other side."""
-    coords = deco.coords
-    m = next(k for k in range(3) if signs[k] != signs[(k + 1) % 3] and signs[k] != signs[(k + 2) % 3])
-    p, q = [k for k in range(3) if k != m]
-    vm, vp, vq = (coords[face[m]], coords[face[p]], coords[face[q]])
-    xp = _face_virtual_node(deco, face[m], face[p])
-    xq = _face_virtual_node(deco, face[m], face[q])
-    return [([vm, xp, xq], signs[m]), ([xp, vp, vq], -signs[m]), ([xp, vq, xq], -signs[m])]
+    f = np.broadcast_to(np.array(local_faces(dim)), (k, dim + 1, dim))
+    s = np.where(b.nodal_d > 0, 1, -1)[rows[:, :, None], f]          # (k, nf, dim)
+    if dim == 2:
+        crossed = s[..., 0] != s[..., 1]
+        x = vmap[rows, f[..., 0], f[..., 1]]
+        points = np.stack([np.stack([f[..., 0], np.where(crossed, x, f[..., 1])], axis=-1),
+                           np.stack([x, f[..., 1]], axis=-1)], axis=2)
+        sign = s
+    else:
+        crossed = (s != s[..., :1]).any(axis=-1)
+        m = np.where(s[..., 1] == s[..., 2], 0, np.where(s[..., 0] == s[..., 2], 1, 2))
+        fm = np.take_along_axis(f, m[..., None], axis=-1)[..., 0]
+        fp, fq = np.take_along_axis(f, _OTHERS[m], axis=-1).transpose(2, 0, 1)
+        P, Q = vmap[rows, fm, fp], vmap[rows, fm, fq]
+        points = np.stack([np.where(crossed[..., None], np.stack([fm, P, Q], axis=-1), f),
+                           np.stack([P, fp, fq], axis=-1),
+                           np.stack([P, fq, Q], axis=-1)], axis=2)
+        sm = np.take_along_axis(s, m[..., None], axis=-1)[..., 0]
+        sign = np.stack([sm, -sm, -sm], axis=-1)
+    count = np.where(crossed, points.shape[2], 1)
+    real = np.arange(points.shape[2]) < count[..., None]
+    e = np.nonzero(real)[0]
+    measure = np.zeros(real.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):      # normals of slivers, unused
+        measure[real] = face_measure_normal(b.points[e[:, None], points[real]],
+                                            b.coords.mean(axis=1)[e])[0]
+    return FacePieces(points, sign, measure, count)

@@ -176,6 +176,40 @@ class Mesh:
         """(n_elements, dim+1, dim) P1 gradients, computed on first use."""
         return self._geometry[1]
 
+    @cached_property
+    def _char_lengths(self) -> np.ndarray:
+        X = self.nodes[self.elements]
+        h = np.zeros(self.n_elements)
+        for a, b in local_edges(self.dim):
+            h = np.maximum(h, np.linalg.norm(X[:, a, :] - X[:, b, :], axis=1))
+        h.setflags(write=False)
+        return h
+
+    @cached_property
+    def pattern(self) -> "P1Pattern":
+        """CSR pattern of the P1 matrix, built on first use (not in :meth:`build`,
+        so meshes that are never assembled do not pay for it)."""
+        return p1_pattern(self.n_nodes, self.elements)
+
+    @cached_property
+    def boundary_node_tags(self) -> tuple[np.ndarray, list[str]]:
+        """Distinct (node, tag) pairs of the tagged faces: (nodes (P,), tag names).
+
+        Pairs come in the order a walk over boundary_faces, and over each
+        face's nodes, first reaches them.
+        """
+        if not self.boundary_faces:
+            return np.empty(0, dtype=np.int64), []
+        e, lf = (np.array([b[i] for b in self.boundary_faces], dtype=np.int64) for i in (0, 1))
+        names, tag = np.unique([b[2] for b in self.boundary_faces], return_inverse=True)
+        nodes = self.elements[e[:, None], np.array(local_faces(self.dim))[lf]]     # (F, dim)
+        tag = np.repeat(tag.ravel(), self.dim)
+        _, first = np.unique(nodes.ravel() * names.size + tag, return_index=True)
+        first.sort()
+        pair_nodes = nodes.ravel()[first]
+        pair_nodes.setflags(write=False)
+        return pair_nodes, names[tag[first]].tolist()
+
     def face_nodes(self, e: int, lf: int) -> np.ndarray:
         return self.elements[e][list(local_faces(self.dim)[lf])]
 
@@ -297,13 +331,71 @@ def face_measure_normal(faces, centroids):
 
 
 def char_lengths(mesh: Mesh) -> np.ndarray:
-    """Per-element characteristic length: the longest edge."""
-    X = mesh.nodes[mesh.elements]
-    edges = local_edges(mesh.dim)
-    h = np.zeros(mesh.n_elements)
-    for a, b in edges:
-        h = np.maximum(h, np.linalg.norm(X[:, a, :] - X[:, b, :], axis=1))
-    return h
+    """Per-element characteristic length: the longest edge, computed once per mesh."""
+    return mesh._char_lengths
+
+
+# ---------------------------------------------------------------------------
+# sparsity pattern
+#
+# Static condensation keeps the global matrix on the plain P1 graph in every
+# mode and for every level set, so its CSR pattern depends on the mesh alone.
+
+
+@dataclass(frozen=True)
+class P1Pattern:
+    """CSR pattern of the P1 matrix: node i couples to node j when an element
+    holds both.  Column indices are sorted within each row.
+
+    slots (n_elements, dim+1, dim+1) maps local entry (i, j) of element e to
+    the position in the CSR data of entry (elements[e, i], elements[e, j]);
+    rows holds the row of every position.  All arrays are read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+
+def p1_pattern(n_nodes: int, elements: np.ndarray) -> P1Pattern:
+    """P1 pattern of a mesh, from the distinct element edges and the nodes
+    that belong to an element (the diagonal)."""
+    m, nv = elements.shape
+    edges = np.array(local_edges(nv - 1))
+    a, b = elements[:, edges[:, 0]], elements[:, edges[:, 1]]          # (M, E)
+    key, edge = np.unique((np.minimum(a, b) * n_nodes + np.maximum(a, b)).ravel(),
+                          return_inverse=True)
+    lo, hi = key // n_nodes, key % n_nodes
+    used = np.flatnonzero(np.bincount(elements.ravel(), minlength=n_nodes))
+    rows = np.concatenate([lo, hi, used])
+    cols = np.concatenate([hi, lo, used])
+    order = np.lexsort((cols, rows))
+    slot = np.empty(order.size, dtype=np.intp)
+    slot[order] = np.arange(order.size)
+    upper, lower, diag = np.split(slot, [key.size, 2 * key.size])
+
+    slots = np.empty((m, nv, nv), dtype=np.intp)
+    node_diag = np.zeros(n_nodes, dtype=np.intp)
+    node_diag[used] = diag
+    local = np.arange(nv)
+    slots[:, local, local] = node_diag[elements]
+    edge = edge.reshape(m, -1)
+    forward = a < b                      # local edge (i, j) runs from the smaller node
+    slots[:, edges[:, 0], edges[:, 1]] = np.where(forward, upper[edge], lower[edge])
+    slots[:, edges[:, 1], edges[:, 0]] = np.where(forward, lower[edge], upper[edge])
+
+    index = np.int32 if max(order.size, n_nodes) < 2**31 else np.int64
+    indptr = np.zeros(n_nodes + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    pattern = P1Pattern(indptr, cols[order].astype(index), rows[order].astype(index), slots)
+    for arr in (pattern.indptr, pattern.indices, pattern.rows, pattern.slots):
+        arr.setflags(write=False)
+    return pattern
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from efem.efem_core import AssembledSystem, CutElementData, barycentric, hat_value
+from efem.efem_core import AssembledSystem, CutState, barycentric, hat_value
 from efem.mesh import Mesh, local_faces, row_dot
 
 _CONTAIN_TOL = 1e-9
@@ -40,10 +41,9 @@ class SolutionField:
     mode: str
     element_d: np.ndarray                    # snapped per-element distances
     is_cut: np.ndarray
-    cut_data: dict[int, CutElementData]
-    phi_star: dict[int, float]
+    cut_data: CutState
+    star: np.ndarray                         # phi* of each element of cut_data.ids
     _tree: cKDTree = field(repr=False, default=None)
-    _enrichment: tuple = field(repr=False, default=None)
 
     @property
     def tree(self) -> cKDTree:
@@ -55,32 +55,28 @@ class SolutionField:
     @property
     def enrichment(self) -> tuple:
         """(ids, phi*, grad_pos, grad_neg) of the enriched elements, ids ascending."""
-        if self._enrichment is None:
-            ids = np.array(sorted(self.cut_data), dtype=np.int64)
-            dim = self.mesh.dim
-            star = np.array([self.phi_star.get(int(e), 0.0) for e in ids])
-            gpos = np.array([self.cut_data[int(e)].grad_pos for e in ids]).reshape(-1, dim)
-            gneg = np.array([self.cut_data[int(e)].grad_neg for e in ids]).reshape(-1, dim)
-            self._enrichment = (ids, star, gpos, gneg)
-        return self._enrichment
+        c = self.cut_data
+        return c.ids, self.star, c.grad_pos, c.grad_neg
+
+    @cached_property
+    def phi_star(self) -> dict[int, float]:
+        """Enrichment amplitude phi* by element."""
+        return dict(zip(self.cut_data.ids.tolist(), self.star.tolist()))
 
 
-def recover_enrichment(assembled: AssembledSystem, phi: np.ndarray) -> dict[int, float]:
-    """Per-element enrichment amplitudes phi* = r . phi_element."""
-    out: dict[int, float] = {}
-    for e, data in assembled.cut_data.items():
-        if data.recovery is not None:
-            out[e] = float(data.recovery @ phi[assembled.mesh.elements[e]])
-    return out
+def recover_enrichment(assembled: AssembledSystem, phi: np.ndarray) -> np.ndarray:
+    """Enrichment amplitudes phi* = r . phi_element of the elements of
+    assembled.cut_data.ids, in that order."""
+    c = assembled.cut_data
+    return row_dot(c.recovery, phi[assembled.mesh.elements[c.ids]])
 
 
 def build_solution(assembled: AssembledSystem, phi: np.ndarray) -> SolutionField:
     phi = np.asarray(phi, dtype=float)
-    stars = recover_enrichment(assembled, phi)
     return SolutionField(assembled.mesh, phi, assembled.mode,
                          assembled.classification.element_d,
                          assembled.classification.is_cut,
-                         assembled.cut_data, stars)
+                         assembled.cut_data, recover_enrichment(assembled, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -488,36 +484,34 @@ def export_vtk(sol: SolutionField, path) -> None:
     # children and virtual nodes of the cut elements, in element order; k
     # indexes the enriched elements
     ids, star, gpos, gneg = sol.enrichment
-    n_children = np.ones(m.n_elements, dtype=np.int64)
-    child_rows, child_of, child_sign, virt_of, virt_x = [], [], [], [], []
-    for k, e in enumerate(ids.tolist()):
-        deco = sol.cut_data[e].deco
-        local = {("n", i): int(conn[e, i]) for i in range(nv)}
-        for key, xv in deco.virtual_nodes.items():
-            local[("x", key)] = m.n_nodes + len(virt_x)
-            virt_of.append(k)
-            virt_x.append(xv)
-        for child in deco.children:
-            child_rows.append([local[r] for r in child.refs])
-            child_of.append(k)
-            child_sign.append(child.sign)
-        n_children[e] = len(deco.children)
-
+    c = sol.cut_data
     points, pdata, cells, cdata = m.nodes, sol.phi, conn, E
     if ids.size:
+        real_v = np.arange(c.virtual.shape[1]) < c.n_virtual[:, None]
+        virt_of = np.nonzero(real_v)[0]
+        virt_x = c.virtual[real_v]
+        real_c = np.arange(c.children.shape[1]) < c.n_children[:, None]
+        k = np.nonzero(real_c)[0]
+        refs = c.children[real_c]
+        first_virtual = m.n_nodes + np.cumsum(c.n_virtual) - c.n_virtual
+        child_rows = np.where(refs < nv,
+                              np.take_along_axis(conn[ids[k]], np.minimum(refs, nv - 1), axis=1),
+                              (first_virtual[k] - nv)[:, None] + refs)
+
         ve = ids[virt_of]
-        lam = barycentric(m.nodes[conn[ve]], np.array(virt_x))
+        lam = barycentric(m.nodes[conn[ve]], virt_x)
         phi_v = (row_dot(lam, sol.phi[conn[ve]])
                  + hat_value(lam, sol.element_d[ve]) * star[virt_of])
         points = np.concatenate([m.nodes, virt_x])
         pdata = np.concatenate([sol.phi, phi_v])
 
+        n_children = np.ones(m.n_elements, dtype=np.int64)
+        n_children[ids] = c.n_children
         uncut = np.ones(m.n_elements, dtype=bool)
         uncut[ids] = False
         is_child = np.ones(int(n_children.sum()), dtype=bool)
         is_child[(np.cumsum(n_children) - n_children)[uncut]] = False
-        k = np.array(child_of)
-        gbar = np.where((np.array(child_sign) > 0)[:, None], gpos[k], gneg[k])
+        gbar = np.where((c.child_sign[real_c] > 0)[:, None], gpos[k], gneg[k])
         cells = np.empty((is_child.size, nv), dtype=np.int64)
         cdata = np.empty((is_child.size, m.dim))
         cells[~is_child], cdata[~is_child] = conn[uncut], E[uncut]

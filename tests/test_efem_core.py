@@ -120,11 +120,14 @@ def test_batched_kernels_match_single_points_bitwise(dim):
 
 
 def _displacement_terms_per_point(coords, grads, mat, deco):
-    """D and Denr with one hat_eval per quadrature point, summed piece by piece."""
+    """D and Denr with one hat_eval per quadrature point, summed piece by piece,
+    and their rounding scales: the summed term magnitudes with Nbar bounded
+    by max |d|, as hat_eval takes a difference of terms that large."""
     tri_pts = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
     dim = deco.dim
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
     D, Denr = np.zeros(dim + 1), 0.0
+    D_abs, Denr_abs = np.zeros(dim + 1), 0.0
     for fc in cut_exterior_faces(deco):
         if not fc.crossed:
             continue
@@ -141,11 +144,16 @@ def _displacement_terms_per_point(coords, grads, mat, deco):
                     hat_eval(coords, deco.nodal_d, p) for p in tri_pts @ piece.vertices)
             D += nbar_int * (eps * (grads @ normal))
             Denr += nbar_int * eps * float(gbar @ normal)
-    return D, Denr
+            bound = piece.measure * np.abs(deco.nodal_d).max()
+            D_abs += bound * np.abs(eps * (grads @ normal))
+            Denr_abs += bound * eps * abs(float(gbar @ normal))
+    return D, Denr, D_abs, Denr_abs
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_displacement_terms_match_per_point_quadrature_bitwise(dim):
+def test_displacement_terms_match_per_point_quadrature(dim):
+    # the kernel takes Nbar in closed form at the virtual nodes, the
+    # reference solves for it at every quadrature point
     rng = np.random.default_rng(50 + dim)
     mat = MaterialPair(3.0, 1.0)
     checked = 0
@@ -157,8 +165,11 @@ def test_displacement_terms_match_per_point_quadrature_bitwise(dim):
         _, grads = p1_geometry(coords)
         deco = split_simplex(coords, d)
         D, Denr = element_displacement_terms(coords, grads, mat, deco)
-        D_ref, Denr_ref = _displacement_terms_per_point(coords, grads, mat, deco)
-        assert np.array_equal(D, D_ref) and Denr == Denr_ref
+        D_ref, Denr_ref, D_abs, Denr_abs = _displacement_terms_per_point(coords, grads, mat,
+                                                                         deco)
+        # relative to the rounding scale of the reference
+        assert np.abs(D - D_ref).max() <= 1e-12 * D_abs.max()
+        assert abs(Denr - Denr_ref) <= 1e-12 * Denr_abs
         checked += 1
 
 
@@ -434,6 +445,18 @@ def test_assembly_rejects_non_finite_callable_dirichlet_value():
     assert str(info.value) == f"node {node} has a non-finite Dirichlet value nan from tag 'top'"
 
 
+def test_dirichlet_callable_is_evaluated_once_per_node_and_tag():
+    mesh = generate_structured(3, 3)
+    calls = []
+    boundary = {t: BoundaryTag(t, "dirichlet", lambda x, t=t: calls.append(t) or float(x[2]))
+                for t in ("left", "right", "bottom", "top", "front", "back")}
+    asm = assemble_global(mesh, PlaneLevelSet((0.0, 0.0, 0.4), (0.0, 0.0, 1.0)),
+                          planar_materials(3), "efem", boundary)
+    pairs = {(int(n), tag) for e, lf, tag in mesh.boundary_faces for n in mesh.face_nodes(e, lf)}
+    assert len(calls) == len(pairs) < sum(mesh.dim for _ in mesh.boundary_faces)
+    assert np.array_equal(asm.dirichlet_values, mesh.nodes[asm.dirichlet_nodes, 2])
+
+
 def test_assembly_accepts_equal_dirichlet_values_on_shared_nodes():
     mesh = generate_structured(2, 2)
     boundary = {t: BoundaryTag(t, "dirichlet", 0.0) for t in ("left", "bottom")}
@@ -576,7 +599,7 @@ def test_condensed_equals_explicit_block_system():
         phi_b = np.linalg.solve(A, rhs)
 
         assert np.abs(phi_c - phi_b[:nn]).max() < 1e-10
-        for e in cut:
-            r = asm.cut_data[e].recovery
+        assert asm.cut_data.ids.tolist() == cut
+        for e, r in zip(cut, asm.cut_data.recovery):
             phi_star = float(r @ phi_c[mesh.elements[e]])
             assert abs(phi_star - phi_b[enr[e]]) < 1e-10

@@ -116,12 +116,18 @@ def test_snap_preserves_sign():
     assert d[0] == -1e-6 and d[1] == 1e-6 and d[2] == 0.5
 
 
+def _virtual_nodes(deco):
+    """(a, b) -> coordinates of the virtual node on local edge a < b, from the children."""
+    return {ref[1]: vert for c in deco.children for ref, vert in zip(c.refs, c.vertices)
+            if ref[0] == "x"}
+
+
 def test_split_triangle_example():
     deco = split_simplex(REF_TRI, np.array([-1.0, 1.0, 1.0]))
     assert len(deco.children) == 3
     assert abs(deco.measure_by_sign(-1) - 0.125) < 1e-14
     assert abs(deco.measure_by_sign(1) - 0.375) < 1e-14
-    xi = sorted(deco.virtual_nodes.values(), key=lambda p: p[0])
+    xi = sorted(_virtual_nodes(deco).values(), key=lambda p: p[0])
     assert np.allclose(xi[0], [0.0, 0.5]) and np.allclose(xi[1], [0.5, 0.0])
     seg = deco.interface_facet[0]
     assert abs(np.linalg.norm(seg[1] - seg[0]) - np.sqrt(0.5)) < 1e-14
@@ -230,7 +236,7 @@ def test_virtual_nodes_lie_on_interface(case):
     coords, d = case
     deco = split_simplex(coords, d)
     scale = np.abs(d).max()
-    for (a, b), xi in deco.virtual_nodes.items():
+    for (a, b), xi in _virtual_nodes(deco).items():
         # linear interpolant of d along edge a-b must vanish at xi
         t = np.linalg.norm(xi - coords[a]) / np.linalg.norm(coords[b] - coords[a])
         interp = d[a] + t * (d[b] - d[a])

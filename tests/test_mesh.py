@@ -128,6 +128,30 @@ def test_char_lengths_structured():
     assert np.allclose(h, np.sqrt(2.0) / 5.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("mesh", [generate_structured(2, 4, 3), generate_structured(3, 2)])
+def test_char_lengths_are_computed_once_per_mesh(mesh):
+    h = char_lengths(mesh)
+    assert char_lengths(mesh) is h and not h.flags.writeable
+    X = mesh.nodes[mesh.elements]
+    edges = ([(0, 1), (1, 2), (2, 0)] if mesh.dim == 2
+             else [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    want = np.zeros(mesh.n_elements)
+    for a, b in edges:
+        want = np.maximum(want, np.linalg.norm(X[:, a, :] - X[:, b, :], axis=1))
+    assert np.array_equal(h, want)
+
+
+def test_boundary_node_tags_follow_the_face_walk():
+    mesh = generate_structured(3, 2, 3, 2)
+    walk = []
+    for e, lf, tag in mesh.boundary_faces:
+        for node in mesh.face_nodes(e, lf).tolist():
+            if (node, tag) not in walk:
+                walk.append((node, tag))
+    nodes, tags = mesh.boundary_node_tags
+    assert list(zip(nodes.tolist(), tags)) == walk
+
+
 def test_face_measure_normal_2d():
     face = np.array([[0.0, 0.0], [1.0, 0.0]])
     measure, n = face_measure_normal(face, np.array([0.5, 0.5]))

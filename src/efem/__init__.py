@@ -27,7 +27,6 @@ from efem.efem_core import (
     assemble_global,
 )
 from efem.solver import (
-    DIRECT_LIMIT,
     SolveReport,
     bicgstab,
     direct_solve,

@@ -26,7 +26,7 @@ from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_me
 from efem.postprocess import (build_solution, export_csv, export_vtk,
                               interface_potential_mismatch, l2_line_error,
                               observed_order, sample_line)
-from efem.solver import DIRECT_LIMIT, bicgstab, solve
+from efem.solver import bicgstab, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -292,10 +292,6 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
     t0 = time.perf_counter()
     mesh = _load_mesh(cfg, base)
     assembled = next(_assemble(cfg, mesh, [cfg.mode]))
-    n = mesh.n_nodes
-    if direct and n > DIRECT_LIMIT:
-        raise ConfigError(
-            f"--direct supports at most {DIRECT_LIMIT} nodes, mesh has {n}")
     phi, report = solve(assembled.matrix, assembled.rhs, tol=cfg.tol, direct=direct)
     sol = build_solution(assembled, phi)
     reference = _reference_evaluator(cfg)
@@ -414,7 +410,8 @@ def _parser() -> argparse.ArgumentParser:
     sv.add_argument("--h", type=float, help="override structured element size")
     sv.add_argument("--tol", type=float, help="override solver tolerance")
     sv.add_argument("--direct", action="store_true",
-                    help=f"dense LU instead of BiCGSTAB (up to {DIRECT_LIMIT} nodes)")
+                    help="sparse LU (SuperLU) instead of BiCGSTAB: exact, but "
+                         "more memory on large meshes")
     sv.add_argument("--out", default=".", help="output directory")
 
     cv = sub.add_parser("converge", help="error-vs-h sweep across modes")

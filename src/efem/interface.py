@@ -328,6 +328,16 @@ class CutDecomposition:
         return sum(c.measure for c in self.children if c.sign == sign)
 
 
+def _exceeds(x, y):
+    """x > y by more than a relative 1e-12, so that ties pick the A diagonal.
+
+    Two diagonals can tie exactly on symmetric cuts; scaling the distances
+    then moves the rounding of the virtual nodes, and a plain comparison
+    would flip the choice.
+    """
+    return x - y > 1e-12 * np.maximum(np.abs(x), np.abs(y))
+
+
 def split_simplex(coords, nodal_d):
     """Decompose cut simplices into sign-homogeneous children.
 
@@ -372,7 +382,7 @@ def split_simplex(coords, nodal_d):
         # the shorter quad diagonal
         u = x[:, 0] - coords[rows[:, 0], roles[:, 2]]
         w = coords[rows[:, 0], roles[:, 1]] - x[:, 1]
-        config = np.where(row_dot(u, u) <= row_dot(w, w), _DIAG_A, _DIAG_B)
+        config = np.where(_exceeds(row_dot(u, u), row_dot(w, w)), _DIAG_B, _DIAG_A)
     children, verts, measures = _oriented(points, roles, tables.children[config])
     if two_two.any():
         # keep the diagonal whose worst child has the smaller longest-edge-
@@ -386,7 +396,7 @@ def split_simplex(coords, nodal_d):
         # Python's float power: numpy's rounds differently in the last bit
         cubed = np.array([v ** 3 for v in lmax.ravel().tolist()]).reshape(lmax.shape)
         aspect = cubed / np.maximum(m, 1e-300)
-        use_b = aspect[:, :6].max(axis=1) > aspect[:, 6:].max(axis=1)
+        use_b = _exceeds(aspect[:, :6].max(axis=1), aspect[:, 6:].max(axis=1))
         j = i[use_b]
         config[j] = _TWO_TWO_B
         children[j], measures[j] = other[0][use_b], other[2][use_b]

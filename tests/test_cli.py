@@ -95,11 +95,23 @@ def test_unreachable_tolerance_exits_3(tmp_path, capsys):
     assert "stalled" in capsys.readouterr().err
 
 
-def test_direct_refuses_large_mesh(tmp_path, capsys):
-    rc = main(["solve", write_case(tmp_path, GOOD_CASE), "--h", "0.02",
-               "--direct", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "--direct" in capsys.readouterr().err
+def test_direct_solves_large_mesh(tmp_path):
+    """Sparse LU has no size limit; it agrees with the iterative solve."""
+    summaries = {}
+    for name, extra in (("lu", ["--direct"]), ("iterative", [])):
+        out = tmp_path / name
+        rc = main(["solve", write_case(tmp_path, GOOD_CASE), "--h", "0.02", *extra,
+                   "--out", str(out)])
+        assert rc == 0
+        summaries[name] = json.loads((out / "summary.json").read_text())
+    lu, it = summaries["lu"], summaries["iterative"]
+    assert lu["n_nodes"] == 51 * 51
+    assert lu["method"] == "lu" and lu["converged"] is True and lu["iterations"] == 0
+    assert lu["residual"] <= 1e-12
+    assert it["method"] in ("bicgstab", "bicgstab-amg")
+    _, phi_lu, _, _ = read_csv_sample(tmp_path / "lu" / "line_mid.csv")
+    _, phi_it, _, _ = read_csv_sample(tmp_path / "iterative" / "line_mid.csv")
+    assert np.abs(phi_lu - phi_it).max() <= 1e-6 * np.abs(phi_lu).max()
 
 
 def test_conflicting_dirichlet_values_exit_4(tmp_path, capsys):
@@ -198,18 +210,21 @@ def test_interface_error_reported_per_mode(tmp_path):
 # contributions in element order (no longer in the order of scipy's
 # duplicate sort), and D and Denr take Nbar in closed form, so the last bits
 # of the potential moved (by at most 7e-14 relative in these three cases).
+# Re-pinned again when quad-diagonal ties (within 1e-12 relative) began to
+# pick the A table: `inclined` and `sphere` each hold such ties, and their
+# sampled potentials moved by at most 8e-16 and 1.0e-13 relative.
 ARTIFACT_DIGESTS = {
     "planar_q3": {
         "line_mid.csv": "91c9cb9c92893101cc033d062e316928f7fb8fc4cd7fd35e2b83b5bdfa6b6bce",
         "planar_q3.vtk": "3cbea7e9d995aef740345c3f30d2ff7b45cc407c2f268adcf3c80b4bb93f1dc1",
     },
     "inclined": {
-        "line_x0.csv": "5e2b955663984d334d98b3b69882c7557bed9675a5131f5d969407601d794cfc",
-        "line_y07.csv": "ccc438a4d12cf2c51979ece313aa9142aa2d2dacccb7087efff1ee07632602ba",
+        "line_x0.csv": "e045f0ac19e86d8f824bbba25a33e356c7d3d1e929f8c761de0e405b805bad7a",
+        "line_y07.csv": "d9043f92a143768e6b404a782921024b83b6f53735bbac0b3c5676fff5f3f4f5",
     },
     "sphere": {
-        "line_poles.csv": "6af88a6423ad88a2280e7dba58a1d87c15435e0daae57de4d0bc2b2db5c85cd7",
-        "sphere.vtk": "f19349bcc2dafdeb28e1267d7fc0ef04f13cbb910ded5b87dda264b4248de984",
+        "line_poles.csv": "1f4154a1dc4ed2af46c7e6925c6a8b00bc1d3dc54868b7c5fa3e00309667fb12",
+        "sphere.vtk": "7f4f8f5f18ea53e1d972a224e7d4485864258952f81a87b81c96238848a634f6",
     },
 }
 

@@ -89,6 +89,11 @@ def ref_children(simplices, coords_of, signs):
     return list(zip(verts, signs, measures, refs))
 
 
+def ref_exceeds(x, y):
+    """The diagonal rule: B only when A's measure is larger by more than 1e-12 relative."""
+    return x - y > 1e-12 * max(abs(x), abs(y))
+
+
 def ref_split_triangle(coords, d):
     lone = int(np.nonzero(d > 0)[0][0]) if (d > 0).sum() == 1 else int(np.nonzero(d < 0)[0][0])
     o1, o2 = [i for i in range(3) if i != lone]
@@ -98,7 +103,8 @@ def ref_split_triangle(coords, d):
     coords_of = {("n", i): coords[i] for i in range(3)}
     coords_of.update({("x", k1): xi1, ("x", k2): xi2})
     lone_tri = (("x", k1), ("x", k2), ("n", lone))
-    if np.dot(xi1 - coords[o2], xi1 - coords[o2]) <= np.dot(coords[o1] - xi2, coords[o1] - xi2):
+    if not ref_exceeds(np.dot(xi1 - coords[o2], xi1 - coords[o2]),
+                       np.dot(coords[o1] - xi2, coords[o1] - xi2)):
         tris = ((("x", k1), ("n", o1), ("n", o2)), (("x", k1), ("n", o2), ("x", k2)))
     else:
         tris = ((("x", k1), ("n", o1), ("x", k2)), (("n", o1), ("n", o2), ("x", k2)))
@@ -142,7 +148,7 @@ def ref_split_tet(coords, d):
     edges = np.stack([V[:, a] - V[:, b] for a, b in combinations(range(4), 2)], axis=1)
     lmax = np.sqrt(row_dot(edges, edges)).max(axis=1).tolist()
     aspect = [lm ** 3 / max(c[2], 1e-300) for lm, c in zip(lmax, both)]
-    kids = both[:6] if max(aspect[:6]) <= max(aspect[6:]) else both[6:]
+    kids = both[6:] if ref_exceeds(max(aspect[:6]), max(aspect[6:])) else both[:6]
     return kids, dict(zip(keys, xi))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efem.interface import (
@@ -259,6 +259,9 @@ def test_children_are_sign_homogeneous(case):
 
 @given(cut_simplices(), st.floats(0.1, 100.0))
 @settings(max_examples=100, deadline=None)
+# a 2-2 cut whose two quad diagonals tie in aspect ratio
+@example((np.array([[0.25, 0.5, 0.5], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.5, 0.5, 0.25]]),
+          np.array([0.5, -0.5, 0.1875, -0.5])), 0.1)
 def test_split_invariant_under_distance_scaling(case, factor):
     coords, d = case
     a = split_simplex(coords, d)

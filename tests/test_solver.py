@@ -1,13 +1,16 @@
-"""BiCGSTAB behavior against small hand cases and the dense LU oracle."""
+"""BiCGSTAB behavior against small hand cases and the LU oracles."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+from efem import solver
 from efem.efem_core import assemble_global
 from efem.mesh import generate_structured
-from efem.oracles import box_boundary, planar_levelset, planar_materials
-from efem.solver import DIRECT_LIMIT, bicgstab, direct_solve, jacobi_precondition, solve
+from efem.oracles import (box_boundary, cylinder_levelset, cylinder_materials,
+                          planar_levelset, planar_materials)
+from efem.solver import AMG_AFTER, bicgstab, direct_solve, jacobi_precondition, solve
 
 
 def test_identity_converges_immediately():
@@ -54,8 +57,9 @@ def test_matches_dense_lu_on_condensed_system():
     asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", box_boundary(2))
     x_it, rep = bicgstab(asm.matrix, asm.rhs, tol=1e-10)
     assert rep.converged
-    x_lu = direct_solve(asm.matrix, asm.rhs)
+    x_lu = scipy.linalg.solve(asm.matrix.toarray(), asm.rhs)
     assert np.abs(x_it - x_lu).max() < 1e-7
+    assert np.abs(direct_solve(asm.matrix, asm.rhs) - x_lu).max() < 1e-12
 
 
 def test_reported_residual_is_recomputable():
@@ -85,13 +89,6 @@ def test_non_convergence_reported_honestly():
     assert abs(rep.residual - check) < 1e-12
 
 
-def test_direct_solve_size_limit():
-    n = DIRECT_LIMIT + 1
-    A = sp.identity(n, format="csr")
-    with pytest.raises(ValueError, match=str(DIRECT_LIMIT)):
-        direct_solve(A, np.ones(n))
-
-
 def test_solve_direct_path_reports_lu():
     A = sp.csr_matrix(np.array([[4.0, 1.0], [2.0, 3.0]]))
     b = np.array([1.0, 2.0])
@@ -108,3 +105,42 @@ def test_solver_is_deterministic():
     x2, r2 = bicgstab(asm.matrix, asm.rhs)
     assert np.array_equal(x1, x2)
     assert r1 == r2
+
+
+@pytest.fixture(scope="module")
+def fine_2d_mesh():
+    return generate_structured(2, 200, 200)
+
+
+def test_fine_2d_solve_switches_to_amg(fine_2d_mesh):
+    """2D n=200, q=100: Jacobi stalls, the AMG restart converges quickly."""
+    asm = assemble_global(fine_2d_mesh, cylinder_levelset(), cylinder_materials(100.0), "efem",
+                          box_boundary(2))
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    assert rep.converged and rep.restarted
+    assert rep.method == "bicgstab-amg"
+    assert AMG_AFTER < rep.iterations <= AMG_AFTER + 30
+    ref = direct_solve(asm.matrix, asm.rhs)
+    assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_high_contrast_amg_solve_reaches_tol(fine_2d_mesh):
+    """2D n=200, q=1e4, efem: Jacobi alone needs thousands of iterations
+    here; after the switch the solve reaches tol well inside the AMG cap."""
+    asm = assemble_global(fine_2d_mesh, cylinder_levelset(), cylinder_materials(1e4), "efem",
+                          box_boundary(2))
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    assert rep.converged and rep.method == "bicgstab-amg"
+    assert rep.residual <= 1e-8
+
+
+def test_amg_phase_is_capped(monkeypatch):
+    """The AMG phase stops at its own cap, well before the 10 n default of max_iter."""
+    monkeypatch.setattr(solver, "AMG_MAX_ITER", 5)
+    mesh = generate_structured(2, 30, 30)
+    asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", box_boundary(2))
+    x, rep = bicgstab(asm.matrix, asm.rhs, tol=1e-300)
+    assert not rep.converged and rep.method == "bicgstab-amg"
+    assert rep.iterations == AMG_AFTER + 5
+    check = np.linalg.norm(asm.rhs - asm.matrix @ x) / np.linalg.norm(asm.rhs)
+    assert abs(rep.residual - check) < 1e-12

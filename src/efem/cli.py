@@ -233,13 +233,16 @@ def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
     if base is not None:
         candidates.append(base / cfg.mesh_file)
     candidates.append(Path(cfg.mesh_file))
-    for cand in candidates:
-        if cand.exists():
-            return read_mesh(cand)
-    bundled = resources.files("efem").joinpath("cases", cfg.mesh_file)
-    if bundled.is_file():
-        with resources.as_file(bundled) as real:
-            return read_mesh(real)
+    try:
+        for cand in candidates:
+            if cand.exists():
+                return read_mesh(cand)
+        bundled = resources.files("efem").joinpath("cases", cfg.mesh_file)
+        if bundled.is_file():
+            with resources.as_file(bundled) as real:
+                return read_mesh(real)
+    except MeshError as exc:
+        raise ConfigError(f"mesh: file {cfg.mesh_file!r}: {exc}") from exc
     raise ConfigError(f"mesh: file {cfg.mesh_file!r} not found")
 
 

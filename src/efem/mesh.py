@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable
 
 import numpy as np
@@ -111,6 +112,9 @@ class Mesh:
         return mesh
 
     def _validate(self):
+        bad = _first_non_finite(self.nodes)
+        if bad is not None:
+            raise MeshError(f"node {bad} has a non-finite coordinate")
         n = self.n_nodes
         out = (self.elements < 0) | (self.elements >= n)
         bad = np.flatnonzero(out.any(axis=1))
@@ -248,6 +252,11 @@ def _pair_faces(dim: int, elements: np.ndarray):
         return np.where(slot[:, None] >= 0, np.stack([slot // nf, slot % nf], axis=1), -1)
 
     return keys[first], element_and_face(first), element_and_face(second), slot_face
+
+
+def _first_non_finite(nodes: np.ndarray) -> int | None:
+    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 def _key(row) -> tuple:
@@ -471,69 +480,100 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 #   <n_boundary_faces lines of: element local_face tag_name>
 
 
+_ROWS_PER_WRITE = 1 << 15
+
+
+def _write_rows(f, fmt: str, rows: np.ndarray) -> None:
+    """Write rows (N, k) with the %-format fmt of one row, a block at a time."""
+    for i in range(0, rows.shape[0], _ROWS_PER_WRITE):
+        block = rows[i:i + _ROWS_PER_WRITE]
+        f.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as f:
         f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary_faces)}\n")
-        for x in mesh.nodes:
-            f.write(" ".join(f"{v:.17g}" for v in x) + "\n")
-        for conn in mesh.elements:
-            f.write(" ".join(str(int(c)) for c in conn) + "\n")
-        for e, lf, tag in mesh.boundary_faces:
-            f.write(f"{e} {lf} {tag}\n")
+        _write_rows(f, " ".join(["%.17g"] * mesh.dim) + "\n", mesh.nodes)
+        _write_rows(f, " ".join(["%d"] * (mesh.dim + 1)) + "\n", mesh.elements)
+        _write_rows(f, "%d %d %s\n", np.array(mesh.boundary_faces, dtype=object))
 
 
 def read_mesh(path) -> Mesh:
-    """Read a mesh text file, reporting the line number of any parse error."""
-    rows = []
+    """Read a mesh text file in one linear pass, naming the line of any parse error.
+
+    The header counts are checked against the file's rows before anything is
+    allocated; each block's row lengths are checked and its tokens converted
+    at once.
+    """
     with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                rows.append((lineno, text.split()))
+        text = f.read()
+    lines = text.split("\n")        # not splitlines(), which also breaks at \x0b, \x0c, ...
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+        text = "\n".join(lines)
+    tokens = text.split()
+    sizes = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    linenos, sizes = np.flatnonzero(sizes) + 1, sizes[sizes > 0]     # blank lines dropped
+    off = np.concatenate([[0], np.cumsum(sizes)])       # row r holds tokens[off[r]:off[r + 1]]
+    if not sizes.size:
+        raise MeshError("unexpected end of file: expected header "
+                        "'dim n_nodes n_elements n_boundary_faces'")
+    dim, counts = _header(tokens[:off[1]], linenos[0])
+    starts = list(accumulate([1, *counts]))
+    for k, what in enumerate(("node", "element", "boundary face")):
+        if sizes.size < starts[k + 1]:
+            raise MeshError(f"unexpected end of file: expected {what} {sizes.size - starts[k]}")
 
-    def take(what):
-        if not rows:
-            raise MeshError(f"unexpected end of file: expected {what}")
-        return rows.pop(0)
+    def block(k, width, convert, bad_token, bad_size):
+        r0, r1 = starts[k], starts[k + 1]
+        wrong = np.flatnonzero(sizes[r0:r1] != width)
+        n_ok = int(wrong[0]) if wrong.size else r1 - r0
+        try:
+            values = convert(tokens[off[r0]:off[r0 + n_ok]])
+        except ValueError:          # only now look for the row that failed
+            i = _first_failing(convert, tokens, off[r0:r0 + n_ok + 1])
+            raise MeshError(f"line {linenos[r0 + i]}: {bad_token} {i}") from None
+        if wrong.size:
+            raise MeshError(f"line {linenos[r0 + n_ok]}: {bad_size.format(n_ok, sizes[r0 + n_ok])}")
+        return values
 
-    lineno, head = take("header 'dim n_nodes n_elements n_boundary_faces'")
+    nodes = block(0, dim, _table(float, dim), "bad coordinate in node",
+                  f"node {{}} needs {dim} coordinates, got {{}}")
+    elements = block(1, dim + 1, _table(int, dim + 1), "bad node index in element",
+                     f"element {{}} needs {dim + 1} node indices, got {{}}")
+    boundary = block(2, 3, lambda t: list(zip(map(int, t[0::3]), map(int, t[1::3]), t[2::3])),
+                     "bad boundary face", "boundary face {} needs 'element local_face tag'")
+    if sizes.size > starts[3]:
+        raise MeshError(f"line {linenos[starts[3]]}: trailing content after mesh data")
+    if (bad := _first_non_finite(nodes)) is not None:
+        raise MeshError(f"line {linenos[1 + bad]}: node {bad} has a non-finite coordinate")
+    return Mesh.build(dim, nodes, elements, boundary)
+
+
+def _header(head: list, lineno: int) -> tuple[int, list]:
+    """dim and the three block sizes of a header row, checked before any allocation."""
     try:
         dim, n_nodes, n_elems, n_bfaces = (int(t) for t in head)
     except (ValueError, TypeError):
         raise MeshError(f"line {lineno}: malformed header {' '.join(head)!r}")
     if dim not in (2, 3):
         raise MeshError(f"line {lineno}: dim must be 2 or 3, got {dim}")
+    counts = {"n_nodes": n_nodes, "n_elements": n_elems, "n_boundary_faces": n_bfaces}
+    for name, n in counts.items():
+        if n < 0:
+            raise MeshError(f"line {lineno}: {name} must be non-negative, got {n}")
+    return dim, list(counts.values())
 
-    nodes = np.empty((n_nodes, dim))
-    for i in range(n_nodes):
-        lineno, toks = take(f"node {i}")
-        if len(toks) != dim:
-            raise MeshError(f"line {lineno}: node {i} needs {dim} coordinates, got {len(toks)}")
+
+def _table(kind, width: int):
+    """Converter of a flat token list to a (rows, width) array in one pass."""
+    return lambda tokens: np.fromiter(map(kind, tokens), kind, len(tokens)).reshape(-1, width)
+
+
+def _first_failing(convert, tokens: list, off: np.ndarray) -> int:
+    """Index of the first row, tokens[off[i]:off[i + 1]], that convert rejects."""
+    for i in range(off.size - 1):
         try:
-            nodes[i] = [float(t) for t in toks]
+            convert(tokens[off[i]:off[i + 1]])
         except ValueError:
-            raise MeshError(f"line {lineno}: bad coordinate in node {i}")
-
-    elements = np.empty((n_elems, dim + 1), dtype=np.int64)
-    for e in range(n_elems):
-        lineno, toks = take(f"element {e}")
-        if len(toks) != dim + 1:
-            raise MeshError(f"line {lineno}: element {e} needs {dim + 1} node indices, got {len(toks)}")
-        try:
-            elements[e] = [int(t) for t in toks]
-        except ValueError:
-            raise MeshError(f"line {lineno}: bad node index in element {e}")
-
-    boundary = []
-    for b in range(n_bfaces):
-        lineno, toks = take(f"boundary face {b}")
-        if len(toks) != 3:
-            raise MeshError(f"line {lineno}: boundary face {b} needs 'element local_face tag'")
-        try:
-            boundary.append((int(toks[0]), int(toks[1]), toks[2]))
-        except ValueError:
-            raise MeshError(f"line {lineno}: bad boundary face {b}")
-
-    if rows:
-        raise MeshError(f"line {rows[0][0]}: trailing content after mesh data")
-    return Mesh.build(dim, nodes, elements, boundary)
+            return i

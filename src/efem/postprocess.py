@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from efem.efem_core import AssembledSystem, CutState, barycentric, hat_value
-from efem.mesh import Mesh, local_faces, row_dot
+from efem.mesh import Mesh, _write_rows, local_faces, row_dot
 
 _CONTAIN_TOL = 1e-9
 # Pieces of a segment shorter than this, relative to the mesh extent, are
@@ -457,14 +457,6 @@ def interface_potential_mismatch(sol: SolutionField) -> float:
 
 
 _VTK_CELL = {2: 5, 3: 10}        # triangle, tetrahedron
-_ROWS_PER_WRITE = 1 << 15
-
-
-def _write_rows(f, fmt: str, rows: np.ndarray) -> None:
-    """Write rows (N, k) with the %-format fmt of one row, a block at a time."""
-    for i in range(0, rows.shape[0], _ROWS_PER_WRITE):
-        block = rows[i:i + _ROWS_PER_WRITE]
-        f.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def export_vtk(sol: SolutionField, path) -> None:

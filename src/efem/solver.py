@@ -5,8 +5,11 @@ active, so the workhorse is BiCGSTAB.  It starts with diagonal (Jacobi)
 preconditioning, which is cheapest for the well-conditioned 3D systems, and
 its single restart switches to a smoothed-aggregation AMG V-cycle, which
 the Poisson-like 2D systems on fine meshes need.  Sparse LU serves the
-``--direct`` path.  All operations are deterministic: fixed iteration order,
-no randomness, single-threaded BLAS calls on small vectors.
+``--direct`` path.  Iteration order is fixed and nothing is random, so a
+solve is repeatable for a fixed BLAS thread count.  It is not repeatable
+across thread counts: the dot products on long vectors go to a threaded
+BLAS, whose summation order, and so every later iterate, depends on the
+number of threads (``OPENBLAS_NUM_THREADS=1`` pins it).
 """
 
 from __future__ import annotations

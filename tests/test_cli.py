@@ -154,6 +154,20 @@ def test_malformed_case_number_exits_2_naming_key(tmp_path, capsys, old, new, na
     assert f"config error: {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("2 784 1458 108", "2 -1 1458 108", "line 1: n_nodes must be non-negative, got -1"),
+    ("2 784 1458 108", "2 99999999999 1458 108", "unexpected end of file: expected node 2350"),
+    ("\n0 0.037037037037037035\n", "\n0 nan\n", "line 3: node 1 has a non-finite coordinate"),
+])
+def test_malformed_mesh_file_exits_2_naming_line(tmp_path, capsys, old, new, named):
+    mesh_text = resources.files("efem").joinpath("cases", "cylinder_h0375.msh").read_text()
+    assert old in mesh_text
+    (tmp_path / "cylinder_h0375.msh").write_text(mesh_text.replace(old, new, 1))
+    rc = main(["solve", write_case(tmp_path, CYLINDER_CASE), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"config error: mesh: file 'cylinder_h0375.msh': {named}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("solve", "--h", "0"),
     ("solve", "--h", "-1"),

@@ -189,12 +189,65 @@ def test_read_reports_line_number(tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("1 0\n1 1", "x 0\n1", "line 3: bad coordinate in node 1"),
+    ("1 0\n1 1", "1 0 0\n1 y", "line 3: node 1 needs 2 coordinates, got 3"),
+    ("0 1 2\n0 2 3", "0 1 2.5\n0 2", "line 6: bad node index in element 0"),
+    ("0 1 right\n1 1 top", "0 x right\n1 top", "line 9: bad boundary face 1"),
+])
+def test_read_names_first_fault_in_file_order(tmp_path, old, new, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(UNIT_SQUARE_FILE.replace(old, new, 1))
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        read_mesh(path)
+
+
 def test_read_truncated_file(tmp_path):
     path = tmp_path / "bad.msh"
     lines = UNIT_SQUARE_FILE.splitlines()[:6]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshError, match="unexpected end of file"):
         read_mesh(path)
+
+
+@pytest.mark.parametrize("header, named", [
+    ("2 -1 2 4", "n_nodes must be non-negative, got -1"),
+    ("2 4 -2 4", "n_elements must be non-negative, got -2"),
+    ("2 4 2 -1", "n_boundary_faces must be non-negative, got -1"),
+])
+def test_read_rejects_negative_count(tmp_path, header, named):
+    path = tmp_path / "bad.msh"
+    path.write_text(UNIT_SQUARE_FILE.replace("2 4 2 4", header))
+    with pytest.raises(MeshError, match=f"^line 1: {named}$"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("header, expected", [
+    ("2 99999999999 2 4", "node 10"),
+    ("2 4 99999999999 4", "element 6"),
+    ("2 4 2 5", "boundary face 4"),
+])
+def test_read_count_past_end_of_file(tmp_path, header, expected):
+    path = tmp_path / "bad.msh"
+    path.write_text(UNIT_SQUARE_FILE.replace("2 4 2 4", header))
+    with pytest.raises(MeshError, match=f"^unexpected end of file: expected {expected}$"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_read_rejects_non_finite_coordinate(tmp_path, value):
+    path = tmp_path / "bad.msh"
+    path.write_text(UNIT_SQUARE_FILE.replace("1 1    #", f"1 {value}    #", 1))
+    with pytest.raises(MeshError, match="^line 4: node 2 has a non-finite coordinate$"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_build_rejects_non_finite_node(value):
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    nodes[3, 0] = value
+    with pytest.raises(MeshError, match="^node 3 has a non-finite coordinate$"):
+        Mesh.build(2, nodes, np.array([[0, 1, 2]]), [])
 
 
 def test_dangling_node_reference(tmp_path):

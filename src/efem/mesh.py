@@ -37,6 +37,15 @@ def local_edges(dim: int):
     return EDGES_2D if dim == 2 else EDGES_3D
 
 
+# Face pairing tables, per dim: the other sorted columns when column j of an
+# element's sorted node indices is dropped, and the local face opposite
+# each vertex.
+_DROPPED = {d: np.array([[i for i in range(d + 1) if i != j] for j in range(d + 1)])
+            for d in (2, 3)}
+_OPPOSITE_FACE = {d: np.array([next(lf for lf, f in enumerate(local_faces(d)) if v not in f)
+                               for v in range(d + 1)]) for d in (2, 3)}
+
+
 @dataclass(frozen=True)
 class BoundaryTag:
     """Physical meaning of one boundary tag.
@@ -94,38 +103,52 @@ class Mesh:
 
     @staticmethod
     def build(dim, nodes, elements, boundary_faces) -> "Mesh":
-        """Validate arrays, pair faces, check boundary tags and freeze the result."""
+        """Validate arrays, pair faces, check boundary tags and freeze the result.
+
+        One argsort of each element's node indices serves every check and the
+        face pairing: its first and last columns give the range check, equal
+        neighbours a repeated node, and dropping one sorted column gives the
+        sorted key of the face opposite that vertex.  The keys are packed into
+        exact int64 codes and grouped by one stable sort.
+        """
         nodes = np.ascontiguousarray(nodes, dtype=float)
-        elements = np.ascontiguousarray(elements, dtype=np.int64)
         if dim not in (2, 3):
             raise MeshError(f"dim must be 2 or 3, got {dim}")
         if nodes.ndim != 2 or nodes.shape[1] != dim:
             raise MeshError(f"nodes must have shape (*, {dim})")
+        try:
+            elements = np.ascontiguousarray(elements, dtype=np.int64)
+        except OverflowError:
+            e, node = _first_out_of_range(elements, nodes.shape[0])
+            raise MeshError(f"element {e} references node {node} but mesh has "
+                            f"{nodes.shape[0]} nodes") from None
         if elements.ndim != 2 or elements.shape[1] != dim + 1:
             raise MeshError(f"elements must have shape (*, {dim + 1})")
         mesh = Mesh(dim, nodes, elements, list(boundary_faces))
-        mesh._validate()
-        mesh.face_keys, mesh.face_first, mesh.face_second, slot_face = _pair_faces(dim, elements)
+        codes = _face_codes(dim, mesh.n_nodes, *mesh._validate())
+        mesh.face_keys, mesh.face_first, mesh.face_second, slot_face = _pair_faces(
+            dim, mesh.n_nodes, codes)
         mesh._check_boundary_tags(slot_face)
         for a in (nodes, elements, mesh.face_keys, mesh.face_first, mesh.face_second):
             a.setflags(write=False)
         return mesh
 
-    def _validate(self):
+    def _validate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check coordinates, node indices and orientation; return the argsort
+        of each element's node indices and the sorted rows, (M, dim+1) each."""
         bad = _first_non_finite(self.nodes)
         if bad is not None:
             raise MeshError(f"node {bad} has a non-finite coordinate")
         n = self.n_nodes
-        out = (self.elements < 0) | (self.elements >= n)
-        bad = np.flatnonzero(out.any(axis=1))
+        perm = np.argsort(self.elements, axis=1)
+        rows = np.take_along_axis(self.elements, perm, axis=1)
+        bad = np.flatnonzero((rows[:, 0] < 0) | (rows[:, -1] >= n))
         if bad.size:
-            e = int(bad[0])
-            node = int(self.elements[e][out[e]][0])
-            raise MeshError(f"element {e} references node {node} but mesh has {n} nodes")
-        conn = np.sort(self.elements, axis=1)
-        bad = np.flatnonzero((conn[:, 1:] == conn[:, :-1]).any(axis=1))
+            _, node = _first_out_of_range(self.elements[bad[:1]], n)
+            raise MeshError(f"element {int(bad[0])} references node {node} but mesh has {n} nodes")
+        bad = np.flatnonzero(rows[:, 1:] == rows[:, :-1])
         if bad.size:
-            raise MeshError(f"element {int(bad[0])} has repeated node indices")
+            raise MeshError(f"element {int(bad[0]) // self.dim} has repeated node indices")
         vols = signed_measures(self.nodes[self.elements])
         bad = np.nonzero(vols <= 0.0)[0]
         if bad.size:
@@ -133,12 +156,13 @@ class Mesh:
                 f"element {int(bad[0])} is not positively oriented "
                 f"(signed measure {vols[int(bad[0])]:.3e}); fix the input ordering"
             )
+        return perm, rows
 
     def _check_boundary_tags(self, slot_face: np.ndarray):
         nf = self.dim + 1
         tagged = np.zeros(len(self.face_keys), dtype=bool)
         if self.boundary_faces:
-            e, lf = (np.array([b[i] for b in self.boundary_faces], dtype=np.int64) for i in (0, 1))
+            e, lf = (_indices([b[i] for b in self.boundary_faces]) for i in (0, 1))
             bad_e = (e < 0) | (e >= self.n_elements)
             bad_lf = (lf < 0) | (lf >= nf)
             ok = ~(bad_e | bad_lf)
@@ -221,8 +245,30 @@ class Mesh:
         return self.nodes[self.elements[e]]
 
 
-def _pair_faces(dim: int, elements: np.ndarray):
-    """Group the faces of all elements by their sorted node keys.
+def _face_codes(dim: int, n_nodes: int, perm: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    """Sorted node keys of every face slot, packed into exact int64 codes.
+
+    perm and rows are the argsort of each element's node indices and the
+    sorted rows.  Dropping sorted column j of element e gives the sorted key
+    of its local face opposite vertex perm[e, j].  Returns one
+    (M * (dim + 1),) array per code word (_code_words), indexed by face slot
+    e * (dim + 1) + lf.
+    """
+    nf = dim + 1
+    lf = _OPPOSITE_FACE[dim][perm]
+    codes = []
+    for cols in _code_words(dim, n_nodes):
+        weight = np.zeros((nf, nf), dtype=np.int64)     # row j: the key that drops column j
+        for p in cols:
+            weight[np.arange(nf), _DROPPED[dim][:, p]] = n_nodes ** (cols[-1] - p)
+        code = np.empty_like(rows)
+        np.put_along_axis(code, lf, rows @ weight.T, axis=1)
+        codes.append(code.ravel())
+    return codes
+
+
+def _pair_faces(dim: int, n_nodes: int, codes: list[np.ndarray]):
+    """Group the face slots by their packed keys with one stable sort.
 
     Face slot s = e * (dim + 1) + lf is local face lf of element e.  Returns
     (keys (F, dim), first (F, 2), second (F, 2), slot_face (M * (dim + 1),)):
@@ -231,27 +277,66 @@ def _pair_faces(dim: int, elements: np.ndarray):
     second), and the face index of every slot.  The sort is stable, so the
     first slot is the one of the smaller element.
     """
-    faces = np.array(local_faces(dim))
     nf = dim + 1
-    keys = np.sort(elements[:, faces], axis=2).reshape(-1, dim)
-    order = np.lexsort(keys.T[::-1])
-    k = keys[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (k[1:] != k[:-1]).any(axis=1)
+    words = _code_words(dim, n_nodes)
+    order = np.argsort(codes[0], kind="stable") if len(codes) == 1 else np.lexsort(codes[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for code in codes:
+        new[1:] |= np.diff(code[order]) != 0
     start = np.flatnonzero(new)
     count = np.diff(np.append(start, order.size))
     if (count > 2).any():
         third = order[start[count > 2] + 2].min()
-        raise MeshError(f"face {_key(keys[third])} is shared by more than two elements")
+        key = _decode([code[third:third + 1] for code in codes], words, n_nodes)[0]
+        raise MeshError(f"face {_key(key)} is shared by more than two elements")
     first = order[start]
-    second = np.where(count == 2, order[np.minimum(start + 1, order.size - 1)], -1)
+    # outputs before the temporaries below: made last, they leave the
+    # 3D n=32 set-up 10 MB higher in peak RSS (heap layout)
+    keys = _decode([code[first] for code in codes], words, n_nodes)
+    second = order[np.minimum(start + 1, order.size - 1)]
+    face_first = np.stack(np.divmod(first, nf), axis=1)
+    face_second = np.where((count == 2)[:, None], np.stack(np.divmod(second, nf), axis=1), -1)
+    face = np.cumsum(new)
+    face -= 1
     slot_face = np.empty(order.size, dtype=np.int64)
-    slot_face[order] = np.cumsum(new) - 1
+    slot_face[order] = face
+    return keys, face_first, face_second, slot_face
 
-    def element_and_face(slot):
-        return np.where(slot[:, None] >= 0, np.stack([slot // nf, slot % nf], axis=1), -1)
 
-    return keys[first], element_and_face(first), element_and_face(second), slot_face
+def _code_words(width: int, n: int) -> list[range]:
+    """The key columns packed into each int64 code of a key of node indices < n.
+
+    A code packs columns c0, c1, ... as (c0 * n + c1) * n + ..., and holds as
+    many as n**k <= 2**63 allows, so it is exact and keeps the lexicographic
+    order: one code for a 3D key below 2**21 nodes, the two codes
+    (c0 * n + c1, c2) from there to about 3e9 nodes, one per column past.
+    """
+    k = next(k for k in range(width, 0, -1) if n ** k <= 2 ** 63)
+    return [range(i, min(i + k, width)) for i in range(0, width, k)]
+
+
+def _decode(codes: list[np.ndarray], words: list[range], n: int) -> np.ndarray:
+    """Keys (F, width) from their codes, one (F,) array per word."""
+    keys = np.empty((codes[0].size, words[-1][-1] + 1), dtype=np.int64)
+    for code, cols in zip(codes, words):
+        for p in cols[:0:-1]:
+            code, keys[:, p] = np.divmod(code, n)
+        keys[:, cols[0]] = code
+    return keys
+
+
+def _first_out_of_range(elements, n: int) -> tuple[int, int]:
+    """(element, node) of the first node index outside [0, n), in row order."""
+    for e, row in enumerate(elements):
+        for node in row:
+            if not 0 <= node < n:
+                return e, int(node)
+
+
+def _indices(values: list) -> np.ndarray:
+    """int64 array of Python ints; one beyond int64 becomes -1, out of any range."""
+    return np.array([v if -2**63 <= v < 2**63 else -1 for v in values], dtype=np.int64)
 
 
 def _first_non_finite(nodes: np.ndarray) -> int | None:
@@ -456,17 +541,16 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
     elements = (corner[:, None, None] + offset).reshape(-1, dim + 1)
 
     # a face lies on box side s when all its nodes sit at that side's extreme
-    # grid index; the first side in _SIDE_NAMES order wins
+    # grid index; the first side in _SIDE_NAMES order wins.  Bit s of a node's
+    # mask is set when it lies on side s, and a face's mask is the AND of its
+    # nodes' masks, so one pass over the elements tags every face.
     grid = np.indices([c + 1 for c in counts]).reshape(dim, -1)
-    faces = np.array(local_faces(dim))
-    side = np.full((elements.shape[0], dim + 1), -1, dtype=np.int8)
-    for s in range(2 * dim):
-        node_on = grid[s // 2] == (0 if s % 2 == 0 else counts[s // 2])
-        on = node_on[elements][:, faces].all(axis=2)
-        side[(side < 0) & on] = s
-    e, lf = np.nonzero(side >= 0)
-    boundary = [(a, b, _SIDE_NAMES[t]) for a, b, t in
-                zip(e.tolist(), lf.tolist(), side[e, lf].tolist())]
+    on = np.stack([grid == 0, grid == np.array(counts)[:, None]], axis=1).reshape(2 * dim, -1)
+    node_mask = ((1 << np.arange(2 * dim)) @ on).astype(np.uint8)
+    face_mask = np.bitwise_and.reduce(node_mask[elements][:, local_faces(dim)], axis=2)
+    e, lf = np.nonzero(face_mask)
+    boundary = [(a, b, _SIDE_NAMES[(m & -m).bit_length() - 1]) for a, b, m in
+                zip(e.tolist(), lf.tolist(), face_mask[e, lf].tolist())]
     return Mesh.build(dim, nodes, elements, boundary)
 
 
@@ -530,7 +614,7 @@ def read_mesh(path) -> Mesh:
         n_ok = int(wrong[0]) if wrong.size else r1 - r0
         try:
             values = convert(tokens[off[r0]:off[r0 + n_ok]])
-        except ValueError:          # only now look for the row that failed
+        except (ValueError, OverflowError):     # only now look for the row that failed
             i = _first_failing(convert, tokens, off[r0:r0 + n_ok + 1])
             raise MeshError(f"line {linenos[r0 + i]}: {bad_token} {i}") from None
         if wrong.size:
@@ -575,5 +659,5 @@ def _first_failing(convert, tokens: list, off: np.ndarray) -> int:
     for i in range(off.size - 1):
         try:
             convert(tokens[off[i]:off[i + 1]])
-        except ValueError:
+        except (ValueError, OverflowError):     # OverflowError: an index beyond int64
             return i

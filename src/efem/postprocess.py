@@ -521,7 +521,7 @@ def export_vtk(sol: SolutionField, path) -> None:
         f.write(f"CELLS {n_cells} {n_cells * (nv + 1)}\n")
         _write_rows(f, f"{nv}" + " %d" * nv + "\n", cells)
         f.write(f"CELL_TYPES {n_cells}\n")
-        _write_rows(f, "%d\n", np.broadcast_to(_VTK_CELL[m.dim], (n_cells, 1)))
+        f.write(f"{_VTK_CELL[m.dim]}\n" * n_cells)
         f.write(f"POINT_DATA {n_points}\n")
         f.write("SCALARS phi double 1\nLOOKUP_TABLE default\n")
         _write_rows(f, "%.17g\n", pdata[:, None])

@@ -167,10 +167,13 @@ class SmoothedAggregation:
     4 / (3 rho) and rho a power-iteration estimate of rho(D^-1 A), coarse
     matrices are Galerkin products R A P with R = P^T, and the smoother is
     damped Jacobi with the same omega.  Coarsening stops at or below
-    ``COARSEST_SIZE`` unknowns, or where aggregation no longer halves the
-    level; the coarsest matrix is factored by sparse LU, which needs no
-    dense n x n copy if coarsening stops early.  Calling the object applies
-    one V-cycle from a zero guess, a fixed linear operator.
+    ``COARSEST_SIZE`` unknowns, where aggregation no longer halves the
+    level, or where the Galerkin product has a diagonal entry <= 0, which
+    the Jacobi smoother would divide by (matrices with an indefinite
+    symmetric part give such products); the coarsest matrix is factored by
+    sparse LU, which needs no dense n x n copy if coarsening stops early.
+    Calling the object applies one V-cycle from a zero guess, a fixed
+    linear operator.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -186,8 +189,11 @@ class SmoothedAggregation:
             T = sp.csr_matrix((np.ones(rows.size), (rows, agg[rows])), shape=(A.shape[0], n_agg))
             P = (T - sp.diags(omega * dinv) @ (A @ T)).tocsr()
             R = P.T.tocsr()
+            coarse = (R @ A @ P).tocsr()
+            if not (coarse.diagonal() > 0.0).all():
+                break
             self.levels.append(AMGLevel(A, omega * dinv, agg, P, R))
-            A = (R @ A @ P).tocsr()
+            A = coarse
         self.coarsest = A
         self._lu = spla.splu(A.tocsc())
 

@@ -1,6 +1,13 @@
 """Shared fixtures: solved planar fields reused across test modules."""
 
 import logging
+import os
+
+# BiCGSTAB's iterates depend on the BLAS reduction order, so the suite runs
+# single-threaded BLAS (as the benchmark does).  This must precede the first
+# numpy import, and no pytest plugin imports numpy before this file.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -168,6 +168,20 @@ def test_malformed_mesh_file_exits_2_naming_line(tmp_path, capsys, old, new, nam
     assert f"config error: mesh: file 'cylinder_h0375.msh': {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("\n0 28 29\n", "\n0 28 99999999999999999999\n", "line 786: bad node index in element 0"),
+    ("\n0 0 bottom\n", "\n99999999999999999999 0 bottom\n",
+     "boundary face references element 99999999999999999999 out of range"),
+])
+def test_mesh_index_beyond_int64_exits_2(tmp_path, capsys, old, new, named):
+    mesh_text = resources.files("efem").joinpath("cases", "cylinder_h0375.msh").read_text()
+    assert old in mesh_text
+    (tmp_path / "cylinder_h0375.msh").write_text(mesh_text.replace(old, new, 1))
+    rc = main(["solve", write_case(tmp_path, CYLINDER_CASE), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"config error: mesh: file 'cylinder_h0375.msh': {named}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("solve", "--h", "0"),
     ("solve", "--h", "-1"),

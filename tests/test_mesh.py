@@ -317,6 +317,37 @@ def test_build_rejects_face_shared_by_three_elements():
         Mesh.build(2, nodes, elements, [])
 
 
+HUGE = "99999999999999999999"      # beyond int64
+
+
+@pytest.mark.parametrize("value", [HUGE, f"-{HUGE}"])
+def test_read_rejects_node_index_beyond_int64(tmp_path, value):
+    path = tmp_path / "bad.msh"
+    path.write_text(UNIT_SQUARE_FILE.replace("0 2 3\n", f"0 2 {value}\n", 1))
+    with pytest.raises(MeshError, match="^line 7: bad node index in element 1$"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1 1 top", f"{HUGE} 1 top", f"boundary face references element {HUGE} out of range"),
+    ("1 1 top", f"-{HUGE} 1 top", f"boundary face references element -{HUGE} out of range"),
+    ("1 1 top", f"1 {HUGE} top", f"boundary face of element 1 has local face {HUGE} out of range"),
+])
+def test_read_rejects_boundary_face_beyond_int64(tmp_path, old, new, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(UNIT_SQUARE_FILE.replace(old, new, 1))
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("row", [[0, 1, 10**20], [0, -10**20, 2]])
+def test_build_rejects_python_int_beyond_int64(row):
+    nodes, elements, tags = _square_arrays()
+    node = next(v for v in row if abs(v) > 3)
+    with pytest.raises(MeshError, match=f"^element 1 references node {node} but mesh has 4 nodes$"):
+        Mesh.build(2, nodes, [elements[0].tolist(), row], tags)
+
+
 # sha256 of nodes (<f8), elements (<i8) and repr(boundary_faces); downstream
 # artifacts are byte-identical only while this order holds.
 MESH_DIGESTS = {

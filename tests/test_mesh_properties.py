@@ -2,7 +2,9 @@
 
 Construction: the oracle pairs faces with a dict keyed by sorted node
 tuples, visiting elements and local faces in order: the first visit is the
-first slot, the second visit the second.
+first slot, the second visit the second.  Relabelled, rotated and
+corrupted meshes also build bit for bit, or fail with the same message, as
+under the lexsort builder that the one-row-sort Mesh.build replaced.
 
 File I/O: the oracles are row-at-a-time copies of the reader and writer
 that the one-pass ones replaced.  Files read back bit for bit as the old
@@ -11,6 +13,7 @@ new rejections are negative header counts, counts past the end of the
 file, and non-finite coordinates.
 """
 
+import itertools
 import math
 import tempfile
 from importlib import resources
@@ -87,6 +90,197 @@ def test_structured_mesh_matches_oracle(dim, counts, lows, widths):
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**16))
 def test_perturbed_mesh_matches_oracle(n, seed):
     _check_mesh(cylinder_benchmark_mesh(n=n, seed=seed), (0.0, 1.0, 0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# construction against the lexsort builder
+#
+# _lexsort_build is the builder that the one-row-sort Mesh.build replaced:
+# it sorts the rows once to find repeated nodes, sorts every face key again
+# and pairs the keys with a d-column lexsort.  Both must give the same
+# arrays bit for bit, or the same MeshError text.
+
+
+def _lexsort_build(dim, nodes, elements, boundary_faces):
+    """(face_keys, face_first, face_second) of the lexsort builder."""
+    nodes = np.ascontiguousarray(nodes, dtype=float)
+    elements = np.ascontiguousarray(elements, dtype=np.int64)
+    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    if bad.size:
+        raise MeshError(f"node {int(bad[0])} has a non-finite coordinate")
+    n, nf = nodes.shape[0], dim + 1
+    out = (elements < 0) | (elements >= n)
+    bad = np.flatnonzero(out.any(axis=1))
+    if bad.size:
+        e = int(bad[0])
+        raise MeshError(f"element {e} references node {int(elements[e][out[e]][0])} "
+                        f"but mesh has {n} nodes")
+    conn = np.sort(elements, axis=1)
+    bad = np.flatnonzero((conn[:, 1:] == conn[:, :-1]).any(axis=1))
+    if bad.size:
+        raise MeshError(f"element {int(bad[0])} has repeated node indices")
+    vols = signed_measures(nodes[elements])
+    bad = np.nonzero(vols <= 0.0)[0]
+    if bad.size:
+        raise MeshError(f"element {int(bad[0])} is not positively oriented "
+                        f"(signed measure {vols[int(bad[0])]:.3e}); fix the input ordering")
+
+    keys = np.sort(elements[:, np.array(local_faces(dim))], axis=2).reshape(-1, dim)
+    order = np.lexsort(keys.T[::-1])
+    k = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (k[1:] != k[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    count = np.diff(np.append(start, order.size))
+    if (count > 2).any():
+        third = order[start[count > 2] + 2].min()
+        raise MeshError(f"face {tuple(int(i) for i in keys[third])} "
+                        "is shared by more than two elements")
+    first = order[start]
+    second = np.where(count == 2, order[np.minimum(start + 1, order.size - 1)], -1)
+    slot_face = np.empty(order.size, dtype=np.int64)
+    slot_face[order] = np.cumsum(new) - 1
+
+    def element_and_face(slot):
+        return np.where(slot[:, None] >= 0, np.stack([slot // nf, slot % nf], axis=1), -1)
+
+    face_keys, face_first, face_second = keys[first], element_and_face(first), element_and_face(second)
+    tagged = np.zeros(len(face_keys), dtype=bool)
+    for e, lf, tag in boundary_faces:
+        if not 0 <= e < len(elements):
+            raise MeshError(f"boundary face references element {e} out of range")
+        if not 0 <= lf < nf:
+            raise MeshError(f"boundary face of element {e} has local face {lf} out of range")
+        f = slot_face[e * nf + lf]
+        if face_second[f, 0] >= 0:
+            raise MeshError(f"face {tuple(int(i) for i in face_keys[f])} of element {e} "
+                            f"is tagged {tag!r} but is interior")
+        tagged[f] = True
+    untagged = [f for f in np.flatnonzero((face_second[:, 0] < 0) & ~tagged)]
+    if untagged:
+        f = min(untagged, key=lambda f: tuple(face_first[f]))
+        e, lf = (int(v) for v in face_first[f])
+        raise MeshError(f"boundary face {tuple(int(i) for i in face_keys[f])} "
+                        f"(element {e}, local face {lf}) has no tag")
+    return face_keys, face_first, face_second
+
+
+def _build_outcome(build, *args):
+    """The pairing arrays of a build, bit for bit, or its MeshError text."""
+    try:
+        out = build(*args)
+    except MeshError as exc:
+        return str(exc)
+    if isinstance(out, Mesh):
+        out = out.face_keys, out.face_first, out.face_second
+    return [(a.dtype, a.shape, a.tobytes()) for a in out]
+
+
+def _even_permutations(n):
+    return [p for p in itertools.permutations(range(n))
+            if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]
+
+
+def _opposite_face(dim, vertex):
+    return next(lf for lf, face in enumerate(local_faces(dim)) if vertex not in face)
+
+
+def _relabel(mesh, rng):
+    """The mesh with its nodes and elements shuffled and every element row
+    rotated by a random orientation-preserving permutation."""
+    dim, nf = mesh.dim, mesh.dim + 1
+    node_of = rng.permutation(mesh.n_nodes)              # old node i becomes node_of[i]
+    nodes = np.empty_like(mesh.nodes)
+    nodes[node_of] = mesh.nodes
+    rows = rng.permutation(mesh.n_elements)              # new element r is old rows[r]
+    new_index = np.argsort(rows)
+    even = np.array(_even_permutations(nf))
+    perms = even[rng.integers(0, len(even), mesh.n_elements)]     # new vertex i is old perms[e, i]
+    elements = np.take_along_axis(node_of[mesh.elements], perms, axis=1)[rows]
+    boundary = []
+    for e, lf, tag in mesh.boundary_faces:
+        vertex = next(v for v in range(nf) if _opposite_face(dim, v) == lf)
+        position = int(np.flatnonzero(perms[e] == vertex)[0])
+        boundary.append((int(new_index[e]), _opposite_face(dim, position), tag))
+    rng.shuffle(boundary)
+    return dim, nodes, elements, boundary
+
+
+def _perturbed_3d(counts, seed):
+    base = generate_structured(3, *counts)
+    rng = np.random.default_rng(seed)
+    nodes = np.array(base.nodes)
+    interior = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
+    nodes[interior] += rng.uniform(-0.1, 0.1, size=(int(interior.sum()), 3)) / max(counts)
+    return Mesh.build(3, nodes, np.array(base.elements), list(base.boundary_faces))
+
+
+def _corrupt(kind, dim, nodes, elements, boundary, rng):
+    """One fault of the given kind in a copy of valid mesh arrays."""
+    elements, boundary = np.array(elements), list(boundary)
+    e = int(rng.integers(len(elements)))
+    if kind == "third element on a face":            # a copy of e: its inner faces get three
+        elements = np.vstack([elements, elements[e]])
+    elif kind == "repeated node":
+        a, b = rng.choice(dim + 1, 2, replace=False)
+        elements[e, a] = elements[e, b]
+    elif kind == "inverted element":
+        elements[e, [0, 1]] = elements[e, [1, 0]]
+    elif kind == "tagged interior face":
+        _, first, second = _lexsort_build(dim, nodes, elements, boundary)
+        inner = np.flatnonzero(second[:, 0] >= 0)
+        f = inner[rng.integers(inner.size)]
+        slot = first[f] if rng.random() < 0.5 else second[f]
+        boundary.insert(int(rng.integers(len(boundary) + 1)), (*map(int, slot), "inner"))
+    elif kind == "untagged boundary face":
+        del boundary[int(rng.integers(len(boundary)))]
+    return dim, nodes, elements, boundary
+
+
+_CORRUPTIONS = ("third element on a face", "repeated node", "inverted element",
+                "tagged interior face", "untagged boundary face")
+
+
+def _base_mesh_strategy():
+    structured = st.builds(
+        lambda dim, n: generate_structured(dim, *n[:dim]),
+        st.sampled_from([2, 3]), st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    perturbed_2d = st.builds(lambda n, seed: cylinder_benchmark_mesh(n=n, seed=seed),
+                             st.integers(1, 6), st.integers(0, 2**16))
+    perturbed_3d = st.builds(_perturbed_3d, st.lists(st.integers(1, 3), min_size=3, max_size=3),
+                             st.integers(0, 2**16))
+    return st.one_of(structured, perturbed_2d, perturbed_3d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=_base_mesh_strategy(), seed=st.integers(0, 2**32 - 1),
+       corruption=st.sampled_from([None, *_CORRUPTIONS]))
+def test_build_matches_lexsort_builder(mesh, seed, corruption):
+    rng = np.random.default_rng(seed)
+    args = _relabel(mesh, rng)
+    if corruption is not None:
+        args = _corrupt(corruption, *args, rng)
+    new, old = _build_outcome(Mesh.build, *args), _build_outcome(_lexsort_build, *args)
+    assert new == old
+    assert isinstance(new, str) == (corruption is not None)
+
+
+def test_packed_keys_stay_exact_past_2_21_nodes():
+    # (a * n + b) * n + c overflows int64 for keys near n once n >= 2**21
+    n = 2**21 + 8
+    assert n**3 > 2**63
+    nodes = np.zeros((n, 3))
+    ids = [n - 1, n - 3, n - 2, n - 5, n - 4]
+    nodes[ids] = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]]
+    elements = np.array([[ids[0], ids[1], ids[2], ids[3]], [ids[0], ids[2], ids[1], ids[4]]])
+    tags = [(e, lf, "outer") for e in range(2) for lf in range(4)
+            if sorted(elements[e][list(local_faces(3)[lf])]) != sorted(ids[:3])]
+    mesh = Mesh.build(3, nodes, elements, tags)
+    assert _build_outcome(Mesh.build, 3, nodes, elements, tags) == _build_outcome(
+        _lexsort_build, 3, nodes, elements, tags)
+    keys = [tuple(k) for k in mesh.face_keys.tolist()]
+    assert keys == sorted(keys) and len(keys) == 7
+    assert (mesh.face_keys >= n - 5).all()
 
 
 # ---------------------------------------------------------------------------

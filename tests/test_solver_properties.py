@@ -91,6 +91,9 @@ def test_dirichlet_rows_stay_out_of_aggregates(case):
 # high contrast: strength by |a_ij| + |a_ji| gave this coarse matrix a
 # diagonal of -5.1e3, since these matrices have an indefinite symmetric part
 @example((2, 30, (0.37206887, 0.37109788), 0.2329510582651515, 1e4, "efem"))
+# and the first Galerkin product of this one a diagonal of -80.9;
+# coarsening stops before such a product
+@example((2, 100, (0.5107542927623367, 0.5625), 0.142578125, 1e4, "efem"))
 def test_coarse_diagonals_are_positive(case):
     asm = _assemble(case)
     ml = SmoothedAggregation(asm.matrix)

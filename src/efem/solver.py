@@ -167,11 +167,13 @@ class SmoothedAggregation:
     4 / (3 rho) and rho a power-iteration estimate of rho(D^-1 A), coarse
     matrices are Galerkin products R A P with R = P^T, and the smoother is
     damped Jacobi with the same omega.  Coarsening stops at or below
-    ``COARSEST_SIZE`` unknowns, where aggregation no longer halves the
-    level, or where the Galerkin product has a diagonal entry <= 0, which
-    the Jacobi smoother would divide by (matrices with an indefinite
-    symmetric part give such products); the coarsest matrix is factored by
-    sparse LU, which needs no dense n x n copy if coarsening stops early.
+    ``COARSEST_SIZE`` unknowns or where aggregation no longer halves the
+    level.  Matrices with an indefinite symmetric part can give a Galerkin
+    product a diagonal entry <= 0, which the Jacobi smoother would divide
+    by: the aggregates of such entries keep their tentative column of T,
+    and if a diagonal entry is still <= 0 coarsening stops there.  The
+    coarsest matrix is factored by sparse LU, which needs no dense n x n
+    copy if coarsening stops early.
     Calling the object applies one V-cycle from a zero guess, a fixed
     linear operator.
     """
@@ -190,8 +192,16 @@ class SmoothedAggregation:
             P = (T - sp.diags(omega * dinv) @ (A @ T)).tocsr()
             R = P.T.tocsr()
             coarse = (R @ A @ P).tocsr()
-            if not (coarse.diagonal() > 0.0).all():
-                break
+            bad = coarse.diagonal() <= 0.0
+            if bad.any():
+                # those aggregates keep their tentative column, whose coarse
+                # diagonal entry is the sum of A over the aggregate
+                keep = sp.diags(np.where(bad, 0.0, 1.0))
+                P = (T - sp.diags(omega * dinv) @ (A @ T) @ keep).tocsr()
+                R = P.T.tocsr()
+                coarse = (R @ A @ P).tocsr()
+                if not (coarse.diagonal() > 0.0).all():
+                    break
             self.levels.append(AMGLevel(A, omega * dinv, agg, P, R))
             A = coarse
         self.coarsest = A

@@ -71,6 +71,10 @@ def test_vcycle_is_linear_and_repeatable(case, seed):
 
 @given(cut_systems())
 @settings(max_examples=25, deadline=None)
+# one smoothed column of this system's first prolongator has a coarse
+# diagonal of -7.1; its aggregate keeps the tentative column, so the
+# hierarchy keeps its coarse level
+@example((2, 30, (0.3515625, 0.3515625), 0.12, 1e4, "efem"))
 def test_dirichlet_rows_stay_out_of_aggregates(case):
     asm = _assemble(case)
     ml = SmoothedAggregation(asm.matrix)

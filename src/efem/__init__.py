@@ -45,8 +45,10 @@ from efem.postprocess import (
     interface_potential_mismatch,
     l2_line_error,
     locate,
+    locate_points,
     observed_order,
     read_csv_sample,
+    sample_l2_error,
     sample_line,
     side_of,
 )

@@ -25,7 +25,7 @@ from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet, classi
 from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_mesh
 from efem.postprocess import (build_solution, export_csv, export_vtk,
                               interface_potential_mismatch, l2_line_error,
-                              observed_order, sample_line)
+                              observed_order, sample_l2_error, sample_line)
 from efem.solver import bicgstab, solve
 
 EXIT_OK = 0
@@ -305,7 +305,7 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
         sample = sample_line(sol, start, end)
         entry: dict = {"l2_error": None, "csv": None}
         if reference is not None:
-            entry["l2_error"] = l2_line_error(sol, reference, start, end)
+            entry["l2_error"] = sample_l2_error(sample, reference)
         if cfg.csv:
             fname = f"{name}.csv"
             export_csv(sample, out_dir / fname)

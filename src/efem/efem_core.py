@@ -412,32 +412,44 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
 def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
     """Dirichlet nodes and values; ValueError if two tags give one node different values.
 
-    Each (node, tag) pair is evaluated once, in the order a walk over the
-    boundary faces first reaches it, so every error names the node and tags
-    such a walk would meet first.
+    Each tag's (node, tag) pairs are evaluated in one call of its values_at.
+    Every error names the node and tags that a walk over the boundary faces
+    meets first: a tag with no assignment, a non-finite value, or a value
+    that differs from the first one the walk gave the node.
     """
-    seen: dict[int, tuple[float, str]] = {}
     nodes, tags = mesh.boundary_node_tags
-    for node, tag_name in zip(nodes.tolist(), tags):
-        tag = boundary.get(tag_name)
+    tags = np.array(tags, dtype=object)
+    values = np.zeros(nodes.size)
+    is_dir = np.zeros(nodes.size, dtype=bool)
+    missing = []
+    for name in dict.fromkeys(tags.tolist()):
+        sel = np.flatnonzero(tags == name)
+        tag = boundary.get(name)
         if tag is None:
-            raise KeyError(f"mesh tag {tag_name!r} has no boundary assignment")
-        if tag.kind != "dirichlet":
-            continue
-        value = tag.value_at(mesh.nodes[node])
+            missing.append(int(sel[0]))
+        elif tag.kind == "dirichlet":
+            values[sel] = tag.values_at(mesh.nodes[nodes[sel]])
+            is_dir[sel] = True
+
+    # walk positions of the Dirichlet pairs; the first pair of each node sets
+    # its value
+    pos = np.flatnonzero(is_dir)
+    dir_nodes, first, inverse = np.unique(nodes[pos], return_index=True, return_inverse=True)
+    v = values[pos]
+    bad = pos[~np.isfinite(v) | (v != v[first][inverse])]
+    fail = min(missing + bad[:1].tolist(), default=None)
+    if fail is not None:
+        node, name, value = int(nodes[fail]), tags[fail], float(values[fail])
+        if name not in boundary:
+            raise KeyError(f"mesh tag {name!r} has no boundary assignment")
         if not math.isfinite(value):
             raise ValueError(f"node {node} has a non-finite Dirichlet value {value!r} "
-                             f"from tag {tag_name!r}")
-        prev, prev_tag = seen.setdefault(node, (value, tag_name))
-        if value != prev:
-            raise ValueError(
-                f"node {node} has conflicting Dirichlet values: {prev!r} from tag "
-                f"{prev_tag!r} and {value!r} from tag {tag_name!r}")
-    if not seen:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    nodes = np.array(sorted(seen), dtype=np.int64)
-    values = np.array([seen[int(i)][0] for i in nodes])
-    return nodes, values
+                             f"from tag {name!r}")
+        k = first[inverse[np.searchsorted(pos, fail)]]
+        raise ValueError(
+            f"node {node} has conflicting Dirichlet values: {float(v[k])!r} from tag "
+            f"{tags[pos[k]]!r} and {value!r} from tag {name!r}")
+    return dir_nodes, v[first]
 
 
 def _apply_dirichlet(pattern, data: np.ndarray, rhs: np.ndarray, nodes: np.ndarray,

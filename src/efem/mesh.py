@@ -52,13 +52,15 @@ class BoundaryTag:
 
     kind is "dirichlet" (prescribed potential) or "neumann" (zero normal
     displacement; no assembly contribution).  A Dirichlet value may be a
-    constant or a callable of the node coordinates, the latter is only
-    reachable through the API (case files use constants).
+    constant or a callable, the latter only reachable through the API (case
+    files use constants).  The callable takes the coordinates of all the
+    tag's boundary nodes as one (k, dim) stack and returns their k values;
+    assembly calls it once per tag.
     """
 
     name: str
     kind: str
-    value: float | Callable[[np.ndarray], float] = 0.0
+    value: float | Callable[[np.ndarray], np.ndarray] = 0.0
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "neumann"):
@@ -67,8 +69,25 @@ class BoundaryTag:
             if not math.isfinite(float(self.value)):
                 raise ValueError(f"non-finite Dirichlet value for tag {self.name!r}")
 
-    def value_at(self, x: np.ndarray) -> float:
-        return float(self.value(x)) if callable(self.value) else float(self.value)
+    def values_at(self, x: np.ndarray) -> np.ndarray:
+        """Dirichlet values (k,) at the points x (k, dim)."""
+        if not callable(self.value):
+            return np.full(x.shape[0], float(self.value))
+        return stacked_values(self.value, x, f"Dirichlet callable of tag {self.name!r}")
+
+
+def stacked_values(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                   what: str) -> np.ndarray:
+    """func(x) as k floats for the point stack x (k, dim).
+
+    A point callable takes all its points at once; a scalar or any other
+    shape raises TypeError naming what.
+    """
+    values = np.asarray(func(x), dtype=float)
+    if values.shape != (x.shape[0],):
+        raise TypeError(f"{what} returned shape {values.shape} for {x.shape[0]} points; "
+                        f"it must take a (k, dim) stack and return k values")
+    return values
 
 
 @dataclass
@@ -237,6 +256,16 @@ class Mesh:
         pair_nodes = nodes.ravel()[first]
         pair_nodes.setflags(write=False)
         return pair_nodes, names[tag[first]].tolist()
+
+    @cached_property
+    def centroid_tree(self):
+        """scipy cKDTree of the element centroids, built on first point location
+        and shared by every solution on this mesh."""
+        # imported here: scipy.spatial adds about 5 MB to a process that never
+        # locates a point
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.nodes[self.elements].mean(axis=1))
 
     def face_nodes(self, e: int, lf: int) -> np.ndarray:
         return self.elements[e][list(local_faces(self.dim)[lf])]

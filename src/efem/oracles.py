@@ -17,7 +17,7 @@ import numpy as np
 
 from efem.efem_core import MaterialPair, assemble_global
 from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet
-from efem.mesh import BoundaryTag, Mesh, generate_structured
+from efem.mesh import BoundaryTag, Mesh, generate_structured, row_dot
 from efem.postprocess import SolutionField, build_solution, eval_field
 from efem.solver import bicgstab
 
@@ -74,8 +74,18 @@ class PlanarCase:
     q: float
     interface_y: float = PLANAR_INTERFACE_Y
 
-    def phi(self, x) -> float:
-        return planar_solution(self.q, float(np.asarray(x)[1]))[0]
+    def phi(self, x):
+        """Potential (k,) at points x (k, 2); one point (2,) gives a float."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(self.phi(x[None])[0])
+        y = x[:, 1]
+        outside = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))
+        if outside.size:
+            raise ValueError(f"y = {float(y[outside[0]])} is outside the unit domain")
+        g_lo, g_hi = planar_slopes(self.q)
+        return np.where(y < PLANAR_INTERFACE_Y, g_lo * y,
+                        g_lo * PLANAR_INTERFACE_Y + g_hi * (y - PLANAR_INTERFACE_Y))
 
     def E(self, x, side: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -124,15 +134,18 @@ class SphereCase:
     center: tuple = SPHERE_CENTER
     radius: float = SPHERE_RADIUS
 
-    def phi(self, x) -> float:
+    def phi(self, x):
+        """Potential (k,) at points x (k, 3); one point (3,) gives a float."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(self.phi(x[None])[0])
         rel = x - np.asarray(self.center)
-        r = float(np.linalg.norm(rel))
-        yrel = float(rel[1])
-        if r < self.radius:
-            return 0.5 + 3.0 * yrel / (2.0 + self.q)
+        r = np.sqrt(row_dot(rel, rel))
+        yrel = rel[:, 1]
         k = (1.0 - self.q) / (2.0 + self.q)
-        return 0.5 + yrel * (1.0 + k * self.radius**3 / r**3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outer = 0.5 + yrel * (1.0 + k * self.radius**3 / r**3)
+        return np.where(r < self.radius, 0.5 + 3.0 * yrel / (2.0 + self.q), outer)
 
     def E(self, x, side: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -189,15 +202,18 @@ class CylinderCase:
     center: tuple = CYLINDER_CENTER
     radius: float = CYLINDER_RADIUS
 
-    def phi(self, x) -> float:
+    def phi(self, x):
+        """Potential (k,) at points x (k, 2); one point (2,) gives a float."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(self.phi(x[None])[0])
         rel = x - np.asarray(self.center)
-        r = float(np.linalg.norm(rel))
-        base = float(self.center[1])
-        if r < self.radius:
-            return base + 2.0 * float(rel[1]) / (1.0 + self.q)
+        r = np.sqrt(row_dot(rel, rel))
+        base, yrel = float(self.center[1]), rel[:, 1]
         k = (1.0 - self.q) / (1.0 + self.q)
-        return base + float(rel[1]) * (1.0 + k * self.radius**2 / r**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outer = base + yrel * (1.0 + k * self.radius**2 / r**2)
+        return np.where(r < self.radius, base + 2.0 * yrel / (1.0 + self.q), outer)
 
     def E(self, x, side: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -347,16 +363,22 @@ def reference_solve(case: str, fine_h: float | None = None, q: float = 3.0,
 
 
 def phi_evaluator(sol: SolutionField):
-    """Wrap a solution as a plain point -> phi callable."""
+    """Wrap a solution as a point -> phi callable with the oracles' phi contract.
+
+    A stack (k, dim) is located with one KD-tree query (the locate rule) and
+    gives k potentials; one point gives a float.
+    """
     return lambda x: eval_field(sol, x)[0]
 
 
 def fd_laplacian(func, x, h: float = 1e-3) -> float:
-    """Central-difference Laplacian of a scalar callable at x."""
+    """Central-difference Laplacian at x of a stacked point callable, which
+    gets the 2 dim + 1 stencil points in one call."""
     x = np.asarray(x, dtype=float)
-    total = -2.0 * len(x) * func(x)
-    for i in range(len(x)):
-        step = np.zeros_like(x)
-        step[i] = h
-        total += func(x + step) + func(x - step)
-    return total / h**2
+    d = len(x)
+    steps = h * np.eye(d)
+    f = func(np.vstack([x, x + steps, x - steps]))
+    total = -2.0 * d * f[0]
+    for i in range(d):
+        total += f[1 + i] + f[1 + d + i]
+    return float(total / h**2)

@@ -15,14 +15,13 @@ needed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from efem.efem_core import AssembledSystem, CutState, barycentric, hat_value
-from efem.mesh import Mesh, _write_rows, local_faces, row_dot
+from efem.mesh import Mesh, _write_rows, char_lengths, local_faces, row_dot, stacked_values
 
 _CONTAIN_TOL = 1e-9
 # Pieces of a segment shorter than this, relative to the mesh extent, are
@@ -43,14 +42,6 @@ class SolutionField:
     is_cut: np.ndarray
     cut_data: CutState
     star: np.ndarray                         # phi* of each element of cut_data.ids
-    _tree: cKDTree = field(repr=False, default=None)
-
-    @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            centroids = self.mesh.nodes[self.mesh.elements].mean(axis=1)
-            self._tree = cKDTree(centroids)
-        return self._tree
 
     @property
     def enrichment(self) -> tuple:
@@ -138,10 +129,32 @@ def _containing(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndar
 
 def locate(sol: SolutionField, x, k: int = 32) -> int:
     """Element whose closure contains x; smallest index wins on faces."""
-    found = elements_containing(sol, x, k)
-    if not found:
-        raise ValueError(f"point {np.asarray(x)} is outside the mesh")
-    return found[0]
+    return int(locate_points(sol, np.asarray(x, dtype=float)[None], k)[0])
+
+
+def locate_points(sol: SolutionField, x, k: int = 32) -> np.ndarray:
+    """The locate element (P,) of each point of the stack x (P, d).
+
+    All points share one query of the mesh's centroid KD-tree: a point's
+    candidates are the k elements with the nearest centroids, and one
+    containment test runs over every (point, candidate) pair.  A point that
+    none of its candidates holds tests every element.
+    """
+    x = np.asarray(x, dtype=float)
+    n = sol.mesh.n_elements
+    k = min(k, n)
+    _, idx = sol.mesh.centroid_tree.query(x, k=k)
+    idx = idx.reshape(x.shape[0], k)
+    lam = _barycentric_at(sol, idx.ravel(), np.repeat(x, k, axis=0))
+    inside = (lam.min(axis=1) >= -_CONTAIN_TOL).reshape(idx.shape)
+    owner = np.where(inside, idx, n).min(axis=1)
+    for p in np.flatnonzero(owner == n):
+        # only reachable for thin stretched meshes
+        hits = _containing(sol, np.arange(n), x[p])
+        if hits.size == 0:
+            raise ValueError(f"point {x[p]} is outside the mesh")
+        owner[p] = hits.min()
+    return owner
 
 
 def elements_containing(sol: SolutionField, x, k: int = 32) -> list[int]:
@@ -153,7 +166,7 @@ def elements_containing(sol: SolutionField, x, k: int = 32) -> list[int]:
     x = np.asarray(x, dtype=float)
     n = sol.mesh.n_elements
     k = min(k, n)
-    _, idx = sol.tree.query(x, k=k)
+    _, idx = sol.mesh.centroid_tree.query(x, k=k)
     hits = _containing(sol, np.atleast_1d(idx), x)
     if hits.size == 0 and k < n:
         # only reachable for thin stretched meshes
@@ -173,8 +186,17 @@ def eval_in_element(sol: SolutionField, e: int, x, side: int = 0):
 
 
 def eval_field(sol: SolutionField, x, side: int = 0):
-    """(phi, E) at point x, locating the containing element first."""
-    return eval_in_element(sol, locate(sol, x), x, side)
+    """(phi, E) at point x, locating the containing element first.
+
+    A stack x (P, d) gives phi (P,) and E (P, d); one point is a batch of
+    one and gives a float and E (d,).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        phi, E = eval_field(sol, x[None], side)
+        return float(phi[0]), E[0]
+    phi, E, _ = _evaluate(sol, locate_points(sol, x), x, np.full(x.shape[0], side))
+    return phi, E
 
 
 def side_of(sol: SolutionField, e: int, x) -> int:
@@ -221,11 +243,17 @@ def _clip(sol: SolutionField, start: np.ndarray, v: np.ndarray):
     for point tests) and their exact intervals.  A barycentric coordinate
     that changes by less than the tolerance over the whole segment gives no
     exact bound; the element keeps it only if it holds at both ends.
+
+    Only the elements that _near_segment keeps are clipped; every element it
+    drops would have clipped to nothing, so the result is that of clipping
+    every element.
     """
     m = sol.mesh
-    lam0 = np.einsum("eid,ed->ei", m.grads, start - m.nodes[m.elements[:, 0]])
+    near = _near_segment(m, start, v)
+    grads = m.grads[near]
+    lam0 = np.einsum("eid,ed->ei", grads, start - m.nodes[m.elements[near, 0]])
     lam0[:, 0] += 1.0
-    dlam = np.einsum("eid,d->ei", m.grads, v)
+    dlam = np.einsum("eid,d->ei", grads, v)
 
     tol = 2.0 * _CONTAIN_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -233,10 +261,10 @@ def _clip(sol: SolutionField, start: np.ndarray, v: np.ndarray):
     lo = np.maximum(np.where(dlam > 0.0, ratio, -np.inf).max(axis=1), 0.0)
     hi = np.minimum(np.where(dlam < 0.0, ratio, np.inf).min(axis=1), 1.0)
     flat_ok = ((dlam != 0.0) | (lam0 >= -tol)).all(axis=1)
-    cand = np.nonzero(flat_ok & (lo <= hi))[0]
-    lo, hi = lo[cand], hi[cand]
+    keep = np.nonzero(flat_ok & (lo <= hi))[0]
+    cand, lo, hi = near[keep], lo[keep], hi[keep]
 
-    l0, dl = lam0[cand], dlam[cand]
+    l0, dl = lam0[keep], dlam[keep]
     steep = np.abs(dl) > _CONTAIN_TOL
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = -l0 / dl
@@ -245,6 +273,42 @@ def _clip(sol: SolutionField, start: np.ndarray, v: np.ndarray):
     flat_ok = (steep | (np.minimum(l0, l0 + dl) >= -_CONTAIN_TOL)).all(axis=1)
     b = np.where(flat_ok, b, -np.inf)
     return cand, lo, hi, a, b
+
+
+def _near_segment(m: Mesh, start: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ascending indices of the elements not wholly beyond one face of a prism
+    around the segment start + t v, t in [0, 1].
+
+    The prism's axes are an orthonormal frame whose first axis runs along v
+    (any frame for a point); along each axis it spans the segment's ends,
+    widened by a margin on both sides.  A node gets one outcode bit per
+    face it lies beyond, and an element whose nodes share a bit is dropped.
+    Non-finite ends drop nothing.
+
+    The margin keeps every element that _clip would make a candidate.  That
+    needs a point x of the segment with every barycentric coordinate
+    lam_i(x) >= -tau, tau = 2 _CONTAIN_TOL.  Let f be a face's outward unit
+    normal and a = min_i f.X_i over the element's nodes X_i.  Since the
+    lam_i sum to 1, f.x = a + sum_i lam_i (f.X_i - a) >= a - d tau h: at
+    most d coordinates are negative, and 0 <= f.X_i - a <= h, the mesh's
+    longest edge.  So if all the nodes lie more than d tau h beyond the
+    face, no such x is on the segment's side of it.  Rounding moves both
+    this test and _clip's by a few eps times the coordinates; 1e-12 times
+    the largest coordinate covers that.
+    """
+    scale = max(np.abs(m.nodes).max(), np.abs(start).max(), np.abs(start + v).max())
+    margin = m.dim * 2.0 * _CONTAIN_TOL * char_lengths(m).max() + 1e-12 * scale
+    frame = np.linalg.svd(v[None])[2] if np.isfinite(v).all() else np.eye(m.dim)
+    ends = frame @ np.column_stack([start, start + v])          # (d, 2)
+    proj = m.nodes @ frame.T
+    code = np.zeros(m.n_nodes, dtype=np.uint8)
+    for k in range(m.dim):
+        code |= (proj[:, k] < ends[k].min() - margin).astype(np.uint8) << 2 * k
+        code |= (proj[:, k] > ends[k].max() + margin).astype(np.uint8) << 2 * k + 1
+    shared = code[m.elements[:, 0]]
+    for i in range(1, m.dim + 1):
+        shared &= code[m.elements[:, i]]
+    return np.flatnonzero(shared == 0)
 
 
 def _ranges(first: np.ndarray, count: np.ndarray):
@@ -331,7 +395,7 @@ def sample_line(sol: SolutionField, start, end, count: int = 1001) -> LineSample
     cand, lo, hi, a, b = _clip(sol, start, v)
     base_e = _owners(sol, base_pts, base_t, cand, lo, hi)
     length = float(np.linalg.norm(v))
-    extent = float(np.ptp(sol.mesh.nodes, axis=0).max())
+    extent = max(float(np.ptp(c)) for c in sol.mesh.nodes.T)
     sliver = _SLIVER * extent / length if length > 0.0 else np.inf
     owners, bounds = _walk(cand, lo, hi, a, b, sliver, start, v)
     runs = np.arange(owners.size)
@@ -398,14 +462,18 @@ def l2_line_error(sol: SolutionField, reference, start, end, count: int = 1001) 
     """Line L2 norm sqrt(int (phi_h - phi_ref)^2 ds) by the trapezoid rule.
 
     Sample points include forced nodes at element boundaries and interface
-    crossings; count is floored at 1000 intervals.  reference is a callable
-    point -> phi.
+    crossings; count is floored at 1000 intervals.  reference takes the
+    (k, dim) stack of sample points and returns their k potentials, as the
+    oracles' phi does; any other shape raises TypeError.
     """
-    sample = sample_line(sol, start, end, max(count, 1001))
-    ref = np.array([float(reference(p)) for p in sample.points])
+    return sample_l2_error(sample_line(sol, start, end, max(count, 1001)), reference)
+
+
+def sample_l2_error(sample: LineSample, reference) -> float:
+    """The l2_line_error of a line sample already taken (same reference contract)."""
+    ref = stacked_values(reference, sample.points, "l2_line_error reference")
     g = (sample.phi - ref) ** 2
-    s = sample.arclength
-    return float(np.sqrt(_trapezoid(g, s)))
+    return float(np.sqrt(_trapezoid(g, sample.arclength)))
 
 
 def observed_order(hs, errors) -> float:

@@ -365,11 +365,11 @@ def _patch_exactness():
     levelset = PlaneLevelSet((0.0, 0.3), (-1.0, 1.0))
 
     def g(x):
-        return 0.3 * x[0] + 0.7 * x[1] + 0.1
+        return 0.3 * x[:, 0] + 0.7 * x[:, 1] + 0.1
 
     boundary = {t: BoundaryTag(t, "dirichlet", g)
                 for t in ("left", "right", "bottom", "top")}
-    exact = np.array([g(x) for x in mesh.nodes])
+    exact = g(mesh.nodes)
     worst = 0.0
     for mode in ("standard", "efem"):
         asm = assemble_global(mesh, levelset, MaterialPair(2.0, 2.0), mode, boundary)

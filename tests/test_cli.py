@@ -278,6 +278,32 @@ def test_repeat_runs_are_byte_identical(tmp_path, case):
     assert sa == sb
 
 
+@pytest.mark.parametrize("case", ["inclined", "sphere"])
+def test_solve_clips_each_line_once_and_reports_its_l2_error(tmp_path, case):
+    """The L2 error comes from the sample taken for the CSV, with the value
+    l2_line_error gives."""
+    from unittest import mock
+
+    from efem import cli, postprocess
+
+    clipped = []
+    clip = postprocess._clip
+    with mock.patch.object(postprocess, "_clip",
+                           lambda *args: clipped.append(args[1]) or clip(*args)):
+        assert main(["solve", case, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(clipped) == len(summary["lines"])
+
+    text, name, base = cli._case_text(case)
+    cfg = cli.parse_case(text, name)
+    asm = next(cli._assemble(cfg, cli._load_mesh(cfg, base), [cfg.mode]))
+    phi, _ = cli.solve(asm.matrix, asm.rhs, tol=cfg.tol)
+    sol, reference = postprocess.build_solution(asm, phi), cli._reference_evaluator(cfg)
+    for line, (start, end) in cfg.lines.items():
+        want = postprocess.l2_line_error(sol, reference, start, end)
+        assert summary["lines"][line]["l2_error"] == want
+
+
 def test_modes_share_sampling_geometry(tmp_path):
     """Mode choice changes values, never where or how they are sampled."""
     samples = {}

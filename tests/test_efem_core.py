@@ -437,7 +437,7 @@ def test_assembly_rejects_conflicting_dirichlet_values():
 def test_assembly_rejects_non_finite_callable_dirichlet_value():
     mesh = generate_structured(2, 2)
     boundary = box_boundary(2)
-    boundary["top"] = BoundaryTag("top", "dirichlet", lambda x: float("nan"))
+    boundary["top"] = BoundaryTag("top", "dirichlet", lambda x: np.full(len(x), np.nan))
     e, lf = next((e, lf) for e, lf, tag in mesh.boundary_faces if tag == "top")
     node = int(mesh.face_nodes(e, lf)[0])
     with pytest.raises(ValueError) as info:
@@ -448,12 +448,23 @@ def test_assembly_rejects_non_finite_callable_dirichlet_value():
 def test_dirichlet_callable_is_evaluated_once_per_node_and_tag():
     mesh = generate_structured(3, 3)
     calls = []
-    boundary = {t: BoundaryTag(t, "dirichlet", lambda x, t=t: calls.append(t) or float(x[2]))
-                for t in ("left", "right", "bottom", "top", "front", "back")}
+
+    def height(tag):
+        def value(x):
+            calls.append((tag, x.tolist()))
+            return x[:, 2]
+        return value
+
+    tags = ("left", "right", "bottom", "top", "front", "back")
+    boundary = {t: BoundaryTag(t, "dirichlet", height(t)) for t in tags}
     asm = assemble_global(mesh, PlaneLevelSet((0.0, 0.0, 0.4), (0.0, 0.0, 1.0)),
                           planar_materials(3), "efem", boundary)
+    node_of = {tuple(p): i for i, p in enumerate(mesh.nodes.tolist())}
+    evaluated = [(node_of[tuple(p)], tag) for tag, points in calls for p in points]
     pairs = {(int(n), tag) for e, lf, tag in mesh.boundary_faces for n in mesh.face_nodes(e, lf)}
-    assert len(calls) == len(pairs) < sum(mesh.dim for _ in mesh.boundary_faces)
+    assert sorted(tag for tag, _ in calls) == sorted(tags)          # one call per tag
+    assert len(evaluated) == len(set(evaluated)) and set(evaluated) == pairs
+    assert len(evaluated) < sum(mesh.dim for _ in mesh.boundary_faces)
     assert np.array_equal(asm.dirichlet_values, mesh.nodes[asm.dirichlet_nodes, 2])
 
 
@@ -517,10 +528,10 @@ def test_patch_linear_field():
     levelset = PlaneLevelSet((0.0, 0.3), (-1.0, 1.0))    # cuts the mesh at 45 degrees
 
     def g(x):
-        return 0.3 * x[0] + 0.7 * x[1] + 0.1
+        return 0.3 * x[:, 0] + 0.7 * x[:, 1] + 0.1
 
     boundary = {t: BoundaryTag(t, "dirichlet", g) for t in ("left", "right", "bottom", "top")}
-    exact = np.array([g(x) for x in mesh.nodes])
+    exact = g(mesh.nodes)
     for mode in ("standard", "efem"):
         asm = assemble_global(mesh, levelset, MaterialPair(2.5, 2.5), mode, boundary)
         assert asm.classification.cut_elements.size > 0
@@ -534,11 +545,11 @@ def test_patch_linear_field_3d():
     levelset = PlaneLevelSet((0.0, 0.0, 0.3), (0.1, 0.2, 1.0))
 
     def g(x):
-        return 0.4 * x[0] - 0.2 * x[1] + 0.5 * x[2]
+        return 0.4 * x[:, 0] - 0.2 * x[:, 1] + 0.5 * x[:, 2]
 
     tags = ("left", "right", "bottom", "top", "front", "back")
     boundary = {t: BoundaryTag(t, "dirichlet", g) for t in tags}
-    exact = np.array([g(x) for x in mesh.nodes])
+    exact = g(mesh.nodes)
     asm = assemble_global(mesh, levelset, MaterialPair(1.5, 1.5), "efem", boundary)
     assert asm.classification.cut_elements.size > 0
     phi, rep = solve(asm.matrix, asm.rhs, tol=1e-12)

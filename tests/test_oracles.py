@@ -146,7 +146,7 @@ def test_cylinder_polar_continuity():
 
 
 def test_fd_laplacian_on_quadratic():
-    f = lambda x: float(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+    f = lambda x: x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2
     assert abs(fd_laplacian(f, np.array([0.3, 0.4, 0.5])) - 6.0) < 1e-5
 
 
@@ -173,7 +173,7 @@ def test_reference_solve_rejects_unknown_case():
 
 def test_conforming_reference_q1_is_uniform_field():
     sol = reference_solve("inclined", fine_h=0.05, q=1.0)
-    err = l2_line_error(sol, lambda p: p[1], (0.3, 0.0), (0.3, 1.0))
+    err = l2_line_error(sol, lambda p: p[:, 1], (0.3, 0.0), (0.3, 1.0))
     assert err < 1e-8
 
 

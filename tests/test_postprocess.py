@@ -136,9 +136,8 @@ def test_sample_line_crossing_pair(planar_q3_efem):
 
 
 def test_l2_error_of_solution_against_itself(planar_q3_efem):
-    def reference(p):
-        phi, _ = eval_field(planar_q3_efem, p)
-        return phi
+    def reference(points):
+        return np.array([eval_field(planar_q3_efem, p)[0] for p in points])
 
     err = l2_line_error(planar_q3_efem, reference, (0.5, 0.0), (0.5, 1.0))
     assert err < 1e-14
@@ -146,12 +145,13 @@ def test_l2_error_of_solution_against_itself(planar_q3_efem):
 
 def test_l2_error_linear_vs_zero(planar_solver):
     sol = planar_solver(1.0, 5, "efem")       # exact solution is phi = y
-    err = l2_line_error(sol, lambda p: 0.0, (0.5, 0.0), (0.5, 1.0))
+    err = l2_line_error(sol, lambda p: np.zeros(len(p)), (0.5, 0.0), (0.5, 1.0))
     assert abs(err - np.sqrt(1.0 / 3.0)) < 1e-5
 
 
 def test_l2_error_against_exact(planar_q3_efem):
-    err = l2_line_error(planar_q3_efem, lambda p: planar_solution(3.0, p[1])[0],
+    err = l2_line_error(planar_q3_efem,
+                        lambda p: np.array([planar_solution(3.0, y)[0] for y in p[:, 1]]),
                         (0.5, 0.0), (0.5, 1.0))
     assert err < 1e-6
 

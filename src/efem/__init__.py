@@ -10,8 +10,6 @@ from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_me
 from efem.interface import (
     CircleLevelSet,
     Classification,
-    CutDecomposition,
-    DegenerateCutError,
     NodalLevelSet,
     PlaneLevelSet,
     SphereLevelSet,
@@ -22,7 +20,6 @@ from efem.efem_core import (
     MODES,
     AssembledSystem,
     MaterialPair,
-    SingularEnrichmentError,
     SingularSystemError,
     assemble_global,
 )
@@ -44,13 +41,11 @@ from efem.postprocess import (
     export_vtk,
     interface_potential_mismatch,
     l2_line_error,
-    locate,
     locate_points,
     observed_order,
     read_csv_sample,
     sample_l2_error,
     sample_line,
-    side_of,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ from efem.mesh import BoundaryTag, Mesh, face_measure_normal, local_faces, row_d
 from efem.interface import (
     Classification,
     CutBatch,
-    CutDecomposition,
     SNAP_TOL,
     classify_elements,
     cut_exterior_faces,
@@ -43,10 +42,6 @@ MODES = ("standard", "efem-nod", "efem")
 
 # Relative size of Kenr - Denr against |K| below which condensation is refused.
 CONDENSE_GUARD = 1e-14
-
-
-class SingularEnrichmentError(Exception):
-    """Kenr - Denr vanished; the enrichment cannot be condensed."""
 
 
 class SingularSystemError(Exception):
@@ -78,19 +73,19 @@ class MaterialPair:
 
 @dataclass
 class ElementSystem:
-    """Uncondensed blocks of one element, or of k elements stacked along a
-    first axis; enrichment parts are zero if uncut.  condense fills in the
-    condensed block, the recovery vector and the margin |Kenr - Denr| /
-    max(|K|, 1) (inf where there is no enrichment)."""
+    """Uncondensed blocks of k elements stacked along a first axis;
+    enrichment parts are zero if uncut.  condense fills in the condensed
+    blocks, the recovery vectors and the margins |Kenr - Denr| / max(|K|, 1)
+    (inf where there is no enrichment)."""
 
-    K: np.ndarray                # (n, n)
-    B: np.ndarray                # (n,)
-    Kenr: float
-    D: np.ndarray                # (n,)
-    Denr: float
+    K: np.ndarray                # (k, n, n)
+    B: np.ndarray                # (k, n)
+    Kenr: np.ndarray             # (k,)
+    D: np.ndarray                # (k, n)
+    Denr: np.ndarray             # (k,)
     condensed: np.ndarray | None = None
     recovery: np.ndarray | None = None
-    margin: float | np.ndarray | None = None
+    margin: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +96,11 @@ def hat_gradients(grads: np.ndarray, nodal_d: np.ndarray):
     """Constant enrichment gradient on the positive and negative side.
 
     grad Nbar = sum_i grad N_i |d_i| - s * sum_i grad N_i d_i  with s the
-    side sign.  Returns (grad_pos, grad_neg): (k, d) each for grads
-    (k, d+1, d) and nodal_d (k, d+1), (d,) each for one element.
+    side sign.  Returns (grad_pos, grad_neg), (k, d) each, for grads
+    (k, d+1, d) and nodal_d (k, d+1).
     """
     grads = np.asarray(grads, dtype=float)
     d = np.asarray(nodal_d, dtype=float)
-    if grads.ndim == 2:
-        g_pos, g_neg = hat_gradients(grads[None], d[None])
-        return g_pos[0], g_neg[0]
     gT = grads.transpose(0, 2, 1)
     g_abs = np.matmul(gT, np.abs(d)[..., None])[..., 0]
     g_lin = np.matmul(gT, d[..., None])[..., 0]
@@ -118,32 +110,21 @@ def hat_gradients(grads: np.ndarray, nodal_d: np.ndarray):
 def hat_value(shape_values: np.ndarray, nodal_d: np.ndarray):
     """Nbar from P1 shape function values.
 
-    shape_values (k, d+1) with nodal_d (k, d+1) or (d+1,) give (k,); one
-    point (d+1,) gives a float.
+    shape_values (k, d+1) with nodal_d (k, d+1), or (d+1,) shared by all
+    k points, give (k,).
     """
     lam = np.asarray(shape_values, dtype=float)
     d = np.asarray(nodal_d, dtype=float)
-    if lam.ndim == 1:
-        return float(hat_value(lam[None], d)[0])
     return row_dot(lam, np.abs(d)) - np.abs(row_dot(lam, d))
-
-
-def hat_eval(coords: np.ndarray, nodal_d: np.ndarray, x) -> float:
-    """Pointwise enrichment value from vertex coordinates and distances."""
-    lam = barycentric(coords, np.asarray(x, dtype=float))
-    return hat_value(lam, nodal_d)
 
 
 def barycentric(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     """P1 shape values of points in simplices, one linear solve per point.
 
-    coords (k, d+1, d) and x (k, d) give (k, d+1); one simplex (d+1, d) and
-    one point (d,) give (d+1,).
+    coords (k, d+1, d) and x (k, d) give (k, d+1).
     """
     coords = np.asarray(coords, dtype=float)
     x = np.asarray(x, dtype=float)
-    if coords.ndim == 2:
-        return barycentric(coords[None], x[None])[0]
     k, n, d = coords.shape
     A = np.ones((k, n, n))
     A[:, :d, :] = coords.transpose(0, 2, 1)
@@ -155,24 +136,20 @@ def barycentric(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # element integrals
 #
-# Each kernel takes k elements stacked along a first axis; one element is a
-# batch of one and gets today's scalar types back.
+# Each kernel takes k elements stacked along a first axis and gives k results.
 
 
 def element_matrices(coords, measure, grads, materials: MaterialPair,
-                     deco: CutBatch | CutDecomposition | None = None, sign=1) -> ElementSystem:
-    """Volume blocks K, B, Kenr.
+                     deco: CutBatch | None = None, sign=1) -> ElementSystem:
+    """Volume blocks K, B, Kenr of k elements: coords (k, d+1, d), measure
+    (k,), grads (k, d+1, d).
 
     All integrands are piecewise constant (P1 plus hat), so one centroid
     value per child integrates exactly; children are summed in table order.
-    Uncut elements take the single permittivity of their side.
+    Uncut elements (deco None) take the single permittivity of their side,
+    sign (k,) or one for all.
     """
     grads = np.asarray(grads, dtype=float)
-    if grads.ndim == 2:
-        out = element_matrices(np.asarray(coords)[None], np.atleast_1d(measure), grads[None],
-                               materials, None if deco is None else deco.batch,
-                               np.atleast_1d(sign))
-        return ElementSystem(out.K[0], out.B[0], float(out.Kenr[0]), out.D[0], float(out.Denr[0]))
     k, n, dim = grads.shape
     gg = np.matmul(grads, grads.transpose(0, 2, 1))
     zeros = (np.zeros((k, n)), np.zeros(k))
@@ -196,8 +173,7 @@ def element_matrices(coords, measure, grads, materials: MaterialPair,
     return ElementSystem(K, B, kenr, *zeros)
 
 
-def element_displacement_terms(coords, grads, materials: MaterialPair,
-                               deco: CutBatch | CutDecomposition):
+def element_displacement_terms(coords, grads, materials: MaterialPair, deco: CutBatch):
     """Exterior-face blocks D_i = int Nbar n.(eps grad N_i) and Denr.
 
     Integrates over every exterior face piece; Nbar vanishes identically on
@@ -206,14 +182,9 @@ def element_displacement_terms(coords, grads, materials: MaterialPair,
     (1-t)|d_a| + t|d_b| at the virtual node on edge (a, b), so the mean of
     its vertex values times the piece measure integrates it exactly.  eps
     and grad Nbar come from the side owning the piece; n is the element
-    outward normal of the face.  Returns (D (k, n), Denr (k,)), or (D (n,),
-    Denr float) for one element.
+    outward normal of the face.  Returns (D (k, n), Denr (k,)).
     """
     grads = np.asarray(grads, dtype=float)
-    if grads.ndim == 2:
-        D, Denr = element_displacement_terms(np.asarray(coords)[None], grads[None],
-                                             materials, deco.batch)
-        return D[0], float(Denr[0])
     coords = np.asarray(coords, dtype=float)
     k, n, dim = grads.shape
     pieces = cut_exterior_faces(deco)
@@ -234,26 +205,16 @@ def element_displacement_terms(coords, grads, materials: MaterialPair,
     return D, (w * gn).sum(axis=(1, 2))
 
 
-def condense(system: ElementSystem, guard: float = CONDENSE_GUARD) -> ElementSystem:
+def condense(system: ElementSystem) -> ElementSystem:
     """Eliminate phi*: condensed = K - B (Kenr - Denr)^-1 (B - D)^T.
 
     The recovery vector r gives phi* = r . phi_element.  With D terms the
     condensed block is generally nonsymmetric.  A block with no enrichment
     at all (uncut element) passes through unchanged with r = 0.  Sets
-    margin = |Kenr - Denr| / max(|K|, 1); a stack of blocks keeps going
-    past singular ones (margin <= guard), which hold no meaningful result,
-    while a single one raises SingularEnrichmentError.
+    margin = |Kenr - Denr| / max(|K|, 1) per block and keeps going past
+    singular blocks (margin <= CONDENSE_GUARD), which hold no meaningful
+    result; the caller falls back on those.
     """
-    if np.ndim(system.K) == 2:
-        one = condense(ElementSystem(system.K[None], system.B[None], np.array([system.Kenr]),
-                                     system.D[None], np.array([system.Denr])), guard)
-        if one.margin[0] <= guard:
-            raise SingularEnrichmentError(
-                f"enrichment scalar {system.Kenr - system.Denr:.3e} is singular against "
-                f"|K| = {np.linalg.norm(system.K):.3e}")
-        system.condensed, system.recovery = one.condensed[0], one.recovery[0]
-        system.margin = float(one.margin[0])
-        return system
     K, B, D = system.K, system.B, system.D
     k = K.shape[0]
     plain = (system.Kenr == 0.0) & (system.Denr == 0.0) & ~B.any(axis=1) & ~D.any(axis=1)
@@ -335,9 +296,9 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     condensed, falls back to the permittivity of its larger side.
 
     Every element block is scattered into the mesh's fixed P1 pattern by one
-    bincount, so each matrix entry sums its element contributions in
-    element order.  The pattern (a row-identity Dirichlet treatment
-    included) is identical across modes and level sets.
+    unbuffered np.add.at, so each matrix entry sums its element
+    contributions in element order.  The pattern (a row-identity Dirichlet
+    treatment included) is identical across modes and level sets.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -387,7 +348,10 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     blocks *= weight[:, None, None]
     blocks[ids] = condensed[ok]
     pattern = mesh.pattern
-    data = np.bincount(pattern.slots.ravel(), weights=blocks.ravel(), minlength=pattern.nnz)
+    # add.at, not bincount: bincount copies the read-only slots first
+    # (25 MB at 3D n=32); both sum in element order, to the same bits
+    data = np.zeros(pattern.nnz)
+    np.add.at(data, pattern.slots.ravel(), blocks.ravel())
     del blocks
     rhs = np.zeros(mesh.n_nodes)
     _apply_dirichlet(pattern, data, rhs, dir_nodes, dir_values)

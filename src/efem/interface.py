@@ -9,7 +9,7 @@ measures sum to the parent measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -17,10 +17,6 @@ import numpy as np
 from efem.mesh import Mesh, char_lengths, face_measure_normal, local_faces, row_dot, signed_measures
 
 SNAP_TOL = 1e-6
-
-
-class DegenerateCutError(Exception):
-    """A cut produced a child too small to integrate reliably."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +43,8 @@ class PlaneLevelSet:
             raise ValueError("plane normal must be nonzero")
         self.normal = n / norm
 
-    def evaluate(self, x) -> float:
-        return float(np.dot(np.asarray(x, dtype=float) - self.point, self.normal))
-
-    def evaluate_many(self, points) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
+        """Distances (k,) at the points (k, dim)."""
         return (np.asarray(points, dtype=float) - self.point) @ self.normal
 
 
@@ -65,10 +59,8 @@ class CircleLevelSet:
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
 
-    def evaluate(self, x) -> float:
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center) - self.radius)
-
-    def evaluate_many(self, points) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
+        """Distances (k,) at the points (k, dim)."""
         return np.linalg.norm(np.asarray(points, dtype=float) - self.center, axis=1) - self.radius
 
 
@@ -94,10 +86,7 @@ class NodalLevelSet:
             raise ValueError(f"nodal level set value at node {int(bad[0])} is not finite "
                              f"({self.values[bad[0]]}); {bad.size} non-finite in all")
 
-    def evaluate(self, x) -> float:
-        raise ValueError("nodal level set has no off-node distance; use nodal values")
-
-    def evaluate_many(self, points) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
         raise ValueError("nodal level set has no off-node distance; use nodal values")
 
 
@@ -110,7 +99,7 @@ def nodal_distances(levelset, mesh: Mesh) -> np.ndarray:
                 f"but the mesh has {mesh.n_nodes} nodes"
             )
         return levelset.values.copy()
-    return levelset.evaluate_many(mesh.nodes)
+    return levelset.evaluate(mesh.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +125,15 @@ class Classification:
         return np.nonzero(self.is_cut)[0]
 
 
-def snap_distances(d: np.ndarray, h: float | np.ndarray, snap_tol: float = SNAP_TOL) -> np.ndarray:
-    """Push near-zero distances away from the interface, preserving sign.
-
-    Exact zeros are assigned to the positive side.  Guarantees |d| >= tol so
-    every later sign test is strict.
-    """
-    out = np.array(d, dtype=float)
-    t = np.broadcast_to(np.asarray(snap_tol * h, dtype=float), out.shape)
-    small = np.abs(out) < t
-    sign = np.where(out < 0.0, -1.0, 1.0)       # d == 0 goes positive
-    out[small] = (sign * t)[small]
-    return out
-
-
 def classify_elements(mesh: Mesh, levelset, snap_tol: float = SNAP_TOL) -> Classification:
     """Evaluate, snap and sign-classify every element of the mesh.
 
-    Near-interface nodes join the sign shared by the element's remaining
-    nodes when there is one, so an element touching the interface only at
-    nodes comes out uncut instead of producing a sliver cut.  In elements
-    that are clearly mixed, snapping preserves each node's own sign (exact
-    zeros go positive, as in :func:`snap_distances`).
+    A distance below snap_tol times the element's longest edge is pushed out
+    to that threshold, so every later sign test is strict.  Near-interface
+    nodes join the sign shared by the element's remaining nodes when there
+    is one, so an element touching the interface only at nodes comes out
+    uncut instead of producing a sliver cut.  In elements that are clearly
+    mixed, snapping preserves each node's own sign (exact zeros go positive).
     """
     raw = nodal_distances(levelset, mesh)
     gathered = raw[mesh.elements].astype(float)         # (M, d+1)
@@ -189,29 +165,28 @@ def classify_elements(mesh: Mesh, levelset, snap_tol: float = SNAP_TOL) -> Class
 # ascending; for 2-2 the positive pair, then the negative pair, each
 # ascending.  In a table, point p < nv is the vertex in role p and point
 # nv + k is the virtual node on role edge k, placed from the edge's first
-# role.  Child signs are relative to the vertex in role 0.  Where a quad
-# can split along either diagonal there is one table per diagonal.
+# role.  The children's signs are relative to the vertex in role 0.  Where a
+# quad can split along either diagonal there is one table per diagonal.
 
 _CONFIGS = {
     2: (
         # lone node; the quad X0 o1 o2 X1 splits along X0-o2, or along o1-X1
-        (((0, 1), (0, 2)), ((3, 4, 0), (3, 1, 2), (3, 2, 4)), (1, -1, -1), ((3, 4),)),
-        (((0, 1), (0, 2)), ((3, 4, 0), (3, 1, 4), (1, 2, 4)), (1, -1, -1), ((3, 4),)),
+        (((0, 1), (0, 2)), ((3, 4, 0), (3, 1, 2), (3, 2, 4)), (1, -1, -1)),
+        (((0, 1), (0, 2)), ((3, 4, 0), (3, 1, 4), (1, 2, 4)), (1, -1, -1)),
     ),
     3: (
         # 1-3: the lone vertex's tet, then the prism X0 X1 X2 | o1 o2 o3 in a
         # staircase split (its lateral quads are planar)
         (((0, 1), (0, 2), (0, 3)),
-         ((0, 4, 5, 6), (4, 5, 6, 1), (5, 6, 1, 2), (6, 1, 2, 3)), (1, -1, -1, -1),
-         ((4, 5, 6),)),
+         ((0, 4, 5, 6), (4, 5, 6, 1), (5, 6, 1, 2), (6, 1, 2, 3)), (1, -1, -1, -1)),
         # 2-2: the interface quad X0 X1 X2 X3 (edges a1b1, a1b2, a2b2, a2b1)
         # splits along X0-X2, or along X1-X3
         (((0, 2), (0, 3), (1, 3), (1, 2)),
          ((0, 4, 5, 6), (0, 4, 6, 7), (0, 1, 7, 6), (2, 4, 5, 6), (2, 4, 6, 7), (2, 3, 5, 6)),
-         (1, 1, 1, -1, -1, -1), ((4, 5, 6), (4, 6, 7))),
+         (1, 1, 1, -1, -1, -1)),
         (((0, 2), (0, 3), (1, 3), (1, 2)),
          ((0, 4, 5, 7), (0, 5, 6, 7), (0, 1, 7, 6), (2, 4, 5, 7), (2, 5, 6, 7), (2, 3, 5, 6)),
-         (1, 1, 1, -1, -1, -1), ((4, 5, 7), (5, 6, 7))),
+         (1, 1, 1, -1, -1, -1)),
     ),
 }
 _LONE, _TWO_TWO_A, _TWO_TWO_B = 0, 1, 2       # 3D table indices
@@ -230,45 +205,9 @@ class _Tables:
         self.signs = np.array([c[2] + c[2][:1] * (nc - len(c[2])) for c in configs])
         self.n_virtual = np.array([len(c[0]) for c in configs])
         self.n_children = np.array([len(c[1]) for c in configs])
-        self.facets = [c[3] for c in configs]
 
 
 _TABLES = {dim: _Tables(configs) for dim, configs in _CONFIGS.items()}
-
-
-# ---------------------------------------------------------------------------
-# decomposition types
-
-
-@dataclass
-class Child:
-    """Sign-homogeneous child simplex of a cut element.
-
-    refs identifies each vertex: ("n", local_node) for a parent vertex or
-    ("x", (a, b)) for the virtual node on the cut parent edge a < b.
-    """
-
-    vertices: np.ndarray         # (dim+1, dim)
-    sign: int
-    measure: float
-    refs: tuple = ()
-
-
-@dataclass
-class FacePiece:
-    vertices: np.ndarray         # (2, dim) segment or (3, dim) triangle
-    sign: int
-    measure: float
-
-
-@dataclass
-class FaceCut:
-    local_face: int
-    pieces: list[FacePiece]
-
-    @property
-    def crossed(self) -> bool:
-        return len(self.pieces) > 1
 
 
 @dataclass
@@ -276,7 +215,8 @@ class CutBatch:
     """Exact sign-homogeneous decomposition of k cut simplices, stacked.
 
     points holds each element's parent vertices in local order, then its
-    virtual nodes; children, interface facets and face pieces index it.
+    virtual nodes, which are the vertices of its interface facet; children
+    and face pieces index it.
     Entries past n_virtual / n_children pad the widest configuration;
     padding children have zero measure.  A degenerate element has a child
     below 1e-14 of its measure and is decomposed all the same.
@@ -310,24 +250,6 @@ class CutBatch:
         return pos, neg
 
 
-@dataclass
-class CutDecomposition:
-    """Exact sign-homogeneous decomposition of one cut simplex: a batch of one."""
-
-    coords: np.ndarray           # parent vertices, (dim+1, dim)
-    nodal_d: np.ndarray          # snapped distances, (dim+1,)
-    children: list[Child]
-    interface_facet: list[np.ndarray]
-    batch: CutBatch = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[1]
-
-    def measure_by_sign(self, sign: int) -> float:
-        return sum(c.measure for c in self.children if c.sign == sign)
-
-
 def _exceeds(x, y):
     """x > y by more than a relative 1e-12, so that ties pick the A diagonal.
 
@@ -343,21 +265,13 @@ def split_simplex(coords, nodal_d):
 
     coords (k, d+1, d) and nodal_d (k, d+1) give a :class:`CutBatch`.  2D
     produces 1 + 2 triangles; 3D produces 1 + 3 (one node isolated) or
-    3 + 3 (two nodes per side) tetrahedra.  Child measures sum exactly to
-    the parent measure.  One simplex (d+1, d) gives a
-    :class:`CutDecomposition`, and a child below 1e-14 of the parent raises
-    DegenerateCutError so the caller can fall back to an uncut treatment.
+    3 + 3 (two nodes per side) tetrahedra.  The children's measures sum
+    exactly to the parent measure.  An element with a child below 1e-14 of
+    the parent is flagged degenerate, so the caller can fall back to an
+    uncut treatment.
     """
     coords = np.asarray(coords, dtype=float)
     d = np.array(nodal_d, dtype=float)
-    if coords.ndim == 2:
-        batch = split_simplex(coords[None], d[None])
-        small = batch.child_measure[0][:batch.n_children[0]] < 1e-14 * batch.measure[0]
-        if small.any():
-            raise DegenerateCutError(
-                f"child measure {batch.child_measure[0][np.argmax(small)]:.3e} below 1e-14 "
-                f"of parent {batch.measure[0]:.3e}")
-        return _decomposition(batch)
     if (d == 0.0).any() or not ((d > 0).any(axis=1) & (d < 0).any(axis=1)).all():
         raise ValueError("split_simplex needs snapped, strictly mixed-sign distances")
     k, nv, dim = coords.shape
@@ -414,7 +328,7 @@ def split_simplex(coords, nodal_d):
 
 
 def _oriented(points, roles, table):
-    """Children of a table as point indices, each reordered to positive
+    """The children of a table as point indices, each reordered to positive
     orientation, with their vertices and their measures.
 
     All children are oriented in one stacked call and measured in a second
@@ -433,20 +347,6 @@ def _oriented(points, roles, table):
     return refs, verts, measures
 
 
-def _decomposition(batch: CutBatch) -> CutDecomposition:
-    """The single element of a batch of one in per-child form."""
-    nv = batch.coords.shape[1]
-    pts = batch.points[0]
-    ref = ([("n", p) for p in range(nv)]
-           + [("x", (a, b)) for a, b in batch.virtual_edges[0].tolist()])
-    children = [Child(pts[c], s, m, tuple(ref[p] for p in c))
-                for c, s, m in zip(batch.children[0][:batch.n_children[0]].tolist(),
-                                   batch.child_sign[0].tolist(), batch.child_measure[0].tolist())]
-    dim = batch.coords.shape[2]
-    facets = [pts[list(f)] for f in _TABLES[dim].facets[batch.config[0]]]
-    return CutDecomposition(batch.coords[0], batch.nodal_d[0], children, facets, batch)
-
-
 # ---------------------------------------------------------------------------
 # exterior faces
 
@@ -455,7 +355,7 @@ _OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 @dataclass
-class FacePieces:
+class FaceBatch:
     """Sign-homogeneous pieces of the exterior faces of k cut simplices.
 
     Face f is local face f.  points (k, nf, P, dim) index the points of the
@@ -469,28 +369,16 @@ class FacePieces:
     count: np.ndarray            # (k, nf)
 
 
-def cut_exterior_faces(deco):
+def cut_exterior_faces(b: CutBatch) -> FaceBatch:
     """Partition each exterior face of cut elements into sign-homogeneous pieces.
 
-    A :class:`CutBatch` gives :class:`FacePieces`; one
-    :class:`CutDecomposition` gives a FaceCut per local face.  A face the
-    interface misses comes back whole with its single sign.  A crossed edge
-    splits at its virtual node; a crossed triangle splits into the lone
-    vertex's triangle (m, P, Q) and the quad (P, p, q, Q) cut along P-q,
-    with p, q in face order and P, Q the virtual nodes on edges (m, p) and
-    (m, q).  Piece measures sum to the face measure exactly; all pieces are
-    measured in one stacked call.
+    A face the interface misses comes back whole with its single sign.  A
+    crossed edge splits at its virtual node; a crossed triangle splits into
+    the lone vertex's triangle (m, P, Q) and the quad (P, p, q, Q) cut along
+    P-q, with p, q in face order and P, Q the virtual nodes on edges (m, p)
+    and (m, q).  Piece measures sum to the face measure exactly; all pieces
+    are measured in one stacked call.
     """
-    if isinstance(deco, CutDecomposition):
-        pieces = cut_exterior_faces(deco.batch)
-        pts = deco.batch.points[0]
-        cuts = []
-        for f, n in enumerate(pieces.count[0].tolist()):
-            rows = zip(pieces.points[0, f, :n], pieces.sign[0, f, :n].tolist(),
-                       pieces.measure[0, f, :n].tolist())
-            cuts.append(FaceCut(f, [FacePiece(pts[p], s, m) for p, s, m in rows]))
-        return cuts
-    b = deco
     k, nv, dim = b.coords.shape
     rows = np.arange(k)[:, None]
     vmap = np.zeros((k, nv, nv), dtype=np.intp)           # local edge -> virtual point
@@ -525,4 +413,4 @@ def cut_exterior_faces(deco):
     with np.errstate(invalid="ignore", divide="ignore"):      # normals of slivers, unused
         measure[real] = face_measure_normal(b.points[e[:, None], points[real]],
                                             b.coords.mean(axis=1)[e])[0]
-    return FacePieces(points, sign, measure, count)
+    return FaceBatch(points, sign, measure, count)

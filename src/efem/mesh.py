@@ -81,12 +81,22 @@ def stacked_values(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     """func(x) as k floats for the point stack x (k, dim).
 
     A point callable takes all its points at once; a scalar or any other
-    shape raises TypeError naming what.
+    shape raises TypeError naming what.  When k == dim a callable that
+    indexes a single point (x[1] for its y) returns k values too, so the
+    stack is also evaluated reversed, and values that do not follow their
+    points raise TypeError.
     """
     values = np.asarray(func(x), dtype=float)
-    if values.shape != (x.shape[0],):
-        raise TypeError(f"{what} returned shape {values.shape} for {x.shape[0]} points; "
+    k = x.shape[0]
+    if values.shape != (k,):
+        raise TypeError(f"{what} returned shape {values.shape} for {k} points; "
                         f"it must take a (k, dim) stack and return k values")
+    if k == x.shape[1]:
+        flipped = np.asarray(func(np.ascontiguousarray(x[::-1])), dtype=float)
+        if not np.array_equal(flipped, values[::-1], equal_nan=True):
+            raise TypeError(f"{what} gave values that do not follow their points when "
+                            f"the stack was reversed; it must take a (k, dim) stack and "
+                            f"return k values")
     return values
 
 
@@ -102,6 +112,7 @@ class Mesh:
     face_first, face_second: (n_faces, 2) (element, local face) of the two
         elements sharing each face, the smaller element first; face_second
         is -1 for a boundary face.
+    measures: (n_elements,) element measures, from the orientation check.
     """
 
     dim: int
@@ -111,6 +122,7 @@ class Mesh:
     face_keys: np.ndarray = field(repr=False, default=None)
     face_first: np.ndarray = field(repr=False, default=None)
     face_second: np.ndarray = field(repr=False, default=None)
+    measures: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -148,13 +160,15 @@ class Mesh:
         mesh.face_keys, mesh.face_first, mesh.face_second, slot_face = _pair_faces(
             dim, mesh.n_nodes, codes)
         mesh._check_boundary_tags(slot_face)
-        for a in (nodes, elements, mesh.face_keys, mesh.face_first, mesh.face_second):
+        for a in (nodes, elements, mesh.face_keys, mesh.face_first, mesh.face_second,
+                  mesh.measures):
             a.setflags(write=False)
         return mesh
 
     def _validate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check coordinates, node indices and orientation; return the argsort
-        of each element's node indices and the sorted rows, (M, dim+1) each."""
+        """Check coordinates, node indices and orientation, and keep the
+        element measures the orientation check takes; return the argsort of
+        each element's node indices and the sorted rows, (M, dim+1) each."""
         bad = _first_non_finite(self.nodes)
         if bad is not None:
             raise MeshError(f"node {bad} has a non-finite coordinate")
@@ -175,6 +189,7 @@ class Mesh:
                 f"element {int(bad[0])} is not positively oriented "
                 f"(signed measure {vols[int(bad[0])]:.3e}); fix the input ordering"
             )
+        self.measures = vols
         return perm, rows
 
     def _check_boundary_tags(self, slot_face: np.ndarray):
@@ -207,21 +222,11 @@ class Mesh:
                             f"(element {e}, local face {lf}) has no tag")
 
     @cached_property
-    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        measures, grads = p1_geometry(self.nodes[self.elements])
-        for a in (measures, grads):
-            a.setflags(write=False)
-        return measures, grads
-
-    @property
-    def measures(self) -> np.ndarray:
-        """(n_elements,) element measures, computed on first use."""
-        return self._geometry[0]
-
-    @property
     def grads(self) -> np.ndarray:
         """(n_elements, dim+1, dim) P1 gradients, computed on first use."""
-        return self._geometry[1]
+        grads = p1_gradients(self.nodes[self.elements])
+        grads.setflags(write=False)
+        return grads
 
     @cached_property
     def _char_lengths(self) -> np.ndarray:
@@ -266,12 +271,6 @@ class Mesh:
         from scipy.spatial import cKDTree
 
         return cKDTree(self.nodes[self.elements].mean(axis=1))
-
-    def face_nodes(self, e: int, lf: int) -> np.ndarray:
-        return self.elements[e][list(local_faces(self.dim)[lf])]
-
-    def element_coords(self, e: int) -> np.ndarray:
-        return self.nodes[self.elements[e]]
 
 
 def _face_codes(dim: int, n_nodes: int, perm: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
@@ -386,9 +385,8 @@ def _smallest(pairs: np.ndarray) -> int:
 # geometry
 #
 # The one place simplex geometry is computed.  Each kernel takes a stack of
-# k simplices (k, d+1, d) or facets (k, d, d) and gives k results; one
-# simplex or facet is a batch of one and gets scalars back.  A batch gives
-# the bits of one call per simplex.
+# k simplices (k, d+1, d) or facets (k, d, d) and gives k results, each with
+# the bits that a stack of that one simplex would give.
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -400,32 +398,25 @@ def signed_measures(simplices) -> np.ndarray:
     """Signed measures (area/volume) of simplices (k, d+1, d), positive when
     the vertices are positively oriented."""
     X = np.asarray(simplices, dtype=float)
-    if X.ndim == 2:
-        return float(signed_measures(X[None])[0])
     return np.linalg.det(X[:, 1:] - X[:, :1]) / math.factorial(X.shape[-1])
 
 
-def p1_geometry(simplices):
-    """Measures (k,) and P1 gradients (k, d+1, d) of simplices (k, d+1, d).
+def p1_gradients(simplices) -> np.ndarray:
+    """P1 gradients (k, d+1, d) of simplices (k, d+1, d).
 
-    Raises MeshError if a simplex has zero measure.
+    A zero-measure simplex raises numpy's LinAlgError; Mesh.build rejects
+    those before any gradient is taken.
     """
     X = np.asarray(simplices, dtype=float)
-    if X.ndim == 2:
-        measure, grads = p1_geometry(X[None])
-        return float(measure[0]), grads[0]
     k, n, d = X.shape
     B = X[:, 1:] - X[:, :1]                     # rows are edge vectors
-    measures = np.abs(np.linalg.det(B)) / math.factorial(d)
-    if (measures == 0.0).any():
-        raise MeshError("degenerate simplex (zero measure)")
     # inv before grads: the other order leaves a 3D n=32 assembly 11 MB
     # higher in peak RSS (heap layout; the traced allocations are equal)
     inv = np.linalg.inv(B).transpose(0, 2, 1)    # rows: gradients of N_1..N_d
     grads = np.empty((k, n, d))
     grads[:, 1:] = inv
     grads[:, 0] = -inv.sum(axis=1)
-    return measures, grads
+    return grads
 
 
 def face_measure_normal(faces, centroids):
@@ -436,9 +427,6 @@ def face_measure_normal(faces, centroids):
     """
     F = np.asarray(faces, dtype=float)
     c = np.asarray(centroids, dtype=float)
-    if F.ndim == 2:
-        measure, normal = face_measure_normal(F[None], c)
-        return float(measure[0]), normal[0]
     t = F[:, 1:] - F[:, :1]
     if F.shape[-1] == 2:
         t = t[:, 0]

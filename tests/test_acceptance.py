@@ -14,10 +14,11 @@ from efem.efem_core import (
     MODES,
     MaterialPair,
     assemble_global,
+    barycentric,
     condense,
     element_displacement_terms,
     element_matrices,
-    hat_eval,
+    hat_value,
 )
 from efem.interface import (
     PlaneLevelSet,
@@ -30,7 +31,8 @@ from efem.mesh import (
     face_measure_normal,
     generate_structured,
     local_faces,
-    p1_geometry,
+    p1_gradients,
+    signed_measures,
 )
 from efem.oracles import (
     SphereCase,
@@ -262,14 +264,14 @@ def _random_cut(rng, dim):
     base = np.vstack([np.zeros(dim), np.eye(dim)])
     while True:
         coords = base + rng.uniform(-0.15, 0.15, size=base.shape)
-        measure, grads = p1_geometry(coords)
+        measure = signed_measures(coords[None])[0]
         if abs(measure) < 0.02:
             continue
         signs = np.where(rng.random(dim + 1) < 0.5, -1.0, 1.0)
         if np.all(signs > 0) or np.all(signs < 0):
             signs[rng.integers(dim + 1)] *= -1.0
         d = signs * rng.uniform(0.05, 1.0, size=dim + 1)
-        return coords, abs(measure), grads, d
+        return coords, abs(measure), p1_gradients(coords[None])[0], d
 
 
 def _measure_conservation(rng, count=1000):
@@ -277,15 +279,16 @@ def _measure_conservation(rng, count=1000):
     for k in range(count):
         dim = 2 if k % 2 == 0 else 3
         coords, measure, _, d = _random_cut(rng, dim)
-        deco = split_simplex(coords, d)
-        child_sum = sum(c.measure for c in deco.children)
+        deco = split_simplex(coords[None], d[None])
+        child_sum = sum(deco.child_measure[0, :deco.n_children[0]].tolist())
         worst = max(worst, abs(child_sum - measure) / measure)
         centroid = coords.mean(axis=0)
-        for fc in cut_exterior_faces(deco):
-            idx = list(local_faces(dim)[fc.local_face])
-            fm, _ = face_measure_normal(coords[idx], centroid)
-            piece_sum = sum(p.measure for p in fc.pieces)
-            worst = max(worst, abs(piece_sum - fm) / fm)
+        pieces = cut_exterior_faces(deco)
+        faces = coords[np.array(local_faces(dim))]
+        fm, _ = face_measure_normal(faces, centroid)
+        for f in range(dim + 1):
+            piece_sum = sum(pieces.measure[0, f, :pieces.count[0, f]].tolist())
+            worst = max(worst, abs(piece_sum - fm[f]) / fm[f])
     return worst
 
 
@@ -294,23 +297,17 @@ def _hat_node_and_continuity(rng, count=200):
     for k in range(count):
         dim = 2 if k % 2 == 0 else 3
         coords, _, _, d = _random_cut(rng, dim)
-        deco = split_simplex(coords, d)
+        deco = split_simplex(coords[None], d[None])
         scale = np.abs(d).max()
-        for v in coords:
-            worst_node = max(worst_node, abs(hat_eval(coords, d, v)) / scale)
+        corners = np.broadcast_to(coords, (dim + 1,) + coords.shape)
+        hats = hat_value(barycentric(corners, coords), d)
+        worst_node = max(worst_node, float(np.abs(hats).max()) / scale)
         # the one-sided restrictions are the affine maps sum N_i (|d_i| -+ d_i);
         # their difference at any interface point is 2 sum N_i d_i
-        seen = set()
-        for child in deco.children:
-            for ref, vert in zip(child.refs, child.vertices):
-                if ref[0] != "x" or ref[1] in seen:
-                    continue
-                seen.add(ref[1])
-                lam = np.linalg.solve(
-                    np.vstack([coords.T, np.ones(dim + 1)]),
-                    np.append(vert, 1.0))
-                jump = 2.0 * abs(lam @ d)
-                worst_jump = max(worst_jump, jump / scale)
+        for vert in deco.points[0, dim + 1:dim + 1 + deco.n_virtual[0]]:
+            lam = np.linalg.solve(np.vstack([coords.T, np.ones(dim + 1)]), np.append(vert, 1.0))
+            jump = 2.0 * abs(lam @ d)
+            worst_jump = max(worst_jump, jump / scale)
     return worst_node, worst_jump
 
 
@@ -323,16 +320,17 @@ def _condensation_equivalence():
            np.array([0.5, -0.3, 0.8, -0.6]))
     worst = 0.0
     for coords, d in (tri, tet):
-        measure, grads = p1_geometry(coords)
-        deco = split_simplex(coords, d)
-        sys_ = element_matrices(coords, measure, grads, mats, deco)
-        sys_.D, sys_.Denr = element_displacement_terms(coords, grads, mats, deco)
+        X = coords[None]
+        measure, grads = np.abs(signed_measures(X)), p1_gradients(X)
+        deco = split_simplex(X, d[None])
+        sys_ = element_matrices(X, measure, grads, mats, deco)
+        sys_.D, sys_.Denr = element_displacement_terms(X, grads, mats, deco)
         nv = coords.shape[0]
         block = np.zeros((nv + 1, nv + 1))
-        block[:nv, :nv] = sys_.K
-        block[:nv, nv] = sys_.B
-        block[nv, :nv] = sys_.B - sys_.D
-        block[nv, nv] = sys_.Kenr - sys_.Denr
+        block[:nv, :nv] = sys_.K[0]
+        block[:nv, nv] = sys_.B[0]
+        block[nv, :nv] = sys_.B[0] - sys_.D[0]
+        block[nv, nv] = sys_.Kenr[0] - sys_.Denr[0]
 
         g = coords @ np.arange(1.0, coords.shape[1] + 1.0) + 0.25
         free = [0, nv]
@@ -341,8 +339,9 @@ def _condensation_equivalence():
         phi0_full, enr_full = np.linalg.solve(block[np.ix_(free, free)], rhs)
 
         condense(sys_)
-        phi0_cond = (1.0 - sys_.condensed[0, 1:] @ g[1:]) / sys_.condensed[0, 0]
-        enr_cond = sys_.recovery @ np.concatenate([[phi0_cond], g[1:]])
+        condensed, recovery = sys_.condensed[0], sys_.recovery[0]
+        phi0_cond = (1.0 - condensed[0, 1:] @ g[1:]) / condensed[0, 0]
+        enr_cond = recovery @ np.concatenate([[phi0_cond], g[1:]])
         scale = max(abs(phi0_full), abs(enr_full), 1.0)
         worst = max(worst, abs(phi0_full - phi0_cond) / scale,
                     abs(enr_full - enr_cond) / scale)
@@ -385,11 +384,12 @@ def _displacement_zero_sum():
     cl = classify_elements(mesh, cylinder_levelset())
     mats = cylinder_materials()
     worst = 0.0
-    for e in cl.cut_elements:
-        coords = mesh.element_coords(int(e))
-        _, grads = p1_geometry(coords)
-        deco = split_simplex(coords, cl.element_d[e])
-        D, _ = element_displacement_terms(coords, grads, mats, deco)
+    cut = cl.cut_elements
+    coords = mesh.nodes[mesh.elements[cut]]
+    deco = split_simplex(coords, cl.element_d[cut])
+    assert not deco.degenerate.any()
+    all_D, _ = element_displacement_terms(coords, p1_gradients(coords), mats, deco)
+    for D in all_D:
         scale = float(np.abs(D).sum())
         if scale > 0.0:
             worst = max(worst, abs(float(D.sum())) / scale)

@@ -18,6 +18,7 @@ random, grid-aligned (exact ties between the two quad diagonals) and
 near-degenerate.
 """
 
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -43,6 +44,7 @@ from efem.interface import (
     NodalLevelSet,
     PlaneLevelSet,
     SphereLevelSet,
+    CutBatch,
     classify_elements,
     cut_exterior_faces,
     split_simplex,
@@ -51,6 +53,7 @@ from efem.mesh import (
     face_measure_normal,
     generate_structured,
     local_faces,
+    p1_gradients,
     row_dot,
     signed_measures,
 )
@@ -154,7 +157,7 @@ def ref_split_tet(coords, d):
 
 def ref_split(coords, d):
     kids, virtual = (ref_split_triangle if coords.shape[1] == 2 else ref_split_tet)(coords, d)
-    parent = abs(signed_measures(coords))
+    parent = abs(signed_measures(coords[None])[0])
     if any(c[2] < 1e-14 * parent for c in kids):
         raise RefDegenerate
     return kids, virtual
@@ -222,7 +225,9 @@ def ref_displacement(coords, grads, d, faces):
     for lf, pieces in enumerate(faces):
         if len(pieces) == 1:
             continue
-        _, normal = face_measure_normal(coords[list(local_faces(dim)[lf])], coords.mean(axis=0))
+        _, normal = face_measure_normal(coords[list(local_faces(dim)[lf])][None],
+                                        coords.mean(axis=0))
+        normal = normal[0]
         for v, sign, measure in pieces:
             pts = 0.5 * (v[0] + v[1])[None] if dim == 2 else TRI_PTS @ v
             stacked = np.broadcast_to(coords, (len(pts),) + coords.shape)
@@ -295,7 +300,7 @@ def ref_assemble(mesh, levelset, mode, snap_tol=1e-6, guard=GUARD):
     blocks = np.einsum("e,eid,ejd->eij", eps * mesh.measures, mesh.grads, mesh.grads)
     fallback, reasons, recovery = [], [], {}
     for e in cl.cut_elements.tolist():
-        block, r, reason = ref_block(mesh.element_coords(e), mesh.measures[e], mesh.grads[e],
+        block, r, reason = ref_block(mesh.nodes[mesh.elements[e]], mesh.measures[e], mesh.grads[e],
                                      cl.element_d[e], mode, guard)
         blocks[e] = block
         if reason is not None:
@@ -397,22 +402,40 @@ def test_split_matches_per_element_path(case):
     batch = split_simplex(coords, d)
     ref = _per_element(coords, d)
     assert batch.degenerate.tolist() == [r is None for r in ref]
+    nv = coords.shape[1]
     for i, r in enumerate(ref):
+        # row i has the bits of the batch of that one element
+        one = split_simplex(coords[i:i + 1], d[i:i + 1])
+        row = batch.take([i])
+        for f in fields(CutBatch):
+            assert np.array_equal(getattr(row, f.name), getattr(one, f.name)), f.name
         if r is None:
             continue
-        one = split_simplex(coords[i], d[i])
         kids, virtual = r
-        assert len(one.children) == len(kids) == batch.n_children[i]
-        for child, (v, sign, measure, refs) in zip(one.children, kids):
-            assert child.refs == refs and child.sign == sign
-            assert child.measure == measure and type(child.measure) is float
-            assert np.array_equal(child.vertices, v)
+        n = batch.n_children[i]
+        assert n == len(kids)
+        name = [("n", p) for p in range(nv)] + [("x", tuple(e)) for e in
+                                                 batch.virtual_edges[i].tolist()]
+        for c, sign, measure, (v, want_sign, want_measure, refs) in zip(
+                batch.children[i, :n], batch.child_sign[i], batch.child_measure[i], kids):
+            assert tuple(name[p] for p in c) == refs and sign == want_sign
+            assert measure == want_measure
+            assert np.array_equal(batch.points[i, c], v)
         assert np.array_equal(batch.child_measure[i, :len(kids)], [k[2] for k in kids])
         assert not batch.child_measure[i, len(kids):].any()
         edges = batch.virtual_edges[i, :batch.n_virtual[i]].tolist()
         assert [tuple(e) for e in edges] == list(virtual)
         for j, key in enumerate(virtual):
             assert np.array_equal(batch.points[i, coords.shape[2] + 1 + j], virtual[key])
+        # the virtual nodes are the vertices of the interface facet: a segment,
+        # a triangle, or for a 2-2 cut a quad; the interpolated distance
+        # vanishes on them
+        dim = coords.shape[2]
+        n_facet = 2 if dim == 2 else 4 if (d[i] > 0).sum() == 2 else 3
+        facet = batch.points[i, nv:nv + batch.n_virtual[i]]
+        assert len(facet) == n_facet
+        lam = barycentric(np.broadcast_to(coords[i], (n_facet, nv, dim)), facet)
+        assert np.abs(lam @ d[i]).max() <= 1e-10 * np.abs(d[i]).max()
 
 
 @settings(max_examples=80, deadline=None)
@@ -422,17 +445,20 @@ def test_face_pieces_match_per_element_path(case):
     batch = split_simplex(coords, d)
     pieces = cut_exterior_faces(batch)
     for i, r in enumerate(_per_element(coords, d)):
+        # row i has the bits of the pieces of the batch of that one element
+        one = cut_exterior_faces(split_simplex(coords[i:i + 1], d[i:i + 1]))
+        for f in fields(one):
+            assert np.array_equal(getattr(pieces, f.name)[i:i + 1], getattr(one, f.name)), f.name
         if r is None:
             continue
         ref = ref_faces(coords[i], d[i], r[1])
-        one = cut_exterior_faces(split_simplex(coords[i], d[i]))
-        assert [fc.local_face for fc in one] == list(range(len(ref)))
-        for f, (fc, want) in enumerate(zip(one, ref)):
-            assert len(fc.pieces) == len(want) == pieces.count[i, f]
-            assert fc.crossed == (len(want) > 1)
-            for piece, (v, sign, measure) in zip(fc.pieces, want):
-                assert np.array_equal(piece.vertices, v)
-                assert piece.sign == sign and piece.measure == measure
+        assert len(ref) == pieces.count.shape[1]
+        for f, want in enumerate(ref):
+            assert len(want) == pieces.count[i, f]
+            for p, sign, measure, (v, want_sign, want_measure) in zip(
+                    pieces.points[i, f], pieces.sign[i, f], pieces.measure[i, f], want):
+                assert np.array_equal(batch.points[i, p], v)
+                assert sign == want_sign and measure == want_measure
             assert np.array_equal(pieces.measure[i, f, :len(want)], [w[2] for w in want])
             assert not pieces.measure[i, f, len(want):].any()
 
@@ -446,20 +472,21 @@ def test_element_blocks_match_per_element_path(case):
     if keep.size == 0:
         return
     coords, d = coords[keep], d[keep]
-    measures, grads = mesh_mod.p1_geometry(coords)
+    measures, grads = np.abs(signed_measures(coords)), p1_gradients(coords)
     kept = batch.take(keep)
     system = element_matrices(coords, measures, grads, MATS, kept)
     system.D, system.Denr = element_displacement_terms(coords, grads, MATS, kept)
-    condense(system)
+    assert condense(system) is system
     for i in range(keep.size):
         kids, virtual = ref_split(coords[i], d[i])
         K, B, kenr = ref_matrices(grads[i], d[i], kids)
         assert np.array_equal(system.K[i], K) and np.array_equal(system.B[i], B)
         assert system.Kenr[i] == kenr
-        one = element_matrices(coords[i], measures[i], grads[i], MATS,
-                               split_simplex(coords[i], d[i]))
-        assert np.array_equal(one.K, K) and np.array_equal(one.B, B) and one.Kenr == kenr
-        assert type(one.Kenr) is float
+        # the batch of this one element gives the same bits
+        one = element_matrices(coords[i:i + 1], measures[i:i + 1], grads[i:i + 1], MATS,
+                               split_simplex(coords[i:i + 1], d[i:i + 1]))
+        assert np.array_equal(one.K[0], K) and np.array_equal(one.B[0], B)
+        assert one.Kenr[0] == kenr
 
         D, denr, D_abs, denr_abs = ref_displacement(coords[i], grads[i], d[i],
                                                     ref_faces(coords[i], d[i], virtual))
@@ -480,21 +507,6 @@ def test_element_blocks_match_per_element_path(case):
         assert np.abs(system.recovery[i] - r).max() <= 1e-12 * r_scale
         c_scale = np.abs(K).max() + np.abs(B).max() * r_scale
         assert np.abs(system.condensed[i] - condensed).max() <= 1e-12 * c_scale
-
-
-def test_single_element_kernels_return_scalar_types():
-    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [0.0, 0.9, 0.1], [0.1, 0.2, 1.0]])
-    d = np.array([0.5, -0.3, 0.8, -0.6])
-    measure, grads = mesh_mod.p1_geometry(coords)
-    deco = split_simplex(coords, d)
-    system = element_matrices(coords, measure, grads, MATS, deco)
-    D, denr = element_displacement_terms(coords, grads, MATS, deco)
-    assert system.K.shape == (4, 4) and system.B.shape == (4,) and D.shape == (4,)
-    assert type(system.Kenr) is float and type(denr) is float
-    system.D, system.Denr = D, denr
-    assert condense(system) is system and type(system.margin) is float
-    assert system.condensed.shape == (4, 4) and system.recovery.shape == (4,)
-    assert len(deco.interface_facet) == 2 and deco.batch.coords.shape == (1, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +567,7 @@ def test_condense_margin_is_the_smallest_over_condensed_elements():
     cl = asm.classification
     margins = []
     for e in asm.cut_data.ids.tolist():
-        coords = mesh.element_coords(e)
+        coords = mesh.nodes[mesh.elements[e]]
         kids, virtual = ref_split(coords, cl.element_d[e])
         K, B, kenr = ref_matrices(mesh.grads[e], cl.element_d[e], kids)
         D, denr = ref_displacement(coords, mesh.grads[e], cl.element_d[e],

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
+from efem import efem_core
 from efem.efem_core import (
+    CONDENSE_GUARD,
     MODES,
     ElementSystem,
     MaterialPair,
-    SingularEnrichmentError,
     SingularSystemError,
     assemble_global,
     barycentric,
     condense,
     element_displacement_terms,
     element_matrices,
-    hat_eval,
     hat_gradients,
     hat_value,
 )
@@ -32,7 +32,8 @@ from efem.mesh import (
     face_measure_normal,
     generate_structured,
     local_faces,
-    p1_geometry,
+    p1_gradients,
+    signed_measures,
 )
 from efem.oracles import box_boundary, planar_levelset, planar_materials, planar_solution
 from efem.postprocess import build_solution
@@ -43,108 +44,138 @@ REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0
 D_TRI = np.array([-1.0, 1.0, 1.0])
 
 
-def fit_child_gradient(coords, nodal_d, child):
+def stack(coords):
+    """One simplex as a stack of one: (coords, measures, grads)."""
+    X = np.asarray(coords, dtype=float)[None]
+    return X, np.abs(signed_measures(X)), p1_gradients(X)
+
+
+def one(coords, d):
+    """split_simplex of one simplex: a batch of one."""
+    return split_simplex(np.asarray(coords, dtype=float)[None], np.asarray(d, dtype=float)[None])
+
+
+def hat_at(coords, d, x):
+    """Nbar of one element at the points x (P, dim), by barycentric solves."""
+    x = np.asarray(x, dtype=float)
+    return hat_value(barycentric(np.broadcast_to(coords, (len(x),) + coords.shape), x), d)
+
+
+def children(batch):
+    """[(vertices, sign, measure)] of the children of a batch of one."""
+    n = batch.n_children[0]
+    return [(batch.points[0, c], int(s), float(m)) for c, s, m in
+            zip(batch.children[0, :n], batch.child_sign[0, :n], batch.child_measure[0, :n])]
+
+
+def face_pieces(batch):
+    """Per local face of a batch of one, [(vertices, sign, measure)] of its pieces."""
+    pieces = cut_exterior_faces(batch)
+    return [[(batch.points[0, p], int(s), float(m)) for p, s, m in
+             zip(pieces.points[0, f, :n], pieces.sign[0, f, :n], pieces.measure[0, f, :n])]
+            for f, n in enumerate(pieces.count[0].tolist())]
+
+
+def condense_one(K, B, kenr, D, denr):
+    """condense on a stack of one block: (condensed, recovery, margin)."""
+    out = condense(ElementSystem(K[None], B[None], np.array([kenr]), D[None], np.array([denr])))
+    return out.condensed[0], out.recovery[0], out.margin[0]
+
+
+def fit_child_gradient(coords, nodal_d, vertices):
     """Independent per-child hat gradient: linear fit through vertex values."""
-    vals = np.array([hat_eval(coords, nodal_d, v) for v in child.vertices])
-    _, grads = p1_geometry(child.vertices)
-    return grads.T @ vals
+    return p1_gradients(vertices[None])[0].T @ hat_at(coords, nodal_d, vertices)
 
 
 def test_hat_vanishes_at_nodes():
-    for v in REF_TRI:
-        assert abs(hat_eval(REF_TRI, D_TRI, v)) < 1e-14
+    assert np.abs(hat_at(REF_TRI, D_TRI, REF_TRI)).max() < 1e-14
 
 
 def test_hat_zero_on_uncut_element():
     rng = np.random.default_rng(5)
     d = np.array([0.5, 1.0, 2.0])
-    for _ in range(20):
-        lam = rng.dirichlet(np.ones(3))
-        x = lam @ REF_TRI
-        assert abs(hat_eval(REF_TRI, d, x)) < 1e-14
+    x = rng.dirichlet(np.ones(3), size=20) @ REF_TRI
+    assert np.abs(hat_at(REF_TRI, d, x)).max() < 1e-14
 
 
 def test_hat_at_virtual_node():
-    assert abs(hat_eval(REF_TRI, D_TRI, np.array([0.5, 0.0])) - 1.0) < 1e-14
+    assert abs(hat_at(REF_TRI, D_TRI, [[0.5, 0.0]])[0] - 1.0) < 1e-14
 
 
 def test_hat_nonnegative_inside():
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        lam = rng.dirichlet(np.ones(3))
-        assert hat_value(lam, D_TRI) >= -1e-14
+    lam = rng.dirichlet(np.ones(3), size=100)
+    assert (hat_value(lam, D_TRI) >= -1e-14).all()
 
 
 def test_hat_continuous_across_interface():
     # interface of the reference cut runs from (0.5, 0) to (0, 0.5)
-    for t in np.linspace(0.0, 1.0, 11):
-        p = (1 - t) * np.array([0.5, 0.0]) + t * np.array([0.0, 0.5])
-        shift = 1e-9 * np.array([1.0, 1.0])
-        below = hat_eval(REF_TRI, D_TRI, p - shift)
-        above = hat_eval(REF_TRI, D_TRI, p + shift)
-        assert abs(below - above) < 1e-8
+    t = np.linspace(0.0, 1.0, 11)[:, None]
+    p = (1 - t) * np.array([0.5, 0.0]) + t * np.array([0.0, 0.5])
+    shift = 1e-9 * np.array([1.0, 1.0])
+    below = hat_at(REF_TRI, D_TRI, p - shift)
+    above = hat_at(REF_TRI, D_TRI, p + shift)
+    assert np.abs(below - above).max() < 1e-8
 
 
 def test_hat_gradients_match_finite_differences():
-    _, grads = p1_geometry(REF_TRI)
-    g_pos, g_neg = hat_gradients(grads, D_TRI)
+    _, _, grads = stack(REF_TRI)
+    g_pos, g_neg = (g[0] for g in hat_gradients(grads, D_TRI[None]))
     eps = 1e-7
     x_neg = np.array([0.05, 0.05])       # deep in the d < 0 corner
     x_pos = np.array([0.4, 0.4])
     for x, g in ((x_neg, g_neg), (x_pos, g_pos)):
-        fd = np.array([
-            (hat_eval(REF_TRI, D_TRI, x + eps * e) - hat_eval(REF_TRI, D_TRI, x - eps * e))
-            / (2 * eps)
-            for e in np.eye(2)
-        ])
+        steps = eps * np.eye(2)
+        fd = (hat_at(REF_TRI, D_TRI, x + steps) - hat_at(REF_TRI, D_TRI, x - steps)) / (2 * eps)
         assert np.abs(fd - g).max() < 1e-6
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_batched_kernels_match_single_points_bitwise(dim):
+    # row i of a stack has the bits of the stack of that one row
     rng = np.random.default_rng(40 + dim)
     coords = rng.normal(size=(50, dim + 1, dim))
     x = rng.normal(size=(50, dim))
     d = rng.normal(size=(50, dim + 1))
     lam = barycentric(coords, x)
     assert lam.shape == (50, dim + 1)
-    single = [barycentric(c, p) for c, p in zip(coords, x)]
-    assert all(s.shape == (dim + 1,) for s in single)
-    assert np.array_equal(lam, np.array(single))
+    single = [barycentric(coords[i:i + 1], x[i:i + 1]) for i in range(50)]
+    assert np.array_equal(lam, np.concatenate(single))
     hats = hat_value(lam, d)
-    single = [hat_value(lv, dv) for lv, dv in zip(lam, d)]
-    assert all(type(h) is float for h in single)
-    assert np.array_equal(hats, np.array(single))
-    assert np.array_equal(hat_value(lam, d[0]), np.array([hat_value(lv, d[0]) for lv in lam]))
-    assert hat_eval(coords[0], d[0], x[0]) == hats[0]
+    assert hats.shape == (50,)
+    single = [hat_value(lam[i:i + 1], d[i:i + 1]) for i in range(50)]
+    assert np.array_equal(hats, np.concatenate(single))
+    shared = [hat_value(lam[i:i + 1], d[:1]) for i in range(50)]
+    assert np.array_equal(hat_value(lam, d[0]), np.concatenate(shared))
 
 
-def _displacement_terms_per_point(coords, grads, mat, deco):
-    """D and Denr with one hat_eval per quadrature point, summed piece by piece,
-    and their rounding scales: the summed term magnitudes with Nbar bounded
-    by max |d|, as hat_eval takes a difference of terms that large."""
+def _displacement_terms_per_point(coords, grads, mat, d):
+    """D and Denr of one element with Nbar solved for at every quadrature
+    point, summed piece by piece, and their rounding scales: the summed term
+    magnitudes with Nbar bounded by max |d|, as Nbar is a difference of
+    terms that large."""
     tri_pts = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
-    dim = deco.dim
-    g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
+    dim = coords.shape[1]
+    g_pos, g_neg = (g[0] for g in hat_gradients(grads[None], d[None]))
     D, Denr = np.zeros(dim + 1), 0.0
     D_abs, Denr_abs = np.zeros(dim + 1), 0.0
-    for fc in cut_exterior_faces(deco):
-        if not fc.crossed:
+    for lf, pieces in enumerate(face_pieces(one(coords, d))):
+        if len(pieces) == 1:
             continue
-        idx = list(local_faces(dim)[fc.local_face])
-        _, normal = face_measure_normal(coords[idx], coords.mean(axis=0))
-        for piece in fc.pieces:
-            eps = mat.for_sign(piece.sign)
-            gbar = g_pos if piece.sign > 0 else g_neg
+        idx = list(local_faces(dim)[lf])
+        _, normal = face_measure_normal(coords[idx][None], coords.mean(axis=0))
+        normal = normal[0]
+        for vertices, sign, measure in pieces:
+            eps = mat.for_sign(sign)
+            gbar = g_pos if sign > 0 else g_neg
             if dim == 2:
-                mid = 0.5 * (piece.vertices[0] + piece.vertices[1])
-                nbar_int = hat_eval(coords, deco.nodal_d, mid) * piece.measure
+                mid = 0.5 * (vertices[0] + vertices[1])
+                nbar_int = hat_at(coords, d, mid[None])[0] * measure
             else:
-                nbar_int = piece.measure / 3.0 * sum(
-                    hat_eval(coords, deco.nodal_d, p) for p in tri_pts @ piece.vertices)
+                nbar_int = measure / 3.0 * sum(hat_at(coords, d, tri_pts @ vertices).tolist())
             D += nbar_int * (eps * (grads @ normal))
             Denr += nbar_int * eps * float(gbar @ normal)
-            bound = piece.measure * np.abs(deco.nodal_d).max()
+            bound = measure * np.abs(d).max()
             D_abs += bound * np.abs(eps * (grads @ normal))
             Denr_abs += bound * eps * abs(float(gbar @ normal))
     return D, Denr, D_abs, Denr_abs
@@ -162,141 +193,135 @@ def test_displacement_terms_match_per_point_quadrature(dim):
         d = rng.normal(size=dim + 1)
         if np.linalg.det(coords[1:] - coords[0]) <= 0.0 or (d > 0).all() or (d < 0).all():
             continue
-        _, grads = p1_geometry(coords)
-        deco = split_simplex(coords, d)
-        D, Denr = element_displacement_terms(coords, grads, mat, deco)
-        D_ref, Denr_ref, D_abs, Denr_abs = _displacement_terms_per_point(coords, grads, mat,
-                                                                         deco)
+        X, _, grads = stack(coords)
+        D, Denr = element_displacement_terms(X, grads, mat, one(coords, d))
+        D_ref, Denr_ref, D_abs, Denr_abs = _displacement_terms_per_point(coords, grads[0], mat, d)
         # relative to the rounding scale of the reference
-        assert np.abs(D - D_ref).max() <= 1e-12 * D_abs.max()
-        assert abs(Denr - Denr_ref) <= 1e-12 * Denr_abs
+        assert np.abs(D[0] - D_ref).max() <= 1e-12 * D_abs.max()
+        assert abs(Denr[0] - Denr_ref) <= 1e-12 * Denr_abs
         checked += 1
 
 
 def test_uncut_stiffness_unit_triangle():
-    measure, grads = p1_geometry(REF_TRI)
-    sys_ = element_matrices(REF_TRI, measure, grads, MaterialPair(1.0, 1.0))
+    X, measure, grads = stack(REF_TRI)
+    sys_ = element_matrices(X, measure, grads, MaterialPair(1.0, 1.0))
     expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    assert np.allclose(sys_.K, expected, atol=1e-14)
-    assert sys_.Kenr == 0.0
+    assert np.allclose(sys_.K[0], expected, atol=1e-14)
+    assert sys_.Kenr[0] == 0.0
     assert not sys_.B.any()
 
 
 def test_cut_equal_permittivity_matches_uncut_K():
-    measure, grads = p1_geometry(REF_TRI)
-    deco = split_simplex(REF_TRI, D_TRI)
-    plain = element_matrices(REF_TRI, measure, grads, MaterialPair(2.5, 2.5))
-    cut = element_matrices(REF_TRI, measure, grads, MaterialPair(2.5, 2.5), deco)
+    X, measure, grads = stack(REF_TRI)
+    plain = element_matrices(X, measure, grads, MaterialPair(2.5, 2.5))
+    cut = element_matrices(X, measure, grads, MaterialPair(2.5, 2.5), one(REF_TRI, D_TRI))
     assert np.allclose(cut.K, plain.K, atol=1e-13)
-    assert cut.Kenr > 0.0
+    assert cut.Kenr[0] > 0.0
 
 
 def test_K_and_B_rows_balance():
-    measure, grads = p1_geometry(REF_TRI)
-    deco = split_simplex(REF_TRI, D_TRI)
-    sys_ = element_matrices(REF_TRI, measure, grads, MaterialPair(3.0, 1.0), deco)
-    assert np.abs(sys_.K.sum(axis=1)).max() < 1e-13
+    X, measure, grads = stack(REF_TRI)
+    sys_ = element_matrices(X, measure, grads, MaterialPair(3.0, 1.0), one(REF_TRI, D_TRI))
+    assert np.abs(sys_.K.sum(axis=2)).max() < 1e-13
     assert abs(sys_.B.sum()) < 1e-13
 
 
 def test_kenr_against_per_child_fit():
-    measure, grads = p1_geometry(REF_TRI)
-    deco = split_simplex(REF_TRI, D_TRI)
+    X, measure, grads = stack(REF_TRI)
+    deco = one(REF_TRI, D_TRI)
     mat = MaterialPair(3.0, 1.0)
-    sys_ = element_matrices(REF_TRI, measure, grads, mat, deco)
+    sys_ = element_matrices(X, measure, grads, mat, deco)
     kenr = 0.0
     b = np.zeros(2)
-    for child in deco.children:
-        g = fit_child_gradient(REF_TRI, D_TRI, child)
-        eps = mat.for_sign(child.sign)
-        kenr += eps * child.measure * float(g @ g)
-        b += eps * child.measure * g
-    assert abs(sys_.Kenr - kenr) < 1e-12
-    assert np.abs(sys_.B - grads @ b).max() < 1e-12
+    for vertices, sign, child_measure in children(deco):
+        g = fit_child_gradient(REF_TRI, D_TRI, vertices)
+        eps = mat.for_sign(sign)
+        kenr += eps * child_measure * float(g @ g)
+        b += eps * child_measure * g
+    assert abs(sys_.Kenr[0] - kenr) < 1e-12
+    assert np.abs(sys_.B[0] - grads[0] @ b).max() < 1e-12
 
 
 def test_kenr_fit_3d():
-    measure, grads = p1_geometry(REF_TET)
+    X, measure, grads = stack(REF_TET)
     d = np.array([-1.0, -0.5, 1.0, 0.7])
-    deco = split_simplex(REF_TET, d)
+    deco = one(REF_TET, d)
     mat = MaterialPair(5.0, 2.0)
-    sys_ = element_matrices(REF_TET, measure, grads, mat, deco)
+    sys_ = element_matrices(X, measure, grads, mat, deco)
     kenr = sum(
-        mat.for_sign(c.sign) * c.measure * float(np.dot(*(2 * [fit_child_gradient(REF_TET, d, c)])))
-        for c in deco.children
+        mat.for_sign(s) * m * float(np.dot(*(2 * [fit_child_gradient(REF_TET, d, v)])))
+        for v, s, m in children(deco)
     )
-    assert abs(sys_.Kenr - kenr) < 1e-12
+    assert abs(sys_.Kenr[0] - kenr) < 1e-12
 
 
 def test_displacement_terms_sum_to_zero():
-    measure, grads = p1_geometry(REF_TRI)
-    deco = split_simplex(REF_TRI, D_TRI)
-    D, _ = element_displacement_terms(REF_TRI, grads, MaterialPair(3.0, 1.0), deco)
+    X, _, grads = stack(REF_TRI)
+    D, _ = element_displacement_terms(X, grads, MaterialPair(3.0, 1.0), one(REF_TRI, D_TRI))
     assert abs(D.sum()) < 1e-12 * max(np.abs(D).max(), 1.0)
 
 
 def test_displacement_terms_against_trapezoid():
-    measure, grads = p1_geometry(REF_TRI)
-    deco = split_simplex(REF_TRI, D_TRI)
+    X, _, grads = stack(REF_TRI)
+    deco = one(REF_TRI, D_TRI)
     mat = MaterialPair(3.0, 1.0)
-    D, Denr = element_displacement_terms(REF_TRI, grads, mat, deco)
-    g_pos, g_neg = hat_gradients(grads, D_TRI)
+    D, Denr = element_displacement_terms(X, grads, mat, deco)
+    g_pos, g_neg = (g[0] for g in hat_gradients(grads, D_TRI[None]))
     centroid = REF_TRI.mean(axis=0)
 
     D_ref = np.zeros(3)
     Denr_ref = 0.0
-    for fc in cut_exterior_faces(deco):
-        if not fc.crossed:
+    for lf, pieces in enumerate(face_pieces(deco)):
+        if len(pieces) == 1:
             continue
-        idx = list(local_faces(2)[fc.local_face])
-        _, normal = face_measure_normal(REF_TRI[idx], centroid)
-        for piece in fc.pieces:
-            eps = mat.for_sign(piece.sign)
-            gbar = g_pos if piece.sign > 0 else g_neg
+        idx = list(local_faces(2)[lf])
+        normal = face_measure_normal(REF_TRI[idx][None], centroid)[1][0]
+        for vertices, sign, measure in pieces:
+            eps = mat.for_sign(sign)
+            gbar = g_pos if sign > 0 else g_neg
             ts = np.linspace(0.0, 1.0, 50)
-            pts = piece.vertices[0] + ts[:, None] * (piece.vertices[1] - piece.vertices[0])
-            nbar = np.array([hat_eval(REF_TRI, D_TRI, p) for p in pts])
+            pts = vertices[0] + ts[:, None] * (vertices[1] - vertices[0])
+            nbar = hat_at(REF_TRI, D_TRI, pts)
             trapezoid = getattr(np, "trapezoid", None) or np.trapz
-            integral = trapezoid(nbar, dx=piece.measure / (ts.size - 1))
-            D_ref += integral * eps * (grads @ normal)
+            integral = trapezoid(nbar, dx=measure / (ts.size - 1))
+            D_ref += integral * eps * (grads[0] @ normal)
             Denr_ref += integral * eps * float(gbar @ normal)
-    assert np.abs(D - D_ref).max() < 1e-10
-    assert abs(Denr - Denr_ref) < 1e-10
+    assert np.abs(D[0] - D_ref).max() < 1e-10
+    assert abs(Denr[0] - Denr_ref) < 1e-10
 
 
 def test_displacement_terms_centroid_rule_3d():
-    measure, grads = p1_geometry(REF_TET)
+    X, _, grads = stack(REF_TET)
     d = np.array([-1.0, 1.0, 1.0, 1.0])
-    deco = split_simplex(REF_TET, d)
+    deco = one(REF_TET, d)
     mat = MaterialPair(4.0, 1.5)
-    D, Denr = element_displacement_terms(REF_TET, grads, mat, deco)
-    g_pos, g_neg = hat_gradients(grads, d)
+    D, Denr = element_displacement_terms(X, grads, mat, deco)
+    g_pos, g_neg = (g[0] for g in hat_gradients(grads, d[None]))
     centroid = REF_TET.mean(axis=0)
 
     D_ref = np.zeros(4)
     Denr_ref = 0.0
-    for fc in cut_exterior_faces(deco):
-        if not fc.crossed:
+    for lf, pieces in enumerate(face_pieces(deco)):
+        if len(pieces) == 1:
             continue
-        idx = list(local_faces(3)[fc.local_face])
-        _, normal = face_measure_normal(REF_TET[idx], centroid)
-        for piece in fc.pieces:
-            eps = mat.for_sign(piece.sign)
-            gbar = g_pos if piece.sign > 0 else g_neg
+        idx = list(local_faces(3)[lf])
+        normal = face_measure_normal(REF_TET[idx][None], centroid)[1][0]
+        for vertices, sign, measure in pieces:
+            eps = mat.for_sign(sign)
+            gbar = g_pos if sign > 0 else g_neg
             # Nbar is linear on the piece: the centroid value integrates it
-            nbar_int = piece.measure * hat_eval(REF_TET, d, piece.vertices.mean(axis=0))
-            D_ref += nbar_int * eps * (grads @ normal)
+            nbar_int = measure * hat_at(REF_TET, d, vertices.mean(axis=0)[None])[0]
+            D_ref += nbar_int * eps * (grads[0] @ normal)
             Denr_ref += nbar_int * eps * float(gbar @ normal)
-    assert np.abs(D - D_ref).max() < 1e-12
-    assert abs(Denr - Denr_ref) < 1e-12
+    assert np.abs(D[0] - D_ref).max() < 1e-12
+    assert abs(Denr[0] - Denr_ref) < 1e-12
 
 
 def test_condense_without_enrichment_is_identity():
     K = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    sys_ = ElementSystem(K, np.zeros(2), 0.0, np.zeros(2), 0.0)
-    out = condense(sys_)
-    assert np.array_equal(out.condensed, K)
-    assert not out.recovery.any()
+    condensed, recovery, margin = condense_one(K, np.zeros(2), 0.0, np.zeros(2), 0.0)
+    assert np.array_equal(condensed, K)
+    assert not recovery.any() and margin == np.inf
 
 
 def test_condense_no_D_is_symmetric_schur():
@@ -305,10 +330,10 @@ def test_condense_no_D_is_symmetric_schur():
     K = G @ G.T + np.eye(3)
     B = rng.normal(size=3)
     kenr = 2.7
-    sys_ = condense(ElementSystem(K.copy(), B, kenr, np.zeros(3), 0.0))
+    condensed, _, _ = condense_one(K.copy(), B, kenr, np.zeros(3), 0.0)
     expected = K - np.outer(B, B) / kenr
-    assert np.allclose(sys_.condensed, expected, atol=1e-13)
-    assert np.allclose(sys_.condensed, sys_.condensed.T, atol=1e-13)
+    assert np.allclose(condensed, expected, atol=1e-13)
+    assert np.allclose(condensed, condensed.T, atol=1e-13)
 
 
 def test_condense_matches_hand_elimination():
@@ -328,16 +353,37 @@ def test_condense_matches_hand_elimination():
         full[n, n] = kenr - denr
         sol_full = np.linalg.solve(full, np.append(f, 0.0))
 
-        sys_ = condense(ElementSystem(K.copy(), B, kenr, D, denr))
-        sol_cond = np.linalg.solve(sys_.condensed, f)
+        condensed, recovery, _ = condense_one(K.copy(), B, kenr, D, denr)
+        sol_cond = np.linalg.solve(condensed, f)
         assert np.abs(sol_full[:n] - sol_cond).max() < 1e-10
-        assert abs(sol_full[n] - sys_.recovery @ sol_cond) < 1e-10
+        assert abs(sol_full[n] - recovery @ sol_cond) < 1e-10
 
 
-def test_condense_guards_singular_scalar():
-    K = np.eye(3)
-    with pytest.raises(SingularEnrichmentError, match="singular"):
-        condense(ElementSystem(K, np.ones(3), 1.0, np.zeros(3), 1.0))
+def test_condense_guards_singular_scalar(monkeypatch):
+    # a stack keeps going past a singular block and flags it by its margin
+    K = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    B, D = np.ones((2, 3)), np.zeros((2, 3))
+    out = condense(ElementSystem(K.copy(), B, np.array([1.0, 3.0]), D, np.array([1.0, 0.5])))
+    assert out.margin[0] <= CONDENSE_GUARD < out.margin[1]
+    alone = condense_one(K[1].copy(), B[1], 3.0, D[1], 0.5)
+    assert np.array_equal(out.condensed[1], alone[0]) and np.array_equal(out.recovery[1], alone[1])
+
+    # assembly records such an element as a singular-condensation fallback
+    real = efem_core.condense
+
+    def singular_first(system):
+        system.Denr[0] = system.Kenr[0]
+        return real(system)
+
+    monkeypatch.setattr(efem_core, "condense", singular_first)
+    mesh = generate_structured(2, 5, 5)
+    asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem",
+                          box_boundary(2))
+    first = int(asm.classification.cut_elements[0])
+    assert asm.fallback_elements == [first]
+    assert asm.fallback_reasons == ["singular condensation"]
+    assert first not in asm.cut_data.ids.tolist()
+    assert np.isfinite(asm.matrix.data).all() and np.isfinite(asm.condense_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +434,12 @@ def test_degenerate_cut_is_a_fallback_in_every_mode():
 
 
 def test_assembly_shares_geometry_with_solution(monkeypatch):
-    # the mesh owns the element geometry: one p1_geometry call serves the
-    # assembly of every mode and the solution built from it
+    # the mesh owns the element geometry: one p1_gradients call serves the
+    # assembly of every mode and the solution built from it, and the measures
+    # are those the mesh's orientation check took
     calls = []
-    real = mesh_mod.p1_geometry
-    monkeypatch.setattr(mesh_mod, "p1_geometry", lambda X: calls.append(len(X)) or real(X))
+    real = mesh_mod.p1_gradients
+    monkeypatch.setattr(mesh_mod, "p1_gradients", lambda X: calls.append(len(X)) or real(X))
     mesh = generate_structured(2, 4, 4)
     assert calls == []
     for mode in MODES:
@@ -401,9 +448,9 @@ def test_assembly_shares_geometry_with_solution(monkeypatch):
         phi, _ = solve(asm.matrix, asm.rhs, tol=1e-10)
         assert build_solution(asm, phi).mesh is mesh
     assert calls == [mesh.n_elements]
-    measures, grads = real(mesh.nodes[mesh.elements])
-    assert np.array_equal(mesh.measures, measures)
-    assert np.array_equal(mesh.grads, grads)
+    X = mesh.nodes[mesh.elements]
+    assert np.array_equal(mesh.measures, np.abs(signed_measures(X)))
+    assert np.array_equal(mesh.grads, real(X))
 
 
 def test_assembly_requires_dirichlet():
@@ -439,7 +486,7 @@ def test_assembly_rejects_non_finite_callable_dirichlet_value():
     boundary = box_boundary(2)
     boundary["top"] = BoundaryTag("top", "dirichlet", lambda x: np.full(len(x), np.nan))
     e, lf = next((e, lf) for e, lf, tag in mesh.boundary_faces if tag == "top")
-    node = int(mesh.face_nodes(e, lf)[0])
+    node = int(mesh.elements[e, local_faces(2)[lf][0]])
     with pytest.raises(ValueError) as info:
         assemble_global(mesh, planar_levelset(), planar_materials(3), "efem", boundary)
     assert str(info.value) == f"node {node} has a non-finite Dirichlet value nan from tag 'top'"
@@ -461,7 +508,8 @@ def test_dirichlet_callable_is_evaluated_once_per_node_and_tag():
                           planar_materials(3), "efem", boundary)
     node_of = {tuple(p): i for i, p in enumerate(mesh.nodes.tolist())}
     evaluated = [(node_of[tuple(p)], tag) for tag, points in calls for p in points]
-    pairs = {(int(n), tag) for e, lf, tag in mesh.boundary_faces for n in mesh.face_nodes(e, lf)}
+    pairs = {(int(n), tag) for e, lf, tag in mesh.boundary_faces
+             for n in mesh.elements[e, list(local_faces(3)[lf])]}
     assert sorted(tag for tag, _ in calls) == sorted(tags)          # one call per tag
     assert len(evaluated) == len(set(evaluated)) and set(evaluated) == pairs
     assert len(evaluated) < sum(mesh.dim for _ in mesh.boundary_faces)
@@ -580,20 +628,21 @@ def test_condensed_equals_explicit_block_system():
         cut = [int(e) for e in cl.cut_elements]
         enr = {e: nn + k for k, e in enumerate(cut)}
         N = nn + len(cut)
+        coords = mesh.nodes[mesh.elements[cut]]
+        deco = split_simplex(coords, cl.element_d[cut])
+        sys_ = element_matrices(coords, measures[cut], grads[cut], mat, deco)
+        if mode == "efem":
+            sys_.D, sys_.Denr = element_displacement_terms(coords, grads[cut], mat, deco)
         A = np.zeros((N, N))
         for e in range(mesh.n_elements):
             conn = mesh.elements[e]
-            coords = mesh.element_coords(e)
             if cl.is_cut[e]:
-                deco = split_simplex(coords, cl.element_d[e])
-                sys_ = element_matrices(coords, measures[e], grads[e], mat, deco)
-                if mode == "efem":
-                    sys_.D, sys_.Denr = element_displacement_terms(coords, grads[e], mat, deco)
                 j = enr[e]
-                A[np.ix_(conn, conn)] += sys_.K
-                A[conn, j] += sys_.B
-                A[j, conn] += sys_.B - sys_.D
-                A[j, j] += sys_.Kenr - sys_.Denr
+                k = j - nn
+                A[np.ix_(conn, conn)] += sys_.K[k]
+                A[conn, j] += sys_.B[k]
+                A[j, conn] += sys_.B[k] - sys_.D[k]
+                A[j, j] += sys_.Kenr[k] - sys_.Denr[k]
             else:
                 eps = mat.for_sign(int(cl.element_sign[e]))
                 A[np.ix_(conn, conn)] += eps * measures[e] * (grads[e] @ grads[e].T)

@@ -3,7 +3,8 @@
 Each kernel is checked bit for bit against an in-test copy of the
 one-simplex helper it replaced: the measure and area helpers of the cut
 decomposition, the single-simplex P1 geometry and the single-face measure
-and normal.  Cuts are random, on random simplices and on grid cells.
+and normal.  Each row of a stack must also carry the bits of the stack of
+that one row.  Cuts are random, on random simplices and on grid cells.
 """
 
 import math
@@ -15,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efem import mesh as mesh_mod
-from efem.interface import DegenerateCutError, cut_exterior_faces, split_simplex
+from efem.interface import cut_exterior_faces, split_simplex
 from efem.mesh import (
+    Mesh,
     MeshError,
     face_measure_normal,
     generate_structured,
     local_faces,
-    p1_geometry,
+    p1_gradients,
     signed_measures,
 )
 from efem.oracles import cylinder_benchmark_mesh
@@ -124,7 +126,7 @@ def test_signed_measures_match_per_simplex(X):
     signed = signed_measures(X)
     assert signed.shape == (X.shape[0],)
     for i, x in enumerate(X):
-        assert signed_measures(x) == signed[i]
+        assert signed_measures(x[None])[0] == signed[i]
         assert abs(signed[i]) == _simplex_measure(x)
         assert np.sign(signed[i]) == np.sign(np.linalg.det(x[1:] - x[0]))
 
@@ -132,21 +134,24 @@ def test_signed_measures_match_per_simplex(X):
 @settings(max_examples=150, deadline=None)
 @given(simplex_stacks())
 def test_p1_geometry_matches_per_simplex(X):
-    measures, grads = p1_geometry(X)
+    # the measures are the magnitudes of the signed ones
+    measures, grads = np.abs(signed_measures(X)), p1_gradients(X)
     assert measures.shape == (X.shape[0],) and grads.shape == X.shape
     for i, x in enumerate(X):
         m, g = _p1_geometry_one(x)
         assert measures[i] == m and np.array_equal(grads[i], g)
-        one_m, one_g = p1_geometry(x)
-        assert type(one_m) is float and one_m == m and np.array_equal(one_g, g)
+        assert np.array_equal(p1_gradients(x[None])[0], g)
 
 
 def test_p1_geometry_rejects_zero_measure_in_a_batch():
     X = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                   [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])
-    for batch in (X, X[1]):
-        with pytest.raises(MeshError, match="zero measure"):
-            p1_geometry(batch)
+    with pytest.raises(np.linalg.LinAlgError):
+        p1_gradients(X)
+    # a mesh takes its measures first and names the zero-measure element
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(MeshError, match="element 1 .*signed measure 0"):
+        Mesh.build(2, nodes, [[0, 1, 2], [0, 1, 3]], [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,8 +165,8 @@ def test_face_measure_normal_matches_single_face(X):
     for i, (f, c) in enumerate(zip(F, centroids)):
         m, n = _face_measure_normal_one(f, c)
         assert measures[i] == m and np.array_equal(normals[i], n)
-        one_m, one_n = face_measure_normal(f, c)
-        assert type(one_m) is float and one_m == m and np.array_equal(one_n, n)
+        one_m, one_n = face_measure_normal(f[None], c[None])
+        assert one_m[0] == m and np.array_equal(one_n[0], n)
     # one centroid for all faces of one simplex
     m, n = face_measure_normal(F[:dim + 1], X[0].mean(axis=0))
     assert np.array_equal(m, measures[:dim + 1]) and np.array_equal(n, normals[:dim + 1])
@@ -171,30 +176,29 @@ def test_face_measure_normal_matches_single_face(X):
 @given(cuts())
 def test_children_measured_from_their_final_vertex_order(case):
     coords, d = case
-    try:
-        deco = split_simplex(coords, d)
-    except DegenerateCutError:
+    deco = split_simplex(coords[None], d[None])
+    if deco.degenerate[0]:
         return
-    for child in deco.children:
-        assert child.measure == _simplex_measure(child.vertices)
-        assert np.linalg.det(child.vertices[1:] - child.vertices[0]) > 0.0
-        assert type(child.measure) is float
+    for c, measure in zip(deco.children[0, :deco.n_children[0]], deco.child_measure[0]):
+        vertices = deco.points[0, c]
+        assert measure == _simplex_measure(vertices)
+        assert np.linalg.det(vertices[1:] - vertices[0]) > 0.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(cuts())
 def test_face_pieces_match_single_piece_measures(case):
     coords, d = case
-    try:
-        deco = split_simplex(coords, d)
-    except DegenerateCutError:
+    deco = split_simplex(coords[None], d[None])
+    if deco.degenerate[0]:
         return
     dim = coords.shape[1]
-    for fc in cut_exterior_faces(deco):
-        for piece in fc.pieces:
-            v = piece.vertices
+    pieces = cut_exterior_faces(deco)
+    for f, n in enumerate(pieces.count[0].tolist()):
+        for p, measure in zip(pieces.points[0, f, :n], pieces.measure[0, f]):
+            v = deco.points[0, p]
             want = float(np.linalg.norm(v[1] - v[0])) if dim == 2 else _tri_area(v)
-            assert piece.measure == want and type(piece.measure) is float
+            assert measure == want
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +206,13 @@ def test_face_pieces_match_single_piece_measures(case):
 
 
 def _check_mesh_geometry(mesh):
-    with mock.patch.object(mesh_mod, "p1_geometry", wraps=mesh_mod.p1_geometry) as spy:
+    with mock.patch.object(mesh_mod, "p1_gradients", wraps=mesh_mod.p1_gradients) as spy:
         measures, grads = mesh.measures, mesh.grads
         assert mesh.measures is measures and mesh.grads is grads
     assert spy.call_count == 1
     assert not measures.flags.writeable and not grads.flags.writeable
     for e in range(mesh.n_elements):
-        m, g = p1_geometry(mesh.element_coords(e))
+        m, g = _p1_geometry_one(mesh.nodes[mesh.elements[e]])
         assert measures[e] == m and np.array_equal(grads[e], g)
 
 

@@ -12,33 +12,63 @@ from efem.interface import (
     SphereLevelSet,
     classify_elements,
     cut_exterior_faces,
-    snap_distances,
     split_simplex,
 )
-from efem.mesh import generate_structured
+from efem.mesh import generate_structured, local_faces
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def one(coords, d):
+    """split_simplex of one simplex: a batch of one."""
+    return split_simplex(np.asarray(coords, dtype=float)[None], np.asarray(d, dtype=float)[None])
+
+
+def children(batch, i=0):
+    """[(vertices, sign, measure)] of the children of element i of a batch."""
+    n = batch.n_children[i]
+    return [(batch.points[i, c], int(s), float(m)) for c, s, m in
+            zip(batch.children[i, :n], batch.child_sign[i, :n], batch.child_measure[i, :n])]
+
+
+def virtual_nodes(batch, i=0):
+    """(a, b) -> the virtual node on local edge a < b of element i; these are
+    the vertices of its interface facet."""
+    nv, n = batch.coords.shape[1], batch.n_virtual[i]
+    return {tuple(e): x for e, x in zip(batch.virtual_edges[i, :n].tolist(),
+                                        batch.points[i, nv:nv + n])}
+
+
+def face_pieces(batch, i=0):
+    """Per local face of element i, [(vertices, sign, measure)] of its pieces."""
+    pieces = cut_exterior_faces(batch)
+    return [[(batch.points[i, p], int(s), float(m)) for p, s, m in
+             zip(pieces.points[i, f, :n], pieces.sign[i, f, :n], pieces.measure[i, f, :n])]
+            for f, n in enumerate(pieces.count[i].tolist())]
 
 
 def test_plane_distance():
     ls = PlaneLevelSet((0.0, 0.5), (0.0, 1.0))
-    assert abs(ls.evaluate(np.array([0.3, 0.8])) - 0.3) < 1e-15
+    d = ls.evaluate(np.array([[0.3, 0.8], [0.0, 0.5]]))
+    assert d.shape == (2,) and abs(d[0] - 0.3) < 1e-15 and d[1] == 0.0
 
 
 def test_plane_normal_is_normalized():
     ls = PlaneLevelSet((0.0, 0.0), (0.0, 2.0))
     assert abs(np.linalg.norm(ls.normal) - 1.0) < 1e-12
-    assert abs(ls.evaluate(np.array([0.0, 0.25])) - 0.25) < 1e-15
+    assert abs(ls.evaluate(np.array([[0.0, 0.25]]))[0] - 0.25) < 1e-15
 
 
 def test_circle_distance_at_center():
     ls = CircleLevelSet((0.25, 0.75), 0.2)
-    assert abs(ls.evaluate(np.array([0.25, 0.75])) + 0.2) < 1e-15
+    assert abs(ls.evaluate(np.array([[0.25, 0.75]]))[0] + 0.2) < 1e-15
 
 
 def test_sphere_distance():
     ls = SphereLevelSet((0.5, 0.5, 0.5), 0.1)
-    assert abs(ls.evaluate(np.array([0.5, 0.5, 0.65])) - 0.05) < 1e-15
+    d = ls.evaluate(np.array([[0.5, 0.5, 0.65], [0.5, 0.5, 0.5]]))
+    assert abs(d[0] - 0.05) < 1e-15 and abs(d[1] + 0.1) < 1e-15
 
 
 def test_nodal_levelset_size_mismatch():
@@ -106,94 +136,91 @@ def test_classify_all_positive():
 
 
 def test_snap_zero_goes_positive():
-    d = snap_distances(np.array([0.0, 1.0, 1.0]), h=1.0)
-    assert (d > 0).all()
-    assert abs(d[0] - 1e-6) < 1e-18
+    # element 1 holds nodes 0, 3, 1 and is clearly mixed
+    mesh = generate_structured(2, 1, 1)
+    cl = classify_elements(mesh, NodalLevelSet(np.array([0.0, -1.0, 1.0, 1.0])))
+    assert cl.is_cut.tolist() == [False, True]
+    assert cl.element_d[1].tolist() == [1e-6 * np.sqrt(2.0), 1.0, -1.0]
 
 
 def test_snap_preserves_sign():
-    d = snap_distances(np.array([-1e-9, 1e-9, 0.5]), h=1.0)
-    assert d[0] == -1e-6 and d[1] == 1e-6 and d[2] == 0.5
-
-
-def _virtual_nodes(deco):
-    """(a, b) -> coordinates of the virtual node on local edge a < b, from the children."""
-    return {ref[1]: vert for c in deco.children for ref, vert in zip(c.refs, c.vertices)
-            if ref[0] == "x"}
+    # in an element that is clearly mixed, a near-zero node keeps its own sign
+    mesh = generate_structured(2, 1, 1)
+    assert mesh.elements[0].tolist() == [0, 2, 3]
+    t = 1e-6 * np.sqrt(2.0)                  # the threshold: 1e-6 of the longest edge
+    for tiny in (-1e-9, 1e-9):
+        cl = classify_elements(mesh, NodalLevelSet(np.array([tiny, 1.0, -0.5, 0.5])))
+        assert cl.element_d[0].tolist() == [np.sign(tiny) * t, -0.5, 0.5]
 
 
 def test_split_triangle_example():
-    deco = split_simplex(REF_TRI, np.array([-1.0, 1.0, 1.0]))
-    assert len(deco.children) == 3
-    assert abs(deco.measure_by_sign(-1) - 0.125) < 1e-14
-    assert abs(deco.measure_by_sign(1) - 0.375) < 1e-14
-    xi = sorted(_virtual_nodes(deco).values(), key=lambda p: p[0])
+    deco = one(REF_TRI, [-1.0, 1.0, 1.0])
+    kids = children(deco)
+    assert len(kids) == 3
+    assert abs(sum(m for _, s, m in kids if s == -1) - 0.125) < 1e-14
+    assert abs(sum(m for _, s, m in kids if s == 1) - 0.375) < 1e-14
+    xi = sorted(virtual_nodes(deco).values(), key=lambda p: p[0])
     assert np.allclose(xi[0], [0.0, 0.5]) and np.allclose(xi[1], [0.5, 0.0])
-    seg = deco.interface_facet[0]
-    assert abs(np.linalg.norm(seg[1] - seg[0]) - np.sqrt(0.5)) < 1e-14
+    assert abs(np.linalg.norm(xi[1] - xi[0]) - np.sqrt(0.5)) < 1e-14
 
 
 def test_split_sign_flip_symmetry():
-    a = split_simplex(REF_TRI, np.array([-1.0, 1.0, 1.0]))
-    b = split_simplex(REF_TRI, np.array([1.0, -1.0, -1.0]))
-    assert len(a.children) == len(b.children)
-    for ca, cb in zip(a.children, b.children):
-        assert np.allclose(ca.vertices, cb.vertices)
-        assert ca.sign == -cb.sign
+    a = children(one(REF_TRI, [-1.0, 1.0, 1.0]))
+    b = children(one(REF_TRI, [1.0, -1.0, -1.0]))
+    assert len(a) == len(b)
+    for (va, sa, _), (vb, sb, _) in zip(a, b):
+        assert np.allclose(va, vb)
+        assert sa == -sb
 
 
 def test_split_tet_one_isolated():
-    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    deco = split_simplex(coords, np.array([-1.0, 1.0, 1.0, 1.0]))
-    assert len(deco.children) == 4
-    total = sum(c.measure for c in deco.children)
-    assert abs(total - 1.0 / 6.0) < 1e-12
+    kids = children(one(REF_TET, [-1.0, 1.0, 1.0, 1.0]))
+    assert len(kids) == 4
+    assert abs(sum(m for _, _, m in kids) - 1.0 / 6.0) < 1e-12
 
 
 def test_split_tet_two_two():
-    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    deco = split_simplex(coords, np.array([-1.0, -1.0, 1.0, 1.0]))
-    assert len(deco.children) == 6
-    total = sum(c.measure for c in deco.children)
-    assert abs(total - 1.0 / 6.0) < 1e-12
-    assert len(deco.interface_facet) == 2
+    deco = one(REF_TET, [-1.0, -1.0, 1.0, 1.0])
+    kids = children(deco)
+    assert len(kids) == 6
+    assert abs(sum(m for _, _, m in kids) - 1.0 / 6.0) < 1e-12
+    # the interface facet is a quad of four virtual nodes, split into two triangles
+    assert deco.n_virtual[0] == 4 and len(virtual_nodes(deco)) == 4
 
 
 def test_split_rejects_unsnapped_input():
     with pytest.raises(ValueError, match="mixed-sign"):
-        split_simplex(REF_TRI, np.array([0.0, 1.0, 1.0]))
+        one(REF_TRI, [0.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="mixed-sign"):
-        split_simplex(REF_TRI, np.array([1.0, 1.0, 1.0]))
+        one(REF_TRI, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="mixed-sign"):      # one bad row spoils the stack
+        split_simplex(np.stack([REF_TRI, REF_TRI]), np.array([[-1.0, 1.0, 1.0],
+                                                             [1.0, 1.0, 1.0]]))
 
 
 def test_face_segments_of_cut_triangle():
-    deco = split_simplex(REF_TRI, np.array([-1.0, 1.0, 1.0]))
-    cuts = cut_exterior_faces(deco)
-    bottom = cuts[0]                 # face from (0,0) to (1,0)
-    assert bottom.crossed
-    by_sign = {p.sign: p for p in bottom.pieces}
-    assert abs(by_sign[-1].measure - 0.5) < 1e-14
-    assert abs(by_sign[1].measure - 0.5) < 1e-14
+    bottom = face_pieces(one(REF_TRI, [-1.0, 1.0, 1.0]))[0]     # face from (0,0) to (1,0)
+    assert len(bottom) == 2
+    by_sign = {s: (v, m) for v, s, m in bottom}
+    assert abs(by_sign[-1][1] - 0.5) < 1e-14
+    assert abs(by_sign[1][1] - 0.5) < 1e-14
     # the negative piece is the one containing node 0
-    assert np.allclose(by_sign[-1].vertices[0], [0.0, 0.0])
+    assert np.allclose(by_sign[-1][0][0], [0.0, 0.0])
 
 
 def test_uncut_face_comes_back_whole():
-    deco = split_simplex(REF_TRI, np.array([-1.0, 1.0, 1.0]))
-    cuts = cut_exterior_faces(deco)
-    hyp = cuts[1]                    # face from (1,0) to (0,1), both positive
-    assert not hyp.crossed
-    assert hyp.pieces[0].sign == 1
-    assert abs(hyp.pieces[0].measure - np.sqrt(2.0)) < 1e-14
+    # face from (1,0) to (0,1), both positive
+    hyp = face_pieces(one(REF_TRI, [-1.0, 1.0, 1.0]))[1]
+    assert len(hyp) == 1
+    _, sign, measure = hyp[0]
+    assert sign == 1
+    assert abs(measure - np.sqrt(2.0)) < 1e-14
 
 
 def test_face_pieces_sum_to_face_measure_3d():
-    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    deco = split_simplex(coords, np.array([-1.0, 1.0, 1.0, 1.0]))
     areas = {0: 0.5 * np.sqrt(3.0), 1: 0.5, 2: 0.5, 3: 0.5}
-    for cut in cut_exterior_faces(deco):
-        total = sum(p.measure for p in cut.pieces)
-        assert abs(total - areas[cut.local_face]) < 1e-12
+    for lf, pieces in enumerate(face_pieces(one(REF_TET, [-1.0, 1.0, 1.0, 1.0]))):
+        assert abs(sum(m for _, _, m in pieces) - areas[lf]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +252,7 @@ def test_measure_conservation_property(case):
     coords, d = case
     parent = abs(np.linalg.det(coords[1:] - coords[0]))
     parent /= 2.0 if coords.shape[1] == 2 else 6.0
-    deco = split_simplex(coords, d)
-    total = sum(c.measure for c in deco.children)
+    total = sum(m for _, _, m in children(one(coords, d)))
     assert abs(total - parent) < 1e-10 * max(parent, 1e-30)
 
 
@@ -234,9 +260,8 @@ def test_measure_conservation_property(case):
 @settings(max_examples=200, deadline=None)
 def test_virtual_nodes_lie_on_interface(case):
     coords, d = case
-    deco = split_simplex(coords, d)
     scale = np.abs(d).max()
-    for (a, b), xi in _virtual_nodes(deco).items():
+    for (a, b), xi in virtual_nodes(one(coords, d)).items():
         # linear interpolant of d along edge a-b must vanish at xi
         t = np.linalg.norm(xi - coords[a]) / np.linalg.norm(coords[b] - coords[a])
         interp = d[a] + t * (d[b] - d[a])
@@ -247,14 +272,13 @@ def test_virtual_nodes_lie_on_interface(case):
 @settings(max_examples=200, deadline=None)
 def test_children_are_sign_homogeneous(case):
     coords, d = case
-    deco = split_simplex(coords, d)
     dim = coords.shape[1]
     A = np.vstack([coords.T, np.ones(dim + 1)])
-    for child in deco.children:
-        centroid = child.vertices.mean(axis=0)
+    for vertices, sign, _ in children(one(coords, d)):
+        centroid = vertices.mean(axis=0)
         lam = np.linalg.solve(A, np.append(centroid, 1.0))
         val = lam @ d
-        assert np.sign(val) == child.sign
+        assert np.sign(val) == sign
 
 
 @given(cut_simplices(), st.floats(0.1, 100.0))
@@ -264,12 +288,12 @@ def test_children_are_sign_homogeneous(case):
           np.array([0.5, -0.5, 0.1875, -0.5])), 0.1)
 def test_split_invariant_under_distance_scaling(case, factor):
     coords, d = case
-    a = split_simplex(coords, d)
-    b = split_simplex(coords, d * factor)
-    assert len(a.children) == len(b.children)
-    for ca, cb in zip(a.children, b.children):
-        assert ca.sign == cb.sign
-        assert np.allclose(ca.vertices, cb.vertices, atol=1e-9)
+    a = children(one(coords, d))
+    b = children(one(coords, d * factor))
+    assert len(a) == len(b)
+    for (va, sa, _), (vb, sb, _) in zip(a, b):
+        assert sa == sb
+        assert np.allclose(va, vb, atol=1e-9)
 
 
 def test_face_piece_measures_sum_randomized(rng):
@@ -281,16 +305,13 @@ def test_face_piece_measures_sum_randomized(rng):
         d = rng.uniform(0.05, 1.0, size=dim + 1) * rng.choice([-1.0, 1.0], size=dim + 1)
         if not ((d > 0).any() and (d < 0).any()):
             continue
-        deco = split_simplex(coords, d)
-        for cut in cut_exterior_faces(deco):
-            total = sum(p.measure for p in cut.pieces)
-            whole = _face_measure(coords, dim, cut.local_face)
+        for lf, pieces in enumerate(face_pieces(one(coords, d))):
+            total = sum(m for _, _, m in pieces)
+            whole = _face_measure(coords, dim, lf)
             assert abs(total - whole) < 1e-10 * max(whole, 1e-30)
 
 
 def _face_measure(coords, dim, lf):
-    from efem.mesh import local_faces
-
     idx = list(local_faces(dim)[lf])
     fc = coords[idx]
     if dim == 2:

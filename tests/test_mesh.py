@@ -11,7 +11,8 @@ from efem.mesh import (
     char_lengths,
     face_measure_normal,
     generate_structured,
-    p1_geometry,
+    local_faces,
+    p1_gradients,
     read_mesh,
     signed_measures,
     write_mesh,
@@ -71,34 +72,28 @@ def test_adjacency_symmetry():
         if e2 < 0:
             continue
         assert e1 < e2
-        assert sorted(mesh.face_nodes(e1, lf1).tolist()) == key
-        assert sorted(mesh.face_nodes(e2, lf2).tolist()) == key
+        faces = local_faces(2)
+        assert sorted(mesh.elements[e1, list(faces[lf1])].tolist()) == key
+        assert sorted(mesh.elements[e2, list(faces[lf2])].tolist()) == key
 
 
 def test_p1_geometry_unit_right_triangle():
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    measure, grads = p1_geometry(coords)
-    assert abs(measure - 0.5) < 1e-15
+    coords = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    assert abs(signed_measures(coords)[0] - 0.5) < 1e-15
     expected = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(grads, expected, atol=1e-14)
+    assert np.allclose(p1_gradients(coords)[0], expected, atol=1e-14)
 
 
 def test_p1_gradients_sum_to_zero():
     rng = np.random.default_rng(7)
     for dim in (2, 3):
-        for _ in range(20):
-            coords = rng.uniform(-1, 1, size=(dim + 1, dim))
-            try:
-                _, grads = p1_geometry(coords)
-            except MeshError:
-                continue
-            assert np.abs(grads.sum(axis=0)).max() < 1e-9
+        grads = p1_gradients(rng.uniform(-1, 1, size=(20, dim + 1, dim)))
+        assert np.abs(grads.sum(axis=1)).max() < 1e-9
 
 
 def test_p1_geometry_reference_tet():
-    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    measure, _ = p1_geometry(coords)
-    assert abs(measure - 1.0 / 6.0) < 1e-15
+    coords = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+    assert abs(signed_measures(coords)[0] - 1.0 / 6.0) < 1e-15
 
 
 def test_partition_of_unity_at_sampled_points():
@@ -106,7 +101,6 @@ def test_partition_of_unity_at_sampled_points():
     grads = mesh.grads
     rng = np.random.default_rng(3)
     for e in range(mesh.n_elements):
-        coords = mesh.element_coords(e)
         w = rng.dirichlet(np.ones(3), size=5)
         for lam in w:
             assert abs(lam.sum() - 1.0) < 1e-12
@@ -116,9 +110,9 @@ def test_partition_of_unity_at_sampled_points():
 def test_mesh_geometry_matches_per_element():
     mesh = generate_structured(3, 2, 2, 2)
     for e in (0, 13, 47):
-        m, g = p1_geometry(mesh.element_coords(e))
-        assert mesh.measures[e] == m
-        assert np.array_equal(mesh.grads[e], g)
+        X = mesh.nodes[mesh.elements[e:e + 1]]
+        assert mesh.measures[e] == abs(signed_measures(X)[0])
+        assert np.array_equal(mesh.grads[e], p1_gradients(X)[0])
 
 
 def test_char_lengths_structured():
@@ -145,7 +139,7 @@ def test_boundary_node_tags_follow_the_face_walk():
     mesh = generate_structured(3, 2, 3, 2)
     walk = []
     for e, lf, tag in mesh.boundary_faces:
-        for node in mesh.face_nodes(e, lf).tolist():
+        for node in mesh.elements[e, list(local_faces(3)[lf])].tolist():
             if (node, tag) not in walk:
                 walk.append((node, tag))
     nodes, tags = mesh.boundary_node_tags
@@ -153,17 +147,17 @@ def test_boundary_node_tags_follow_the_face_walk():
 
 
 def test_face_measure_normal_2d():
-    face = np.array([[0.0, 0.0], [1.0, 0.0]])
+    face = np.array([[[0.0, 0.0], [1.0, 0.0]]])
     measure, n = face_measure_normal(face, np.array([0.5, 0.5]))
-    assert abs(measure - 1.0) < 1e-15
-    assert np.allclose(n, [0.0, -1.0])
+    assert abs(measure[0] - 1.0) < 1e-15
+    assert np.allclose(n[0], [0.0, -1.0])
 
 
 def test_face_measure_normal_3d():
-    face = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    face = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
     measure, n = face_measure_normal(face, np.array([0.2, 0.2, 0.5]))
-    assert abs(measure - 0.5) < 1e-15
-    assert np.allclose(n, [0.0, 0.0, -1.0])
+    assert abs(measure[0] - 0.5) < 1e-15
+    assert np.allclose(n[0], [0.0, 0.0, -1.0])
 
 
 def test_read_two_triangle_square(tmp_path):

@@ -26,7 +26,7 @@ from efem.oracles import (
     planar_levelset,
     planar_materials,
 )
-from efem.postprocess import build_solution, l2_line_error, locate, locate_points
+from efem.postprocess import build_solution, elements_containing, l2_line_error, locate_points
 from efem.solver import solve
 
 
@@ -48,6 +48,22 @@ def test_dirichlet_callable_of_the_wrong_shape_raises_type_error(returned):
     with pytest.raises(TypeError, match="Dirichlet callable of tag 'top' returned shape"):
         assemble_global(generate_structured(2, 3), planar_levelset(), planar_materials(3.0),
                         "efem", boundary)
+
+
+def test_point_wise_dirichlet_callable_fails_on_a_tag_of_dim_nodes():
+    # the top of one square cell has exactly dim = 2 nodes, so x[1], the y of
+    # one point, has the shape of a stacked result; its values do not follow
+    # the points when the stack is reversed
+    mesh = generate_structured(2, 1)
+    boundary = box_boundary(2)
+    boundary["top"] = BoundaryTag("top", "dirichlet", lambda x: x[1])
+    with pytest.raises(TypeError, match="Dirichlet callable of tag 'top' gave values that "
+                                        "do not follow their points"):
+        assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", boundary)
+    boundary["top"] = BoundaryTag("top", "dirichlet", lambda x: x[:, 1])
+    asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", boundary)
+    values = dict(zip(asm.dirichlet_nodes.tolist(), asm.dirichlet_values.tolist()))
+    assert [values[n] for n in np.flatnonzero(mesh.nodes[:, 1] == 1.0)] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("returned", [lambda x: 0.5, lambda x: np.zeros((len(x), 2)),
@@ -79,7 +95,8 @@ def test_phi_evaluator_is_stacked_and_keeps_the_locate_rule(perturbed_field):
     x = np.concatenate([rng.uniform(0.0, 1.0, size=(300, 2)), mesh.nodes[::7],
                         mesh.nodes[mesh.elements[::5, :2]].mean(axis=1)])
     elems = locate_points(perturbed_field, x)
-    assert elems.tolist() == [locate(perturbed_field, p) for p in x]
+    assert elems.tolist() == [elements_containing(perturbed_field, p)[0] for p in x]
+    assert elems.tolist() == [int(locate_points(perturbed_field, p[None])[0]) for p in x]
     phi = phi_evaluator(perturbed_field)
     stacked = phi(x)
     assert stacked.shape == (len(x),)
@@ -95,7 +112,7 @@ def test_solutions_on_one_mesh_share_the_centroid_tree(perturbed_field):
     mesh = perturbed_field.mesh
     tree = mesh.centroid_tree
     assert tree.n == mesh.n_elements
-    locate(perturbed_field, (0.3, 0.3))
+    locate_points(perturbed_field, [(0.3, 0.3)])
     assert mesh.centroid_tree is tree
 
 

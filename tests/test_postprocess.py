@@ -25,12 +25,11 @@ from efem.postprocess import (
     export_vtk,
     interface_potential_mismatch,
     l2_line_error,
-    locate,
+    locate_points,
     observed_order,
     read_csv_sample,
     recover_enrichment,
     sample_line,
-    side_of,
 )
 from efem.solver import solve
 
@@ -103,14 +102,14 @@ def test_normal_displacement_continuous(planar_q3_efem):
 
 def test_locate_outside_raises(planar_q3_efem):
     with pytest.raises(ValueError, match="outside the mesh"):
-        locate(planar_q3_efem, np.array([1.5, 0.5]))
+        locate_points(planar_q3_efem, np.array([[1.5, 0.5]]))
 
 
-def test_side_of_matches_levelset(planar_q3_efem):
-    e_below = locate(planar_q3_efem, np.array([0.5, 0.1]))
-    e_above = locate(planar_q3_efem, np.array([0.5, 0.9]))
-    assert side_of(planar_q3_efem, e_below, np.array([0.5, 0.1])) == -1
-    assert side_of(planar_q3_efem, e_above, np.array([0.5, 0.9])) == 1
+def test_sample_side_matches_levelset(planar_q3_efem):
+    s = sample_line(planar_q3_efem, (0.5, 0.1), (0.5, 0.9), count=9)
+    y = s.points[:, 1]
+    assert (s.side[y < 0.5] == -1).all() and (s.side[y > 0.5] == 1).all()
+    assert (y < 0.5).any() and (y > 0.5).any()
 
 
 def test_sample_line_is_ordered_and_paired(planar_q3_efem):
@@ -289,21 +288,20 @@ def _reference_vtk(sol: SolutionField, path) -> None:
             cdata.append(sol.mesh.grads[e].T @ sol.phi[conn])
             continue
         star = sol.phi_star.get(e, 0.0)
-        deco = split_simplex(m.element_coords(e), sol.element_d[e])
-        virtual = {r[1]: v for child in deco.children for r, v in zip(child.refs, child.vertices)
-                   if r[0] == "x"}
-        local_ids = {("n", i): int(conn[i]) for i in range(m.dim + 1)}
-        for key in deco.batch.virtual_edges[0][:deco.batch.n_virtual[0]].tolist():
-            xv = virtual[tuple(key)]
-            lam = barycentric(m.element_coords(e), xv)
-            local_ids[("x", tuple(key))] = len(points)
-            points.append(np.asarray(xv))
-            pdata.append(float(lam @ sol.phi[conn]) + hat_value(lam, sol.element_d[e]) * star)
+        X, d = m.nodes[conn][None], sol.element_d[e][None]
+        deco = split_simplex(X, d)
+        ids = conn.tolist()                 # point p of the decomposition
+        for xv in deco.points[0, m.dim + 1:m.dim + 1 + deco.n_virtual[0]]:
+            lam = barycentric(X, xv[None])
+            ids.append(len(points))
+            points.append(xv)
+            pdata.append(float(lam[0] @ sol.phi[conn]) + float(hat_value(lam, d)[0]) * star)
         base_E = sol.mesh.grads[e].T @ sol.phi[conn]
         g_pos, g_neg = side_grads[e]
-        for child in deco.children:
-            cells.append([local_ids[r] for r in child.refs])
-            cdata.append(base_E + (g_pos if child.sign > 0 else g_neg) * star)
+        n = deco.n_children[0]
+        for child, sign in zip(deco.children[0, :n], deco.child_sign[0]):
+            cells.append([ids[p] for p in child])
+            cdata.append(base_E + (g_pos if sign > 0 else g_neg) * star)
 
     cell_type = {2: 5, 3: 10}[m.dim]
 

@@ -26,7 +26,7 @@ from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_me
 from efem.postprocess import (build_solution, export_csv, export_vtk,
                               interface_potential_mismatch, l2_line_error,
                               observed_order, sample_l2_error, sample_line)
-from efem.solver import bicgstab, solve
+from efem.solver import solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -367,7 +367,7 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
     for h in h_list:
         mesh = generate_structured(cfg.dim, oracles.resolution(h))
         for mode, assembled in zip(modes, _assemble(cfg, mesh, modes)):
-            phi, report = bicgstab(assembled.matrix, assembled.rhs, tol=cfg.tol)
+            phi, report = solve(assembled.matrix, assembled.rhs, tol=cfg.tol)
             converged = converged and report.converged
             sol = build_solution(assembled, phi)
             for name, (start, end) in cfg.lines.items():

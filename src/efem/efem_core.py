@@ -73,10 +73,10 @@ class MaterialPair:
 
 @dataclass
 class ElementSystem:
-    """Uncondensed blocks of k elements stacked along a first axis;
-    enrichment parts are zero if uncut.  condense fills in the condensed
-    blocks, the recovery vectors and the margins |Kenr - Denr| / max(|K|, 1)
-    (inf where there is no enrichment)."""
+    """Uncondensed blocks of k cut elements stacked along a first axis; D
+    and Denr are zero until the displacement terms fill them in.  condense
+    fills in the condensed blocks, the recovery vectors and the margins
+    |Kenr - Denr| / max(|K|, 1)."""
 
     K: np.ndarray                # (k, n, n)
     B: np.ndarray                # (k, n)
@@ -139,25 +139,15 @@ def barycentric(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Each kernel takes k elements stacked along a first axis and gives k results.
 
 
-def element_matrices(coords, measure, grads, materials: MaterialPair,
-                     deco: CutBatch | None = None, sign=1) -> ElementSystem:
-    """Volume blocks K, B, Kenr of k elements: coords (k, d+1, d), measure
-    (k,), grads (k, d+1, d).
+def element_matrices(grads, materials: MaterialPair, deco: CutBatch) -> ElementSystem:
+    """Volume blocks K, B, Kenr of the k cut elements of deco, whose P1
+    gradients are grads (k, d+1, d).
 
     All integrands are piecewise constant (P1 plus hat), so one centroid
     value per child integrates exactly; children are summed in table order.
-    Uncut elements (deco None) take the single permittivity of their side,
-    sign (k,) or one for all.
     """
     grads = np.asarray(grads, dtype=float)
     k, n, dim = grads.shape
-    gg = np.matmul(grads, grads.transpose(0, 2, 1))
-    zeros = (np.zeros((k, n)), np.zeros(k))
-    if deco is None:
-        eps = np.where(np.asarray(sign) > 0, materials.eps1, materials.eps2)
-        K = (eps * np.asarray(measure, dtype=float))[:, None, None] * gg
-        return ElementSystem(K, np.zeros((k, n)), np.zeros(k), *zeros)
-
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
     eps_meas = np.zeros(k)
     b_accum = np.zeros((k, dim))
@@ -168,12 +158,12 @@ def element_matrices(coords, measure, grads, materials: MaterialPair,
         eps_meas += em
         b_accum += em[:, None] * gbar
         kenr += em * row_dot(gbar, gbar)
-    K = eps_meas[:, None, None] * gg
+    K = eps_meas[:, None, None] * np.matmul(grads, grads.transpose(0, 2, 1))
     B = np.matmul(grads, b_accum[..., None])[..., 0]
-    return ElementSystem(K, B, kenr, *zeros)
+    return ElementSystem(K, B, kenr, np.zeros((k, n)), np.zeros(k))
 
 
-def element_displacement_terms(coords, grads, materials: MaterialPair, deco: CutBatch):
+def element_displacement_terms(grads, materials: MaterialPair, deco: CutBatch):
     """Exterior-face blocks D_i = int Nbar n.(eps grad N_i) and Denr.
 
     Integrates over every exterior face piece; Nbar vanishes identically on
@@ -185,7 +175,7 @@ def element_displacement_terms(coords, grads, materials: MaterialPair, deco: Cut
     outward normal of the face.  Returns (D (k, n), Denr (k,)).
     """
     grads = np.asarray(grads, dtype=float)
-    coords = np.asarray(coords, dtype=float)
+    coords = deco.coords
     k, n, dim = grads.shape
     pieces = cut_exterior_faces(deco)
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
@@ -209,21 +199,22 @@ def condense(system: ElementSystem) -> ElementSystem:
     """Eliminate phi*: condensed = K - B (Kenr - Denr)^-1 (B - D)^T.
 
     The recovery vector r gives phi* = r . phi_element.  With D terms the
-    condensed block is generally nonsymmetric.  A block with no enrichment
-    at all (uncut element) passes through unchanged with r = 0.  Sets
-    margin = |Kenr - Denr| / max(|K|, 1) per block and keeps going past
-    singular blocks (margin <= CONDENSE_GUARD), which hold no meaningful
-    result; the caller falls back on those.
+    condensed block is generally nonsymmetric.  Sets margin =
+    |Kenr - Denr| / max(|K|, 1) per block and keeps going past singular
+    blocks (margin <= CONDENSE_GUARD), which hold no meaningful result; the
+    caller falls back on those.  Kenr > 0 on every non-degenerate cut (each
+    side's hat gradient is a non-zero combination of at most d of the
+    element's P1 gradients), so a block is singular only where Denr cancels
+    it.
     """
     K, B, D = system.K, system.B, system.D
     k = K.shape[0]
-    plain = (system.Kenr == 0.0) & (system.Denr == 0.0) & ~B.any(axis=1) & ~D.any(axis=1)
     scalar = system.Kenr - system.Denr
     flat = K.reshape(k, K.shape[1] * K.shape[2])
     knorm = np.sqrt(row_dot(flat, flat))
     with np.errstate(divide="ignore", invalid="ignore"):
-        system.margin = np.where(plain, np.inf, np.abs(scalar) / np.maximum(knorm, 1.0))
-        r = np.where(plain[:, None], 0.0, -(B - D) / scalar[:, None])
+        system.margin = np.abs(scalar) / np.maximum(knorm, 1.0)
+        r = -(B - D) / scalar[:, None]
         system.condensed = K + B[:, :, None] * r[:, None, :]
     system.recovery = r
     return system
@@ -235,22 +226,18 @@ def condense(system: ElementSystem) -> ElementSystem:
 
 @dataclass
 class CutState:
-    """Stacked enrichment state of the enriched elements, ids ascending.
+    """The enriched elements, ids ascending: the one record of them.
 
-    children and virtual are the decomposition tables the VTK export draws:
-    a child vertex p < dim+1 is the element's local vertex p, p = dim+1+j
-    its j-th virtual node.  Rows past n_children / n_virtual are padding.
+    batch holds their rows of the cut decomposition, in the same order; its
+    children and virtual nodes are what the VTK export draws, and
+    batch.child_measure / batch.measure their child-volume fractions.
     """
 
     ids: np.ndarray              # (k,)
     recovery: np.ndarray         # (k, dim+1): phi* = recovery . phi_element
-    grad_pos: np.ndarray         # (k, dim)
+    grad_pos: np.ndarray         # (k, dim) hat gradient on the positive side
     grad_neg: np.ndarray         # (k, dim)
-    children: np.ndarray         # (k, C, dim+1)
-    child_sign: np.ndarray       # (k, C)
-    n_children: np.ndarray       # (k,)
-    virtual: np.ndarray          # (k, nx, dim) virtual node coordinates
-    n_virtual: np.ndarray        # (k,)
+    batch: CutBatch
 
     def __len__(self) -> int:
         return self.ids.size
@@ -313,8 +300,7 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     eps1, eps2 = materials.eps1, materials.eps2
     weight = np.where(cl.element_sign > 0, eps1, eps2) * measures     # eps * measure
     cut = cl.cut_elements
-    coords = mesh.nodes[mesh.elements[cut]]
-    deco = split_simplex(coords, cl.element_d[cut])
+    deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.element_d[cut])
     pos, neg = deco.side_measures()
     reasons = np.full(cut.size, "", dtype=object)
     reasons[deco.degenerate] = "degenerate cut"
@@ -330,12 +316,10 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
         live = live[:0]
         condensed, recovery, margins = np.empty((0, nv, nv)), np.empty((0, nv)), np.empty(0)
     else:
-        kept = deco.take(live)
-        e = cut[live]
-        system = element_matrices(coords[live], measures[e], grads[e], materials, kept)
+        kept, g = deco.take(live), grads[cut[live]]
+        system = element_matrices(g, materials, kept)
         if mode == "efem":
-            system.D, system.Denr = element_displacement_terms(coords[live], grads[e],
-                                                               materials, kept)
+            system.D, system.Denr = element_displacement_terms(g, materials, kept)
         condense(system)
         condensed, recovery, margins = system.condensed, system.recovery, system.margin
         weight[cut] = fallback_weight
@@ -364,10 +348,9 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
         log.warning("%d of %d cut elements treated as uncut: %d degenerate cuts, "
                     "%d singular condensations", fell.sum(), cut.size, n_degenerate,
                     fell.sum() - n_degenerate)
-    g_pos, g_neg = hat_gradients(grads[ids], cl.element_d[ids])
-    state = CutState(ids, recovery[ok], g_pos, g_neg, deco.children[good],
-                     deco.child_sign[good], deco.n_children[good], deco.points[good, nv:],
-                     deco.n_virtual[good])
+    batch = deco.take(good)
+    g_pos, g_neg = hat_gradients(grads[ids], batch.nodal_d)
+    state = CutState(ids, recovery[ok], g_pos, g_neg, batch)
     margin = float(margins[ok].min()) if ids.size else math.inf
     return AssembledSystem(A, rhs, mode, mesh, materials, cl, state, dir_nodes, dir_values,
                            cut[fell].tolist(), reasons[fell].tolist(), margin)

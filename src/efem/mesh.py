@@ -482,7 +482,10 @@ def p1_pattern(n_nodes: int, elements: np.ndarray) -> P1Pattern:
     key, edge = np.unique((np.minimum(a, b) * n_nodes + np.maximum(a, b)).ravel(),
                           return_inverse=True)
     lo, hi = key // n_nodes, key % n_nodes
-    used = np.flatnonzero(np.bincount(elements.ravel(), minlength=n_nodes))
+    # a mask, not bincount: bincount copies the read-only elements first
+    is_used = np.zeros(n_nodes, dtype=bool)
+    is_used[elements] = True
+    used = np.flatnonzero(is_used)
     rows = np.concatenate([lo, hi, used])
     cols = np.concatenate([hi, lo, used])
     order = np.lexsort((cols, rows))

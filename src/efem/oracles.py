@@ -19,7 +19,7 @@ from efem.efem_core import MaterialPair, assemble_global
 from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet
 from efem.mesh import BoundaryTag, Mesh, generate_structured, row_dot
 from efem.postprocess import SolutionField, build_solution, eval_field
-from efem.solver import bicgstab
+from efem.solver import solve
 
 PLANAR_INTERFACE_Y = 0.5
 INCLINED_OFFSET = 0.2
@@ -242,9 +242,6 @@ class CylinderCase:
         return np.asarray(self.center) + self.radius * ring
 
 
-AnalyticCase = PlanarCase | SphereCase | CylinderCase
-
-
 # ---------------------------------------------------------------------------
 # benchmark geometry builders shared by tests and the CLI
 
@@ -355,7 +352,7 @@ def reference_solve(case: str, fine_h: float | None = None, q: float = 3.0,
                                     box_boundary(2))
     else:
         raise ValueError(f"no reference recipe for case {case!r}")
-    phi, report = bicgstab(assembled.matrix, assembled.rhs, tol=tol)
+    phi, report = solve(assembled.matrix, assembled.rhs, tol=tol)
     if not report.converged:
         raise RuntimeError(
             f"reference solve for {case!r} stalled at residual {report.residual:.3e}")

@@ -33,21 +33,15 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass
 class SolutionField:
-    """Nodal solution plus per-element enrichment state for evaluation."""
+    """Nodal solution plus the enriched elements (the assembly's cut_data)
+    and their amplitudes phi*, for evaluation and export."""
 
     mesh: Mesh
     phi: np.ndarray
-    mode: str
     element_d: np.ndarray                    # snapped per-element distances
     is_cut: np.ndarray
     cut_data: CutState
     star: np.ndarray                         # phi* of each element of cut_data.ids
-
-    @property
-    def enrichment(self) -> tuple:
-        """(ids, phi*, grad_pos, grad_neg) of the enriched elements, ids ascending."""
-        c = self.cut_data
-        return c.ids, self.star, c.grad_pos, c.grad_neg
 
     @cached_property
     def phi_star(self) -> dict[int, float]:
@@ -64,8 +58,7 @@ def recover_enrichment(assembled: AssembledSystem, phi: np.ndarray) -> np.ndarra
 
 def build_solution(assembled: AssembledSystem, phi: np.ndarray) -> SolutionField:
     phi = np.asarray(phi, dtype=float)
-    return SolutionField(assembled.mesh, phi, assembled.mode,
-                         assembled.classification.element_d,
+    return SolutionField(assembled.mesh, phi, assembled.classification.element_d,
                          assembled.classification.is_cut,
                          assembled.cut_data, recover_enrichment(assembled, phi))
 
@@ -102,7 +95,8 @@ def _evaluate(sol: SolutionField, elems, x, sides):
     L = np.einsum("pi,pi->p", lam, d)
     side = np.where(sides != 0, sides, np.where(L >= 0.0, 1, -1))
 
-    ids, star, gpos, gneg = sol.enrichment
+    c, star = sol.cut_data, sol.star
+    ids = c.ids
     if ids.size:
         pos = np.minimum(np.searchsorted(ids, elems), ids.size - 1)
         hit = np.nonzero(ids[pos] == elems)[0]
@@ -113,7 +107,7 @@ def _evaluate(sol: SolutionField, elems, x, sides):
                          np.where(Lh > 0.0, 1, -1))
         hat = np.einsum("pi,pi->p", lam[hit], np.abs(dh)) - np.abs(Lh)
         phi[hit] += hat * star[k]
-        E[hit] += np.where((child > 0)[:, None], gpos[k], gneg[k]) * star[k][:, None]
+        E[hit] += np.where((child > 0)[:, None], c.grad_pos[k], c.grad_neg[k]) * star[k][:, None]
     return phi, E, side
 
 
@@ -534,35 +528,36 @@ def export_vtk(sol: SolutionField, path) -> None:
 
     # children and virtual nodes of the cut elements, in element order; k
     # indexes the enriched elements
-    ids, star, gpos, gneg = sol.enrichment
-    c = sol.cut_data
+    c, star = sol.cut_data, sol.star
+    ids, b = c.ids, c.batch
     points, pdata, cells, cdata = m.nodes, sol.phi, conn, E
     if ids.size:
-        real_v = np.arange(c.virtual.shape[1]) < c.n_virtual[:, None]
+        virtual = b.points[:, nv:]
+        real_v = np.arange(virtual.shape[1]) < b.n_virtual[:, None]
         virt_of = np.nonzero(real_v)[0]
-        virt_x = c.virtual[real_v]
-        real_c = np.arange(c.children.shape[1]) < c.n_children[:, None]
+        virt_x = virtual[real_v]
+        real_c = np.arange(b.children.shape[1]) < b.n_children[:, None]
         k = np.nonzero(real_c)[0]
-        refs = c.children[real_c]
-        first_virtual = m.n_nodes + np.cumsum(c.n_virtual) - c.n_virtual
+        refs = b.children[real_c]
+        first_virtual = m.n_nodes + np.cumsum(b.n_virtual) - b.n_virtual
         child_rows = np.where(refs < nv,
                               np.take_along_axis(conn[ids[k]], np.minimum(refs, nv - 1), axis=1),
                               (first_virtual[k] - nv)[:, None] + refs)
 
         ve = ids[virt_of]
-        lam = barycentric(m.nodes[conn[ve]], virt_x)
+        lam = barycentric(b.coords[virt_of], virt_x)
         phi_v = (row_dot(lam, sol.phi[conn[ve]])
-                 + hat_value(lam, sol.element_d[ve]) * star[virt_of])
+                 + hat_value(lam, b.nodal_d[virt_of]) * star[virt_of])
         points = np.concatenate([m.nodes, virt_x])
         pdata = np.concatenate([sol.phi, phi_v])
 
         n_children = np.ones(m.n_elements, dtype=np.int64)
-        n_children[ids] = c.n_children
+        n_children[ids] = b.n_children
         uncut = np.ones(m.n_elements, dtype=bool)
         uncut[ids] = False
         is_child = np.ones(int(n_children.sum()), dtype=bool)
         is_child[(np.cumsum(n_children) - n_children)[uncut]] = False
-        gbar = np.where((c.child_sign[real_c] > 0)[:, None], gpos[k], gneg[k])
+        gbar = np.where((b.child_sign[real_c] > 0)[:, None], c.grad_pos[k], c.grad_neg[k])
         cells = np.empty((is_child.size, nv), dtype=np.int64)
         cdata = np.empty((is_child.size, m.dim))
         cells[~is_child], cdata[~is_child] = conn[uncut], E[uncut]

@@ -27,8 +27,8 @@ import scipy.sparse.linalg as spla
 AMG_AFTER = 100
 # Iteration cap of the AMG phase.  An AMG iteration costs about five Jacobi
 # ones; the converging systems measured need at most 83 (2D n=200, q=1e4,
-# efem), and without the cap a stalled solve would run up to the 10 n
-# default of max_iter.
+# efem), and without the cap a stalled solve would run up to the overall
+# cap of 10 n iterations.
 AMG_MAX_ITER = 1000
 # Smoothed aggregation: strength threshold, size below which the coarsest
 # level is factored, and damped-Jacobi sweeps before and after each
@@ -227,9 +227,7 @@ class SmoothedAggregation:
 # solvers
 
 
-def bicgstab(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray | None = None,
-             tol: float = 1e-8, max_iter: int | None = None,
-             precondition: bool = True) -> tuple[np.ndarray, SolveReport]:
+def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned BiCGSTAB on the true relative residual |Ax-b|/|b|.
 
     Convergence additionally requires the Jacobi-scaled residual to pass the
@@ -238,18 +236,16 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray | None = None,
     error is still large.  The reported residual is always the true relative
     one, recomputed from the final iterate.
 
-    The iteration starts with Jacobi preconditioning.  On a rho or omega
-    breakdown, or after ``AMG_AFTER`` iterations without convergence, it
-    restarts once from the current iterate with a fresh shadow residual and
-    a smoothed-aggregation V-cycle as preconditioner, for at most
+    The iteration starts from zero with Jacobi preconditioning.  On a rho or
+    omega breakdown, or after ``AMG_AFTER`` iterations without convergence,
+    it restarts once from the current iterate with a fresh shadow residual
+    and a smoothed-aggregation V-cycle as preconditioner, for at most
     ``AMG_MAX_ITER`` further iterations; a second breakdown reports failure.
-    Without ``precondition`` both phases are unpreconditioned and only a
-    breakdown restarts.
+    No solve runs past 10 n iterations in all.
     """
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    minv = jacobi_precondition(A) if precondition else np.ones(n)
+    max_iter = 10 * n
+    minv = jacobi_precondition(A)
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -257,7 +253,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray | None = None,
     mbnorm = float(np.linalg.norm(minv * b))
     mbnorm = mbnorm if mbnorm > 0.0 else bnorm
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     tiny = 1e-300
 
     def true_rel_residual(xv):
@@ -271,13 +267,12 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray | None = None,
     iterations = 0
     method = "bicgstab"
     precond = minv.__mul__
-    stop = min(max_iter, AMG_AFTER) if precondition else max_iter
+    stop = min(max_iter, AMG_AFTER)
     for attempt in range(2):             # attempt 1 is the single allowed restart
         restarted = attempt == 1
         if restarted:
-            if precondition:
-                precond = SmoothedAggregation(A)
-                method = "bicgstab-amg"
+            precond = SmoothedAggregation(A)
+            method = "bicgstab-amg"
             stop = min(max_iter, iterations + AMG_MAX_ITER)
         r = b - A @ x                    # fresh (shadow) residual per attempt
         r_hat = r.copy()
@@ -334,10 +329,10 @@ def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
 
 
 def solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8,
-          direct: bool = False, max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Entry point used by the CLI: BiCGSTAB by default, sparse LU on request."""
+          direct: bool = False) -> tuple[np.ndarray, SolveReport]:
+    """The one solve entry point: BiCGSTAB by default, sparse LU on request."""
     if direct:
         x = direct_solve(A, b)
         res = float(np.linalg.norm(b - A @ x)) / max(float(np.linalg.norm(b)), 1e-300)
         return x, SolveReport(0, res, True, method="lu")
-    return bicgstab(A, b, tol=tol, max_iter=max_iter)
+    return bicgstab(A, b, tol=tol)

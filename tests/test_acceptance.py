@@ -321,10 +321,10 @@ def _condensation_equivalence():
     worst = 0.0
     for coords, d in (tri, tet):
         X = coords[None]
-        measure, grads = np.abs(signed_measures(X)), p1_gradients(X)
+        grads = p1_gradients(X)
         deco = split_simplex(X, d[None])
-        sys_ = element_matrices(X, measure, grads, mats, deco)
-        sys_.D, sys_.Denr = element_displacement_terms(X, grads, mats, deco)
+        sys_ = element_matrices(grads, mats, deco)
+        sys_.D, sys_.Denr = element_displacement_terms(grads, mats, deco)
         nv = coords.shape[0]
         block = np.zeros((nv + 1, nv + 1))
         block[:nv, :nv] = sys_.K[0]
@@ -388,7 +388,7 @@ def _displacement_zero_sum():
     coords = mesh.nodes[mesh.elements[cut]]
     deco = split_simplex(coords, cl.element_d[cut])
     assert not deco.degenerate.any()
-    all_D, _ = element_displacement_terms(coords, p1_gradients(coords), mats, deco)
+    all_D, _ = element_displacement_terms(p1_gradients(coords), mats, deco)
     for D in all_D:
         scale = float(np.abs(D).sum())
         if scale > 0.0:

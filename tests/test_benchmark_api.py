@@ -1,14 +1,21 @@
-"""Every efem name the benchmark's workloads use exists.
+"""Every efem name and result attribute the benchmark uses exists.
 
 perfbench/workloads.py drives the public API through module attributes
-(efem_core.assemble_global, postprocess.eval_in_element, ...).  A change
-that deletes one of them would only show when the benchmark runs; this test
-parses the file and fails on it first.
+(efem_core.assemble_global, postprocess.eval_in_element, ...), and
+perfbench/run.py records attributes of the results.  A change that deletes
+or renames one of them would only show when the benchmark runs; these tests
+fail on it first.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+from efem import efem_core, oracles, postprocess, solver
+from efem.efem_core import MODES
+from efem.mesh import generate_structured
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 ALIASES = {"efem_core", "interface", "postprocess", "solver", "oracles", "mesh_mod"}
@@ -33,3 +40,28 @@ def test_every_efem_name_the_workloads_use_exists():
     missing = [f"{alias}.{name}" for alias, name in used
                if not hasattr(importlib.import_module(modules[alias]), name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_result_attributes_the_benchmark_reads_exist(mode):
+    """perfbench/run.py and workloads.py read these attributes off the
+    results.  run.py reads report.restarted through getattr(..., None), so a
+    rename would record None there instead of failing."""
+    mesh = generate_structured(2, 8, 8)
+    asm = efem_core.assemble_global(mesh, oracles.cylinder_levelset(),
+                                    oracles.cylinder_materials(3.0), mode,
+                                    oracles.box_boundary(2))
+    phi, report = solver.solve(asm.matrix, asm.rhs, tol=1e-10)
+    sol = postprocess.build_solution(asm, phi)
+    sample = postprocess.sample_line(sol, [0.25, 0.0], [0.25, 1.0], count=11)
+
+    assert isinstance(report.iterations, int) and isinstance(report.residual, float)
+    assert report.converged is True and isinstance(report.restarted, bool)
+    is_cut = asm.classification.is_cut
+    assert is_cut.dtype == bool and is_cut.any()
+    assert asm.matrix.nnz > 0 and asm.rhs.shape == (mesh.n_nodes,)
+    assert isinstance(asm.fallback_elements, list)
+    enriched = 0 if mode == "standard" else int(is_cut.sum()) - len(asm.fallback_elements)
+    assert len(asm.cut_data) == enriched
+    assert isinstance(sol.phi_star, dict) and len(sol.phi_star) == enriched
+    assert sample.t.size >= 11

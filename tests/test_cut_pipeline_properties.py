@@ -472,10 +472,10 @@ def test_element_blocks_match_per_element_path(case):
     if keep.size == 0:
         return
     coords, d = coords[keep], d[keep]
-    measures, grads = np.abs(signed_measures(coords)), p1_gradients(coords)
+    grads = p1_gradients(coords)
     kept = batch.take(keep)
-    system = element_matrices(coords, measures, grads, MATS, kept)
-    system.D, system.Denr = element_displacement_terms(coords, grads, MATS, kept)
+    system = element_matrices(grads, MATS, kept)
+    system.D, system.Denr = element_displacement_terms(grads, MATS, kept)
     assert condense(system) is system
     for i in range(keep.size):
         kids, virtual = ref_split(coords[i], d[i])
@@ -483,8 +483,7 @@ def test_element_blocks_match_per_element_path(case):
         assert np.array_equal(system.K[i], K) and np.array_equal(system.B[i], B)
         assert system.Kenr[i] == kenr
         # the batch of this one element gives the same bits
-        one = element_matrices(coords[i:i + 1], measures[i:i + 1], grads[i:i + 1], MATS,
-                               split_simplex(coords[i:i + 1], d[i:i + 1]))
+        one = element_matrices(grads[i:i + 1], MATS, split_simplex(coords[i:i + 1], d[i:i + 1]))
         assert np.array_equal(one.K[0], K) and np.array_equal(one.B[0], B)
         assert one.Kenr[0] == kenr
 

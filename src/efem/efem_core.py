@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from efem.mesh import BoundaryTag, Mesh, face_measure_normal, local_faces, row_dot
+from efem.mesh import BoundaryTag, Mesh, face_measure_normal, local_faces, row_blocks, row_dot
 from efem.interface import (
     Classification,
     CutBatch,
@@ -254,7 +254,6 @@ class AssembledSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    mode: str
     mesh: Mesh
     materials: MaterialPair
     classification: Classification
@@ -282,14 +281,16 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     element whose cut is degenerate, or whose enrichment cannot be
     condensed, falls back to the permittivity of its larger side.
 
-    Every element block is scattered into the mesh's fixed P1 pattern by one
-    unbuffered np.add.at, so each matrix entry sums its element
-    contributions in element order.  The pattern (a row-identity Dirichlet
-    treatment included) is identical across modes and level sets.
+    The element blocks are formed one row block of elements at a time, and
+    each block is scattered into the mesh's fixed P1 pattern by an
+    unbuffered np.add.at, in element order, so each matrix entry sums its
+    element contributions in element order.  The pattern (a row-identity
+    Dirichlet treatment included) is identical across modes and level sets.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     cl = classification if classification is not None else classify_elements(mesh, levelset, snap_tol)
+    pattern = mesh.pattern
     measures, grads = mesh.measures, mesh.grads
 
     # Dirichlet set first: an unconstrained system is singular, fail early.
@@ -328,15 +329,17 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     good = live[ok]
     ids = cut[good]
 
-    blocks = np.matmul(grads, np.ascontiguousarray(grads.transpose(0, 2, 1)))
-    blocks *= weight[:, None, None]
-    blocks[ids] = condensed[ok]
-    pattern = mesh.pattern
-    # add.at, not bincount: bincount copies the read-only slots first
-    # (25 MB at 3D n=32); both sum in element order, to the same bits
+    # add.at, not bincount: added block by block, per-block bincount sums
+    # would reach each entry in another order than element order
     data = np.zeros(pattern.nnz)
-    np.add.at(data, pattern.slots.ravel(), blocks.ravel())
-    del blocks
+    condensed = condensed[ok]
+    for rows in row_blocks(mesh.n_elements):
+        g = grads[rows]
+        blocks = np.matmul(g, np.ascontiguousarray(g.transpose(0, 2, 1)))
+        blocks *= weight[rows, None, None]
+        first, stop = np.searchsorted(ids, (rows.start, rows.stop))
+        blocks[ids[first:stop] - rows.start] = condensed[first:stop]
+        np.add.at(data, pattern.slots[rows].ravel(), blocks.ravel())
     rhs = np.zeros(mesh.n_nodes)
     _apply_dirichlet(pattern, data, rhs, dir_nodes, dir_values)
     A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
@@ -352,7 +355,7 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     g_pos, g_neg = hat_gradients(grads[ids], batch.nodal_d)
     state = CutState(ids, recovery[ok], g_pos, g_neg, batch)
     margin = float(margins[ok].min()) if ids.size else math.inf
-    return AssembledSystem(A, rhs, mode, mesh, materials, cl, state, dir_nodes, dir_values,
+    return AssembledSystem(A, rhs, mesh, materials, cl, state, dir_nodes, dir_values,
                            cut[fell].tolist(), reasons[fell].tolist(), margin)
 
 

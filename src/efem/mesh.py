@@ -37,6 +37,16 @@ def local_edges(dim: int):
     return EDGES_2D if dim == 2 else EDGES_3D
 
 
+# Rows per block wherever a per-element or per-row array is built or written
+# in blocks: the gradients, the assembly scatter and the text writers.
+_ROW_BLOCK = 1 << 15
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of _ROW_BLOCK rows, in order, that cover rows 0..n-1."""
+    return [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
+
+
 # Face pairing tables, per dim: the other sorted columns when column j of an
 # element's sorted node indices is dropped, and the local face opposite
 # each vertex.
@@ -223,17 +233,20 @@ class Mesh:
 
     @cached_property
     def grads(self) -> np.ndarray:
-        """(n_elements, dim+1, dim) P1 gradients, computed on first use."""
-        grads = p1_gradients(self.nodes[self.elements])
+        """(n_elements, dim+1, dim) P1 gradients, computed on first use, one
+        row block of elements at a time."""
+        grads = np.empty((self.n_elements, self.dim + 1, self.dim))
+        for rows in row_blocks(self.n_elements):
+            grads[rows] = p1_gradients(self.nodes[self.elements[rows]])
         grads.setflags(write=False)
         return grads
 
     @cached_property
     def _char_lengths(self) -> np.ndarray:
-        X = self.nodes[self.elements]
         h = np.zeros(self.n_elements)
         for a, b in local_edges(self.dim):
-            h = np.maximum(h, np.linalg.norm(X[:, a, :] - X[:, b, :], axis=1))
+            edge = self.nodes[self.elements[:, a]] - self.nodes[self.elements[:, b]]
+            np.maximum(h, np.linalg.norm(edge, axis=1), out=h)
         h.setflags(write=False)
         return h
 
@@ -410,8 +423,6 @@ def p1_gradients(simplices) -> np.ndarray:
     X = np.asarray(simplices, dtype=float)
     k, n, d = X.shape
     B = X[:, 1:] - X[:, :1]                     # rows are edge vectors
-    # inv before grads: the other order leaves a 3D n=32 assembly 11 MB
-    # higher in peak RSS (heap layout; the traced allocations are equal)
     inv = np.linalg.inv(B).transpose(0, 2, 1)    # rows: gradients of N_1..N_d
     grads = np.empty((k, n, d))
     grads[:, 1:] = inv
@@ -460,7 +471,8 @@ class P1Pattern:
 
     slots (n_elements, dim+1, dim+1) maps local entry (i, j) of element e to
     the position in the CSR data of entry (elements[e, i], elements[e, j]);
-    rows holds the row of every position.  All arrays are read-only.
+    rows holds the row of every position.  All arrays are read-only and
+    share one index dtype: int32 while nnz and n_nodes are below 2**31.
     """
 
     indptr: np.ndarray
@@ -475,35 +487,58 @@ class P1Pattern:
 
 def p1_pattern(n_nodes: int, elements: np.ndarray) -> P1Pattern:
     """P1 pattern of a mesh, from the distinct element edges and the nodes
-    that belong to an element (the diagonal)."""
+    that belong to an element (the diagonal).
+
+    The element edges are packed into int64 keys (smaller node first) and
+    made distinct by one stable argsort and a mask of where each run of
+    equal keys starts.  Every array of one entry per element edge is built
+    a local edge (a column) at a time, and the index arrays, slots
+    included, take the pattern's index dtype.
+    """
     m, nv = elements.shape
-    edges = np.array(local_edges(nv - 1))
-    a, b = elements[:, edges[:, 0]], elements[:, edges[:, 1]]          # (M, E)
-    key, edge = np.unique((np.minimum(a, b) * n_nodes + np.maximum(a, b)).ravel(),
-                          return_inverse=True)
-    lo, hi = key // n_nodes, key % n_nodes
+    edges = local_edges(nv - 1)
+    key = np.empty((m, len(edges)), dtype=np.int64)
+    forward = np.empty(key.shape, dtype=bool)        # local edge (i, j) runs from the smaller node
+    for k, (i, j) in enumerate(edges):
+        a, b = elements[:, i], elements[:, j]
+        np.less(a, b, out=forward[:, k])
+        key[:, k] = np.minimum(a, b) * n_nodes + np.maximum(a, b)
+    order = np.argsort(key, axis=None, kind="stable")
+    sorted_key = key.ravel()[order]
+    del key
+    run = np.empty(order.size, dtype=bool)           # first entry of each distinct key
+    run[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=run[1:])
+    lo, hi = np.divmod(sorted_key[run], n_nodes)
+    del sorted_key
     # a mask, not bincount: bincount copies the read-only elements first
     is_used = np.zeros(n_nodes, dtype=bool)
     is_used[elements] = True
     used = np.flatnonzero(is_used)
+    nnz = 2 * lo.size + used.size
+    index = np.int32 if max(nnz, n_nodes) < 2**31 else np.int64
+    edge = np.empty(order.size, dtype=index)         # distinct edge of each element edge
+    edge[order] = np.cumsum(run, dtype=index) - 1
+    del order, run
+    edge = edge.reshape(m, len(edges))
+
     rows = np.concatenate([lo, hi, used])
     cols = np.concatenate([hi, lo, used])
     order = np.lexsort((cols, rows))
-    slot = np.empty(order.size, dtype=np.intp)
-    slot[order] = np.arange(order.size)
-    upper, lower, diag = np.split(slot, [key.size, 2 * key.size])
+    slot = np.empty(nnz, dtype=index)
+    slot[order] = np.arange(nnz, dtype=index)
+    upper, lower, diag = np.split(slot, [lo.size, 2 * lo.size])
 
-    slots = np.empty((m, nv, nv), dtype=np.intp)
-    node_diag = np.zeros(n_nodes, dtype=np.intp)
+    slots = np.empty((m, nv, nv), dtype=index)
+    node_diag = np.zeros(n_nodes, dtype=index)
     node_diag[used] = diag
-    local = np.arange(nv)
-    slots[:, local, local] = node_diag[elements]
-    edge = edge.reshape(m, -1)
-    forward = a < b                      # local edge (i, j) runs from the smaller node
-    slots[:, edges[:, 0], edges[:, 1]] = np.where(forward, upper[edge], lower[edge])
-    slots[:, edges[:, 1], edges[:, 0]] = np.where(forward, lower[edge], upper[edge])
+    for i in range(nv):
+        slots[:, i, i] = node_diag[elements[:, i]]
+    for k, (i, j) in enumerate(edges):
+        up, down = upper[edge[:, k]], lower[edge[:, k]]
+        slots[:, i, j] = np.where(forward[:, k], up, down)
+        slots[:, j, i] = np.where(forward[:, k], down, up)
 
-    index = np.int32 if max(order.size, n_nodes) < 2**31 else np.int64
     indptr = np.zeros(n_nodes + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
     pattern = P1Pattern(indptr, cols[order].astype(index), rows[order].astype(index), slots)
@@ -584,13 +619,10 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 #   <n_boundary_faces lines of: element local_face tag_name>
 
 
-_ROWS_PER_WRITE = 1 << 15
-
-
 def _write_rows(f, fmt: str, rows: np.ndarray) -> None:
     """Write rows (N, k) with the %-format fmt of one row, a block at a time."""
-    for i in range(0, rows.shape[0], _ROWS_PER_WRITE):
-        block = rows[i:i + _ROWS_PER_WRITE]
+    for part in row_blocks(rows.shape[0]):
+        block = rows[part]
         f.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 

@@ -172,8 +172,8 @@ class SmoothedAggregation:
     product a diagonal entry <= 0, which the Jacobi smoother would divide
     by: the aggregates of such entries keep their tentative column of T,
     and if a diagonal entry is still <= 0 coarsening stops there.  The
-    coarsest matrix is factored by sparse LU, which needs no dense n x n
-    copy if coarsening stops early.
+    coarsest matrix is scaled symmetrically to a unit diagonal and factored
+    by sparse LU, which needs no dense n x n copy if coarsening stops early.
     Calling the object applies one V-cycle from a zero guess, a fixed
     linear operator.
     """
@@ -205,14 +205,20 @@ class SmoothedAggregation:
             self.levels.append(AMGLevel(A, omega * dinv, agg, P, R))
             A = coarse
         self.coarsest = A
-        self._lu = spla.splu(A.tocsc())
+        # factor S A S with S = |diag A|^-1/2: a contrast q spreads the
+        # diagonal over q, and the unscaled LU loses ~1e-12 relative even
+        # in linearity, so the V-cycle would not be one fixed linear map
+        diag = np.abs(A.diagonal())
+        self._scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        S = sp.diags(self._scale)
+        self._lu = spla.splu((S @ A @ S).tocsc())
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         return self._cycle(0, b)
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         if k == len(self.levels):
-            return self._lu.solve(b)
+            return self._scale * self._lu.solve(self._scale * b)
         lvl = self.levels[k]
         x = lvl.smoother * b
         for _ in range(SMOOTHING_SWEEPS - 1):

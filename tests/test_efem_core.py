@@ -437,12 +437,14 @@ def test_degenerate_cut_is_a_fallback_in_every_mode():
 
 
 def test_assembly_shares_geometry_with_solution(monkeypatch):
-    # the mesh owns the element geometry: one p1_gradients call serves the
-    # assembly of every mode and the solution built from it, and the measures
-    # are those the mesh's orientation check took
+    # the mesh owns the element geometry: each element's gradient is computed
+    # once per mesh, one row block at a time, and serves the assembly of every
+    # mode and the solution built from it; the measures are those the mesh's
+    # orientation check took
     calls = []
     real = mesh_mod.p1_gradients
-    monkeypatch.setattr(mesh_mod, "p1_gradients", lambda X: calls.append(len(X)) or real(X))
+    monkeypatch.setattr(mesh_mod, "p1_gradients", lambda X: calls.append(np.array(X)) or real(X))
+    monkeypatch.setattr(mesh_mod, "_ROW_BLOCK", 7)
     mesh = generate_structured(2, 4, 4)
     assert calls == []
     for mode in MODES:
@@ -450,7 +452,8 @@ def test_assembly_shares_geometry_with_solution(monkeypatch):
                               box_boundary(2))
         phi, _ = solve(asm.matrix, asm.rhs, tol=1e-10)
         assert build_solution(asm, phi).mesh is mesh
-    assert calls == [mesh.n_elements]
+    assert [len(X) for X in calls] == [7, 7, 7, 7, 4]
+    assert np.array_equal(np.concatenate(calls), mesh.nodes[mesh.elements])
     X = mesh.nodes[mesh.elements]
     assert np.array_equal(mesh.measures, np.abs(signed_measures(X)))
     assert np.array_equal(mesh.grads, real(X))

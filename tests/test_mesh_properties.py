@@ -447,11 +447,11 @@ def _write(tmp, text):
 
 @settings(max_examples=60, deadline=None)
 @given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False),
-       rows_per_write=st.sampled_from([mesh_io._ROWS_PER_WRITE, 1, 5]))
+       rows_per_write=st.sampled_from([mesh_io._ROW_BLOCK, 1, 5]))
 def test_round_trip_matches_oracle(mesh, rnd, rows_per_write):
     with tempfile.TemporaryDirectory() as tmp:
         plain, old = Path(tmp) / "new.msh", Path(tmp) / "old.msh"
-        with mock.patch.object(mesh_io, "_ROWS_PER_WRITE", rows_per_write):
+        with mock.patch.object(mesh_io, "_ROW_BLOCK", rows_per_write):
             write_mesh(mesh, plain)
         _oracle_write_mesh(mesh, old)
         assert plain.read_bytes() == old.read_bytes()

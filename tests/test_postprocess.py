@@ -243,9 +243,9 @@ def test_vtk_3d_cell_type(tmp_path):
     assert lines[i + 1] == "10"
 
 
-@pytest.mark.parametrize("rows_per_write", [mesh_io._ROWS_PER_WRITE, 10])
+@pytest.mark.parametrize("rows_per_write", [mesh_io._ROW_BLOCK, 10])
 def test_csv_matches_csv_module_writer(tmp_path, monkeypatch, planar_q3_efem, rows_per_write):
-    monkeypatch.setattr(mesh_io, "_ROWS_PER_WRITE", rows_per_write)
+    monkeypatch.setattr(mesh_io, "_ROW_BLOCK", rows_per_write)
     s = sample_line(planar_q3_efem, (0.3, 0.0), (0.7, 1.0), count=101)
     export_csv(s, tmp_path / "line.csv")
     with open(tmp_path / "reference.csv", "w", newline="") as f:
@@ -373,9 +373,9 @@ def _assert_vtk_matches_reference(sol, tmp_path):
     return _check_section_counts(text.decode(), sol.mesh.dim)
 
 
-@pytest.mark.parametrize("rows_per_write", [mesh_io._ROWS_PER_WRITE, 7])
+@pytest.mark.parametrize("rows_per_write", [mesh_io._ROW_BLOCK, 7])
 def test_vtk_matches_reference_circle_2d(tmp_path, monkeypatch, rows_per_write):
-    monkeypatch.setattr(mesh_io, "_ROWS_PER_WRITE", rows_per_write)
+    monkeypatch.setattr(mesh_io, "_ROW_BLOCK", rows_per_write)
     _, sol = _solved(generate_structured(2, 9, 7), CircleLevelSet((0.45, 0.55), 0.27), "efem")
     assert sol.cut_data
     n_points, n_cells = _assert_vtk_matches_reference(sol, tmp_path)
@@ -407,6 +407,6 @@ def test_vtk_matches_reference_with_degenerate_cut_fallback(tmp_path):
 
 def test_vtk_matches_reference_across_write_chunks(tmp_path):
     mesh = generate_structured(2, 129)
-    assert mesh.n_nodes < mesh_io._ROWS_PER_WRITE < mesh.n_elements
+    assert mesh.n_nodes < mesh_io._ROW_BLOCK < mesh.n_elements
     _, sol = _solved(mesh, CircleLevelSet((0.5, 0.5), 0.3), "efem")
     _assert_vtk_matches_reference(sol, tmp_path)

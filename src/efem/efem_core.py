@@ -118,21 +118,6 @@ def hat_value(shape_values: np.ndarray, nodal_d: np.ndarray):
     return row_dot(lam, np.abs(d)) - np.abs(row_dot(lam, d))
 
 
-def barycentric(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P1 shape values of points in simplices, one linear solve per point.
-
-    coords (k, d+1, d) and x (k, d) give (k, d+1).
-    """
-    coords = np.asarray(coords, dtype=float)
-    x = np.asarray(x, dtype=float)
-    k, n, d = coords.shape
-    A = np.ones((k, n, n))
-    A[:, :d, :] = coords.transpose(0, 2, 1)
-    b = np.ones((k, n, 1))
-    b[:, :d, 0] = x
-    return np.linalg.solve(A, b)[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # element integrals
 #

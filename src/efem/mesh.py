@@ -192,7 +192,12 @@ class Mesh:
         bad = np.flatnonzero(rows[:, 1:] == rows[:, :-1])
         if bad.size:
             raise MeshError(f"element {int(bad[0]) // self.dim} has repeated node indices")
-        vols = signed_measures(self.nodes[self.elements])
+        # edge components gathered a coordinate column at a time: the bits of
+        # signed_measures of the (M, dim+1, dim) stack, without the stack
+        col = [self.nodes[:, c] for c in range(self.dim)]
+        first = [x[self.elements[:, 0]] for x in col]
+        vols = _measures_of([[x[self.elements[:, i]] - x0 for x, x0 in zip(col, first)]
+                             for i in range(1, self.dim + 1)])
         bad = np.nonzero(vols <= 0.0)[0]
         if bad.size:
             raise MeshError(
@@ -243,10 +248,17 @@ class Mesh:
 
     @cached_property
     def _char_lengths(self) -> np.ndarray:
+        """Longest edge per element: the largest squared length, summed over
+        the components in order, then one sqrt."""
         h = np.zeros(self.n_elements)
+        col = [self.nodes[:, c] for c in range(self.dim)]
         for a, b in local_edges(self.dim):
-            edge = self.nodes[self.elements[:, a]] - self.nodes[self.elements[:, b]]
-            np.maximum(h, np.linalg.norm(edge, axis=1), out=h)
+            sq = np.zeros(self.n_elements)
+            for x in col:
+                t = x[self.elements[:, a]] - x[self.elements[:, b]]
+                sq += t * t
+            np.maximum(h, sq, out=h)
+        np.sqrt(h, out=h)
         h.setflags(write=False)
         return h
 
@@ -400,6 +412,44 @@ def _smallest(pairs: np.ndarray) -> int:
 # The one place simplex geometry is computed.  Each kernel takes a stack of
 # k simplices (k, d+1, d) or facets (k, d, d) and gives k results, each with
 # the bits that a stack of that one simplex would give.
+#
+# Measures and P1 gradients come in closed form from the cofactors of the
+# edge matrix B, whose row i is the edge e_i = X_i - X_0 (i = 1..d): in 2D
+# the cofactor rows are the swapped, negated edge components, in 3D the
+# cross products of edge pairs.  det B = e_1 . C_1, the measure is det B / d!
+# and the gradient of N_i is C_i / det B.  Everything is elementwise over
+# (k,) component arrays, with no batched LAPACK call.
+
+
+def _edges(X: np.ndarray) -> list[list[np.ndarray]]:
+    """Edge components e[i - 1][c] = X[:, i, c] - X[:, 0, c] of simplices X (k, d+1, d)."""
+    d = X.shape[-1]
+    return [[X[:, i, c] - X[:, 0, c] for c in range(d)] for i in range(1, d + 1)]
+
+
+def _cofactor(e: list, i: int) -> tuple[np.ndarray, ...]:
+    """Components of cofactor row i of B, whose rows are the edges e:
+    det B times the gradient of N_{i+1}."""
+    if len(e) == 2:
+        (a, b), (c, d) = e
+        return (d, -c) if i == 0 else (-b, a)
+    u, v = e[(i + 1) % 3], e[(i + 2) % 3]
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _det(e: list, c0: tuple) -> np.ndarray:
+    """det B = e_1 . C_1, summed in component order."""
+    det = e[0][0] * c0[0]
+    for a, b in zip(e[0][1:], c0[1:]):
+        det += a * b
+    return det
+
+
+def _measures_of(e: list) -> np.ndarray:
+    """Signed measures det B / d! from the edge components e."""
+    det = _det(e, _cofactor(e, 0))
+    det /= math.factorial(len(e))
+    return det
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -410,23 +460,30 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def signed_measures(simplices) -> np.ndarray:
     """Signed measures (area/volume) of simplices (k, d+1, d), positive when
     the vertices are positively oriented."""
-    X = np.asarray(simplices, dtype=float)
-    return np.linalg.det(X[:, 1:] - X[:, :1]) / math.factorial(X.shape[-1])
+    return _measures_of(_edges(np.asarray(simplices, dtype=float)))
 
 
 def p1_gradients(simplices) -> np.ndarray:
-    """P1 gradients (k, d+1, d) of simplices (k, d+1, d).
+    """P1 gradients (k, d+1, d) of simplices (k, d+1, d): cofactor / det B
+    for N_1..N_d, and minus their sum for N_0.
 
-    A zero-measure simplex raises numpy's LinAlgError; Mesh.build rejects
-    those before any gradient is taken.
+    A zero-measure simplex raises MeshError naming its first row in the
+    stack; Mesh.build rejects those before any gradient is taken.
     """
     X = np.asarray(simplices, dtype=float)
     k, n, d = X.shape
-    B = X[:, 1:] - X[:, :1]                     # rows are edge vectors
-    inv = np.linalg.inv(B).transpose(0, 2, 1)    # rows: gradients of N_1..N_d
+    e = _edges(X)
+    cof = [_cofactor(e, i) for i in range(d)]
+    det = _det(e, cof[0])
+    zero = np.flatnonzero(det == 0.0)
+    if zero.size:
+        raise MeshError(f"simplex {int(zero[0])} of the stack has zero measure; "
+                        f"its P1 gradients are undefined")
     grads = np.empty((k, n, d))
-    grads[:, 1:] = inv
-    grads[:, 0] = -inv.sum(axis=1)
+    for i, row in enumerate(cof, start=1):
+        for c, x in enumerate(row):
+            np.divide(x, det, out=grads[:, i, c])
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
     return grads
 
 

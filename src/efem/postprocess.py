@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from efem.efem_core import AssembledSystem, CutState, barycentric, hat_value
+from efem.efem_core import AssembledSystem, CutState, hat_value
 from efem.mesh import Mesh, _write_rows, char_lengths, local_faces, row_dot, stacked_values
 
 _CONTAIN_TOL = 1e-9
@@ -545,7 +545,7 @@ def export_vtk(sol: SolutionField, path) -> None:
                               (first_virtual[k] - nv)[:, None] + refs)
 
         ve = ids[virt_of]
-        lam = barycentric(b.coords[virt_of], virt_x)
+        lam = _barycentric_at(sol, ve, virt_x)
         phi_v = (row_dot(lam, sol.phi[conn[ve]])
                  + hat_value(lam, b.nodal_d[virt_of]) * star[virt_of])
         points = np.concatenate([m.nodes, virt_x])

@@ -14,7 +14,6 @@ from efem.efem_core import (
     MODES,
     MaterialPair,
     assemble_global,
-    barycentric,
     condense,
     element_displacement_terms,
     element_matrices,
@@ -299,8 +298,8 @@ def _hat_node_and_continuity(rng, count=200):
         coords, _, _, d = _random_cut(rng, dim)
         deco = split_simplex(coords[None], d[None])
         scale = np.abs(d).max()
-        corners = np.broadcast_to(coords, (dim + 1,) + coords.shape)
-        hats = hat_value(barycentric(corners, coords), d)
+        A = np.vstack([coords.T, np.ones(dim + 1)])
+        hats = hat_value(np.linalg.solve(A, A).T, d)           # row j: at node j
         worst_node = max(worst_node, float(np.abs(hats).max()) / scale)
         # the one-sided restrictions are the affine maps sum N_i (|d_i| -+ d_i);
         # their difference at any interface point is 2 sum N_i d_i

@@ -33,7 +33,6 @@ from efem.efem_core import (
     MODES,
     MaterialPair,
     assemble_global,
-    barycentric,
     condense,
     element_displacement_terms,
     element_matrices,
@@ -214,6 +213,17 @@ def ref_matrices(grads, d, kids):
     return eps_meas * (grads @ grads.T), grads @ b_accum, kenr
 
 
+def ref_shape_values(coords, x):
+    """P1 shape values (k, d+1) of points x (k, d) in simplices coords
+    (k, d+1, d), one linear solve per point."""
+    k, n, d = coords.shape
+    A = np.ones((k, n, n))
+    A[:, :d, :] = coords.transpose(0, 2, 1)
+    b = np.ones((k, n, 1))
+    b[:, :d, 0] = x
+    return np.linalg.solve(A, b)[..., 0]
+
+
 def ref_displacement(coords, grads, d, faces):
     """D, Denr and their rounding scales: the summed magnitudes of their
     terms with Nbar bounded by max |d|, since Nbar = sum N_i |d_i| - |sum N_i d_i|
@@ -231,7 +241,7 @@ def ref_displacement(coords, grads, d, faces):
         for v, sign, measure in pieces:
             pts = 0.5 * (v[0] + v[1])[None] if dim == 2 else TRI_PTS @ v
             stacked = np.broadcast_to(coords, (len(pts),) + coords.shape)
-            nbar = hat_value(barycentric(stacked, pts), d)
+            nbar = hat_value(ref_shape_values(stacked, pts), d)
             w = nbar[0] * measure if dim == 2 else measure / 3.0 * ((nbar[0] + nbar[1]) + nbar[2])
             eps = MATS.for_sign(sign)
             gbar = g_pos if sign > 0 else g_neg
@@ -434,7 +444,7 @@ def test_split_matches_per_element_path(case):
         n_facet = 2 if dim == 2 else 4 if (d[i] > 0).sum() == 2 else 3
         facet = batch.points[i, nv:nv + batch.n_virtual[i]]
         assert len(facet) == n_facet
-        lam = barycentric(np.broadcast_to(coords[i], (n_facet, nv, dim)), facet)
+        lam = ref_shape_values(np.broadcast_to(coords[i], (n_facet, nv, dim)), facet)
         assert np.abs(lam @ d[i]).max() <= 1e-10 * np.abs(d[i]).max()
 
 

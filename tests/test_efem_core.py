@@ -11,7 +11,6 @@ from efem.efem_core import (
     MaterialPair,
     SingularSystemError,
     assemble_global,
-    barycentric,
     condense,
     element_displacement_terms,
     element_matrices,
@@ -56,9 +55,11 @@ def one(coords, d):
 
 
 def hat_at(coords, d, x):
-    """Nbar of one element at the points x (P, dim), by barycentric solves."""
+    """Nbar of one element at the points x (P, dim), by one barycentric solve."""
     x = np.asarray(x, dtype=float)
-    return hat_value(barycentric(np.broadcast_to(coords, (len(x),) + coords.shape), x), d)
+    A = np.vstack([coords.T, np.ones(len(coords))])
+    lam = np.linalg.solve(A, np.vstack([x.T, np.ones(len(x))])).T
+    return hat_value(lam, d)
 
 
 def children(batch):
@@ -134,13 +135,8 @@ def test_hat_gradients_match_finite_differences():
 def test_batched_kernels_match_single_points_bitwise(dim):
     # row i of a stack has the bits of the stack of that one row
     rng = np.random.default_rng(40 + dim)
-    coords = rng.normal(size=(50, dim + 1, dim))
-    x = rng.normal(size=(50, dim))
+    lam = rng.dirichlet(np.ones(dim + 1), size=50)
     d = rng.normal(size=(50, dim + 1))
-    lam = barycentric(coords, x)
-    assert lam.shape == (50, dim + 1)
-    single = [barycentric(coords[i:i + 1], x[i:i + 1]) for i in range(50)]
-    assert np.array_equal(lam, np.concatenate(single))
     hats = hat_value(lam, d)
     assert hats.shape == (50,)
     single = [hat_value(lam[i:i + 1], d[i:i + 1]) for i in range(50)]

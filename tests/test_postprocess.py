@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from efem import mesh as mesh_io
-from efem.efem_core import MaterialPair, assemble_global, barycentric, hat_value
+from efem.efem_core import MaterialPair, assemble_global, hat_value
 from efem.interface import (
     CircleLevelSet,
     NodalLevelSet,
@@ -18,6 +18,7 @@ from efem.mesh import BoundaryTag, generate_structured
 from efem.oracles import box_boundary, planar_levelset, planar_materials, planar_slopes, planar_solution
 from efem.postprocess import (
     SolutionField,
+    _barycentric_at,
     build_solution,
     crossings,
     eval_field,
@@ -274,7 +275,8 @@ def test_csv_round_trip_is_bit_exact(tmp_path, planar_q3_efem):
 
 def _reference_vtk(sol: SolutionField, path) -> None:
     """The export written one element at a time, from a fresh decomposition of
-    each enriched element, with a solve per virtual node."""
+    each enriched element, with the point kernel's barycentric coordinates
+    of each virtual node in its element (a batch of one)."""
     m = sol.mesh
     points = [m.nodes[i] for i in range(m.n_nodes)]
     pdata = [float(sol.phi[i]) for i in range(m.n_nodes)]
@@ -292,7 +294,7 @@ def _reference_vtk(sol: SolutionField, path) -> None:
         deco = split_simplex(X, d)
         ids = conn.tolist()                 # point p of the decomposition
         for xv in deco.points[0, m.dim + 1:m.dim + 1 + deco.n_virtual[0]]:
-            lam = barycentric(X, xv[None])
+            lam = _barycentric_at(sol, np.array([e]), xv[None])
             ids.append(len(points))
             points.append(xv)
             pdata.append(float(lam[0] @ sol.phi[conn]) + float(hat_value(lam, d)[0]) * star)

@@ -147,7 +147,7 @@ def parse_case(text: str, name: str) -> CaseConfig:
     mat = need("materials")
     try:
         if "q" in mat:
-            materials = MaterialPair.from_ratio(float(mat["q"]))
+            materials = MaterialPair(float(mat["q"]), 1.0)
         elif "eps1" in mat and "eps2" in mat:
             materials = MaterialPair(float(mat["eps1"]), float(mat["eps2"]))
         else:

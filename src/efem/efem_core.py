@@ -63,10 +63,6 @@ class MaterialPair:
             if value <= 0.0:
                 raise ValueError(f"permittivity {name} must be positive, got {value}")
 
-    @classmethod
-    def from_ratio(cls, q: float) -> "MaterialPair":
-        return cls(eps1=float(q), eps2=1.0)
-
     def for_sign(self, sign: int) -> float:
         return self.eps1 if sign > 0 else self.eps2
 
@@ -240,7 +236,6 @@ class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: Mesh
-    materials: MaterialPair
     classification: Classification
     cut_data: CutState
     dirichlet_nodes: np.ndarray
@@ -248,10 +243,6 @@ class AssembledSystem:
     fallback_elements: list[int] = field(default_factory=list)
     fallback_reasons: list[str] = field(default_factory=list)
     condense_margin: float = math.inf
-
-    @property
-    def n(self) -> int:
-        return self.rhs.shape[0]
 
 
 def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
@@ -340,7 +331,7 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     g_pos, g_neg = hat_gradients(grads[ids], batch.nodal_d)
     state = CutState(ids, recovery[ok], g_pos, g_neg, batch)
     margin = float(margins[ok].min()) if ids.size else math.inf
-    return AssembledSystem(A, rhs, mesh, materials, cl, state, dir_nodes, dir_values,
+    return AssembledSystem(A, rhs, mesh, cl, state, dir_nodes, dir_values,
                            cut[fell].tolist(), reasons[fell].tolist(), margin)
 
 

@@ -115,7 +115,6 @@ class Classification:
     threshold is relative to the element's longest edge.
     """
 
-    nodal_d: np.ndarray          # raw distances, (n_nodes,)
     element_d: np.ndarray        # snapped, (n_elements, dim+1)
     is_cut: np.ndarray           # bool, (n_elements,)
     element_sign: np.ndarray     # +1/-1 for uncut elements, 0 for cut
@@ -152,7 +151,7 @@ def classify_elements(mesh: Mesh, levelset, snap_tol: float = SNAP_TOL) -> Class
     is_cut = pos & neg
     esign = np.where(pos, 1, -1)
     esign[is_cut] = 0
-    return Classification(raw, d, is_cut, esign)
+    return Classification(d, is_cut, esign)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +224,6 @@ class CutBatch:
     coords: np.ndarray           # (k, nv, dim)
     nodal_d: np.ndarray          # (k, nv) snapped distances
     measure: np.ndarray          # (k,) parent measures
-    config: np.ndarray           # (k,) table index
     points: np.ndarray           # (k, nv + nx, dim)
     virtual_edges: np.ndarray    # (k, nx, 2) local edge of each virtual node, ascending
     virtual_nbar: np.ndarray     # (k, nx) enrichment value at each virtual node
@@ -321,7 +319,7 @@ def split_simplex(coords, nodal_d):
     parent = np.abs(signed_measures(coords))
     lone_sign = np.where(pos[rows[:, 0], roles[:, 0]], 1, -1)
     return CutBatch(
-        coords, d, parent, config, points, np.sort(edges, axis=-1),
+        coords, d, parent, points, np.sort(edges, axis=-1),
         (1.0 - t) * np.abs(da) + t * np.abs(db), tables.n_virtual[config],
         children, tables.signs[config] * lone_sign[:, None], measures, n_children,
         (real & (measures < 1e-14 * parent[:, None])).any(axis=1))

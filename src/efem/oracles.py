@@ -1,8 +1,8 @@
 """Closed-form reference fields and reference-solve recipes.
 
 The benchmark family is fixed here in one place: a horizontal planar
-interface, an inclined planar interface, a dielectric cylinder and a
-dielectric sphere, all in the unit box with bottom/top electrode plates
+interface, an inclined planar interface and a dielectric inclusion (a
+cylinder's disc in 2D, a sphere in 3D), all in the unit box with bottom/top electrode plates
 at 0 and 1 volt.  Region numbering follows the convention that region 1
 is the steeper-gradient (lower-permittivity) side for the planar cases
 and the inclusion for the curved ones.
@@ -53,18 +53,13 @@ def planar_slopes(q: float) -> tuple[float, float]:
     return 2.0 * q / (q + 1.0), 2.0 / (q + 1.0)
 
 
-def planar_solution(q: float, y: float, side: int = 0) -> tuple[float, float]:
-    """(phi, E_y) of the two-layer solution at height y.
-
-    side picks the region on y = 0.5 exactly (+1 above, -1 below,
-    0 defaults to above).
-    """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y = {y} is outside the unit domain")
-    g_lo, g_hi = planar_slopes(q)
-    if y < PLANAR_INTERFACE_Y or (y == PLANAR_INTERFACE_Y and side < 0):
-        return g_lo * y, g_lo
-    return g_lo * PLANAR_INTERFACE_Y + g_hi * (y - PLANAR_INTERFACE_Y), g_hi
+def _heights(x) -> np.ndarray:
+    """The y column of the stack x; ValueError on a height outside [0, 1]."""
+    y = x[:, 1]
+    outside = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))
+    if outside.size:
+        raise ValueError(f"y = {float(y[outside[0]])} is outside the unit domain")
+    return y
 
 
 @dataclass(frozen=True)
@@ -72,26 +67,28 @@ class PlanarCase:
     """Horizontal interface at y = 0.5, permittivity ratio q (upper/lower)."""
 
     q: float
-    interface_y: float = PLANAR_INTERFACE_Y
 
     def phi(self, x):
         """Potential (k,) at points x (k, 2); one point (2,) gives a float."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(self.phi(x[None])[0])
-        y = x[:, 1]
-        outside = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))
-        if outside.size:
-            raise ValueError(f"y = {float(y[outside[0]])} is outside the unit domain")
+        y = _heights(x)
         g_lo, g_hi = planar_slopes(self.q)
         return np.where(y < PLANAR_INTERFACE_Y, g_lo * y,
                         g_lo * PLANAR_INTERFACE_Y + g_hi * (y - PLANAR_INTERFACE_Y))
 
     def E(self, x, side: int = 0) -> np.ndarray:
+        """Potential gradient (k, 2) at points x (k, 2).
+
+        On y = 0.5 exactly side picks the layer (-1 below, +1 or 0 above).
+        """
         x = np.asarray(x, dtype=float)
-        ey = planar_solution(self.q, float(x[1]), side)[1]
-        out = np.zeros(x.shape[0])
-        out[1] = ey
+        y = _heights(x)
+        g_lo, g_hi = planar_slopes(self.q)
+        below = (y < PLANAR_INTERFACE_Y) | ((y == PLANAR_INTERFACE_Y) & (side < 0))
+        out = np.zeros(x.shape)
+        out[:, 1] = np.where(below, g_lo, g_hi)
         return out
 
     def eps(self, side: int) -> float:
@@ -99,147 +96,92 @@ class PlanarCase:
 
     def interface_points(self, count: int, rng) -> np.ndarray:
         xs = rng.uniform(0.02, 0.98, size=count)
-        return np.column_stack([xs, np.full(count, self.interface_y)])
+        return np.column_stack([xs, np.full(count, PLANAR_INTERFACE_Y)])
 
 
 # ---------------------------------------------------------------------------
-# dielectric sphere in a uniform far field
-
-
-def sphere_solution(q: float, r_o: float, r: float, theta: float) -> float:
-    """Axisymmetric sphere potential in polar form, far field of unit slope.
-
-    Inside (r < r_o): 3 r cos(theta) / (2 + q); outside the perturbation
-    decays as r^-2.  q is the inside/outside permittivity ratio.
-    """
-    if r_o <= 0:
-        raise ValueError("sphere radius must be positive")
-    if r < r_o:
-        return 3.0 * r * math.cos(theta) / (2.0 + q)
-    if r == 0.0:
-        raise ValueError("r = 0 is not in the outer region")
-    k = (1.0 - q) / (2.0 + q)
-    return math.cos(theta) * (r + k * r_o**3 / r**2)
+# dielectric inclusion in a uniform far field: a disc in 2D, a ball in 3D
 
 
 @dataclass(frozen=True)
-class SphereCase:
-    """Dielectric sphere, ratio q = eps_inside / eps_outside.
+class InclusionCase:
+    """Dielectric inclusion, ratio q = eps_inside / eps_outside, in the
+    background field (0, 1[, 0]); its dimension d is len(center).
 
-    Potentials are shifted by +0.5 so the unit box carries plate values
-    0.5 -+ the far-field drop; the background field is (0, 1, 0).
+    With k = (1 - q) / (d - 1 + q), the centre's height y0 and yrel = y - y0,
+    the potential is y0 + d yrel / (d - 1 + q) inside and
+    y0 + yrel (1 + k R^d / r^d) outside, so far from the inclusion phi = y,
+    the plate values 0 and 1 volt.  The closed form is that of an unbounded
+    domain; the r^(1-d) decay of the 2D perturbation makes the disc a
+    diagnostic for the finite box rather than its reference.
     """
 
     q: float
-    center: tuple = SPHERE_CENTER
-    radius: float = SPHERE_RADIUS
+    center: tuple
+    radius: float
+
+    def _k(self, d: int) -> float:
+        # d is a Python int, so r**d and d - 1.0 + q round the same for
+        # every dimension
+        return (1.0 - self.q) / (d - 1.0 + self.q)
 
     def phi(self, x):
-        """Potential (k,) at points x (k, 3); one point (3,) gives a float."""
+        """Potential (k,) at points x (k, d); one point (d,) gives a float."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(self.phi(x[None])[0])
+        d, y0 = len(self.center), float(self.center[1])
         rel = x - np.asarray(self.center)
         r = np.sqrt(row_dot(rel, rel))
         yrel = rel[:, 1]
-        k = (1.0 - self.q) / (2.0 + self.q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            outer = 0.5 + yrel * (1.0 + k * self.radius**3 / r**3)
-        return np.where(r < self.radius, 0.5 + 3.0 * yrel / (2.0 + self.q), outer)
+            outer = y0 + yrel * (1.0 + self._k(d) * self.radius**d / r**d)
+        return np.where(r < self.radius, y0 + d * yrel / (d - 1.0 + self.q), outer)
 
     def E(self, x, side: int = 0) -> np.ndarray:
+        """Potential gradient (k, d) at points x (k, d).
+
+        Within 1e-12 of the surface a nonzero side picks the region
+        (-1 inside, +1 outside).
+        """
         x = np.asarray(x, dtype=float)
+        d = len(self.center)
         rel = x - np.asarray(self.center)
-        r = float(np.linalg.norm(rel))
-        if abs(r - self.radius) <= 1e-12 and side != 0:
-            inside = side < 0
-        else:
-            inside = r < self.radius
-        out = np.zeros(3)
-        if inside:
-            out[1] = 3.0 / (2.0 + self.q)
-            return out
-        k = (1.0 - self.q) / (2.0 + self.q)
-        kr = k * self.radius**3
-        out[1] = 1.0 + kr / r**3
-        out -= 3.0 * float(rel[1]) * kr / r**5 * rel
-        return out
+        r = np.sqrt(row_dot(rel, rel))
+        inside = r < self.radius
+        if side != 0:
+            inside = np.where(np.abs(r - self.radius) <= 1e-12, side < 0, inside)
+        kr = self._k(d) * self.radius**d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outer = (-d * rel[:, 1] * kr / r**(d + 2))[:, None] * rel
+            outer[:, 1] += 1.0 + kr / r**d
+        inner = np.zeros(x.shape)
+        inner[:, 1] = d / (d - 1.0 + self.q)
+        return np.where(inside[:, None], inner, outer)
 
     def eps(self, side: int) -> float:
         return 1.0 if side > 0 else self.q
 
     def interface_points(self, count: int, rng) -> np.ndarray:
-        v = rng.normal(size=(count, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = rng.normal(size=(count, len(self.center)))
+        v /= np.sqrt(row_dot(v, v))[:, None]
         return np.asarray(self.center) + self.radius * v
 
 
-# ---------------------------------------------------------------------------
-# dielectric cylinder (2D analog)
-
-
-def cylinder_solution(q: float, r_o: float, r: float, theta: float) -> float:
-    """2D counterpart of the sphere potential; perturbation decays as 1/r.
-
-    Models an unbounded domain, so it is a diagnostic for the finite-box
-    cylinder benchmark rather than its reference.
-    """
-    if r_o <= 0:
-        raise ValueError("cylinder radius must be positive")
-    if r < r_o:
-        return 2.0 * r * math.cos(theta) / (1.0 + q)
-    if r == 0.0:
-        raise ValueError("r = 0 is not in the outer region")
-    k = (1.0 - q) / (1.0 + q)
-    return math.cos(theta) * (r + k * r_o**2 / r)
-
-
 @dataclass(frozen=True)
-class CylinderCase:
-    """Dielectric cylinder, ratio q = eps_inside / eps_outside (diagnostic)."""
+class CylinderCase(InclusionCase):
+    """The benchmark disc by default."""
 
-    q: float
     center: tuple = CYLINDER_CENTER
     radius: float = CYLINDER_RADIUS
 
-    def phi(self, x):
-        """Potential (k,) at points x (k, 2); one point (2,) gives a float."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(self.phi(x[None])[0])
-        rel = x - np.asarray(self.center)
-        r = np.sqrt(row_dot(rel, rel))
-        base, yrel = float(self.center[1]), rel[:, 1]
-        k = (1.0 - self.q) / (1.0 + self.q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            outer = base + yrel * (1.0 + k * self.radius**2 / r**2)
-        return np.where(r < self.radius, base + 2.0 * yrel / (1.0 + self.q), outer)
 
-    def E(self, x, side: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rel = x - np.asarray(self.center)
-        r = float(np.linalg.norm(rel))
-        if abs(r - self.radius) <= 1e-12 and side != 0:
-            inside = side < 0
-        else:
-            inside = r < self.radius
-        out = np.zeros(2)
-        if inside:
-            out[1] = 2.0 / (1.0 + self.q)
-            return out
-        k = (1.0 - self.q) / (1.0 + self.q)
-        kr = k * self.radius**2
-        out[1] = 1.0 + kr / r**2
-        out -= 2.0 * float(rel[1]) * kr / r**4 * rel
-        return out
+@dataclass(frozen=True)
+class SphereCase(InclusionCase):
+    """The benchmark ball by default."""
 
-    def eps(self, side: int) -> float:
-        return 1.0 if side > 0 else self.q
-
-    def interface_points(self, count: int, rng) -> np.ndarray:
-        th = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        ring = np.column_stack([np.cos(th), np.sin(th)])
-        return np.asarray(self.center) + self.radius * ring
+    center: tuple = SPHERE_CENTER
+    radius: float = SPHERE_RADIUS
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +207,6 @@ def sphere_levelset() -> SphereLevelSet:
 
 def planar_materials(q: float) -> MaterialPair:
     """Upper layer q, lower layer 1 (positive level-set side on top)."""
-    return MaterialPair(q, 1.0)
-
-
-def inclined_materials(q: float = 3.0) -> MaterialPair:
     return MaterialPair(q, 1.0)
 
 
@@ -342,7 +280,7 @@ def reference_solve(case: str, fine_h: float | None = None, q: float = 3.0,
         n = resolution(0.01 if fine_h is None else fine_h)
         mesh = conforming_inclined_mesh(n)
         assembled = assemble_global(mesh, inclined_levelset(),
-                                    inclined_materials(q), "standard",
+                                    planar_materials(q), "standard",
                                     box_boundary(2))
     elif case == "cylinder":
         n = resolution(0.005 if fine_h is None else fine_h)

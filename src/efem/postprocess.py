@@ -24,6 +24,8 @@ from efem.efem_core import AssembledSystem, CutState, hat_value
 from efem.mesh import Mesh, _write_rows, char_lengths, local_faces, row_dot, stacked_values
 
 _CONTAIN_TOL = 1e-9
+# Point location tests the elements with this many nearest centroids first.
+LOCATE_CANDIDATES = 32
 # Pieces of a segment shorter than this, relative to the mesh extent, are
 # rounding slivers where it passes through a vertex or an edge.
 _SLIVER = 1e-13
@@ -121,18 +123,18 @@ def _containing(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndar
 # point location and evaluation
 
 
-def locate_points(sol: SolutionField, x, k: int = 32) -> np.ndarray:
+def locate_points(sol: SolutionField, x) -> np.ndarray:
     """The element (P,) whose closure holds each point of the stack x (P, d);
     the smallest index wins on faces (the locate rule).
 
     All points share one query of the mesh's centroid KD-tree: a point's
-    candidates are the k elements with the nearest centroids, and one
-    containment test runs over every (point, candidate) pair.  A point that
-    none of its candidates holds tests every element.
+    candidates are the LOCATE_CANDIDATES elements with the nearest
+    centroids, and one containment test runs over every (point, candidate)
+    pair.  A point that none of its candidates holds tests every element.
     """
     x = np.asarray(x, dtype=float)
     n = sol.mesh.n_elements
-    k = min(k, n)
+    k = min(LOCATE_CANDIDATES, n)
     _, idx = sol.mesh.centroid_tree.query(x, k=k)
     idx = idx.reshape(x.shape[0], k)
     lam = _barycentric_at(sol, idx.ravel(), np.repeat(x, k, axis=0))
@@ -147,16 +149,16 @@ def locate_points(sol: SolutionField, x, k: int = 32) -> np.ndarray:
     return owner
 
 
-def elements_containing(sol: SolutionField, x, k: int = 32) -> list[int]:
+def elements_containing(sol: SolutionField, x) -> list[int]:
     """All candidate elements containing x, ascending by element index.
 
-    The candidates are the k elements with the nearest centroids; when none
-    of them holds x, every element is tested.  The benchmark's pole check
-    calls this.
+    The candidates are the LOCATE_CANDIDATES elements with the nearest
+    centroids; when none of them holds x, every element is tested.  The
+    benchmark's pole check calls this.
     """
     x = np.asarray(x, dtype=float)
     n = sol.mesh.n_elements
-    k = min(k, n)
+    k = min(LOCATE_CANDIDATES, n)
     _, idx = sol.mesh.centroid_tree.query(x, k=k)
     hits = _containing(sol, np.atleast_1d(idx), x)
     if hits.size == 0 and k < n:
@@ -443,15 +445,15 @@ def crossings(sample: LineSample) -> list[dict]:
     return out
 
 
-def l2_line_error(sol: SolutionField, reference, start, end, count: int = 1001) -> float:
+def l2_line_error(sol: SolutionField, reference, start, end) -> float:
     """Line L2 norm sqrt(int (phi_h - phi_ref)^2 ds) by the trapezoid rule.
 
-    Sample points include forced nodes at element boundaries and interface
-    crossings; count is floored at 1000 intervals.  reference takes the
-    (k, dim) stack of sample points and returns their k potentials, as the
-    oracles' phi does; any other shape raises TypeError.
+    Sample points are the 1001 base points of sample_line (1000 intervals)
+    with its forced nodes at element boundaries and interface crossings.
+    reference takes the (k, dim) stack of sample points and returns their k
+    potentials, as the oracles' phi does; any other shape raises TypeError.
     """
-    return sample_l2_error(sample_line(sol, start, end, max(count, 1001)), reference)
+    return sample_l2_error(sample_line(sol, start, end), reference)
 
 
 def sample_l2_error(sample: LineSample, reference) -> float:

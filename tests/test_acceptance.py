@@ -41,8 +41,8 @@ from efem.oracles import (
     cylinder_levelset,
     cylinder_materials,
     inclined_levelset,
-    inclined_materials,
     phi_evaluator,
+    planar_materials,
     reference_solve,
     resolution,
     sphere_levelset,
@@ -163,7 +163,7 @@ def test_inclined_convergence_orders(capsys):
         for h in hs:
             n = resolution(h)
             mesh = generate_structured(2, n, n)
-            asm = assemble_global(mesh, inclined_levelset(), inclined_materials(),
+            asm = assemble_global(mesh, inclined_levelset(), planar_materials(3.0),
                                   mode, box_boundary(2))
             phi, rep = bicgstab(asm.matrix, asm.rhs)
             assert rep.converged

@@ -2,7 +2,8 @@
 
 perfbench/workloads.py drives the public API through module attributes
 (efem_core.assemble_global, postprocess.eval_in_element, ...), and
-perfbench/run.py records attributes of the results.  A change that deletes
+perfbench/run.py records attributes of the results and of the oracle
+cases it builds.  A change that deletes
 or renames one of them would only show when the benchmark runs; these tests
 fail on it first.
 """
@@ -11,6 +12,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from efem import efem_core, oracles, postprocess, solver
@@ -65,3 +67,23 @@ def test_result_attributes_the_benchmark_reads_exist(mode):
     assert len(asm.cut_data) == enriched
     assert isinstance(sol.phi_star, dict) and len(sol.phi_star) == enriched
     assert sample.t.size >= 11
+
+
+@pytest.mark.parametrize("make, center, radius", [
+    (lambda: oracles.CylinderCase(3.0), oracles.CYLINDER_CENTER, oracles.CYLINDER_RADIUS),
+    (lambda: oracles.SphereCase(3.0, center=(0.51, 0.49, 0.5), radius=0.1),
+     (0.51, 0.49, 0.5), 0.1),
+], ids=["cylinder", "sphere"])
+def test_oracle_case_attributes_the_workloads_read_exist(make, center, radius):
+    """workloads.py builds its level sets and recorded parameters from the
+    cases' center and radius, passes phi as stacked Dirichlet data and as
+    the l2 reference, and calls it with one point in the pole check.  The
+    AST check above sees only module attributes, not these."""
+    case = make()
+    assert tuple(case.center) == center and case.radius == radius
+    x = np.asarray(center) + np.linspace(-2.0, 2.0, 5)[:, None] * radius
+    stacked = case.phi(x)
+    assert stacked.shape == (5,) and stacked.dtype == float
+    for p, value in zip(x, stacked):
+        one = case.phi(p)
+        assert type(one) is float and one == value

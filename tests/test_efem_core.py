@@ -34,7 +34,7 @@ from efem.mesh import (
     p1_gradients,
     signed_measures,
 )
-from efem.oracles import box_boundary, planar_levelset, planar_materials, planar_solution
+from efem.oracles import PlanarCase, box_boundary, planar_levelset, planar_materials
 from efem.postprocess import build_solution
 from efem.solver import solve
 
@@ -611,7 +611,7 @@ def test_planar_nodal_exactness_q3():
     asm = _planar_system(3.0, 5, "efem")
     phi, rep = solve(asm.matrix, asm.rhs, tol=1e-10)
     assert rep.converged
-    exact = np.array([planar_solution(3.0, y)[0] for y in asm.mesh.nodes[:, 1]])
+    exact = PlanarCase(3.0).phi(asm.mesh.nodes)
     assert np.abs(phi - exact).max() < 1e-6
 
 

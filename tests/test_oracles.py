@@ -1,7 +1,5 @@
 """Closed-form reference fields: values, jump conditions, reference recipes."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,14 +11,11 @@ from efem.oracles import (
     box_boundary,
     conforming_inclined_mesh,
     cylinder_benchmark_mesh,
-    cylinder_solution,
     fd_laplacian,
     phi_evaluator,
     planar_slopes,
-    planar_solution,
     reference_solve,
     resolution,
-    sphere_solution,
 )
 from efem.postprocess import l2_line_error
 
@@ -36,28 +31,29 @@ def test_resolution_rounding():
 
 
 def test_planar_q3_interface_value():
-    phi_below = planar_solution(3.0, 0.5, side=-1)[0]
-    phi_above = planar_solution(3.0, 0.5, side=+1)[0]
-    assert abs(phi_below - 0.75) < 1e-15
-    assert abs(phi_above - 0.75) < 1e-15
+    case = PlanarCase(3.0)
+    at, below = case.phi([[0.3, 0.5], [0.3, np.nextafter(0.5, 0.0)]])
+    assert abs(at - 0.75) < 1e-15
+    assert abs(below - 0.75) < 1e-15
 
 
 def test_planar_q1_is_uniform():
-    for y in (0.1, 0.5, 0.9):
-        phi, ey = planar_solution(1.0, y)
-        assert abs(phi - y) < 1e-15
-        assert abs(ey - 1.0) < 1e-15
+    case = PlanarCase(1.0)
+    x = np.array([[0.4, 0.1], [0.4, 0.5], [0.4, 0.9]])
+    assert np.abs(case.phi(x) - x[:, 1]).max() < 1e-15
+    assert np.abs(case.E(x) - [0.0, 1.0]).max() < 1e-15
 
 
 def test_planar_conductor_upper_region():
-    phi, ey = planar_solution(1e6, 0.75)
-    assert abs(phi - 1.0) < 1e-5
-    assert abs(ey) < 2e-6
+    case = PlanarCase(1e6)
+    assert abs(case.phi((0.5, 0.75)) - 1.0) < 1e-5
+    assert np.abs(case.E([[0.5, 0.75]])).max() < 2e-6
 
 
 def test_planar_rejects_outside_domain():
-    with pytest.raises(ValueError, match="outside"):
-        planar_solution(3.0, 1.2)
+    for method in (PlanarCase(3.0).phi, PlanarCase(3.0).E):
+        with pytest.raises(ValueError, match="y = 1.2 is outside"):
+            method([[0.5, 0.3], [0.5, 1.2]])
 
 
 def test_planar_flux_continuity():
@@ -68,81 +64,67 @@ def test_planar_flux_continuity():
 
 def test_planar_case_jump_conditions(rng):
     case = PlanarCase(3.0)
-    for p in case.interface_points(50, rng):
-        assert abs(case.phi(p + [0, 1e-13]) - case.phi(p - [0, 1e-13])) < 1e-10
-        En_below = case.E(p, side=-1)[1]
-        En_above = case.E(p, side=+1)[1]
-        assert abs(case.eps(-1) * En_below - case.eps(+1) * En_above) < 1e-12
+    p = case.interface_points(50, rng)
+    up = np.array([0.0, 1e-13])
+    assert np.abs(case.phi(p + up) - case.phi(p - up)).max() < 1e-10
+    En_below = case.E(p, side=-1)[:, 1]
+    En_above = case.E(p, side=+1)[:, 1]
+    assert np.abs(case.eps(-1) * En_below - case.eps(+1) * En_above).max() < 1e-12
 
 
-def test_sphere_polar_values():
-    assert abs(sphere_solution(3.0, 0.1, 0.05, 0.0) - 0.03) < 1e-15
-    # continuity at the surface from both formulas
-    inner = sphere_solution(3.0, 0.1, 0.1 - 1e-12, 0.7)
-    outer = sphere_solution(3.0, 0.1, 0.1, 0.7)
-    assert abs(inner - outer) < 1e-10
-    assert abs(outer - 3.0 * 0.1 * math.cos(0.7) / 5.0) < 1e-12
+# ---------------------------------------------------------------------------
+# the dielectric inclusion: a disc in 2D, a ball in 3D
+
+INCLUSIONS = [pytest.param(CylinderCase(3.0), id="2d"), pytest.param(SphereCase(3.0), id="3d")]
 
 
-def test_sphere_rejects_bad_radius():
-    with pytest.raises(ValueError, match="positive"):
-        sphere_solution(3.0, 0.0, 0.5, 0.0)
+@pytest.mark.parametrize("case", INCLUSIONS)
+def test_inclusion_inside_values(case):
+    # phi - y0 = d yrel / (d - 1 + q) inside: 0.025 in 2D and 0.03 in 3D at
+    # yrel = 0.05 for q = 3
+    d = len(case.center)
+    center = np.asarray(case.center)
+    above = center + 0.05 * np.eye(d)[1]
+    want = {2: 0.025, 3: 0.03}[d]
+    assert abs(case.phi(above) - case.center[1] - want) < 1e-15
+    assert case.phi(center) == case.center[1]
+    assert np.array_equal(case.E(above[None])[0], np.eye(d)[1] * d / (d - 1.0 + case.q))
 
 
-def test_sphere_case_jump_conditions(rng):
-    case = SphereCase(3.0)
-    pts = case.interface_points(40, rng)
-    for p in pts:
-        nrm = p - np.asarray(case.center)
-        nrm = nrm / np.linalg.norm(nrm)
-        E_in = case.E(p, side=-1)
-        E_out = case.E(p, side=+1)
-        jump_flux = case.eps(-1) * (E_in @ nrm) - case.eps(+1) * (E_out @ nrm)
-        assert abs(jump_flux) < 1e-12
-        tang = E_in - (E_in @ nrm) * nrm - (E_out - (E_out @ nrm) * nrm)
-        assert np.abs(tang).max() < 1e-12
+@pytest.mark.parametrize("case", INCLUSIONS)
+def test_inclusion_interface_conditions(case, rng):
+    # phi, the tangential field and the normal flux eps E.n are continuous
+    # across the surface; the stacked E gives both sides of every point
+    center = np.asarray(case.center)
+    p = case.interface_points(40, rng)
+    nrm = (p - center) / np.linalg.norm(p - center, axis=1, keepdims=True)
+    inner = case.phi(center + nrm * (case.radius - 1e-10))
+    outer = case.phi(center + nrm * (case.radius + 1e-10))
+    assert np.abs(inner - outer).max() < 1e-8
+    E_in, E_out = case.E(p, side=-1), case.E(p, side=+1)
+    En_in, En_out = np.sum(E_in * nrm, axis=1), np.sum(E_out * nrm, axis=1)
+    assert np.abs(case.eps(-1) * En_in - case.eps(+1) * En_out).max() < 1e-12
+    tang = E_in - En_in[:, None] * nrm - (E_out - En_out[:, None] * nrm)
+    assert np.abs(tang).max() < 1e-12
 
 
-def test_sphere_phi_continuous_at_surface(rng):
-    case = SphereCase(3.0)
-    for p in case.interface_points(40, rng):
-        d = p - np.asarray(case.center)
-        d /= np.linalg.norm(d)
-        inner = case.phi(np.asarray(case.center) + d * (case.radius - 1e-10))
-        outer = case.phi(np.asarray(case.center) + d * (case.radius + 1e-10))
-        assert abs(inner - outer) < 1e-8
-
-
-def test_sphere_satisfies_laplace(rng):
+@pytest.mark.parametrize("case", INCLUSIONS)
+def test_inclusion_satisfies_laplace(case, rng):
     # The finite-difference stencil needs clearance from the surface: the
-    # exterior field decays like r**-2, so its fourth derivative blows up
-    # near the inclusion and pollutes the h**2 truncation estimate.
-    case = SphereCase(3.0)
+    # exterior perturbation decays like r**(1 - d), so its fourth derivative
+    # blows up near the inclusion and pollutes the h**2 truncation estimate.
+    d = len(case.center)
     center = np.asarray(case.center)
     checked = 0
     while checked < 20:
-        x = rng.uniform(0.1, 0.9, size=3)
-        if np.linalg.norm(x - center) < 0.25:
+        x = rng.uniform(0.1, 0.9, size=d)
+        if np.linalg.norm(x - center) < 2.5 * case.radius:
             continue
         assert abs(fd_laplacian(case.phi, x)) < 1e-4
         checked += 1
     for shift in ([0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.0, -0.06, 0.03]):
-        lap = fd_laplacian(case.phi, center + np.asarray(shift))
+        lap = fd_laplacian(case.phi, center + np.asarray(shift[:d]))
         assert abs(lap) < 1e-8
-
-
-def test_cylinder_case_jump_conditions(rng):
-    case = CylinderCase(3.0)
-    for p in case.interface_points(40, rng):
-        nrm = (p - np.asarray(case.center)) / case.radius
-        flux = case.eps(-1) * (case.E(p, side=-1) @ nrm) - case.eps(+1) * (case.E(p, side=+1) @ nrm)
-        assert abs(flux) < 1e-12
-
-
-def test_cylinder_polar_continuity():
-    inner = cylinder_solution(3.0, 0.2, 0.2 - 1e-13, 1.1)
-    outer = cylinder_solution(3.0, 0.2, 0.2, 1.1)
-    assert abs(inner - outer) < 1e-10
 
 
 def test_fd_laplacian_on_quadratic():

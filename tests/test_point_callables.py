@@ -73,9 +73,11 @@ def test_l2_reference_of_the_wrong_shape_raises_type_error(planar_q3_efem, retur
         l2_line_error(planar_q3_efem, returned, (0.5, 0.0), (0.5, 1.0))
 
 
-@pytest.mark.parametrize("case, dim", [(PlanarCase(3.0), 2), (CylinderCase(3.0), 2),
-                                       (SphereCase(3.0), 3),
-                                       (SphereCase(0.2, (0.45, 0.52, 0.5), 0.2), 3)])
+ORACLES = [(PlanarCase(3.0), 2), (CylinderCase(3.0), 2), (SphereCase(3.0), 3),
+           (SphereCase(0.2, (0.45, 0.52, 0.5), 0.2), 3)]
+
+
+@pytest.mark.parametrize("case, dim", ORACLES)
 def test_oracle_phi_of_one_point_is_the_row_of_the_stack(case, dim):
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, 1.0, size=(500, dim))
@@ -85,6 +87,20 @@ def test_oracle_phi_of_one_point_is_the_row_of_the_stack(case, dim):
     for p, value in zip(x, stacked):
         single = case.phi(p)
         assert type(single) is float and single == value
+
+
+@pytest.mark.parametrize("case, dim", ORACLES)
+def test_oracle_E_of_a_batch_of_one_is_the_row_of_the_stack(case, dim):
+    # the oracles' E takes stacks only; a side applies to every row
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(0.0, 1.0, size=(200, dim)),
+                        case.interface_points(50, rng)])
+    x[0] = np.asarray(case.center if hasattr(case, "center") else 0.5)   # r = 0 inside
+    for side in (-1, 0, 1):
+        stacked = case.E(x, side=side)
+        assert stacked.shape == (len(x), dim) and stacked.dtype == float
+        for p, row in zip(x, stacked):
+            assert np.array_equal(case.E(p[None], side=side)[0], row)
 
 
 def test_phi_evaluator_is_stacked_and_keeps_the_locate_rule(perturbed_field):

@@ -15,7 +15,7 @@ from efem.interface import (
     split_simplex,
 )
 from efem.mesh import BoundaryTag, generate_structured
-from efem.oracles import box_boundary, planar_levelset, planar_materials, planar_slopes, planar_solution
+from efem.oracles import PlanarCase, box_boundary, planar_levelset, planar_materials, planar_slopes
 from efem.postprocess import (
     SolutionField,
     _barycentric_at,
@@ -70,9 +70,8 @@ def test_eval_matches_exact_solution_everywhere(planar_q3_efem):
     for _ in range(50):
         x = rng.uniform(0.01, 0.99, size=2)
         phi, E = eval_field(planar_q3_efem, x)
-        phi_ex, Ey = planar_solution(3.0, x[1])
-        assert abs(phi - phi_ex) < 1e-6
-        assert abs(E[1] - Ey) < 1e-5
+        assert abs(phi - PlanarCase(3.0).phi(x)) < 1e-6
+        assert abs(E[1] - PlanarCase(3.0).E(x[None])[0, 1]) < 1e-5
 
 
 def test_phi_continuous_at_interface_points(planar_q3_efem):
@@ -150,9 +149,7 @@ def test_l2_error_linear_vs_zero(planar_solver):
 
 
 def test_l2_error_against_exact(planar_q3_efem):
-    err = l2_line_error(planar_q3_efem,
-                        lambda p: np.array([planar_solution(3.0, y)[0] for y in p[:, 1]]),
-                        (0.5, 0.0), (0.5, 1.0))
+    err = l2_line_error(planar_q3_efem, PlanarCase(3.0).phi, (0.5, 0.0), (0.5, 1.0))
     assert err < 1e-6
 
 

@@ -91,21 +91,51 @@ def test_inclusion_inside_values(case):
     assert np.array_equal(case.E(above[None])[0], np.eye(d)[1] * d / (d - 1.0 + case.q))
 
 
-@pytest.mark.parametrize("case", INCLUSIONS)
-def test_inclusion_interface_conditions(case, rng):
-    # phi, the tangential field and the normal flux eps E.n are continuous
-    # across the surface; the stacked E gives both sides of every point
+def _surface_normals(case, rng):
     center = np.asarray(case.center)
     p = case.interface_points(40, rng)
-    nrm = (p - center) / np.linalg.norm(p - center, axis=1, keepdims=True)
-    inner = case.phi(center + nrm * (case.radius - 1e-10))
-    outer = case.phi(center + nrm * (case.radius + 1e-10))
-    assert np.abs(inner - outer).max() < 1e-8
+    return p, (p - center) / np.linalg.norm(p - center, axis=1, keepdims=True)
+
+
+def _check_jump_conditions(case, rng):
+    # the tangential field and the normal flux eps E.n are continuous across
+    # the surface; the stacked E gives both sides of every point
+    p, nrm = _surface_normals(case, rng)
     E_in, E_out = case.E(p, side=-1), case.E(p, side=+1)
     En_in, En_out = np.sum(E_in * nrm, axis=1), np.sum(E_out * nrm, axis=1)
     assert np.abs(case.eps(-1) * En_in - case.eps(+1) * En_out).max() < 1e-12
     tang = E_in - En_in[:, None] * nrm - (E_out - En_out[:, None] * nrm)
     assert np.abs(tang).max() < 1e-12
+
+
+def _check_phi_continuous(case, rng):
+    center = np.asarray(case.center)
+    _, nrm = _surface_normals(case, rng)
+    inner = case.phi(center + nrm * (case.radius - 1e-10))
+    outer = case.phi(center + nrm * (case.radius + 1e-10))
+    assert np.abs(inner - outer).max() < 1e-8
+
+
+def test_sphere_case_jump_conditions(rng):
+    _check_jump_conditions(SphereCase(3.0), rng)
+
+
+def test_sphere_phi_continuous_at_surface(rng):
+    _check_phi_continuous(SphereCase(3.0), rng)
+
+
+def test_cylinder_case_jump_conditions(rng):
+    _check_jump_conditions(CylinderCase(3.0), rng)
+
+
+def test_cylinder_polar_continuity(rng):
+    # polar coordinates about the centre, theta measured from the field
+    # direction y: the two sides of r = R agree to rounding
+    case = CylinderCase(3.0, radius=0.2)
+    theta = 1.1
+    at = lambda r: np.asarray(case.center) + r * np.array([np.sin(theta), np.cos(theta)])
+    assert abs(case.phi(at(0.2 - 1e-13)) - case.phi(at(0.2))) < 1e-10
+    _check_phi_continuous(CylinderCase(3.0), rng)
 
 
 @pytest.mark.parametrize("case", INCLUSIONS)

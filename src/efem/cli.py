@@ -312,12 +312,8 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
             entry["csv"] = fname
         line_report[name] = entry
 
-    vtk_name = None
     if cfg.vtk:
-        vtk_name = cfg.vtk
-        export_vtk(sol, out_dir / vtk_name)
-
-    mismatch = interface_potential_mismatch(sol) if cfg.dim == 2 else None
+        export_vtk(sol, out_dir / cfg.vtk)
 
     summary = {
         "case": cfg.name,
@@ -331,9 +327,9 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
         "iterations": report.iterations,
         "residual": report.residual,
         "converged": report.converged,
-        "interface_mismatch": mismatch,
+        "interface_mismatch": interface_potential_mismatch(sol),
         "lines": line_report,
-        "vtk": vtk_name,
+        "vtk": cfg.vtk,
         "wall_time_s": time.perf_counter() - t0,
     }
     with open(out_dir / "summary.json", "w") as f:

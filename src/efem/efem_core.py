@@ -107,11 +107,12 @@ def hat_value(shape_values: np.ndarray, nodal_d: np.ndarray):
     """Nbar from P1 shape function values.
 
     shape_values (k, d+1) with nodal_d (k, d+1), or (d+1,) shared by all
-    k points, give (k,).
+    k points, give (k,).  The sums run in einsum's order, the order of the
+    P1 part of every reading of the field (postprocess.reconstruct).
     """
     lam = np.asarray(shape_values, dtype=float)
     d = np.asarray(nodal_d, dtype=float)
-    return row_dot(lam, np.abs(d)) - np.abs(row_dot(lam, d))
+    return np.einsum("...i,...i->...", lam, np.abs(d)) - np.abs(np.einsum("...i,...i->...", lam, d))
 
 
 # ---------------------------------------------------------------------------

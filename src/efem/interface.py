@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from efem.mesh import Mesh, char_lengths, face_measure_normal, local_faces, row_dot, signed_measures
+from efem.mesh import Mesh, face_measure_normal, local_faces, row_dot, signed_measures
 
 SNAP_TOL = 1e-6
 
@@ -136,7 +136,7 @@ def classify_elements(mesh: Mesh, levelset, snap_tol: float = SNAP_TOL) -> Class
     """
     raw = nodal_distances(levelset, mesh)
     gathered = raw[mesh.elements].astype(float)         # (M, d+1)
-    t = np.broadcast_to(snap_tol * char_lengths(mesh)[:, None], gathered.shape)
+    t = np.broadcast_to(snap_tol * mesh.char_lengths[:, None], gathered.shape)
     small = np.abs(gathered) < t
     clear_pos = ((gathered > 0.0) & ~small).any(axis=1)
     clear_neg = ((gathered < 0.0) & ~small).any(axis=1)

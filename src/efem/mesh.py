@@ -117,11 +117,10 @@ class Mesh:
     nodes: (n_nodes, dim) coordinates.
     elements: (n_elements, dim+1) node indices, positively oriented.
     boundary_faces: list of (element, local_face, tag name).
-    face_keys: (n_faces, dim) sorted node indices of every distinct face,
-        rows in ascending lexicographic order.
     face_first, face_second: (n_faces, 2) (element, local face) of the two
         elements sharing each face, the smaller element first; face_second
-        is -1 for a boundary face.
+        is -1 for a boundary face.  Faces are in ascending lexicographic
+        order of their sorted node indices (face_keys).
     measures: (n_elements,) element measures, from the orientation check.
     """
 
@@ -129,7 +128,6 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     boundary_faces: list[tuple[int, int, str]]
-    face_keys: np.ndarray = field(repr=False, default=None)
     face_first: np.ndarray = field(repr=False, default=None)
     face_second: np.ndarray = field(repr=False, default=None)
     measures: np.ndarray = field(repr=False, default=None)
@@ -167,11 +165,9 @@ class Mesh:
             raise MeshError(f"elements must have shape (*, {dim + 1})")
         mesh = Mesh(dim, nodes, elements, list(boundary_faces))
         codes = _face_codes(dim, mesh.n_nodes, *mesh._validate())
-        mesh.face_keys, mesh.face_first, mesh.face_second, slot_face = _pair_faces(
-            dim, mesh.n_nodes, codes)
+        mesh.face_first, mesh.face_second, slot_face = _pair_faces(dim, elements, codes)
         mesh._check_boundary_tags(slot_face)
-        for a in (nodes, elements, mesh.face_keys, mesh.face_first, mesh.face_second,
-                  mesh.measures):
+        for a in (nodes, elements, mesh.face_first, mesh.face_second, mesh.measures):
             a.setflags(write=False)
         return mesh
 
@@ -209,7 +205,7 @@ class Mesh:
 
     def _check_boundary_tags(self, slot_face: np.ndarray):
         nf = self.dim + 1
-        tagged = np.zeros(len(self.face_keys), dtype=bool)
+        tagged = np.zeros(len(self.face_first), dtype=bool)
         if self.boundary_faces:
             e, lf = (_indices([b[i] for b in self.boundary_faces]) for i in (0, 1))
             bad_e = (e < 0) | (e >= self.n_elements)
@@ -247,9 +243,17 @@ class Mesh:
         return grads
 
     @cached_property
-    def _char_lengths(self) -> np.ndarray:
-        """Longest edge per element: the largest squared length, summed over
-        the components in order, then one sqrt."""
+    def face_keys(self) -> np.ndarray:
+        """(n_faces, dim) sorted node indices of every distinct face, rows in
+        ascending lexicographic order; built on first use from face_first."""
+        keys = _face_keys(self.dim, self.elements, self.face_first)
+        keys.setflags(write=False)
+        return keys
+
+    @cached_property
+    def char_lengths(self) -> np.ndarray:
+        """Longest edge per element, computed on first use: the largest
+        squared length, summed over the components in order, then one sqrt."""
         h = np.zeros(self.n_elements)
         col = [self.nodes[:, c] for c in range(self.dim)]
         for a, b in local_edges(self.dim):
@@ -320,18 +324,17 @@ def _face_codes(dim: int, n_nodes: int, perm: np.ndarray, rows: np.ndarray) -> l
     return codes
 
 
-def _pair_faces(dim: int, n_nodes: int, codes: list[np.ndarray]):
+def _pair_faces(dim: int, elements: np.ndarray, codes: list[np.ndarray]):
     """Group the face slots by their packed keys with one stable sort.
 
     Face slot s = e * (dim + 1) + lf is local face lf of element e.  Returns
-    (keys (F, dim), first (F, 2), second (F, 2), slot_face (M * (dim + 1),)):
-    the distinct sorted keys in ascending order, the (element, local face)
-    of the first and second slot holding each key (-1 where there is no
-    second), and the face index of every slot.  The sort is stable, so the
-    first slot is the one of the smaller element.
+    (first (F, 2), second (F, 2), slot_face (M * (dim + 1),)): the
+    (element, local face) of the first and second slot holding each distinct
+    key, keys ascending (-1 where there is no second), and the face index of
+    every slot.  The sort is stable, so the first slot is the one of the
+    smaller element.
     """
     nf = dim + 1
-    words = _code_words(dim, n_nodes)
     order = np.argsort(codes[0], kind="stable") if len(codes) == 1 else np.lexsort(codes[::-1])
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
@@ -340,13 +343,10 @@ def _pair_faces(dim: int, n_nodes: int, codes: list[np.ndarray]):
     start = np.flatnonzero(new)
     count = np.diff(np.append(start, order.size))
     if (count > 2).any():
-        third = order[start[count > 2] + 2].min()
-        key = _decode([code[third:third + 1] for code in codes], words, n_nodes)[0]
+        third = np.divmod(order[start[count > 2] + 2].min(keepdims=True), nf)
+        key = _face_keys(dim, elements, np.stack(third, axis=1))[0]
         raise MeshError(f"face {_key(key)} is shared by more than two elements")
     first = order[start]
-    # outputs before the temporaries below: made last, they leave the
-    # 3D n=32 set-up 10 MB higher in peak RSS (heap layout)
-    keys = _decode([code[first] for code in codes], words, n_nodes)
     second = order[np.minimum(start + 1, order.size - 1)]
     face_first = np.stack(np.divmod(first, nf), axis=1)
     face_second = np.where((count == 2)[:, None], np.stack(np.divmod(second, nf), axis=1), -1)
@@ -354,7 +354,14 @@ def _pair_faces(dim: int, n_nodes: int, codes: list[np.ndarray]):
     face -= 1
     slot_face = np.empty(order.size, dtype=np.int64)
     slot_face[order] = face
-    return keys, face_first, face_second, slot_face
+    return face_first, face_second, slot_face
+
+
+def _face_keys(dim: int, elements: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Sorted node indices (F, dim) of the faces at the (element, local face)
+    slots (F, 2)."""
+    e, lf = slots.T
+    return np.sort(elements[e[:, None], np.array(local_faces(dim))[lf]], axis=1)
 
 
 def _code_words(width: int, n: int) -> list[range]:
@@ -367,16 +374,6 @@ def _code_words(width: int, n: int) -> list[range]:
     """
     k = next(k for k in range(width, 0, -1) if n ** k <= 2 ** 63)
     return [range(i, min(i + k, width)) for i in range(0, width, k)]
-
-
-def _decode(codes: list[np.ndarray], words: list[range], n: int) -> np.ndarray:
-    """Keys (F, width) from their codes, one (F,) array per word."""
-    keys = np.empty((codes[0].size, words[-1][-1] + 1), dtype=np.int64)
-    for code, cols in zip(codes, words):
-        for p in cols[:0:-1]:
-            code, keys[:, p] = np.divmod(code, n)
-        keys[:, cols[0]] = code
-    return keys
 
 
 def _first_out_of_range(elements, n: int) -> tuple[int, int]:
@@ -507,11 +504,6 @@ def face_measure_normal(faces, centroids):
         normal = w / twice[:, None]
     inward = row_dot(normal, F.mean(axis=1) - c) < 0.0
     return measure, np.where(inward[:, None], -normal, normal)
-
-
-def char_lengths(mesh: Mesh) -> np.ndarray:
-    """Per-element characteristic length: the longest edge, computed once per mesh."""
-    return mesh._char_lengths
 
 
 # ---------------------------------------------------------------------------

@@ -236,24 +236,31 @@ def analytic_boundary(dim: int, func) -> dict[str, BoundaryTag]:
     return {n: BoundaryTag(n, "dirichlet", func) for n in names}
 
 
-def cylinder_benchmark_mesh(n: int = 27, seed: int = 0,
-                            amplitude: float = 0.25) -> Mesh:
-    """Perturbed structured mesh standing in for an unstructured one.
+def jittered_mesh(counts, seed: int = 0, amplitude: float = 0.25) -> Mesh:
+    """Perturbed structured mesh of the unit box, standing in for an
+    unstructured one; counts gives the divisions per axis (2 or 3 of them).
 
-    Structured cuts through a circle are unusually benign; jittering the
-    interior nodes by a fixed-seed offset of up to amplitude times the
-    cell size restores the irregular cut configurations the curved-
-    interface benchmark is meant to exercise.  Boundary nodes stay put
-    and the perturbed mesh is re-validated.
+    Structured cuts through a curved interface are unusually benign;
+    jittering the interior nodes by a fixed-seed offset of up to amplitude
+    times the cell size along each axis restores irregular cut
+    configurations.  Boundary nodes stay put, and Mesh.build re-validates
+    the perturbed mesh.
     """
-    base = generate_structured(2, n, n)
+    dim = len(counts)
+    base = generate_structured(dim, *counts)
     rng = np.random.default_rng(seed)
     nodes = np.array(base.nodes)
-    h = 1.0 / n
+    h = 1.0 / np.asarray(counts)
     interior = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
     nodes[interior] += rng.uniform(-amplitude * h, amplitude * h,
-                                   size=(int(interior.sum()), 2))
-    return Mesh.build(2, nodes, np.array(base.elements), list(base.boundary_faces))
+                                   size=(int(interior.sum()), dim))
+    return Mesh.build(dim, nodes, np.array(base.elements), list(base.boundary_faces))
+
+
+def cylinder_benchmark_mesh(n: int = 27, seed: int = 0,
+                            amplitude: float = 0.25) -> Mesh:
+    """The curved-interface benchmark's n x n jittered mesh."""
+    return jittered_mesh((n, n), seed, amplitude)
 
 
 def conforming_inclined_mesh(n: int) -> Mesh:

@@ -6,10 +6,11 @@ recovered per element from the condensation data.  The electric field
 follows the convention E = grad(phi); it is constant per element for uncut
 elements and constant per child side for cut ones.
 
-Point location, line sampling and field evaluation share one batched
-kernel: the barycentric coordinates of x in element e are the affine map
-lam(x) = e_0 + mesh.grads[e] (x - X[e, 0]), so no per-point linear solve is
-needed.
+Every reading of the field (point probes, line samples, the mismatch scan
+and the VTK export) goes through one kernel, reconstruct, which takes each
+point as an element and its barycentric coordinates there.  Those of x in
+element e are the affine map lam(x) = e_0 + mesh.grads[e] (x - X[e, 0]), so
+no per-point linear solve is needed.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from efem.efem_core import AssembledSystem, CutState, hat_value
-from efem.mesh import Mesh, _write_rows, char_lengths, local_faces, row_dot, stacked_values
+from efem.mesh import Mesh, _write_rows, local_faces, row_blocks, row_dot, stacked_values
 
 _CONTAIN_TOL = 1e-9
 # Point location tests the elements with this many nearest centroids first.
@@ -66,7 +68,7 @@ def build_solution(assembled: AssembledSystem, phi: np.ndarray) -> SolutionField
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation
+# the reconstruction kernel
 
 
 def _barycentric_at(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -75,6 +77,34 @@ def _barycentric_at(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.
     lam = np.einsum("pid,pd->pi", m.grads[elems], x - m.nodes[m.elements[elems, 0]])
     lam[:, 0] += 1.0
     return lam
+
+
+def _holds(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether the closure of element elems[p] holds the point x[p], (P,)."""
+    return _barycentric_at(sol, elems, x).min(axis=1) >= -_CONTAIN_TOL
+
+
+def reconstruct(sol: SolutionField, elems, lam, child):
+    """(phi (P,), E (P, d)) of the reconstructed field at the points with
+    barycentric coordinates lam (P, d+1) in elements elems (P,).
+
+    phi_h = sum_i N_i phi_i + Nbar phi* with Nbar from hat_value, and E_h is
+    its gradient: in an enriched element the hat gradient of child child[p]
+    (+1 positive material, -1 negative); child is ignored elsewhere.
+    """
+    elems = np.asarray(elems, dtype=np.int64)
+    nodal = sol.phi[sol.mesh.elements[elems]]
+    phi = np.einsum("pi,pi->p", lam, nodal)
+    E = np.einsum("pid,pi->pd", sol.mesh.grads[elems], nodal)
+    c = sol.cut_data
+    pos = np.searchsorted(c.ids, elems)
+    hit = np.flatnonzero(pos < c.ids.size)
+    hit = hit[c.ids[pos[hit]] == elems[hit]]
+    k = pos[hit]
+    phi[hit] += hat_value(lam[hit], sol.element_d[elems[hit]]) * sol.star[k]
+    positive = (np.asarray(child)[hit] > 0)[:, None]
+    E[hit] += np.where(positive, c.grad_pos[k], c.grad_neg[k]) * sol.star[k][:, None]
+    return phi, E
 
 
 def _evaluate(sol: SolutionField, elems, x, sides):
@@ -87,84 +117,61 @@ def _evaluate(sol: SolutionField, elems, x, sides):
     distance (+1 on it).
     """
     elems = np.asarray(elems, dtype=np.int64)
-    x = np.asarray(x, dtype=float)
     sides = np.asarray(sides, dtype=np.int64)
-    lam = _barycentric_at(sol, elems, x)
-    nodal = sol.phi[sol.mesh.elements[elems]]
-    phi = np.einsum("pi,pi->p", lam, nodal)
-    E = np.einsum("pid,pi->pd", sol.mesh.grads[elems], nodal)
+    lam = _barycentric_at(sol, elems, np.asarray(x, dtype=float))
     d = sol.element_d[elems]
     L = np.einsum("pi,pi->p", lam, d)
-    side = np.where(sides != 0, sides, np.where(L >= 0.0, 1, -1))
-
-    c, star = sol.cut_data, sol.star
-    ids = c.ids
-    if ids.size:
-        pos = np.minimum(np.searchsorted(ids, elems), ids.size - 1)
-        hit = np.nonzero(ids[pos] == elems)[0]
-        k = pos[hit]
-        Lh, dh = L[hit], d[hit]
-        near = np.abs(Lh) <= 1e-12 * np.abs(dh).max(axis=1)
-        child = np.where(near, np.where(sides[hit] != 0, sides[hit], 1),
-                         np.where(Lh > 0.0, 1, -1))
-        hat = np.einsum("pi,pi->p", lam[hit], np.abs(dh)) - np.abs(Lh)
-        phi[hit] += hat * star[k]
-        E[hit] += np.where((child > 0)[:, None], c.grad_pos[k], c.grad_neg[k]) * star[k][:, None]
-    return phi, E, side
-
-
-def _containing(sol: SolutionField, elems: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The elements of elems whose closure holds the point x."""
-    lam = _barycentric_at(sol, elems, np.broadcast_to(x, (elems.size, x.size)))
-    return elems[lam.min(axis=1) >= -_CONTAIN_TOL]
+    near = np.abs(L) <= 1e-12 * np.abs(d).max(axis=1)
+    child = np.where(near, np.where(sides != 0, sides, 1), np.where(L > 0.0, 1, -1))
+    phi, E = reconstruct(sol, elems, lam, child)
+    return phi, E, np.where(sides != 0, sides, np.where(L >= 0.0, 1, -1))
 
 
 # ---------------------------------------------------------------------------
 # point location and evaluation
 
 
-def locate_points(sol: SolutionField, x) -> np.ndarray:
-    """The element (P,) whose closure holds each point of the stack x (P, d);
-    the smallest index wins on faces (the locate rule).
+def _containing(sol: SolutionField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(point, element) pairs of the elements whose closure holds each point
+    of the stack x (P, d).
 
     All points share one query of the mesh's centroid KD-tree: a point's
     candidates are the LOCATE_CANDIDATES elements with the nearest
     centroids, and one containment test runs over every (point, candidate)
-    pair.  A point that none of its candidates holds tests every element.
+    pair.  A point that none of its candidates holds tests every element,
+    and ValueError names a point that no element holds.
     """
-    x = np.asarray(x, dtype=float)
     n = sol.mesh.n_elements
     k = min(LOCATE_CANDIDATES, n)
     _, idx = sol.mesh.centroid_tree.query(x, k=k)
     idx = idx.reshape(x.shape[0], k)
-    lam = _barycentric_at(sol, idx.ravel(), np.repeat(x, k, axis=0))
-    inside = (lam.min(axis=1) >= -_CONTAIN_TOL).reshape(idx.shape)
-    owner = np.where(inside, idx, n).min(axis=1)
-    for p in np.flatnonzero(owner == n):
+    p, j = np.nonzero(_holds(sol, idx.ravel(), np.repeat(x, k, axis=0)).reshape(idx.shape))
+    points, elems = [p], [idx[p, j]]
+    for q in np.setdiff1d(np.arange(x.shape[0]), p):
         # only reachable for thin stretched meshes
-        hits = _containing(sol, np.arange(n), x[p])
+        hits = np.flatnonzero(_holds(sol, np.arange(n), np.broadcast_to(x[q], (n, x.shape[1]))))
         if hits.size == 0:
-            raise ValueError(f"point {x[p]} is outside the mesh")
-        owner[p] = hits.min()
+            raise ValueError(f"point {x[q]} is outside the mesh")
+        points.append(np.full(hits.size, q))
+        elems.append(hits)
+    return np.concatenate(points), np.concatenate(elems)
+
+
+def locate_points(sol: SolutionField, x) -> np.ndarray:
+    """The element (P,) whose closure holds each point of the stack x (P, d);
+    the smallest index wins on faces (the locate rule)."""
+    x = np.asarray(x, dtype=float)
+    p, e = _containing(sol, x)
+    owner = np.full(x.shape[0], sol.mesh.n_elements)
+    np.minimum.at(owner, p, e)
     return owner
 
 
 def elements_containing(sol: SolutionField, x) -> list[int]:
-    """All candidate elements containing x, ascending by element index.
-
-    The candidates are the LOCATE_CANDIDATES elements with the nearest
-    centroids; when none of them holds x, every element is tested.  The
-    benchmark's pole check calls this.
-    """
-    x = np.asarray(x, dtype=float)
-    n = sol.mesh.n_elements
-    k = min(LOCATE_CANDIDATES, n)
-    _, idx = sol.mesh.centroid_tree.query(x, k=k)
-    hits = _containing(sol, np.atleast_1d(idx), x)
-    if hits.size == 0 and k < n:
-        # only reachable for thin stretched meshes
-        hits = _containing(sol, np.arange(n), x)
-    return np.sort(hits).tolist()
+    """All elements whose closure holds the point x, ascending: _containing
+    for a batch of one.  The benchmark's pole check calls this."""
+    _, e = _containing(sol, np.asarray(x, dtype=float)[None])
+    return np.sort(e).tolist()
 
 
 def eval_in_element(sol: SolutionField, e: int, x, side: int = 0):
@@ -284,7 +291,7 @@ def _near_segment(m: Mesh, start: np.ndarray, v: np.ndarray) -> np.ndarray:
     the largest coordinate covers that.
     """
     scale = max(np.abs(m.nodes).max(), np.abs(start).max(), np.abs(start + v).max())
-    margin = m.dim * 2.0 * _CONTAIN_TOL * char_lengths(m).max() + 1e-12 * scale
+    margin = m.dim * 2.0 * _CONTAIN_TOL * m.char_lengths.max() + 1e-12 * scale
     frame = np.linalg.svd(v[None])[2] if np.isfinite(v).all() else np.eye(m.dim)
     ends = frame @ np.column_stack([start, start + v])          # (d, 2)
     proj = m.nodes @ frame.T
@@ -313,7 +320,7 @@ def _owners(sol: SolutionField, pts: np.ndarray, t: np.ndarray,
     """
     first = np.searchsorted(t, lo, "left")
     c, j = _ranges(first, np.searchsorted(t, hi, "right") - first)
-    inside = _barycentric_at(sol, cand[c], pts[j]).min(axis=1) >= -_CONTAIN_TOL
+    inside = _holds(sol, cand[c], pts[j])
     owner = np.full(t.size, np.iinfo(np.int64).max)
     np.minimum.at(owner, j[inside], cand[c][inside])
     missing = np.nonzero(owner == np.iinfo(np.int64).max)[0]
@@ -477,34 +484,33 @@ def observed_order(hs, errors) -> float:
 
 
 def interface_potential_mismatch(sol: SolutionField) -> float:
-    """Largest inter-element disagreement of phi_h at interface crossings.
+    """Largest inter-element disagreement of phi_h where the interface crosses
+    an edge of an interior mesh face (the face itself in 2D).
 
-    For every interior mesh face crossed by the interface, the two adjacent
-    elements reconstruct their own trace; the hat function is identical on
-    the shared face, so any disagreement comes from differing enrichment
-    amplitudes.  The crossing point comes from the snapped distances of the
-    smaller-index element.  Returns the max absolute mismatch (2D meshes).
+    The two elements sharing the face each reconstruct their own trace; the
+    hat function is identical on a shared edge, so any disagreement comes
+    from differing enrichment amplitudes.  The crossing point comes from the
+    snapped distances of the smaller-index element, measured from the edge's
+    smaller node index.  Returns the max absolute mismatch, 0.0 when no such
+    edge is crossed.
     """
     m = sol.mesh
-    if m.dim != 2:
-        raise ValueError("mismatch scan is defined for 2D meshes")
-    pairs = np.flatnonzero(m.face_second[:, 0] >= 0)
+    # an interior face whose smaller element is uncut has no crossed edge
+    pairs = np.flatnonzero((m.face_second[:, 0] >= 0) & sol.is_cut[m.face_first[:, 0]])
     (e1, lf), e2 = m.face_first[pairs].T, m.face_second[pairs, 0]
-    face = np.array(local_faces(2))[lf]
-    rows = np.arange(e1.size)[:, None]
-    nodes = m.elements[e1][rows, face]
-    local = np.where((nodes[:, 0] > nodes[:, 1])[:, None], face[:, ::-1], face)
-    ends = m.face_keys[pairs]                           # (a, b) with a < b
-    d = sol.element_d[e1][rows, local]
+    face_edges = list(combinations(range(m.dim), 2))
+    ends = np.array(local_faces(m.dim))[:, face_edges][lf].reshape(-1, 2)   # local to e1
+    e1, e2 = (np.repeat(e, len(face_edges)) for e in (e1, e2))
+    nodes, d = m.elements[e1[:, None], ends], sol.element_d[e1[:, None], ends]
+    flip = (nodes[:, 0] > nodes[:, 1])[:, None]
+    nodes, d = (np.where(flip, a[:, ::-1], a) for a in (nodes, d))      # nodes (a, b), a < b
     crossed = np.nonzero((d[:, 0] > 0.0) != (d[:, 1] > 0.0))[0]
-    if crossed.size == 0:
-        return 0.0
     da, db = d[crossed, 0], d[crossed, 1]
-    xa, xb = m.nodes[ends[crossed, 0]], m.nodes[ends[crossed, 1]]
-    xi = xa + (da / (da - db))[:, None] * (xb - xa)
-    phi, _, _ = _evaluate(sol, np.concatenate([e1[crossed], e2[crossed]]),
-                          np.concatenate([xi, xi]), np.ones(2 * crossed.size, dtype=np.int64))
-    return float(np.abs(phi[:crossed.size] - phi[crossed.size:]).max())
+    xa, xb = m.nodes[nodes[crossed, 0]], m.nodes[nodes[crossed, 1]]
+    xi = np.concatenate([xa + (da / (da - db))[:, None] * (xb - xa)] * 2)
+    elems = np.concatenate([e1[crossed], e2[crossed]])
+    phi, _ = reconstruct(sol, elems, _barycentric_at(sol, elems, xi), np.ones(elems.size))
+    return float(np.abs(phi[:crossed.size] - phi[crossed.size:]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -521,49 +527,43 @@ def export_vtk(sol: SolutionField, path) -> None:
     element in element order.  They are duplicated per element on purpose:
     the two reconstructions may disagree there and the jump should be
     visible.  A cut element's children take its place in the cell order;
-    every cell carries its constant E.
+    every cell carries its constant E, a child's from its own side.  Both
+    come from reconstruct.
     """
     m = sol.mesh
     conn = m.elements
     nv = m.dim + 1
-    E = np.matmul(m.grads.transpose(0, 2, 1), sol.phi[conn][..., None])[..., 0]
+    ids, b = sol.cut_data.ids, sol.cut_data.batch
 
-    # children and virtual nodes of the cut elements, in element order; k
-    # indexes the enriched elements
-    c, star = sol.cut_data, sol.star
-    ids, b = c.ids, c.batch
-    points, pdata, cells, cdata = m.nodes, sol.phi, conn, E
-    if ids.size:
-        virtual = b.points[:, nv:]
-        real_v = np.arange(virtual.shape[1]) < b.n_virtual[:, None]
-        virt_of = np.nonzero(real_v)[0]
-        virt_x = virtual[real_v]
-        real_c = np.arange(b.children.shape[1]) < b.n_children[:, None]
-        k = np.nonzero(real_c)[0]
-        refs = b.children[real_c]
-        first_virtual = m.n_nodes + np.cumsum(b.n_virtual) - b.n_virtual
-        child_rows = np.where(refs < nv,
-                              np.take_along_axis(conn[ids[k]], np.minimum(refs, nv - 1), axis=1),
-                              (first_virtual[k] - nv)[:, None] + refs)
+    virtual = b.points[:, nv:]                  # the enriched elements' virtual nodes
+    real_v = np.arange(virtual.shape[1]) < b.n_virtual[:, None]
+    virt_x = virtual[real_v]
+    ve = ids[np.nonzero(real_v)[0]]
+    phi_v, _ = reconstruct(sol, ve, _barycentric_at(sol, ve, virt_x), np.ones(ve.size))
+    points = np.concatenate([m.nodes, virt_x])
+    pdata = np.concatenate([sol.phi, phi_v])
 
-        ve = ids[virt_of]
-        lam = _barycentric_at(sol, ve, virt_x)
-        phi_v = (row_dot(lam, sol.phi[conn[ve]])
-                 + hat_value(lam, b.nodal_d[virt_of]) * star[virt_of])
-        points = np.concatenate([m.nodes, virt_x])
-        pdata = np.concatenate([sol.phi, phi_v])
-
-        n_children = np.ones(m.n_elements, dtype=np.int64)
-        n_children[ids] = b.n_children
-        uncut = np.ones(m.n_elements, dtype=bool)
-        uncut[ids] = False
-        is_child = np.ones(int(n_children.sum()), dtype=bool)
-        is_child[(np.cumsum(n_children) - n_children)[uncut]] = False
-        gbar = np.where((b.child_sign[real_c] > 0)[:, None], c.grad_pos[k], c.grad_neg[k])
-        cells = np.empty((is_child.size, nv), dtype=np.int64)
-        cdata = np.empty((is_child.size, m.dim))
-        cells[~is_child], cdata[~is_child] = conn[uncut], E[uncut]
-        cells[is_child], cdata[is_child] = child_rows, E[ids[k]] + gbar * star[k][:, None]
+    real_c = np.arange(b.children.shape[1]) < b.n_children[:, None]
+    k = np.nonzero(real_c)[0]
+    refs = b.children[real_c]
+    first_virtual = m.n_nodes + np.cumsum(b.n_virtual) - b.n_virtual
+    child_rows = np.where(refs < nv,
+                          np.take_along_axis(conn[ids[k]], np.minimum(refs, nv - 1), axis=1),
+                          (first_virtual[k] - nv)[:, None] + refs)
+    per_element = np.ones(m.n_elements, dtype=np.int64)
+    per_element[ids] = b.n_children             # two or more
+    cell_elem = np.repeat(np.arange(m.n_elements), per_element)
+    is_child = (per_element > 1)[cell_elem]
+    cells = np.empty((cell_elem.size, nv), dtype=np.int64)
+    cells[~is_child], cells[is_child] = conn[per_element == 1], child_rows
+    side = np.ones(cell_elem.size, dtype=np.int64)
+    side[is_child] = b.child_sign[real_c]
+    # a cell's E is constant, so it is read at the element centroid; row
+    # blocks keep the gathered gradients small
+    cdata = np.empty((cell_elem.size, m.dim))
+    for rows in row_blocks(cell_elem.size):
+        e = cell_elem[rows]
+        cdata[rows] = reconstruct(sol, e, np.broadcast_to(1.0 / nv, (e.size, nv)), side[rows])[1]
 
     n_points, n_cells = points.shape[0], cells.shape[0]
     xyz = " ".join(["%.17g"] * m.dim + ["0"] * (3 - m.dim)) + "\n"     # 2D rows get z = 0

@@ -47,8 +47,12 @@ class SolveReport:
     iterations: int
     residual: float          # final true relative residual |Ax-b| / |b|
     converged: bool
-    restarted: bool = False
     method: str = "bicgstab"  # "bicgstab-amg" when the AMG phase finished the solve
+
+    @property
+    def restarted(self) -> bool:
+        """Whether the solve restarted into its AMG phase."""
+        return self.method == "bicgstab-amg"
 
 
 def jacobi_precondition(A: sp.spmatrix) -> np.ndarray:
@@ -275,8 +279,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     precond = minv.__mul__
     stop = min(max_iter, AMG_AFTER)
     for attempt in range(2):             # attempt 1 is the single allowed restart
-        restarted = attempt == 1
-        if restarted:
+        if attempt == 1:
             precond = SmoothedAggregation(A)
             method = "bicgstab-amg"
             stop = min(max_iter, iterations + AMG_MAX_ITER)
@@ -308,7 +311,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 true_res = b - A @ x_try
                 if small(true_res):
                     return x_try, SolveReport(iterations, float(np.linalg.norm(true_res)) / bnorm,
-                                              True, restarted, method)
+                                              True, method)
             s_hat = precond(s)
             t = A @ s_hat
             tt = float(t @ t)
@@ -322,11 +325,11 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 true_res = b - A @ x
                 if small(true_res):
                     return x, SolveReport(iterations, float(np.linalg.norm(true_res)) / bnorm,
-                                          True, restarted, method)
+                                          True, method)
         if not broke and iterations >= max_iter:
             break                        # ran out of iterations
 
-    return x, SolveReport(iterations, true_rel_residual(x), False, restarted, method)
+    return x, SolveReport(iterations, true_rel_residual(x), False, method)
 
 
 def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Property tests of the mesh arrays and the assembly built in row blocks.
 
-mesh.grads, char_lengths, the P1 pattern and the assembly scatter are built
+mesh.grads, mesh.char_lengths, the P1 pattern and the assembly scatter are built
 one block of mesh._ROW_BLOCK elements at a time, or one local edge at a
 time.  On random 2D and 3D meshes with unused nodes and shuffled element
 order, the pattern equals an in-test copy of the np.unique builder it
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from efem import mesh as mesh_mod
 from efem.efem_core import MODES, MaterialPair, assemble_global
 from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet
-from efem.mesh import Mesh, char_lengths, generate_structured, local_edges, p1_pattern
-from efem.oracles import box_boundary, cylinder_benchmark_mesh, sphere_levelset
+from efem.mesh import Mesh, generate_structured, local_edges
+from efem.oracles import box_boundary, cylinder_benchmark_mesh, jittered_mesh, sphere_levelset
 
 MATS = MaterialPair(3.0, 1.0)
 
@@ -54,15 +54,6 @@ def _unique_pattern(n_nodes, elements):
     return indptr, cols[order], rows[order], slots
 
 
-def _perturbed_3d(counts, seed):
-    base = generate_structured(3, *counts)
-    rng = np.random.default_rng(seed)
-    nodes = np.array(base.nodes)
-    interior = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
-    nodes[interior] += rng.uniform(-0.1, 0.1, size=(int(interior.sum()), 3)) / max(counts)
-    return Mesh.build(3, nodes, np.array(base.elements), list(base.boundary_faces))
-
-
 def _arrays(mesh, seed, n_unused):
     """Arrays of the mesh with n_unused extra nodes, nodes relabelled and
     elements shuffled."""
@@ -88,7 +79,7 @@ def _meshes(draw):
     elif kind == "perturbed 2d":
         base = cylinder_benchmark_mesh(n=draw(st.integers(1, 8)), seed=seed)
     else:
-        base = _perturbed_3d([min(c, 3) for c in counts], seed)
+        base = jittered_mesh([min(c, 3) for c in counts], seed, amplitude=0.1)
     return _arrays(base, seed, draw(st.integers(0, 5)))
 
 
@@ -111,7 +102,7 @@ def _block_results(arrays, block, levelset, mode):
     with mock.patch.object(mesh_mod, "_ROW_BLOCK", block):
         mesh = Mesh.build(*arrays)
         asm = assemble_global(mesh, levelset, MATS, mode, box_boundary(mesh.dim))
-        return (mesh.grads, char_lengths(mesh), asm.matrix.data, asm.matrix.indices,
+        return (mesh.grads, mesh.char_lengths, asm.matrix.data, asm.matrix.indices,
                 asm.matrix.indptr, asm.rhs, asm.cut_data.recovery, asm.fallback_elements)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -246,10 +247,14 @@ def test_interface_error_reported_per_mode(tmp_path):
 # evaluated through mesh.grads (no solve per point): the sampled potentials
 # moved by at most 2.0e-14 (planar_q3), 1.9e-15 (inclined) and 2.6e-13
 # (sphere) relative, pointwise.
+# Re-pinned again, VTK only, when the export took its values from the one
+# reconstruction kernel (einsum sums instead of matmul): virtual-point phi
+# moved by at most 1.1e-16 and cell E by at most 5.5e-16 of the largest |E|
+# (planar_q3 and sphere); the CSV files did not move.
 ARTIFACT_DIGESTS = {
     "planar_q3": {
         "line_mid.csv": "9b73b8dbcbe5c336c8c28fef573b50bfcafd2e11a619a0005d409e89b82ccb70",
-        "planar_q3.vtk": "781bca58bceec5f13c22e16a769da6ea5707e8638d7a2e8d5c66ffa7fce1fc01",
+        "planar_q3.vtk": "2a00700dd1c89e8e686062f2e9bbe436a5a7b42d50a613cd9c91c9800d551cc4",
     },
     "inclined": {
         "line_x0.csv": "fe23d7fb4b73cdda6687ca989488b6759230d035434f985c31c3e9a499853c33",
@@ -257,7 +262,7 @@ ARTIFACT_DIGESTS = {
     },
     "sphere": {
         "line_poles.csv": "6ecff233701f25430eae113ac5db636594fb5f84893abba31c705fde929a2838",
-        "sphere.vtk": "33dfc2a9629810f560a3ab5a0d0e691d6e749270a8c3b586b26e84f9773739ba",
+        "sphere.vtk": "94acf3099df83438f3734161df60197835dec74507a718328f217e0ee2203812",
     },
 }
 
@@ -281,6 +286,7 @@ def test_repeat_runs_are_byte_identical(tmp_path, case):
     sa.pop("wall_time_s")
     sb.pop("wall_time_s")
     assert sa == sb
+    assert math.isfinite(sa["interface_mismatch"])      # in 2D and 3D
 
 
 @pytest.mark.parametrize("case", ["inclined", "sphere"])

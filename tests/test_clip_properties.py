@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from efem import postprocess
 from efem.efem_core import assemble_global
 from efem.interface import CircleLevelSet, SphereLevelSet
-from efem.mesh import Mesh, generate_structured, local_edges, local_faces
-from efem.oracles import box_boundary, cylinder_benchmark_mesh, cylinder_materials
+from efem.mesh import generate_structured, local_edges, local_faces
+from efem.oracles import box_boundary, cylinder_benchmark_mesh, cylinder_materials, jittered_mesh
 from efem.postprocess import _CONTAIN_TOL, _clip, build_solution, sample_line
 from efem.solver import solve
 
@@ -55,22 +55,13 @@ def _full_clip(sol, start, v):
     return cand, lo, hi, a, b
 
 
-def _perturbed_3d(n: int, seed: int = 5, amplitude: float = 0.15) -> Mesh:
-    base = generate_structured(3, n)
-    nodes = np.array(base.nodes)
-    interior = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
-    rng = np.random.default_rng(seed)
-    nodes[interior] += rng.uniform(-amplitude / n, amplitude / n, size=(int(interior.sum()), 3))
-    return Mesh.build(3, nodes, np.array(base.elements), list(base.boundary_faces))
-
-
 @cache
 def _field(name):
     """Solved efem field on one of the test meshes."""
     mesh = {"structured2d": lambda: generate_structured(2, N2),
             "perturbed2d": lambda: cylinder_benchmark_mesh(n=N2, seed=3),
             "structured3d": lambda: generate_structured(3, N3),
-            "perturbed3d": lambda: _perturbed_3d(N3)}[name]()
+            "perturbed3d": lambda: jittered_mesh((N3,) * 3, seed=5, amplitude=0.15)}[name]()
     levelset = (CircleLevelSet((0.45, 0.55), 0.27) if mesh.dim == 2
                 else SphereLevelSet((0.45, 0.5, 0.55), 0.3))
     asm = assemble_global(mesh, levelset, cylinder_materials(3.0), "efem",

@@ -8,7 +8,6 @@ import pytest
 from efem.mesh import (
     Mesh,
     MeshError,
-    char_lengths,
     face_measure_normal,
     generate_structured,
     local_faces,
@@ -115,17 +114,27 @@ def test_mesh_geometry_matches_per_element():
         assert np.array_equal(mesh.grads[e], p1_gradients(X)[0])
 
 
+def test_face_keys_are_built_on_first_use():
+    mesh = generate_structured(3, 2)
+    assert "face_keys" not in vars(mesh)
+    keys = mesh.face_keys
+    assert mesh.face_keys is keys and not keys.flags.writeable
+    e, lf = mesh.face_first.T
+    want = [sorted(mesh.elements[a, list(local_faces(3)[b])].tolist()) for a, b in zip(e, lf)]
+    assert keys.tolist() == want == sorted(want)
+
+
 def test_char_lengths_structured():
     mesh = generate_structured(2, 5, 5)
-    h = char_lengths(mesh)
+    h = mesh.char_lengths
     # longest edge of each triangle is the cell diagonal
     assert np.allclose(h, np.sqrt(2.0) / 5.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("mesh", [generate_structured(2, 4, 3), generate_structured(3, 2)])
 def test_char_lengths_are_computed_once_per_mesh(mesh):
-    h = char_lengths(mesh)
-    assert char_lengths(mesh) is h and not h.flags.writeable
+    h = mesh.char_lengths
+    assert mesh.char_lengths is h and not h.flags.writeable
     X = mesh.nodes[mesh.elements]
     edges = ([(0, 1), (1, 2), (2, 0)] if mesh.dim == 2
              else [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from efem import mesh as mesh_io
 from efem.mesh import Mesh, MeshError, generate_structured, local_faces, read_mesh, signed_measures
 from efem.mesh import write_mesh
-from efem.oracles import cylinder_benchmark_mesh
+from efem.oracles import cylinder_benchmark_mesh, jittered_mesh
 
 SIDES = ("left", "right", "bottom", "top", "front", "back")
 
@@ -206,15 +206,6 @@ def _relabel(mesh, rng):
     return dim, nodes, elements, boundary
 
 
-def _perturbed_3d(counts, seed):
-    base = generate_structured(3, *counts)
-    rng = np.random.default_rng(seed)
-    nodes = np.array(base.nodes)
-    interior = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
-    nodes[interior] += rng.uniform(-0.1, 0.1, size=(int(interior.sum()), 3)) / max(counts)
-    return Mesh.build(3, nodes, np.array(base.elements), list(base.boundary_faces))
-
-
 def _corrupt(kind, dim, nodes, elements, boundary, rng):
     """One fault of the given kind in a copy of valid mesh arrays."""
     elements, boundary = np.array(elements), list(boundary)
@@ -247,7 +238,8 @@ def _base_mesh_strategy():
         st.sampled_from([2, 3]), st.lists(st.integers(1, 3), min_size=3, max_size=3))
     perturbed_2d = st.builds(lambda n, seed: cylinder_benchmark_mesh(n=n, seed=seed),
                              st.integers(1, 6), st.integers(0, 2**16))
-    perturbed_3d = st.builds(_perturbed_3d, st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    perturbed_3d = st.builds(lambda n, seed: jittered_mesh(n, seed, amplitude=0.1),
+                             st.lists(st.integers(1, 3), min_size=3, max_size=3),
                              st.integers(0, 2**16))
     return st.one_of(structured, perturbed_2d, perturbed_3d)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from efem.mesh import read_mesh
+from efem.mesh import generate_structured, read_mesh
 from efem.oracles import (
     CylinderCase,
     PlanarCase,
@@ -12,6 +12,7 @@ from efem.oracles import (
     conforming_inclined_mesh,
     cylinder_benchmark_mesh,
     fd_laplacian,
+    jittered_mesh,
     phi_evaluator,
     planar_slopes,
     reference_solve,
@@ -223,3 +224,31 @@ def test_benchmark_mesh_keeps_boundary_nodes():
     boundary_nodes = np.any(on_box, axis=1)
     grid = np.round(mesh.nodes * 27) / 27
     assert np.allclose(mesh.nodes[boundary_nodes], grid[boundary_nodes], atol=1e-12)
+
+
+@pytest.mark.parametrize("counts", [(5, 7), (3, 4, 2)])
+def test_jittered_mesh_moves_interior_nodes_within_the_amplitude(counts):
+    mesh = jittered_mesh(counts, seed=3, amplitude=0.2)
+    grid = generate_structured(len(counts), *counts)
+    assert np.array_equal(mesh.elements, grid.elements)
+    assert mesh.boundary_faces == grid.boundary_faces
+    step = np.abs(mesh.nodes - grid.nodes)
+    interior = np.all((grid.nodes > 1e-12) & (grid.nodes < 1.0 - 1e-12), axis=1)
+    assert (step[~interior] == 0.0).all() and (step[interior] > 0.0).all()
+    assert (step <= 0.2 / np.array(counts)).all()
+    assert np.array_equal(jittered_mesh(counts, seed=3, amplitude=0.2).nodes, mesh.nodes)
+    assert not np.array_equal(jittered_mesh(counts, seed=4, amplitude=0.2).nodes, mesh.nodes)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (5, 7), (27, 0), (60, 123)])
+def test_cylinder_benchmark_mesh_keeps_its_node_bits(n, seed):
+    """The benchmark writes cylinder_benchmark_mesh(n, seed) as its 2D
+    workload mesh: it gives the nodes of the formula it had before it became
+    a call of jittered_mesh, bit for bit."""
+    base = generate_structured(2, n, n)
+    rng = np.random.default_rng(seed)
+    nodes = np.array(base.nodes)
+    h = 1.0 / n
+    interior = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
+    nodes[interior] += rng.uniform(-0.25 * h, 0.25 * h, size=(int(interior.sum()), 2))
+    assert np.array_equal(cylinder_benchmark_mesh(n=n, seed=seed).nodes, nodes)

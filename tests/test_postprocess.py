@@ -5,8 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from efem import cli, postprocess
 from efem import mesh as mesh_io
-from efem.efem_core import MaterialPair, assemble_global, hat_value
+from efem.efem_core import MaterialPair, assemble_global
 from efem.interface import (
     CircleLevelSet,
     NodalLevelSet,
@@ -15,13 +16,16 @@ from efem.interface import (
     split_simplex,
 )
 from efem.mesh import BoundaryTag, generate_structured
-from efem.oracles import PlanarCase, box_boundary, planar_levelset, planar_materials, planar_slopes
+from efem.oracles import PlanarCase, box_boundary, jittered_mesh, planar_materials, planar_slopes
 from efem.postprocess import (
     SolutionField,
     _barycentric_at,
+    _holds,
     build_solution,
     crossings,
+    elements_containing,
     eval_field,
+    eval_in_element,
     export_csv,
     export_vtk,
     interface_potential_mismatch,
@@ -29,6 +33,7 @@ from efem.postprocess import (
     locate_points,
     observed_order,
     read_csv_sample,
+    reconstruct,
     recover_enrichment,
     sample_line,
 )
@@ -105,6 +110,28 @@ def test_locate_outside_raises(planar_q3_efem):
         locate_points(planar_q3_efem, np.array([[1.5, 0.5]]))
 
 
+def test_elements_containing_outside_raises(planar_q3_efem):
+    with pytest.raises(ValueError, match="outside the mesh"):
+        elements_containing(planar_q3_efem, (0.5, -0.5))
+
+
+def test_location_falls_back_to_every_element(monkeypatch):
+    """With one candidate per point, a point whose nearest-centroid element
+    does not hold it is found by testing every element."""
+    monkeypatch.setattr(postprocess, "LOCATE_CANDIDATES", 1)
+    _, sol = _solved(jittered_mesh((6, 6), seed=1), CircleLevelSet((0.45, 0.55), 0.27), "efem")
+    m = sol.mesh
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(300, 2))
+    every = np.arange(m.n_elements)
+    holders = [np.flatnonzero(_holds(sol, every, np.broadcast_to(p, (every.size, 2)))) for p in x]
+    _, nearest = m.centroid_tree.query(x, k=1)
+    missed = [i for i, h in enumerate(holders) if nearest[i] not in h]
+    assert missed
+    assert locate_points(sol, x).tolist() == [int(h.min()) for h in holders]
+    for i in missed:
+        assert elements_containing(sol, x[i]) == holders[i].tolist()
+
+
 def test_sample_side_matches_levelset(planar_q3_efem):
     s = sample_line(planar_q3_efem, (0.5, 0.1), (0.5, 0.9), count=9)
     y = s.points[:, 1]
@@ -170,6 +197,78 @@ def test_mismatch_small_with_D_large_without(planar_solver, planar_q1_nod):
     assert interface_potential_mismatch(planar_q1_nod) > 1e-3
 
 
+def _planar_3d(q, mode, n=8):
+    """Solved field of a planar interface between grid planes of a 3D mesh."""
+    levelset = PlaneLevelSet((0.0, 0.5 + 0.3 / n, 0.0), (0.0, 1.0, 0.0))
+    asm = assemble_global(generate_structured(3, n), levelset, planar_materials(q), mode,
+                          box_boundary(3))
+    phi, report = solve(asm.matrix, asm.rhs, tol=1e-10)
+    assert report.converged
+    return build_solution(asm, phi)
+
+
+def test_mismatch_small_with_D_large_without_3d():
+    """Criterion 3 in 3D: the scan reads the crossed edges of the interior
+    triangle faces."""
+    worst_with = max(interface_potential_mismatch(_planar_3d(q, "efem")) for q in (1.0, 3.0, 1e6))
+    assert worst_with <= 1e-6
+    assert interface_potential_mismatch(_planar_3d(1.0, "efem-nod")) > 1e-3
+
+
+def _edge_scan_2d(sol):
+    """The 2D scan that the dimension-generic one replaced, one interior edge
+    at a time: the crossing from the edge's sorted node key and the smaller
+    element's distances, each side read by eval_in_element."""
+    m = sol.mesh
+    worst = 0.0
+    for f in np.flatnonzero(m.face_second[:, 0] >= 0):
+        e1, e2 = int(m.face_first[f, 0]), int(m.face_second[f, 0])
+        a, b = m.face_keys[f]
+        da, db = (sol.element_d[e1, list(m.elements[e1]).index(v)] for v in (a, b))
+        if (da > 0.0) == (db > 0.0):
+            continue
+        xi = m.nodes[a] + (da / (da - db)) * (m.nodes[b] - m.nodes[a])
+        phi1, phi2 = (eval_in_element(sol, e, xi, 1)[0] for e in (e1, e2))
+        worst = max(worst, abs(phi1 - phi2))
+    return worst
+
+
+@pytest.mark.parametrize("case", ["planar_q3", "planar_q1", "planar_cond", "inclined", "cylinder"])
+def test_mismatch_scan_keeps_the_2d_edge_scan_bits(case):
+    text, name, base = cli._case_text(case)
+    cfg = cli.parse_case(text, name)
+    mesh = cli._load_mesh(cfg, base)
+    for asm in cli._assemble(cfg, mesh, list(cli.MODES)):
+        phi, _ = solve(asm.matrix, asm.rhs, tol=cfg.tol)
+        sol = build_solution(asm, phi)
+        assert interface_potential_mismatch(sol) == _edge_scan_2d(sol)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_reconstruct_is_the_enriched_field(dim):
+    """phi_h = N.phi + Nbar phi* and E_h = grad N.phi + grad Nbar phi* with
+    the child's side of grad Nbar, at random points of every element, to
+    rounding; elements without enrichment give the P1 field."""
+    mesh = generate_structured(dim, 6)
+    levelset = (CircleLevelSet((0.45, 0.55), 0.27) if dim == 2
+                else SphereLevelSet((0.48, 0.5, 0.53), 0.3))
+    _, sol = _solved(mesh, levelset, "efem")
+    rng = np.random.default_rng(dim)
+    elems = np.arange(mesh.n_elements)
+    lam = rng.dirichlet(np.ones(dim + 1), size=elems.size)
+    child = rng.choice([-1, 1], size=elems.size)
+    phi, E = reconstruct(sol, elems, lam, child)
+    star = np.zeros(mesh.n_elements)
+    star[sol.cut_data.ids] = sol.star
+    for e in elems:
+        nodal, d, g = sol.phi[mesh.elements[e]], sol.element_d[e], mesh.grads[e]
+        nbar = lam[e] @ np.abs(d) - abs(lam[e] @ d)
+        grad_nbar = g.T @ np.abs(d) - child[e] * (g.T @ d)
+        assert abs(phi[e] - (lam[e] @ nodal + nbar * star[e])) <= 1e-14
+        assert np.abs(E[e] - (g.T @ nodal + grad_nbar * star[e])).max() <= 1e-12
+    assert np.count_nonzero(star) == len(sol.cut_data) > 0
+
+
 def test_recover_enrichment_reads_recovery_vectors(planar_q3_efem):
     # reconstructing from the stored solution must replay the stored values
     class FakeAssembled:
@@ -210,6 +309,7 @@ def test_vtk_uncut_two_cells(tmp_path):
     assert int(cells[1]) == 2
     i, _ = _vtk_section(lines, "CELL_TYPES")
     assert lines[i + 1] == "5"
+    assert interface_potential_mismatch(sol) == 0.0          # nothing crossed
 
 
 def test_vtk_cut_triangles_export_children(tmp_path, planar_solver):
@@ -272,35 +372,37 @@ def test_csv_round_trip_is_bit_exact(tmp_path, planar_q3_efem):
 
 def _reference_vtk(sol: SolutionField, path) -> None:
     """The export written one element at a time, from a fresh decomposition of
-    each enriched element, with the point kernel's barycentric coordinates
-    of each virtual node in its element (a batch of one)."""
+    each enriched element.  Its values are the reconstruction kernel's, in
+    one call over the points and one over the cells it collects: phi at each
+    virtual node, and E of each cell, a child's from its own side (E is
+    constant per cell, so any point of it will do)."""
     m = sol.mesh
     points = [m.nodes[i] for i in range(m.n_nodes)]
-    pdata = [float(sol.phi[i]) for i in range(m.n_nodes)]
-    cells, cdata = [], []
-    c = sol.cut_data
-    side_grads = {e: (gp, gn) for e, gp, gn in zip(c.ids.tolist(), c.grad_pos, c.grad_neg)}
+    enriched = set(sol.cut_data.ids.tolist())
+    cells, cell_elem, cell_sign, virt_elem, virt_lam = [], [], [], [], []
     for e in range(m.n_elements):
         conn = m.elements[e]
-        if e not in side_grads:
+        if e not in enriched:
             cells.append([int(i) for i in conn])
-            cdata.append(sol.mesh.grads[e].T @ sol.phi[conn])
+            cell_elem.append(e)
+            cell_sign.append(1)
             continue
-        star = sol.phi_star.get(e, 0.0)
-        X, d = m.nodes[conn][None], sol.element_d[e][None]
-        deco = split_simplex(X, d)
+        deco = split_simplex(m.nodes[conn][None], sol.element_d[e][None])
         ids = conn.tolist()                 # point p of the decomposition
         for xv in deco.points[0, m.dim + 1:m.dim + 1 + deco.n_virtual[0]]:
-            lam = _barycentric_at(sol, np.array([e]), xv[None])
             ids.append(len(points))
             points.append(xv)
-            pdata.append(float(lam[0] @ sol.phi[conn]) + float(hat_value(lam, d)[0]) * star)
-        base_E = sol.mesh.grads[e].T @ sol.phi[conn]
-        g_pos, g_neg = side_grads[e]
+            virt_elem.append(e)
+            virt_lam.append(_barycentric_at(sol, np.array([e]), xv[None])[0])
         n = deco.n_children[0]
         for child, sign in zip(deco.children[0, :n], deco.child_sign[0]):
             cells.append([ids[p] for p in child])
-            cdata.append(base_E + (g_pos if sign > 0 else g_neg) * star)
+            cell_elem.append(e)
+            cell_sign.append(sign)
+    lam = np.reshape(virt_lam, (-1, m.dim + 1))
+    pdata = np.concatenate([sol.phi, reconstruct(sol, virt_elem, lam, np.ones(len(lam)))[0]])
+    centroid = np.full((len(cells), m.dim + 1), 1.0 / (m.dim + 1))
+    cdata = reconstruct(sol, cell_elem, centroid, np.array(cell_sign))[1]
 
     cell_type = {2: 5, 3: 10}[m.dim]
 

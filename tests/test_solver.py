@@ -10,7 +10,7 @@ from efem.efem_core import assemble_global
 from efem.mesh import generate_structured
 from efem.oracles import (box_boundary, cylinder_levelset, cylinder_materials,
                           planar_levelset, planar_materials)
-from efem.solver import AMG_AFTER, bicgstab, direct_solve, jacobi_precondition, solve
+from efem.solver import AMG_AFTER, SolveReport, bicgstab, direct_solve, jacobi_precondition, solve
 
 
 def test_identity_converges_immediately():
@@ -85,8 +85,16 @@ def test_solve_direct_path_reports_lu():
     b = np.array([1.0, 2.0])
     x, rep = solve(A, b, direct=True)
     assert rep.method == "lu"
-    assert rep.converged
+    assert rep.converged and rep.restarted is False
     assert np.allclose(A @ x, b, atol=1e-12)
+
+
+def test_restarted_is_read_from_the_method():
+    assert SolveReport(3, 0.0, True, "bicgstab-amg").restarted is True
+    for method in ("bicgstab", "lu"):
+        assert SolveReport(3, 0.0, True, method).restarted is False
+    with pytest.raises(AttributeError):
+        SolveReport(3, 0.0, True).restarted = True
 
 
 def test_solver_is_deterministic():

@@ -349,19 +349,28 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
         raise ConfigError("converge: needs a structured mesh case")
     if len(h_list) < 2:
         raise ConfigError("converge: need at least two mesh levels")
+    levels = [oracles.resolution(h) for h in h_list]
+    for i, n in enumerate(levels):
+        if n in levels[:i]:
+            raise ConfigError(f"converge: h = {h_list[levels.index(n)]:g} and h = {h_list[i]:g} "
+                              f"give the same mesh (n = {n})")
     if not cfg.lines:
         raise ConfigError("converge: case defines no sample lines")
-    for m in modes:
+    if not modes:
+        raise ConfigError("converge: --modes names no mode")
+    for i, m in enumerate(modes):
         if m not in MODES:
             raise ConfigError(f"converge: unknown mode {m!r}")
+        if m in modes[:i]:
+            raise ConfigError(f"converge: mode {m!r} listed twice")
     reference = _reference_evaluator(cfg)
     if reference is None:
         raise ConfigError("converge: case has no reference to measure against")
 
     errors = {mode: {name: [] for name in cfg.lines} for mode in modes}
     converged = True
-    for h in h_list:
-        mesh = generate_structured(cfg.dim, oracles.resolution(h))
+    for n in levels:
+        mesh = generate_structured(cfg.dim, n)
         for mode, assembled in zip(modes, _assemble(cfg, mesh, modes)):
             phi, report = solve(assembled.matrix, assembled.rhs, tol=cfg.tol)
             converged = converged and report.converged

@@ -32,7 +32,6 @@ from efem.interface import (
     CutBatch,
     SNAP_TOL,
     classify_elements,
-    cut_exterior_faces,
     split_simplex,
 )
 
@@ -146,35 +145,57 @@ def element_matrices(grads, materials: MaterialPair, deco: CutBatch) -> ElementS
 
 
 def element_displacement_terms(grads, materials: MaterialPair, deco: CutBatch):
-    """Exterior-face blocks D_i = int Nbar n.(eps grad N_i) and Denr.
+    """Exterior-face blocks D_i = int Nbar n.(eps grad N_i) and Denr, in closed form.
 
-    Integrates over every exterior face piece; Nbar vanishes identically on
-    faces whose nodes share one sign.  Nbar is linear on each
-    sign-homogeneous piece, zero at the parent vertices and
-    (1-t)|d_a| + t|d_b| at the virtual node on edge (a, b), so the mean of
-    its vertex values times the piece measure integrates it exactly.  eps
-    and grad Nbar come from the side owning the piece; n is the element
-    outward normal of the face.  Returns (D (k, n), Denr (k,)).
+    On side s, Nbar is the affine map 2 sum_{i not on s} N_i |d_i|, zero on a
+    face whose nodes share one sign.  A crossed face of measure A has a lone
+    vertex m, alone on its side (in 2D either end), and other vertices o;
+    t_o = |d_m| / (|d_m| + |d_o|), u_o = |d_o| / (|d_m| + |d_o|).  Integrating
+    2 sum_o N_o |d_o| over the lone side, the corners t_o of the face, and
+    2 N_m |d_m| over the rest gives
+
+        J_lone  = (2 |d_m| A / d) prod t_o sum u_o
+        J_other = (2 |d_m| A / d) Q,  Q = u^2 in 2D,
+                  Q = u1^2 + u1 u2 + u2^2 - u1 u2 (u1 + u2) in 3D,
+
+    whose subtraction removes at most 2/3.  With J+ and J- the integrals on the
+    positive and negative side and n the element outward normal of the face,
+    D = sum_f (eps1 J+ + eps2 J-) grads.n and
+    Denr = sum_f eps1 J+ g_pos.n + eps2 J- g_neg.n: (D (k, n), Denr (k,)).
     """
     grads = np.asarray(grads, dtype=float)
     coords = deco.coords
     k, n, dim = grads.shape
-    pieces = cut_exterior_faces(deco)
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
     faces = np.array(local_faces(dim))
-    _, normals = face_measure_normal(coords[:, faces].reshape(-1, dim, dim),
-                                     np.repeat(coords.mean(axis=1), n, axis=0))
-    normals = normals.reshape(k, n, dim)                               # one per local face
-    nbar = np.concatenate([np.zeros((k, n)), deco.virtual_nbar], axis=1)
-    at_points = nbar[np.arange(k)[:, None, None, None], pieces.points]
-    nbar_int = pieces.measure * at_points.sum(axis=-1) / dim
-    positive = pieces.sign > 0
-    w = np.where(positive, materials.eps1, materials.eps2) * nbar_int   # (k, faces, pieces)
+    area, normals = face_measure_normal(coords[:, faces].reshape(-1, dim, dim),
+                                        np.repeat(coords.mean(axis=1), n, axis=0))
+    area, normals = area.reshape(k, n), normals.reshape(k, n, dim)    # one per local face
+    face_d = deco.nodal_d[:, faces]                                    # (k, faces, dim)
+    pos = face_d > 0
+    # each face's |d| with the lone vertex first: it shares its side with the fewest
+    shared = (pos[..., :, None] == pos[..., None, :]).sum(axis=-1)
+    order = np.argsort(shared, axis=-1, kind="stable")
+    a = np.abs(np.take_along_axis(face_d, order, axis=-1))
+    total = a[..., :1] + a[..., 1:]
+    t, u = a[..., :1] / total, a[..., 1:] / total
+    crossed = pos.any(axis=-1) & ~pos.all(axis=-1)
+    scale = np.where(crossed, 2.0 * a[..., 0] * area / dim, 0.0)
+    lone = scale * t.prod(axis=-1) * u.sum(axis=-1)
+    if dim == 2:
+        other = scale * u[..., 0] ** 2
+    else:
+        u1, u2 = u[..., 0], u[..., 1]
+        other = scale * (u1 * u1 + u1 * u2 + u2 * u2 - u1 * u2 * (u1 + u2))
+    lone_pos = np.take_along_axis(pos, order[..., :1], axis=-1)[..., 0]
+    j_pos = np.where(lone_pos, lone, other)                            # (k, faces)
+    j_neg = np.where(lone_pos, other, lone)
+    w = materials.eps1 * j_pos + materials.eps2 * j_neg
     flux = np.matmul(grads[:, None], normals[..., None])[..., 0]       # grads @ n per face
-    D = np.einsum("kfp,kfi->ki", w, flux)
-    gn = np.where(positive, row_dot(g_pos[:, None], normals)[..., None],
-                  row_dot(g_neg[:, None], normals)[..., None])
-    return D, (w * gn).sum(axis=(1, 2))
+    D = np.einsum("kf,kfi->ki", w, flux)
+    denr = (materials.eps1 * j_pos * row_dot(g_pos[:, None], normals)
+            + materials.eps2 * j_neg * row_dot(g_neg[:, None], normals))
+    return D, denr.sum(axis=1)
 
 
 def condense(system: ElementSystem) -> ElementSystem:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from efem.mesh import Mesh, face_measure_normal, local_faces, row_dot, signed_measures
+from efem.mesh import Mesh, row_dot, signed_measures
 
 SNAP_TOL = 1e-6
 
@@ -214,8 +214,8 @@ class CutBatch:
     """Exact sign-homogeneous decomposition of k cut simplices, stacked.
 
     points holds each element's parent vertices in local order, then its
-    virtual nodes, which are the vertices of its interface facet; children
-    and face pieces index it.
+    virtual nodes, which are the vertices of its interface facet, in the
+    order of the configuration's table; children index it.
     Entries past n_virtual / n_children pad the widest configuration;
     padding children have zero measure.  A degenerate element has a child
     below 1e-14 of its measure and is decomposed all the same.
@@ -225,8 +225,6 @@ class CutBatch:
     nodal_d: np.ndarray          # (k, nv) snapped distances
     measure: np.ndarray          # (k,) parent measures
     points: np.ndarray           # (k, nv + nx, dim)
-    virtual_edges: np.ndarray    # (k, nx, 2) local edge of each virtual node, ascending
-    virtual_nbar: np.ndarray     # (k, nx) enrichment value at each virtual node
     n_virtual: np.ndarray        # (k,)
     children: np.ndarray         # (k, C, nv) point indices, positively oriented
     child_sign: np.ndarray       # (k, C)
@@ -319,8 +317,7 @@ def split_simplex(coords, nodal_d):
     parent = np.abs(signed_measures(coords))
     lone_sign = np.where(pos[rows[:, 0], roles[:, 0]], 1, -1)
     return CutBatch(
-        coords, d, parent, points, np.sort(edges, axis=-1),
-        (1.0 - t) * np.abs(da) + t * np.abs(db), tables.n_virtual[config],
+        coords, d, parent, points, tables.n_virtual[config],
         children, tables.signs[config] * lone_sign[:, None], measures, n_children,
         (real & (measures < 1e-14 * parent[:, None])).any(axis=1))
 
@@ -343,72 +340,3 @@ def _oriented(points, roles, table):
     verts[flip] = verts[flip][:, swap]
     measures = np.abs(signed_measures(verts.reshape(-1, nv, dim))).reshape(k, c)
     return refs, verts, measures
-
-
-# ---------------------------------------------------------------------------
-# exterior faces
-
-# Positions in a triangle face of the two vertices other than position m.
-_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-@dataclass
-class FaceBatch:
-    """Sign-homogeneous pieces of the exterior faces of k cut simplices.
-
-    Face f is local face f.  points (k, nf, P, dim) index the points of the
-    decomposition; the first count[e, f] pieces of a face are real (one for
-    a face the interface misses), the rest are padding with zero measure.
-    """
-
-    points: np.ndarray
-    sign: np.ndarray             # (k, nf, P)
-    measure: np.ndarray          # (k, nf, P)
-    count: np.ndarray            # (k, nf)
-
-
-def cut_exterior_faces(b: CutBatch) -> FaceBatch:
-    """Partition each exterior face of cut elements into sign-homogeneous pieces.
-
-    A face the interface misses comes back whole with its single sign.  A
-    crossed edge splits at its virtual node; a crossed triangle splits into
-    the lone vertex's triangle (m, P, Q) and the quad (P, p, q, Q) cut along
-    P-q, with p, q in face order and P, Q the virtual nodes on edges (m, p)
-    and (m, q).  Piece measures sum to the face measure exactly; all pieces
-    are measured in one stacked call.
-    """
-    k, nv, dim = b.coords.shape
-    rows = np.arange(k)[:, None]
-    vmap = np.zeros((k, nv, nv), dtype=np.intp)           # local edge -> virtual point
-    real = np.arange(b.virtual_edges.shape[1]) < b.n_virtual[:, None]
-    e, j = np.nonzero(real)
-    ends = b.virtual_edges[real]
-    vmap[e, ends[:, 0], ends[:, 1]] = vmap[e, ends[:, 1], ends[:, 0]] = nv + j
-
-    f = np.broadcast_to(np.array(local_faces(dim)), (k, dim + 1, dim))
-    s = np.where(b.nodal_d > 0, 1, -1)[rows[:, :, None], f]          # (k, nf, dim)
-    if dim == 2:
-        crossed = s[..., 0] != s[..., 1]
-        x = vmap[rows, f[..., 0], f[..., 1]]
-        points = np.stack([np.stack([f[..., 0], np.where(crossed, x, f[..., 1])], axis=-1),
-                           np.stack([x, f[..., 1]], axis=-1)], axis=2)
-        sign = s
-    else:
-        crossed = (s != s[..., :1]).any(axis=-1)
-        m = np.where(s[..., 1] == s[..., 2], 0, np.where(s[..., 0] == s[..., 2], 1, 2))
-        fm = np.take_along_axis(f, m[..., None], axis=-1)[..., 0]
-        fp, fq = np.take_along_axis(f, _OTHERS[m], axis=-1).transpose(2, 0, 1)
-        P, Q = vmap[rows, fm, fp], vmap[rows, fm, fq]
-        points = np.stack([np.where(crossed[..., None], np.stack([fm, P, Q], axis=-1), f),
-                           np.stack([P, fp, fq], axis=-1),
-                           np.stack([P, fq, Q], axis=-1)], axis=2)
-        sm = np.take_along_axis(s, m[..., None], axis=-1)[..., 0]
-        sign = np.stack([sm, -sm, -sm], axis=-1)
-    count = np.where(crossed, points.shape[2], 1)
-    real = np.arange(points.shape[2]) < count[..., None]
-    e = np.nonzero(real)[0]
-    measure = np.zeros(real.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):      # normals of slivers, unused
-        measure[real] = face_measure_normal(b.points[e[:, None], points[real]],
-                                            b.coords.mean(axis=1)[e])[0]
-    return FaceBatch(points, sign, measure, count)

@@ -22,7 +22,6 @@ from efem.efem_core import (
 from efem.interface import (
     PlaneLevelSet,
     classify_elements,
-    cut_exterior_faces,
     split_simplex,
 )
 from efem.mesh import (
@@ -59,6 +58,8 @@ from efem.postprocess import (
     sample_line,
 )
 from efem.solver import bicgstab, solve
+
+from face_reference import ref_faces, ref_virtual_nodes
 
 
 def verdict(capsys, num, name, ok, detail):
@@ -273,22 +274,49 @@ def _random_cut(rng, dim):
         return coords, abs(measure), p1_gradients(coords[None])[0], d
 
 
-def _measure_conservation(rng, count=1000):
-    worst = 0.0
+def _face_integrals(coords, grads, d, mats):
+    """D, Denr and their rounding scales by a centroid rule on each piece of
+    an in-test face split: Nbar is affine on a piece, so its centroid value
+    times the piece measure integrates it exactly.  The scales are the
+    summed term magnitudes with Nbar bounded by max |d|."""
+    dim = coords.shape[1]
+    g_abs, g_lin = grads.T @ np.abs(d), grads.T @ d
+    gbar = {1: g_abs - g_lin, -1: g_abs + g_lin}
+    A = np.vstack([coords.T, np.ones(dim + 1)])
+    D, denr = np.zeros(dim + 1), 0.0
+    D_abs, denr_abs = np.zeros(dim + 1), 0.0
+    for lf, pieces in enumerate(ref_faces(coords, d, ref_virtual_nodes(coords, d))):
+        if len(pieces) == 1:
+            continue
+        normal = face_measure_normal(coords[list(local_faces(dim)[lf])][None],
+                                     coords.mean(axis=0))[1][0]
+        for v, sign, measure in pieces:
+            lam = np.linalg.solve(A, np.append(v.mean(axis=0), 1.0))
+            w = measure * (lam @ np.abs(d) - abs(lam @ d)) * mats.for_sign(sign)
+            bound = measure * np.abs(d).max() * mats.for_sign(sign)
+            D += w * (grads @ normal)
+            denr += w * float(gbar[sign] @ normal)
+            D_abs += bound * np.abs(grads @ normal)
+            denr_abs += bound * abs(float(gbar[sign] @ normal))
+    return D, denr, D_abs, denr_abs
+
+
+def _measures_and_face_integrals(rng, count=1000):
+    """Worst relative error of the child-measure sums, and of D and Denr
+    against _face_integrals on its rounding scale, over random cuts."""
+    mats = MaterialPair(3.0, 1.0)
+    worst = worst_face = 0.0
     for k in range(count):
         dim = 2 if k % 2 == 0 else 3
-        coords, measure, _, d = _random_cut(rng, dim)
+        coords, measure, grads, d = _random_cut(rng, dim)
         deco = split_simplex(coords[None], d[None])
         child_sum = sum(deco.child_measure[0, :deco.n_children[0]].tolist())
         worst = max(worst, abs(child_sum - measure) / measure)
-        centroid = coords.mean(axis=0)
-        pieces = cut_exterior_faces(deco)
-        faces = coords[np.array(local_faces(dim))]
-        fm, _ = face_measure_normal(faces, centroid)
-        for f in range(dim + 1):
-            piece_sum = sum(pieces.measure[0, f, :pieces.count[0, f]].tolist())
-            worst = max(worst, abs(piece_sum - fm[f]) / fm[f])
-    return worst
+        D, denr = element_displacement_terms(grads[None], mats, deco)
+        D_ref, denr_ref, D_abs, denr_abs = _face_integrals(coords, grads, d, mats)
+        worst_face = max(worst_face, float(np.abs(D[0] - D_ref).max()) / D_abs.max(),
+                         abs(float(denr[0]) - denr_ref) / denr_abs)
+    return worst, worst_face
 
 
 def _hat_node_and_continuity(rng, count=200):
@@ -410,7 +438,7 @@ def _iterative_vs_dense():
 
 def test_structural_property_suite(capsys):
     rng = np.random.default_rng(2024)
-    meas = _measure_conservation(rng)
+    meas, face = _measures_and_face_integrals(rng)
     node_zero, jump = _hat_node_and_continuity(rng)
     cond = _condensation_equivalence()
     graph_ok = _graph_invariance()
@@ -421,6 +449,7 @@ def test_structural_property_suite(capsys):
     checks = [
         ("condensation", cond <= 1e-10, f"{cond:.1e}"),
         ("cut measures", meas <= 1e-10, f"{meas:.1e}"),
+        ("face integrals", face <= 1e-10, f"{face:.1e}"),
         ("hat node zero", node_zero <= 1e-12, f"{node_zero:.1e}"),
         ("hat continuity", jump <= 1e-12, f"{jump:.1e}"),
         ("graph invariance", graph_ok, str(graph_ok)),

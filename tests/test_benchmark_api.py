@@ -1,11 +1,12 @@
-"""Every efem name and result attribute the benchmark uses exists.
+"""The efem names and result attributes the benchmark uses exist.
 
 perfbench/workloads.py drives the public API through module attributes
-(efem_core.assemble_global, postprocess.eval_in_element, ...), and
-perfbench/run.py records attributes of the results and of the oracle
-cases it builds.  A change that deletes
-or renames one of them would only show when the benchmark runs; these tests
-fail on it first.
+(efem_core.assemble_global, postprocess.eval_in_element, ...),
+perfbench/run.py records attributes of the results and of the oracle cases
+it builds, and perfbench/tracing.py wraps internal functions by name.  A
+change that deletes or renames one of them would only show when the
+benchmark runs; these tests fail on it first.  The traced names that are
+already gone are pinned as a set.
 """
 
 import ast
@@ -20,6 +21,7 @@ from efem.efem_core import MODES
 from efem.mesh import generate_structured
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+TRACING = WORKLOADS.with_name("tracing.py")
 ALIASES = {"efem_core", "interface", "postprocess", "solver", "oracles", "mesh_mod"}
 
 
@@ -42,6 +44,21 @@ def test_every_efem_name_the_workloads_use_exists():
     missing = [f"{alias}.{name}" for alias, name in used
                if not hasattr(importlib.import_module(modules[alias]), name)]
     assert missing == []
+
+
+def test_traced_inner_targets_that_no_longer_exist_are_pinned():
+    """perfbench/tracing.py wraps the (module, attribute) pairs of INNER and
+    reports a missing one as an absent per-layer metric.  These are the
+    targets already gone; removing another traced name fails here first."""
+    tree = ast.parse(TRACING.read_text())
+    inner = next(ast.literal_eval(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "INNER" for t in node.targets))
+    gone = {f"{module.rsplit('.', 1)[1]}.{attr}" for module, attr, _ in inner
+            if not hasattr(importlib.import_module(module), attr)}
+    assert gone == {"efem_core.all_geometry", "postprocess.all_geometry",
+                    "postprocess.locate", "postprocess.barycentric",
+                    "efem_core.cut_exterior_faces"}
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -233,7 +233,7 @@ def test_interface_error_reported_per_mode(tmp_path):
 
 
 # sha256 of the CSV and VTK files of three bundled cases.  The sphere case
-# covers the 3D children, exterior-face pieces and face normals; a change to
+# covers the 3D children, crossed exterior faces and face normals; a change to
 # any bit of them, or of the sampling or export, shows here.  Re-pinned when
 # assembly moved to the fixed pattern: matrix entries now sum their element
 # contributions in element order (no longer in the order of scipy's
@@ -251,18 +251,22 @@ def test_interface_error_reported_per_mode(tmp_path):
 # reconstruction kernel (einsum sums instead of matmul): virtual-point phi
 # moved by at most 1.1e-16 and cell E by at most 5.5e-16 of the largest |E|
 # (planar_q3 and sphere); the CSV files did not move.
+# Re-pinned again when D and Denr came in closed form from the nodal
+# distances (no exterior-face pieces): the sampled potentials moved by at
+# most 3.6e-14 and E by at most 3.8e-13 relative (sphere), the sampled
+# points and sides did not move.
 ARTIFACT_DIGESTS = {
     "planar_q3": {
-        "line_mid.csv": "9b73b8dbcbe5c336c8c28fef573b50bfcafd2e11a619a0005d409e89b82ccb70",
-        "planar_q3.vtk": "2a00700dd1c89e8e686062f2e9bbe436a5a7b42d50a613cd9c91c9800d551cc4",
+        "line_mid.csv": "91c432f713dd37d24afdc458c1972434639b3632420fd53378e4d53a69f95741",
+        "planar_q3.vtk": "a2718d345beb1a24060d9b3070c4d68c1f51c7862f92342799651207c0c7ef3c",
     },
     "inclined": {
-        "line_x0.csv": "fe23d7fb4b73cdda6687ca989488b6759230d035434f985c31c3e9a499853c33",
-        "line_y07.csv": "e7b201533bf71d1ffb26cedecf73024f8589e90ee40b42645b63cad3b1859238",
+        "line_x0.csv": "2fe0845868cacc4ad5342c9222ba640a416cffbf689d50c886e54bebefd6a9bd",
+        "line_y07.csv": "f634c6496dc304ce0e75357c6eeff4681eb5d198fc965c82cf181b8d8f67a22b",
     },
     "sphere": {
-        "line_poles.csv": "6ecff233701f25430eae113ac5db636594fb5f84893abba31c705fde929a2838",
-        "sphere.vtk": "94acf3099df83438f3734161df60197835dec74507a718328f217e0ee2203812",
+        "line_poles.csv": "d6186fbf2189c55b48c2c7422c409d8bee88b21aa616ffd5ba30f99f49ec3b08",
+        "sphere.vtk": "047dd9aa9bf808876ad8b1de02646b37db3eb44b4261000f860f07d555e5fab3",
     },
 }
 
@@ -363,6 +367,22 @@ def test_converge_rejects_single_level(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, cause", [
+    ("--modes", "", "--modes names no mode"),
+    ("--modes", "efem,efem", "mode 'efem' listed twice"),
+    ("--h-list", "0.3,0.3", "h = 0.3 and h = 0.3 give the same mesh (n = 3)"),
+    # 1/0.31 and 1/0.3 both round to n = 3
+    ("--h-list", "0.15,0.31,0.3", "h = 0.31 and h = 0.3 give the same mesh (n = 3)"),
+])
+def test_converge_rejects_degenerate_sweeps(tmp_path, capsys, flag, value, cause):
+    args = {"--h-list": "0.3,0.15", "--modes": "efem"} | {flag: value}
+    rc = main(["converge", "planar_q3", "--h-list", args["--h-list"],
+               "--modes", args["--modes"], "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: converge: {cause}\n"
+    assert not (tmp_path / "convergence.json").exists()
 
 
 def test_converge_needs_reference(tmp_path, capsys):

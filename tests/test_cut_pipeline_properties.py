@@ -1,14 +1,14 @@
 """Property tests of the stacked, table-driven cut pipeline and the fixed pattern.
 
-The batched kernels (split_simplex, cut_exterior_faces, element_matrices,
+The batched kernels (split_simplex, element_matrices,
 element_displacement_terms, condense) and assemble_global are checked
 against an in-test copy of the per-element path they replaced: one cut
 element at a time, with Python objects, a barycentric solve per quadrature
 point and a COO-to-CSR scatter.  Children, signs, diagonal choices,
 fallbacks and measures must agree bit for bit, as must K, B and Kenr (the
 children are summed in the same order); D, Denr, the condensed blocks and
-the recovery rows within 1e-12 relative, because Nbar now comes in closed
-form at the virtual nodes.  Relative means against the rounding scale of
+the recovery rows within 1e-12 relative, because D and Denr now come in
+closed form from the nodal distances.  Relative means against the rounding scale of
 the per-point reference: the summed magnitudes of the terms of D and Denr
 with Nbar bounded by max |d|, and for the condensation the same scale
 amplified by the cancellation in Kenr - Denr.  Against a 50-digit
@@ -45,7 +45,6 @@ from efem.interface import (
     SphereLevelSet,
     CutBatch,
     classify_elements,
-    cut_exterior_faces,
     split_simplex,
 )
 from efem.mesh import (
@@ -57,6 +56,8 @@ from efem.mesh import (
     signed_measures,
 )
 from efem.oracles import box_boundary, cylinder_benchmark_mesh
+
+from face_reference import ref_faces
 
 MATS = MaterialPair(3.0, 1.0)
 GUARD = 1e-14
@@ -160,39 +161,6 @@ def ref_split(coords, d):
     if any(c[2] < 1e-14 * parent for c in kids):
         raise RefDegenerate
     return kids, virtual
-
-
-def ref_faces(coords, d, virtual):
-    """Per local face, [(vertices, sign, measure)]."""
-    dim = coords.shape[1]
-    faces = []
-    for face in local_faces(dim):
-        signs = [1 if d[i] > 0 else -1 for i in face]
-        if len(set(signs)) == 1:
-            faces.append([([coords[i] for i in face], signs[0])])
-        elif dim == 2:
-            a, b = face
-            xi = virtual[tuple(sorted((a, b)))]
-            faces.append([([coords[a], xi], signs[0]), ([xi, coords[b]], signs[1])])
-        else:
-            m = next(k for k in range(3) if signs[k] != signs[(k + 1) % 3]
-                     and signs[k] != signs[(k + 2) % 3])
-            p, q = [k for k in range(3) if k != m]
-            xp = virtual[tuple(sorted((face[m], face[p])))]
-            xq = virtual[tuple(sorted((face[m], face[q])))]
-            vm, vp, vq = coords[face[m]], coords[face[p]], coords[face[q]]
-            faces.append([([vm, xp, xq], signs[m]), ([xp, vp, vq], -signs[m]),
-                          ([xp, vq, xq], -signs[m])])
-    out = []
-    for pieces in faces:
-        row = []
-        for verts, sign in pieces:
-            v = np.array(verts)
-            measure = (float(np.linalg.norm(v[1] - v[0])) if dim == 2 else
-                       0.5 * float(np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]))))
-            row.append((v, sign, measure))
-        out.append(row)
-    return out
 
 
 def ref_hat_gradients(grads, d):
@@ -424,8 +392,8 @@ def test_split_matches_per_element_path(case):
         kids, virtual = r
         n = batch.n_children[i]
         assert n == len(kids)
-        name = [("n", p) for p in range(nv)] + [("x", tuple(e)) for e in
-                                                 batch.virtual_edges[i].tolist()]
+        # the reference keys its virtual nodes in table order, as the batch
+        name = [("n", p) for p in range(nv)] + [("x", key) for key in virtual]
         for c, sign, measure, (v, want_sign, want_measure, refs) in zip(
                 batch.children[i, :n], batch.child_sign[i], batch.child_measure[i], kids):
             assert tuple(name[p] for p in c) == refs and sign == want_sign
@@ -433,8 +401,7 @@ def test_split_matches_per_element_path(case):
             assert np.array_equal(batch.points[i, c], v)
         assert np.array_equal(batch.child_measure[i, :len(kids)], [k[2] for k in kids])
         assert not batch.child_measure[i, len(kids):].any()
-        edges = batch.virtual_edges[i, :batch.n_virtual[i]].tolist()
-        assert [tuple(e) for e in edges] == list(virtual)
+        assert batch.n_virtual[i] == len(virtual)
         for j, key in enumerate(virtual):
             assert np.array_equal(batch.points[i, coords.shape[2] + 1 + j], virtual[key])
         # the virtual nodes are the vertices of the interface facet: a segment,
@@ -446,31 +413,6 @@ def test_split_matches_per_element_path(case):
         assert len(facet) == n_facet
         lam = ref_shape_values(np.broadcast_to(coords[i], (n_facet, nv, dim)), facet)
         assert np.abs(lam @ d[i]).max() <= 1e-10 * np.abs(d[i]).max()
-
-
-@settings(max_examples=80, deadline=None)
-@given(cuts)
-def test_face_pieces_match_per_element_path(case):
-    coords, d = case
-    batch = split_simplex(coords, d)
-    pieces = cut_exterior_faces(batch)
-    for i, r in enumerate(_per_element(coords, d)):
-        # row i has the bits of the pieces of the batch of that one element
-        one = cut_exterior_faces(split_simplex(coords[i:i + 1], d[i:i + 1]))
-        for f in fields(one):
-            assert np.array_equal(getattr(pieces, f.name)[i:i + 1], getattr(one, f.name)), f.name
-        if r is None:
-            continue
-        ref = ref_faces(coords[i], d[i], r[1])
-        assert len(ref) == pieces.count.shape[1]
-        for f, want in enumerate(ref):
-            assert len(want) == pieces.count[i, f]
-            for p, sign, measure, (v, want_sign, want_measure) in zip(
-                    pieces.points[i, f], pieces.sign[i, f], pieces.measure[i, f], want):
-                assert np.array_equal(batch.points[i, p], v)
-                assert sign == want_sign and measure == want_measure
-            assert np.array_equal(pieces.measure[i, f, :len(want)], [w[2] for w in want])
-            assert not pieces.measure[i, f, len(want):].any()
 
 
 @settings(max_examples=80, deadline=None)

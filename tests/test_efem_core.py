@@ -22,7 +22,6 @@ from efem.interface import (
     NodalLevelSet,
     PlaneLevelSet,
     classify_elements,
-    cut_exterior_faces,
     split_simplex,
 )
 from efem import mesh as mesh_mod
@@ -37,6 +36,8 @@ from efem.mesh import (
 from efem.oracles import PlanarCase, box_boundary, planar_levelset, planar_materials
 from efem.postprocess import build_solution
 from efem.solver import solve
+
+from face_reference import ref_faces, ref_virtual_nodes
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -69,12 +70,10 @@ def children(batch):
             zip(batch.children[0, :n], batch.child_sign[0, :n], batch.child_measure[0, :n])]
 
 
-def face_pieces(batch):
-    """Per local face of a batch of one, [(vertices, sign, measure)] of its pieces."""
-    pieces = cut_exterior_faces(batch)
-    return [[(batch.points[0, p], int(s), float(m)) for p, s, m in
-             zip(pieces.points[0, f, :n], pieces.sign[0, f, :n], pieces.measure[0, f, :n])]
-            for f, n in enumerate(pieces.count[0].tolist())]
+def face_pieces(coords, d):
+    """Per local face of one simplex, [(vertices, sign, measure)] of its
+    sign-homogeneous pieces, split in-test."""
+    return ref_faces(coords, d, ref_virtual_nodes(coords, d))
 
 
 def condense_one(K, B, kenr, D, denr):
@@ -155,7 +154,7 @@ def _displacement_terms_per_point(coords, grads, mat, d):
     g_pos, g_neg = (g[0] for g in hat_gradients(grads[None], d[None]))
     D, Denr = np.zeros(dim + 1), 0.0
     D_abs, Denr_abs = np.zeros(dim + 1), 0.0
-    for lf, pieces in enumerate(face_pieces(one(coords, d))):
+    for lf, pieces in enumerate(face_pieces(coords, d)):
         if len(pieces) == 1:
             continue
         idx = list(local_faces(dim)[lf])
@@ -179,8 +178,8 @@ def _displacement_terms_per_point(coords, grads, mat, d):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_displacement_terms_match_per_point_quadrature(dim):
-    # the kernel takes Nbar in closed form at the virtual nodes, the
-    # reference solves for it at every quadrature point
+    # the kernel integrates Nbar in closed form, the reference solves for
+    # it at every quadrature point of an in-test face split
     rng = np.random.default_rng(50 + dim)
     mat = MaterialPair(3.0, 1.0)
     checked = 0
@@ -269,7 +268,7 @@ def test_displacement_terms_against_trapezoid():
 
     D_ref = np.zeros(3)
     Denr_ref = 0.0
-    for lf, pieces in enumerate(face_pieces(deco)):
+    for lf, pieces in enumerate(face_pieces(REF_TRI, D_TRI)):
         if len(pieces) == 1:
             continue
         idx = list(local_faces(2)[lf])
@@ -299,7 +298,7 @@ def test_displacement_terms_centroid_rule_3d():
 
     D_ref = np.zeros(4)
     Denr_ref = 0.0
-    for lf, pieces in enumerate(face_pieces(deco)):
+    for lf, pieces in enumerate(face_pieces(REF_TET, d)):
         if len(pieces) == 1:
             continue
         idx = list(local_faces(3)[lf])

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efem import mesh as mesh_mod
-from efem.interface import cut_exterior_faces, split_simplex
+from efem.interface import split_simplex
 from efem.mesh import (
     Mesh,
     MeshError,
@@ -96,11 +96,6 @@ def _check_gradients(grads: np.ndarray, x) -> None:
     for got, want in zip(grads.tolist(), exact):
         for g, w in zip(got, want):
             assert abs(Fraction(g) - w) <= bound
-
-
-def _tri_area(vertices) -> float:
-    c = np.cross(vertices[1] - vertices[0], vertices[2] - vertices[0])
-    return 0.5 * float(np.linalg.norm(c))
 
 
 def _face_measure_normal_one(face_coords, elem_centroid):
@@ -254,22 +249,6 @@ def test_children_measured_from_their_final_vertex_order(case):
         signed = signed_measures(vertices[None])[0]
         assert signed > 0.0 and measure == signed
         _check_measure(signed, vertices)
-
-
-@settings(max_examples=300, deadline=None)
-@given(cuts())
-def test_face_pieces_match_single_piece_measures(case):
-    coords, d = case
-    deco = split_simplex(coords[None], d[None])
-    if deco.degenerate[0]:
-        return
-    dim = coords.shape[1]
-    pieces = cut_exterior_faces(deco)
-    for f, n in enumerate(pieces.count[0].tolist()):
-        for p, measure in zip(pieces.points[0, f, :n], pieces.measure[0, f]):
-            v = deco.points[0, p]
-            want = float(np.linalg.norm(v[1] - v[0])) if dim == 2 else _tri_area(v)
-            assert measure == want
 
 
 # ---------------------------------------------------------------------------

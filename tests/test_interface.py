@@ -11,10 +11,11 @@ from efem.interface import (
     PlaneLevelSet,
     SphereLevelSet,
     classify_elements,
-    cut_exterior_faces,
     split_simplex,
 )
-from efem.mesh import generate_structured, local_faces
+from efem.mesh import generate_structured
+
+from face_reference import table_edges
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -34,18 +35,11 @@ def children(batch, i=0):
 
 def virtual_nodes(batch, i=0):
     """(a, b) -> the virtual node on local edge a < b of element i; these are
-    the vertices of its interface facet."""
+    the vertices of its interface facet, named in table order."""
     nv, n = batch.coords.shape[1], batch.n_virtual[i]
-    return {tuple(e): x for e, x in zip(batch.virtual_edges[i, :n].tolist(),
-                                        batch.points[i, nv:nv + n])}
-
-
-def face_pieces(batch, i=0):
-    """Per local face of element i, [(vertices, sign, measure)] of its pieces."""
-    pieces = cut_exterior_faces(batch)
-    return [[(batch.points[i, p], int(s), float(m)) for p, s, m in
-             zip(pieces.points[i, f, :n], pieces.sign[i, f, :n], pieces.measure[i, f, :n])]
-            for f, n in enumerate(pieces.count[i].tolist())]
+    edges = table_edges(batch.nodal_d[i])
+    assert len(edges) == n
+    return dict(zip(edges, batch.points[i, nv:nv + n]))
 
 
 def test_plane_distance():
@@ -198,31 +192,6 @@ def test_split_rejects_unsnapped_input():
                                                              [1.0, 1.0, 1.0]]))
 
 
-def test_face_segments_of_cut_triangle():
-    bottom = face_pieces(one(REF_TRI, [-1.0, 1.0, 1.0]))[0]     # face from (0,0) to (1,0)
-    assert len(bottom) == 2
-    by_sign = {s: (v, m) for v, s, m in bottom}
-    assert abs(by_sign[-1][1] - 0.5) < 1e-14
-    assert abs(by_sign[1][1] - 0.5) < 1e-14
-    # the negative piece is the one containing node 0
-    assert np.allclose(by_sign[-1][0][0], [0.0, 0.0])
-
-
-def test_uncut_face_comes_back_whole():
-    # face from (1,0) to (0,1), both positive
-    hyp = face_pieces(one(REF_TRI, [-1.0, 1.0, 1.0]))[1]
-    assert len(hyp) == 1
-    _, sign, measure = hyp[0]
-    assert sign == 1
-    assert abs(measure - np.sqrt(2.0)) < 1e-14
-
-
-def test_face_pieces_sum_to_face_measure_3d():
-    areas = {0: 0.5 * np.sqrt(3.0), 1: 0.5, 2: 0.5, 3: 0.5}
-    for lf, pieces in enumerate(face_pieces(one(REF_TET, [-1.0, 1.0, 1.0, 1.0]))):
-        assert abs(sum(m for _, _, m in pieces) - areas[lf]) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # randomized properties
 
@@ -294,27 +263,3 @@ def test_split_invariant_under_distance_scaling(case, factor):
     for (va, sa, _), (vb, sb, _) in zip(a, b):
         assert sa == sb
         assert np.allclose(va, vb, atol=1e-9)
-
-
-def test_face_piece_measures_sum_randomized(rng):
-    for _ in range(200):
-        dim = int(rng.integers(2, 4))
-        coords = rng.uniform(-1, 1, size=(dim + 1, dim))
-        if abs(np.linalg.det(coords[1:] - coords[0])) < 1e-2:
-            continue
-        d = rng.uniform(0.05, 1.0, size=dim + 1) * rng.choice([-1.0, 1.0], size=dim + 1)
-        if not ((d > 0).any() and (d < 0).any()):
-            continue
-        for lf, pieces in enumerate(face_pieces(one(coords, d))):
-            total = sum(m for _, _, m in pieces)
-            whole = _face_measure(coords, dim, lf)
-            assert abs(total - whole) < 1e-10 * max(whole, 1e-30)
-
-
-def _face_measure(coords, dim, lf):
-    idx = list(local_faces(dim)[lf])
-    fc = coords[idx]
-    if dim == 2:
-        return float(np.linalg.norm(fc[1] - fc[0]))
-    c = np.cross(fc[1] - fc[0], fc[2] - fc[0])
-    return 0.5 * float(np.linalg.norm(c))

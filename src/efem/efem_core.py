@@ -13,8 +13,14 @@ constant gradient on each side of it.  The elemental block system is
 where D and Denr integrate Nbar times the element's own normal displacement
 over the exterior faces; they approximate the neighbour flux and restore
 inter-element compatibility of the enriched field.  phi* is eliminated per
-element (static condensation), so the global matrix keeps the standard FEM
-sparsity pattern in every mode.
+element (static condensation).  K = (sum_c eps_c m_c) G G^T is the
+standard FEM block of the element, so the condensed block
+
+    K + B r^T,   r = -(B - D) / (Kenr - Denr)
+
+is the standard block plus one rank-one term, and every mode assembles the
+same standard matrix, in the standard FEM sparsity pattern, adding that term
+on its enriched elements only.
 """
 
 from __future__ import annotations
@@ -27,19 +33,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from efem.mesh import BoundaryTag, Mesh, face_measure_normal, local_faces, row_blocks, row_dot
-from efem.interface import (
-    Classification,
-    CutBatch,
-    SNAP_TOL,
-    classify_elements,
-    split_simplex,
-)
+from efem.interface import Classification, CutBatch, classify_elements, split_simplex
 
 log = logging.getLogger("efem")
 
 MODES = ("standard", "efem-nod", "efem")
 
-# Relative size of Kenr - Denr against |K| below which condensation is refused.
+# Condensation is refused unless |Kenr - Denr| / max(Kenr, |Denr|), the
+# relative precision left in the pivot, exceeds this.
 CONDENSE_GUARD = 1e-14
 
 
@@ -64,23 +65,6 @@ class MaterialPair:
 
     def for_sign(self, sign: int) -> float:
         return self.eps1 if sign > 0 else self.eps2
-
-
-@dataclass
-class ElementSystem:
-    """Uncondensed blocks of k cut elements stacked along a first axis; D
-    and Denr are zero until the displacement terms fill them in.  condense
-    fills in the condensed blocks, the recovery vectors and the margins
-    |Kenr - Denr| / max(|K|, 1)."""
-
-    K: np.ndarray                # (k, n, n)
-    B: np.ndarray                # (k, n)
-    Kenr: np.ndarray             # (k,)
-    D: np.ndarray                # (k, n)
-    Denr: np.ndarray             # (k,)
-    condensed: np.ndarray | None = None
-    recovery: np.ndarray | None = None
-    margin: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +104,24 @@ def hat_value(shape_values: np.ndarray, nodal_d: np.ndarray):
 # Each kernel takes k elements stacked along a first axis and gives k results.
 
 
-def element_matrices(grads, materials: MaterialPair, deco: CutBatch) -> ElementSystem:
-    """Volume blocks K, B, Kenr of the k cut elements of deco, whose P1
-    gradients are grads (k, d+1, d).
+def element_matrices(grads, materials: MaterialPair, deco: CutBatch):
+    """Volume blocks B (k, n) and Kenr (k,) of the k cut elements of deco,
+    whose P1 gradients are grads (k, d+1, d).
 
     All integrands are piecewise constant (P1 plus hat), so one centroid
     value per child integrates exactly; children are summed in table order.
     """
     grads = np.asarray(grads, dtype=float)
-    k, n, dim = grads.shape
+    k, _, dim = grads.shape
     g_pos, g_neg = hat_gradients(grads, deco.nodal_d)
-    eps_meas = np.zeros(k)
     b_accum = np.zeros((k, dim))
     kenr = np.zeros(k)
     for m, s in zip(deco.child_measure.T, deco.child_sign.T):
         em = np.where(s > 0, materials.eps1, materials.eps2) * m
         gbar = np.where((s > 0)[:, None], g_pos, g_neg)
-        eps_meas += em
         b_accum += em[:, None] * gbar
         kenr += em * row_dot(gbar, gbar)
-    K = eps_meas[:, None, None] * np.matmul(grads, grads.transpose(0, 2, 1))
-    B = np.matmul(grads, b_accum[..., None])[..., 0]
-    return ElementSystem(K, B, kenr, np.zeros((k, n)), np.zeros(k))
+    return np.matmul(grads, b_accum[..., None])[..., 0], kenr
 
 
 def element_displacement_terms(grads, materials: MaterialPair, deco: CutBatch):
@@ -198,29 +178,25 @@ def element_displacement_terms(grads, materials: MaterialPair, deco: CutBatch):
     return D, denr.sum(axis=1)
 
 
-def condense(system: ElementSystem) -> ElementSystem:
-    """Eliminate phi*: condensed = K - B (Kenr - Denr)^-1 (B - D)^T.
+def condense(B, Kenr, D, Denr):
+    """Eliminate phi*: (recovery r (k, n), margin (k,)) of k blocks.
 
-    The recovery vector r gives phi* = r . phi_element.  With D terms the
-    condensed block is generally nonsymmetric.  Sets margin =
-    |Kenr - Denr| / max(|K|, 1) per block and keeps going past singular
-    blocks (margin <= CONDENSE_GUARD), which hold no meaningful result; the
-    caller falls back on those.  Kenr > 0 on every non-degenerate cut (each
-    side's hat gradient is a non-zero combination of at most d of the
-    element's P1 gradients), so a block is singular only where Denr cancels
-    it.
+    The condensed block is K + B r^T with r = -(B - D) / (Kenr - Denr), and
+    phi* = r . phi_element.  With D terms it is generally nonsymmetric.
+    margin = |Kenr - Denr| / max(Kenr, |Denr|) is the relative precision left
+    in the pivot: 1 without D terms, 0 where Kenr = Denr = 0, and unchanged
+    when the permittivities or the lengths are scaled.  The caller refuses
+    the blocks with margin <= CONDENSE_GUARD (or NaN), whose r holds no
+    meaningful result.  Kenr > 0 on every non-degenerate cut (each side's
+    hat gradient is a non-zero combination of at most d of the element's P1
+    gradients), so a block is singular only where Denr cancels it.
     """
-    K, B, D = system.K, system.B, system.D
-    k = K.shape[0]
-    scalar = system.Kenr - system.Denr
-    flat = K.reshape(k, K.shape[1] * K.shape[2])
-    knorm = np.sqrt(row_dot(flat, flat))
+    scalar = Kenr - Denr
+    pivot = np.maximum(Kenr, np.abs(Denr))
+    margin = np.divide(np.abs(scalar), pivot, out=np.zeros_like(pivot), where=pivot > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        system.margin = np.abs(scalar) / np.maximum(knorm, 1.0)
         r = -(B - D) / scalar[:, None]
-        system.condensed = K + B[:, :, None] * r[:, None, :]
-    system.recovery = r
-    return system
+    return r, margin
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +226,10 @@ class CutState:
 class AssembledSystem:
     """The condensed global system with its cut state.
 
-    fallback_reasons holds one reason per fallback element ("degenerate cut"
-    or "singular condensation"); condense_margin is the smallest
-    |Kenr - Denr| / max(|K|, 1) over the condensed elements (inf if none).
+    fallback_reasons holds one reason per cut element that is not enriched
+    ("degenerate cut" or "singular condensation"); condense_margin is the
+    smallest |Kenr - Denr| / max(Kenr, |Denr|) over the enriched elements
+    (inf if none).
     """
 
     matrix: sp.csr_matrix
@@ -269,15 +246,16 @@ class AssembledSystem:
 
 def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
                     boundary: dict[str, BoundaryTag],
-                    snap_tol: float = SNAP_TOL,
                     classification: Classification | None = None) -> AssembledSystem:
     """Assemble the condensed global system for one of the three modes.
 
-    standard: no enrichment; cut elements get the child-volume-weighted
-    arithmetic mean permittivity.  efem-nod: enrichment without the
-    displacement terms (D = Denr = 0).  efem: the full formulation.  A cut
-    element whose cut is degenerate, or whose enrichment cannot be
-    condensed, falls back to the permittivity of its larger side.
+    Every mode assembles the standard FEM matrix, whose block for an element
+    is eps * measure * G G^T, with a cut element's eps * measure the sum of
+    its children's, in table order.  efem-nod (enrichment without the
+    displacement terms, D = Denr = 0) and efem (the full formulation) add
+    the rank-one term B r^T of each enriched element.  A cut element whose
+    cut is degenerate, or whose enrichment cannot be condensed, is not
+    enriched: it keeps its standard block and is reported with its reason.
 
     The element blocks are formed one row block of elements at a time, and
     each block is scattered into the mesh's fixed P1 pattern by an
@@ -287,7 +265,7 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    cl = classification if classification is not None else classify_elements(mesh, levelset, snap_tol)
+    cl = classification if classification is not None else classify_elements(mesh, levelset)
     pattern = mesh.pattern
     measures, grads = mesh.measures, mesh.grads
 
@@ -300,43 +278,32 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     weight = np.where(cl.element_sign > 0, eps1, eps2) * measures     # eps * measure
     cut = cl.cut_elements
     deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.element_d[cut])
-    pos, neg = deco.side_measures()
+    weight[cut] = sum(np.where(s > 0, eps1, eps2) * m
+                      for m, s in zip(deco.child_measure.T, deco.child_sign.T))
     reasons = np.full(cut.size, "", dtype=object)
     reasons[deco.degenerate] = "degenerate cut"
-    # a fallback takes the permittivity of the larger side, by child volume;
-    # by the summed distances for a degenerate cut
-    larger = np.where(deco.degenerate, cl.element_d[cut].sum(axis=1) >= 0.0, pos >= neg)
-    fallback_weight = np.where(larger, eps1, eps2) * measures[cut]
 
-    nv = mesh.dim + 1
-    live = np.flatnonzero(~deco.degenerate)          # positions in cut
-    if mode == "standard":
-        weight[cut] = np.where(deco.degenerate, fallback_weight, eps1 * pos + eps2 * neg)
-        live = live[:0]
-        condensed, recovery, margins = np.empty((0, nv, nv)), np.empty((0, nv)), np.empty(0)
-    else:
-        kept, g = deco.take(live), grads[cut[live]]
-        system = element_matrices(g, materials, kept)
-        if mode == "efem":
-            system.D, system.Denr = element_displacement_terms(g, materials, kept)
-        condense(system)
-        condensed, recovery, margins = system.condensed, system.recovery, system.margin
-        weight[cut] = fallback_weight
-    ok = ~(margins <= CONDENSE_GUARD)
+    # positions in cut of the elements to enrich: none in standard mode
+    live = np.flatnonzero(~deco.degenerate & (mode != "standard"))
+    kept, g = deco.take(live), grads[cut[live]]
+    B, kenr = element_matrices(g, materials, kept)
+    D, denr = element_displacement_terms(g, materials, kept) if mode == "efem" else (0.0, 0.0)
+    recovery, margins = condense(B, kenr, D, denr)
+    ok = margins > CONDENSE_GUARD                    # refuses NaN too
     reasons[live[~ok]] = "singular condensation"
     good = live[ok]
     ids = cut[good]
+    B, recovery = B[ok], recovery[ok]
 
     # add.at, not bincount: added block by block, per-block bincount sums
     # would reach each entry in another order than element order
     data = np.zeros(pattern.nnz)
-    condensed = condensed[ok]
     for rows in row_blocks(mesh.n_elements):
         g = grads[rows]
         blocks = np.matmul(g, np.ascontiguousarray(g.transpose(0, 2, 1)))
         blocks *= weight[rows, None, None]
-        first, stop = np.searchsorted(ids, (rows.start, rows.stop))
-        blocks[ids[first:stop] - rows.start] = condensed[first:stop]
+        i, j = np.searchsorted(ids, (rows.start, rows.stop))
+        blocks[ids[i:j] - rows.start] += B[i:j, :, None] * recovery[i:j, None, :]
         np.add.at(data, pattern.slots[rows].ravel(), blocks.ravel())
     rhs = np.zeros(mesh.n_nodes)
     _apply_dirichlet(pattern, data, rhs, dir_nodes, dir_values)
@@ -346,12 +313,12 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     fell = reasons != ""
     if fell.any():
         n_degenerate = int(deco.degenerate.sum())
-        log.warning("%d of %d cut elements treated as uncut: %d degenerate cuts, "
+        log.warning("%d of %d cut elements not enriched: %d degenerate cuts, "
                     "%d singular condensations", fell.sum(), cut.size, n_degenerate,
                     fell.sum() - n_degenerate)
     batch = deco.take(good)
     g_pos, g_neg = hat_gradients(grads[ids], batch.nodal_d)
-    state = CutState(ids, recovery[ok], g_pos, g_neg, batch)
+    state = CutState(ids, recovery, g_pos, g_neg, batch)
     margin = float(margins[ok].min()) if ids.size else math.inf
     return AssembledSystem(A, rhs, mesh, cl, state, dir_nodes, dir_values,
                            cut[fell].tolist(), reasons[fell].tolist(), margin)

@@ -236,15 +236,6 @@ class CutBatch:
         """The elements at rows, as a batch of their own."""
         return CutBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    def side_measures(self):
-        """Summed child measures on the positive and the negative side, (k,) each."""
-        pos = np.zeros(self.measure.shape)
-        neg = np.zeros(self.measure.shape)
-        for m, s in zip(self.child_measure.T, self.child_sign.T):
-            pos += np.where(s > 0, m, 0.0)
-            neg += np.where(s < 0, m, 0.0)
-        return pos, neg
-
 
 def _exceeds(x, y):
     """x > y by more than a relative 1e-12, so that ties pick the A diagonal.

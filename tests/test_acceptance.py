@@ -350,14 +350,18 @@ def _condensation_equivalence():
         X = coords[None]
         grads = p1_gradients(X)
         deco = split_simplex(X, d[None])
-        sys_ = element_matrices(grads, mats, deco)
-        sys_.D, sys_.Denr = element_displacement_terms(grads, mats, deco)
+        # the standard block: eps times measure summed over the children
+        weight = sum(mats.for_sign(int(s)) * m
+                     for s, m in zip(deco.child_sign[0], deco.child_measure[0]))
+        K = weight * (grads[0] @ grads[0].T)
+        B, kenr = element_matrices(grads, mats, deco)
+        D, denr = element_displacement_terms(grads, mats, deco)
         nv = coords.shape[0]
         block = np.zeros((nv + 1, nv + 1))
-        block[:nv, :nv] = sys_.K[0]
-        block[:nv, nv] = sys_.B[0]
-        block[nv, :nv] = sys_.B[0] - sys_.D[0]
-        block[nv, nv] = sys_.Kenr[0] - sys_.Denr[0]
+        block[:nv, :nv] = K
+        block[:nv, nv] = B[0]
+        block[nv, :nv] = B[0] - D[0]
+        block[nv, nv] = kenr[0] - denr[0]
 
         g = coords @ np.arange(1.0, coords.shape[1] + 1.0) + 0.25
         free = [0, nv]
@@ -365,8 +369,8 @@ def _condensation_equivalence():
         rhs = np.array([1.0, 0.0]) - block[np.ix_(free, pinned)] @ g[pinned]
         phi0_full, enr_full = np.linalg.solve(block[np.ix_(free, free)], rhs)
 
-        condense(sys_)
-        condensed, recovery = sys_.condensed[0], sys_.recovery[0]
+        recovery = condense(B, kenr, D, denr)[0][0]
+        condensed = K + np.outer(B[0], recovery)
         phi0_cond = (1.0 - condensed[0, 1:] @ g[1:]) / condensed[0, 0]
         enr_cond = recovery @ np.concatenate([[phi0_cond], g[1:]])
         scale = max(abs(phi0_full), abs(enr_full), 1.0)

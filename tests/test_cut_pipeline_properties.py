@@ -155,8 +155,13 @@ def ref_split_tet(coords, d):
     return kids, dict(zip(keys, xi))
 
 
+def ref_split_any(coords, d):
+    """(children, virtual nodes) of one cut simplex, degenerate or not."""
+    return (ref_split_triangle if coords.shape[1] == 2 else ref_split_tet)(coords, d)
+
+
 def ref_split(coords, d):
-    kids, virtual = (ref_split_triangle if coords.shape[1] == 2 else ref_split_tet)(coords, d)
+    kids, virtual = ref_split_any(coords, d)
     parent = abs(signed_measures(coords[None])[0])
     if any(c[2] < 1e-14 * parent for c in kids):
         raise RefDegenerate
@@ -221,35 +226,37 @@ def ref_displacement(coords, grads, d, faces):
     return D, Denr, D_abs, Denr_abs
 
 
+def ref_margin(kenr, denr):
+    """|Kenr - Denr| / max(Kenr, |Denr|), 0 where both vanish."""
+    pivot = max(kenr, abs(denr))
+    return abs(kenr - denr) / pivot if pivot > 0.0 else 0.0
+
+
 def ref_condense(K, B, kenr, D, denr, guard=GUARD):
-    scalar = kenr - denr
-    if abs(scalar) <= guard * max(float(np.linalg.norm(K)), 1.0):
+    if not ref_margin(kenr, denr) > guard:
         raise RefSingular
-    r = -(B - D) / scalar
+    r = -(B - D) / (kenr - denr)
     return K + np.outer(B, r), r
 
 
-def ref_block(coords, measure, grads, d, mode, guard=GUARD):
-    """(block, recovery or None, fallback reason or None) of one cut element."""
+def ref_block(coords, grads, d, mode, guard=GUARD):
+    """(block, recovery or None, fallback reason or None) of one cut element:
+    its standard block K, condensed where the element is enriched."""
     try:
         kids, virtual = ref_split(coords, d)
     except RefDegenerate:
-        sign = 1 if float(np.sum(d)) >= 0.0 else -1
-        return MATS.for_sign(sign) * measure * (grads @ grads.T), None, "degenerate cut"
-    if mode == "standard":
-        mean = sum(MATS.for_sign(c[1]) * c[2] for c in kids) / measure
-        return mean * measure * (grads @ grads.T), None, None
+        kids, _ = ref_split_any(coords, d)
+        return ref_matrices(grads, d, kids)[0], None, "degenerate cut"
     K, B, kenr = ref_matrices(grads, d, kids)
+    if mode == "standard":
+        return K, None, None
     D, denr = np.zeros(len(d)), 0.0
     if mode == "efem":
         D, denr = ref_displacement(coords, grads, d, ref_faces(coords, d, virtual))[:2]
     try:
         condensed, r = ref_condense(K, B, kenr, D, denr, guard)
     except RefSingular:
-        pos = sum(c[2] for c in kids if c[1] == 1)
-        neg = sum(c[2] for c in kids if c[1] == -1)
-        sign = 1 if pos >= neg else -1
-        return MATS.for_sign(sign) * measure * (grads @ grads.T), None, "singular condensation"
+        return K, None, "singular condensation"
     return condensed, r, None
 
 
@@ -278,7 +285,7 @@ def ref_assemble(mesh, levelset, mode, snap_tol=1e-6, guard=GUARD):
     blocks = np.einsum("e,eid,ejd->eij", eps * mesh.measures, mesh.grads, mesh.grads)
     fallback, reasons, recovery = [], [], {}
     for e in cl.cut_elements.tolist():
-        block, r, reason = ref_block(mesh.nodes[mesh.elements[e]], mesh.measures[e], mesh.grads[e],
+        block, r, reason = ref_block(mesh.nodes[mesh.elements[e]], mesh.grads[e],
                                      cl.element_d[e], mode, guard)
         blocks[e] = block
         if reason is not None:
@@ -426,38 +433,44 @@ def test_element_blocks_match_per_element_path(case):
     coords, d = coords[keep], d[keep]
     grads = p1_gradients(coords)
     kept = batch.take(keep)
-    system = element_matrices(grads, MATS, kept)
-    system.D, system.Denr = element_displacement_terms(grads, MATS, kept)
-    assert condense(system) is system
+    B_all, kenr_all = element_matrices(grads, MATS, kept)
+    D_all, denr_all = element_displacement_terms(grads, MATS, kept)
+    recovery, margin = condense(B_all, kenr_all, D_all, denr_all)
+    # the standard block assembly gives each element: its children's eps
+    # times measure, summed in table order
+    weight = np.zeros(keep.size)
+    for m, s in zip(kept.child_measure.T, kept.child_sign.T):
+        weight += np.where(s > 0, MATS.eps1, MATS.eps2) * m
+    K_all = weight[:, None, None] * np.matmul(grads, grads.transpose(0, 2, 1))
     for i in range(keep.size):
         kids, virtual = ref_split(coords[i], d[i])
         K, B, kenr = ref_matrices(grads[i], d[i], kids)
-        assert np.array_equal(system.K[i], K) and np.array_equal(system.B[i], B)
-        assert system.Kenr[i] == kenr
+        assert np.array_equal(K_all[i], K) and np.array_equal(B_all[i], B)
+        assert kenr_all[i] == kenr
         # the batch of this one element gives the same bits
         one = element_matrices(grads[i:i + 1], MATS, split_simplex(coords[i:i + 1], d[i:i + 1]))
-        assert np.array_equal(one.K[0], K) and np.array_equal(one.B[0], B)
-        assert one.Kenr[0] == kenr
+        assert np.array_equal(one[0][0], B) and one[1][0] == kenr
 
         D, denr, D_abs, denr_abs = ref_displacement(coords[i], grads[i], d[i],
                                                     ref_faces(coords[i], d[i], virtual))
         # relative to the rounding scale of the reference (see ref_displacement)
-        assert np.abs(system.D[i] - D).max() <= 1e-12 * max(D_abs.max(), 1e-300)
-        assert abs(system.Denr[i] - denr) <= 1e-12 * max(denr_abs, 1e-300)
+        assert np.abs(D_all[i] - D).max() <= 1e-12 * max(D_abs.max(), 1e-300)
+        assert abs(denr_all[i] - denr) <= 1e-12 * max(denr_abs, 1e-300)
 
         try:
             condensed, r = ref_condense(K, B, kenr, D, denr)
         except RefSingular:
-            assert system.margin[i] <= GUARD
+            assert margin[i] <= GUARD
             continue
-        assert system.margin[i] > GUARD
+        assert margin[i] > GUARD
         # r = -(B - D) / (Kenr - Denr) amplifies the rounding of its inputs by
         # the cancellation in B - D and in Kenr - Denr: compare on that scale
         r_scale = ((np.abs(B).max() + D_abs.max() + np.abs(r).max() * (kenr + denr_abs))
                    / abs(kenr - denr))
-        assert np.abs(system.recovery[i] - r).max() <= 1e-12 * r_scale
+        assert np.abs(recovery[i] - r).max() <= 1e-12 * r_scale
         c_scale = np.abs(K).max() + np.abs(B).max() * r_scale
-        assert np.abs(system.condensed[i] - condensed).max() <= 1e-12 * c_scale
+        condensed_i = K_all[i] + B_all[i][:, None] * recovery[i][None, :]
+        assert np.abs(condensed_i - condensed).max() <= 1e-12 * c_scale
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +494,8 @@ def _meshes_and_levelsets():
 @pytest.mark.parametrize("mode", MODES)
 def test_assembly_matches_per_element_path(case, mode):
     mesh, levelset, snap = _meshes_and_levelsets()[case]
-    asm = assemble_global(mesh, levelset, MATS, mode, box_boundary(mesh.dim), snap_tol=snap)
+    asm = assemble_global(mesh, levelset, MATS, mode, box_boundary(mesh.dim),
+                          classification=classify_elements(mesh, levelset, snap))
     A, rhs, fallback, reasons, recovery = ref_assemble(mesh, levelset, mode, snap)
     assert np.array_equal(asm.matrix.indptr, A.indptr)
     assert np.array_equal(asm.matrix.indices, A.indices)
@@ -512,6 +526,22 @@ def test_singular_condensations_fall_back_with_their_reason(monkeypatch, caplog)
     assert f"{len(cut)} singular condensations" in warnings[0].getMessage()
 
 
+@pytest.mark.parametrize("case", range(5))
+def test_refused_condensations_leave_the_standard_matrix(monkeypatch, case):
+    # every mode starts from the standard matrix: with every condensation
+    # refused, efem assembles it bit for bit
+    mesh, levelset, snap = _meshes_and_levelsets()[case]
+    cl = classify_elements(mesh, levelset, snap)
+    standard = assemble_global(mesh, levelset, MATS, "standard", box_boundary(mesh.dim),
+                               classification=cl)
+    monkeypatch.setattr(efem_core, "CONDENSE_GUARD", 1e300)
+    efem = assemble_global(mesh, levelset, MATS, "efem", box_boundary(mesh.dim),
+                           classification=cl)
+    assert len(efem.cut_data) == 0
+    assert np.array_equal(efem.matrix.data, standard.matrix.data)
+    assert np.array_equal(efem.rhs, standard.rhs)
+
+
 def test_condense_margin_is_the_smallest_over_condensed_elements():
     mesh, levelset, _ = _meshes_and_levelsets()[0]
     asm = assemble_global(mesh, levelset, MATS, "efem", box_boundary(2))
@@ -520,10 +550,10 @@ def test_condense_margin_is_the_smallest_over_condensed_elements():
     for e in asm.cut_data.ids.tolist():
         coords = mesh.nodes[mesh.elements[e]]
         kids, virtual = ref_split(coords, cl.element_d[e])
-        K, B, kenr = ref_matrices(mesh.grads[e], cl.element_d[e], kids)
-        D, denr = ref_displacement(coords, mesh.grads[e], cl.element_d[e],
-                                   ref_faces(coords, cl.element_d[e], virtual))[:2]
-        margins.append(abs(kenr - denr) / max(float(np.linalg.norm(K)), 1.0))
+        kenr = ref_matrices(mesh.grads[e], cl.element_d[e], kids)[2]
+        denr = ref_displacement(coords, mesh.grads[e], cl.element_d[e],
+                                ref_faces(coords, cl.element_d[e], virtual))[1]
+        margins.append(ref_margin(kenr, denr))
     assert abs(asm.condense_margin - min(margins)) <= 1e-12 * min(margins)
     standard = assemble_global(mesh, levelset, MATS, "standard", box_boundary(2))
     assert standard.condense_margin == np.inf

@@ -7,7 +7,6 @@ from efem import efem_core
 from efem.efem_core import (
     CONDENSE_GUARD,
     MODES,
-    ElementSystem,
     MaterialPair,
     SingularSystemError,
     assemble_global,
@@ -21,6 +20,7 @@ from efem.interface import (
     CircleLevelSet,
     NodalLevelSet,
     PlaneLevelSet,
+    SphereLevelSet,
     classify_elements,
     split_simplex,
 )
@@ -33,7 +33,16 @@ from efem.mesh import (
     p1_gradients,
     signed_measures,
 )
-from efem.oracles import PlanarCase, box_boundary, planar_levelset, planar_materials
+from efem.oracles import (
+    SPHERE_CENTER,
+    SPHERE_RADIUS,
+    PlanarCase,
+    box_boundary,
+    jittered_mesh,
+    planar_levelset,
+    planar_materials,
+    sphere_materials,
+)
 from efem.postprocess import build_solution
 from efem.solver import solve
 
@@ -77,9 +86,17 @@ def face_pieces(coords, d):
 
 
 def condense_one(K, B, kenr, D, denr):
-    """condense on a stack of one block: (condensed, recovery, margin)."""
-    out = condense(ElementSystem(K[None], B[None], np.array([kenr]), D[None], np.array([denr])))
-    return out.condensed[0], out.recovery[0], out.margin[0]
+    """condense on a stack of one block: (condensed K + B r^T, recovery r, margin)."""
+    r, margin = condense(B[None], np.array([kenr]), D[None], np.array([denr]))
+    return K + B[:, None] * r[0][None, :], r[0], margin[0]
+
+
+def standard_blocks(grads, mat, deco):
+    """(sum_c eps_c m_c) G G^T of each element of deco, children in table
+    order: the standard block that assembly gives a cut element."""
+    weight = sum(np.where(s > 0, mat.eps1, mat.eps2) * m
+                 for m, s in zip(deco.child_measure.T, deco.child_sign.T))
+    return weight[:, None, None] * np.matmul(grads, grads.transpose(0, 2, 1))
 
 
 def fit_child_gradient(coords, nodal_d, vertices):
@@ -211,23 +228,34 @@ def test_uncut_stiffness_unit_triangle():
 
 def test_cut_equal_permittivity_matches_uncut_K():
     _, measure, grads = stack(REF_TRI)
-    cut = element_matrices(grads, MaterialPair(2.5, 2.5), one(REF_TRI, D_TRI))
-    assert np.allclose(cut.K[0], uncut_block(2.5, measure, grads), atol=1e-13)
-    assert cut.Kenr[0] > 0.0
+    mat = MaterialPair(2.5, 2.5)
+    deco = one(REF_TRI, D_TRI)
+    assert np.allclose(standard_blocks(grads, mat, deco)[0], uncut_block(2.5, measure, grads),
+                       atol=1e-13)
+    assert element_matrices(grads, mat, deco)[1][0] > 0.0
+    # in standard mode a cut element's block is the uncut one
+    mesh = generate_structured(2, 6, 6)
+    cut = assemble_global(mesh, CircleLevelSet((0.45, 0.55), 0.27), mat, "standard",
+                          box_boundary(2))
+    uncut = assemble_global(mesh, CircleLevelSet((0.45, 0.55), 2.0), mat, "standard",
+                            box_boundary(2))
+    assert cut.classification.is_cut.any() and not uncut.classification.is_cut.any()
+    assert np.abs(cut.matrix.data - uncut.matrix.data).max() < 1e-13
 
 
 def test_K_and_B_rows_balance():
     _, _, grads = stack(REF_TRI)
-    sys_ = element_matrices(grads, MaterialPair(3.0, 1.0), one(REF_TRI, D_TRI))
-    assert np.abs(sys_.K.sum(axis=2)).max() < 1e-13
-    assert abs(sys_.B.sum()) < 1e-13
+    mat, deco = MaterialPair(3.0, 1.0), one(REF_TRI, D_TRI)
+    B, _ = element_matrices(grads, mat, deco)
+    assert np.abs(standard_blocks(grads, mat, deco).sum(axis=2)).max() < 1e-13
+    assert abs(B.sum()) < 1e-13
 
 
 def test_kenr_against_per_child_fit():
     _, _, grads = stack(REF_TRI)
     deco = one(REF_TRI, D_TRI)
     mat = MaterialPair(3.0, 1.0)
-    sys_ = element_matrices(grads, mat, deco)
+    B, Kenr = element_matrices(grads, mat, deco)
     kenr = 0.0
     b = np.zeros(2)
     for vertices, sign, child_measure in children(deco):
@@ -235,8 +263,8 @@ def test_kenr_against_per_child_fit():
         eps = mat.for_sign(sign)
         kenr += eps * child_measure * float(g @ g)
         b += eps * child_measure * g
-    assert abs(sys_.Kenr[0] - kenr) < 1e-12
-    assert np.abs(sys_.B[0] - grads[0] @ b).max() < 1e-12
+    assert abs(Kenr[0] - kenr) < 1e-12
+    assert np.abs(B[0] - grads[0] @ b).max() < 1e-12
 
 
 def test_kenr_fit_3d():
@@ -244,12 +272,12 @@ def test_kenr_fit_3d():
     d = np.array([-1.0, -0.5, 1.0, 0.7])
     deco = one(REF_TET, d)
     mat = MaterialPair(5.0, 2.0)
-    sys_ = element_matrices(grads, mat, deco)
+    _, Kenr = element_matrices(grads, mat, deco)
     kenr = sum(
         mat.for_sign(s) * m * float(np.dot(*(2 * [fit_child_gradient(REF_TET, d, v)])))
         for v, s, m in children(deco)
     )
-    assert abs(sys_.Kenr[0] - kenr) < 1e-12
+    assert abs(Kenr[0] - kenr) < 1e-12
 
 
 def test_displacement_terms_sum_to_zero():
@@ -359,19 +387,19 @@ def test_condense_matches_hand_elimination():
 
 def test_condense_guards_singular_scalar(monkeypatch):
     # a stack keeps going past a singular block and flags it by its margin
-    K = np.stack([np.eye(3), 2.0 * np.eye(3)])
     B, D = np.ones((2, 3)), np.zeros((2, 3))
-    out = condense(ElementSystem(K.copy(), B, np.array([1.0, 3.0]), D, np.array([1.0, 0.5])))
-    assert out.margin[0] <= CONDENSE_GUARD < out.margin[1]
-    alone = condense_one(K[1].copy(), B[1], 3.0, D[1], 0.5)
-    assert np.array_equal(out.condensed[1], alone[0]) and np.array_equal(out.recovery[1], alone[1])
+    recovery, margin = condense(B, np.array([1.0, 3.0]), D, np.array([1.0, 0.5]))
+    assert margin[0] <= CONDENSE_GUARD < margin[1]
+    alone = condense_one(2.0 * np.eye(3), B[1], 3.0, D[1], 0.5)
+    assert np.array_equal(recovery[1], alone[1]) and margin[1] == alone[2]
 
     # assembly records such an element as a singular-condensation fallback
     real = efem_core.condense
 
-    def singular_first(system):
-        system.Denr[0] = system.Kenr[0]
-        return real(system)
+    def singular_first(B, Kenr, D, Denr):
+        Denr = Denr.copy()
+        Denr[0] = Kenr[0]
+        return real(B, Kenr, D, Denr)
 
     monkeypatch.setattr(efem_core, "condense", singular_first)
     mesh = generate_structured(2, 5, 5)
@@ -382,6 +410,56 @@ def test_condense_guards_singular_scalar(monkeypatch):
     assert asm.fallback_reasons == ["singular condensation"]
     assert first not in asm.cut_data.ids.tolist()
     assert np.isfinite(asm.matrix.data).all() and np.isfinite(asm.condense_margin)
+
+
+def _efem_margins(mesh, levelset, mat):
+    """(fallback elements, condense_margin, the margin of every non-degenerate
+    cut element) of efem assembly."""
+    asm = assemble_global(mesh, levelset, mat, "efem", box_boundary(mesh.dim))
+    cl = asm.classification
+    cut = cl.cut_elements
+    deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.element_d[cut])
+    live = np.flatnonzero(~deco.degenerate)
+    kept, grads = deco.take(live), mesh.grads[cut[live]]
+    B, kenr = element_matrices(grads, mat, kept)
+    D, denr = element_displacement_terms(grads, mat, kept)
+    return asm.fallback_elements, asm.condense_margin, condense(B, kenr, D, denr)[1]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_condense_guard_is_scale_free(dim):
+    # Kenr - Denr carries a squared length and a permittivity; the margin
+    # must not, or SI permittivities (eps0 = 8.854e-12) refuse every cut
+    if dim == 2:
+        mesh, center, radius = jittered_mesh((8, 8), seed=2), np.array([0.45, 0.55]), 0.27
+    else:
+        mesh, center, radius = generate_structured(3, 4), np.array([0.48, 0.5, 0.53]), 0.3
+    level = CircleLevelSet if dim == 2 else SphereLevelSet
+    fallback, smallest, margins = _efem_margins(mesh, level(center, radius), MaterialPair(3.0, 1.0))
+    assert margins.size > 0 and (margins > CONDENSE_GUARD).all()
+    runs = [(mesh, level(center, radius), MaterialPair(3.0 * s, s))
+            for s in (8.854e-12, 1e-6, 1e6)]
+    runs += [(mesh_mod.Mesh.build(dim, L * mesh.nodes, mesh.elements, mesh.boundary_faces),
+              level(L * center, L * radius), MaterialPair(3.0, 1.0)) for L in (1e-3, 1e3)]
+    for scaled in runs:
+        fb, sm, m = _efem_margins(*scaled)
+        assert fb == fallback
+        assert abs(sm - smallest) <= 1e-12 * smallest
+        assert np.abs(m - margins).max() <= 1e-12 * margins.max()
+
+
+def test_sphere3d_centres_condense_every_cut():
+    # the sphere3d benchmark centres of seeds 1-10 at n = 32: corner cuts
+    # whose margins reach 9e-5 (seed 4), every one condensed
+    mesh = generate_structured(3, 32)
+    h = 1.0 / 32
+    for seed in range(1, 11):
+        rng = np.random.default_rng(seed)
+        centre = np.asarray(SPHERE_CENTER) + rng.uniform(-h / 2, h / 2, size=3)
+        asm = assemble_global(mesh, SphereLevelSet(centre, SPHERE_RADIUS), sphere_materials(3.0),
+                              "efem", box_boundary(3))
+        assert asm.fallback_elements == [], seed
+        assert len(asm.cut_data) == asm.classification.cut_elements.size > 0
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +503,9 @@ def test_degenerate_cut_is_a_fallback_in_every_mode():
     values = np.ones(mesh.n_nodes)
     values[4] = -1e-17                       # centre node: sliver children, no snapping
     for mode in MODES:
-        asm = assemble_global(mesh, NodalLevelSet(values), MaterialPair(3.0, 1.0), mode,
-                              box_boundary(2), snap_tol=0.0)
+        levelset = NodalLevelSet(values)
+        asm = assemble_global(mesh, levelset, MaterialPair(3.0, 1.0), mode, box_boundary(2),
+                              classification=classify_elements(mesh, levelset, 0.0))
         assert asm.classification.cut_elements.size > 0
         assert asm.fallback_elements == asm.classification.cut_elements.tolist()
 
@@ -630,19 +709,21 @@ def test_condensed_equals_explicit_block_system():
         enr = {e: nn + k for k, e in enumerate(cut)}
         N = nn + len(cut)
         deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.element_d[cut])
-        sys_ = element_matrices(grads[cut], mat, deco)
+        K = standard_blocks(grads[cut], mat, deco)
+        B, Kenr = element_matrices(grads[cut], mat, deco)
+        D, Denr = np.zeros(B.shape), np.zeros(Kenr.shape)
         if mode == "efem":
-            sys_.D, sys_.Denr = element_displacement_terms(grads[cut], mat, deco)
+            D, Denr = element_displacement_terms(grads[cut], mat, deco)
         A = np.zeros((N, N))
         for e in range(mesh.n_elements):
             conn = mesh.elements[e]
             if cl.is_cut[e]:
                 j = enr[e]
                 k = j - nn
-                A[np.ix_(conn, conn)] += sys_.K[k]
-                A[conn, j] += sys_.B[k]
-                A[j, conn] += sys_.B[k] - sys_.D[k]
-                A[j, j] += sys_.Kenr[k] - sys_.Denr[k]
+                A[np.ix_(conn, conn)] += K[k]
+                A[conn, j] += B[k]
+                A[j, conn] += B[k] - D[k]
+                A[j, j] += Kenr[k] - Denr[k]
             else:
                 eps = mat.for_sign(int(cl.element_sign[e]))
                 A[np.ix_(conn, conn)] += eps * measures[e] * (grads[e] @ grads[e].T)

@@ -13,6 +13,7 @@ from efem.interface import (
     NodalLevelSet,
     PlaneLevelSet,
     SphereLevelSet,
+    classify_elements,
     split_simplex,
 )
 from efem.mesh import BoundaryTag, generate_structured
@@ -500,7 +501,9 @@ def test_vtk_matches_reference_with_degenerate_cut_fallback(tmp_path):
     values = np.linalg.norm(mesh.nodes - (0.3, 0.3), axis=1) - 0.2
     far = int(np.argmin(np.linalg.norm(mesh.nodes - (0.75, 0.75), axis=1)))
     values[far] = -1e-17                 # sliver children around one node, no snapping
-    asm, sol = _solved(mesh, NodalLevelSet(values), "efem", snap_tol=0.0)
+    levelset = NodalLevelSet(values)
+    asm, sol = _solved(mesh, levelset, "efem",
+                       classification=classify_elements(mesh, levelset, 0.0))
     assert asm.fallback_elements and sol.cut_data
     assert not set(asm.fallback_elements) & set(sol.cut_data.ids.tolist())
     _assert_vtk_matches_reference(sol, tmp_path)

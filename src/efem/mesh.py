@@ -9,6 +9,7 @@ connectivity.  Boundary faces carry string tags; what a tag means physically
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -668,11 +669,225 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 #   <n_boundary_faces lines of: element local_face tag_name>
 
 
+# Rows of numbers as text, exactly as (fmt * n) % tuple(rows.ravel().tolist())
+# writes them, formatted by numpy kernels a block of rows at a time.  A block
+# is laid out slot-major: row c of a (slots, n) uint8 array holds character c
+# of n values, so every step is a whole-row array operation.  Each value
+# takes a fixed run of slot rows between the literal text of the format, and
+# a slot it does not use holds a 0 byte.  _RUN rows at a time, the block is
+# transposed to row order and one bytes.translate deletes the 0 bytes.
+#
+# %.17g: a value x = M 2**(e-53) (M the 53-bit integer mantissa) with
+# _G_LOW <= |x| < _G_HIGH has decimal exponent k = floor(log10 |x|) and 17
+# digits N = round-half-even(y), y = M 5**p 2**(e-53+p) and p = 16 - k, with
+# N in [1e16, 1e17).  M 5**p is exact in two uint64 limbs, and the right shift
+# by 53 - e - p bits stays below 64.  k starts from log10 and moves by one
+# where y < 1e16 or N >= 1e17, at most twice: log10 misses k by at most one,
+# and a value whose y rounds up from below 1e16 at k + 1 and whose N reaches
+# 1e17 at k would swap between the two (no double of the window does).  A
+# value still unresolved goes through %.  In the window 5**p fits in 64 bits
+# (p <= 27, also when k starts one too low at 1e-10).  Zeros take the same
+# path with N = 0; any other value, non-finite ones included, goes through %
+# on its own.
+
+_CONVERSION = re.compile(r"(%%|%\.17g|%d)")
+_RUN = 1 << 13                  # rows per kernel call and per write: temporaries stay in cache
+_G_LOW, _G_HIGH = 1e-10, 1e14
+_G_WIDTH = 24                   # the longest %.17g text, '-2.2250738585072014e-308'
+_POW5 = np.array([5**p for p in range(28)], dtype=np.uint64)
+_U32 = np.uint64(0xFFFFFFFF)
+_ZERO, _POINT, _MINUS, _E = (np.uint8(ord(c)) for c in "0.-e")
+
+
+def _row_format(fmt: str) -> tuple[list[bytes], str]:
+    """The literal text around each conversion of fmt, and the conversions ('g' or 'd')."""
+    if "\0" in fmt:
+        raise ValueError(f"row format {fmt!r} holds a NUL character")
+    literals, kinds, text = [], "", ""
+    for i, part in enumerate(_CONVERSION.split(fmt)):
+        if part == "%%":
+            text += "%"
+        elif i % 2:
+            literals.append(text.encode())
+            kinds += part[-1]
+            text = ""
+        elif "%" in part:
+            raise ValueError(f"row format {fmt!r} holds a conversion other than %.17g and %d")
+        else:
+            text += part
+    return literals + [text.encode()], kinds
+
+
 def _write_rows(f, fmt: str, rows: np.ndarray) -> None:
-    """Write rows (N, k) with the %-format fmt of one row, a block at a time."""
+    """Write rows (N, k) with the %-format fmt of one row, a block at a time.
+
+    fmt holds k conversions, each %.17g or %d, and the text written is
+    exactly (fmt * N) % tuple(rows.ravel().tolist()).
+    """
+    literals, kinds = _row_format(fmt)
+    if rows.ndim != 2 or rows.shape[1] != len(kinds):
+        raise ValueError(f"row format {fmt!r} has {len(kinds)} conversions, "
+                         f"rows have shape {rows.shape}")
+    lits = [np.frombuffer(lit, dtype=np.uint8)[:, None] for lit in literals]
     for part in row_blocks(rows.shape[0]):
         block = rows[part]
-        f.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+        n = block.shape[0]
+        widths = [_G_WIDTH if kind == "g" else _d_width(block[:, j])
+                  for j, kind in enumerate(kinds)]
+        out = np.empty((sum(map(len, lits)) + sum(widths), n), dtype=np.uint8)
+        at = 0
+        for j, (lit, kind) in enumerate(zip(lits, kinds)):
+            out[at:at + lit.size] = lit
+            at += lit.size
+            slots = _g_slots if kind == "g" else _d_slots
+            for r in range(0, n, _RUN):
+                slots(block[r:r + _RUN, j], out[at:at + widths[j], r:r + _RUN])
+            at += widths[j]
+        out[at:] = lits[-1]
+        used = np.flatnonzero(out.any(axis=1))      # drop slot rows no value of the block uses
+        for r in range(0, n, _RUN):
+            f.write(out[used, r:r + _RUN].T.tobytes().translate(None, b"\0").decode())
+
+
+def _digit_rows(u: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) uint8 ASCII: the last width decimal digits of unsigned u, leading one first."""
+    n_groups = -(-width // 4)
+    groups = np.empty((n_groups, u.size), dtype=np.uint32)     # base 10**4
+    for j in range(n_groups - 1, 0, -1):
+        if u.dtype == np.uint64 and 4 * j + 4 <= 9:
+            u = u.astype(np.uint32)                 # what is left is below 1e9
+        q = u // 10**4
+        groups[j] = u - q * 10**4
+        u = q
+    groups[0] = u
+    out = np.empty((n_groups, 4, u.size), dtype=np.uint8)
+    for i in (3, 2, 1):
+        q = groups // 10
+        out[:, i] = groups - q * 10 + _ZERO
+        groups = q
+    out[:, 0] = groups + _ZERO
+    return out.reshape(4 * n_groups, -1)[4 * n_groups - width:]
+
+
+def _fallback(values: np.ndarray, slow: np.ndarray, conversion: str) -> list[bytes]:
+    """Text of conversion % v for each value where slow holds, one at a time."""
+    return [(conversion % values[i].item()).encode() for i in np.flatnonzero(slow)]
+
+
+def _put_fallback(slots: np.ndarray, values: np.ndarray, slow: np.ndarray, conversion: str):
+    """Overwrite the slots of each value where slow holds with its fallback text."""
+    for i, t in zip(np.flatnonzero(slow), _fallback(values, slow, conversion)):
+        slots[:, i] = 0
+        slots[:len(t), i] = np.frombuffer(t, dtype=np.uint8)
+
+
+def _g_slots(values: np.ndarray, slots: np.ndarray) -> None:
+    """Fill the (24, n) uint8 slots with '%.17g' % v for each of the n values."""
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= _G_LOW) & (a < _G_HIGH)
+    zero = x == 0.0
+    a[~fast] = 1.0
+    m, e = np.frexp(a)
+    mant = (m * 2.0**53).astype(np.uint64)
+    k = np.floor(np.log10(a)).astype(np.int8)
+    digits, below = _seventeen_digits(mant, e, k)
+    for _ in range(2):
+        off = np.flatnonzero(below | (digits >= 10**17))
+        k[off] += np.where(below[off], -1, 1)
+        digits[off], below[off] = _seventeen_digits(mant[off], e[off], k[off])
+    unresolved = below | (digits >= 10**17)
+    digits[zero], k[zero] = 0, 0
+
+    d = _digit_rows(digits, 17)
+    rank = np.arange(1, 18, dtype=np.int8)[:, None]
+    n_sig = (rank * (d != _ZERO)).max(axis=0)         # digits up to the last nonzero one
+    fixed, small = k >= 0, (k < 0) & (k >= -4)          # ddd.ddd, 0.000ddd; else d.ddde-XX
+    keep = np.where(fixed, np.maximum(n_sig, k + 1), n_sig)
+    d *= rank <= keep
+
+    # Digit i goes to slot 1 + i, and one slot further after the point,
+    # which follows digit k (ddd.ddd) or digit 0 (d.ddde-XX).  In 0.000ddd
+    # it goes to slot 6 + i, after '0.' and up to three '0's in slots 3-5.
+    slots[:] = 0
+    split = np.where(fixed, k, np.where(small, np.int8(16), np.int8(0)))
+    before = rank <= split + 1
+    slots[1:18] |= d * (before & ~small)
+    slots[2:19] |= d * ~before
+    slots[6:23] |= d * small
+    slots[2:18] |= (before[:-1] & ~before[1:] & (n_sig > split + 1)) * _POINT
+    slots[1] |= small * _ZERO
+    slots[2] |= small * _POINT
+    for c in range(3, 6):
+        slots[c] |= (small & (k <= 1 - c)) * _ZERO
+    expo = ~fixed & ~small
+    if expo.any():
+        exponent = (-k).astype(np.uint8)
+        tail = (_E, _MINUS, exponent // 10 + _ZERO, exponent % 10 + _ZERO)   # e-XX
+        for c, ch in zip(range(19, 23), tail):
+            slots[c] |= expo * ch
+    slots[0] = np.signbit(x) * _MINUS
+    slow = (~fast & ~zero) | unresolved
+    if slow.any():
+        _put_fallback(slots, x, slow, "%.17g")
+
+
+def _seventeen_digits(mant: np.ndarray, e: np.ndarray, k: np.ndarray):
+    """round-half-even(y) as uint64, y = mant 2**(e-53) 10**(16-k) exactly, and whether y < 1e16.
+
+    y can round up to 1e16 from below, so the second test reads y, not the
+    rounded value.
+    """
+    p = 16 - k
+    f = _POW5[p]
+    s32 = np.uint64(32)
+    a0, a1 = mant & _U32, mant >> s32
+    b0, b1 = f & _U32, f >> s32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> s32) + (p01 & _U32) + (p10 & _U32)
+    lo = (mid << s32) | (p00 & _U32)
+    hi = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    t = (52 - e - p).astype(np.uint64)                # the shift less one: 1..60
+    half = (lo >> t) | (hi << (np.uint64(64) - t))     # 2 floor(y) + the round bit
+    sticky = (lo & ((np.uint64(1) << t) - np.uint64(1))) != 0
+    n = half >> np.uint64(1)
+    return n + ((half & np.uint64(1)) & ((n & np.uint64(1)) | sticky)), n < 10**16
+
+
+def _d_split(values: np.ndarray):
+    """Sign, magnitude (uint64) and which values %d writes through the kernel, for %d."""
+    if values.dtype.kind == "f":                        # %d truncates a float
+        t = np.trunc(values)
+        fast = np.abs(t) < 2.0**64
+        return t < 0, np.abs(np.where(fast, t, 0.0)).astype(np.uint64), fast
+    if values.dtype.kind not in "biu":
+        raise TypeError(f"%d cannot write values of dtype {values.dtype}")
+    neg = values < 0
+    mag = values.astype(np.uint64)                      # two's complement: negate below
+    mag[neg] = -mag[neg]
+    return neg, mag, np.ones(values.size, dtype=bool)
+
+
+def _d_width(values: np.ndarray) -> int:
+    """Slots %d needs for the widest of values: a sign and the digits."""
+    _, mag, fast = _d_split(values)
+    width = 1 + len(str(int(mag.max()))) if mag.size else 1
+    return max([width] + [len(t) for t in _fallback(values, ~fast, "%d")])
+
+
+def _d_slots(values: np.ndarray, slots: np.ndarray) -> None:
+    """Fill the (w, n) uint8 slots with '%d' % v for each of the n values."""
+    neg, mag, fast = _d_split(values)
+    d = _digit_rows(mag, slots.shape[0] - 1)
+    started = d != _ZERO                                # at or after the first nonzero digit
+    for i in range(1, d.shape[0]):
+        started[i] |= started[i - 1]
+    started[-1] = True
+    slots[0] = neg * _MINUS
+    np.multiply(d, started, out=slots[1:])
+    if not fast.all():
+        _put_fallback(slots, values, ~fast, "%d")
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -680,7 +895,7 @@ def write_mesh(mesh: Mesh, path) -> None:
         f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary_faces)}\n")
         _write_rows(f, " ".join(["%.17g"] * mesh.dim) + "\n", mesh.nodes)
         _write_rows(f, " ".join(["%d"] * (mesh.dim + 1)) + "\n", mesh.elements)
-        _write_rows(f, "%d %d %s\n", np.array(mesh.boundary_faces, dtype=object))
+        f.write("".join(f"{e} {lf} {tag}\n" for e, lf, tag in mesh.boundary_faces))
 
 
 def read_mesh(path) -> Mesh:

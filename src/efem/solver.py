@@ -5,11 +5,20 @@ active, so the workhorse is BiCGSTAB.  It starts with diagonal (Jacobi)
 preconditioning, which is cheapest for the well-conditioned 3D systems, and
 its single restart switches to a smoothed-aggregation AMG V-cycle, which
 the Poisson-like 2D systems on fine meshes need.  Sparse LU serves the
-``--direct`` path.  Iteration order is fixed and nothing is random, so a
-solve is repeatable for a fixed BLAS thread count.  It is not repeatable
-across thread counts: the dot products on long vectors go to a threaded
-BLAS, whose summation order, and so every later iterate, depends on the
-number of threads (``OPENBLAS_NUM_THREADS=1`` pins it).
+``--direct`` path.
+
+Both paths work on the matrix's stored nonzeros (``stored_nonzeros``),
+and the same pass rejects non-finite input.  Assembly keeps the full P1
+pattern that criterion 7 checks, and with it the zeroed Dirichlet
+couplings and the exact-zero stencil entries of structured meshes: 59% of
+the stored entries of a 3D n=32 sphere system, 29% of a 2D n=200 one and
+3.4% of the perturbed 2D cylinder mesh's.  The caller's matrix keeps them.
+
+Iteration order is fixed and nothing is random, so a solve is repeatable
+for a fixed BLAS thread count.  It is not repeatable across thread
+counts: the dot products on long vectors go to a threaded BLAS, whose
+summation order, and so every later iterate, depends on the number of
+threads (``OPENBLAS_NUM_THREADS=1`` pins it).
 """
 
 from __future__ import annotations
@@ -21,11 +30,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # Jacobi iterations before BiCGSTAB restarts with the AMG preconditioner.
-# Building the hierarchy costs about as much as 100 Jacobi iterations (2D
-# n=200 and 3D n=32), so switching here costs at most about twice the better
-# of the two preconditioners.
+# Building the hierarchy costs about as much as 70 Jacobi iterations at 2D
+# n=200 and 135 at 3D n=32, so a system that Jacobi would solve just after
+# the switch pays at most about twice the better of the two preconditioners
+# in 2D and about 2.6 times in 3D; the 3D n=32 sphere systems need 74 to 88
+# Jacobi iterations and never build the hierarchy.
 AMG_AFTER = 100
-# Iteration cap of the AMG phase.  An AMG iteration costs about five Jacobi
+# Iteration cap of the AMG phase.  An AMG iteration costs five to six Jacobi
 # ones; the converging systems measured need at most 83 (2D n=200, q=1e4,
 # efem), and without the cap a stalled solve would run up to the overall
 # cap of 10 n iterations.
@@ -237,6 +248,27 @@ class SmoothedAggregation:
 # solvers
 
 
+def stored_nonzeros(A: sp.spmatrix, b: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of A's stored nonzeros; rejects non-finite A or b, naming the row.
+
+    A stored zero never changes a CSR row sum of finite values, so a product
+    with the result equals the product with A bit for bit.  A itself is
+    left alone; the result holds copies of the kept entries only.
+    """
+    A = sp.csr_matrix(A)
+    bad = np.flatnonzero(~np.isfinite(A.data))
+    if bad.size:
+        row = int(np.searchsorted(A.indptr, bad[0], side="right")) - 1
+        raise ValueError(f"non-finite entry {A.data[bad[0]]} in A at row {row}, "
+                         f"column {int(A.indices[bad[0]])}")
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"non-finite entry {b[bad[0]]} in b at row {int(bad[0])}")
+    keep = A.data != 0.0
+    kept = np.concatenate(([0], np.cumsum(keep, dtype=A.indptr.dtype)))
+    return sp.csr_matrix((A.data[keep], A.indices[keep], kept[A.indptr]), shape=A.shape)
+
+
 def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned BiCGSTAB on the true relative residual |Ax-b|/|b|.
 
@@ -251,8 +283,11 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     it restarts once from the current iterate with a fresh shadow residual
     and a smoothed-aggregation V-cycle as preconditioner, for at most
     ``AMG_MAX_ITER`` further iterations; a second breakdown reports failure.
-    No solve runs past 10 n iterations in all.
+    No solve runs past 10 n iterations in all.  Both phases run on
+    ``stored_nonzeros(A, b)``, so non-finite input raises before the first
+    iteration.
     """
+    A = stored_nonzeros(A, b)
     n = b.shape[0]
     max_iter = 10 * n
     minv = jacobi_precondition(A)
@@ -333,8 +368,8 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
 
 
 def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse LU (SuperLU, COLAMD ordering) at any size."""
-    return spla.splu(sp.csc_matrix(A)).solve(np.asarray(b, dtype=float))
+    """Sparse LU (SuperLU, COLAMD ordering) of A's stored nonzeros, at any size."""
+    return spla.splu(stored_nonzeros(A, b).tocsc()).solve(np.asarray(b, dtype=float))
 
 
 def solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8,

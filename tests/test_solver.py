@@ -1,5 +1,7 @@
 """BiCGSTAB behavior against small hand cases and the LU oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -104,6 +106,45 @@ def test_solver_is_deterministic():
     x2, r2 = bicgstab(asm.matrix, asm.rhs)
     assert np.array_equal(x1, x2)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_solve_leaves_the_assembled_pattern_alone(direct):
+    """Both paths solve on the stored nonzeros without touching the matrix,
+    so criterion 7's P1 graph, stored zeros included, survives the solve."""
+    mesh = generate_structured(2, 8, 8)
+    asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", box_boundary(2))
+    A = asm.matrix
+    before = (A.data.copy(), A.indices.copy(), A.indptr.copy())
+    assert (A.data == 0.0).any()
+    x, rep = solve(A, asm.rhs, tol=1e-10, direct=direct)
+    assert rep.converged
+    for now, then in zip((A.data, A.indices, A.indptr), before):
+        assert np.array_equal(now, then)
+
+
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["A", "b"])
+def test_non_finite_input_is_rejected_naming_the_row(where, bad, direct):
+    """Rejected before any iteration or factorization.  Unchecked, a NaN in b
+    runs both phases to their cap and reports residual=nan, and an inf in A
+    surfaces as an exactly singular coarse AMG factor."""
+    mesh = generate_structured(2, 30, 30)
+    asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", box_boundary(2))
+    A, b = asm.matrix.copy(), asm.rhs.copy()
+    if where == "A":
+        k = A.indptr[417] + 2
+        A.data[k] = bad
+        message = f"in A at row 417, column {A.indices[k]}$"
+    else:
+        b[417] = bad
+        message = "in b at row 417$"
+    factored, iterated = AssertionError("factored"), AssertionError("iterated")
+    with mock.patch.object(solver.spla, "splu", side_effect=factored), \
+            mock.patch.object(solver, "jacobi_precondition", side_effect=iterated):
+        with pytest.raises(ValueError, match=message):
+            solve(A, b, direct=direct)
 
 
 @pytest.fixture(scope="module")

@@ -6,13 +6,15 @@ enough for a two- or three-level hierarchy.  The V-cycle must be a
 fixed linear operator, repeatable bit for bit; Dirichlet rows must stay out
 of every aggregate; every coarse matrix must keep a positive diagonal; and
 BiCGSTAB with the V-cycle from its first iteration must pass the dual
-stopping test and agree with sparse LU.
+stopping test and agree with sparse LU.  Explicit zeros stored anywhere
+in a system change no solve, iterative or direct, in any bit.
 """
 
 from functools import lru_cache
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +123,39 @@ def test_amg_bicgstab_passes_dual_test_and_agrees_with_lu(case):
     assert rep.residual == np.linalg.norm(res) / np.linalg.norm(b)
     ref = direct_solve(A, b)
     assert np.abs(x - ref).max() <= AGREE_RTOL * np.abs(ref).max()
+
+
+def _with_stored_zeros(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
+                       slots: np.ndarray) -> sp.csr_matrix:
+    """A copy of A with an explicit zero (row, col) stored at each slot of its row.
+
+    A slot in [0, 1) picks one of the row's len + 1 gaps between its stored
+    entries, so the zero may break the column order or repeat a stored column.
+    """
+    pos = A.indptr[rows] + np.floor(slots * (np.diff(A.indptr)[rows] + 1)).astype(np.int64)
+    order = np.lexsort((rows, pos))
+    pos, rows, cols = pos[order], rows[order], cols[order]
+    indptr = A.indptr + np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=A.shape[0]))))
+    return sp.csr_matrix((np.insert(A.data, pos, 0.0), np.insert(A.indices, pos, cols), indptr),
+                         shape=A.shape)
+
+
+@given(cut_systems(), st.integers(0, 2**32 - 1), st.integers(1, 60))
+@settings(max_examples=20, deadline=None)
+def test_stored_zeros_change_no_solve(case, seed, k):
+    """Zeros inserted anywhere, Dirichlet rows included, leave x bit for bit
+    and the report as they were, in the Jacobi and the AMG phase and in LU."""
+    asm = _assemble(case)
+    A, b = asm.matrix, asm.rhs
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate((rng.choice(asm.dirichlet_nodes, size=k),
+                           rng.integers(0, b.size, size=k)))
+    padded = _with_stored_zeros(A, rows, rng.integers(0, b.size, size=2 * k),
+                                rng.uniform(0.0, 1.0, size=2 * k))
+    assert padded.nnz == A.nnz + 2 * k
+    x, rep = bicgstab(A, b)
+    x_padded, rep_padded = bicgstab(padded, b)
+    assert rep.converged
+    assert rep_padded == rep
+    assert np.array_equal(x_padded, x)
+    assert np.array_equal(direct_solve(padded, b), direct_solve(A, b))

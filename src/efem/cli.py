@@ -49,8 +49,7 @@ class CaseConfig:
     mesh_kind: str                  # "structured" | "file"
     mesh_n: int | None
     mesh_file: str | None
-    levelset_kind: str
-    levelset_params: dict
+    levelset: PlaneLevelSet | CircleLevelSet
     materials: MaterialPair
     boundary: dict[str, BoundaryTag]
     mode: str
@@ -143,6 +142,17 @@ def parse_case(text: str, name: str) -> CaseConfig:
     for key, value in params.items():
         if not np.isfinite(value).all():
             raise ConfigError(f"levelset: {key} must be finite, got {ls_sec[key]!r}")
+    curved = ("circle", "sphere")[dim - 2]
+    if ls_kind not in ("plane", curved):
+        raise ConfigError(f"levelset: kind {ls_kind!r} does not fit dim {dim}; use {curved!r}")
+    try:
+        if ls_kind == "plane":
+            levelset = PlaneLevelSet(params["point"], params["normal"])
+        else:
+            cls = CircleLevelSet if ls_kind == "circle" else SphereLevelSet
+            levelset = cls(params["center"], params["radius"])
+    except ValueError as exc:
+        raise ConfigError(f"levelset: {exc}") from exc
 
     mat = need("materials")
     try:
@@ -207,7 +217,7 @@ def parse_case(text: str, name: str) -> CaseConfig:
                                      "conforming-inclined", "self"):
             raise ConfigError(f"reference: unknown kind {reference['kind']!r}")
 
-    return CaseConfig(name, dim, mesh_kind, mesh_n, mesh_file, ls_kind, params,
+    return CaseConfig(name, dim, mesh_kind, mesh_n, mesh_file, levelset,
                       materials, boundary, mode, tol, lines, vtk, csv, reference)
 
 
@@ -246,13 +256,6 @@ def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
     raise ConfigError(f"mesh: file {cfg.mesh_file!r} not found")
 
 
-def _build_levelset(cfg: CaseConfig):
-    if cfg.levelset_kind == "plane":
-        return PlaneLevelSet(cfg.levelset_params["point"], cfg.levelset_params["normal"])
-    cls = CircleLevelSet if cfg.dim == 2 else SphereLevelSet
-    return cls(cfg.levelset_params["center"], cfg.levelset_params["radius"])
-
-
 def _reference_evaluator(cfg: CaseConfig):
     ref = cfg.reference
     kind = ref["kind"]
@@ -276,11 +279,10 @@ def _reference_evaluator(cfg: CaseConfig):
 
 def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
     """Yield the assembled system of each mode in turn; the mesh is classified once."""
-    levelset = _build_levelset(cfg)
     try:
-        classification = classify_elements(mesh, levelset)
+        classification = classify_elements(mesh, cfg.levelset)
         for mode in modes:
-            yield assemble_global(mesh, levelset, cfg.materials, mode, cfg.boundary,
+            yield assemble_global(mesh, cfg.levelset, cfg.materials, mode, cfg.boundary,
                                   classification=classification)
     except (MeshError, ValueError, KeyError) as exc:
         raise IncompatibleError(f"case is incompatible with the mesh: {exc}") from exc

@@ -277,7 +277,7 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     eps1, eps2 = materials.eps1, materials.eps2
     weight = np.where(cl.element_sign > 0, eps1, eps2) * measures     # eps * measure
     cut = cl.cut_elements
-    deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.element_d[cut])
+    deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.d[mesh.elements[cut]])
     weight[cut] = sum(np.where(s > 0, eps1, eps2) * m
                       for m, s in zip(deco.child_measure.T, deco.child_sign.T))
     reasons = np.full(cut.size, "", dtype=object)

@@ -40,7 +40,7 @@ class PlaneLevelSet:
         n = _finite("plane normal", normal)
         norm = np.linalg.norm(n)
         if norm == 0.0:
-            raise ValueError("plane normal must be nonzero")
+            raise ValueError(f"plane normal must be nonzero, got {normal}")
         self.normal = n / norm
 
     def evaluate(self, points) -> np.ndarray:
@@ -57,7 +57,7 @@ class CircleLevelSet:
         self.center = _finite(f"{self.kind} center", center)
         self.radius = float(_finite(f"{self.kind} radius", radius))
         if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+            raise ValueError(f"radius must be positive, got {radius}")
 
     def evaluate(self, points) -> np.ndarray:
         """Distances (k,) at the points (k, dim)."""
@@ -108,14 +108,14 @@ def nodal_distances(levelset, mesh: Mesh) -> np.ndarray:
 
 @dataclass
 class Classification:
-    """Cut status of every element.
+    """Snapped distance of every node and cut status of every element.
 
-    element_d holds the per-element snapped nodal distances; the same mesh
-    node may snap differently in elements of different size since the snap
-    threshold is relative to the element's longest edge.
+    An element's distances are d[mesh.elements[e]], so neighbours agree on
+    where the interface crosses their shared face.  An uncut element may
+    hold a small node of the other sign; its side is element_sign.
     """
 
-    element_d: np.ndarray        # snapped, (n_elements, dim+1)
+    d: np.ndarray                # snapped, (n_nodes,)
     is_cut: np.ndarray           # bool, (n_elements,)
     element_sign: np.ndarray     # +1/-1 for uncut elements, 0 for cut
 
@@ -124,34 +124,34 @@ class Classification:
         return np.nonzero(self.is_cut)[0]
 
 
-def classify_elements(mesh: Mesh, levelset, snap_tol: float = SNAP_TOL) -> Classification:
-    """Evaluate, snap and sign-classify every element of the mesh.
+def classify_elements(mesh: Mesh, levelset) -> Classification:
+    """Snap the distance at every node, then sign-classify every element.
 
-    A distance below snap_tol times the element's longest edge is pushed out
-    to that threshold, so every later sign test is strict.  Near-interface
-    nodes join the sign shared by the element's remaining nodes when there
-    is one, so an element touching the interface only at nodes comes out
-    uncut instead of producing a sliver cut.  In elements that are clearly
-    mixed, snapping preserves each node's own sign (exact zeros go positive).
+    A node's band is SNAP_TOL times the longest edge of its elements; a node
+    inside it is small and moves out to it with its own sign (zeros go
+    positive), so later sign tests are strict.  An element whose clear (not
+    small) nodes share a sign is uncut with it, so no sliver cut touches the
+    interface only at nodes.  It is cut if they have both signs, or if it has
+    none and its small nodes' own signs differ.
     """
-    raw = nodal_distances(levelset, mesh)
-    gathered = raw[mesh.elements].astype(float)         # (M, d+1)
-    t = np.broadcast_to(snap_tol * mesh.char_lengths[:, None], gathered.shape)
-    small = np.abs(gathered) < t
-    clear_pos = ((gathered > 0.0) & ~small).any(axis=1)
-    clear_neg = ((gathered < 0.0) & ~small).any(axis=1)
-    join = np.where(clear_pos & ~clear_neg, 1.0,
-                    np.where(clear_neg & ~clear_pos, -1.0, 0.0))[:, None]
-    join = np.broadcast_to(join, gathered.shape)
-    sign = np.where(gathered < 0.0, -1.0, 1.0)
-    sign = np.where(small & (join != 0.0), join, sign)
-    d = np.where(small, sign * t, gathered)
-    pos = (d > 0.0).any(axis=1)
-    neg = (d < 0.0).any(axis=1)
-    is_cut = pos & neg
-    esign = np.where(pos, 1, -1)
-    esign[is_cut] = 0
-    return Classification(d, is_cut, esign)
+    d = np.array(nodal_distances(levelset, mesh), dtype=float)
+    h, conn = mesh.char_lengths, mesh.elements
+    # node codes: 1 clear positive, 2 clear negative, 4 / 8 small positive / negative
+    code = np.where(d > 0.0, 1, np.where(d < 0.0, 2, 0)).astype(np.uint8)
+    near = np.abs(d) < SNAP_TOL * h.max()                # only these can be small
+    if near.any():
+        holders = near[conn].any(axis=1)
+        band = np.zeros(mesh.n_nodes)
+        np.maximum.at(band, conn[holders], h[holders, None])
+        small = near & (np.abs(d) < SNAP_TOL * band)
+        code[small] = np.where(d[small] < 0.0, 8, 4)
+        d[small] = np.where(d[small] < 0.0, -SNAP_TOL, SNAP_TOL) * band[small]
+    seen = code[conn[:, 0]]
+    for i in range(1, mesh.dim + 1):
+        seen |= code[conn[:, i]]
+    sides = np.where(seen & 3, seen & 3, seen >> 2)      # 1 positive, 2 negative, 3 both
+    is_cut = sides == 3
+    return Classification(d, is_cut, np.where(is_cut, 0, np.where(sides == 1, 1, -1)))
 
 
 # ---------------------------------------------------------------------------

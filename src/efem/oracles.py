@@ -236,17 +236,20 @@ def analytic_boundary(dim: int, func) -> dict[str, BoundaryTag]:
     return {n: BoundaryTag(n, "dirichlet", func) for n in names}
 
 
-def jittered_mesh(counts, seed: int = 0, amplitude: float = 0.25) -> Mesh:
+def jittered_mesh(counts, seed: int = 0, amplitude: float | None = None) -> Mesh:
     """Perturbed structured mesh of the unit box, standing in for an
     unstructured one; counts gives the divisions per axis (2 or 3 of them).
 
     Structured cuts through a curved interface are unusually benign;
     jittering the interior nodes by a fixed-seed offset of up to amplitude
     times the cell size along each axis restores irregular cut
-    configurations.  Boundary nodes stay put, and Mesh.build re-validates
-    the perturbed mesh.
+    configurations.  amplitude defaults to 0.25 in 2D and 0.15 in 3D, where
+    a quarter cell turns some tetrahedra inside out.  Boundary nodes stay
+    put, and Mesh.build re-validates the perturbed mesh.
     """
     dim = len(counts)
+    if amplitude is None:
+        amplitude = 0.25 if dim == 2 else 0.15
     base = generate_structured(dim, *counts)
     rng = np.random.default_rng(seed)
     nodes = np.array(base.nodes)

@@ -23,6 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from efem.efem_core import AssembledSystem, CutState, hat_value
+from efem.interface import Classification
 from efem.mesh import Mesh, _write_rows, local_faces, row_blocks, row_dot, stacked_values
 
 _CONTAIN_TOL = 1e-9
@@ -37,13 +38,12 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass
 class SolutionField:
-    """Nodal solution plus the enriched elements (the assembly's cut_data)
-    and their amplitudes phi*, for evaluation and export."""
+    """Nodal solution plus the assembly's classification, enriched elements
+    (cut_data) and their amplitudes phi*, for evaluation and export."""
 
     mesh: Mesh
     phi: np.ndarray
-    element_d: np.ndarray                    # snapped per-element distances
-    is_cut: np.ndarray
+    classification: Classification
     cut_data: CutState
     star: np.ndarray                         # phi* of each element of cut_data.ids
 
@@ -62,8 +62,7 @@ def recover_enrichment(assembled: AssembledSystem, phi: np.ndarray) -> np.ndarra
 
 def build_solution(assembled: AssembledSystem, phi: np.ndarray) -> SolutionField:
     phi = np.asarray(phi, dtype=float)
-    return SolutionField(assembled.mesh, phi, assembled.classification.element_d,
-                         assembled.classification.is_cut,
+    return SolutionField(assembled.mesh, phi, assembled.classification,
                          assembled.cut_data, recover_enrichment(assembled, phi))
 
 
@@ -101,7 +100,7 @@ def reconstruct(sol: SolutionField, elems, lam, child):
     hit = np.flatnonzero(pos < c.ids.size)
     hit = hit[c.ids[pos[hit]] == elems[hit]]
     k = pos[hit]
-    phi[hit] += hat_value(lam[hit], sol.element_d[elems[hit]]) * sol.star[k]
+    phi[hit] += hat_value(lam[hit], c.batch.nodal_d[k]) * sol.star[k]
     positive = (np.asarray(child)[hit] > 0)[:, None]
     E[hit] += np.where(positive, c.grad_pos[k], c.grad_neg[k]) * sol.star[k][:, None]
     return phi, E
@@ -113,18 +112,20 @@ def _evaluate(sol: SolutionField, elems, x, sides):
     Point x[p] is evaluated in element elems[p].  sides[p] picks the child
     (+1 / -1) when the point sits on the intra-element interface, 0 lets the
     interpolated distance decide; it is ignored away from the interface.  The
-    returned side is sides[p] where given, else the sign of the interpolated
-    distance (+1 on it).
+    returned side is sides[p] where given, else the side of an uncut element,
+    else the sign of the interpolated distance (+1 on it).
     """
     elems = np.asarray(elems, dtype=np.int64)
     sides = np.asarray(sides, dtype=np.int64)
     lam = _barycentric_at(sol, elems, np.asarray(x, dtype=float))
-    d = sol.element_d[elems]
+    cl = sol.classification
+    d = cl.d[sol.mesh.elements[elems]]
     L = np.einsum("pi,pi->p", lam, d)
     near = np.abs(L) <= 1e-12 * np.abs(d).max(axis=1)
     child = np.where(near, np.where(sides != 0, sides, 1), np.where(L > 0.0, 1, -1))
     phi, E = reconstruct(sol, elems, lam, child)
-    return phi, E, np.where(sides != 0, sides, np.where(L >= 0.0, 1, -1))
+    side = np.where(cl.is_cut[elems], np.where(L >= 0.0, 1, -1), cl.element_sign[elems])
+    return phi, E, np.where(sides != 0, sides, side)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +397,11 @@ def sample_line(sol: SolutionField, start, end, count: int = 1001) -> LineSample
 
     # interface crossings: the interpolated distance is linear along the
     # segment, so its root inside a cut element's run is exact
-    cut = np.nonzero(sol.is_cut[owners])[0]
+    cut = np.nonzero(sol.classification.is_cut[owners])[0]
     tb = np.concatenate([bounds[cut], bounds[cut + 1]])
     L = np.einsum("pi,pi->p",
                   _barycentric_at(sol, np.tile(owners[cut], 2), start + tb[:, None] * v),
-                  np.tile(sol.element_d[owners[cut]], (2, 1)))
+                  np.tile(sol.classification.d[sol.mesh.elements[owners[cut]]], (2, 1)))
     L0, L1 = L[:cut.size], L[cut.size:]
     hit = (L0 != 0.0) & (L1 != 0.0) & ((L0 > 0.0) != (L1 > 0.0))
     r_x = cut[hit]
@@ -489,21 +490,19 @@ def interface_potential_mismatch(sol: SolutionField) -> float:
 
     The two elements sharing the face each reconstruct their own trace; the
     hat function is identical on a shared edge, so any disagreement comes
-    from differing enrichment amplitudes.  The crossing point comes from the
-    snapped distances of the smaller-index element, measured from the edge's
-    smaller node index.  Returns the max absolute mismatch, 0.0 when no such
-    edge is crossed.
+    from differing enrichment amplitudes.  The scan reads the faces whose
+    smaller-index element is cut; the crossing point comes from the snapped
+    nodal distances, measured from the edge's smaller node index.  Returns
+    the max absolute mismatch, 0.0 when no such edge is crossed.
     """
-    m = sol.mesh
-    # an interior face whose smaller element is uncut has no crossed edge
-    pairs = np.flatnonzero((m.face_second[:, 0] >= 0) & sol.is_cut[m.face_first[:, 0]])
+    m, cl = sol.mesh, sol.classification
+    pairs = np.flatnonzero((m.face_second[:, 0] >= 0) & cl.is_cut[m.face_first[:, 0]])
     (e1, lf), e2 = m.face_first[pairs].T, m.face_second[pairs, 0]
     face_edges = list(combinations(range(m.dim), 2))
     ends = np.array(local_faces(m.dim))[:, face_edges][lf].reshape(-1, 2)   # local to e1
     e1, e2 = (np.repeat(e, len(face_edges)) for e in (e1, e2))
-    nodes, d = m.elements[e1[:, None], ends], sol.element_d[e1[:, None], ends]
-    flip = (nodes[:, 0] > nodes[:, 1])[:, None]
-    nodes, d = (np.where(flip, a[:, ::-1], a) for a in (nodes, d))      # nodes (a, b), a < b
+    nodes = np.sort(m.elements[e1[:, None], ends], axis=1)                 # (a, b), a < b
+    d = cl.d[nodes]
     crossed = np.nonzero((d[:, 0] > 0.0) != (d[:, 1] > 0.0))[0]
     da, db = d[crossed, 0], d[crossed, 1]
     xa, xb = m.nodes[nodes[crossed, 0]], m.nodes[nodes[crossed, 1]]

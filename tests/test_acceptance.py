@@ -417,7 +417,7 @@ def _displacement_zero_sum():
     worst = 0.0
     cut = cl.cut_elements
     coords = mesh.nodes[mesh.elements[cut]]
-    deco = split_simplex(coords, cl.element_d[cut])
+    deco = split_simplex(coords, cl.d[mesh.elements[cut]])
     assert not deco.degenerate.any()
     all_D, _ = element_displacement_terms(p1_gradients(coords), mats, deco)
     for D in all_D:

@@ -138,6 +138,23 @@ def test_non_finite_levelset_exits_2_naming_key(tmp_path, capsys, key, old, new)
     assert f"levelset: {key} must be finite" in err and new.split(" = ")[1] in err
 
 
+@pytest.mark.parametrize("case, old, new, named", [
+    ("planar_q3", "normal = 0.0 1.0", "normal = 0 0", "levelset: plane normal must be nonzero"),
+    ("sphere", "radius = 0.1", "radius = -0.1", "levelset: radius must be positive, got -0.1"),
+    ("cylinder", "radius = 0.2", "radius = 0", "levelset: radius must be positive, got 0.0"),
+    ("cylinder", "kind = circle", "kind = sphere", "levelset: kind 'sphere' does not fit dim 2"),
+    ("sphere", "kind = sphere", "kind = circle", "levelset: kind 'circle' does not fit dim 3"),
+])
+def test_bad_levelset_geometry_exits_2_naming_key(tmp_path, capsys, case, old, new, named):
+    # the first match is the [levelset] key in each bundled case
+    text = resources.files("efem").joinpath("cases", f"{case}.cfg").read_text()
+    assert old in text
+    rc = main(["solve", write_case(tmp_path, text.replace(old, new, 1)), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"config error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("old, new, named", [
     ("bottom = dirichlet 0.0", "bottom = dirichlet abc", "boundary: bottom: dirichlet value"),
     ("bottom = dirichlet 0.0", "bottom = dirichlet nan", "boundary: bottom: dirichlet value"),

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efem import efem_core
+from efem import efem_core, interface
 from efem import mesh as mesh_mod
 from efem.efem_core import (
     MODES,
@@ -276,9 +276,9 @@ def ref_apply_dirichlet(A, rhs, nodes, values):
     rhs[nodes] = values
 
 
-def ref_assemble(mesh, levelset, mode, snap_tol=1e-6, guard=GUARD):
+def ref_assemble(mesh, levelset, mode, guard=GUARD):
     """Matrix, rhs, fallbacks, reasons and recovery rows by the per-element path."""
-    cl = classify_elements(mesh, levelset, snap_tol)
+    cl = classify_elements(mesh, levelset)
     nv = mesh.dim + 1
     conn = mesh.elements
     eps = np.where(cl.element_sign > 0, MATS.eps1, MATS.eps2)
@@ -286,7 +286,7 @@ def ref_assemble(mesh, levelset, mode, snap_tol=1e-6, guard=GUARD):
     fallback, reasons, recovery = [], [], {}
     for e in cl.cut_elements.tolist():
         block, r, reason = ref_block(mesh.nodes[mesh.elements[e]], mesh.grads[e],
-                                     cl.element_d[e], mode, guard)
+                                     cl.d[conn[e]], mode, guard)
         blocks[e] = block
         if reason is not None:
             fallback.append(e)
@@ -360,7 +360,7 @@ def grid_cuts(draw):
         levelset = (CircleLevelSet if dim == 2 else SphereLevelSet)(centre, radius)
     cl = classify_elements(mesh, levelset)
     cut = cl.cut_elements
-    return mesh.nodes[mesh.elements[cut]], cl.element_d[cut]
+    return mesh.nodes[mesh.elements[cut]], cl.d[mesh.elements[cut]]
 
 
 cuts = st.one_of(random_cuts(), grid_cuts())
@@ -492,11 +492,11 @@ def _meshes_and_levelsets():
 
 @pytest.mark.parametrize("case", range(5))
 @pytest.mark.parametrize("mode", MODES)
-def test_assembly_matches_per_element_path(case, mode):
+def test_assembly_matches_per_element_path(monkeypatch, case, mode):
     mesh, levelset, snap = _meshes_and_levelsets()[case]
-    asm = assemble_global(mesh, levelset, MATS, mode, box_boundary(mesh.dim),
-                          classification=classify_elements(mesh, levelset, snap))
-    A, rhs, fallback, reasons, recovery = ref_assemble(mesh, levelset, mode, snap)
+    monkeypatch.setattr(interface, "SNAP_TOL", snap)
+    asm = assemble_global(mesh, levelset, MATS, mode, box_boundary(mesh.dim))
+    A, rhs, fallback, reasons, recovery = ref_assemble(mesh, levelset, mode)
     assert np.array_equal(asm.matrix.indptr, A.indptr)
     assert np.array_equal(asm.matrix.indices, A.indices)
     assert np.abs(asm.matrix.data - A.data).max() <= 1e-13 * np.abs(A.data).max()
@@ -531,7 +531,8 @@ def test_refused_condensations_leave_the_standard_matrix(monkeypatch, case):
     # every mode starts from the standard matrix: with every condensation
     # refused, efem assembles it bit for bit
     mesh, levelset, snap = _meshes_and_levelsets()[case]
-    cl = classify_elements(mesh, levelset, snap)
+    monkeypatch.setattr(interface, "SNAP_TOL", snap)
+    cl = classify_elements(mesh, levelset)
     standard = assemble_global(mesh, levelset, MATS, "standard", box_boundary(mesh.dim),
                                classification=cl)
     monkeypatch.setattr(efem_core, "CONDENSE_GUARD", 1e300)
@@ -548,11 +549,10 @@ def test_condense_margin_is_the_smallest_over_condensed_elements():
     cl = asm.classification
     margins = []
     for e in asm.cut_data.ids.tolist():
-        coords = mesh.nodes[mesh.elements[e]]
-        kids, virtual = ref_split(coords, cl.element_d[e])
-        kenr = ref_matrices(mesh.grads[e], cl.element_d[e], kids)[2]
-        denr = ref_displacement(coords, mesh.grads[e], cl.element_d[e],
-                                ref_faces(coords, cl.element_d[e], virtual))[1]
+        coords, d = mesh.nodes[mesh.elements[e]], cl.d[mesh.elements[e]]
+        kids, virtual = ref_split(coords, d)
+        kenr = ref_matrices(mesh.grads[e], d, kids)[2]
+        denr = ref_displacement(coords, mesh.grads[e], d, ref_faces(coords, d, virtual))[1]
         margins.append(ref_margin(kenr, denr))
     assert abs(asm.condense_margin - min(margins)) <= 1e-12 * min(margins)
     standard = assemble_global(mesh, levelset, MATS, "standard", box_boundary(2))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from efem import efem_core
+from efem import efem_core, interface
 from efem.efem_core import (
     CONDENSE_GUARD,
     MODES,
@@ -41,6 +41,7 @@ from efem.oracles import (
     jittered_mesh,
     planar_levelset,
     planar_materials,
+    sphere_levelset,
     sphere_materials,
 )
 from efem.postprocess import build_solution
@@ -418,7 +419,7 @@ def _efem_margins(mesh, levelset, mat):
     asm = assemble_global(mesh, levelset, mat, "efem", box_boundary(mesh.dim))
     cl = asm.classification
     cut = cl.cut_elements
-    deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.element_d[cut])
+    deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.d[mesh.elements[cut]])
     live = np.flatnonzero(~deco.degenerate)
     kept, grads = deco.take(live), mesh.grads[cut[live]]
     B, kenr = element_matrices(grads, mat, kept)
@@ -462,6 +463,20 @@ def test_sphere3d_centres_condense_every_cut():
         assert len(asm.cut_data) == asm.classification.cut_elements.size > 0
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_small_jittered_spheres_condense_every_cut(n):
+    # the bundled sphere on coarse jittered meshes, where a few tets hold
+    # the whole interface: every cut is enriched in both enriched modes
+    for seed in range(5):
+        mesh = jittered_mesh((n,) * 3, seed, amplitude=0.15)
+        cl = classify_elements(mesh, sphere_levelset())
+        assert cl.cut_elements.size > 0
+        for mode in ("efem", "efem-nod"):
+            asm = assemble_global(mesh, sphere_levelset(), sphere_materials(3.0), mode,
+                                  box_boundary(3), classification=cl)
+            assert asm.fallback_elements == [], (seed, mode)
+
+
 # ---------------------------------------------------------------------------
 # global assembly
 
@@ -498,14 +513,14 @@ def test_standard_mode_records_no_fallback():
         assert asm.fallback_elements == []
 
 
-def test_degenerate_cut_is_a_fallback_in_every_mode():
+def test_degenerate_cut_is_a_fallback_in_every_mode(monkeypatch):
+    monkeypatch.setattr(interface, "SNAP_TOL", 0.0)
     mesh = generate_structured(2, 2, 2)
     values = np.ones(mesh.n_nodes)
     values[4] = -1e-17                       # centre node: sliver children, no snapping
     for mode in MODES:
         levelset = NodalLevelSet(values)
-        asm = assemble_global(mesh, levelset, MaterialPair(3.0, 1.0), mode, box_boundary(2),
-                              classification=classify_elements(mesh, levelset, 0.0))
+        asm = assemble_global(mesh, levelset, MaterialPair(3.0, 1.0), mode, box_boundary(2))
         assert asm.classification.cut_elements.size > 0
         assert asm.fallback_elements == asm.classification.cut_elements.tolist()
 
@@ -708,7 +723,7 @@ def test_condensed_equals_explicit_block_system():
         cut = [int(e) for e in cl.cut_elements]
         enr = {e: nn + k for k, e in enumerate(cut)}
         N = nn + len(cut)
-        deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.element_d[cut])
+        deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.d[mesh.elements[cut]])
         K = standard_blocks(grads[cut], mat, deco)
         B, Kenr = element_matrices(grads[cut], mat, deco)
         D, Denr = np.zeros(B.shape), np.zeros(Kenr.shape)

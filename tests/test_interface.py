@@ -134,7 +134,7 @@ def test_snap_zero_goes_positive():
     mesh = generate_structured(2, 1, 1)
     cl = classify_elements(mesh, NodalLevelSet(np.array([0.0, -1.0, 1.0, 1.0])))
     assert cl.is_cut.tolist() == [False, True]
-    assert cl.element_d[1].tolist() == [1e-6 * np.sqrt(2.0), 1.0, -1.0]
+    assert cl.d[mesh.elements[1]].tolist() == [1e-6 * np.sqrt(2.0), 1.0, -1.0]
 
 
 def test_snap_preserves_sign():
@@ -144,7 +144,7 @@ def test_snap_preserves_sign():
     t = 1e-6 * np.sqrt(2.0)                  # the threshold: 1e-6 of the longest edge
     for tiny in (-1e-9, 1e-9):
         cl = classify_elements(mesh, NodalLevelSet(np.array([tiny, 1.0, -0.5, 0.5])))
-        assert cl.element_d[0].tolist() == [np.sign(tiny) * t, -0.5, 0.5]
+        assert cl.d[mesh.elements[0]].tolist() == [np.sign(tiny) * t, -0.5, 0.5]
 
 
 def test_split_triangle_example():

@@ -240,6 +240,15 @@ def test_jittered_mesh_moves_interior_nodes_within_the_amplitude(counts):
     assert not np.array_equal(jittered_mesh(counts, seed=4, amplitude=0.2).nodes, mesh.nodes)
 
 
+def test_default_3d_jitter_builds_valid_meshes():
+    # a quarter-cell jitter inverts tetrahedra at 16^3 (seeds 2, 7, 12, 19);
+    # the 3D default must build for every seed
+    for seed in range(20):
+        mesh = jittered_mesh((16,) * 3, seed)
+        assert mesh.n_elements == 6 * 16**3
+    assert np.abs(mesh.nodes - generate_structured(3, 16).nodes).max() <= 0.15 / 16
+
+
 @pytest.mark.parametrize("n, seed", [(1, 0), (5, 7), (27, 0), (60, 123)])
 def test_cylinder_benchmark_mesh_keeps_its_node_bits(n, seed):
     """The benchmark writes cylinder_benchmark_mesh(n, seed) as its 2D

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from efem import cli, postprocess
+from efem import cli, interface, postprocess
 from efem import mesh as mesh_io
 from efem.efem_core import MaterialPair, assemble_global
 from efem.interface import (
@@ -13,7 +13,6 @@ from efem.interface import (
     NodalLevelSet,
     PlaneLevelSet,
     SphereLevelSet,
-    classify_elements,
     split_simplex,
 )
 from efem.mesh import BoundaryTag, generate_structured
@@ -218,14 +217,14 @@ def test_mismatch_small_with_D_large_without_3d():
 
 def _edge_scan_2d(sol):
     """The 2D scan that the dimension-generic one replaced, one interior edge
-    at a time: the crossing from the edge's sorted node key and the smaller
-    element's distances, each side read by eval_in_element."""
+    at a time: the crossing from the edge's sorted node key and the nodal
+    distances, each side read by eval_in_element."""
     m = sol.mesh
     worst = 0.0
     for f in np.flatnonzero(m.face_second[:, 0] >= 0):
         e1, e2 = int(m.face_first[f, 0]), int(m.face_second[f, 0])
         a, b = m.face_keys[f]
-        da, db = (sol.element_d[e1, list(m.elements[e1]).index(v)] for v in (a, b))
+        da, db = sol.classification.d[[a, b]]
         if (da > 0.0) == (db > 0.0):
             continue
         xi = m.nodes[a] + (da / (da - db)) * (m.nodes[b] - m.nodes[a])
@@ -262,7 +261,8 @@ def test_reconstruct_is_the_enriched_field(dim):
     star = np.zeros(mesh.n_elements)
     star[sol.cut_data.ids] = sol.star
     for e in elems:
-        nodal, d, g = sol.phi[mesh.elements[e]], sol.element_d[e], mesh.grads[e]
+        conn = mesh.elements[e]
+        nodal, d, g = sol.phi[conn], sol.classification.d[conn], mesh.grads[e]
         nbar = lam[e] @ np.abs(d) - abs(lam[e] @ d)
         grad_nbar = g.T @ np.abs(d) - child[e] * (g.T @ d)
         assert abs(phi[e] - (lam[e] @ nodal + nbar * star[e])) <= 1e-14
@@ -388,7 +388,7 @@ def _reference_vtk(sol: SolutionField, path) -> None:
             cell_elem.append(e)
             cell_sign.append(1)
             continue
-        deco = split_simplex(m.nodes[conn][None], sol.element_d[e][None])
+        deco = split_simplex(m.nodes[conn][None], sol.classification.d[conn][None])
         ids = conn.tolist()                 # point p of the decomposition
         for xv in deco.points[0, m.dim + 1:m.dim + 1 + deco.n_virtual[0]]:
             ids.append(len(points))
@@ -496,14 +496,14 @@ def test_vtk_matches_reference_standard_mode(tmp_path):
     assert _assert_vtk_matches_reference(sol, tmp_path) == (sol.mesh.n_nodes, sol.mesh.n_elements)
 
 
-def test_vtk_matches_reference_with_degenerate_cut_fallback(tmp_path):
+def test_vtk_matches_reference_with_degenerate_cut_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(interface, "SNAP_TOL", 0.0)
     mesh = generate_structured(2, 8, 8)
     values = np.linalg.norm(mesh.nodes - (0.3, 0.3), axis=1) - 0.2
     far = int(np.argmin(np.linalg.norm(mesh.nodes - (0.75, 0.75), axis=1)))
     values[far] = -1e-17                 # sliver children around one node, no snapping
     levelset = NodalLevelSet(values)
-    asm, sol = _solved(mesh, levelset, "efem",
-                       classification=classify_elements(mesh, levelset, 0.0))
+    asm, sol = _solved(mesh, levelset, "efem")
     assert asm.fallback_elements and sol.cut_data
     assert not set(asm.fallback_elements) & set(sol.cut_data.ids.tolist())
     _assert_vtk_matches_reference(sol, tmp_path)

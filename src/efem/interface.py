@@ -10,6 +10,7 @@ measures sum to the parent measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -38,10 +39,17 @@ class PlaneLevelSet:
     def __init__(self, point, normal):
         self.point = _finite("plane point", point)
         n = _finite("plane normal", normal)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError(f"plane normal must be nonzero, got {normal}")
-        self.normal = n / norm
+        with np.errstate(over="ignore"):
+            sq = n.dot(n)
+        if not np.finfo(float).tiny <= sq < np.inf:
+            # the squares overflow, or fall below the normal floats and lose
+            # digits: divide by the largest component first
+            scale = np.abs(n).max()
+            if scale == 0.0:
+                raise ValueError(f"plane normal must be nonzero, got {normal}")
+            n = n / scale
+            sq = n.dot(n)
+        self.normal = n / np.sqrt(sq)
 
     def evaluate(self, points) -> np.ndarray:
         """Distances (k,) at the points (k, dim)."""
@@ -116,8 +124,12 @@ class Classification:
     """
 
     d: np.ndarray                # snapped, (n_nodes,)
-    is_cut: np.ndarray           # bool, (n_elements,)
     element_sign: np.ndarray     # +1/-1 for uncut elements, 0 for cut
+
+    @cached_property
+    def is_cut(self) -> np.ndarray:
+        """Whether each element is cut, bool (n_elements,)."""
+        return self.element_sign == 0
 
     @property
     def cut_elements(self) -> np.ndarray:
@@ -150,8 +162,7 @@ def classify_elements(mesh: Mesh, levelset) -> Classification:
     for i in range(1, mesh.dim + 1):
         seen |= code[conn[:, i]]
     sides = np.where(seen & 3, seen & 3, seen >> 2)      # 1 positive, 2 negative, 3 both
-    is_cut = sides == 3
-    return Classification(d, is_cut, np.where(is_cut, 0, np.where(sides == 1, 1, -1)))
+    return Classification(d, np.where(sides == 3, 0, np.where(sides == 1, 1, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ and the VTK export) goes through one kernel, reconstruct, which takes each
 point as an element and its barycentric coordinates there.  Those of x in
 element e are the affine map lam(x) = e_0 + mesh.grads[e] (x - X[e, 0]), so
 no per-point linear solve is needed.
+
+Points are located with one ball query of the mesh's centroid KD-tree: an
+element that holds x has its centroid within d/(d+1) times the mesh's
+longest edge of x (widened for the containment tolerance and rounding, see
+_containing), so one containment test over the ball finds every holder.
+locate_points takes the smallest (the locate rule), as line sampling does.
 """
 
 from __future__ import annotations
@@ -18,17 +24,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from efem.efem_core import AssembledSystem, CutState, hat_value
-from efem.interface import Classification
+from efem.interface import Classification, _finite
 from efem.mesh import Mesh, _write_rows, local_faces, row_blocks, row_dot, stacked_values
 
 _CONTAIN_TOL = 1e-9
-# Point location tests the elements with this many nearest centroids first.
-LOCATE_CANDIDATES = 32
 # Pieces of a segment shorter than this, relative to the mesh extent, are
 # rounding slivers where it passes through a vertex or an edge.
 _SLIVER = 1e-13
@@ -136,26 +140,34 @@ def _containing(sol: SolutionField, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """(point, element) pairs of the elements whose closure holds each point
     of the stack x (P, d).
 
-    All points share one query of the mesh's centroid KD-tree: a point's
-    candidates are the LOCATE_CANDIDATES elements with the nearest
-    centroids, and one containment test runs over every (point, candidate)
-    pair.  A point that none of its candidates holds tests every element,
-    and ValueError names a point that no element holds.
+    All points share one ball query of the mesh's centroid KD-tree, and one
+    containment test runs over every (point, candidate) pair.  The ball holds
+    every element that can hold its point: if lam_i(x) >= -tau for all i
+    (tau = _CONTAIN_TOL), x lies in the simplex scaled by 1 + (d+1) tau about
+    its centroid c, whose vertices X_k are at most d/(d+1) h from c (h the
+    mesh's longest edge).  The radius takes 1 + 2 d tau >= 1 + (d+1) tau,
+    which leaves room for the rounding of lam; rounding moves the centroids
+    and the distances by a few eps times the coordinates, and 1e-12 times
+    the largest coordinate covers that.  ValueError names the first point
+    that is not finite or that no element holds.
     """
-    n = sol.mesh.n_elements
-    k = min(LOCATE_CANDIDATES, n)
-    _, idx = sol.mesh.centroid_tree.query(x, k=k)
-    idx = idx.reshape(x.shape[0], k)
-    p, j = np.nonzero(_holds(sol, idx.ravel(), np.repeat(x, k, axis=0)).reshape(idx.shape))
-    points, elems = [p], [idx[p, j]]
-    for q in np.setdiff1d(np.arange(x.shape[0]), p):
-        # only reachable for thin stretched meshes
-        hits = np.flatnonzero(_holds(sol, np.arange(n), np.broadcast_to(x[q], (n, x.shape[1]))))
-        if hits.size == 0:
-            raise ValueError(f"point {x[q]} is outside the mesh")
-        points.append(np.full(hits.size, q))
-        elems.append(hits)
-    return np.concatenate(points), np.concatenate(elems)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} of the stack, {x[bad[0]]}, is not finite")
+    m = sol.mesh
+    d = m.dim
+    radius = ((1.0 + 2.0 * d * _CONTAIN_TOL) * d / (d + 1) * m.char_lengths.max()
+              + 1e-12 * np.abs(m.nodes).max())
+    balls = m.centroid_tree.query_ball_point(x, radius)
+    count = np.fromiter(map(len, balls), np.int64, x.shape[0])
+    cand = np.fromiter(chain.from_iterable(balls), np.int64, count.sum())
+    p = np.repeat(np.arange(x.shape[0]), count)
+    inside = _holds(sol, cand, x[p])
+    p, e = p[inside], cand[inside]
+    missing = np.flatnonzero(np.bincount(p, minlength=x.shape[0]) == 0)
+    if missing.size:
+        raise ValueError(f"point {x[missing[0]]} is outside the mesh")
+    return p, e
 
 
 def locate_points(sol: SolutionField, x) -> np.ndarray:
@@ -381,8 +393,8 @@ def sample_line(sol: SolutionField, start, end, count: int = 1001) -> LineSample
     """
     if count < 2:
         raise ValueError("count must be at least 2")
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
+    start = _finite("line start", start)
+    end = _finite("line end", end)
     v = end - start
 
     base_t = np.linspace(0.0, 1.0, count)

@@ -54,6 +54,27 @@ def test_plane_normal_is_normalized():
     assert abs(ls.evaluate(np.array([[0.0, 0.25]]))[0] - 0.25) < 1e-15
 
 
+@pytest.mark.parametrize("normal, axis", [((0.0, 1e300), (0.0, 1.0)), ((1e-170, 0.0), (1.0, 0.0))])
+def test_extreme_plane_normals_classify_as_their_axis(normal, axis):
+    """A normal whose squares overflow or underflow is the unit normal along
+    its axis, not (0, 0) or a zero-normal error."""
+    mesh = generate_structured(2, 5, 5)
+    got = classify_elements(mesh, PlaneLevelSet((0.5, 0.5), normal))
+    want = classify_elements(mesh, PlaneLevelSet((0.5, 0.5), axis))
+    assert np.array_equal(got.d, want.d) and np.array_equal(got.element_sign, want.element_sign)
+    assert got.is_cut.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=3).filter(lambda n: any(n)))
+def test_plane_normal_keeps_the_plain_normalisation(normal):
+    """Wherever the plain sum of squares is a normal float, the normal is
+    n / np.linalg.norm(n) to the bit (bundled cases pin these bits)."""
+    n = np.array(normal)
+    if np.finfo(float).tiny <= n @ n:
+        assert np.array_equal(PlaneLevelSet(np.zeros(n.size), n).normal, n / np.linalg.norm(n))
+
+
 def test_circle_distance_at_center():
     ls = CircleLevelSet((0.25, 0.75), 0.2)
     assert abs(ls.evaluate(np.array([[0.25, 0.75]]))[0] + 0.2) < 1e-15

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from efem import cli, interface, postprocess
+from efem import cli, interface
 from efem import mesh as mesh_io
 from efem.efem_core import MaterialPair, assemble_global
 from efem.interface import (
@@ -16,11 +16,10 @@ from efem.interface import (
     split_simplex,
 )
 from efem.mesh import BoundaryTag, generate_structured
-from efem.oracles import PlanarCase, box_boundary, jittered_mesh, planar_materials, planar_slopes
+from efem.oracles import PlanarCase, box_boundary, planar_materials, planar_slopes
 from efem.postprocess import (
     SolutionField,
     _barycentric_at,
-    _holds,
     build_solution,
     crossings,
     elements_containing,
@@ -113,23 +112,6 @@ def test_locate_outside_raises(planar_q3_efem):
 def test_elements_containing_outside_raises(planar_q3_efem):
     with pytest.raises(ValueError, match="outside the mesh"):
         elements_containing(planar_q3_efem, (0.5, -0.5))
-
-
-def test_location_falls_back_to_every_element(monkeypatch):
-    """With one candidate per point, a point whose nearest-centroid element
-    does not hold it is found by testing every element."""
-    monkeypatch.setattr(postprocess, "LOCATE_CANDIDATES", 1)
-    _, sol = _solved(jittered_mesh((6, 6), seed=1), CircleLevelSet((0.45, 0.55), 0.27), "efem")
-    m = sol.mesh
-    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(300, 2))
-    every = np.arange(m.n_elements)
-    holders = [np.flatnonzero(_holds(sol, every, np.broadcast_to(p, (every.size, 2)))) for p in x]
-    _, nearest = m.centroid_tree.query(x, k=1)
-    missed = [i for i, h in enumerate(holders) if nearest[i] not in h]
-    assert missed
-    assert locate_points(sol, x).tolist() == [int(h.min()) for h in holders]
-    for i in missed:
-        assert elements_containing(sol, x[i]) == holders[i].tolist()
 
 
 def test_sample_side_matches_levelset(planar_q3_efem):

@@ -327,6 +327,8 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
         "n_fallback": len(assembled.fallback_elements),
         "nodal_unknowns": mesh.n_nodes,
         "iterations": report.iterations,
+        "jacobi_iterations": report.jacobi_iterations,
+        "restart": report.restart,
         "residual": report.residual,
         "converged": report.converged,
         "interface_mismatch": interface_potential_mismatch(sol),

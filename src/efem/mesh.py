@@ -302,6 +302,19 @@ class Mesh:
 
         return cKDTree(self.nodes[self.elements].mean(axis=1))
 
+    @cached_property
+    def centroid_reach(self) -> np.ndarray:
+        """Largest distance from each element's centroid (centroid_tree.data)
+        to its vertices, computed on first point location."""
+        c = self.centroid_tree.data
+        sq = np.zeros(self.n_elements)
+        for k in range(self.dim + 1):
+            t = self.nodes[self.elements[:, k]] - c
+            np.maximum(sq, row_dot(t, t), out=sq)
+        np.sqrt(sq, out=sq)
+        sq.setflags(write=False)
+        return sq
+
 
 def _face_codes(dim: int, n_nodes: int, perm: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
     """Sorted node keys of every face slot, packed into exact int64 codes.

@@ -13,9 +13,11 @@ element e are the affine map lam(x) = e_0 + mesh.grads[e] (x - X[e, 0]), so
 no per-point linear solve is needed.
 
 Points are located with one ball query of the mesh's centroid KD-tree: an
-element that holds x has its centroid within d/(d+1) times the mesh's
-longest edge of x (widened for the containment tolerance and rounding, see
-_containing), so one containment test over the ball finds every holder.
+element that holds x has its centroid within its own largest
+vertex-to-centroid distance of x, and so within d/(d+1) times the mesh's
+longest edge (both widened for the containment tolerance and rounding, see
+_containing).  One containment test over the ball's candidates within
+their own reach finds every holder.
 locate_points takes the smallest (the locate rule), as line sampling does.
 """
 
@@ -140,28 +142,40 @@ def _containing(sol: SolutionField, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """(point, element) pairs of the elements whose closure holds each point
     of the stack x (P, d).
 
-    All points share one ball query of the mesh's centroid KD-tree, and one
-    containment test runs over every (point, candidate) pair.  The ball holds
-    every element that can hold its point: if lam_i(x) >= -tau for all i
-    (tau = _CONTAIN_TOL), x lies in the simplex scaled by 1 + (d+1) tau about
-    its centroid c, whose vertices X_k are at most d/(d+1) h from c (h the
-    mesh's longest edge).  The radius takes 1 + 2 d tau >= 1 + (d+1) tau,
-    which leaves room for the rounding of lam; rounding moves the centroids
-    and the distances by a few eps times the coordinates, and 1e-12 times
-    the largest coordinate covers that.  ValueError names the first point
-    that is not finite or that no element holds.
+    All points share one ball query of the mesh's centroid KD-tree, each
+    candidate is kept only within its own element's reach, and one
+    containment test runs over the kept (point, candidate) pairs.  If
+    lam_i(x) >= -tau for all i (tau = _CONTAIN_TOL), x lies in the simplex
+    scaled by 1 + (d+1) tau about its centroid c, whose vertices lie within
+    (1 + (d+1) tau) rho of c (rho the element's largest vertex-to-centroid
+    distance, mesh.centroid_reach), and so does x.  Every rho is at most
+    d/(d+1) h (h the mesh's longest edge), which sizes the ball.  Both
+    bounds take 1 + 2 d tau >= 1 + (d+1) tau, which leaves room for the
+    rounding of lam; rounding moves the centroids and the distances by a
+    few eps times the coordinates, and 1e-12 times the largest coordinate
+    covers that.  ValueError names the first point that is not finite or
+    that no element holds.
     """
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"point {bad[0]} of the stack, {x[bad[0]]}, is not finite")
     m = sol.mesh
     d = m.dim
-    radius = ((1.0 + 2.0 * d * _CONTAIN_TOL) * d / (d + 1) * m.char_lengths.max()
-              + 1e-12 * np.abs(m.nodes).max())
-    balls = m.centroid_tree.query_ball_point(x, radius)
+    widen = 1.0 + 2.0 * d * _CONTAIN_TOL
+    slack = 1e-12 * np.abs(m.nodes).max()
+    tree = m.centroid_tree
+    balls = tree.query_ball_point(x, widen * d / (d + 1) * m.char_lengths.max() + slack,
+                                  return_sorted=False)
     count = np.fromiter(map(len, balls), np.int64, x.shape[0])
     cand = np.fromiter(chain.from_iterable(balls), np.int64, count.sum())
     p = np.repeat(np.arange(x.shape[0]), count)
+    sq = np.zeros(cand.size)
+    for k in range(d):
+        gap = x[p, k] - tree.data[cand, k]
+        sq += gap * gap
+    reach = widen * m.centroid_reach[cand] + slack
+    near = sq <= reach * reach
+    p, cand = p[near], cand[near]
     inside = _holds(sol, cand, x[p])
     p, e = p[inside], cand[inside]
     missing = np.flatnonzero(np.bincount(p, minlength=x.shape[0]) == 0)

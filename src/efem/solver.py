@@ -4,8 +4,10 @@ The condensed matrix is nonsymmetric whenever the displacement terms are
 active, so the workhorse is BiCGSTAB.  It starts with diagonal (Jacobi)
 preconditioning, which is cheapest for the well-conditioned 3D systems, and
 its single restart switches to a smoothed-aggregation AMG V-cycle, which
-the Poisson-like 2D systems on fine meshes need.  Sparse LU serves the
-``--direct`` path.
+the Poisson-like 2D systems on fine meshes need.  The restart comes as soon
+as the Jacobi phase falls behind the geometric pace that would reach tol in
+``AMG_AFTER`` iterations.  Sparse LU serves the ``--direct`` path;
+scipy.sparse.linalg is imported on the first factorization only.
 
 Both paths work on the matrix's stored nonzeros (``stored_nonzeros``),
 and the same pass rejects non-finite input.  Assembly keeps the full P1
@@ -27,17 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-# Jacobi iterations before BiCGSTAB restarts with the AMG preconditioner.
-# Building the hierarchy costs about as much as 70 Jacobi iterations at 2D
-# n=200 and 135 at 3D n=32, so a system that Jacobi would solve just after
-# the switch pays at most about twice the better of the two preconditioners
-# in 2D and about 2.6 times in 3D; the 3D n=32 sphere systems need 74 to 88
-# Jacobi iterations and never build the hierarchy.
+# Pace of the Jacobi phase: BiCGSTAB restarts with the AMG preconditioner
+# once its recursive residual after iteration k exceeds tol ** (k / AMG_AFTER)
+# of |b|, the geometric pace that reaches tol at k = AMG_AFTER, where the
+# Jacobi phase ends in any case.  On the benchmark systems (tol 1e-8) the
+# 3D n=32 sphere residuals peak at 0.10 of the pace line (k = 47), so those
+# solves (75 to 81 iterations, seeds 1 to 20) never build the hierarchy,
+# while every 2D n=200 sweep system falls behind it at k = 28 and the
+# perturbed 2D cylinder meshes at k = 24, and AMG finishes them 7 to 11
+# iterations later.  Building the hierarchy costs about as much as 70
+# Jacobi iterations at 2D n=200 and 135 at 3D n=32, which is why the 3D
+# systems should not switch.
 AMG_AFTER = 100
 # Iteration cap of the AMG phase.  An AMG iteration costs five to six Jacobi
-# ones; the converging systems measured need at most 83 (2D n=200, q=1e4,
+# ones; the converging systems measured need at most 89 (2D n=200, q=1e4,
 # efem), and without the cap a stalled solve would run up to the overall
 # cap of 10 n iterations.
 AMG_MAX_ITER = 1000
@@ -59,6 +65,8 @@ class SolveReport:
     residual: float          # final true relative residual |Ax-b| / |b|
     converged: bool
     method: str = "bicgstab"  # "bicgstab-amg" when the AMG phase finished the solve
+    jacobi_iterations: int = 0   # length of the Jacobi phase
+    restart: str = ""         # why the AMG phase began: "behind pace" or "breakdown"
 
     @property
     def restarted(self) -> bool:
@@ -226,7 +234,7 @@ class SmoothedAggregation:
         diag = np.abs(A.diagonal())
         self._scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
         S = sp.diags(self._scale)
-        self._lu = spla.splu((S @ A @ S).tocsc())
+        self._lu = _splu(S @ A @ S)
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         return self._cycle(0, b)
@@ -278,14 +286,16 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     error is still large.  The reported residual is always the true relative
     one, recomputed from the final iterate.
 
-    The iteration starts from zero with Jacobi preconditioning.  On a rho or
-    omega breakdown, or after ``AMG_AFTER`` iterations without convergence,
-    it restarts once from the current iterate with a fresh shadow residual
-    and a smoothed-aggregation V-cycle as preconditioner, for at most
-    ``AMG_MAX_ITER`` further iterations; a second breakdown reports failure.
-    No solve runs past 10 n iterations in all.  Both phases run on
-    ``stored_nonzeros(A, b)``, so non-finite input raises before the first
-    iteration.
+    The iteration starts from zero with Jacobi preconditioning.  It restarts
+    once from the current iterate, with a fresh shadow residual and a
+    smoothed-aggregation V-cycle as preconditioner, for at most
+    ``AMG_MAX_ITER`` further iterations, on a rho or omega breakdown or as
+    soon as the recursive residual falls behind the pace that reaches tol in
+    ``AMG_AFTER`` iterations: |r_k| / |b| > tol ** (k / AMG_AFTER) after
+    iteration k, which at k = ``AMG_AFTER`` is tol itself.  A second
+    breakdown reports failure.  No solve runs past 10 n iterations in all.
+    Both phases run on ``stored_nonzeros(A, b)``, so non-finite input raises
+    before the first iteration.
     """
     A = stored_nonzeros(A, b)
     n = b.shape[0]
@@ -301,22 +311,28 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     x = np.zeros(n)
     tiny = 1e-300
 
-    def true_rel_residual(xv):
-        return float(np.linalg.norm(b - A @ xv)) / bnorm
+    def rel(res_vec):
+        return float(np.linalg.norm(res_vec)) / bnorm
 
-    def small(res_vec):
-        if float(np.linalg.norm(res_vec)) / bnorm > tol:
+    def small(res_vec, res_rel):
+        """Both tests, given res_rel = rel(res_vec)."""
+        if res_rel > tol:
             return False
         return float(np.linalg.norm(minv * res_vec)) / mbnorm <= tol
 
-    iterations = 0
-    method = "bicgstab"
+    iterations = jacobi_iterations = 0
+    method, restart = "bicgstab", ""
+
+    def report(xv, res_rel, converged):
+        jacobi = iterations if method == "bicgstab" else jacobi_iterations
+        return xv, SolveReport(iterations, res_rel, converged, method, jacobi, restart)
+
     precond = minv.__mul__
     stop = min(max_iter, AMG_AFTER)
     for attempt in range(2):             # attempt 1 is the single allowed restart
         if attempt == 1:
             precond = SmoothedAggregation(A)
-            method = "bicgstab-amg"
+            method, jacobi_iterations = "bicgstab-amg", iterations
             stop = min(max_iter, iterations + AMG_MAX_ITER)
         r = b - A @ x                    # fresh (shadow) residual per attempt
         r_hat = r.copy()
@@ -341,12 +357,11 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
             alpha = rho / denom
             s = r - alpha * v
             iterations += 1
-            if small(s):
+            if small(s, rel(s)):
                 x_try = x + alpha * p_hat
                 true_res = b - A @ x_try
-                if small(true_res):
-                    return x_try, SolveReport(iterations, float(np.linalg.norm(true_res)) / bnorm,
-                                              True, method)
+                if small(true_res, res_rel := rel(true_res)):
+                    return report(x_try, res_rel, True)
             s_hat = precond(s)
             t = A @ s_hat
             tt = float(t @ t)
@@ -356,20 +371,32 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
             omega = float(t @ s) / tt
             x = x + alpha * p_hat + omega * s_hat
             r = s - omega * t
-            if small(r):
+            if small(r, r_rel := rel(r)):
                 true_res = b - A @ x
-                if small(true_res):
-                    return x, SolveReport(iterations, float(np.linalg.norm(true_res)) / bnorm,
-                                          True, method)
+                if small(true_res, res_rel := rel(true_res)):
+                    return report(x, res_rel, True)
+            if attempt == 0 and r_rel > tol ** (iterations / AMG_AFTER):
+                break                    # behind the pace to tol
         if not broke and iterations >= max_iter:
             break                        # ran out of iterations
+        if attempt == 0:
+            restart = "breakdown" if broke else "behind pace"
 
-    return x, SolveReport(iterations, true_rel_residual(x), False, method)
+    return report(x, rel(b - A @ x), False)
+
+
+def _splu(A: sp.spmatrix):
+    """SuperLU factor of A.  scipy.sparse.linalg is imported here, on the
+    first factorization: a process that never factors (a planar solve, or a
+    3D sphere solve that stays on Jacobi) skips its import, about 0.1 s."""
+    from scipy.sparse.linalg import splu
+
+    return splu(A.tocsc())
 
 
 def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Sparse LU (SuperLU, COLAMD ordering) of A's stored nonzeros, at any size."""
-    return spla.splu(stored_nonzeros(A, b).tocsc()).solve(np.asarray(b, dtype=float))
+    return _splu(stored_nonzeros(A, b)).solve(np.asarray(b, dtype=float))
 
 
 def solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8,

@@ -46,7 +46,7 @@ CYLINDER_CASE = resources.files("efem").joinpath("cases", "cylinder.cfg").read_t
 
 SUMMARY_KEYS = {
     "case", "mode", "method", "n_nodes", "n_elements", "n_cut", "n_fallback",
-    "nodal_unknowns", "iterations", "residual", "converged",
+    "nodal_unknowns", "iterations", "jacobi_iterations", "restart", "residual", "converged",
     "interface_mismatch", "lines", "vtk", "wall_time_s",
 }
 
@@ -225,6 +225,7 @@ def test_solve_writes_summary_and_artifacts(tmp_path, capsys):
     assert summary["case"] == "planar_q3"
     assert summary["mode"] == "efem"
     assert summary["method"] == "bicgstab"
+    assert summary["restart"] == "" and summary["jacobi_iterations"] == summary["iterations"]
     assert summary["converged"] is True
     assert summary["n_cut"] > 0
     assert summary["n_fallback"] == 0
@@ -417,3 +418,15 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "summary.json").exists()
+
+
+def test_planar_solve_never_imports_sparse_linalg(tmp_path):
+    """Only a factorization (the coarsest AMG level, --direct) imports
+    scipy.sparse.linalg; a planar solve stays on Jacobi and skips it."""
+    code = ("import sys\n"
+            "from efem.cli import main\n"
+            f"assert main(['solve', 'planar_q3', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

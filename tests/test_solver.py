@@ -10,8 +10,9 @@ import scipy.sparse as sp
 from efem import solver
 from efem.efem_core import assemble_global
 from efem.mesh import generate_structured
-from efem.oracles import (box_boundary, cylinder_levelset, cylinder_materials,
-                          planar_levelset, planar_materials)
+from efem.oracles import (SphereCase, analytic_boundary, box_boundary, cylinder_levelset,
+                          cylinder_materials, planar_levelset, planar_materials, sphere_levelset,
+                          sphere_materials)
 from efem.solver import AMG_AFTER, SolveReport, bicgstab, direct_solve, jacobi_precondition, solve
 
 
@@ -141,7 +142,7 @@ def test_non_finite_input_is_rejected_naming_the_row(where, bad, direct):
         b[417] = bad
         message = "in b at row 417$"
     factored, iterated = AssertionError("factored"), AssertionError("iterated")
-    with mock.patch.object(solver.spla, "splu", side_effect=factored), \
+    with mock.patch.object(solver, "_splu", side_effect=factored), \
             mock.patch.object(solver, "jacobi_precondition", side_effect=iterated):
         with pytest.raises(ValueError, match=message):
             solve(A, b, direct=direct)
@@ -153,13 +154,15 @@ def fine_2d_mesh():
 
 
 def test_fine_2d_solve_switches_to_amg(fine_2d_mesh):
-    """2D n=200, q=100: Jacobi stalls, the AMG restart converges quickly."""
+    """2D n=200, q=100: Jacobi falls behind the pace to tol within about 30
+    iterations, and the AMG restart converges quickly."""
     asm = assemble_global(fine_2d_mesh, cylinder_levelset(), cylinder_materials(100.0), "efem",
                           box_boundary(2))
     x, rep = bicgstab(asm.matrix, asm.rhs)
     assert rep.converged and rep.restarted
-    assert rep.method == "bicgstab-amg"
-    assert AMG_AFTER < rep.iterations <= AMG_AFTER + 30
+    assert rep.method == "bicgstab-amg" and rep.restart == "behind pace"
+    assert 0 < rep.jacobi_iterations <= 40
+    assert rep.jacobi_iterations < rep.iterations <= rep.jacobi_iterations + 30
     ref = direct_solve(asm.matrix, asm.rhs)
     assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
 
@@ -175,12 +178,27 @@ def test_high_contrast_amg_solve_reaches_tol(fine_2d_mesh):
 
 
 def test_amg_phase_is_capped(monkeypatch):
-    """The AMG phase stops at its own cap, well before the overall cap of 10 n."""
+    """The AMG phase stops at its own cap, well before the overall cap of 10 n.
+    At tol=1e-300 the pace line after iteration 1 is 1e-3, so the switch
+    comes right after it."""
     monkeypatch.setattr(solver, "AMG_MAX_ITER", 5)
     mesh = generate_structured(2, 30, 30)
     asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", box_boundary(2))
     x, rep = bicgstab(asm.matrix, asm.rhs, tol=1e-300)
     assert not rep.converged and rep.method == "bicgstab-amg"
-    assert rep.iterations == AMG_AFTER + 5
+    assert rep.restart == "behind pace" and rep.jacobi_iterations == 1
+    assert rep.iterations - rep.jacobi_iterations == 5
     check = np.linalg.norm(asm.rhs - asm.matrix @ x) / np.linalg.norm(asm.rhs)
     assert abs(rep.residual - check) < 1e-12
+
+
+def test_3d_sphere_system_stays_on_jacobi():
+    """The benchmark's 3D sphere system (n=32, q=3, analytic boundary; here
+    centred) stays ahead of the pace to tol, so it never builds the AMG
+    hierarchy."""
+    exact = SphereCase(3.0)
+    asm = assemble_global(generate_structured(3, 32), sphere_levelset(), sphere_materials(3.0),
+                          "efem", analytic_boundary(3, exact.phi))
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    assert rep.converged and rep.method == "bicgstab"
+    assert rep.restart == "" and rep.jacobi_iterations == rep.iterations < AMG_AFTER

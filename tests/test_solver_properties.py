@@ -6,7 +6,8 @@ enough for a two- or three-level hierarchy.  The V-cycle must be a
 fixed linear operator, repeatable bit for bit; Dirichlet rows must stay out
 of every aggregate; every coarse matrix must keep a positive diagonal; and
 BiCGSTAB with the V-cycle from its first iteration must pass the dual
-stopping test and agree with sparse LU.  Explicit zeros stored anywhere
+stopping test and agree with sparse LU; a solve that never restarts must be
+the plain Jacobi solve.  Explicit zeros stored anywhere
 in a system change no solve, iterative or direct, in any bit.
 """
 
@@ -123,6 +124,25 @@ def test_amg_bicgstab_passes_dual_test_and_agrees_with_lu(case):
     assert rep.residual == np.linalg.norm(res) / np.linalg.norm(b)
     ref = direct_solve(A, b)
     assert np.abs(x - ref).max() <= AGREE_RTOL * np.abs(ref).max()
+
+
+@given(cut_systems())
+@settings(max_examples=25, deadline=None)
+def test_solves_that_keep_the_pace_match_plain_jacobi(case):
+    """A solve that never falls behind the pace to tol is the Jacobi solve
+    that never restarts, bit for bit, with the same report."""
+    asm = _assemble(case)
+    A, b = asm.matrix, asm.rhs
+    x, rep = bicgstab(A, b)
+    if rep.method != "bicgstab":
+        assert rep.restart in ("behind pace", "breakdown")
+        assert 0 <= rep.jacobi_iterations < rep.iterations
+        return
+    assert rep.restart == "" and rep.jacobi_iterations == rep.iterations
+    with mock.patch.object(solver, "AMG_AFTER", 10**9):
+        x_plain, rep_plain = bicgstab(A, b)
+    assert rep_plain == rep
+    assert np.array_equal(x_plain, x)
 
 
 def _with_stored_zeros(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,

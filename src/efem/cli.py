@@ -253,6 +253,8 @@ def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
                 return read_mesh(real)
     except MeshError as exc:
         raise ConfigError(f"mesh: file {cfg.mesh_file!r}: {exc}") from exc
+    except OSError as exc:          # a directory, no read permission, ...
+        raise ConfigError(f"mesh: file {cfg.mesh_file!r}: cannot read: {exc.strerror or exc}") from exc
     raise ConfigError(f"mesh: file {cfg.mesh_file!r} not found")
 
 

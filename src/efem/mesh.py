@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, filterfalse
 from typing import Callable, Iterable
 
 import numpy as np
@@ -904,7 +905,18 @@ def _d_slots(values: np.ndarray, slots: np.ndarray) -> None:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w") as f:
+    """Write mesh as a UTF-8 mesh file that read_mesh reads back bit for bit.
+
+    A boundary tag must be a non-empty str without whitespace or '#', the
+    one token a row can hold; any other raises ValueError before the file
+    is opened.
+    """
+    for i, (e, lf, tag) in enumerate(mesh.boundary_faces):
+        if not isinstance(tag, str) or tag.split() != [tag] or "#" in tag:
+            raise ValueError(f"boundary face {i} (element {e}, local face {lf}) has tag {tag!r}, "
+                             "which a mesh file cannot hold: a tag is one token, a non-empty "
+                             "str without whitespace or '#'")
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary_faces)}\n")
         _write_rows(f, " ".join(["%.17g"] * mesh.dim) + "\n", mesh.nodes)
         _write_rows(f, " ".join(["%d"] * (mesh.dim + 1)) + "\n", mesh.elements)
@@ -912,70 +924,124 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
-    """Read a mesh text file in one linear pass, naming the line of any parse error.
+    """Read a UTF-8 mesh text file in one linear pass, naming the line of any parse error.
 
     The header counts are checked against the file's rows before anything is
-    allocated; each block's row lengths are checked and its tokens converted
-    at once.
+    allocated.  The node and the element block are each parsed by one call
+    into numpy's C text reader; a block it refuses is parsed again token by
+    token, which accepts it as float() and int() do or names its first
+    faulty row.
     """
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     lines = text.split("\n")        # not splitlines(), which also breaks at \x0b, \x0c, ...
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-        text = "\n".join(lines)
-    tokens = text.split()
-    sizes = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
-    linenos, sizes = np.flatnonzero(sizes) + 1, sizes[sizes > 0]     # blank lines dropped
-    off = np.concatenate([[0], np.cumsum(sizes)])       # row r holds tokens[off[r]:off[r + 1]]
-    if not sizes.size:
+    rows = list(filterfalse(str.isspace, filter(None, lines)))     # the lines holding tokens
+
+    def lineno(r: int) -> int:      # line number of row r; only error messages need it
+        return int(np.flatnonzero([bool(line) and not line.isspace() for line in lines])[r]) + 1
+
+    if not rows:
         raise MeshError("unexpected end of file: expected header "
                         "'dim n_nodes n_elements n_boundary_faces'")
-    dim, counts = _header(tokens[:off[1]], linenos[0])
+    try:
+        dim, counts = _header(rows[0].split())
+    except MeshError as exc:
+        raise MeshError(f"line {lineno(0)}: {exc}") from None
     starts = list(accumulate([1, *counts]))
     for k, what in enumerate(("node", "element", "boundary face")):
-        if sizes.size < starts[k + 1]:
-            raise MeshError(f"unexpected end of file: expected {what} {sizes.size - starts[k]}")
+        if len(rows) < starts[k + 1]:
+            raise MeshError(f"unexpected end of file: expected {what} {len(rows) - starts[k]}")
 
-    def block(k, width, convert, bad_token, bad_size):
-        r0, r1 = starts[k], starts[k + 1]
-        wrong = np.flatnonzero(sizes[r0:r1] != width)
-        n_ok = int(wrong[0]) if wrong.size else r1 - r0
-        try:
-            values = convert(tokens[off[r0]:off[r0 + n_ok]])
-        except (ValueError, OverflowError):     # only now look for the row that failed
-            i = _first_failing(convert, tokens, off[r0:r0 + n_ok + 1])
-            raise MeshError(f"line {linenos[r0 + i]}: {bad_token} {i}") from None
-        if wrong.size:
-            raise MeshError(f"line {linenos[r0 + n_ok]}: {bad_size.format(n_ok, sizes[r0 + n_ok])}")
+    def block(k, width, convert, bad_token, bad_size, kind=None):
+        part = rows[starts[k]:starts[k + 1]]
+        values = None if kind is None else _c_parse(part, kind, width)
+        if values is None:
+            values = _token_parse(part, width, convert, bad_token, bad_size,
+                                  lambda i: lineno(starts[k] + i))
         return values
 
     nodes = block(0, dim, _table(float, dim), "bad coordinate in node",
-                  f"node {{}} needs {dim} coordinates, got {{}}")
+                  f"node {{}} needs {dim} coordinates, got {{}}", float)
     elements = block(1, dim + 1, _table(int, dim + 1), "bad node index in element",
-                     f"element {{}} needs {dim + 1} node indices, got {{}}")
+                     f"element {{}} needs {dim + 1} node indices, got {{}}", int)
     boundary = block(2, 3, lambda t: list(zip(map(int, t[0::3]), map(int, t[1::3]), t[2::3])),
                      "bad boundary face", "boundary face {} needs 'element local_face tag'")
-    if sizes.size > starts[3]:
-        raise MeshError(f"line {linenos[starts[3]]}: trailing content after mesh data")
+    if len(rows) > starts[3]:
+        raise MeshError(f"line {lineno(starts[3])}: trailing content after mesh data")
     if (bad := _first_non_finite(nodes)) is not None:
-        raise MeshError(f"line {linenos[1 + bad]}: node {bad} has a non-finite coordinate")
+        raise MeshError(f"line {lineno(1 + bad)}: node {bad} has a non-finite coordinate")
     return Mesh.build(dim, nodes, elements, boundary)
 
 
-def _header(head: list, lineno: int) -> tuple[int, list]:
+def _not_utf8(path) -> MeshError:
+    """The MeshError naming the line of the first byte of path that is not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]     # a line ends at \n, \r\n or \r, as in text mode
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return MeshError(f"line {line}: not UTF-8 text ({exc.reason})")
+    return MeshError("not UTF-8 text")
+
+
+def _header(head: list) -> tuple[int, list]:
     """dim and the three block sizes of a header row, checked before any allocation."""
     try:
         dim, n_nodes, n_elems, n_bfaces = (int(t) for t in head)
     except (ValueError, TypeError):
-        raise MeshError(f"line {lineno}: malformed header {' '.join(head)!r}")
+        raise MeshError(f"malformed header {' '.join(head)!r}")
     if dim not in (2, 3):
-        raise MeshError(f"line {lineno}: dim must be 2 or 3, got {dim}")
+        raise MeshError(f"dim must be 2 or 3, got {dim}")
     counts = {"n_nodes": n_nodes, "n_elements": n_elems, "n_boundary_faces": n_bfaces}
     for name, n in counts.items():
         if n < 0:
-            raise MeshError(f"line {lineno}: {name} must be non-negative, got {n}")
+            raise MeshError(f"{name} must be non-negative, got {n}")
     return dim, list(counts.values())
+
+
+def _c_parse(rows: list, kind, width: int) -> np.ndarray | None:
+    """rows as a (len(rows), width) array of kind (float or int) from numpy's C text reader.
+
+    None where the reader refuses them: it raised, warned (numpy 1.23-1.26
+    parse an int through a float with only a DeprecationWarning) or gave
+    another shape.  It splits at the characters str.split does, and each
+    token it converts, float() and int() convert to the same bits; tokens
+    only Python takes (1_000, Unicode digits) make it refuse.
+    """
+    if not rows:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(rows, dtype=kind, comments=None, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
+    return values if values.shape == (len(rows), width) else None
+
+
+def _token_parse(rows: list, width: int, convert, bad_token: str, bad_size: str, lineno):
+    """rows split into tokens and converted at once, or a MeshError naming the first faulty row.
+
+    A row faults with a token convert rejects, or with a length other than
+    width; lineno(i) is the line number of row i.
+    """
+    split = [row.split() for row in rows]
+    n_ok = next((i for i, toks in enumerate(split) if len(toks) != width), len(split))
+    try:
+        values = convert(list(chain.from_iterable(split[:n_ok])))
+    except (ValueError, OverflowError):     # only now look for the row that failed
+        i = _first_failing(convert, split[:n_ok])
+        raise MeshError(f"line {lineno(i)}: {bad_token} {i}") from None
+    if n_ok < len(split):
+        raise MeshError(f"line {lineno(n_ok)}: {bad_size.format(n_ok, len(split[n_ok]))}")
+    return values
 
 
 def _table(kind, width: int):
@@ -983,10 +1049,10 @@ def _table(kind, width: int):
     return lambda tokens: np.fromiter(map(kind, tokens), kind, len(tokens)).reshape(-1, width)
 
 
-def _first_failing(convert, tokens: list, off: np.ndarray) -> int:
-    """Index of the first row, tokens[off[i]:off[i + 1]], that convert rejects."""
-    for i in range(off.size - 1):
+def _first_failing(convert, split: list) -> int:
+    """Index of the first row of tokens that convert rejects."""
+    for i, toks in enumerate(split):
         try:
-            convert(tokens[off[i]:off[i + 1]])
+            convert(toks)
         except (ValueError, OverflowError):     # OverflowError: an index beyond int64
             return i

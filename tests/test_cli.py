@@ -186,6 +186,22 @@ def test_malformed_mesh_file_exits_2_naming_line(tmp_path, capsys, old, new, nam
     assert f"config error: mesh: file 'cylinder_h0375.msh': {named}" in capsys.readouterr().err
 
 
+def test_mesh_path_that_cannot_be_read_exits_2_naming_file(tmp_path, capsys):
+    (tmp_path / "cylinder_h0375.msh").mkdir()
+    rc = main(["solve", write_case(tmp_path, CYLINDER_CASE), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error: mesh: file 'cylinder_h0375.msh': cannot read" in capsys.readouterr().err
+
+
+def test_mesh_file_that_is_not_utf8_exits_2_naming_line(tmp_path, capsys):
+    mesh_bytes = resources.files("efem").joinpath("cases", "cylinder_h0375.msh").read_bytes()
+    (tmp_path / "cylinder_h0375.msh").write_bytes(mesh_bytes.replace(b"\n0 28 29\n", b"\n0 28 \xff\n", 1))
+    rc = main(["solve", write_case(tmp_path, CYLINDER_CASE), "--out", str(tmp_path)])
+    assert rc == 2
+    assert ("config error: mesh: file 'cylinder_h0375.msh': line 786: not UTF-8 text "
+            "(invalid start byte)") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("old, new, named", [
     ("\n0 28 29\n", "\n0 28 99999999999999999999\n", "line 786: bad node index in element 0"),
     ("\n0 0 bottom\n", "\n99999999999999999999 0 bottom\n",

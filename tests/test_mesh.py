@@ -1,6 +1,7 @@
 """Structured generation, text round-trips and P1 geometry."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ def test_read_names_first_fault_in_file_order(tmp_path, old, new, message):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("rows, change, message", [
+    (range(1, 5), " 0", "line 2: node 0 needs 2 coordinates, got 3"),
+    (range(5, 7), " 0", "line 6: element 0 needs 3 node indices, got 4"),
+    (range(5, 7), None, "line 6: element 0 needs 3 node indices, got 2"),
+])
+def test_read_names_first_row_when_every_row_of_a_block_is_misshapen(tmp_path, rows, change,
+                                                                      message):
+    lines = [line.split("#")[0].strip() for line in UNIT_SQUARE_FILE.splitlines()]
+    for r in rows:
+        lines[r] = lines[r] + change if change else lines[r].rsplit(" ", 1)[0]
+    path = tmp_path / "bad.msh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        read_mesh(path)
+
+
 def test_read_truncated_file(tmp_path):
     path = tmp_path / "bad.msh"
     lines = UNIT_SQUARE_FILE.splitlines()[:6]
@@ -286,6 +303,39 @@ def test_round_trip_3d(tmp_path):
     back = read_mesh(path)
     assert np.array_equal(back.elements, mesh.elements)
     assert np.array_equal(back.nodes, mesh.nodes)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_read_names_line_of_bytes_that_are_not_utf8(tmp_path, end):
+    path = tmp_path / "bad.msh"
+    text = UNIT_SQUARE_FILE.replace("\n", end).encode()
+    path.write_bytes(text.replace(b"1 0", b"1 \xff", 1))
+    with pytest.raises(MeshError, match=r"^line 3: not UTF-8 text \(invalid start byte\)$"):
+        read_mesh(path)
+
+
+def test_tags_are_written_and_read_as_utf8(tmp_path):
+    mesh = generate_structured(2, 2, 2)
+    faces = [(e, lf, {"left": "côté", "top": "上"}.get(tag, tag))
+             for e, lf, tag in mesh.boundary_faces]
+    mesh = Mesh.build(2, mesh.nodes, mesh.elements, faces)
+    path = tmp_path / "utf8.msh"
+    write_mesh(mesh, path)
+    assert "côté".encode() in path.read_bytes() and "上".encode() in path.read_bytes()
+    assert read_mesh(path).boundary_faces == faces
+
+
+@pytest.mark.parametrize("tag", ["left side", "a#b", "", "tab\there", "end\n", "\x0b", 7, None])
+def test_write_rejects_tag_that_cannot_be_read_back(tmp_path, tag):
+    mesh = generate_structured(2, 1, 1)
+    e, lf, _ = mesh.boundary_faces[2]
+    faces = [(e, lf, tag) if i == 2 else face for i, face in enumerate(mesh.boundary_faces)]
+    mesh = Mesh.build(2, mesh.nodes, mesh.elements, faces)
+    path = tmp_path / "tags.msh"
+    message = f"boundary face 2 (element {e}, local face {lf}) has tag {tag!r}, "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        write_mesh(mesh, path)
+    assert not path.exists()
 
 
 def test_build_rejects_repeated_node():

@@ -16,6 +16,7 @@ file, and non-finite coordinates.
 import itertools
 import math
 import tempfile
+import warnings
 from importlib import resources
 from itertools import accumulate
 from pathlib import Path
@@ -280,7 +281,7 @@ def test_packed_keys_stay_exact_past_2_21_nodes():
 
 
 def _oracle_write_mesh(mesh, path):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary_faces)}\n")
         for x in mesh.nodes:
             f.write(" ".join(f"{v:.17g}" for v in x) + "\n")
@@ -292,7 +293,7 @@ def _oracle_write_mesh(mesh, path):
 
 def _oracle_read_mesh(path):
     rows = []
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             text = raw.split("#", 1)[0].strip()
             if text:
@@ -359,7 +360,7 @@ def _outcome(read, path):
 def _rows(path):
     """(line number, tokens) of each row of a mesh file that holds tokens."""
     rows = [(i, line.split("#", 1)[0].split())
-            for i, line in enumerate(Path(path).read_text().split("\n"), start=1)]
+            for i, line in enumerate(Path(path).read_text("utf-8").split("\n"), start=1)]
     return [r for r in rows if r[1]]
 
 
@@ -441,6 +442,23 @@ def _write(tmp, text):
 @given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False),
        rows_per_write=st.sampled_from([mesh_io._ROW_BLOCK, 1, 5]))
 def test_round_trip_matches_oracle(mesh, rnd, rows_per_write):
+    _round_trip_case(mesh, rnd, rows_per_write)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False),
+       rows_per_write=st.sampled_from([mesh_io._ROW_BLOCK, 1, 5]))
+def test_round_trip_matches_oracle_token_by_token(mesh, rnd, rows_per_write):
+    with _c_parser_refuses():
+        _round_trip_case(mesh, rnd, rows_per_write)
+
+
+def _c_parser_refuses():
+    """numpy's C text reader refusing every block: each block takes the token-by-token path."""
+    return mock.patch.object(mesh_io, "_c_parse", lambda *args: None)
+
+
+def _round_trip_case(mesh, rnd, rows_per_write):
     with tempfile.TemporaryDirectory() as tmp:
         plain, old = Path(tmp) / "new.msh", Path(tmp) / "old.msh"
         with mock.patch.object(mesh_io, "_ROW_BLOCK", rows_per_write):
@@ -502,6 +520,18 @@ def _mutate(lines, counts, rnd):
 @given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False),
        decorate=st.booleans(), cut=st.floats(0.0, 1.0))
 def test_mutated_file_error_matches_oracle(mesh, rnd, decorate, cut):
+    _mutated_file_case(mesh, rnd, decorate, cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False),
+       decorate=st.booleans(), cut=st.floats(0.0, 1.0))
+def test_mutated_file_error_matches_oracle_token_by_token(mesh, rnd, decorate, cut):
+    with _c_parser_refuses():
+        _mutated_file_case(mesh, rnd, decorate, cut)
+
+
+def _mutated_file_case(mesh, rnd, decorate, cut):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "clean.msh"
         write_mesh(mesh, path)
@@ -522,3 +552,108 @@ def test_benchmark_meshes_read_as_oracle(tmp_path, source):
     path = tmp_path / "bench.msh"
     write_mesh(cylinder_benchmark_mesh(n=100, seed=source), path)
     assert _outcome(read_mesh, path) == _outcome(_oracle_read_mesh, path)
+
+
+# ---------------------------------------------------------------------------
+# numpy's C text reader against the token-by-token path
+#
+# read_mesh parses the node and the element block with numpy's C text
+# reader and falls back to Python's float() and int(), token by token, on a
+# block the reader refuses.  Tokens that only Python takes must send their
+# block down that path and read as the oracle reads them.
+
+_UNICODE_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")     # Arabic-Indic
+_SPACES = ("\x0b", "\x0c", "\x1c", "\x85", "\xa0", " ", "　")
+
+
+def _python_only(token, rnd):
+    """token rewritten as float() and int() read it but numpy's C reader does not."""
+    pairs = [i for i in range(1, len(token)) if token[i - 1].isdigit() and token[i].isdigit()]
+    kind = rnd.choice(["underscore", "unicode digits", "both"] if pairs else ["unicode digits"])
+    if kind != "unicode digits":
+        i = rnd.choice(pairs)
+        token = token[:i] + "_" + token[i:]
+    if kind != "underscore":
+        token = token.translate(_UNICODE_DIGITS)
+    return token
+
+
+def _respell(line, rnd, python_only):
+    """line with separators Python and numpy both split at, a '+' sign, or Python-only tokens."""
+    toks = line.split(" ")
+    c = rnd.randrange(len(toks))
+    if python_only:
+        toks[c] = _python_only(toks[c], rnd)
+    elif not toks[c].startswith("-") and rnd.random() < 0.5:
+        toks[c] = "+" + toks[c]
+    return rnd.choice([" ", *_SPACES]).join(toks) + rnd.choice(["", *_SPACES])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False))
+def test_python_only_tokens_read_as_oracle(mesh, rnd):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clean.msh"
+        write_mesh(mesh, path)
+        lines = path.read_text().split("\n")[:-1]
+        ends = list(accumulate([1, mesh.n_nodes, mesh.n_elements]))
+        refused = set()
+        for k in range(2):
+            for r in rnd.sample(range(ends[k], ends[k + 1]), min(3, ends[k + 1] - ends[k])):
+                python_only = rnd.random() < 0.5
+                lines[r] = _respell(lines[r], rnd, python_only)
+                refused |= {k} if python_only else set()
+        path = _write(tmp, "\n".join(lines) + "\n")
+        with mock.patch.object(mesh_io, "_token_parse", wraps=mesh_io._token_parse) as slow:
+            new = _outcome(read_mesh, path)
+        assert new == _outcome(_oracle_read_mesh, path) == _outcome(read_mesh, _write(
+            tmp, "\n".join(" ".join(t) for _, t in _rows(path)) + "\n"))
+        # the boundary block always goes token by token; a node or element block only if refused
+        assert slow.call_count == 1 + len(refused)
+        assert isinstance(new, tuple)
+
+
+def test_clean_file_parses_nodes_and_elements_in_c(tmp_path):
+    path = tmp_path / "bench.msh"
+    write_mesh(cylinder_benchmark_mesh(n=20), path)
+    with mock.patch.object(mesh_io, "_token_parse", wraps=mesh_io._token_parse) as slow:
+        read_mesh(path)
+    assert slow.call_count == 1
+    assert slow.call_args.args[1] == 3          # the boundary face block
+
+
+def _bundled_meshes():
+    return sorted(p.name for p in (resources.files("efem") / "cases").iterdir()
+                  if p.name.endswith(".msh"))
+
+
+@pytest.mark.parametrize("c_parser", ["on", "refusing"])
+@pytest.mark.parametrize("name", _bundled_meshes())
+def test_bundled_meshes_read_as_oracle(name, c_parser):
+    with resources.as_file(resources.files("efem") / "cases" / name) as p:
+        want = _outcome(_oracle_read_mesh, p)
+        if c_parser == "refusing":
+            with _c_parser_refuses():
+                assert _outcome(read_mesh, p) == want
+        else:
+            assert _outcome(read_mesh, p) == want
+        assert isinstance(want, tuple)
+
+
+def test_c_parser_warning_sends_block_token_by_token(tmp_path):
+    # numpy 1.23-1.26 parse an int token such as '2.' through a float and
+    # only warn; the warning must count as a refusal
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return loadtxt(*args, **kwargs)
+
+    path = tmp_path / "bench.msh"
+    write_mesh(cylinder_benchmark_mesh(n=4), path)
+    with (mock.patch.object(mesh_io.np, "loadtxt", warning_loadtxt),
+          mock.patch.object(mesh_io, "_token_parse", wraps=mesh_io._token_parse) as slow):
+        got = _outcome(read_mesh, path)
+    assert slow.call_count == 3
+    assert got == _outcome(_oracle_read_mesh, path)

@@ -228,11 +228,15 @@ def parse_case(text: str, name: str) -> CaseConfig:
 def _case_text(name_or_path: str) -> tuple[str, str, Path | None]:
     """Resolve a path or bundled case name to (text, name, base directory)."""
     p = Path(name_or_path)
-    if p.exists():
-        return p.read_text(), p.stem, p.parent
+    try:
+        if p.is_file():             # a directory named like a bundled case is not one
+            return p.read_text(encoding="utf-8"), p.stem, p.parent
+    except (OSError, UnicodeDecodeError) as exc:      # a name too long, no permission, ...
+        raise ConfigError(f"case file {name_or_path!r}: cannot read: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
     bundled = resources.files("efem").joinpath("cases", name_or_path + ".cfg")
     if bundled.is_file():
-        return bundled.read_text(), name_or_path, None
+        return bundled.read_text(encoding="utf-8"), name_or_path, None
     raise ConfigError(f"case {name_or_path!r} not found (no such file or bundled case)")
 
 

@@ -908,14 +908,15 @@ def write_mesh(mesh: Mesh, path) -> None:
     """Write mesh as a UTF-8 mesh file that read_mesh reads back bit for bit.
 
     A boundary tag must be a non-empty str without whitespace or '#', the
-    one token a row can hold; any other raises ValueError before the file
-    is opened.
+    one token a row can hold, that encodes as UTF-8 (a lone surrogate does
+    not); any other raises ValueError before the file is opened.
     """
     for i, (e, lf, tag) in enumerate(mesh.boundary_faces):
-        if not isinstance(tag, str) or tag.split() != [tag] or "#" in tag:
+        if (not isinstance(tag, str) or tag.split() != [tag] or "#" in tag
+                or tag.encode("utf-8", "replace").decode("utf-8") != tag):
             raise ValueError(f"boundary face {i} (element {e}, local face {lf}) has tag {tag!r}, "
                              "which a mesh file cannot hold: a tag is one token, a non-empty "
-                             "str without whitespace or '#'")
+                             "UTF-8 str without whitespace or '#'")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary_faces)}\n")
         _write_rows(f, " ".join(["%.17g"] * mesh.dim) + "\n", mesh.nodes)

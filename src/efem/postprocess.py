@@ -12,13 +12,15 @@ point as an element and its barycentric coordinates there.  Those of x in
 element e are the affine map lam(x) = e_0 + mesh.grads[e] (x - X[e, 0]), so
 no per-point linear solve is needed.
 
-Points are located with one ball query of the mesh's centroid KD-tree: an
-element that holds x has its centroid within its own largest
-vertex-to-centroid distance of x, and so within d/(d+1) times the mesh's
-longest edge (both widened for the containment tolerance and rounding, see
-_containing).  One containment test over the ball's candidates within
-their own reach finds every holder.
-locate_points takes the smallest (the locate rule), as line sampling does.
+Points are located with one pair query between a KD-tree of the stack and
+the mesh's centroid KD-tree: an element that holds x has its centroid
+within its own largest vertex-to-centroid distance of x (widened for the
+containment tolerance and rounding, see _tree_pairs), so a radius of the
+largest such reach finds every holder, and each pair is then kept only
+within its own element's reach.  Line samples take their pairs from the
+segment's clip intervals instead.  Both go through one function, _locate,
+which tests containment, names a point no element holds, and keeps the
+smallest-index holder of each point (the locate rule).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -138,67 +140,68 @@ def _evaluate(sol: SolutionField, elems, x, sides):
 # point location and evaluation
 
 
-def _containing(sol: SolutionField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(point, element) pairs of the elements whose closure holds each point
-    of the stack x (P, d).
+def _tree_pairs(sol: SolutionField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(point, element) candidate pairs for the stack x (P, d): every element
+    whose closure holds a point is paired with it.
 
-    All points share one ball query of the mesh's centroid KD-tree, each
-    candidate is kept only within its own element's reach, and one
-    containment test runs over the kept (point, candidate) pairs.  If
-    lam_i(x) >= -tau for all i (tau = _CONTAIN_TOL), x lies in the simplex
-    scaled by 1 + (d+1) tau about its centroid c, whose vertices lie within
+    One pair query between a KD-tree of x and the mesh's centroid KD-tree
+    returns every (point, centroid) pair within the largest reach, and each
+    pair is kept only within its own element's reach.  If lam_i(x) >= -tau
+    for all i (tau = _CONTAIN_TOL), x lies in the simplex scaled by
+    1 + (d+1) tau about its centroid c, whose vertices lie within
     (1 + (d+1) tau) rho of c (rho the element's largest vertex-to-centroid
-    distance, mesh.centroid_reach), and so does x.  Every rho is at most
-    d/(d+1) h (h the mesh's longest edge), which sizes the ball.  Both
-    bounds take 1 + 2 d tau >= 1 + (d+1) tau, which leaves room for the
-    rounding of lam; rounding moves the centroids and the distances by a
-    few eps times the coordinates, and 1e-12 times the largest coordinate
-    covers that.  ValueError names the first point that is not finite or
-    that no element holds.
+    distance, mesh.centroid_reach), and so does x.  The reach takes
+    1 + 2 d tau >= 1 + (d+1) tau, which leaves room for the rounding of lam;
+    rounding moves the centroids and the distances by a few eps times the
+    coordinates, and 1e-12 times the largest coordinate covers that.
+    ValueError names the first point that is not finite.
     """
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"point {bad[0]} of the stack, {x[bad[0]]}, is not finite")
     m = sol.mesh
-    d = m.dim
-    widen = 1.0 + 2.0 * d * _CONTAIN_TOL
-    slack = 1e-12 * np.abs(m.nodes).max()
-    tree = m.centroid_tree
-    balls = tree.query_ball_point(x, widen * d / (d + 1) * m.char_lengths.max() + slack,
-                                  return_sorted=False)
-    count = np.fromiter(map(len, balls), np.int64, x.shape[0])
-    cand = np.fromiter(chain.from_iterable(balls), np.int64, count.sum())
-    p = np.repeat(np.arange(x.shape[0]), count)
-    sq = np.zeros(cand.size)
-    for k in range(d):
-        gap = x[p, k] - tree.data[cand, k]
-        sq += gap * gap
-    reach = widen * m.centroid_reach[cand] + slack
-    near = sq <= reach * reach
-    p, cand = p[near], cand[near]
-    inside = _holds(sol, cand, x[p])
-    p, e = p[inside], cand[inside]
-    missing = np.flatnonzero(np.bincount(p, minlength=x.shape[0]) == 0)
+    reach = ((1.0 + 2.0 * m.dim * _CONTAIN_TOL) * m.centroid_reach
+             + 1e-12 * np.abs(m.nodes).max())
+    # imported here, as by mesh.centroid_tree: only point location needs it
+    from scipy.spatial import cKDTree
+
+    pairs = cKDTree(x).sparse_distance_matrix(m.centroid_tree, reach.max(),
+                                              output_type="ndarray")
+    near = pairs["v"] <= reach[pairs["j"]]
+    return pairs["i"][near], pairs["j"][near]
+
+
+def _locate(sol: SolutionField, x: np.ndarray, p: np.ndarray, e: np.ndarray):
+    """(owner (P,), p, e) for the stack x (P, d) and candidate pairs (p, e),
+    element e[k] a candidate for point x[p[k]].
+
+    The returned pairs are the candidates whose closure holds their point,
+    and owner[i] is the smallest-index element among those of point i (the
+    locate rule).  Every holder of a point must be among its candidates;
+    ValueError names the first point that none holds.
+    """
+    inside = _holds(sol, e, x[p])
+    p, e = p[inside], e[inside]
+    owner = np.full(x.shape[0], sol.mesh.n_elements)
+    np.minimum.at(owner, p, e)
+    missing = np.flatnonzero(owner == sol.mesh.n_elements)
     if missing.size:
         raise ValueError(f"point {x[missing[0]]} is outside the mesh")
-    return p, e
+    return owner, p, e
 
 
 def locate_points(sol: SolutionField, x) -> np.ndarray:
     """The element (P,) whose closure holds each point of the stack x (P, d);
     the smallest index wins on faces (the locate rule)."""
     x = np.asarray(x, dtype=float)
-    p, e = _containing(sol, x)
-    owner = np.full(x.shape[0], sol.mesh.n_elements)
-    np.minimum.at(owner, p, e)
-    return owner
+    return _locate(sol, x, *_tree_pairs(sol, x))[0]
 
 
 def elements_containing(sol: SolutionField, x) -> list[int]:
-    """All elements whose closure holds the point x, ascending: _containing
-    for a batch of one.  The benchmark's pole check calls this."""
-    _, e = _containing(sol, np.asarray(x, dtype=float)[None])
-    return np.sort(e).tolist()
+    """All elements whose closure holds the point x, ascending: locate_points'
+    pairs for a batch of one.  The benchmark's pole check calls this."""
+    x = np.asarray(x, dtype=float)[None]
+    return np.sort(_locate(sol, x, *_tree_pairs(sol, x))[2]).tolist()
 
 
 def eval_in_element(sol: SolutionField, e: int, x, side: int = 0):
@@ -338,24 +341,6 @@ def _ranges(first: np.ndarray, count: np.ndarray):
     return i, np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + first[i]
 
 
-def _owners(sol: SolutionField, pts: np.ndarray, t: np.ndarray,
-            cand: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Smallest-index element whose closure holds each point (the locate rule).
-
-    pts are the points at ascending parameters t; only candidate c with
-    t in [lo[c], hi[c]] is tested for a point.
-    """
-    first = np.searchsorted(t, lo, "left")
-    c, j = _ranges(first, np.searchsorted(t, hi, "right") - first)
-    inside = _holds(sol, cand[c], pts[j])
-    owner = np.full(t.size, np.iinfo(np.int64).max)
-    np.minimum.at(owner, j[inside], cand[c][inside])
-    missing = np.nonzero(owner == np.iinfo(np.int64).max)[0]
-    if missing.size:
-        raise ValueError(f"point {pts[missing[0]]} is outside the mesh")
-    return owner
-
-
 def _walk(cand, lo, hi, a, b, sliver: float, start, v):
     """Owner runs along the segment: (owners (R,), bounds (R+1,) from 0 to 1).
 
@@ -414,7 +399,10 @@ def sample_line(sol: SolutionField, start, end, count: int = 1001) -> LineSample
     base_t = np.linspace(0.0, 1.0, count)
     base_pts = start + base_t[:, None] * v
     cand, lo, hi, a, b = _clip(sol, start, v)
-    base_e = _owners(sol, base_pts, base_t, cand, lo, hi)
+    # a base sample's candidates are the elements whose widened interval holds its t
+    first = np.searchsorted(base_t, lo, "left")
+    c, j = _ranges(first, np.searchsorted(base_t, hi, "right") - first)
+    base_e = _locate(sol, base_pts, j, cand[c])[0]
     length = float(np.linalg.norm(v))
     extent = max(float(np.ptp(c)) for c in sol.mesh.nodes.T)
     sliver = _SLIVER * extent / length if length > 0.0 else np.inf

@@ -78,6 +78,48 @@ def test_unknown_case_name_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_directory_named_like_a_bundled_case_runs_that_case(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):          # the first run makes the directory planar_q3
+        assert main(["solve", "planar_q3", "--out", "planar_q3"]) == 0
+    assert json.loads((tmp_path / "planar_q3" / "summary.json").read_text())["case"] == "planar_q3"
+
+
+def test_directory_named_like_no_case_exits_2(tmp_path, capsys):
+    rc = main(["solve", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config error: case {str(tmp_path)!r} not found" in capsys.readouterr().err
+
+
+def test_case_file_that_is_not_utf8_exits_2_naming_file(tmp_path, capsys):
+    path = tmp_path / "case.cfg"
+    path.write_bytes(GOOD_CASE.encode().replace(b"[materials]", b"# \xff\n[materials]"))
+    rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: case file {str(path)!r}: cannot read: 'utf-8' codec" in err
+    assert "invalid start byte" in err
+
+
+def test_case_name_too_long_for_a_path_exits_2_naming_it(tmp_path, capsys):
+    name = "a" * 300                # longer than a file name may be
+    rc = main(["solve", name, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"config error: case file {name!r}: cannot read: " in capsys.readouterr().err
+
+
+def test_case_file_that_cannot_be_read_exits_2_naming_file(tmp_path, capsys, monkeypatch):
+    path = write_case(tmp_path, GOOD_CASE)
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(type(tmp_path), "read_text", refuse)
+    rc = main(["solve", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config error: case file {path!r}: cannot read: Permission denied" in capsys.readouterr().err
+
+
 def test_boundary_tag_mismatch_exits_4(tmp_path, capsys):
     # The structured mesh tags its sides left/right/bottom/top; a case that
     # assigns only invented tags leaves real ones uncovered.
@@ -438,11 +480,15 @@ def test_module_entry_point(tmp_path):
 
 def test_planar_solve_never_imports_sparse_linalg(tmp_path):
     """Only a factorization (the coarsest AMG level, --direct) imports
-    scipy.sparse.linalg; a planar solve stays on Jacobi and skips it."""
+    scipy.sparse.linalg; a planar solve stays on Jacobi and skips it.  Only
+    point location imports scipy.spatial, and neither planar_q3 nor sphere
+    locates a point."""
     code = ("import sys\n"
             "from efem.cli import main\n"
-            f"assert main(['solve', 'planar_q3', '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n")
+            f"assert main(['solve', 'planar_q3', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules, 'scipy.spatial' in sys.modules)\n"
+            f"assert main(['solve', 'sphere', '--out', {str(tmp_path / 'b')!r}]) == 0\n"
+            "print('scipy.spatial' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[1::2] == ["False False", "False"]

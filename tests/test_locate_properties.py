@@ -87,6 +87,27 @@ def test_location_matches_every_element_scan(case):
         assert elements_containing(sol, p) == h.tolist()
 
 
+@pytest.mark.parametrize("name", MESHES)
+def test_point_on_a_centroid_is_held_by_that_element_alone(name):
+    """A point on an element's centroid pairs with it at distance zero, a
+    pair that a sparse-matrix form of the pair query would drop."""
+    sol = _field(name)
+    e = np.arange(0, sol.mesh.n_elements, 7)
+    x = sol.mesh.centroid_tree.data[e]
+    assert locate_points(sol, x).tolist() == e.tolist()
+    assert elements_containing(sol, x[0]) == [int(e[0])] == _holders(sol, x[0]).tolist()
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_empty_stack_locates_nothing(name):
+    sol = _field(name)
+    x = np.empty((0, sol.mesh.dim))
+    owner = locate_points(sol, x)
+    assert owner.shape == (0,) and owner.dtype.kind == "i"
+    phi, E = eval_field(sol, x)
+    assert phi.shape == (0,) and E.shape == x.shape
+
+
 @pytest.mark.parametrize("name, start, end", [
     ("structured3d", (0.0, 0.5, 0.5), (1.0, 0.5, 0.5)),
     ("structured3d", (0.5, 0.5, 0.0), (0.5, 0.5, 1.0)),

@@ -325,7 +325,8 @@ def test_tags_are_written_and_read_as_utf8(tmp_path):
     assert read_mesh(path).boundary_faces == faces
 
 
-@pytest.mark.parametrize("tag", ["left side", "a#b", "", "tab\there", "end\n", "\x0b", 7, None])
+@pytest.mark.parametrize("tag", ["left side", "a#b", "", "tab\there", "end\n", "\x0b", "bad\ud800",
+                                 7, None])
 def test_write_rejects_tag_that_cannot_be_read_back(tmp_path, tag):
     mesh = generate_structured(2, 1, 1)
     e, lf, _ = mesh.boundary_faces[2]

@@ -333,7 +333,6 @@ def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
     that differs from the first one the walk gave the node.
     """
     nodes, tags = mesh.boundary_node_tags
-    tags = np.array(tags, dtype=object)
     values = np.zeros(nodes.size)
     is_dir = np.zeros(nodes.size, dtype=bool)
     missing = []
@@ -354,7 +353,7 @@ def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
     bad = pos[~np.isfinite(v) | (v != v[first][inverse])]
     fail = min(missing + bad[:1].tolist(), default=None)
     if fail is not None:
-        node, name, value = int(nodes[fail]), tags[fail], float(values[fail])
+        node, name, value = int(nodes[fail]), str(tags[fail]), float(values[fail])
         if name not in boundary:
             raise KeyError(f"mesh tag {name!r} has no boundary assignment")
         if not math.isfinite(value):
@@ -363,7 +362,7 @@ def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
         k = first[inverse[np.searchsorted(pos, fail)]]
         raise ValueError(
             f"node {node} has conflicting Dirichlet values: {float(v[k])!r} from tag "
-            f"{tags[pos[k]]!r} and {value!r} from tag {name!r}")
+            f"{str(tags[pos[k]])!r} and {value!r} from tag {name!r}")
     return dir_nodes, v[first]
 
 

@@ -1,7 +1,7 @@
 """Simplex meshes: structured generation, text I/O and P1 element geometry.
 
 Meshes are plain triangles (2D) or tetrahedra (3D) with positively oriented
-connectivity.  Boundary faces carry string tags; what a tag means physically
+connectivity.  Boundary faces carry str tags; what a tag means physically
 (Dirichlet value, natural boundary) is decided by the caller via
 :class:`BoundaryTag`.
 """
@@ -118,7 +118,7 @@ class Mesh:
 
     nodes: (n_nodes, dim) coordinates.
     elements: (n_elements, dim+1) node indices, positively oriented.
-    boundary_faces: list of (element, local_face, tag name).
+    boundary_faces, boundary_tags: (B, 2) int64 (element, local face) and (B,) str tag.
     face_first, face_second: (n_faces, 2) (element, local face) of the two
         elements sharing each face, the smaller element first; face_second
         is -1 for a boundary face.  Faces are in ascending lexicographic
@@ -129,7 +129,8 @@ class Mesh:
     dim: int
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_faces: list[tuple[int, int, str]]
+    boundary_faces: np.ndarray = field(repr=False, default=None)
+    boundary_tags: np.ndarray = field(repr=False, default=None)
     face_first: np.ndarray = field(repr=False, default=None)
     face_second: np.ndarray = field(repr=False, default=None)
     measures: np.ndarray = field(repr=False, default=None)
@@ -143,7 +144,7 @@ class Mesh:
         return self.elements.shape[0]
 
     @staticmethod
-    def build(dim, nodes, elements, boundary_faces) -> "Mesh":
+    def build(dim, nodes, elements, boundary_faces, boundary_tags) -> "Mesh":
         """Validate arrays, pair faces, check boundary tags and freeze the result.
 
         One argsort of each element's node indices serves every check and the
@@ -165,11 +166,12 @@ class Mesh:
                             f"{nodes.shape[0]} nodes") from None
         if elements.ndim != 2 or elements.shape[1] != dim + 1:
             raise MeshError(f"elements must have shape (*, {dim + 1})")
-        mesh = Mesh(dim, nodes, elements, list(boundary_faces))
+        mesh = Mesh(dim, nodes, elements)
         codes = _face_codes(dim, mesh.n_nodes, *mesh._validate())
         mesh.face_first, mesh.face_second, slot_face = _pair_faces(dim, elements, codes)
-        mesh._check_boundary_tags(slot_face)
-        for a in (nodes, elements, mesh.face_first, mesh.face_second, mesh.measures):
+        mesh._check_boundary_tags(boundary_faces, boundary_tags, slot_face)
+        for a in (nodes, elements, mesh.face_first, mesh.face_second, mesh.measures,
+                  mesh.boundary_faces, mesh.boundary_tags):
             a.setflags(write=False)
         return mesh
 
@@ -205,28 +207,37 @@ class Mesh:
         self.measures = vols
         return perm, rows
 
-    def _check_boundary_tags(self, slot_face: np.ndarray):
-        nf = self.dim + 1
+    def _check_boundary_tags(self, faces, tags, slot_face: np.ndarray):
+        """Keep the tagged faces, or name the first faulty one, then the first untagged face.
+        Tags are checked before the str array, which makes 5 '5' and drops a trailing NUL."""
+        nf, n = self.dim + 1, len(faces)
+        try:
+            stop, array = n, np.ascontiguousarray(faces, dtype=np.int64)
+        except OverflowError:       # the face of the first value outside [0, 2**63) is faulty
+            stop, _ = _first_out_of_range(faces, 2**63)
+            array = np.ascontiguousarray(faces[:stop], dtype=np.int64)
+        self.boundary_faces = array.reshape(stop, 2)
+        plain = np.fromiter(map(lambda t: isinstance(t, str) and t[-1:] != "\0", tags), bool, n)
+        e, lf = self.boundary_faces.T
+        ok = (e >= 0) & (e < self.n_elements) & (lf >= 0) & (lf < nf)
+        face = slot_face[np.where(ok, e * nf + lf, 0)]
+        bad = np.flatnonzero(~ok | ~plain[:stop] | (self.face_second[face, 0] >= 0))
+        if bad.size or stop < n:
+            i = int(bad[0]) if bad.size else stop
+            (ei, lfi), tag = faces[i], tags[i]
+            if not 0 <= ei < self.n_elements:
+                raise MeshError(f"boundary face references element {ei} out of range")
+            if not 0 <= lfi < nf:
+                raise MeshError(f"boundary face of element {ei} has local face {lfi} out of range")
+            if not plain[i]:
+                why = "ends in NUL" if isinstance(tag, str) else "is not a str"
+                raise MeshError(f"boundary face {i} (element {ei}, local face {lfi}) has tag "
+                                f"{tag!r}, which {why}")
+            raise MeshError(f"face {_key(self.face_keys[face[i]])} of element {ei} "
+                            f"is tagged {str(tag)!r} but is interior")
+        self.boundary_tags = np.asarray(tags, dtype=str).reshape(n)
         tagged = np.zeros(len(self.face_first), dtype=bool)
-        if self.boundary_faces:
-            e, lf = (_indices([b[i] for b in self.boundary_faces]) for i in (0, 1))
-            bad_e = (e < 0) | (e >= self.n_elements)
-            bad_lf = (lf < 0) | (lf >= nf)
-            ok = ~(bad_e | bad_lf)
-            face = np.zeros(e.size, dtype=np.int64)
-            face[ok] = slot_face[e[ok] * nf + lf[ok]]
-            interior = ok & (self.face_second[face, 0] >= 0)
-            bad = np.flatnonzero(~ok | interior)
-            if bad.size:
-                i = int(bad[0])
-                ei, lfi, tag = self.boundary_faces[i]
-                if bad_e[i]:
-                    raise MeshError(f"boundary face references element {ei} out of range")
-                if bad_lf[i]:
-                    raise MeshError(f"boundary face of element {ei} has local face {lfi} out of range")
-                raise MeshError(f"face {_key(self.face_keys[face[i]])} of element {ei} "
-                                f"is tagged {tag!r} but is interior")
-            tagged[face] = True
+        tagged[face] = True
         untagged = np.flatnonzero((self.face_second[:, 0] < 0) & ~tagged)
         if untagged.size:
             f = untagged[_smallest(self.face_first[untagged])]
@@ -275,23 +286,22 @@ class Mesh:
         return p1_pattern(self.n_nodes, self.elements)
 
     @cached_property
-    def boundary_node_tags(self) -> tuple[np.ndarray, list[str]]:
-        """Distinct (node, tag) pairs of the tagged faces: (nodes (P,), tag names).
+    def boundary_node_tags(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct (node, tag) pairs of the tagged faces: (nodes (P,), tags (P,)).
 
         Pairs come in the order a walk over boundary_faces, and over each
         face's nodes, first reaches them.
         """
-        if not self.boundary_faces:
-            return np.empty(0, dtype=np.int64), []
-        e, lf = (np.array([b[i] for b in self.boundary_faces], dtype=np.int64) for i in (0, 1))
-        names, tag = np.unique([b[2] for b in self.boundary_faces], return_inverse=True)
-        nodes = self.elements[e[:, None], np.array(local_faces(self.dim))[lf]]     # (F, dim)
+        e, lf = self.boundary_faces.T
+        names, tag = np.unique(self.boundary_tags, return_inverse=True)
+        nodes = self.elements[e[:, None], np.array(local_faces(self.dim))[lf]]     # (B, dim)
         tag = np.repeat(tag.ravel(), self.dim)
         _, first = np.unique(nodes.ravel() * names.size + tag, return_index=True)
         first.sort()
-        pair_nodes = nodes.ravel()[first]
-        pair_nodes.setflags(write=False)
-        return pair_nodes, names[tag[first]].tolist()
+        pairs = nodes.ravel()[first], names[tag[first]]
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
 
     @cached_property
     def centroid_tree(self):
@@ -397,11 +407,6 @@ def _first_out_of_range(elements, n: int) -> tuple[int, int]:
         for node in row:
             if not 0 <= node < n:
                 return e, int(node)
-
-
-def _indices(values: list) -> np.ndarray:
-    """int64 array of Python ints; one beyond int64 becomes -1, out of any range."""
-    return np.array([v if -2**63 <= v < 2**63 else -1 for v in values], dtype=np.int64)
 
 
 def _first_non_finite(nodes: np.ndarray) -> int | None:
@@ -630,7 +635,7 @@ _CELL_SIMPLICES = {
         ((0, 0, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1))),
 }
 
-_SIDE_NAMES = ("left", "right", "bottom", "top", "front", "back")
+_SIDE_NAMES = np.array(["left", "right", "bottom", "top", "front", "back"], dtype=object)
 
 
 def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None = None,
@@ -660,17 +665,16 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
     elements = (corner[:, None, None] + offset).reshape(-1, dim + 1)
 
     # a face lies on box side s when all its nodes sit at that side's extreme
-    # grid index; the first side in _SIDE_NAMES order wins.  Bit s of a node's
-    # mask is set when it lies on side s, and a face's mask is the AND of its
-    # nodes' masks, so one pass over the elements tags every face.
+    # grid index; the first side in _SIDE_NAMES (str objects, which the tag check
+    # reads faster than np.str_) wins.  Bit s of a node's mask is set when it lies on
+    # side s, and a face's mask is the AND of its nodes' masks: one pass tags every face.
     grid = np.indices([c + 1 for c in counts]).reshape(dim, -1)
     on = np.stack([grid == 0, grid == np.array(counts)[:, None]], axis=1).reshape(2 * dim, -1)
     node_mask = ((1 << np.arange(2 * dim)) @ on).astype(np.uint8)
     face_mask = np.bitwise_and.reduce(node_mask[elements][:, local_faces(dim)], axis=2)
     e, lf = np.nonzero(face_mask)
-    boundary = [(a, b, _SIDE_NAMES[(m & -m).bit_length() - 1]) for a, b, m in
-                zip(e.tolist(), lf.tolist(), face_mask[e, lf].tolist())]
-    return Mesh.build(dim, nodes, elements, boundary)
+    side = np.unpackbits(face_mask[e, lf, None], axis=1, bitorder="little").argmax(axis=1)
+    return Mesh.build(dim, nodes, elements, np.stack([e, lf], axis=1), _SIDE_NAMES[side])
 
 
 # ---------------------------------------------------------------------------
@@ -907,21 +911,23 @@ def _d_slots(values: np.ndarray, slots: np.ndarray) -> None:
 def write_mesh(mesh: Mesh, path) -> None:
     """Write mesh as a UTF-8 mesh file that read_mesh reads back bit for bit.
 
-    A boundary tag must be a non-empty str without whitespace or '#', the
-    one token a row can hold, that encodes as UTF-8 (a lone surrogate does
-    not); any other raises ValueError before the file is opened.
+    A tag must be the one token a row can hold, non-empty and without
+    whitespace or '#', and encode as UTF-8 (a lone surrogate does not); each
+    distinct tag is checked once, and a bad one raises ValueError for its first face.
     """
-    for i, (e, lf, tag) in enumerate(mesh.boundary_faces):
-        if (not isinstance(tag, str) or tag.split() != [tag] or "#" in tag
-                or tag.encode("utf-8", "replace").decode("utf-8") != tag):
+    names, first = np.unique(mesh.boundary_tags, return_index=True)
+    for i, tag in sorted(zip(first.tolist(), names.tolist())):
+        if tag.split() != [tag] or "#" in tag or tag.encode("utf-8", "replace").decode() != tag:
+            e, lf = mesh.boundary_faces[i].tolist()
             raise ValueError(f"boundary face {i} (element {e}, local face {lf}) has tag {tag!r}, "
                              "which a mesh file cannot hold: a tag is one token, a non-empty "
                              "UTF-8 str without whitespace or '#'")
+    rows = np.column_stack([mesh.boundary_faces.astype(str), mesh.boundary_tags])
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary_faces)}\n")
+        f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(rows)}\n")
         _write_rows(f, " ".join(["%.17g"] * mesh.dim) + "\n", mesh.nodes)
         _write_rows(f, " ".join(["%d"] * (mesh.dim + 1)) + "\n", mesh.elements)
-        f.write("".join(f"{e} {lf} {tag}\n" for e, lf, tag in mesh.boundary_faces))
+        f.write(("%s %s %s\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def read_mesh(path) -> Mesh:
@@ -970,13 +976,14 @@ def read_mesh(path) -> Mesh:
                   f"node {{}} needs {dim} coordinates, got {{}}", float)
     elements = block(1, dim + 1, _table(int, dim + 1), "bad node index in element",
                      f"element {{}} needs {dim + 1} node indices, got {{}}", int)
-    boundary = block(2, 3, lambda t: list(zip(map(int, t[0::3]), map(int, t[1::3]), t[2::3])),
-                     "bad boundary face", "boundary face {} needs 'element local_face tag'")
+    faces, tags = block(2, 3, lambda t: (np.array([*map(int, t[0::3] + t[1::3])], dtype=object)
+                                         .reshape(2, -1).T, t[2::3]),     # ints of any size
+                        "bad boundary face", "boundary face {} needs 'element local_face tag'")
     if len(rows) > starts[3]:
         raise MeshError(f"line {lineno(starts[3])}: trailing content after mesh data")
     if (bad := _first_non_finite(nodes)) is not None:
         raise MeshError(f"line {lineno(1 + bad)}: node {bad} has a non-finite coordinate")
-    return Mesh.build(dim, nodes, elements, boundary)
+    return Mesh.build(dim, nodes, elements, faces, tags)
 
 
 def _not_utf8(path) -> MeshError:

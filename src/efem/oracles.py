@@ -257,7 +257,7 @@ def jittered_mesh(counts, seed: int = 0, amplitude: float | None = None) -> Mesh
     interior = np.all((nodes > 1e-12) & (nodes < 1.0 - 1e-12), axis=1)
     nodes[interior] += rng.uniform(-amplitude * h, amplitude * h,
                                    size=(int(interior.sum()), dim))
-    return Mesh.build(dim, nodes, np.array(base.elements), list(base.boundary_faces))
+    return Mesh.build(dim, nodes, base.elements, base.boundary_faces, base.boundary_tags)
 
 
 def cylinder_benchmark_mesh(n: int = 27, seed: int = 0,

@@ -25,7 +25,6 @@ smallest-index holder of each point (the locate rule).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -614,13 +613,7 @@ def export_csv(sample: LineSample, path) -> None:
 
 
 def read_csv_sample(path):
-    """Parse a sample CSV back into (points, phi, E, side) arrays."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    header, body = rows[0], rows[1:]
-    dim = sum(1 for c in header if c in ("x", "y", "z"))
-    pts = np.array([[float(r[i]) for i in range(dim)] for r in body])
-    phi = np.array([float(r[dim]) for r in body])
-    E = np.array([[float(r[dim + 1 + i]) for i in range(dim)] for r in body])
-    side = np.array([int(r[-1]) for r in body], dtype=int)
-    return pts, phi, E, side
+    """Parse a sample CSV back into (points, phi, E, side) arrays; side is int."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    dim = (rows.shape[1] - 2) // 2          # columns: dim coordinates, phi, dim of E, side
+    return rows[:, :dim], rows[:, dim], rows[:, dim + 1:-1], rows[:, -1].astype(int)

@@ -64,8 +64,8 @@ def _arrays(mesh, seed, n_unused):
     nodes[node_of] = mesh.nodes
     rows = rng.permutation(mesh.n_elements)              # new element r is old rows[r]
     new_index = np.argsort(rows)
-    boundary = [(int(new_index[e]), lf, tag) for e, lf, tag in mesh.boundary_faces]
-    return mesh.dim, nodes, node_of[mesh.elements][rows], boundary
+    faces = np.stack([new_index[mesh.boundary_faces[:, 0]], mesh.boundary_faces[:, 1]], axis=1)
+    return mesh.dim, nodes, node_of[mesh.elements][rows], faces, mesh.boundary_tags
 
 
 @st.composite

@@ -440,7 +440,8 @@ def test_condense_guard_is_scale_free(dim):
     assert margins.size > 0 and (margins > CONDENSE_GUARD).all()
     runs = [(mesh, level(center, radius), MaterialPair(3.0 * s, s))
             for s in (8.854e-12, 1e-6, 1e6)]
-    runs += [(mesh_mod.Mesh.build(dim, L * mesh.nodes, mesh.elements, mesh.boundary_faces),
+    runs += [(mesh_mod.Mesh.build(dim, L * mesh.nodes, mesh.elements, mesh.boundary_faces,
+                                  mesh.boundary_tags),
               level(L * center, L * radius), MaterialPair(3.0, 1.0)) for L in (1e-3, 1e3)]
     for scaled in runs:
         fb, sm, m = _efem_margins(*scaled)
@@ -580,7 +581,7 @@ def test_assembly_rejects_non_finite_callable_dirichlet_value():
     mesh = generate_structured(2, 2)
     boundary = box_boundary(2)
     boundary["top"] = BoundaryTag("top", "dirichlet", lambda x: np.full(len(x), np.nan))
-    e, lf = next((e, lf) for e, lf, tag in mesh.boundary_faces if tag == "top")
+    e, lf = mesh.boundary_faces[np.flatnonzero(mesh.boundary_tags == "top")[0]]
     node = int(mesh.elements[e, local_faces(2)[lf][0]])
     with pytest.raises(ValueError) as info:
         assemble_global(mesh, planar_levelset(), planar_materials(3), "efem", boundary)
@@ -603,11 +604,11 @@ def test_dirichlet_callable_is_evaluated_once_per_node_and_tag():
                           planar_materials(3), "efem", boundary)
     node_of = {tuple(p): i for i, p in enumerate(mesh.nodes.tolist())}
     evaluated = [(node_of[tuple(p)], tag) for tag, points in calls for p in points]
-    pairs = {(int(n), tag) for e, lf, tag in mesh.boundary_faces
+    pairs = {(int(n), tag) for (e, lf), tag in zip(mesh.boundary_faces, mesh.boundary_tags.tolist())
              for n in mesh.elements[e, list(local_faces(3)[lf])]}
     assert sorted(tag for tag, _ in calls) == sorted(tags)          # one call per tag
     assert len(evaluated) == len(set(evaluated)) and set(evaluated) == pairs
-    assert len(evaluated) < sum(mesh.dim for _ in mesh.boundary_faces)
+    assert len(evaluated) < mesh.dim * len(mesh.boundary_faces)
     assert np.array_equal(asm.dirichlet_values, mesh.nodes[asm.dirichlet_nodes, 2])
 
 

@@ -216,7 +216,7 @@ def test_p1_geometry_rejects_zero_measure_in_a_batch():
     # a mesh takes its measures first and names the zero-measure element
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(MeshError, match="element 1 .*signed measure 0"):
-        Mesh.build(2, nodes, [[0, 1, 2], [0, 1, 3]], [])
+        Mesh.build(2, nodes, [[0, 1, 2], [0, 1, 3]], [], [])
 
 
 @settings(max_examples=150, deadline=None)

@@ -61,7 +61,7 @@ def test_structured_measures_positive_and_sum_to_box():
 
 def test_structured_boundary_tags_cover_all_sides():
     mesh = generate_structured(3, 2, 2, 2)
-    tags = {t for _, _, t in mesh.boundary_faces}
+    tags = set(mesh.boundary_tags.tolist())
     assert tags == {"left", "right", "bottom", "top", "front", "back"}
 
 
@@ -148,12 +148,12 @@ def test_char_lengths_are_computed_once_per_mesh(mesh):
 def test_boundary_node_tags_follow_the_face_walk():
     mesh = generate_structured(3, 2, 3, 2)
     walk = []
-    for e, lf, tag in mesh.boundary_faces:
+    for (e, lf), tag in zip(mesh.boundary_faces.tolist(), mesh.boundary_tags.tolist()):
         for node in mesh.elements[e, list(local_faces(3)[lf])].tolist():
             if (node, tag) not in walk:
                 walk.append((node, tag))
     nodes, tags = mesh.boundary_node_tags
-    assert list(zip(nodes.tolist(), tags)) == walk
+    assert list(zip(nodes.tolist(), tags.tolist())) == walk
 
 
 def test_face_measure_normal_2d():
@@ -267,7 +267,7 @@ def test_build_rejects_non_finite_node(value):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     nodes[3, 0] = value
     with pytest.raises(MeshError, match="^node 3 has a non-finite coordinate$"):
-        Mesh.build(2, nodes, np.array([[0, 1, 2]]), [])
+        Mesh.build(2, nodes, np.array([[0, 1, 2]]), [], [])
 
 
 def test_dangling_node_reference(tmp_path):
@@ -293,7 +293,8 @@ def test_write_read_round_trip(tmp_path):
     assert back.dim == mesh.dim
     assert np.array_equal(back.elements, mesh.elements)
     assert np.array_equal(back.nodes, mesh.nodes)
-    assert back.boundary_faces == mesh.boundary_faces
+    assert np.array_equal(back.boundary_faces, mesh.boundary_faces)
+    assert np.array_equal(back.boundary_tags, mesh.boundary_tags)
 
 
 def test_round_trip_3d(tmp_path):
@@ -316,22 +317,23 @@ def test_read_names_line_of_bytes_that_are_not_utf8(tmp_path, end):
 
 def test_tags_are_written_and_read_as_utf8(tmp_path):
     mesh = generate_structured(2, 2, 2)
-    faces = [(e, lf, {"left": "côté", "top": "上"}.get(tag, tag))
-             for e, lf, tag in mesh.boundary_faces]
-    mesh = Mesh.build(2, mesh.nodes, mesh.elements, faces)
+    tags = [{"left": "côté", "top": "上"}.get(tag, tag) for tag in mesh.boundary_tags.tolist()]
+    mesh = Mesh.build(2, mesh.nodes, mesh.elements, mesh.boundary_faces, tags)
     path = tmp_path / "utf8.msh"
     write_mesh(mesh, path)
     assert "côté".encode() in path.read_bytes() and "上".encode() in path.read_bytes()
-    assert read_mesh(path).boundary_faces == faces
+    back = read_mesh(path)
+    assert np.array_equal(back.boundary_faces, mesh.boundary_faces)
+    assert back.boundary_tags.tolist() == tags
 
 
-@pytest.mark.parametrize("tag", ["left side", "a#b", "", "tab\there", "end\n", "\x0b", "bad\ud800",
-                                 7, None])
+@pytest.mark.parametrize("tag", ["left side", "a#b", "", "tab\there", "end\n", "\x0b", "bad\ud800"])
 def test_write_rejects_tag_that_cannot_be_read_back(tmp_path, tag):
     mesh = generate_structured(2, 1, 1)
-    e, lf, _ = mesh.boundary_faces[2]
-    faces = [(e, lf, tag) if i == 2 else face for i, face in enumerate(mesh.boundary_faces)]
-    mesh = Mesh.build(2, mesh.nodes, mesh.elements, faces)
+    tags = mesh.boundary_tags.tolist()
+    tags[2] = tag
+    mesh = Mesh.build(2, mesh.nodes, mesh.elements, mesh.boundary_faces, tags)
+    e, lf = mesh.boundary_faces[2].tolist()
     path = tmp_path / "tags.msh"
     message = f"boundary face 2 (element {e}, local face {lf}) has tag {tag!r}, "
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -339,17 +341,99 @@ def test_write_rejects_tag_that_cannot_be_read_back(tmp_path, tag):
     assert not path.exists()
 
 
+def test_write_names_the_first_face_with_a_tag_it_cannot_hold(tmp_path):
+    mesh = generate_structured(2, 2, 2)
+    tags = mesh.boundary_tags.tolist()
+    tags[5], tags[3], tags[7] = "a b", "c#", "a b"
+    mesh = Mesh.build(2, mesh.nodes, mesh.elements, mesh.boundary_faces, tags)
+    e, lf = mesh.boundary_faces[3].tolist()
+    message = f"boundary face 3 (element {e}, local face {lf}) has tag 'c#', "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        write_mesh(mesh, tmp_path / "tags.msh")
+
+
+@pytest.mark.parametrize("tag", [5, 7, 7.0, None, b"top"])
+def test_build_rejects_tag_that_is_not_a_str_before_converting_it(tag):
+    # np.asarray(..., dtype=str) would make 5 the tag '5' without a word
+    mesh = generate_structured(2, 2)
+    tags = [tag if t == "top" else t for t in mesh.boundary_tags.tolist()]
+    i = tags.index(tag)
+    e, lf = mesh.boundary_faces[i].tolist()
+    message = (f"boundary face {i} (element {e}, local face {lf}) has tag {tag!r}, "
+               "which is not a str")
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        Mesh.build(2, mesh.nodes, mesh.elements, mesh.boundary_faces, tags)
+
+
+@pytest.mark.parametrize("tag", ["top\x00", "\x00", "a\x00\x00"])
+def test_build_rejects_tag_that_ends_in_nul(tag):
+    # a numpy str array drops trailing NULs: 'top\x00' would be kept as 'top', '\x00' as ''
+    mesh = generate_structured(2, 2)
+    tags = [tag if t == "top" else t for t in mesh.boundary_tags.tolist()]
+    i = tags.index(tag)
+    e, lf = mesh.boundary_faces[i].tolist()
+    message = f"boundary face {i} (element {e}, local face {lf}) has tag {tag!r}, which ends in NUL"
+    for given in (tags, np.array(tags, dtype=object)):
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+            Mesh.build(2, mesh.nodes, mesh.elements, mesh.boundary_faces, given)
+
+
+def test_read_rejects_file_tag_that_ends_in_nul(tmp_path):
+    # str.split does not split at NUL, so the token 'top\x00' reaches Mesh.build
+    mesh = generate_structured(2, 2)
+    path = tmp_path / "nul.msh"
+    write_mesh(mesh, path)
+    path.write_text(path.read_text(encoding="utf-8").replace(" top\n", " top\x00\n"),
+                    encoding="utf-8")
+    i = mesh.boundary_tags.tolist().index("top")
+    e, lf = mesh.boundary_faces[i].tolist()
+    message = f"boundary face {i} (element {e}, local face {lf}) has tag 'top\\x00', which ends in NUL"
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        read_mesh(path)
+
+
+def test_build_keeps_tag_with_an_inner_nul():
+    mesh = generate_structured(2, 2)
+    tags = [t.replace("top", "a\x00b") for t in mesh.boundary_tags.tolist()]
+    back = Mesh.build(2, mesh.nodes, mesh.elements, mesh.boundary_faces, tags)
+    assert back.boundary_tags.tolist() == tags
+
+
+def test_build_takes_str_tags_of_any_sequence():
+    mesh = generate_structured(2, 2)
+    for tags in (mesh.boundary_tags.tolist(), tuple(mesh.boundary_tags.tolist()),
+                 mesh.boundary_tags.astype(object), mesh.boundary_tags.astype("U10")):
+        back = Mesh.build(2, mesh.nodes, mesh.elements, mesh.boundary_faces.tolist(), tags)
+        assert back.boundary_faces.dtype == np.int64 and back.boundary_tags.dtype.kind == "U"
+        assert np.array_equal(back.boundary_faces, mesh.boundary_faces)
+        assert np.array_equal(back.boundary_tags, mesh.boundary_tags)
+        assert not back.boundary_faces.flags.writeable and not back.boundary_tags.flags.writeable
+
+
+@pytest.mark.parametrize("faces, tags", [
+    ([[0, 0, 0]] * 4, ["bottom"] * 4),
+    ([[0, 0, 0]] * 3, ["bottom"] * 3),
+    ([[], []], ["bottom"] * 2),
+    ([[0, 0], [0, 1]], ["bottom"]),
+    ([[0, 0], [0, 1]], np.array(["bottom"] * 3)),
+])
+def test_build_rejects_boundary_arrays_of_another_shape(faces, tags):
+    nodes, elements, _, _ = _square_arrays()
+    with pytest.raises(ValueError):
+        Mesh.build(2, nodes, elements, faces, tags)
+
+
 def test_build_rejects_repeated_node():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="repeated"):
-        Mesh.build(2, nodes, np.array([[0, 1, 1]]), [])
+        Mesh.build(2, nodes, np.array([[0, 1, 1]]), [], [])
 
 
 def _square_arrays():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     elements = np.array([[0, 1, 2], [0, 2, 3]])
-    tags = [(0, 0, "bottom"), (0, 1, "right"), (1, 1, "top"), (1, 2, "left")]
-    return nodes, elements, tags
+    faces = [[0, 0], [0, 1], [1, 1], [1, 2]]
+    return nodes, elements, faces, ["bottom", "right", "top", "left"]
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -358,9 +442,9 @@ def _square_arrays():
     ((0, 3, "far"), "boundary face of element 0 has local face 3 out of range"),
 ])
 def test_build_rejects_bad_boundary_face(extra, message):
-    nodes, elements, tags = _square_arrays()
+    nodes, elements, faces, tags = _square_arrays()
     with pytest.raises(MeshError, match=message):
-        Mesh.build(2, nodes, elements, tags + [extra])
+        Mesh.build(2, nodes, elements, faces + [extra[:2]], tags + [extra[2]])
 
 
 def test_build_rejects_face_shared_by_three_elements():
@@ -368,7 +452,7 @@ def test_build_rejects_face_shared_by_three_elements():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
     elements = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
     with pytest.raises(MeshError, match=r"face \(0, 1\) is shared by more than two elements"):
-        Mesh.build(2, nodes, elements, [])
+        Mesh.build(2, nodes, elements, [], [])
 
 
 HUGE = "99999999999999999999"      # beyond int64
@@ -396,13 +480,14 @@ def test_read_rejects_boundary_face_beyond_int64(tmp_path, old, new, message):
 
 @pytest.mark.parametrize("row", [[0, 1, 10**20], [0, -10**20, 2]])
 def test_build_rejects_python_int_beyond_int64(row):
-    nodes, elements, tags = _square_arrays()
+    nodes, elements, faces, tags = _square_arrays()
     node = next(v for v in row if abs(v) > 3)
     with pytest.raises(MeshError, match=f"^element 1 references node {node} but mesh has 4 nodes$"):
-        Mesh.build(2, nodes, [elements[0].tolist(), row], tags)
+        Mesh.build(2, nodes, [elements[0].tolist(), row], faces, tags)
 
 
-# sha256 of nodes (<f8), elements (<i8) and repr(boundary_faces); downstream
+# sha256 of nodes (<f8), elements (<i8) and the repr of the boundary's
+# (element, local face, tag) list of Python ints and strs; downstream
 # artifacts are byte-identical only while this order holds.
 MESH_DIGESTS = {
     (2, 3, 2): ("87c079098b5ea3dec8ca3f78abf17e28cfb16bc337939cc8d3fa1fb5001e9fda",
@@ -420,5 +505,6 @@ def test_structured_mesh_order_is_pinned(args):
     digests = tuple(hashlib.sha256(data).hexdigest() for data in (
         np.ascontiguousarray(mesh.nodes, dtype="<f8").tobytes(),
         np.ascontiguousarray(mesh.elements, dtype="<i8").tobytes(),
-        repr(mesh.boundary_faces).encode()))
+        repr([(e, lf, tag) for (e, lf), tag in zip(mesh.boundary_faces.tolist(),
+                                                    mesh.boundary_tags.tolist())]).encode()))
     assert digests == MESH_DIGESTS[args]

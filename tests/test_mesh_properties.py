@@ -31,8 +31,15 @@ from efem import mesh as mesh_io
 from efem.mesh import Mesh, MeshError, generate_structured, local_faces, read_mesh, signed_measures
 from efem.mesh import write_mesh
 from efem.oracles import cylinder_benchmark_mesh, jittered_mesh
+from test_point_callables import boundary_walk
 
 SIDES = ("left", "right", "bottom", "top", "front", "back")
+
+
+def _triples(mesh):
+    """The (element, local face, tag) of each tagged face, as Python ints and strs."""
+    return [(e, lf, tag) for (e, lf), tag in zip(mesh.boundary_faces.tolist(),
+                                                 mesh.boundary_tags.tolist())]
 
 
 def _adjacency_oracle(mesh):
@@ -68,8 +75,8 @@ def _check_mesh(mesh, box):
             side = next(s for s in range(2 * dim)
                         if np.all(np.abs(coords[:, s // 2] - box[s]) < tol))
             want.append((*first, SIDES[side]))
-    assert mesh.boundary_faces == sorted(want)
-    assert all(type(v) is int for e, lf, _ in mesh.boundary_faces for v in (e, lf))
+    assert _triples(mesh) == sorted(want)
+    assert mesh.boundary_faces.dtype == np.int64 and mesh.boundary_tags.dtype.kind == "U"
 
     vols = signed_measures(mesh.nodes[mesh.elements])
     assert (vols > 0).all()
@@ -102,7 +109,7 @@ def test_perturbed_mesh_matches_oracle(n, seed):
 # arrays bit for bit, or the same MeshError text.
 
 
-def _lexsort_build(dim, nodes, elements, boundary_faces):
+def _lexsort_build(dim, nodes, elements, boundary_faces, boundary_tags):
     """(face_keys, face_first, face_second) of the lexsort builder."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     elements = np.ascontiguousarray(elements, dtype=np.int64)
@@ -147,7 +154,7 @@ def _lexsort_build(dim, nodes, elements, boundary_faces):
 
     face_keys, face_first, face_second = keys[first], element_and_face(first), element_and_face(second)
     tagged = np.zeros(len(face_keys), dtype=bool)
-    for e, lf, tag in boundary_faces:
+    for (e, lf), tag in zip(boundary_faces, boundary_tags):
         if not 0 <= e < len(elements):
             raise MeshError(f"boundary face references element {e} out of range")
         if not 0 <= lf < nf:
@@ -198,18 +205,18 @@ def _relabel(mesh, rng):
     even = np.array(_even_permutations(nf))
     perms = even[rng.integers(0, len(even), mesh.n_elements)]     # new vertex i is old perms[e, i]
     elements = np.take_along_axis(node_of[mesh.elements], perms, axis=1)[rows]
-    boundary = []
-    for e, lf, tag in mesh.boundary_faces:
+    faces = np.empty_like(mesh.boundary_faces)
+    for i, (e, lf) in enumerate(mesh.boundary_faces.tolist()):
         vertex = next(v for v in range(nf) if _opposite_face(dim, v) == lf)
         position = int(np.flatnonzero(perms[e] == vertex)[0])
-        boundary.append((int(new_index[e]), _opposite_face(dim, position), tag))
-    rng.shuffle(boundary)
-    return dim, nodes, elements, boundary
+        faces[i] = new_index[e], _opposite_face(dim, position)
+    order = rng.permutation(len(faces))
+    return dim, nodes, elements, faces[order], mesh.boundary_tags[order].tolist()
 
 
-def _corrupt(kind, dim, nodes, elements, boundary, rng):
+def _corrupt(kind, dim, nodes, elements, faces, tags, rng):
     """One fault of the given kind in a copy of valid mesh arrays."""
-    elements, boundary = np.array(elements), list(boundary)
+    elements, faces, tags = np.array(elements), np.array(faces), list(tags)
     e = int(rng.integers(len(elements)))
     if kind == "third element on a face":            # a copy of e: its inner faces get three
         elements = np.vstack([elements, elements[e]])
@@ -219,14 +226,16 @@ def _corrupt(kind, dim, nodes, elements, boundary, rng):
     elif kind == "inverted element":
         elements[e, [0, 1]] = elements[e, [1, 0]]
     elif kind == "tagged interior face":
-        _, first, second = _lexsort_build(dim, nodes, elements, boundary)
+        _, first, second = _lexsort_build(dim, nodes, elements, faces, tags)
         inner = np.flatnonzero(second[:, 0] >= 0)
         f = inner[rng.integers(inner.size)]
         slot = first[f] if rng.random() < 0.5 else second[f]
-        boundary.insert(int(rng.integers(len(boundary) + 1)), (*map(int, slot), "inner"))
+        i = int(rng.integers(len(faces) + 1))
+        faces, tags = np.insert(faces, i, slot, axis=0), tags[:i] + ["inner"] + tags[i:]
     elif kind == "untagged boundary face":
-        del boundary[int(rng.integers(len(boundary)))]
-    return dim, nodes, elements, boundary
+        i = int(rng.integers(len(faces)))
+        faces, tags = np.delete(faces, i, axis=0), tags[:i] + tags[i + 1:]
+    return dim, nodes, elements, faces, tags
 
 
 _CORRUPTIONS = ("third element on a face", "repeated node", "inverted element",
@@ -266,14 +275,51 @@ def test_packed_keys_stay_exact_past_2_21_nodes():
     ids = [n - 1, n - 3, n - 2, n - 5, n - 4]
     nodes[ids] = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]]
     elements = np.array([[ids[0], ids[1], ids[2], ids[3]], [ids[0], ids[2], ids[1], ids[4]]])
-    tags = [(e, lf, "outer") for e in range(2) for lf in range(4)
-            if sorted(elements[e][list(local_faces(3)[lf])]) != sorted(ids[:3])]
-    mesh = Mesh.build(3, nodes, elements, tags)
-    assert _build_outcome(Mesh.build, 3, nodes, elements, tags) == _build_outcome(
-        _lexsort_build, 3, nodes, elements, tags)
+    faces = [(e, lf) for e in range(2) for lf in range(4)
+             if sorted(elements[e][list(local_faces(3)[lf])]) != sorted(ids[:3])]
+    tags = ["outer"] * len(faces)
+    mesh = Mesh.build(3, nodes, elements, faces, tags)
+    assert _build_outcome(Mesh.build, 3, nodes, elements, faces, tags) == _build_outcome(
+        _lexsort_build, 3, nodes, elements, faces, tags)
     keys = [tuple(k) for k in mesh.face_keys.tolist()]
     assert keys == sorted(keys) and len(keys) == 7
     assert (mesh.face_keys >= n - 5).all()
+
+
+# ---------------------------------------------------------------------------
+# boundary arrays
+#
+# The tagged faces are two read-only arrays from generation or the file on:
+# (B, 2) int64 (element, local face) and (B,) str tags.  They survive a
+# write and a read unchanged, and boundary_node_tags gives the (node, tag)
+# pairs in the order of the walk over the faces.
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["structured", "jittered", "read", "relabelled"]),
+       dim=st.sampled_from([2, 3]), counts=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_boundary_arrays_round_trip_and_follow_the_face_walk(kind, dim, counts, seed):
+    mesh = (generate_structured(dim, *counts[:dim]) if kind == "structured"
+            else jittered_mesh(counts[:dim], seed, amplitude=0.1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.msh"
+        if kind == "read":
+            write_mesh(mesh, path)
+            mesh = read_mesh(path)
+        elif kind == "relabelled":
+            mesh = Mesh.build(*_relabel(mesh, np.random.default_rng(seed)))
+        faces, tags = mesh.boundary_faces, mesh.boundary_tags
+        assert faces.dtype == np.int64 and faces.shape == (len(tags), 2) and tags.ndim == 1
+        assert tags.dtype.kind == "U"
+        assert not faces.flags.writeable and not tags.flags.writeable
+        write_mesh(mesh, path)
+        back = read_mesh(path)
+    assert np.array_equal(back.boundary_faces, faces) and np.array_equal(back.boundary_tags, tags)
+    nodes, node_tags = mesh.boundary_node_tags
+    assert nodes.dtype == np.int64 and node_tags.dtype.kind == "U"
+    assert not nodes.flags.writeable and not node_tags.flags.writeable
+    assert list(zip(nodes.tolist(), node_tags.tolist())) == boundary_walk(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +333,7 @@ def _oracle_write_mesh(mesh, path):
             f.write(" ".join(f"{v:.17g}" for v in x) + "\n")
         for conn in mesh.elements:
             f.write(" ".join(str(int(c)) for c in conn) + "\n")
-        for e, lf, tag in mesh.boundary_faces:
+        for e, lf, tag in _triples(mesh):
             f.write(f"{e} {lf} {tag}\n")
 
 
@@ -332,19 +378,20 @@ def _oracle_read_mesh(path):
         except ValueError:
             raise MeshError(f"line {lineno}: bad node index in element {e}")
 
-    boundary = []
+    faces, tags = [], []
     for b in range(n_bfaces):
         lineno, toks = take(f"boundary face {b}")
         if len(toks) != 3:
             raise MeshError(f"line {lineno}: boundary face {b} needs 'element local_face tag'")
         try:
-            boundary.append((int(toks[0]), int(toks[1]), toks[2]))
+            faces.append((int(toks[0]), int(toks[1])))
         except ValueError:
             raise MeshError(f"line {lineno}: bad boundary face {b}")
+        tags.append(toks[2])
 
     if rows:
         raise MeshError(f"line {rows[0][0]}: trailing content after mesh data")
-    return Mesh.build(dim, nodes, elements, boundary)
+    return Mesh.build(dim, nodes, elements, faces, tags)
 
 
 def _outcome(read, path):
@@ -354,7 +401,8 @@ def _outcome(read, path):
     except MeshError as exc:
         return str(exc)
     return (m.dim, m.nodes.dtype, m.nodes.shape, m.nodes.tobytes(), m.elements.dtype,
-            m.elements.shape, m.elements.tobytes(), m.boundary_faces)
+            m.elements.shape, m.elements.tobytes(), m.boundary_faces.dtype,
+            m.boundary_faces.shape, m.boundary_faces.tobytes(), m.boundary_tags.tolist())
 
 
 def _rows(path):
@@ -468,7 +516,8 @@ def _round_trip_case(mesh, rnd, rows_per_write):
         back = read_mesh(plain)
         assert back.nodes.tobytes() == mesh.nodes.tobytes()
         assert np.array_equal(back.elements, mesh.elements)
-        assert back.boundary_faces == mesh.boundary_faces
+        assert np.array_equal(back.boundary_faces, mesh.boundary_faces)
+        assert np.array_equal(back.boundary_tags, mesh.boundary_tags)
 
         path = _write(tmp, _decorate(plain.read_text().split("\n")[:-1], rnd))
         assert _outcome(read_mesh, path) == _outcome(_oracle_read_mesh, path) == _outcome(

@@ -215,7 +215,8 @@ def test_benchmark_mesh_is_reproducible(tmp_path):
         bundled = read_mesh(p)
     assert np.array_equal(mesh.nodes, bundled.nodes)
     assert np.array_equal(mesh.elements, bundled.elements)
-    assert mesh.boundary_faces == bundled.boundary_faces
+    assert np.array_equal(mesh.boundary_faces, bundled.boundary_faces)
+    assert np.array_equal(mesh.boundary_tags, bundled.boundary_tags)
 
 
 def test_benchmark_mesh_keeps_boundary_nodes():
@@ -231,7 +232,8 @@ def test_jittered_mesh_moves_interior_nodes_within_the_amplitude(counts):
     mesh = jittered_mesh(counts, seed=3, amplitude=0.2)
     grid = generate_structured(len(counts), *counts)
     assert np.array_equal(mesh.elements, grid.elements)
-    assert mesh.boundary_faces == grid.boundary_faces
+    assert np.array_equal(mesh.boundary_faces, grid.boundary_faces)
+    assert np.array_equal(mesh.boundary_tags, grid.boundary_tags)
     step = np.abs(mesh.nodes - grid.nodes)
     interior = np.all((grid.nodes > 1e-12) & (grid.nodes < 1.0 - 1e-12), axis=1)
     assert (step[~interior] == 0.0).all() and (step[interior] > 0.0).all()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from efem.efem_core import _collect_dirichlet, assemble_global
 from efem.interface import CircleLevelSet
-from efem.mesh import BoundaryTag, generate_structured
+from efem.mesh import BoundaryTag, generate_structured, local_faces
 from efem.oracles import (
     CylinderCase,
     PlanarCase,
@@ -136,12 +136,21 @@ def test_solutions_on_one_mesh_share_the_centroid_tree(perturbed_field):
 # Dirichlet data: stacked evaluation keeps the messages of a walk
 
 
+def boundary_walk(mesh):
+    """The distinct (node, tag) pairs in the order a walk over the tagged
+    faces, and over each face's nodes, first reaches them."""
+    pairs = {}
+    for (e, lf), tag in zip(mesh.boundary_faces.tolist(), mesh.boundary_tags.tolist()):
+        for node in mesh.elements[e, list(local_faces(mesh.dim)[lf])].tolist():
+            pairs.setdefault((node, tag))
+    return list(pairs)
+
+
 def _walk_dirichlet(mesh, boundary):
-    """The (node, tag) walk that evaluated one pair at a time, kept as the
-    reference for which error comes first."""
+    """The walk over the tagged faces that evaluated one (node, tag) pair at
+    a time, kept as the reference for which error comes first."""
     seen = {}
-    nodes, tags = mesh.boundary_node_tags
-    for node, tag_name in zip(nodes.tolist(), tags):
+    for node, tag_name in boundary_walk(mesh):
         tag = boundary.get(tag_name)
         if tag is None:
             raise KeyError(f"mesh tag {tag_name!r} has no boundary assignment")

@@ -342,11 +342,23 @@ def test_csv_round_trip_is_bit_exact(tmp_path, planar_q3_efem):
     s = sample_line(planar_q3_efem, (0.3, 0.0), (0.7, 1.0), count=211)
     path = tmp_path / "line.csv"
     export_csv(s, path)
+    _assert_csv_round_trip(s, path)
+
+
+def test_csv_round_trip_is_bit_exact_3d(tmp_path):
+    s = sample_line(_planar_3d(3.0, "efem", n=4), (0.2, 0.0, 0.3), (0.7, 1.0, 0.9), count=57)
+    assert set(s.side.tolist()) == {-1, 1}
+    path = tmp_path / "line.csv"
+    export_csv(s, path)
+    _assert_csv_round_trip(s, path)
+
+
+def _assert_csv_round_trip(s, path):
     pts, phi, E, side = read_csv_sample(path)
     assert np.array_equal(pts, s.points)
     assert np.array_equal(phi, s.phi)
     assert np.array_equal(E, s.E)
-    assert np.array_equal(side, s.side)
+    assert np.array_equal(side, s.side) and side.dtype.kind == "i"
 
 
 # ---------------------------------------------------------------------------

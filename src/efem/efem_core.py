@@ -21,6 +21,13 @@ standard FEM block of the element, so the condensed block
 is the standard block plus one rank-one term, and every mode assembles the
 same standard matrix, in the standard FEM sparsity pattern, adding that term
 on its enriched elements only.
+
+Between two level sets on one mesh, that matrix differs from eps1 times the
+mesh's unit stiffness (mesh.unit_stiffness, sum_e measure_e G G^T, built on
+first use) only in the entries whose row or column node a negative or cut
+element holds.  assemble_global starts from the scaled cache and sums those
+entries again from the elements that hold such a node: for a sphere of
+radius 0.1 on the 32^3 structured mesh, about 2,800 of 196,608 elements.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from efem.mesh import BoundaryTag, Mesh, face_measure_normal, local_faces, row_blocks, row_dot
+from efem.mesh import (BoundaryTag, Mesh, face_measure_normal, local_faces, row_blocks, row_dot,
+                       stiffness_blocks)
 from efem.interface import Classification, CutBatch, classify_elements, split_simplex
 
 log = logging.getLogger("efem")
@@ -257,11 +265,18 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     cut is degenerate, or whose enrichment cannot be condensed, is not
     enriched: it keeps its standard block and is reported with its reason.
 
-    The element blocks are formed one row block of elements at a time, and
-    each block is scattered into the mesh's fixed P1 pattern by an
-    unbuffered np.add.at, in element order, so each matrix entry sums its
-    element contributions in element order.  The pattern (a row-identity
-    Dirichlet treatment included) is identical across modes and level sets.
+    A node is marked when a negative or cut element holds it, and the band
+    is every element that holds a marked node.  The data starts as eps1 *
+    mesh.unit_stiffness.  Every entry whose row or column node is marked is
+    zeroed and summed again from the blocks of the band, formed one row
+    block of band elements at a time and scattered into the mesh's fixed P1
+    pattern by an unbuffered np.add.at, in element order, so such an entry
+    sums its element contributions in element order.  Every other entry
+    takes positive elements alone and reads eps1 * sum_e measure_e G G^T in
+    place of sum_e (eps1 * measure_e) G G^T; the two are the same bits when
+    eps1 is a power of two, and otherwise differ by rounding.  The pattern
+    (a row-identity Dirichlet treatment included) is identical across modes
+    and level sets.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -274,12 +289,21 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     if dir_nodes.size == 0:
         raise SingularSystemError("no Dirichlet boundary: the system is singular")
 
+    # only band elements add to an entry with a marked row or column node
+    elements = mesh.elements
+    marked = np.zeros(mesh.n_nodes, dtype=bool)
+    marked[elements[cl.element_sign <= 0]] = True
+    held = marked[elements[:, 0]]                    # a column at a time: any(axis=1) is slower
+    for column in elements.T[1:]:
+        held |= marked[column]
+    band = np.flatnonzero(held)
+
     eps1, eps2 = materials.eps1, materials.eps2
-    weight = np.where(cl.element_sign > 0, eps1, eps2) * measures     # eps * measure
+    weight = np.where(cl.element_sign[band] > 0, eps1, eps2) * measures[band]  # eps * measure
     cut = cl.cut_elements
-    deco = split_simplex(mesh.nodes[mesh.elements[cut]], cl.d[mesh.elements[cut]])
-    weight[cut] = sum(np.where(s > 0, eps1, eps2) * m
-                      for m, s in zip(deco.child_measure.T, deco.child_sign.T))
+    deco = split_simplex(mesh.nodes[elements[cut]], cl.d[elements[cut]])
+    weight[np.searchsorted(band, cut)] = sum(np.where(s > 0, eps1, eps2) * m
+                                             for m, s in zip(deco.child_measure.T, deco.child_sign.T))
     reasons = np.full(cut.size, "", dtype=object)
     reasons[deco.degenerate] = "degenerate cut"
 
@@ -295,16 +319,27 @@ def assemble_global(mesh: Mesh, levelset, materials: MaterialPair, mode: str,
     ids = cut[good]
     B, recovery = B[ok], recovery[ok]
 
-    # add.at, not bincount: added block by block, per-block bincount sums
-    # would reach each entry in another order than element order
-    data = np.zeros(pattern.nnz)
-    for rows in row_blocks(mesh.n_elements):
-        g = grads[rows]
-        blocks = np.matmul(g, np.ascontiguousarray(g.transpose(0, 2, 1)))
-        blocks *= weight[rows, None, None]
-        i, j = np.searchsorted(ids, (rows.start, rows.stop))
-        blocks[ids[i:j] - rows.start] += B[i:j, :, None] * recovery[i:j, None, :]
-        np.add.at(data, pattern.slots[rows].ravel(), blocks.ravel())
+    def marked_slots(part):
+        """Which local entries of the band elements band[part] have a marked
+        row or column node, and their slots."""
+        m = marked[elements[band[part]]]
+        keep = m[:, :, None] | m[:, None, :]
+        return keep, pattern.slots[band[part]][keep]
+
+    # every marked entry is zeroed before any is summed again, and then sums
+    # its band elements in element order; add.at, not bincount: added block
+    # by block, per-block bincount sums would reach each entry in another
+    # order than element order
+    data = eps1 * mesh.unit_stiffness
+    for part in row_blocks(band.size):
+        data[marked_slots(part)[1]] = 0.0
+    in_band = np.searchsorted(band, ids)
+    for part in row_blocks(band.size):
+        blocks = stiffness_blocks(grads[band[part]], weight[part])
+        i, j = np.searchsorted(in_band, (part.start, part.stop))
+        blocks[in_band[i:j] - part.start] += B[i:j, :, None] * recovery[i:j, None, :]
+        keep, slots = marked_slots(part)
+        np.add.at(data, slots, blocks[keep])
     rhs = np.zeros(mesh.n_nodes)
     _apply_dirichlet(pattern, data, rhs, dir_nodes, dir_values)
     A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
@@ -378,15 +413,20 @@ def _apply_dirichlet(pattern, data: np.ndarray, rhs: np.ndarray, nodes: np.ndarr
     isdir[nodes] = True
     val_of = np.zeros(n)
     val_of[nodes] = values
-    indices, row_of = pattern.indices, pattern.rows
+    indptr, indices = pattern.indptr, pattern.indices
 
-    # move Dirichlet columns of free rows to the rhs
-    m = isdir[indices] & ~isdir[row_of]
-    np.subtract.at(rhs, row_of[m], data[m] * val_of[indices[m]])
+    # move Dirichlet columns to the rhs, in CSR order (a Dirichlet row's rhs
+    # is set last)
+    m = np.flatnonzero(isdir[indices])
+    np.subtract.at(rhs, np.searchsorted(indptr, m, "right") - 1, data[m] * val_of[indices[m]])
     data[m] = 0.0
 
-    # identity rows for constrained nodes
-    rdir = isdir[row_of]
-    data[rdir] = 0.0
-    data[rdir & (indices == row_of)] = 1.0
+    # identity rows for constrained nodes: their CSR ranges, and the row of
+    # each position
+    start = indptr[nodes]
+    count = indptr[nodes + 1] - start
+    row = np.repeat(nodes, count)
+    at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    data[at] = 0.0
+    data[at[indices[at] == row]] = 1.0
     rhs[nodes] = values

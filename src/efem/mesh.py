@@ -286,6 +286,23 @@ class Mesh:
         return p1_pattern(self.n_nodes, self.elements)
 
     @cached_property
+    def unit_stiffness(self) -> np.ndarray:
+        """(nnz,) CSR data, in pattern order, of the P1 stiffness matrix for unit
+        permittivity, sum_e measure_e G_e G_e^T, built on first use.
+
+        The blocks are formed one row block of elements at a time and
+        scattered by an unbuffered np.add.at, so each entry sums its element
+        contributions in element order.
+        """
+        slots = self.pattern.slots
+        data = np.zeros(self.pattern.nnz)
+        for rows in row_blocks(self.n_elements):
+            blocks = stiffness_blocks(self.grads[rows], self.measures[rows])
+            np.add.at(data, slots[rows].ravel(), blocks.ravel())
+        data.setflags(write=False)
+        return data
+
+    @cached_property
     def boundary_node_tags(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct (node, tag) pairs of the tagged faces: (nodes (P,), tags (P,)).
 
@@ -474,6 +491,14 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def stiffness_blocks(grads: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Element blocks weight * G G^T (k, d+1, d+1) of k elements with P1
+    gradients grads (k, d+1, d) and weights (k,)."""
+    blocks = np.matmul(grads, np.ascontiguousarray(grads.transpose(0, 2, 1)))
+    blocks *= weight[:, None, None]
+    return blocks
+
+
 def signed_measures(simplices) -> np.ndarray:
     """Signed measures (area/volume) of simplices (k, d+1, d), positive when
     the vertices are positively oriented."""
@@ -539,14 +564,13 @@ class P1Pattern:
     holds both.  Column indices are sorted within each row.
 
     slots (n_elements, dim+1, dim+1) maps local entry (i, j) of element e to
-    the position in the CSR data of entry (elements[e, i], elements[e, j]);
-    rows holds the row of every position.  All arrays are read-only and
-    share one index dtype: int32 while nnz and n_nodes are below 2**31.
+    the position in the CSR data of entry (elements[e, i], elements[e, j]).
+    All arrays are read-only and share one index dtype: int32 while nnz and
+    n_nodes are below 2**31.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    rows: np.ndarray
     slots: np.ndarray
 
     @property
@@ -610,8 +634,8 @@ def p1_pattern(n_nodes: int, elements: np.ndarray) -> P1Pattern:
 
     indptr = np.zeros(n_nodes + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
-    pattern = P1Pattern(indptr, cols[order].astype(index), rows[order].astype(index), slots)
-    for arr in (pattern.indptr, pattern.indices, pattern.rows, pattern.slots):
+    pattern = P1Pattern(indptr, cols[order].astype(index), slots)
+    for arr in (pattern.indptr, pattern.indices, pattern.slots):
         arr.setflags(write=False)
     return pattern
 

@@ -562,13 +562,16 @@ def export_vtk(sol: SolutionField, path) -> None:
     child_rows = np.where(refs < nv,
                           np.take_along_axis(conn[ids[k]], np.minimum(refs, nv - 1), axis=1),
                           (first_virtual[k] - nv)[:, None] + refs)
-    per_element = np.ones(m.n_elements, dtype=np.int64)
+    per_element = np.ones(m.n_elements, dtype=np.int32)
     per_element[ids] = b.n_children             # two or more
-    cell_elem = np.repeat(np.arange(m.n_elements), per_element)
+    # cell and point indices take int32 while their counts stay below 2**31
+    n_cells = int(per_element.sum(dtype=np.int64))
+    index = np.int32 if max(n_cells, points.shape[0]) < 2**31 else np.int64
+    cell_elem = np.repeat(np.arange(m.n_elements, dtype=index), per_element)
     is_child = (per_element > 1)[cell_elem]
-    cells = np.empty((cell_elem.size, nv), dtype=np.int64)
+    cells = np.empty((n_cells, nv), dtype=index)
     cells[~is_child], cells[is_child] = conn[per_element == 1], child_rows
-    side = np.ones(cell_elem.size, dtype=np.int64)
+    side = np.ones(n_cells, dtype=np.int8)
     side[is_child] = b.child_sign[real_c]
     # a cell's E is constant, so it is read at the element centroid; row
     # blocks keep the gathered gradients small
@@ -577,7 +580,7 @@ def export_vtk(sol: SolutionField, path) -> None:
         e = cell_elem[rows]
         cdata[rows] = reconstruct(sol, e, np.broadcast_to(1.0 / nv, (e.size, nv)), side[rows])[1]
 
-    n_points, n_cells = points.shape[0], cells.shape[0]
+    n_points = points.shape[0]
     xyz = " ".join(["%.17g"] * m.dim + ["0"] * (3 - m.dim)) + "\n"     # 2D rows get z = 0
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")

@@ -99,7 +99,8 @@ class NodalLevelSet:
 
 
 def nodal_distances(levelset, mesh: Mesh) -> np.ndarray:
-    """Signed distance at every mesh node."""
+    """Signed distance at every mesh node; ValueError names both dimensions when
+    a plane's or a ball's coordinates do not match the mesh."""
     if isinstance(levelset, NodalLevelSet):
         if levelset.values.shape[0] != mesh.n_nodes:
             raise ValueError(
@@ -107,6 +108,11 @@ def nodal_distances(levelset, mesh: Mesh) -> np.ndarray:
                 f"but the mesh has {mesh.n_nodes} nodes"
             )
         return levelset.values.copy()
+    for name in ("point", "normal", "center"):
+        v = getattr(levelset, name, None)
+        if v is not None and v.shape != (mesh.dim,):
+            raise ValueError(f"{levelset.kind} level set {name} has {v.size} coordinates, "
+                             f"but the mesh is {mesh.dim}D")
     return levelset.evaluate(mesh.nodes)
 
 

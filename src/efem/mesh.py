@@ -39,8 +39,9 @@ def local_edges(dim: int):
     return EDGES_2D if dim == 2 else EDGES_3D
 
 
-# Rows per block wherever a per-element or per-row array is built or written
-# in blocks: the gradients, the assembly scatter and the text writers.
+# Rows per block wherever a per-element array is built in blocks: the
+# gradients, the unit stiffness, the assembly scatter and the VTK cell field.
+# The text writer has its own block, _RUN.
 _ROW_BLOCK = 1 << 15
 
 
@@ -158,6 +159,9 @@ class Mesh:
             raise MeshError(f"dim must be 2 or 3, got {dim}")
         if nodes.ndim != 2 or nodes.shape[1] != dim:
             raise MeshError(f"nodes must have shape (*, {dim})")
+        if (bad := _first_non_integer(elements)) is not None:
+            e, _, value = bad
+            raise MeshError(f"element {e} has node index {value!r}, which is not an int64 integer")
         try:
             elements = np.ascontiguousarray(elements, dtype=np.int64)
         except OverflowError:
@@ -211,10 +215,12 @@ class Mesh:
         """Keep the tagged faces, or name the first faulty one, then the first untagged face.
         Tags are checked before the str array, which makes 5 '5' and drops a trailing NUL."""
         nf, n = self.dim + 1, len(faces)
+        odd = _first_non_integer(faces)     # that face and the ones after it are not converted
+        stop = n if odd is None else odd[0]
         try:
-            stop, array = n, np.ascontiguousarray(faces, dtype=np.int64)
+            array = np.ascontiguousarray(faces[:stop], dtype=np.int64)
         except OverflowError:       # the face of the first value outside [0, 2**63) is faulty
-            stop, _ = _first_out_of_range(faces, 2**63)
+            stop, _ = _first_out_of_range(faces[:stop], 2**63)
             array = np.ascontiguousarray(faces[:stop], dtype=np.int64)
         self.boundary_faces = array.reshape(stop, 2)
         plain = np.fromiter(map(lambda t: isinstance(t, str) and t[-1:] != "\0", tags), bool, n)
@@ -225,6 +231,9 @@ class Mesh:
         if bad.size or stop < n:
             i = int(bad[0]) if bad.size else stop
             (ei, lfi), tag = faces[i], tags[i]
+            if odd is not None and i == odd[0]:
+                raise MeshError(f"boundary face {i} has {('element', 'local face')[odd[1]]} "
+                                f"{odd[2]!r}, which is not an int64 integer")
             if not 0 <= ei < self.n_elements:
                 raise MeshError(f"boundary face references element {ei} out of range")
             if not 0 <= lfi < nf:
@@ -424,6 +433,38 @@ def _first_out_of_range(elements, n: int) -> tuple[int, int]:
         for node in row:
             if not 0 <= node < n:
                 return e, int(node)
+
+
+def _first_non_integer(rows) -> tuple[int, int, object] | None:
+    """(row, column, value) of the first value of the (k, w) rows, in row
+    order, that differs from its int64 conversion, or None.
+
+    An integer array skips the check, and a Python int past int64 passes it:
+    the range checks name that one.  Other shapes are left to the shape checks.
+    """
+    a = np.asarray(rows)
+    if a.ndim != 2 or a.dtype.kind in "iu":
+        return None
+    with np.errstate(invalid="ignore"):             # nan, inf and values past int64
+        if a.dtype.kind == "f":
+            bad = a != a.astype(np.int64)
+        else:
+            bad = ~np.frompyfunc(_is_integer, 1, 1)(a).astype(bool)
+    flat = np.flatnonzero(bad)
+    if not flat.size:
+        return None
+    r, c = divmod(int(flat[0]), a.shape[1])
+    value = a[r, c]
+    return r, c, value.item() if isinstance(value, np.generic) else value
+
+
+def _is_integer(value) -> bool:
+    if isinstance(value, (int, np.integer)):
+        return True
+    try:
+        return bool(np.int64(value) == value)
+    except (ValueError, OverflowError, TypeError):
+        return False
 
 
 def _first_non_finite(nodes: np.ndarray) -> int | None:
@@ -662,9 +703,8 @@ _CELL_SIMPLICES = {
 _SIDE_NAMES = np.array(["left", "right", "bottom", "top", "front", "back"], dtype=object)
 
 
-def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None = None,
-                        box: tuple | None = None) -> Mesh:
-    """Uniform simplex mesh of an axis-aligned box.
+def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None = None) -> Mesh:
+    """Uniform simplex mesh of the unit square or cube.
 
     2D: each grid square is split into two triangles along the same diagonal
     (corner (i, j) to (i+1, j+1)).  3D: each cube is split into six
@@ -678,8 +718,7 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
     if min(counts) < 1:
         raise MeshError("nx and ny must be at least 1" if dim == 2
                         else "nx, ny and nz must be at least 1")
-    box = box or (0.0, 1.0) * dim
-    axes = [np.linspace(box[2 * i], box[2 * i + 1], counts[i] + 1) for i in range(dim)]
+    axes = [np.linspace(0.0, 1.0, c + 1) for c in counts]
     nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
     ids = np.arange(nodes.shape[0]).reshape([c + 1 for c in counts])
@@ -712,12 +751,13 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 
 
 # Rows of numbers as text, exactly as (fmt * n) % tuple(rows.ravel().tolist())
-# writes them, formatted by numpy kernels a block of rows at a time.  A block
-# is laid out slot-major: row c of a (slots, n) uint8 array holds character c
-# of n values, so every step is a whole-row array operation.  Each value
-# takes a fixed run of slot rows between the literal text of the format, and
-# a slot it does not use holds a 0 byte.  _RUN rows at a time, the block is
-# transposed to row order and one bytes.translate deletes the 0 bytes.
+# writes them, formatted by numpy kernels a block of _RUN rows at a time.  A
+# block is laid out slot-major: row c of a (slots, n) uint8 array holds
+# character c of n values, so every step is a whole-row array operation.  Each
+# value takes a fixed run of slot rows between the literal text of the format,
+# and a slot it does not use holds a 0 byte.  The block is then transposed to
+# row order, and one bytes.translate deletes the 0 bytes.  %d takes integer
+# columns only.
 #
 # %.17g: a value x = M 2**(e-53) (M the 53-bit integer mantissa) with
 # _G_LOW <= |x| < _G_HIGH has decimal exponent k = floor(log10 |x|) and 17
@@ -732,8 +772,8 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 # path with N = 0; any other value, non-finite ones included, goes through %
 # on its own.
 
-_CONVERSION = re.compile(r"(%%|%\.17g|%d)")
-_RUN = 1 << 13                  # rows per kernel call and per write: temporaries stay in cache
+_CONVERSION = re.compile(r"(%\.17g|%d)")
+_RUN = 1 << 13                  # rows per block: its temporaries stay in cache
 _G_LOW, _G_HIGH = 1e-10, 1e14
 _G_WIDTH = 24                   # the longest %.17g text, '-2.2250738585072014e-308'
 _POW5 = np.array([5**p for p in range(28)], dtype=np.uint64)
@@ -745,50 +785,37 @@ def _row_format(fmt: str) -> tuple[list[bytes], str]:
     """The literal text around each conversion of fmt, and the conversions ('g' or 'd')."""
     if "\0" in fmt:
         raise ValueError(f"row format {fmt!r} holds a NUL character")
-    literals, kinds, text = [], "", ""
-    for i, part in enumerate(_CONVERSION.split(fmt)):
-        if part == "%%":
-            text += "%"
-        elif i % 2:
-            literals.append(text.encode())
-            kinds += part[-1]
-            text = ""
-        elif "%" in part:
-            raise ValueError(f"row format {fmt!r} holds a conversion other than %.17g and %d")
-        else:
-            text += part
-    return literals + [text.encode()], kinds
+    parts = _CONVERSION.split(fmt)
+    if any("%" in text for text in parts[0::2]):
+        raise ValueError(f"row format {fmt!r} holds a conversion other than %.17g and %d")
+    return [text.encode() for text in parts[0::2]], "".join(c[-1] for c in parts[1::2])
 
 
 def _write_rows(f, fmt: str, rows: np.ndarray) -> None:
-    """Write rows (N, k) with the %-format fmt of one row, a block at a time.
+    """Write rows (N, k) with the %-format fmt of one row, _RUN rows at a time.
 
-    fmt holds k conversions, each %.17g or %d, and the text written is
-    exactly (fmt * N) % tuple(rows.ravel().tolist()).
+    fmt holds k conversions, each %.17g or %d (integer columns only), and the
+    text written is exactly (fmt * N) % tuple(rows.ravel().tolist()).
     """
     literals, kinds = _row_format(fmt)
     if rows.ndim != 2 or rows.shape[1] != len(kinds):
         raise ValueError(f"row format {fmt!r} has {len(kinds)} conversions, "
                          f"rows have shape {rows.shape}")
     lits = [np.frombuffer(lit, dtype=np.uint8)[:, None] for lit in literals]
-    for part in row_blocks(rows.shape[0]):
-        block = rows[part]
-        n = block.shape[0]
+    for r in range(0, rows.shape[0], _RUN):
+        block = rows[r:r + _RUN]
         widths = [_G_WIDTH if kind == "g" else _d_width(block[:, j])
                   for j, kind in enumerate(kinds)]
-        out = np.empty((sum(map(len, lits)) + sum(widths), n), dtype=np.uint8)
+        out = np.empty((sum(map(len, lits)) + sum(widths), block.shape[0]), dtype=np.uint8)
         at = 0
         for j, (lit, kind) in enumerate(zip(lits, kinds)):
             out[at:at + lit.size] = lit
             at += lit.size
-            slots = _g_slots if kind == "g" else _d_slots
-            for r in range(0, n, _RUN):
-                slots(block[r:r + _RUN, j], out[at:at + widths[j], r:r + _RUN])
+            (_g_slots if kind == "g" else _d_slots)(block[:, j], out[at:at + widths[j]])
             at += widths[j]
         out[at:] = lits[-1]
         used = np.flatnonzero(out.any(axis=1))      # drop slot rows no value of the block uses
-        for r in range(0, n, _RUN):
-            f.write(out[used, r:r + _RUN].T.tobytes().translate(None, b"\0").decode())
+        f.write(out[used].T.tobytes().translate(None, b"\0").decode())
 
 
 def _digit_rows(u: np.ndarray, width: int) -> np.ndarray:
@@ -809,18 +836,6 @@ def _digit_rows(u: np.ndarray, width: int) -> np.ndarray:
         groups = q
     out[:, 0] = groups + _ZERO
     return out.reshape(4 * n_groups, -1)[4 * n_groups - width:]
-
-
-def _fallback(values: np.ndarray, slow: np.ndarray, conversion: str) -> list[bytes]:
-    """Text of conversion % v for each value where slow holds, one at a time."""
-    return [(conversion % values[i].item()).encode() for i in np.flatnonzero(slow)]
-
-
-def _put_fallback(slots: np.ndarray, values: np.ndarray, slow: np.ndarray, conversion: str):
-    """Overwrite the slots of each value where slow holds with its fallback text."""
-    for i, t in zip(np.flatnonzero(slow), _fallback(values, slow, conversion)):
-        slots[:, i] = 0
-        slots[:len(t), i] = np.frombuffer(t, dtype=np.uint8)
 
 
 def _g_slots(values: np.ndarray, slots: np.ndarray) -> None:
@@ -870,9 +885,10 @@ def _g_slots(values: np.ndarray, slots: np.ndarray) -> None:
         for c, ch in zip(range(19, 23), tail):
             slots[c] |= expo * ch
     slots[0] = np.signbit(x) * _MINUS
-    slow = (~fast & ~zero) | unresolved
-    if slow.any():
-        _put_fallback(slots, x, slow, "%.17g")
+    for i in np.flatnonzero((~fast & ~zero) | unresolved):
+        t = ("%.17g" % x[i]).encode()
+        slots[:, i] = 0
+        slots[:len(t), i] = np.frombuffer(t, dtype=np.uint8)
 
 
 def _seventeen_digits(mant: np.ndarray, e: np.ndarray, k: np.ndarray):
@@ -898,29 +914,24 @@ def _seventeen_digits(mant: np.ndarray, e: np.ndarray, k: np.ndarray):
 
 
 def _d_split(values: np.ndarray):
-    """Sign, magnitude (uint64) and which values %d writes through the kernel, for %d."""
-    if values.dtype.kind == "f":                        # %d truncates a float
-        t = np.trunc(values)
-        fast = np.abs(t) < 2.0**64
-        return t < 0, np.abs(np.where(fast, t, 0.0)).astype(np.uint64), fast
+    """Sign and magnitude (uint64) of integer values, for %d."""
     if values.dtype.kind not in "biu":
         raise TypeError(f"%d cannot write values of dtype {values.dtype}")
     neg = values < 0
     mag = values.astype(np.uint64)                      # two's complement: negate below
     mag[neg] = -mag[neg]
-    return neg, mag, np.ones(values.size, dtype=bool)
+    return neg, mag
 
 
 def _d_width(values: np.ndarray) -> int:
     """Slots %d needs for the widest of values: a sign and the digits."""
-    _, mag, fast = _d_split(values)
-    width = 1 + len(str(int(mag.max()))) if mag.size else 1
-    return max([width] + [len(t) for t in _fallback(values, ~fast, "%d")])
+    mag = _d_split(values)[1]
+    return 1 + len(str(int(mag.max()))) if mag.size else 1
 
 
 def _d_slots(values: np.ndarray, slots: np.ndarray) -> None:
     """Fill the (w, n) uint8 slots with '%d' % v for each of the n values."""
-    neg, mag, fast = _d_split(values)
+    neg, mag = _d_split(values)
     d = _digit_rows(mag, slots.shape[0] - 1)
     started = d != _ZERO                                # at or after the first nonzero digit
     for i in range(1, d.shape[0]):
@@ -928,8 +939,6 @@ def _d_slots(values: np.ndarray, slots: np.ndarray) -> None:
     started[-1] = True
     slots[0] = neg * _MINUS
     np.multiply(d, started, out=slots[1:])
-    if not fast.all():
-        _put_fallback(slots, values, ~fast, "%d")
 
 
 def write_mesh(mesh: Mesh, path) -> None:

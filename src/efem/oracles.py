@@ -218,10 +218,10 @@ def cylinder_materials(q: float = 3.0) -> MaterialPair:
 sphere_materials = cylinder_materials
 
 
-def box_boundary(dim: int, bottom: float = 0.0, top: float = 1.0) -> dict[str, BoundaryTag]:
-    """Electrode plates bottom/top, insulated elsewhere."""
-    tags = {"bottom": BoundaryTag("bottom", "dirichlet", bottom),
-            "top": BoundaryTag("top", "dirichlet", top),
+def box_boundary(dim: int) -> dict[str, BoundaryTag]:
+    """Electrode plates at 0 volt (bottom) and 1 volt (top), insulated elsewhere."""
+    tags = {"bottom": BoundaryTag("bottom", "dirichlet", 0.0),
+            "top": BoundaryTag("top", "dirichlet", 1.0),
             "left": BoundaryTag("left", "neumann"),
             "right": BoundaryTag("right", "neumann")}
     if dim == 3:
@@ -260,10 +260,10 @@ def jittered_mesh(counts, seed: int = 0, amplitude: float | None = None) -> Mesh
     return Mesh.build(dim, nodes, base.elements, base.boundary_faces, base.boundary_tags)
 
 
-def cylinder_benchmark_mesh(n: int = 27, seed: int = 0,
-                            amplitude: float = 0.25) -> Mesh:
-    """The curved-interface benchmark's n x n jittered mesh."""
-    return jittered_mesh((n, n), seed, amplitude)
+def cylinder_benchmark_mesh(n: int = 27, seed: int = 0) -> Mesh:
+    """The curved-interface benchmark's n x n jittered mesh, at jittered_mesh's
+    2D amplitude of a quarter cell."""
+    return jittered_mesh((n, n), seed)
 
 
 def conforming_inclined_mesh(n: int) -> Mesh:
@@ -279,9 +279,9 @@ def conforming_inclined_mesh(n: int) -> Mesh:
     return generate_structured(2, n, n)
 
 
-def reference_solve(case: str, fine_h: float | None = None, q: float = 3.0,
-                    tol: float = 1e-10) -> SolutionField:
-    """Reference field for a benchmark that has no closed form.
+def reference_solve(case: str, fine_h: float | None = None, q: float = 3.0) -> SolutionField:
+    """Reference field for a benchmark that has no closed form, solved to a
+    relative residual of 1e-10.
 
     inclined: standard FEM on a conforming mesh (default h = 0.01);
     cylinder: fine-mesh enriched self-reference (default h = 0.005).
@@ -300,7 +300,7 @@ def reference_solve(case: str, fine_h: float | None = None, q: float = 3.0,
                                     box_boundary(2))
     else:
         raise ValueError(f"no reference recipe for case {case!r}")
-    phi, report = solve(assembled.matrix, assembled.rhs, tol=tol)
+    phi, report = solve(assembled.matrix, assembled.rhs, tol=1e-10)
     if not report.converged:
         raise RuntimeError(
             f"reference solve for {case!r} stalled at residual {report.residual:.3e}")

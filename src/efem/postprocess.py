@@ -153,12 +153,14 @@ def _tree_pairs(sol: SolutionField, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     1 + 2 d tau >= 1 + (d+1) tau, which leaves room for the rounding of lam;
     rounding moves the centroids and the distances by a few eps times the
     coordinates, and 1e-12 times the largest coordinate covers that.
-    ValueError names the first point that is not finite.
+    ValueError names a stack of the wrong dimension, or the first point that
+    is not finite.
     """
+    m = sol.mesh
+    _check_dim("point stack", x, m.dim, stack=True)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise ValueError(f"point {bad[0]} of the stack, {x[bad[0]]}, is not finite")
-    m = sol.mesh
     reach = ((1.0 + 2.0 * m.dim * _CONTAIN_TOL) * m.centroid_reach
              + 1e-12 * np.abs(m.nodes).max())
     # imported here, as by mesh.centroid_tree: only point location needs it
@@ -168,6 +170,14 @@ def _tree_pairs(sol: SolutionField, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
                                               output_type="ndarray")
     near = pairs["v"] <= reach[pairs["j"]]
     return pairs["i"][near], pairs["j"][near]
+
+
+def _check_dim(what: str, x: np.ndarray, dim: int, stack: bool = False) -> None:
+    """ValueError naming what, its shape and the mesh dimension unless x is one
+    point (dim,) or, for a stack, k points (k, dim)."""
+    if x.ndim != 1 + stack or x.shape[-1] != dim:
+        want = f"(k, {dim})" if stack else f"({dim},)"
+        raise ValueError(f"{what} has shape {x.shape}, but a {dim}D mesh takes {want}")
 
 
 def _locate(sol: SolutionField, x: np.ndarray, p: np.ndarray, e: np.ndarray):
@@ -210,7 +220,9 @@ def eval_in_element(sol: SolutionField, e: int, x, side: int = 0):
     (+1 positive material, -1 negative); elsewhere the interpolated distance
     decides and side is ignored.  The benchmark's pole check calls this.
     """
-    phi, E, _ = _evaluate(sol, [e], np.asarray(x, dtype=float)[None], [side])
+    x = np.asarray(x, dtype=float)
+    _check_dim("point", x, sol.mesh.dim)
+    phi, E, _ = _evaluate(sol, [e], x[None], [side])
     return float(phi[0]), E[0]
 
 
@@ -393,6 +405,8 @@ def sample_line(sol: SolutionField, start, end, count: int = 1001) -> LineSample
         raise ValueError("count must be at least 2")
     start = _finite("line start", start)
     end = _finite("line end", end)
+    _check_dim("line start", start, sol.mesh.dim)
+    _check_dim("line end", end, sol.mesh.dim)
     v = end - start
 
     base_t = np.linspace(0.0, 1.0, count)
@@ -604,7 +618,8 @@ def export_vtk(sol: SolutionField, path) -> None:
 def export_csv(sample: LineSample, path) -> None:
     """Line sample as CSV with 17 significant digits (lossless round-trip).
 
-    Lines end in CR LF, as the csv module's default dialect writes them.
+    Lines end in CR LF, as the csv module's default dialect writes them.  The
+    side column is written with %.17g too, which writes +-1 as 1 and -1.
     """
     dim = sample.points.shape[1]
     cols = ["x", "y", "z"][:dim]
@@ -612,7 +627,7 @@ def export_csv(sample: LineSample, path) -> None:
     rows = np.column_stack([sample.points, sample.phi, sample.E, sample.side])
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        _write_rows(f, ",".join(["%.17g"] * (2 * dim + 1) + ["%d"]) + "\r\n", rows)
+        _write_rows(f, ",".join(["%.17g"] * (2 * dim + 2)) + "\r\n", rows)
 
 
 def read_csv_sample(path):

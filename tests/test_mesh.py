@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,49 @@ def test_build_rejects_python_int_beyond_int64(row):
     node = next(v for v in row if abs(v) > 3)
     with pytest.raises(MeshError, match=f"^element 1 references node {node} but mesh has 4 nodes$"):
         Mesh.build(2, nodes, [elements[0].tolist(), row], faces, tags)
+
+
+AS_ARRAY, AS_LIST, AS_OBJECTS = np.asarray, lambda a: a.tolist(), lambda a: a.astype(object)
+
+
+@pytest.mark.parametrize("as_input", [AS_ARRAY, AS_LIST, AS_OBJECTS])
+@pytest.mark.parametrize("value", [2.7, np.nan, np.inf, 1e30])
+def test_build_rejects_node_index_that_is_not_an_integer(value, as_input):
+    mesh = generate_structured(2, 1)
+    elements = mesh.elements.astype(float)
+    elements[1, 2] = value
+    message = f"^element 1 has node index {re.escape(repr(value))}, which is not an int64 integer$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy cast warning on the way
+        with pytest.raises(MeshError, match=message):
+            Mesh.build(2, mesh.nodes, as_input(elements), mesh.boundary_faces, mesh.boundary_tags)
+
+
+@pytest.mark.parametrize("as_input", [AS_ARRAY, AS_LIST, AS_OBJECTS])
+def test_build_rejects_local_face_that_is_not_an_integer(as_input):
+    mesh = generate_structured(2, 1)
+    faces = mesh.boundary_faces.astype(float)
+    faces[2, 1] = 0.5
+    with pytest.raises(MeshError, match="^boundary face 2 has local face 0.5, which is not an "
+                                        "int64 integer$"):
+        Mesh.build(2, mesh.nodes, mesh.elements, as_input(faces), mesh.boundary_tags)
+
+
+def test_build_names_the_first_faulty_face_before_one_that_is_not_an_integer():
+    mesh = generate_structured(2, 1)
+    faces = mesh.boundary_faces.astype(float)
+    faces[0, 1], faces[1, 0] = 7.0, np.nan
+    with pytest.raises(MeshError, match="^boundary face of element 0.0 has local face 7.0 out of"):
+        Mesh.build(2, mesh.nodes, mesh.elements, faces, mesh.boundary_tags)
+
+
+@pytest.mark.parametrize("as_input", [AS_ARRAY, AS_LIST, AS_OBJECTS])
+def test_build_takes_integral_float_indices(as_input):
+    mesh = generate_structured(2, 2)
+    again = Mesh.build(2, mesh.nodes, as_input(mesh.elements.astype(float)),
+                       as_input(mesh.boundary_faces.astype(float)), mesh.boundary_tags)
+    assert again.elements.dtype == np.int64 and np.array_equal(again.elements, mesh.elements)
+    assert np.array_equal(again.boundary_faces, mesh.boundary_faces)
 
 
 # sha256 of nodes (<f8), elements (<i8) and the repr of the boundary's

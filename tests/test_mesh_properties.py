@@ -90,8 +90,15 @@ def _check_mesh(mesh, box):
        widths=st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3))
 def test_structured_mesh_matches_oracle(dim, counts, lows, widths):
     box = tuple(v for lo, w in zip(lows[:dim], widths[:dim]) for v in (lo, lo + w))
-    mesh = generate_structured(dim, *counts[:dim], box=box)
-    _check_mesh(mesh, box)
+    _check_mesh(_boxed(dim, counts[:dim], box), box)
+
+
+def _boxed(dim, counts, box):
+    """generate_structured's mesh mapped from the unit box onto box (lo0, hi0, lo1, ...)."""
+    unit = generate_structured(dim, *counts)
+    lo, hi = np.array(box[0::2]), np.array(box[1::2])
+    return Mesh.build(dim, lo + unit.nodes * (hi - lo), unit.elements, unit.boundary_faces,
+                      unit.boundary_tags)
 
 
 @settings(max_examples=20, deadline=None)
@@ -470,7 +477,7 @@ def _decorate(lines, rnd):
 
 def _mesh_strategy():
     structured = st.builds(
-        lambda dim, n, lo, w: generate_structured(dim, *n[:dim], box=tuple(
+        lambda dim, n, lo, w: _boxed(dim, n[:dim], tuple(
             v for a, b in zip(lo[:dim], w[:dim]) for v in (a, a + b))),
         st.sampled_from([2, 3]), st.lists(st.integers(1, 3), min_size=3, max_size=3),
         st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
@@ -488,14 +495,14 @@ def _write(tmp, text):
 
 @settings(max_examples=60, deadline=None)
 @given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False),
-       rows_per_write=st.sampled_from([mesh_io._ROW_BLOCK, 1, 5]))
+       rows_per_write=st.sampled_from([1 << 15, 1, 5]))
 def test_round_trip_matches_oracle(mesh, rnd, rows_per_write):
     _round_trip_case(mesh, rnd, rows_per_write)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mesh=_mesh_strategy(), rnd=st.randoms(use_true_random=False),
-       rows_per_write=st.sampled_from([mesh_io._ROW_BLOCK, 1, 5]))
+       rows_per_write=st.sampled_from([1 << 15, 1, 5]))
 def test_round_trip_matches_oracle_token_by_token(mesh, rnd, rows_per_write):
     with _c_parser_refuses():
         _round_trip_case(mesh, rnd, rows_per_write)
@@ -509,7 +516,7 @@ def _c_parser_refuses():
 def _round_trip_case(mesh, rnd, rows_per_write):
     with tempfile.TemporaryDirectory() as tmp:
         plain, old = Path(tmp) / "new.msh", Path(tmp) / "old.msh"
-        with mock.patch.object(mesh_io, "_ROW_BLOCK", rows_per_write):
+        with mock.patch.object(mesh_io, "_RUN", rows_per_write):
             write_mesh(mesh, plain)
         _oracle_write_mesh(mesh, old)
         assert plain.read_bytes() == old.read_bytes()

@@ -13,6 +13,7 @@ from efem.interface import (
     NodalLevelSet,
     PlaneLevelSet,
     SphereLevelSet,
+    nodal_distances,
     split_simplex,
 )
 from efem.mesh import BoundaryTag, generate_structured
@@ -324,9 +325,9 @@ def test_vtk_3d_cell_type(tmp_path):
     assert lines[i + 1] == "10"
 
 
-@pytest.mark.parametrize("rows_per_write", [mesh_io._ROW_BLOCK, 10])
+@pytest.mark.parametrize("rows_per_write", [1 << 15, 10])
 def test_csv_matches_csv_module_writer(tmp_path, monkeypatch, planar_q3_efem, rows_per_write):
-    monkeypatch.setattr(mesh_io, "_ROW_BLOCK", rows_per_write)
+    monkeypatch.setattr(mesh_io, "_RUN", rows_per_write)
     s = sample_line(planar_q3_efem, (0.3, 0.0), (0.7, 1.0), count=101)
     export_csv(s, tmp_path / "line.csv")
     with open(tmp_path / "reference.csv", "w", newline="") as f:
@@ -469,9 +470,9 @@ def _assert_vtk_matches_reference(sol, tmp_path):
     return _check_section_counts(text.decode(), sol.mesh.dim)
 
 
-@pytest.mark.parametrize("rows_per_write", [mesh_io._ROW_BLOCK, 7])
+@pytest.mark.parametrize("rows_per_write", [1 << 15, 7])
 def test_vtk_matches_reference_circle_2d(tmp_path, monkeypatch, rows_per_write):
-    monkeypatch.setattr(mesh_io, "_ROW_BLOCK", rows_per_write)
+    monkeypatch.setattr(mesh_io, "_RUN", rows_per_write)
     _, sol = _solved(generate_structured(2, 9, 7), CircleLevelSet((0.45, 0.55), 0.27), "efem")
     assert sol.cut_data
     n_points, n_cells = _assert_vtk_matches_reference(sol, tmp_path)
@@ -505,6 +506,31 @@ def test_vtk_matches_reference_with_degenerate_cut_fallback(tmp_path, monkeypatc
 
 def test_vtk_matches_reference_across_write_chunks(tmp_path):
     mesh = generate_structured(2, 129)
-    assert mesh.n_nodes < mesh_io._ROW_BLOCK < mesh.n_elements
+    # the text rows cross writer blocks (_RUN) and the cell field's blocks (_ROW_BLOCK)
+    assert mesh_io._RUN < mesh.n_nodes < mesh_io._ROW_BLOCK < mesh.n_elements
     _, sol = _solved(mesh, CircleLevelSet((0.5, 0.5), 0.3), "efem")
     _assert_vtk_matches_reference(sol, tmp_path)
+
+
+def test_dimension_mismatch_names_both_dimensions(planar_q3_efem):
+    sol = planar_q3_efem
+    with pytest.raises(ValueError, match="^circle level set center has 3 coordinates, but the "
+                                         "mesh is 2D$"):
+        nodal_distances(CircleLevelSet((0.5, 0.5, 0.5), 0.2), sol.mesh)
+    with pytest.raises(ValueError, match="^plane level set normal has 3 coordinates"):
+        nodal_distances(PlaneLevelSet((0.0, 0.5), (0.0, 1.0, 0.0)), sol.mesh)
+    calls = {
+        r"line start has shape \(3,\), but a 2D mesh takes \(2,\)":
+            lambda: sample_line(sol, (0.1, 0.1, 0.0), (0.9, 0.9)),
+        r"line end has shape \(3,\), but a 2D mesh takes \(2,\)":
+            lambda: sample_line(sol, (0.1, 0.1), (0.9, 0.9, 0.0)),
+        r"point stack has shape \(4, 3\), but a 2D mesh takes \(k, 2\)":
+            lambda: locate_points(sol, np.full((4, 3), 0.3)),
+        r"point stack has shape \(5, 3\), but a 2D mesh takes \(k, 2\)":
+            lambda: eval_field(sol, np.full((5, 3), 0.3)),
+        r"point has shape \(3,\), but a 2D mesh takes \(2,\)":
+            lambda: eval_in_element(sol, 0, (0.1, 0.1, 0.0)),
+    }
+    for message, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

@@ -6,7 +6,9 @@ character for character, at every block size: over raw 64-bit float
 patterns, hypothesis floats (signed zeros, subnormals, nan, infinities), the
 edges of the kernels' exact window, powers of ten one ulp either side,
 exact halfway ties at 17 digits and the int64 extremes.  A value whose
-decimal exponent does not settle goes through % instead of looping.
+decimal exponent does not settle goes through % instead of looping.  %d
+takes integer columns only, and a format holds no other % than its
+conversions.
 """
 
 import io
@@ -25,8 +27,8 @@ FLOAT_FORMATS = {
     "vtk 3d points": "%.17g %.17g %.17g\n",
     "vtk phi": "%.17g\n",
     "mesh 2d nodes": "%.17g %.17g\n",
-    "csv 2d": "%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n",
-    "csv 3d": "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n",
+    "csv 2d": "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
+    "csv 3d": "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
 }
 INT_FORMATS = {
     "vtk 2d cells": "3 %d %d %d\n",
@@ -34,7 +36,7 @@ INT_FORMATS = {
     "mesh 2d elements": "%d %d %d\n",
     "mesh 3d elements": "%d %d %d %d\n",
 }
-BLOCKS = [1, 7, mesh_mod._ROW_BLOCK]
+BLOCKS = [1, 7, 1 << 15]        # rows per block (mesh._RUN); the last holds every example whole
 
 
 def _edges():
@@ -72,18 +74,13 @@ int64s = st.one_of(st.integers(-2**63, 2**63 - 1),
 
 def _written(fmt, rows, block):
     f = io.StringIO()
-    with mock.patch.object(mesh_mod, "_ROW_BLOCK", block):
+    with mock.patch.object(mesh_mod, "_RUN", block):
         mesh_mod._write_rows(f, fmt, rows)
     return f.getvalue()
 
 
 def _check(fmt, rows, block):
-    try:
-        want = (fmt * rows.shape[0]) % tuple(rows.ravel().tolist())
-    except (ValueError, OverflowError) as err:      # %d of a non-finite float
-        with pytest.raises(type(err)):
-            _written(fmt, rows, block)
-        return
+    want = (fmt * rows.shape[0]) % tuple(rows.ravel().tolist())
     assert _written(fmt, rows, block).encode() == want.encode()
 
 
@@ -94,11 +91,8 @@ def _check(fmt, rows, block):
 def test_float_rows_match_percent_formatting(name, values, block):
     fmt = FLOAT_FORMATS[name]
     width = fmt.count("%")
-    rows = np.resize(np.array(values, dtype=np.float64), (-(-len(values) // width), width))
-    if fmt.endswith("%d\r\n"):          # the CSV side column: signs, and floats %d truncates
-        rows[:, -1] = np.where(np.isfinite(rows[:, -1]) & (np.abs(rows[:, -1]) < 1e30),
-                               rows[:, -1], np.sign(rows[:, -1]))
-    _check(fmt, rows, block)
+    _check(fmt, np.resize(np.array(values, dtype=np.float64), (-(-len(values) // width), width)),
+           block)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,20 +121,17 @@ def test_exponent_that_does_not_settle_goes_through_percent():
         _check("%.17g %.17g\n", np.array([[1.5, -2.0e-7], [3.0e13, 0.0]]), 1)
 
 
-def test_float_side_column_truncates_like_percent_d():
-    rows = np.array([[0.5, -0.5], [1.0, -1.0], [-0.0, 0.0], [2.9, -2.9], [1e19, -1.5e19],
-                     [2.0**64, -(2.0**64)], [1e300, 3.0]])
-    _check("%d,%d\r\n", rows, mesh_mod._ROW_BLOCK)
-    with pytest.raises(ValueError):
-        _written("%d\n", np.array([[np.nan]]), 1)
-    with pytest.raises(OverflowError):
-        _written("%d\n", np.array([[np.inf]]), 1)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_float_rows_under_percent_d_raise_naming_the_dtype(dtype):
+    with pytest.raises(TypeError, match=f"dtype {np.dtype(dtype)}"):
+        _written("%.17g,%d\n", np.array([[1.5, 2.0]], dtype=dtype), 1)
 
 
 def test_literal_percent_and_empty_rows():
-    rows = np.array([[1.5, 2], [-3.25, 4]])
-    _check("%% %.17g%%%d %%\n", rows, 1)
-    assert _written("%.17g\n", np.empty((0, 1)), mesh_mod._ROW_BLOCK) == ""
+    for fmt in ("%% %.17g\n", "%.17g%%\n", "%d 100%%\n"):
+        with pytest.raises(ValueError, match=re.escape(repr(fmt))):
+            _written(fmt, np.zeros((1, 1), dtype=np.int64), 1)
+    assert _written("%.17g\n", np.empty((0, 1)), mesh_mod._RUN) == ""
 
 
 @pytest.mark.parametrize("fmt", ["%s\n", "%.16g\n", "%f\n", "%5d\n", "%.17e\n", "%i\n", "1 %"])

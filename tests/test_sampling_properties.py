@@ -28,7 +28,7 @@ def _field(name):
     if name == "perturbed2d":
         mesh, levelset = cylinder_benchmark_mesh(n=N2, seed=3), CircleLevelSet((0.45, 0.55), 0.27)
     elif name == "structured2d":
-        mesh = cylinder_benchmark_mesh(n=N2, seed=3, amplitude=0.0)
+        mesh = generate_structured(2, N2)
         levelset = CircleLevelSet((0.45, 0.55), 0.27)
     else:
         mesh, levelset = generate_structured(3, N3), SphereLevelSet((0.45, 0.5, 0.55), 0.3)

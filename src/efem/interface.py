@@ -39,6 +39,9 @@ class PlaneLevelSet:
     def __init__(self, point, normal):
         self.point = _finite("plane point", point)
         n = _finite("plane normal", normal)
+        if self.point.size != n.size:
+            raise ValueError(f"plane point has {self.point.size} coordinates and normal "
+                             f"{n.size}; they must have the same length")
         with np.errstate(over="ignore"):
             sq = n.dot(n)
         if not np.finfo(float).tiny <= sq < np.inf:

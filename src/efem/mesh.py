@@ -120,10 +120,11 @@ class Mesh:
     nodes: (n_nodes, dim) coordinates.
     elements: (n_elements, dim+1) node indices, positively oriented.
     boundary_faces, boundary_tags: (B, 2) int64 (element, local face) and (B,) str tag.
-    face_first, face_second: (n_faces, 2) (element, local face) of the two
-        elements sharing each face, the smaller element first; face_second
-        is -1 for a boundary face.  Faces are in ascending lexicographic
-        order of their sorted node indices (face_keys).
+    face_first, face_second: (n_faces,) int64 face slots e * (dim + 1) + lf
+        (local face lf of element e) of the two elements sharing each face,
+        the smaller element first; face_second is -1 for a boundary face.
+        Faces are in ascending lexicographic order of their sorted node
+        indices.
     measures: (n_elements,) element measures, from the orientation check.
     """
 
@@ -172,8 +173,8 @@ class Mesh:
             raise MeshError(f"elements must have shape (*, {dim + 1})")
         mesh = Mesh(dim, nodes, elements)
         codes = _face_codes(dim, mesh.n_nodes, *mesh._validate())
-        mesh.face_first, mesh.face_second, slot_face = _pair_faces(dim, elements, codes)
-        mesh._check_boundary_tags(boundary_faces, boundary_tags, slot_face)
+        mesh.face_first, mesh.face_second = _pair_faces(dim, elements, codes)
+        mesh._check_boundary_tags(boundary_faces, boundary_tags)
         for a in (nodes, elements, mesh.face_first, mesh.face_second, mesh.measures,
                   mesh.boundary_faces, mesh.boundary_tags):
             a.setflags(write=False)
@@ -211,7 +212,7 @@ class Mesh:
         self.measures = vols
         return perm, rows
 
-    def _check_boundary_tags(self, faces, tags, slot_face: np.ndarray):
+    def _check_boundary_tags(self, faces, tags):
         """Keep the tagged faces, or name the first faulty one, then the first untagged face.
         Tags are checked before the str array, which makes 5 '5' and drops a trailing NUL."""
         nf, n = self.dim + 1, len(faces)
@@ -226,11 +227,13 @@ class Mesh:
         plain = np.fromiter(map(lambda t: isinstance(t, str) and t[-1:] != "\0", tags), bool, n)
         e, lf = self.boundary_faces.T
         ok = (e >= 0) & (e < self.n_elements) & (lf >= 0) & (lf < nf)
-        face = slot_face[np.where(ok, e * nf + lf, 0)]
-        bad = np.flatnonzero(~ok | ~plain[:stop] | (self.face_second[face, 0] >= 0))
+        slot = np.where(ok, e * nf + lf, 0)
+        outer = np.zeros(self.n_elements * nf, dtype=bool)     # the boundary slots
+        outer[self.face_first[self.face_second < 0]] = True
+        bad = np.flatnonzero(~ok | ~plain[:stop] | ~outer[slot])
         if bad.size or stop < n:
             i = int(bad[0]) if bad.size else stop
-            (ei, lfi), tag = faces[i], tags[i]
+            (ei, lfi), tag = (self.boundary_faces if i < stop else faces)[i], tags[i]
             if odd is not None and i == odd[0]:
                 raise MeshError(f"boundary face {i} has {('element', 'local face')[odd[1]]} "
                                 f"{odd[2]!r}, which is not an int64 integer")
@@ -242,17 +245,14 @@ class Mesh:
                 why = "ends in NUL" if isinstance(tag, str) else "is not a str"
                 raise MeshError(f"boundary face {i} (element {ei}, local face {lfi}) has tag "
                                 f"{tag!r}, which {why}")
-            raise MeshError(f"face {_key(self.face_keys[face[i]])} of element {ei} "
-                            f"is tagged {str(tag)!r} but is interior")
+            raise MeshError(f"face {_face_key(self.dim, self.elements, slot[i])} of element "
+                            f"{ei} is tagged {str(tag)!r} but is interior")
         self.boundary_tags = np.asarray(tags, dtype=str).reshape(n)
-        tagged = np.zeros(len(self.face_first), dtype=bool)
-        tagged[face] = True
-        untagged = np.flatnonzero((self.face_second[:, 0] < 0) & ~tagged)
-        if untagged.size:
-            f = untagged[_smallest(self.face_first[untagged])]
-            e, lf = (int(v) for v in self.face_first[f])
-            raise MeshError(f"boundary face {_key(self.face_keys[f])} "
-                            f"(element {e}, local face {lf}) has no tag")
+        outer[slot] = False
+        if outer.any():
+            s = int(outer.argmax())
+            raise MeshError(f"boundary face {_face_key(self.dim, self.elements, s)} "
+                            f"(element {s // nf}, local face {s % nf}) has no tag")
 
     @cached_property
     def grads(self) -> np.ndarray:
@@ -263,14 +263,6 @@ class Mesh:
             grads[rows] = p1_gradients(self.nodes[self.elements[rows]])
         grads.setflags(write=False)
         return grads
-
-    @cached_property
-    def face_keys(self) -> np.ndarray:
-        """(n_faces, dim) sorted node indices of every distinct face, rows in
-        ascending lexicographic order; built on first use from face_first."""
-        keys = _face_keys(self.dim, self.elements, self.face_first)
-        keys.setflags(write=False)
-        return keys
 
     @cached_property
     def char_lengths(self) -> np.ndarray:
@@ -379,13 +371,10 @@ def _pair_faces(dim: int, elements: np.ndarray, codes: list[np.ndarray]):
     """Group the face slots by their packed keys with one stable sort.
 
     Face slot s = e * (dim + 1) + lf is local face lf of element e.  Returns
-    (first (F, 2), second (F, 2), slot_face (M * (dim + 1),)): the
-    (element, local face) of the first and second slot holding each distinct
-    key, keys ascending (-1 where there is no second), and the face index of
-    every slot.  The sort is stable, so the first slot is the one of the
-    smaller element.
+    the (F,) first and second slots holding each distinct key, keys
+    ascending, with -1 where there is no second.  The sort is stable, so the
+    first slot is the one of the smaller element.
     """
-    nf = dim + 1
     order = np.argsort(codes[0], kind="stable") if len(codes) == 1 else np.lexsort(codes[::-1])
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
@@ -394,25 +383,16 @@ def _pair_faces(dim: int, elements: np.ndarray, codes: list[np.ndarray]):
     start = np.flatnonzero(new)
     count = np.diff(np.append(start, order.size))
     if (count > 2).any():
-        third = np.divmod(order[start[count > 2] + 2].min(keepdims=True), nf)
-        key = _face_keys(dim, elements, np.stack(third, axis=1))[0]
-        raise MeshError(f"face {_key(key)} is shared by more than two elements")
-    first = order[start]
-    second = order[np.minimum(start + 1, order.size - 1)]
-    face_first = np.stack(np.divmod(first, nf), axis=1)
-    face_second = np.where((count == 2)[:, None], np.stack(np.divmod(second, nf), axis=1), -1)
-    face = np.cumsum(new)
-    face -= 1
-    slot_face = np.empty(order.size, dtype=np.int64)
-    slot_face[order] = face
-    return face_first, face_second, slot_face
+        third = order[start[count > 2] + 2].min()
+        raise MeshError(f"face {_face_key(dim, elements, third)} "
+                        f"is shared by more than two elements")
+    return order[start], np.where(count == 2, order[np.minimum(start + 1, order.size - 1)], -1)
 
 
-def _face_keys(dim: int, elements: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Sorted node indices (F, dim) of the faces at the (element, local face)
-    slots (F, 2)."""
-    e, lf = slots.T
-    return np.sort(elements[e[:, None], np.array(local_faces(dim))[lf]], axis=1)
+def _face_key(dim: int, elements: np.ndarray, slot) -> tuple:
+    """Sorted node indices of the face at face slot e * (dim + 1) + lf, as Python ints."""
+    e, lf = divmod(int(slot), dim + 1)
+    return tuple(sorted(int(i) for i in elements[e, list(local_faces(dim)[lf])]))
 
 
 def _code_words(width: int, n: int) -> list[range]:
@@ -470,15 +450,6 @@ def _is_integer(value) -> bool:
 def _first_non_finite(nodes: np.ndarray) -> int | None:
     bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
     return int(bad[0]) if bad.size else None
-
-
-def _key(row) -> tuple:
-    return tuple(int(i) for i in row)
-
-
-def _smallest(pairs: np.ndarray) -> int:
-    """Row index of the lexicographically smallest (element, local face) pair."""
-    return int(np.lexsort(pairs.T[::-1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +823,8 @@ def _g_slots(values: np.ndarray, slots: np.ndarray) -> None:
     digits, below = _seventeen_digits(mant, e, k)
     for _ in range(2):
         off = np.flatnonzero(below | (digits >= 10**17))
+        if not off.size:
+            break
         k[off] += np.where(below[off], -1, 1)
         digits[off], below[off] = _seventeen_digits(mant[off], e[off], k[off])
     unresolved = below | (digits >= 10**17)

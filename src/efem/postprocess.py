@@ -523,8 +523,9 @@ def interface_potential_mismatch(sol: SolutionField) -> float:
     the max absolute mismatch, 0.0 when no such edge is crossed.
     """
     m, cl = sol.mesh, sol.classification
-    pairs = np.flatnonzero((m.face_second[:, 0] >= 0) & cl.is_cut[m.face_first[:, 0]])
-    (e1, lf), e2 = m.face_first[pairs].T, m.face_second[pairs, 0]
+    nf = m.dim + 1
+    pairs = np.flatnonzero((m.face_second >= 0) & cl.is_cut[m.face_first // nf])
+    (e1, lf), e2 = np.divmod(m.face_first[pairs], nf), m.face_second[pairs] // nf
     face_edges = list(combinations(range(m.dim), 2))
     ends = np.array(local_faces(m.dim))[:, face_edges][lf].reshape(-1, 2)   # local to e1
     e1, e2 = (np.repeat(e, len(face_edges)) for e in (e1, e2))

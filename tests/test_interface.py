@@ -54,6 +54,11 @@ def test_plane_normal_is_normalized():
     assert abs(ls.evaluate(np.array([[0.0, 0.25]]))[0] - 0.25) < 1e-15
 
 
+def test_plane_rejects_point_and_normal_of_different_lengths():
+    with pytest.raises(ValueError, match="^plane point has 2 coordinates and normal 3; "):
+        PlaneLevelSet((0.0, 0.5), (0.0, 1.0, 0.0))
+
+
 @pytest.mark.parametrize("normal, axis", [((0.0, 1e300), (0.0, 1.0)), ((1e-170, 0.0), (1.0, 0.0))])
 def test_extreme_plane_normals_classify_as_their_axis(normal, axis):
     """A normal whose squares overflow or underflow is the unit normal along

@@ -52,19 +52,23 @@ def _adjacency_oracle(mesh):
     return adj
 
 
+def _slot_keys(mesh, slots):
+    """Sorted node indices (k, dim) of the faces at the (k,) face slots e * (dim + 1) + lf."""
+    e, lf = np.divmod(slots, mesh.dim + 1)
+    return np.sort(mesh.elements[e[:, None], np.array(local_faces(mesh.dim))[lf]], axis=1)
+
+
 def _check_mesh(mesh, box):
     dim, nf = mesh.dim, mesh.dim + 1
     adj = _adjacency_oracle(mesh)
-    keys = [tuple(k) for k in mesh.face_keys.tolist()]
+    keys = [tuple(k) for k in _slot_keys(mesh, mesh.face_first).tolist()]
     assert keys == sorted(adj)
     for key, first, second in zip(keys, mesh.face_first.tolist(), mesh.face_second.tolist()):
-        want_first, want_second = adj[key]
-        assert tuple(first) == want_first
-        assert tuple(second) == (want_second or (-1, -1))
+        assert adj[key] == (divmod(first, nf), divmod(second, nf) if second >= 0 else None)
 
     # every element face sits in exactly one slot
-    slots = np.concatenate([mesh.face_first, mesh.face_second[mesh.face_second[:, 0] >= 0]])
-    assert np.array_equal(np.sort(slots @ (nf, 1)), np.arange(mesh.n_elements * nf))
+    slots = np.concatenate([mesh.face_first, mesh.face_second[mesh.face_second >= 0]])
+    assert np.array_equal(np.sort(slots), np.arange(mesh.n_elements * nf))
 
     # tags: the unpaired faces, each on the first box side holding all its nodes
     tol = 1e-12 * max(max(box[2 * i + 1] - box[2 * i] for i in range(dim)), 1.0)
@@ -117,7 +121,7 @@ def test_perturbed_mesh_matches_oracle(n, seed):
 
 
 def _lexsort_build(dim, nodes, elements, boundary_faces, boundary_tags):
-    """(face_keys, face_first, face_second) of the lexsort builder."""
+    """(face keys, face_first, face_second) of the lexsort builder, the last two face slots."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     elements = np.ascontiguousarray(elements, dtype=np.int64)
     bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
@@ -151,15 +155,11 @@ def _lexsort_build(dim, nodes, elements, boundary_faces, boundary_tags):
         third = order[start[count > 2] + 2].min()
         raise MeshError(f"face {tuple(int(i) for i in keys[third])} "
                         "is shared by more than two elements")
-    first = order[start]
-    second = np.where(count == 2, order[np.minimum(start + 1, order.size - 1)], -1)
+    face_first = order[start]
+    face_second = np.where(count == 2, order[np.minimum(start + 1, order.size - 1)], -1)
     slot_face = np.empty(order.size, dtype=np.int64)
     slot_face[order] = np.cumsum(new) - 1
-
-    def element_and_face(slot):
-        return np.where(slot[:, None] >= 0, np.stack([slot // nf, slot % nf], axis=1), -1)
-
-    face_keys, face_first, face_second = keys[first], element_and_face(first), element_and_face(second)
+    face_keys = keys[face_first]
     tagged = np.zeros(len(face_keys), dtype=bool)
     for (e, lf), tag in zip(boundary_faces, boundary_tags):
         if not 0 <= e < len(elements):
@@ -167,14 +167,14 @@ def _lexsort_build(dim, nodes, elements, boundary_faces, boundary_tags):
         if not 0 <= lf < nf:
             raise MeshError(f"boundary face of element {e} has local face {lf} out of range")
         f = slot_face[e * nf + lf]
-        if face_second[f, 0] >= 0:
+        if face_second[f] >= 0:
             raise MeshError(f"face {tuple(int(i) for i in face_keys[f])} of element {e} "
                             f"is tagged {tag!r} but is interior")
         tagged[f] = True
-    untagged = [f for f in np.flatnonzero((face_second[:, 0] < 0) & ~tagged)]
+    untagged = [f for f in np.flatnonzero((face_second < 0) & ~tagged)]
     if untagged:
-        f = min(untagged, key=lambda f: tuple(face_first[f]))
-        e, lf = (int(v) for v in face_first[f])
+        f = min(untagged, key=lambda f: face_first[f])
+        e, lf = divmod(int(face_first[f]), nf)
         raise MeshError(f"boundary face {tuple(int(i) for i in face_keys[f])} "
                         f"(element {e}, local face {lf}) has no tag")
     return face_keys, face_first, face_second
@@ -187,7 +187,7 @@ def _build_outcome(build, *args):
     except MeshError as exc:
         return str(exc)
     if isinstance(out, Mesh):
-        out = out.face_keys, out.face_first, out.face_second
+        out = _slot_keys(out, out.face_first), out.face_first, out.face_second
     return [(a.dtype, a.shape, a.tobytes()) for a in out]
 
 
@@ -234,11 +234,12 @@ def _corrupt(kind, dim, nodes, elements, faces, tags, rng):
         elements[e, [0, 1]] = elements[e, [1, 0]]
     elif kind == "tagged interior face":
         _, first, second = _lexsort_build(dim, nodes, elements, faces, tags)
-        inner = np.flatnonzero(second[:, 0] >= 0)
+        inner = np.flatnonzero(second >= 0)
         f = inner[rng.integers(inner.size)]
         slot = first[f] if rng.random() < 0.5 else second[f]
         i = int(rng.integers(len(faces) + 1))
-        faces, tags = np.insert(faces, i, slot, axis=0), tags[:i] + ["inner"] + tags[i:]
+        faces = np.insert(faces, i, np.divmod(slot, dim + 1), axis=0)
+        tags = tags[:i] + ["inner"] + tags[i:]
     elif kind == "untagged boundary face":
         i = int(rng.integers(len(faces)))
         faces, tags = np.delete(faces, i, axis=0), tags[:i] + tags[i + 1:]
@@ -288,9 +289,9 @@ def test_packed_keys_stay_exact_past_2_21_nodes():
     mesh = Mesh.build(3, nodes, elements, faces, tags)
     assert _build_outcome(Mesh.build, 3, nodes, elements, faces, tags) == _build_outcome(
         _lexsort_build, 3, nodes, elements, faces, tags)
-    keys = [tuple(k) for k in mesh.face_keys.tolist()]
-    assert keys == sorted(keys) and len(keys) == 7
-    assert (mesh.face_keys >= n - 5).all()
+    keys = _slot_keys(mesh, mesh.face_first)
+    assert keys.tolist() == sorted(keys.tolist()) and len(keys) == 7
+    assert (keys >= n - 5).all()
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,28 @@ def test_boundary_arrays_round_trip_and_follow_the_face_walk(kind, dim, counts, 
     assert nodes.dtype == np.int64 and node_tags.dtype.kind == "U"
     assert not nodes.flags.writeable and not node_tags.flags.writeable
     assert list(zip(nodes.tolist(), node_tags.tolist())) == boundary_walk(mesh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["structured", "jittered", "read"]),
+       dim=st.sampled_from([2, 3]), counts=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_face_slots_hold_the_tagged_boundary_and_pair_equal_keys(kind, dim, counts, seed):
+    mesh = (generate_structured(dim, *counts[:dim]) if kind == "structured"
+            else jittered_mesh(counts[:dim], seed, amplitude=0.1))
+    if kind == "read":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mesh.msh"
+            write_mesh(mesh, path)
+            mesh = read_mesh(path)
+    first, second = mesh.face_first, mesh.face_second
+    for a in (first, second):
+        assert a.dtype == np.int64 and a.shape == (first.size,) and not a.flags.writeable
+    e, lf = mesh.boundary_faces.T
+    assert set(first[second < 0].tolist()) == set((e * (dim + 1) + lf).tolist())
+    inner = second >= 0
+    assert np.array_equal(_slot_keys(mesh, first[inner]), _slot_keys(mesh, second[inner]))
+    assert (first[inner] < second[inner]).all()
 
 
 # ---------------------------------------------------------------------------

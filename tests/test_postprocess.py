@@ -204,9 +204,9 @@ def _edge_scan_2d(sol):
     distances, each side read by eval_in_element."""
     m = sol.mesh
     worst = 0.0
-    for f in np.flatnonzero(m.face_second[:, 0] >= 0):
-        e1, e2 = int(m.face_first[f, 0]), int(m.face_second[f, 0])
-        a, b = m.face_keys[f]
+    for f in np.flatnonzero(m.face_second >= 0):
+        (e1, lf), e2 = divmod(int(m.face_first[f]), 3), int(m.face_second[f]) // 3
+        a, b = sorted(m.elements[e1, list(mesh_io.local_faces(2)[lf])].tolist())
         da, db = sol.classification.d[[a, b]]
         if (da > 0.0) == (db > 0.0):
             continue
@@ -517,8 +517,9 @@ def test_dimension_mismatch_names_both_dimensions(planar_q3_efem):
     with pytest.raises(ValueError, match="^circle level set center has 3 coordinates, but the "
                                          "mesh is 2D$"):
         nodal_distances(CircleLevelSet((0.5, 0.5, 0.5), 0.2), sol.mesh)
-    with pytest.raises(ValueError, match="^plane level set normal has 3 coordinates"):
-        nodal_distances(PlaneLevelSet((0.0, 0.5), (0.0, 1.0, 0.0)), sol.mesh)
+    with pytest.raises(ValueError, match="^plane level set point has 3 coordinates, but the "
+                                         "mesh is 2D$"):
+        nodal_distances(PlaneLevelSet((0.0, 0.5, 0.0), (0.0, 1.0, 0.0)), sol.mesh)
     calls = {
         r"line start has shape \(3,\), but a 2D mesh takes \(2,\)":
             lambda: sample_line(sol, (0.1, 0.1, 0.0), (0.9, 0.9)),

@@ -28,7 +28,7 @@ from efem.interface import (
     nodal_distances,
     split_simplex,
 )
-from efem.mesh import generate_structured
+from efem.mesh import generate_structured, local_faces
 from efem.oracles import jittered_mesh
 
 MESHES = {
@@ -126,9 +126,9 @@ def split_bands(draw):
     dim = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(3, 6) if dim == 2 else st.integers(2, 4))
     mesh = jittered_mesh((n,) * dim, seed=draw(st.integers(0, 50)))
-    inner = np.flatnonzero(mesh.face_second[:, 0] >= 0)
+    inner = np.flatnonzero(mesh.face_second >= 0)
     f = int(inner[draw(st.integers(0, inner.size - 1))])
-    (e1, _), (e2, _) = mesh.face_first[f], mesh.face_second[f]
+    e1, e2 = mesh.face_first[f] // (dim + 1), mesh.face_second[f] // (dim + 1)
     t1, t2 = interface.SNAP_TOL * mesh.char_lengths[[e1, e2]]
     assume(t1 != t2)
 
@@ -139,7 +139,7 @@ def split_bands(draw):
     # and the two opposite nodes have sign s, so both elements hold clear
     # nodes of both signs and the interface crosses the face's edge i-j
     s = draw(st.sampled_from([-1.0, 1.0]))
-    keys = [int(v) for v in mesh.face_keys[f]]
+    keys = face_key(mesh, mesh.face_first[f])
     i = keys.pop(draw(st.integers(0, dim - 1)))
     opposite = np.setdiff1d(mesh.elements[[e1, e2]], keys + [i])
     for k, v in enumerate(keys):
@@ -147,6 +147,12 @@ def split_bands(draw):
     raw[opposite] = s * clear[opposite]
     raw[i] = s * 0.5 * (t1 + t2)
     return mesh, raw, f
+
+
+def face_key(mesh, slot):
+    """Sorted node indices of the face at face slot e * (dim + 1) + lf."""
+    e, lf = divmod(int(slot), mesh.dim + 1)
+    return sorted(mesh.elements[e, list(local_faces(mesh.dim)[lf])].tolist())
 
 
 def crossings(mesh, cl):
@@ -166,12 +172,13 @@ def test_neighbours_agree_on_the_distances_and_crossings_of_their_face(case):
     element_d = cl.d[mesh.elements]             # what each element reads
     virtual = crossings(mesh, cl)
     h = mesh.char_lengths.max()
-    e1, e2 = int(mesh.face_first[face, 0]), int(mesh.face_second[face, 0])
+    nf = mesh.dim + 1
+    e1, e2 = int(mesh.face_first[face] // nf), int(mesh.face_second[face] // nf)
     assert cl.is_cut[e1] and cl.is_cut[e2]
     checked = 0
-    for f in np.flatnonzero(mesh.face_second[:, 0] >= 0):
-        a, b = int(mesh.face_first[f, 0]), int(mesh.face_second[f, 0])
-        keys = [int(v) for v in mesh.face_keys[f]]
+    for f in np.flatnonzero(mesh.face_second >= 0):
+        a, b = int(mesh.face_first[f] // nf), int(mesh.face_second[f] // nf)
+        keys = face_key(mesh, mesh.face_first[f])
         da = [element_d[a, list(mesh.elements[a]).index(v)] for v in keys]
         db = [element_d[b, list(mesh.elements[b]).index(v)] for v in keys]
         assert da == db, f

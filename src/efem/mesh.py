@@ -230,7 +230,9 @@ class Mesh:
         slot = np.where(ok, e * nf + lf, 0)
         outer = np.zeros(self.n_elements * nf, dtype=bool)     # the boundary slots
         outer[self.face_first[self.face_second < 0]] = True
-        bad = np.flatnonzero(~ok | ~plain[:stop] | ~outer[slot])
+        on_outer = np.zeros(stop, dtype=bool)                   # in range and on a boundary slot
+        on_outer[ok] = outer[slot[ok]]
+        bad = np.flatnonzero(~on_outer | ~plain[:stop])
         if bad.size or stop < n:
             i = int(bad[0]) if bad.size else stop
             (ei, lfi), tag = (self.boundary_faces if i < stop else faces)[i], tags[i]
@@ -238,9 +240,10 @@ class Mesh:
                 raise MeshError(f"boundary face {i} has {('element', 'local face')[odd[1]]} "
                                 f"{odd[2]!r}, which is not an int64 integer")
             if not 0 <= ei < self.n_elements:
-                raise MeshError(f"boundary face references element {ei} out of range")
+                raise MeshError(f"boundary face {i} references element {ei} out of range")
             if not 0 <= lfi < nf:
-                raise MeshError(f"boundary face of element {ei} has local face {lfi} out of range")
+                raise MeshError(f"boundary face {i} of element {ei} has local face {lfi} "
+                                "out of range")
             if not plain[i]:
                 why = "ends in NUL" if isinstance(tag, str) else "is not a str"
                 raise MeshError(f"boundary face {i} (element {ei}, local face {lfi}) has tag "

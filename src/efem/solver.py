@@ -38,9 +38,9 @@ import scipy.sparse as sp
 # solves (75 to 81 iterations, seeds 1 to 20) never build the hierarchy,
 # while every 2D n=200 sweep system falls behind it at k = 28 and the
 # perturbed 2D cylinder meshes at k = 24, and AMG finishes them 7 to 11
-# iterations later.  Building the hierarchy costs about as much as 70
-# Jacobi iterations at 2D n=200 and 135 at 3D n=32, which is why the 3D
-# systems should not switch.
+# iterations later.  Building the hierarchy costs about as much as 60
+# Jacobi iterations at 2D n=200 (47 ms) and 90 at 3D n=32 (73 ms), which is
+# why the 3D systems should not switch.
 AMG_AFTER = 100
 # Iteration cap of the AMG phase.  An AMG iteration costs five to six Jacobi
 # ones; the converging systems measured need at most 89 (2D n=200, q=1e4,
@@ -110,13 +110,27 @@ def strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(int(keep.sum())), cols[keep], indptr), shape=(n, n))
 
 
-def _neighbour_max(S: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
-    """Largest value over each node's closed neighbourhood in S."""
+def _neighbour_table(S: sp.csr_matrix) -> np.ndarray:
+    """(1 + max degree, n) index table of S's closed neighbourhoods.
+
+    Column i holds node i in row 0 and its neighbours in S below, padded
+    with i itself, so a gather through any row of the table stays inside
+    node i's closed neighbourhood.
+    """
+    n = S.shape[0]
+    deg = np.diff(S.indptr)
+    table = np.tile(np.arange(n), (1 + int(deg.max(initial=0)), 1))
+    slot = np.arange(S.indices.size) - np.repeat(S.indptr[:-1] - 1, deg)
+    table.ravel()[slot * n + np.repeat(np.arange(n), deg)] = S.indices
+    return table
+
+
+def _neighbour_max(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Largest value over each node's closed neighbourhood, given its
+    ``_neighbour_table``."""
     out = values.copy()
-    has = np.diff(S.indptr) > 0
-    if has.any():
-        nbr = np.maximum.reduceat(values[S.indices], S.indptr[:-1][has])
-        out[has] = np.maximum(out[has], nbr)
+    for nbr in table[1:]:
+        np.maximum(out, values[nbr], out=out)
     return out
 
 
@@ -128,24 +142,26 @@ def _hash_ranks(n: int) -> np.ndarray:
     return ranks
 
 
-def aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
+def aggregate(S: sp.csr_matrix, rank: np.ndarray) -> tuple[np.ndarray, int]:
     """MIS(2) aggregation of the strength graph S, vectorized and deterministic.
 
     Roots are a maximal set of nodes pairwise more than two strong edges
-    apart, chosen by index-hash ranks.  Each root's distance-1 neighbours
-    join it, then each remaining node joins the neighbouring aggregate whose
-    root ranks highest, so every aggregate is connected.  Returns the
-    aggregate of each node (-1 for nodes with no strong neighbour, such as
-    Dirichlet rows) and the number of aggregates.
+    apart, chosen by ``rank``, a fixed permutation of the nodes
+    (``_hash_ranks``).  Each root's distance-1 neighbours join it, then each
+    remaining node joins the neighbouring aggregate whose root ranks
+    highest, so every aggregate is connected.  Every neighbourhood maximum
+    is one pass through S's ``_neighbour_table``, built once per call.
+    Returns the aggregate of each node (-1 for nodes with no strong
+    neighbour, such as Dirichlet rows) and the number of aggregates.
     """
     n = S.shape[0]
-    rank = _hash_ranks(n)
+    table = _neighbour_table(S)
     isolated = np.diff(S.indptr) == 0
     # key: roots above undecided nodes above decided non-roots, ranks within
     state = np.where(isolated, -1, 0)            # -1 out, 0 undecided, 1 root
     while (undecided := state == 0).any():
         key = np.where(state == 1, 2 * n + rank, np.where(undecided, n + rank, -1))
-        reach = _neighbour_max(S, _neighbour_max(S, key))
+        reach = _neighbour_max(table, _neighbour_max(table, key))
         state[undecided & (reach == key)] = 1
         state[undecided & (reach >= 2 * n)] = -1
 
@@ -155,16 +171,16 @@ def aggregate(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
     agg_of_rank[rank[roots]] = np.arange(n_agg)
     carry = np.where(roots, rank, -1)            # rank of each node's root
     for _ in range(2):
-        reach = _neighbour_max(S, carry)
+        reach = _neighbour_max(table, carry)
         join = (carry < 0) & (reach >= 0)
         carry[join] = reach[join]
     agg = np.where(carry >= 0, agg_of_rank[carry], -1)
     return agg, n_agg
 
 
-def _spectral_radius(A: sp.csr_matrix, dinv: np.ndarray) -> float:
-    """Power-iteration estimate of rho(D^-1 A) from a fixed start vector."""
-    v = (_hash_ranks(A.shape[0]) + 0.5) / A.shape[0] - 0.5
+def _spectral_radius(A: sp.csr_matrix, dinv: np.ndarray, rank: np.ndarray) -> float:
+    """Power-iteration estimate of rho(D^-1 A), started from the ranks."""
+    v = (rank + 0.5) / A.shape[0] - 0.5
     rho = 1.0
     for _ in range(POWER_ITERATIONS):
         w = dinv * (A @ v)
@@ -180,6 +196,18 @@ class AMGLevel:
     aggregates: np.ndarray   # aggregate of each node, -1 when not aggregated
     P: sp.csr_matrix         # smoothed prolongator to the next level
     R: sp.csr_matrix         # restriction, P^T
+
+    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """b - A x, written into the vector A @ x returns."""
+        r = self.A @ x
+        np.subtract(b, r, out=r)
+        return r
+
+    def smooth(self, b: np.ndarray, x: np.ndarray) -> None:
+        """One damped-Jacobi sweep in place: x += smoother * (b - A x)."""
+        r = self.residual(b, x)
+        r *= self.smoother
+        x += r
 
 
 class SmoothedAggregation:
@@ -206,12 +234,15 @@ class SmoothedAggregation:
         A = sp.csr_matrix(A)
         while A.shape[0] > COARSEST_SIZE:
             dinv = 1.0 / A.diagonal()
-            omega = 4.0 / (3.0 * _spectral_radius(A, dinv))
-            agg, n_agg = aggregate(strength_graph(A))
+            rank = _hash_ranks(A.shape[0])
+            omega = 4.0 / (3.0 * _spectral_radius(A, dinv, rank))
+            agg, n_agg = aggregate(strength_graph(A), rank)
             if not 0 < n_agg <= A.shape[0] // 2:
                 break
-            rows = np.nonzero(agg >= 0)[0]
-            T = sp.csr_matrix((np.ones(rows.size), (rows, agg[rows])), shape=(A.shape[0], n_agg))
+            joined = agg >= 0
+            T = sp.csr_matrix((np.ones(int(joined.sum())), agg[joined],
+                               np.concatenate(([0], np.cumsum(joined)))),
+                              shape=(A.shape[0], n_agg))
             P = (T - sp.diags(omega * dinv) @ (A @ T)).tocsr()
             R = P.T.tocsr()
             coarse = (R @ A @ P).tocsr()
@@ -241,14 +272,16 @@ class SmoothedAggregation:
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         if k == len(self.levels):
-            return self._scale * self._lu.solve(self._scale * b)
+            x = self._lu.solve(self._scale * b)
+            x *= self._scale
+            return x
         lvl = self.levels[k]
         x = lvl.smoother * b
         for _ in range(SMOOTHING_SWEEPS - 1):
-            x += lvl.smoother * (b - lvl.A @ x)
-        x += lvl.P @ self._cycle(k + 1, lvl.R @ (b - lvl.A @ x))
+            lvl.smooth(b, x)
+        x += lvl.P @ self._cycle(k + 1, lvl.R @ lvl.residual(b, x))
         for _ in range(SMOOTHING_SWEEPS):
-            x += lvl.smoother * (b - lvl.A @ x)
+            lvl.smooth(b, x)
         return x
 
 
@@ -309,6 +342,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     mbnorm = mbnorm if mbnorm > 0.0 else bnorm
 
     x = np.zeros(n)
+    work = np.empty(n)                   # scratch of the in-place updates
     tiny = 1e-300
 
     def rel(res_vec):
@@ -347,7 +381,10 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 break
             beta = (rho_new / rho) * (alpha / omega)
             rho = rho_new
-            p = r + beta * (p - omega * v)
+            np.multiply(v, omega, out=work)      # p = r + beta * (p - omega * v)
+            p -= work
+            p *= beta
+            p += r
             p_hat = precond(p)
             v = A @ p_hat
             denom = float(r_hat @ v)
@@ -355,7 +392,8 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 broke = True
                 break
             alpha = rho / denom
-            s = r - alpha * v
+            s = r                                # s = r - alpha * v, in r's place
+            s -= np.multiply(v, alpha, out=work)
             iterations += 1
             if small(s, rel(s)):
                 x_try = x + alpha * p_hat
@@ -369,8 +407,10 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 broke = True
                 break
             omega = float(t @ s) / tt
-            x = x + alpha * p_hat + omega * s_hat
-            r = s - omega * t
+            x += np.multiply(p_hat, alpha, out=work)  # x = x + alpha * p_hat + omega * s_hat
+            x += np.multiply(s_hat, omega, out=work)
+            r = s                                # r = s - omega * t
+            r -= np.multiply(t, omega, out=work)
             if small(r, r_rel := rel(r)):
                 true_res = b - A @ x
                 if small(true_res, res_rel := rel(true_res)):

@@ -427,15 +427,27 @@ def _square_arrays():
 
 @pytest.mark.parametrize("extra, message", [
     ((0, 2, "diag"), r"face \(0, 2\) of element 0 is tagged 'diag' but is interior"),
-    ((5, 0, "far"), "boundary face references element 5 out of range"),
-    ((0, 3, "far"), "boundary face of element 0 has local face 3 out of range"),
+    ((5, 0, "far"), "boundary face 4 references element 5 out of range"),
+    ((0, 3, "far"), "boundary face 4 of element 0 has local face 3 out of range"),
     # with a float, the faces become a float array, whose values print as ints
-    ((0.0, 3.0, "far"), "^boundary face of element 0 has local face 3 out of range$"),
+    ((0.0, 3.0, "far"), "^boundary face 4 of element 0 has local face 3 out of range$"),
 ])
 def test_build_rejects_bad_boundary_face(extra, message):
     nodes, elements, faces, tags = _square_arrays()
     with pytest.raises(MeshError, match=message):
         Mesh.build(2, nodes, elements, faces + [extra[:2]], tags + [extra[2]])
+
+
+def test_boundary_face_of_a_mesh_without_elements_is_out_of_range():
+    with pytest.raises(MeshError, match="^boundary face 0 references element 0 out of range$"):
+        Mesh.build(2, np.zeros((3, 2)), np.zeros((0, 3), int), [(0, 0)], ["a"])
+
+
+def test_read_names_boundary_face_of_a_file_without_elements(tmp_path):
+    path = tmp_path / "empty.msh"
+    path.write_text("2 3 0 1\n0 0\n1 0\n0 1\n0 0 a\n")
+    with pytest.raises(MeshError, match="^boundary face 0 references element 0 out of range$"):
+        read_mesh(path)
 
 
 def test_build_rejects_face_shared_by_three_elements():
@@ -458,9 +470,9 @@ def test_read_rejects_node_index_beyond_int64(tmp_path, value):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("1 1 top", f"{HUGE} 1 top", f"boundary face references element {HUGE} out of range"),
-    ("1 1 top", f"-{HUGE} 1 top", f"boundary face references element -{HUGE} out of range"),
-    ("1 1 top", f"1 {HUGE} top", f"boundary face of element 1 has local face {HUGE} out of range"),
+    ("1 1 top", f"{HUGE} 1 top", f"boundary face 2 references element {HUGE} out of range"),
+    ("1 1 top", f"-{HUGE} 1 top", f"boundary face 2 references element -{HUGE} out of range"),
+    ("1 1 top", f"1 {HUGE} top", f"boundary face 2 of element 1 has local face {HUGE} out of range"),
 ])
 def test_read_rejects_boundary_face_beyond_int64(tmp_path, old, new, message):
     path = tmp_path / "bad.msh"
@@ -507,7 +519,7 @@ def test_build_names_the_first_faulty_face_before_one_that_is_not_an_integer():
     mesh = generate_structured(2, 1)
     faces = mesh.boundary_faces.astype(float)
     faces[0, 1], faces[1, 0] = 7.0, np.nan
-    with pytest.raises(MeshError, match="^boundary face of element 0 has local face 7 out of"):
+    with pytest.raises(MeshError, match="^boundary face 0 of element 0 has local face 7 out of"):
         Mesh.build(2, mesh.nodes, mesh.elements, faces, mesh.boundary_tags)
 
 

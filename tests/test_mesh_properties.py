@@ -161,11 +161,11 @@ def _lexsort_build(dim, nodes, elements, boundary_faces, boundary_tags):
     slot_face[order] = np.cumsum(new) - 1
     face_keys = keys[face_first]
     tagged = np.zeros(len(face_keys), dtype=bool)
-    for (e, lf), tag in zip(boundary_faces, boundary_tags):
+    for i, ((e, lf), tag) in enumerate(zip(boundary_faces, boundary_tags)):
         if not 0 <= e < len(elements):
-            raise MeshError(f"boundary face references element {e} out of range")
+            raise MeshError(f"boundary face {i} references element {e} out of range")
         if not 0 <= lf < nf:
-            raise MeshError(f"boundary face of element {e} has local face {lf} out of range")
+            raise MeshError(f"boundary face {i} of element {e} has local face {lf} out of range")
         f = slot_face[e * nf + lf]
         if face_second[f] >= 0:
             raise MeshError(f"face {tuple(int(i) for i in face_keys[f])} of element {e} "

@@ -1,5 +1,6 @@
 """BiCGSTAB behavior against small hand cases and the LU oracles."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -202,3 +203,35 @@ def test_3d_sphere_system_stays_on_jacobi():
     x, rep = bicgstab(asm.matrix, asm.rhs)
     assert rep.converged and rep.method == "bicgstab"
     assert rep.restart == "" and rep.jacobi_iterations == rep.iterations < AMG_AFTER
+
+
+# x.tobytes() sha256 and report of two solves that run a dozen AMG
+# iterations through a two-level hierarchy, pinned at commit f8df55c with
+# single-threaded BLAS (conftest.py).  Any change to the hierarchy, the
+# V-cycle or the BiCGSTAB updates that moves a bit of x shows here.
+PINNED_AMG_SOLVES = {
+    "2d-n100-circle-q100": (
+        "e40be9514731a1859dfbb3c881a9fdd5513a7aa071b5f4f7c9748039203b3cc1",
+        SolveReport(34, 3.3965395173042766e-09, True, "bicgstab-amg", 22, "behind pace")),
+    "3d-n16-sphere-q1e4": (
+        "ee5636d2eadfd498e0615adb086ae4a708a56f36050bbb7328d59d96b649cf93",
+        SolveReport(40, 1.209214551096875e-09, True, "bicgstab-amg", 29, "behind pace")),
+}
+
+
+def _pinned_system(name):
+    if name == "2d-n100-circle-q100":
+        return assemble_global(generate_structured(2, 100), cylinder_levelset(),
+                               cylinder_materials(100.0), "efem", box_boundary(2))
+    exact = SphereCase(1e4)
+    return assemble_global(generate_structured(3, 16), sphere_levelset(), sphere_materials(1e4),
+                           "efem", analytic_boundary(3, exact.phi))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AMG_SOLVES))
+def test_amg_solves_are_pinned_bit_for_bit(name):
+    asm = _pinned_system(name)
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    digest, report = PINNED_AMG_SOLVES[name]
+    assert rep == report
+    assert hashlib.sha256(x.tobytes()).hexdigest() == digest

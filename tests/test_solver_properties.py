@@ -8,7 +8,9 @@ of every aggregate; every coarse matrix must keep a positive diagonal; and
 BiCGSTAB with the V-cycle from its first iteration must pass the dual
 stopping test and agree with sparse LU; a solve that never restarts must be
 the plain Jacobi solve.  Explicit zeros stored anywhere
-in a system change no solve, iterative or direct, in any bit.
+in a system change no solve, iterative or direct, in any bit.  On random
+symmetric graphs, the neighbour table's maximum is the plain per-row
+maximum, and aggregation leaves out exactly the isolated nodes.
 """
 
 from functools import lru_cache
@@ -24,8 +26,8 @@ from efem.efem_core import MODES, MaterialPair, assemble_global
 from efem.interface import CircleLevelSet, SphereLevelSet
 from efem.mesh import generate_structured
 from efem.oracles import box_boundary
-from efem.solver import (SmoothedAggregation, bicgstab, direct_solve, jacobi_precondition,
-                         strength_graph)
+from efem.solver import (SmoothedAggregation, _neighbour_max, _neighbour_table, aggregate,
+                         bicgstab, direct_solve, jacobi_precondition, strength_graph)
 
 TOL = 1e-10
 # max-norm agreement with sparse LU, relative: the worst seen at TOL was
@@ -179,3 +181,53 @@ def test_stored_zeros_change_no_solve(case, seed, k):
     assert rep_padded == rep
     assert np.array_equal(x_padded, x)
     assert np.array_equal(direct_solve(padded, b), direct_solve(A, b))
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """(n, edges, values): a graph on n nodes, its undirected edges and one
+    int64 value per node.  Rows come out of unequal degree, and nodes with
+    no edge are isolated."""
+    n = draw(st.integers(1, 40))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=3 * n)) if n > 1 else []
+    values = draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n))
+    return n, edges, values
+
+
+def _graph(n, edges):
+    """Symmetric CSR adjacency of the edges (the COO conversion sums repeats)."""
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+
+
+@given(symmetric_graphs())
+@settings(max_examples=200, deadline=None)
+@example((1, [], [7]))                                   # one node
+@example((4, [], [3, -1, 9, 0]))                         # no edges
+@example((5, [(0, 1), (0, 2), (0, 3)], [1, 5, 2, 8, -3]))  # a star, degrees 3 and 1, node 4 alone
+def test_neighbour_table_max_is_the_per_row_max(graph):
+    n, edges, values = graph
+    S = _graph(n, edges)
+    values = np.array(values, dtype=np.int64)
+    plain = [max([values[i], *values[S.indices[S.indptr[i]:S.indptr[i + 1]]]]) for i in range(n)]
+    table = _neighbour_table(S)
+    assert table.shape == (1 + np.diff(S.indptr).max(initial=0), n)
+    assert np.array_equal(table[0], np.arange(n))
+    assert np.array_equal(_neighbour_max(table, values), plain)
+
+
+@given(symmetric_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+@example((1, [], [0]), None)
+@example((6, [], [0] * 6), None)
+def test_aggregate_leaves_out_exactly_the_isolated_nodes(graph, random):
+    n, edges, _ = graph
+    S = _graph(n, edges)
+    rank = np.arange(n)
+    if random is not None:
+        random.shuffle(rank)
+    agg, n_agg = aggregate(S, rank)
+    isolated = np.diff(S.indptr) == 0
+    assert np.array_equal(agg == -1, isolated)
+    assert np.array_equal(np.unique(agg[~isolated]), np.arange(n_agg))

@@ -50,11 +50,10 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
 
 
-# Face pairing tables, per dim: the other sorted columns when column j of an
-# element's sorted node indices is dropped, and the local face opposite
-# each vertex.
-_DROPPED = {d: np.array([[i for i in range(d + 1) if i != j] for j in range(d + 1)])
-            for d in (2, 3)}
+# Compare-exchange networks that sort the dim + 1 node columns of all elements
+# at once: 3 exchanges for triangles, 5 for tetrahedra.  And, per dim, the
+# local face opposite each vertex.
+_NETWORK = {2: ((0, 1), (1, 2), (0, 1)), 3: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 _OPPOSITE_FACE = {d: np.array([next(lf for lf, f in enumerate(local_faces(d)) if v not in f)
                                for v in range(d + 1)]) for d in (2, 3)}
 
@@ -149,11 +148,12 @@ class Mesh:
     def build(dim, nodes, elements, boundary_faces, boundary_tags) -> "Mesh":
         """Validate arrays, pair faces, check boundary tags and freeze the result.
 
-        One argsort of each element's node indices serves every check and the
-        face pairing: its first and last columns give the range check, equal
-        neighbours a repeated node, and dropping one sorted column gives the
-        sorted key of the face opposite that vertex.  The keys are packed into
-        exact int64 codes and grouped by one stable sort.
+        One compare-exchange network sorts every element's node indices, a
+        column at a time, and serves every check and the face pairing: its
+        first and last columns give the range check, equal adjacent columns a
+        repeated node, and the columns left when one is dropped the sorted key
+        of the face opposite that vertex.  Each key is packed straight from
+        those columns into exact int64 codes, and one stable sort groups them.
         """
         nodes = np.ascontiguousarray(nodes, dtype=float)
         if dim not in (2, 3):
@@ -180,23 +180,25 @@ class Mesh:
             a.setflags(write=False)
         return mesh
 
-    def _validate(self) -> tuple[np.ndarray, np.ndarray]:
+    def _validate(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Check coordinates, node indices and orientation, and keep the
-        element measures the orientation check takes; return the argsort of
-        each element's node indices and the sorted rows, (M, dim+1) each."""
+        element measures the orientation check takes; return the sorted
+        columns and the permutation of _sort_columns."""
         bad = _first_non_finite(self.nodes)
         if bad is not None:
             raise MeshError(f"node {bad} has a non-finite coordinate")
         n = self.n_nodes
-        perm = np.argsort(self.elements, axis=1)
-        rows = np.take_along_axis(self.elements, perm, axis=1)
-        bad = np.flatnonzero((rows[:, 0] < 0) | (rows[:, -1] >= n))
+        cols, perm = _sort_columns(self.elements)
+        bad = np.flatnonzero((cols[0] < 0) | (cols[-1] >= n))
         if bad.size:
             _, node = _first_out_of_range(self.elements[bad[:1]], n)
             raise MeshError(f"element {int(bad[0])} references node {node} but mesh has {n} nodes")
-        bad = np.flatnonzero(rows[:, 1:] == rows[:, :-1])
+        repeated = cols[0] == cols[1]
+        for a, b in zip(cols[1:-1], cols[2:]):
+            repeated |= a == b
+        bad = np.flatnonzero(repeated)
         if bad.size:
-            raise MeshError(f"element {int(bad[0]) // self.dim} has repeated node indices")
+            raise MeshError(f"element {int(bad[0])} has repeated node indices")
         # edge components gathered a coordinate column at a time: the bits of
         # signed_measures of the (M, dim+1, dim) stack, without the stack
         col = [self.nodes[:, c] for c in range(self.dim)]
@@ -210,7 +212,7 @@ class Mesh:
                 f"(signed measure {vols[int(bad[0])]:.3e}); fix the input ordering"
             )
         self.measures = vols
-        return perm, rows
+        return cols, perm
 
     def _check_boundary_tags(self, faces, tags):
         """Keep the tagged faces, or name the first faulty one, then the first untagged face.
@@ -224,7 +226,7 @@ class Mesh:
             stop, _ = _first_out_of_range(faces[:stop], 2**63)
             array = np.ascontiguousarray(faces[:stop], dtype=np.int64)
         self.boundary_faces = array.reshape(stop, 2)
-        plain = np.fromiter(map(lambda t: isinstance(t, str) and t[-1:] != "\0", tags), bool, n)
+        plain = _plain_tags(tags, n)
         e, lf = self.boundary_faces.T
         ok = (e >= 0) & (e < self.n_elements) & (lf >= 0) & (lf < nf)
         slot = np.where(ok, e * nf + lf, 0)
@@ -348,25 +350,49 @@ class Mesh:
         return sq
 
 
-def _face_codes(dim: int, n_nodes: int, perm: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+def _sort_columns(elements: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each element's node indices in ascending order, by the _NETWORK of its width.
+
+    Returns the dim + 1 sorted columns (M,) and the int8 permutation: column
+    j of perm holds the column of elements that sorted column j came from.
+    Where no row repeats a node, perm is np.argsort(elements, axis=1).
+    """
+    cols = [elements[:, j] for j in range(elements.shape[1])]
+    perm = [np.full(elements.shape[0], j, dtype=np.int8) for j in range(len(cols))]
+    for a, b in _NETWORK[len(cols) - 1]:
+        # an XOR swap of the permutation where the pair is out of order:
+        # branch-free, unlike np.where on an irregular mask
+        flip = (perm[a] ^ perm[b]) * (cols[a] > cols[b])
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+        perm[a] ^= flip
+        perm[b] ^= flip
+    return cols, perm
+
+
+def _face_codes(dim: int, n_nodes: int, cols: list[np.ndarray],
+                perm: list[np.ndarray]) -> list[np.ndarray]:
     """Sorted node keys of every face slot, packed into exact int64 codes.
 
-    perm and rows are the argsort of each element's node indices and the
-    sorted rows.  Dropping sorted column j of element e gives the sorted key
-    of its local face opposite vertex perm[e, j].  Returns one
-    (M * (dim + 1),) array per code word (_code_words), indexed by face slot
-    e * (dim + 1) + lf.
+    cols and perm are the sorted columns and the permutation of
+    _sort_columns.  The face of element e that drops sorted column j is the
+    one opposite vertex perm[j][e]; its code is packed from the sorted
+    columns it keeps, in order, and written to its face slot
+    e * (dim + 1) + _OPPOSITE_FACE[dim][perm[j][e]].  Returns one
+    (M * (dim + 1),) array per code word (_code_words).
     """
     nf = dim + 1
-    lf = _OPPOSITE_FACE[dim][perm]
-    codes = []
-    for cols in _code_words(dim, n_nodes):
-        weight = np.zeros((nf, nf), dtype=np.int64)     # row j: the key that drops column j
-        for p in cols:
-            weight[np.arange(nf), _DROPPED[dim][:, p]] = n_nodes ** (cols[-1] - p)
-        code = np.empty_like(rows)
-        np.put_along_axis(code, lf, rows @ weight.T, axis=1)
-        codes.append(code.ravel())
+    words = _code_words(dim, n_nodes)
+    codes = [np.empty(cols[0].size * nf, dtype=np.int64) for _ in words]
+    base = np.arange(0, cols[0].size * nf, nf)
+    for j in range(nf):
+        kept = cols[:j] + cols[j + 1:]
+        slot = base + _OPPOSITE_FACE[dim][perm[j]]
+        for code, word in zip(codes, words):
+            packed = kept[word[0]]
+            for p in word[1:]:
+                packed = packed * n_nodes
+                packed += kept[p]
+            code[slot] = packed
     return codes
 
 
@@ -448,6 +474,19 @@ def _is_integer(value) -> bool:
         return bool(np.int64(value) == value)
     except (ValueError, OverflowError, TypeError):
         return False
+
+
+def _plain_tags(tags, n: int) -> np.ndarray:
+    """(n,) bool: whether each of the first n tags is a str that does not end in NUL.
+
+    When every tag is a str or np.str_ and none ends in NUL, each distinct
+    tag is tested once.  Otherwise each tag is tested, so that the caller
+    can name the first faulty face.
+    """
+    if (len(tags) >= n and set(map(type, tags)) <= {str, np.str_}
+            and all(t[-1:] != "\0" for t in set(tags))):
+        return np.ones(n, dtype=bool)
+    return np.fromiter(map(lambda t: isinstance(t, str) and t[-1:] != "\0", tags), bool, n)
 
 
 def _first_non_finite(nodes: np.ndarray) -> int | None:
@@ -702,13 +741,17 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
     elements = (corner[:, None, None] + offset).reshape(-1, dim + 1)
 
     # a face lies on box side s when all its nodes sit at that side's extreme
-    # grid index; the first side in _SIDE_NAMES (str objects, which the tag check
-    # reads faster than np.str_) wins.  Bit s of a node's mask is set when it lies on
-    # side s, and a face's mask is the AND of its nodes' masks: one pass tags every face.
+    # grid index; the first side in _SIDE_NAMES wins.  The names are str objects:
+    # the tag check reads them faster than np.str_, which numpy makes anew for
+    # every face.  Bit s of a node's mask is set when it lies on side s, and a
+    # face's mask is the AND of the masks of its nodes' columns: one pass tags
+    # every face.
     grid = np.indices([c + 1 for c in counts]).reshape(dim, -1)
     on = np.stack([grid == 0, grid == np.array(counts)[:, None]], axis=1).reshape(2 * dim, -1)
     node_mask = ((1 << np.arange(2 * dim)) @ on).astype(np.uint8)
-    face_mask = np.bitwise_and.reduce(node_mask[elements][:, local_faces(dim)], axis=2)
+    masks = [node_mask[elements[:, j]] for j in range(dim + 1)]
+    face_mask = np.stack([np.bitwise_and.reduce([masks[j] for j in face])
+                          for face in local_faces(dim)], axis=1)
     e, lf = np.nonzero(face_mask)
     side = np.unpackbits(face_mask[e, lf, None], axis=1, bitorder="little").argmax(axis=1)
     return Mesh.build(dim, nodes, elements, np.stack([e, lf], axis=1), _SIDE_NAMES[side])

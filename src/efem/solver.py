@@ -110,27 +110,40 @@ def strength_graph(A: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(int(keep.sum())), cols[keep], indptr), shape=(n, n))
 
 
-def _neighbour_table(S: sp.csr_matrix) -> np.ndarray:
-    """(1 + max degree, n) index table of S's closed neighbourhoods.
+def _neighbour_table(S: sp.csr_matrix) -> tuple[np.ndarray, ...]:
+    """S's closed neighbourhoods: an index table for most nodes, CSR runs for the rest.
 
-    Column i holds node i in row 0 and its neighbours in S below, padded
-    with i itself, so a gather through any row of the table stays inside
-    node i's closed neighbourhood.
+    The table has 1 + w rows.  Column i holds node i in row 0 and its
+    neighbours in S below, padded with i itself, so a gather through any
+    row of the table stays inside node i's closed neighbourhood.  w is the
+    largest degree in S, capped at 4 nnz / n + 3 so that the table holds
+    at most 4 (nnz + n) entries: one node of high degree does not pad every
+    column.  A node of degree above w keeps w of its neighbours in the
+    table (its last row takes any one of those past w), and all of them
+    as one run of an index list for np.maximum.reduceat.  Returns the
+    table, those nodes, the index list and the start of each run.
     """
     n = S.shape[0]
     deg = np.diff(S.indptr)
-    table = np.tile(np.arange(n), (1 + int(deg.max(initial=0)), 1))
+    width = min(int(deg.max(initial=0)), 4 * S.indices.size // max(n, 1) + 3)
     slot = np.arange(S.indices.size) - np.repeat(S.indptr[:-1] - 1, deg)
+    np.minimum(slot, width, out=slot)
+    table = np.tile(np.arange(n), (1 + width, 1))
     table.ravel()[slot * n + np.repeat(np.arange(n), deg)] = S.indices
-    return table
+    heavy = deg > width
+    runs = S.indices[np.repeat(heavy, deg)]
+    return table, np.flatnonzero(heavy), runs, np.cumsum(deg[heavy]) - deg[heavy]
 
 
-def _neighbour_max(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _neighbour_max(neighbours: tuple[np.ndarray, ...], values: np.ndarray) -> np.ndarray:
     """Largest value over each node's closed neighbourhood, given its
     ``_neighbour_table``."""
+    table, heavy, runs, starts = neighbours
     out = values.copy()
     for nbr in table[1:]:
         np.maximum(out, values[nbr], out=out)
+    if heavy.size:
+        out[heavy] = np.maximum(out[heavy], np.maximum.reduceat(values[runs], starts))
     return out
 
 
@@ -155,13 +168,13 @@ def aggregate(S: sp.csr_matrix, rank: np.ndarray) -> tuple[np.ndarray, int]:
     neighbour, such as Dirichlet rows) and the number of aggregates.
     """
     n = S.shape[0]
-    table = _neighbour_table(S)
+    neighbours = _neighbour_table(S)
     isolated = np.diff(S.indptr) == 0
     # key: roots above undecided nodes above decided non-roots, ranks within
     state = np.where(isolated, -1, 0)            # -1 out, 0 undecided, 1 root
     while (undecided := state == 0).any():
         key = np.where(state == 1, 2 * n + rank, np.where(undecided, n + rank, -1))
-        reach = _neighbour_max(table, _neighbour_max(table, key))
+        reach = _neighbour_max(neighbours, _neighbour_max(neighbours, key))
         state[undecided & (reach == key)] = 1
         state[undecided & (reach >= 2 * n)] = -1
 
@@ -171,7 +184,7 @@ def aggregate(S: sp.csr_matrix, rank: np.ndarray) -> tuple[np.ndarray, int]:
     agg_of_rank[rank[roots]] = np.arange(n_agg)
     carry = np.where(roots, rank, -1)            # rank of each node's root
     for _ in range(2):
-        reach = _neighbour_max(table, carry)
+        reach = _neighbour_max(neighbours, carry)
         join = (carry < 0) & (reach >= 0)
         carry[join] = reach[join]
     agg = np.where(carry >= 0, agg_of_rank[carry], -1)

@@ -4,7 +4,9 @@ Construction: the oracle pairs faces with a dict keyed by sorted node
 tuples, visiting elements and local faces in order: the first visit is the
 first slot, the second visit the second.  Relabelled, rotated and
 corrupted meshes also build bit for bit, or fail with the same message, as
-under the lexsort builder that the one-row-sort Mesh.build replaced.
+under the lexsort builder that the one-row-sort Mesh.build replaced; and
+the compare-exchange network that sorts the rows gives np.argsort's
+permutation on rows of distinct values.
 
 File I/O: the oracles are row-at-a-time copies of the reader and writer
 that the one-pass ones replaced.  Files read back bit for bit as the old
@@ -230,6 +232,10 @@ def _corrupt(kind, dim, nodes, elements, faces, tags, rng):
     elif kind == "repeated node":
         a, b = rng.choice(dim + 1, 2, replace=False)
         elements[e, a] = elements[e, b]
+    elif kind in ("negative node index", "node index past the last node"):
+        n, big = len(nodes), np.iinfo(np.int64).max
+        values = [-1, -n, -big - 1] if kind.startswith("negative") else [n, 2 * n, big]
+        elements[e, rng.integers(dim + 1)] = values[rng.integers(3)]
     elif kind == "inverted element":
         elements[e, [0, 1]] = elements[e, [1, 0]]
     elif kind == "tagged interior face":
@@ -246,8 +252,9 @@ def _corrupt(kind, dim, nodes, elements, faces, tags, rng):
     return dim, nodes, elements, faces, tags
 
 
-_CORRUPTIONS = ("third element on a face", "repeated node", "inverted element",
-                "tagged interior face", "untagged boundary face")
+_CORRUPTIONS = ("third element on a face", "repeated node", "negative node index",
+                "node index past the last node", "inverted element", "tagged interior face",
+                "untagged boundary face")
 
 
 def _base_mesh_strategy():
@@ -273,6 +280,20 @@ def test_build_matches_lexsort_builder(mesh, seed, corruption):
     new, old = _build_outcome(Mesh.build, *args), _build_outcome(_lexsort_build, *args)
     assert new == old
     assert isinstance(new, str) == (corruption is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_network_permutation_is_the_row_argsort(dim, data):
+    # every order of dim + 1 distinct values, then random rows of distinct int64 values
+    rows = [*itertools.permutations(range(dim + 1)), *data.draw(st.lists(
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=dim + 1, max_size=dim + 1, unique=True),
+        max_size=30))]
+    elements = np.array(rows, dtype=np.int64)
+    cols, perm = mesh_io._sort_columns(elements)
+    assert all(p.dtype == np.int8 for p in perm)
+    assert np.array_equal(np.stack(perm, axis=1), np.argsort(elements, axis=1))
+    assert np.array_equal(np.stack(cols, axis=1), np.sort(elements, axis=1))
 
 
 def test_packed_keys_stay_exact_past_2_21_nodes():

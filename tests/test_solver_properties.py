@@ -9,8 +9,10 @@ BiCGSTAB with the V-cycle from its first iteration must pass the dual
 stopping test and agree with sparse LU; a solve that never restarts must be
 the plain Jacobi solve.  Explicit zeros stored anywhere
 in a system change no solve, iterative or direct, in any bit.  On random
-symmetric graphs, the neighbour table's maximum is the plain per-row
-maximum, and aggregation leaves out exactly the isolated nodes.
+symmetric graphs, some with a star's hub, the neighbour table's maximum is
+the plain per-row maximum, aggregation gives the aggregates of the
+unbounded table and leaves out exactly the isolated nodes, and a star's
+table stays within a small multiple of its CSR index arrays.
 """
 
 from functools import lru_cache
@@ -186,11 +188,15 @@ def test_stored_zeros_change_no_solve(case, seed, k):
 @st.composite
 def symmetric_graphs(draw):
     """(n, edges, values): a graph on n nodes, its undirected edges and one
-    int64 value per node.  Rows come out of unequal degree, and nodes with
-    no edge are isolated."""
+    int64 value per node.  Rows come out of unequal degree, nodes with no
+    edge are isolated, and half the graphs add a star: one hub joined to a
+    random set of nodes, often more than the neighbour table's width."""
     n = draw(st.integers(1, 40))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(pairs, max_size=3 * n)) if n > 1 else []
+    if n > 1 and draw(st.booleans()):
+        hub = draw(st.integers(0, n - 1))
+        edges += [(hub, j) for j in sorted(draw(st.sets(st.integers(0, n - 1)))) if j != hub]
     values = draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n))
     return n, edges, values
 
@@ -201,20 +207,66 @@ def _graph(n, edges):
     return sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
 
 
+def _unbounded_table(S):
+    """The neighbour table of width max degree, with no node left out of it."""
+    n, deg = S.shape[0], np.diff(S.indptr)
+    table = np.tile(np.arange(n), (1 + deg.max(initial=0), 1))
+    for i in range(n):
+        table[1:1 + deg[i], i] = S.indices[S.indptr[i]:S.indptr[i + 1]]
+    none = np.zeros(0, dtype=np.int64)
+    return table, none, none, none
+
+
+_STAR = [(0, j) for j in range(1, 30)]      # hub 0 of degree 29, above the table's width 10
+
+
 @given(symmetric_graphs())
 @settings(max_examples=200, deadline=None)
 @example((1, [], [7]))                                   # one node
 @example((4, [], [3, -1, 9, 0]))                         # no edges
 @example((5, [(0, 1), (0, 2), (0, 3)], [1, 5, 2, 8, -3]))  # a star, degrees 3 and 1, node 4 alone
+@example((30, _STAR, list(range(30))))                   # the hub's max is a leaf's
+@example((30, _STAR, list(range(30, 0, -1))))            # the hub's max is its own
+@example((30, [(h, j) for h in (0, 1) for j in range(2, 30)], list(range(30))))  # two hubs
 def test_neighbour_table_max_is_the_per_row_max(graph):
     n, edges, values = graph
     S = _graph(n, edges)
     values = np.array(values, dtype=np.int64)
     plain = [max([values[i], *values[S.indices[S.indptr[i]:S.indptr[i + 1]]]]) for i in range(n)]
-    table = _neighbour_table(S)
-    assert table.shape == (1 + np.diff(S.indptr).max(initial=0), n)
+    neighbours = _neighbour_table(S)
+    table, heavy = neighbours[:2]
+    deg = np.diff(S.indptr)
+    assert table.shape[0] <= 1 + deg.max(initial=0) and table.size <= 4 * (S.nnz + n)
     assert np.array_equal(table[0], np.arange(n))
-    assert np.array_equal(_neighbour_max(table, values), plain)
+    assert np.array_equal(heavy, np.flatnonzero(deg >= table.shape[0]))
+    assert np.array_equal(_neighbour_max(neighbours, values), plain)
+
+
+@given(symmetric_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+@example((30, _STAR, [0] * 30), None)
+def test_aggregates_are_those_of_the_unbounded_table(graph, random):
+    n, edges, _ = graph
+    S = _graph(n, edges)
+    rank = np.arange(n)
+    if random is not None:
+        random.shuffle(rank)
+    agg, n_agg = aggregate(S, rank)
+    with mock.patch.object(solver, "_neighbour_table", _unbounded_table):
+        ref, n_ref = aggregate(S, rank)
+    assert n_agg == n_ref and np.array_equal(agg, ref)
+
+
+def test_star_table_stays_within_a_small_multiple_of_the_csr_index_bytes():
+    # hub 0 of degree 1001: leaves 1..1000 and the start of the path 1001..5000;
+    # an unbounded table would be 1002 x 5001 int64, 40 MB
+    edges = [(0, j) for j in range(1, 1002)] + [(j, j + 1) for j in range(1001, 5000)]
+    S = _graph(5001, edges)
+    neighbours = _neighbour_table(S)
+    assert sum(a.nbytes for a in neighbours) <= 8 * (S.indices.nbytes + S.indptr.nbytes)
+    assert neighbours[1].tolist() == [0]
+    values = np.arange(5001) * 7919 % 5003
+    assert _neighbour_max(neighbours, values)[0] == values[:1002].max()
 
 
 @given(symmetric_graphs(), st.randoms(use_true_random=False))

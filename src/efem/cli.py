@@ -3,7 +3,8 @@
 Case files are INI-style text; bundled benchmark cases live in the
 package's ``cases/`` directory and can be named without a path.  Exit
 codes: 0 solved, 2 config error, 3 solver non-convergence, 4 mesh and
-level-set incompatibility.
+case incompatibility (a level set, boundary tag or sample line that does
+not fit the mesh).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from efem.efem_core import MODES, MaterialPair, assemble_global
 from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet, classify_elements
 from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_mesh
 from efem.postprocess import (build_solution, export_csv, export_vtk,
-                              interface_potential_mismatch, l2_line_error,
-                              observed_order, sample_l2_error, sample_line)
+                              interface_potential_mismatch, observed_order,
+                              sample_l2_error, sample_line)
 from efem.solver import solve
 
 EXIT_OK = 0
@@ -81,6 +82,28 @@ def _number(what: str, raw: str) -> float:
         raise ConfigError(f"{what}: bad number {raw!r}") from None
 
 
+# level-set kind -> (dimensions it fits, class, its keys in argument order, each
+# with how many numbers it takes: one, or one per coordinate)
+_LEVELSETS = {
+    "plane": ((2, 3), PlaneLevelSet, {"point": "dim", "normal": "dim"}),
+    "circle": ((2,), CircleLevelSet, {"center": "dim", "radius": 1}),
+    "sphere": ((3,), SphereLevelSet, {"center": "dim", "radius": 1}),
+}
+
+# reference kind -> (dimensions it fits, factory (q, fine_h) -> the point-to-phi
+# callable, with the oracles' phi contract, that line errors are measured against)
+_REFERENCES = {
+    "none": ((2, 3), lambda q, fine_h: None),
+    "planar": ((2,), lambda q, fine_h: oracles.PlanarCase(q).phi),
+    "sphere": ((3,), lambda q, fine_h: oracles.SphereCase(q).phi),
+    "cylinder-model": ((2,), lambda q, fine_h: oracles.CylinderCase(q).phi),
+    "conforming-inclined": ((2,), lambda q, fine_h: oracles.phi_evaluator(
+        oracles.reference_solve("inclined", fine_h, q=q))),
+    "self": ((2,), lambda q, fine_h: oracles.phi_evaluator(
+        oracles.reference_solve("cylinder", fine_h, q=q))),
+}
+
+
 def parse_case(text: str, name: str) -> CaseConfig:
     import configparser
 
@@ -89,6 +112,7 @@ def parse_case(text: str, name: str) -> CaseConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse case file: {exc}") from exc
+    cp.read_dict(dict.fromkeys(("solver", "output", "reference"), {}))   # optional: empty if absent
 
     def need(section: str) -> "configparser.SectionProxy":
         if not cp.has_section(section):
@@ -123,34 +147,27 @@ def parse_case(text: str, name: str) -> CaseConfig:
     else:
         mesh_file = get("mesh", "file", str, required=True)
 
-    ls_sec = need("levelset")
     ls_kind = get("levelset", "kind", str, required=True)
-    params: dict = {}
+    if ls_kind not in _LEVELSETS:
+        raise ConfigError(f"levelset: unknown kind {ls_kind!r}")
+    fits, cls, keys = _LEVELSETS[ls_kind]
+    ls_sec = cp["levelset"]
     try:
-        if ls_kind == "plane":
-            params["point"] = _floats(ls_sec["point"], dim)
-            params["normal"] = _floats(ls_sec["normal"], dim)
-        elif ls_kind in ("circle", "sphere"):
-            params["center"] = _floats(ls_sec["center"], dim)
-            params["radius"] = float(ls_sec["radius"])
-        else:
-            raise ConfigError(f"levelset: unknown kind {ls_kind!r}")
+        params = [float(ls_sec[key]) if count == 1 else _floats(ls_sec[key], dim)
+                  for key, count in keys.items()]
     except KeyError as exc:
         raise ConfigError(f"levelset: missing key {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ConfigError(f"levelset: {exc}") from exc
-    for key, value in params.items():
+    for key, value in zip(keys, params):
         if not np.isfinite(value).all():
             raise ConfigError(f"levelset: {key} must be finite, got {ls_sec[key]!r}")
-    curved = ("circle", "sphere")[dim - 2]
-    if ls_kind not in ("plane", curved):
-        raise ConfigError(f"levelset: kind {ls_kind!r} does not fit dim {dim}; use {curved!r}")
+    if dim not in fits:
+        # the kind that takes the same keys in this dimension
+        use = next(k for k, (d, _, ks) in _LEVELSETS.items() if dim in d and ks == keys)
+        raise ConfigError(f"levelset: kind {ls_kind!r} does not fit dim {dim}; use {use!r}")
     try:
-        if ls_kind == "plane":
-            levelset = PlaneLevelSet(params["point"], params["normal"])
-        else:
-            cls = CircleLevelSet if ls_kind == "circle" else SphereLevelSet
-            levelset = cls(params["center"], params["radius"])
+        levelset = cls(*params)
     except ValueError as exc:
         raise ConfigError(f"levelset: {exc}") from exc
 
@@ -184,38 +201,36 @@ def parse_case(text: str, name: str) -> CaseConfig:
     if not boundary:
         raise ConfigError("boundary: no tags assigned")
 
-    mode = get("solver", "mode", str, "efem") if cp.has_section("solver") else "efem"
+    mode = get("solver", "mode", str, "efem")
     if mode not in MODES:
         raise ConfigError(f"solver: unknown mode {mode!r}")
-    tol = get("solver", "tol", float, 1e-8) if cp.has_section("solver") else 1e-8
-    _positive("solver: tol", tol)
+    tol = _positive("solver: tol", get("solver", "tol", float, 1e-8))
 
     lines: dict[str, tuple] = {}
-    vtk = None
-    csv = False
-    if cp.has_section("output"):
-        out = cp["output"]
-        for key, raw in out.items():
-            if key.startswith("line"):
-                try:
-                    vals = _floats(raw, 2 * dim)
-                except ValueError as exc:
-                    raise ConfigError(f"output: {key}: {exc}") from exc
-                lines[key] = (tuple(vals[:dim]), tuple(vals[dim:]))
-        vtk = out.get("vtk") or None
-        csv = out.get("csv", "no").strip().lower() in ("yes", "true", "1", "on")
+    for key, raw in cp["output"].items():
+        if key.startswith("line"):
+            try:
+                vals = _floats(raw, 2 * dim)
+            except ValueError as exc:
+                raise ConfigError(f"output: {key}: {exc}") from exc
+            if not np.isfinite(vals).all():
+                raise ConfigError(f"output: {key} must be finite, got {raw!r}")
+            lines[key] = (tuple(vals[:dim]), tuple(vals[dim:]))
+    vtk = get("output", "vtk") or None
+    if vtk is not None and (vtk == ".." or Path(vtk).name != vtk):
+        raise ConfigError(f"output: vtk {vtk!r} must be a file name, with no directory part")
+    csv = get("output", "csv", str, "no").strip().lower() in ("yes", "true", "1", "on")
 
-    reference = {"kind": "none"}
-    if cp.has_section("reference"):
-        ref = cp["reference"]
-        reference = {"kind": ref.get("kind", "none")}
-        for key in ("q", "fine_h"):
-            if key in ref:
-                what = f"reference: {key}"
-                reference[key] = _positive(what, _number(what, ref[key]))
-        if reference["kind"] not in ("none", "planar", "sphere", "cylinder-model",
-                                     "conforming-inclined", "self"):
-            raise ConfigError(f"reference: unknown kind {reference['kind']!r}")
+    reference = {"kind": get("reference", "kind", str, "none")}
+    for key in ("q", "fine_h"):
+        what = f"reference: {key}"
+        value = get("reference", key, lambda raw: _positive(what, _number(what, raw)))
+        if value is not None:
+            reference[key] = value
+    if reference["kind"] not in _REFERENCES:
+        raise ConfigError(f"reference: unknown kind {reference['kind']!r}")
+    if dim not in _REFERENCES[reference["kind"]][0]:
+        raise ConfigError(f"reference: kind {reference['kind']!r} does not fit dim {dim}")
 
     return CaseConfig(name, dim, mesh_kind, mesh_n, mesh_file, levelset,
                       materials, boundary, mode, tol, lines, vtk, csv, reference)
@@ -263,24 +278,9 @@ def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
 
 
 def _reference_evaluator(cfg: CaseConfig):
+    """The case's point-to-phi reference, or None for kind none."""
     ref = cfg.reference
-    kind = ref["kind"]
-    if kind == "none":
-        return None
-    q = ref.get("q", 3.0)
-    if kind == "planar":
-        return oracles.PlanarCase(q).phi
-    if kind == "sphere":
-        return oracles.SphereCase(q).phi
-    if kind == "cylinder-model":
-        return oracles.CylinderCase(q).phi
-    if kind == "conforming-inclined":
-        sol = oracles.reference_solve("inclined", ref.get("fine_h"), q=q)
-        return oracles.phi_evaluator(sol)
-    if kind == "self":
-        sol = oracles.reference_solve("cylinder", ref.get("fine_h"), q=q)
-        return oracles.phi_evaluator(sol)
-    raise ConfigError(f"reference: unknown kind {kind!r}")
+    return _REFERENCES[ref["kind"]][1](ref.get("q", 3.0), ref.get("fine_h"))
 
 
 def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
@@ -294,6 +294,26 @@ def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
         raise IncompatibleError(f"case is incompatible with the mesh: {exc}") from exc
 
 
+def _solutions(cfg: CaseConfig, mesh: Mesh, modes: list[str], reference,
+               direct: bool = False):
+    """Yield (assembled, solver report, solution, {line: (sample, L2 error)}) for
+    each mode in turn: assemble, solve, build the solution, sample each line
+    once.  The L2 error is None without a reference; a line that leaves the
+    mesh (or the reference's domain) is an IncompatibleError naming it."""
+    for assembled in _assemble(cfg, mesh, modes):
+        phi, report = solve(assembled.matrix, assembled.rhs, tol=cfg.tol, direct=direct)
+        sol = build_solution(assembled, phi)
+        lines = {}
+        for name, (start, end) in cfg.lines.items():
+            try:
+                sample = sample_line(sol, start, end)
+                lines[name] = (sample, None if reference is None
+                               else sample_l2_error(sample, reference))
+            except ValueError as exc:
+                raise IncompatibleError(f"output: {name}: {exc}") from exc
+        yield assembled, report, sol, lines
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -302,18 +322,12 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
              direct: bool = False) -> tuple[int, dict]:
     t0 = time.perf_counter()
     mesh = _load_mesh(cfg, base)
-    assembled = next(_assemble(cfg, mesh, [cfg.mode]))
-    phi, report = solve(assembled.matrix, assembled.rhs, tol=cfg.tol, direct=direct)
-    sol = build_solution(assembled, phi)
     reference = _reference_evaluator(cfg)
+    assembled, report, sol, lines = next(_solutions(cfg, mesh, [cfg.mode], reference, direct))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     line_report: dict[str, dict] = {}
-    for name, (start, end) in sorted(cfg.lines.items()):
-        sample = sample_line(sol, start, end)
-        entry: dict = {"l2_error": None, "csv": None}
-        if reference is not None:
-            entry["l2_error"] = sample_l2_error(sample, reference)
+    for name, (sample, l2_error) in sorted(lines.items()):
+        entry: dict = {"l2_error": l2_error, "csv": None}
         if cfg.csv:
             fname = f"{name}.csv"
             export_csv(sample, out_dir / fname)
@@ -353,6 +367,18 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
 # convergence command
 
 
+def _order(h_list: list[float], errors: list) -> float | None:
+    """observed_order, or None where a level's error is not positive and finite."""
+    try:
+        return observed_order(h_list, errors)
+    except ValueError:
+        return None
+
+
+def _cell(value: float | None, spec: str) -> str:
+    return f"{'n/a':>12s}" if value is None else f"{value:{spec}}"
+
+
 def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
                     h_list: list[float], modes: list[str]) -> tuple[int, dict]:
     if cfg.mesh_kind != "structured":
@@ -377,26 +403,24 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
     if reference is None:
         raise ConfigError("converge: case has no reference to measure against")
 
+    # a non-finite error is written as null, never as NaN
     errors = {mode: {name: [] for name in cfg.lines} for mode in modes}
     converged = True
     for n in levels:
         mesh = generate_structured(cfg.dim, n)
-        for mode, assembled in zip(modes, _assemble(cfg, mesh, modes)):
-            phi, report = solve(assembled.matrix, assembled.rhs, tol=cfg.tol)
+        for mode, (_, report, _, lines) in zip(modes, _solutions(cfg, mesh, modes, reference)):
             converged = converged and report.converged
-            sol = build_solution(assembled, phi)
-            for name, (start, end) in cfg.lines.items():
-                errors[mode][name].append(l2_line_error(sol, reference, start, end))
+            for name, (_, error) in lines.items():
+                errors[mode][name].append(error if math.isfinite(error) else None)
     table = {name: {mode: {"h": list(h_list),
                            "errors": errors[mode][name],
-                           "order": observed_order(h_list, errors[mode][name])}
+                           "order": _order(h_list, errors[mode][name])}
                     for mode in modes}
              for name in cfg.lines}
 
     report_doc = {"case": cfg.name, "reference": cfg.reference, "lines": table}
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "convergence.json", "w") as f:
-        json.dump(report_doc, f, indent=2)
+        json.dump(report_doc, f, indent=2, allow_nan=False)
         f.write("\n")
 
     for name, per_mode in table.items():
@@ -405,10 +429,10 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
         print(header)
         for i, h in enumerate(h_list):
             row = f"  {h:7.4f}  " + "  ".join(
-                f"{per_mode[m]['errors'][i]:12.4e}" for m in per_mode)
+                _cell(per_mode[m]['errors'][i], "12.4e") for m in per_mode)
             print(row)
         print("  order    " + "  ".join(
-            f"{per_mode[m]['order']:12.3f}" for m in per_mode))
+            _cell(per_mode[m]['order'], "12.3f") for m in per_mode))
     status = EXIT_OK if converged else EXIT_NO_CONVERGENCE
     return status, report_doc
 
@@ -447,6 +471,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text, name, base = _case_text(args.case)
         cfg = parse_case(text, name)
+        out = Path(args.out)
+        try:            # before any mesh is built: an --out that names a file, ...
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out!r}: cannot make the directory: "
+                              f"{exc.strerror or exc}") from exc
         if args.command == "solve":
             if args.mode:
                 cfg.mode = args.mode
@@ -456,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
                 if cfg.mesh_kind != "structured":
                     raise ConfigError("--h override requires a structured mesh")
                 cfg.mesh_n = oracles.resolution(_positive("--h", args.h))
-            status, summary = run_case(cfg, base, Path(args.out), direct=args.direct)
+            status, summary = run_case(cfg, base, out, direct=args.direct)
             if status == EXIT_NO_CONVERGENCE:
                 print(f"solver stalled at residual {summary['residual']:.3e}",
                       file=sys.stderr)
@@ -467,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         h_list = [_positive("--h-list", _number("--h-list", v))
                   for v in args.h_list.split(",") if v]
         modes = [m for m in args.modes.split(",") if m]
-        status, _ = run_convergence(cfg, base, Path(args.out), h_list, modes)
+        status, _ = run_convergence(cfg, base, out, h_list, modes)
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -499,11 +499,20 @@ def sample_l2_error(sample: LineSample, reference) -> float:
 
 
 def observed_order(hs, errors) -> float:
-    """Least-squares slope of log(error) against log(h)."""
+    """Least-squares slope of log(error) against log(h).
+
+    ValueError for fewer than two levels, or naming the first level whose
+    error is not positive and finite (None reads as NaN): its log is no number.
+    """
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if hs.size < 2:
         raise ValueError("need at least two levels for an order estimate")
+    bad = np.flatnonzero(~(np.isfinite(errors) & (errors > 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"level {i} (h = {hs[i]:g}) has error {float(errors[i])}; "
+                         "an order needs positive finite errors")
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 

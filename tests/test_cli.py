@@ -1,14 +1,20 @@
 """Driver behavior: exit codes, artifact schema, determinism, mode isolation."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efem.cli import main
 from efem.postprocess import read_csv_sample
@@ -509,3 +515,138 @@ def test_planar_solve_never_imports_sparse_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1::2] == ["False False", "False"]
+
+
+def _bundled(case):
+    return resources.files("efem").joinpath("cases", f"{case}.cfg").read_text()
+
+
+@pytest.mark.parametrize("command, case, old, new, named", [
+    ("solve", "planar_q3", "kind = planar", "kind = sphere",
+     "reference: kind 'sphere' does not fit dim 2"),
+    ("converge", "inclined", "kind = conforming-inclined", "kind = sphere",
+     "reference: kind 'sphere' does not fit dim 2"),
+    ("solve", "sphere", "[reference]\nkind = sphere", "[reference]\nkind = planar",
+     "reference: kind 'planar' does not fit dim 3"),
+    ("solve", "planar_q3", "line_mid = 0.5 0.0 0.5 1.0", "line_mid = 0.5 0.0 0.5 nan",
+     "output: line_mid must be finite, got '0.5 0.0 0.5 nan'"),
+    ("converge", "inclined", "line_y07 = 0.0 0.7 1.0 0.7", "line_y07 = 0.0 0.7 inf 0.7",
+     "output: line_y07 must be finite, got '0.0 0.7 inf 0.7'"),
+    ("solve", "planar_q3", "vtk = planar_q3.vtk", "vtk = sub/x.vtk",
+     "output: vtk 'sub/x.vtk' must be a file name, with no directory part"),
+    ("solve", "planar_q3", "vtk = planar_q3.vtk", "vtk = ../escaped.vtk",
+     "output: vtk '../escaped.vtk' must be a file name, with no directory part"),
+    ("solve", "planar_q3", "vtk = planar_q3.vtk", "vtk = ..",
+     "output: vtk '..' must be a file name, with no directory part"),
+])
+def test_case_that_cannot_fit_its_outputs_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                                  command, case, old, new, named):
+    from efem import cli
+
+    text = _bundled(case)
+    assert old in text
+    monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(cli, "generate_structured", lambda *args: pytest.fail("mesh built"))
+    out = tmp_path / "out"
+    extra = ["--h-list", "0.2,0.1"] if command == "converge" else []
+    rc = main([command, write_case(tmp_path, text.replace(old, new, 1)), *extra,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not (out / "summary.json").exists() and not (out / "convergence.json").exists()
+    assert not (tmp_path / "escaped.vtk").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_sample_line_that_leaves_the_mesh_exits_4_naming_it(tmp_path, capsys, command):
+    text = _bundled("planar_q3").replace("line_mid = 0.5 0.0 0.5 1.0", "line_mid = 0.5 -0.5 0.5 1.0")
+    extra = ["--h-list", "0.3,0.15"] if command == "converge" else []
+    rc = main([command, write_case(tmp_path, text), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: output: line_mid: point [ 0.5 -0.5] is outside the mesh\n"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_out_naming_a_file_exits_2_before_solving(tmp_path, capsys, monkeypatch, command):
+    from efem import cli
+
+    monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(cli, "generate_structured", lambda *args: pytest.fail("mesh built"))
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    extra = ["--h-list", "0.3,0.15"] if command == "converge" else []
+    rc = main([command, "planar_q3", *extra, "--out", str(taken)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"config error: --out {str(taken)!r}: "
+                                       "cannot make the directory: File exists\n")
+    assert taken.read_text() == "keep"
+
+
+def test_converge_writes_null_where_an_order_is_undefined(tmp_path, capsys):
+    """On h = 0.5 the planar field is exact: an error of 0.0 has no log, so the
+    order is null in the file and n/a on screen, and no NaN is written."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["converge", "planar_q3", "--h-list", "0.5,0.25",
+                   "--modes", "efem,standard", "--out", str(tmp_path)])
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].split() == ["order", "n/a", "n/a"]
+
+    doc = json.loads((tmp_path / "convergence.json").read_text(),
+                     parse_constant=lambda name: pytest.fail(f"convergence.json holds {name}"))
+    for mode in ("efem", "standard"):
+        entry = doc["lines"]["line_mid"][mode]
+        assert entry["errors"][0] == 0.0 and entry["order"] is None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_converge_writes_null_for_a_non_finite_error(tmp_path, capsys):
+    """With q = 1e308 the planar reference's lower slope overflows, so its
+    line errors are not finite: null in the file, n/a on screen."""
+    text = GOOD_CASE.replace("kind = planar\nq = 3.0", "kind = planar\nq = 1e308")
+    rc = main(["converge", write_case(tmp_path, text), "--h-list", "0.3,0.15",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.split()[-6:] == ["0.3000", "n/a", "0.1500", "n/a", "order", "n/a"]
+    doc = json.loads((tmp_path / "convergence.json").read_text(),
+                     parse_constant=lambda name: pytest.fail(f"convergence.json holds {name}"))
+    assert doc["lines"]["line_mid"]["efem"] == {"h": [0.3, 0.15], "errors": [None, None],
+                                                "order": None}
+
+
+# single-key edits of GOOD_CASE (with a VTK file asked for): values that are
+# not numbers, not positive, a wrong count, a line leaving the mesh, paths,
+# and in a kind key the kinds of the other table (level-set kinds in
+# [reference], reference kinds in [levelset])
+EDIT_BASE = GOOD_CASE.replace("csv = yes\n", "csv = yes\nvtk = good.vtk\n")
+EDIT_KEYS = [(i, line.split(" = ")[0]) for i, line in enumerate(EDIT_BASE.splitlines())
+             if " = " in line]
+EDIT_VALUES = ["nan", "inf", "-inf", "0", "-1", "", "0.5 0.5 0.5", "0.5 -0.5 0.5 1.0",
+               "sub/x.vtk", "../x.vtk"]
+SWAPPED_KINDS = {
+    "[levelset]": ["none", "planar", "sphere", "cylinder-model", "conforming-inclined", "self"],
+    "[reference]": ["plane", "circle", "sphere"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_single_key_edits_exit_cleanly(data):
+    lines = EDIT_BASE.splitlines()
+    i, key = data.draw(st.sampled_from(EDIT_KEYS))
+    section = [line for line in lines[:i] if line.startswith("[")][-1]
+    kinds = SWAPPED_KINDS.get(section, []) if key == "kind" else []
+    lines[i] = f"{key} = {data.draw(st.sampled_from(EDIT_VALUES + kinds))}"
+    with tempfile.TemporaryDirectory() as tmp:
+        case, out = Path(tmp) / "case.cfg", Path(tmp) / "out"
+        case.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["solve", str(case), "--out", str(out)])
+        assert rc in (0, 2, 3, 4)
+        if rc == 2:
+            assert not (out / "summary.json").exists()

@@ -1,6 +1,7 @@
 """Field reconstruction, line sampling, error norms and exporters."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ def test_observed_order_recovers_synthetic_slope():
 def test_observed_order_needs_two_levels():
     with pytest.raises(ValueError):
         observed_order([0.1], [0.01])
+
+
+@pytest.mark.parametrize("errors, named", [
+    ([1e-3, 0.0, 1e-5], "level 1 (h = 0.1) has error 0.0"),
+    ([1e-3, 1e-4, float("nan")], "level 2 (h = 0.05) has error nan"),
+    ([-1e-3, 1e-4, 1e-5], "level 0 (h = 0.2) has error -0.001"),
+    ([1e-3, None, float("inf")], "level 1 (h = 0.1) has error nan"),
+])
+def test_observed_order_names_the_level_without_a_log(errors, named):
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)}; an order needs positive finite"):
+        observed_order([0.2, 0.1, 0.05], errors)
 
 
 def test_mismatch_small_with_D_large_without(planar_solver, planar_q1_nod):

@@ -220,6 +220,8 @@ def parse_case(text: str, name: str) -> CaseConfig:
     if vtk is not None and (vtk == ".." or Path(vtk).name != vtk):
         raise ConfigError(f"output: vtk {vtk!r} must be a file name, with no directory part")
     csv = get("output", "csv", str, "no").strip().lower() in ("yes", "true", "1", "on")
+    if vtk == "summary.json" or (csv and vtk in {f"{key}.csv" for key in lines}):
+        raise ConfigError(f"output: vtk {vtk!r} names another output of the run")
 
     reference = {"kind": get("reference", "kind", str, "none")}
     for key in ("q", "fine_h"):
@@ -288,8 +290,18 @@ def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
     try:
         classification = classify_elements(mesh, cfg.levelset)
         for mode in modes:
-            yield assemble_global(mesh, cfg.levelset, cfg.materials, mode, cfg.boundary,
-                                  classification=classification)
+            with np.errstate(over="ignore"):     # reported below, naming its cause
+                assembled = assemble_global(mesh, cfg.levelset, cfg.materials, mode,
+                                            cfg.boundary, classification=classification)
+            if not np.isfinite(assembled.matrix.data).all():
+                raise IncompatibleError(
+                    f"materials: eps1 = {cfg.materials.eps1:g} and eps2 = "
+                    f"{cfg.materials.eps2:g} overflow the assembled matrix on this mesh")
+            if not np.isfinite(assembled.rhs).all():
+                raise IncompatibleError(
+                    "materials and boundary: the permittivities and Dirichlet values "
+                    "overflow the assembled right-hand side on this mesh")
+            yield assembled
     except (MeshError, ValueError, KeyError) as exc:
         raise IncompatibleError(f"case is incompatible with the mesh: {exc}") from exc
 
@@ -314,6 +326,11 @@ def _solutions(cfg: CaseConfig, mesh: Mesh, modes: list[str], reference,
         yield assembled, report, sol, lines
 
 
+def _json_number(value: float | None) -> float | None:
+    """value, or None (null) where it is not finite: JSON has no NaN."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -327,7 +344,7 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
 
     line_report: dict[str, dict] = {}
     for name, (sample, l2_error) in sorted(lines.items()):
-        entry: dict = {"l2_error": l2_error, "csv": None}
+        entry: dict = {"l2_error": _json_number(l2_error), "csv": None}
         if cfg.csv:
             fname = f"{name}.csv"
             export_csv(sample, out_dir / fname)
@@ -349,15 +366,15 @@ def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
         "iterations": report.iterations,
         "jacobi_iterations": report.jacobi_iterations,
         "restart": report.restart,
-        "residual": report.residual,
+        "residual": _json_number(report.residual),
         "converged": report.converged,
-        "interface_mismatch": interface_potential_mismatch(sol),
+        "interface_mismatch": _json_number(interface_potential_mismatch(sol)),
         "lines": line_report,
         "vtk": cfg.vtk,
         "wall_time_s": time.perf_counter() - t0,
     }
     with open(out_dir / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
+        json.dump(summary, f, indent=2, allow_nan=False)
         f.write("\n")
     status = EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
     return status, summary
@@ -403,7 +420,6 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
     if reference is None:
         raise ConfigError("converge: case has no reference to measure against")
 
-    # a non-finite error is written as null, never as NaN
     errors = {mode: {name: [] for name in cfg.lines} for mode in modes}
     converged = True
     for n in levels:
@@ -411,7 +427,7 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
         for mode, (_, report, _, lines) in zip(modes, _solutions(cfg, mesh, modes, reference)):
             converged = converged and report.converged
             for name, (_, error) in lines.items():
-                errors[mode][name].append(error if math.isfinite(error) else None)
+                errors[mode][name].append(_json_number(error))
     table = {name: {mode: {"h": list(h_list),
                            "errors": errors[mode][name],
                            "order": _order(h_list, errors[mode][name])}
@@ -487,12 +503,11 @@ def main(argv: list[str] | None = None) -> int:
                     raise ConfigError("--h override requires a structured mesh")
                 cfg.mesh_n = oracles.resolution(_positive("--h", args.h))
             status, summary = run_case(cfg, base, out, direct=args.direct)
+            residual = _cell(summary["residual"], ".3e").strip()
             if status == EXIT_NO_CONVERGENCE:
-                print(f"solver stalled at residual {summary['residual']:.3e}",
-                      file=sys.stderr)
+                print(f"solver stalled at residual {residual}", file=sys.stderr)
             else:
-                print(f"{cfg.name}: {summary['iterations']} iterations, "
-                      f"residual {summary['residual']:.3e}")
+                print(f"{cfg.name}: {summary['iterations']} iterations, residual {residual}")
             return status
         h_list = [_positive("--h-list", _number("--h-list", v))
                   for v in args.h_list.split(",") if v]

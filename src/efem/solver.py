@@ -9,12 +9,20 @@ as the Jacobi phase falls behind the geometric pace that would reach tol in
 ``AMG_AFTER`` iterations.  Sparse LU serves the ``--direct`` path;
 scipy.sparse.linalg is imported on the first factorization only.
 
-Both paths work on the matrix's stored nonzeros (``stored_nonzeros``),
-and the same pass rejects non-finite input.  Assembly keeps the full P1
-pattern that criterion 7 checks, and with it the zeroed Dirichlet
-couplings and the exact-zero stencil entries of structured meshes: 59% of
-the stored entries of a 3D n=32 sphere system, 29% of a 2D n=200 one and
-3.4% of the perturbed 2D cylinder mesh's.  The caller's matrix keeps them.
+Both paths solve on the free block of the system (``free_block``), and the
+same pass rejects non-finite input.  Assembly keeps the full P1 pattern
+that criterion 7 checks, and with it the zeroed Dirichlet couplings and the
+exact-zero stencil entries of structured meshes: 59% of the stored entries
+of a 3D n=32 sphere system, 29% of a 2D n=200 one and 3.4% of the perturbed
+2D cylinder mesh's.  The pass drops them, and then every decoupled row: a
+row whose only stored nonzero is its diagonal and whose column no other row
+uses, as each Dirichlet row is once assembly has zeroed its couplings.  Its
+unknown is b_i / a_ii and no other equation sees it, so carrying it through
+every vector operation of BiCGSTAB, the AMG hierarchy or LU buys nothing:
+6,146 of the 35,937 rows of the 3D sphere system (17%) leave the solve,
+against 402 of 40,401 at 2D n=200 and 400 of 10,201 on the cylinder mesh.
+The stopping tests still measure the caller's whole system, and the
+caller's matrix keeps every entry.
 
 Iteration order is fixed and nothing is random, so a solve is repeatable
 for a fixed BLAS thread count.  It is not repeatable across thread
@@ -25,22 +33,25 @@ threads (``OPENBLAS_NUM_THREADS=1`` pins it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 # Pace of the Jacobi phase: BiCGSTAB restarts with the AMG preconditioner
-# once its recursive residual after iteration k exceeds tol ** (k / AMG_AFTER)
-# of |b|, the geometric pace that reaches tol at k = AMG_AFTER, where the
-# Jacobi phase ends in any case.  On the benchmark systems (tol 1e-8) the
-# 3D n=32 sphere residuals peak at 0.10 of the pace line (k = 47), so those
-# solves (75 to 81 iterations, seeds 1 to 20) never build the hierarchy,
-# while every 2D n=200 sweep system falls behind it at k = 28 and the
-# perturbed 2D cylinder meshes at k = 24, and AMG finishes them 7 to 11
-# iterations later.  Building the hierarchy costs about as much as 60
-# Jacobi iterations at 2D n=200 (47 ms) and 90 at 3D n=32 (73 ms), which is
-# why the 3D systems should not switch.
+# once the smaller of its last two recursive residuals after iteration k
+# exceeds tol ** (k / AMG_AFTER) of |b|, the geometric pace that reaches tol
+# at k = AMG_AFTER, where the Jacobi phase ends in any case.  The smaller of
+# two, because single iterations spike: on the benchmark systems (tol 1e-8)
+# the free-block residuals of the 3D n=32 sphere reach 0.61 to 0.78 of the
+# pace line for one iteration (seeds 10, 15 and 17, k = 51 to 71), while the
+# smaller of two peaks at 0.08 to 0.32 (seeds 1 to 20), so those solves (72
+# to 76 iterations) never build the hierarchy.  Every 2D n=200 sweep system
+# falls behind the pace at k = 28 and the seed-1 perturbed 2D cylinder mesh
+# at k = 23, and AMG finishes them 7 to 10 iterations later.  Building the
+# hierarchy costs about as much as 60 Jacobi iterations at 2D n=200 (47 ms)
+# and 90 at 3D n=32 (73 ms), which is why the 3D systems should not switch.
 AMG_AFTER = 100
 # Iteration cap of the AMG phase.  An AMG iteration costs five to six Jacobi
 # ones; the converging systems measured need at most 89 (2D n=200, q=1e4,
@@ -147,11 +158,13 @@ def _neighbour_max(neighbours: tuple[np.ndarray, ...], values: np.ndarray) -> np
     return out
 
 
-def _hash_ranks(n: int) -> np.ndarray:
-    """A fixed permutation of 0..n-1 from a multiplicative index hash."""
-    h = (np.arange(n, dtype=np.uint64) * np.uint64(2654435761)) & np.uint64(0xFFFFFFFF)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[np.argsort(h, kind="stable")] = np.arange(n)
+def _hash_ranks(ids: np.ndarray) -> np.ndarray:
+    """A fixed permutation of 0..len(ids)-1 that orders the ids by a
+    multiplicative hash.  The hash is one-to-one below 2**32, so a subset
+    of the ids keeps the relative order it has among all of them."""
+    h = (ids.astype(np.uint64) * np.uint64(2654435761)) & np.uint64(0xFFFFFFFF)
+    ranks = np.empty(ids.size, dtype=np.int64)
+    ranks[np.argsort(h, kind="stable")] = np.arange(ids.size)
     return ranks
 
 
@@ -239,15 +252,18 @@ class SmoothedAggregation:
     coarsest matrix is scaled symmetrically to a unit diagonal and factored
     by sparse LU, which needs no dense n x n copy if coarsening stops early.
     Calling the object applies one V-cycle from a zero guess, a fixed
-    linear operator.
+    linear operator.  The level-0 ranks hash ``ids``, the caller's index of
+    each row (0..n-1 by default): a free block (``free_block``) then
+    aggregates as the whole matrix does on its free nodes.
     """
 
-    def __init__(self, A: sp.spmatrix):
+    def __init__(self, A: sp.spmatrix, ids: np.ndarray | None = None):
         self.levels: list[AMGLevel] = []
         A = sp.csr_matrix(A)
+        ids = np.arange(A.shape[0]) if ids is None else ids
         while A.shape[0] > COARSEST_SIZE:
             dinv = 1.0 / A.diagonal()
-            rank = _hash_ranks(A.shape[0])
+            rank = _hash_ranks(ids)
             omega = 4.0 / (3.0 * _spectral_radius(A, dinv, rank))
             agg, n_agg = aggregate(strength_graph(A), rank)
             if not 0 < n_agg <= A.shape[0] // 2:
@@ -270,7 +286,7 @@ class SmoothedAggregation:
                 if not (coarse.diagonal() > 0.0).all():
                     break
             self.levels.append(AMGLevel(A, omega * dinv, agg, P, R))
-            A = coarse
+            A, ids = coarse, np.arange(coarse.shape[0])
         self.coarsest = A
         # factor S A S with S = |diag A|^-1/2: a contrast q spreads the
         # diagonal over q, and the unscaled LU loses ~1e-12 relative even
@@ -302,25 +318,53 @@ class SmoothedAggregation:
 # solvers
 
 
-def stored_nonzeros(A: sp.spmatrix, b: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of A's stored nonzeros; rejects non-finite A or b, naming the row.
+def free_block(A: sp.spmatrix, b: np.ndarray
+               ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """A x = b with its decoupled rows solved, and the free block left to solve.
 
-    A stored zero never changes a CSR row sum of finite values, so a product
-    with the result equals the product with A bit for bit.  A itself is
-    left alone; the result holds copies of the kept entries only.
+    A row is decoupled when its only stored nonzero is its diagonal and no
+    other row stores a nonzero in its column, as the Dirichlet rows of
+    assembly are: its unknown is b_i / a_ii, and no other equation sees it.
+    Returns the CSR matrix of A's stored nonzeros in the free rows and
+    columns, the caller's index of each free unknown (ascending), x with the
+    decoupled unknowns set and 0 at the free ones, and the caller's residual
+    b - A x at that x (b itself on the free rows).  Rejects non-finite A or
+    b, naming the caller's row.  A itself is left alone: the pass works on
+    one copy of its stored entries.  A stored zero never changes a CSR row
+    sum of finite values, and each free row keeps its entries in order, so
+    a product with the block gives the caller's row sums bit for bit.
     """
-    A = sp.csr_matrix(A)
-    bad = np.flatnonzero(~np.isfinite(A.data))
+    C = sp.csr_matrix(A, copy=True)
+    C.eliminate_zeros()                  # keeps the order, and every non-finite entry
+    bad = np.flatnonzero(~np.isfinite(C.data))
     if bad.size:
-        row = int(np.searchsorted(A.indptr, bad[0], side="right")) - 1
-        raise ValueError(f"non-finite entry {A.data[bad[0]]} in A at row {row}, "
-                         f"column {int(A.indices[bad[0]])}")
+        row = int(np.searchsorted(C.indptr, bad[0], side="right")) - 1
+        raise ValueError(f"non-finite entry {C.data[bad[0]]} in A at row {row}, "
+                         f"column {int(C.indices[bad[0]])}")
+    b = np.asarray(b, dtype=float)
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"non-finite entry {b[bad[0]]} in b at row {int(bad[0])}")
-    keep = A.data != 0.0
-    kept = np.concatenate(([0], np.cumsum(keep, dtype=A.indptr.dtype)))
-    return sp.csr_matrix((A.data[keep], A.indices[keep], kept[A.indptr]), shape=A.shape)
+    n = C.shape[0]
+    one = np.flatnonzero(np.diff(C.indptr) == 1)    # rows of one stored nonzero
+    fixed = one[(C.indices[C.indptr[one]] == one)
+                & (np.bincount(C.indices, minlength=n)[one] == 1)]
+    at = C.indptr[fixed]                 # their diagonal entries
+    diag = C.data[at]
+    x = np.zeros(n)
+    x[fixed] = b[fixed] / diag
+    res = b.copy()
+    res[fixed] -= diag * x[fixed]
+    C.data[at] = 0.0                     # the decoupled rows leave with the zeros
+    C.eliminate_zeros()
+    keep = np.ones(n, dtype=bool)
+    keep[fixed] = False
+    free = np.flatnonzero(keep)
+    column = np.cumsum(keep, dtype=C.indices.dtype) - 1
+    indices = np.take(column, C.indices)           # twice as fast as column[C.indices]
+    block = sp.csr_matrix((C.data, indices, C.indptr[np.append(free, n)]),
+                          shape=(free.size, free.size))
+    return block, free, x, res
 
 
 def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, SolveReport]:
@@ -332,60 +376,86 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     error is still large.  The reported residual is always the true relative
     one, recomputed from the final iterate.
 
+    Only the free block of ``free_block(A, b)`` is iterated on, so
+    non-finite input raises before the first iteration and the decoupled
+    unknowns are b_i / a_ii exactly; every test still measures the caller's
+    full system (|b|, |D^-1 b| and |b - A x|).  The free right-hand side is
+    scaled by a power of two to a largest entry in [0.5, 1), and x back, so
+    the absolute breakdown tests do not fire on a tiny right-hand side,
+    while every iterate of a normal system scales exactly.
+
     The iteration starts from zero with Jacobi preconditioning.  It restarts
     once from the current iterate, with a fresh shadow residual and a
     smoothed-aggregation V-cycle as preconditioner, for at most
     ``AMG_MAX_ITER`` further iterations, on a rho or omega breakdown or as
     soon as the recursive residual falls behind the pace that reaches tol in
-    ``AMG_AFTER`` iterations: |r_k| / |b| > tol ** (k / AMG_AFTER) after
-    iteration k, which at k = ``AMG_AFTER`` is tol itself.  A second
-    breakdown reports failure.  No solve runs past 10 n iterations in all.
-    Both phases run on ``stored_nonzeros(A, b)``, so non-finite input raises
-    before the first iteration.
+    ``AMG_AFTER`` iterations: the smaller of |r_k| / |b| and |r_(k-1)| / |b|
+    above tol ** (k / AMG_AFTER) after iteration k, which at k = ``AMG_AFTER``
+    is tol itself.  A second breakdown reports failure.  No solve runs past
+    10 n iterations in all, n the number of free unknowns.
     """
-    A = stored_nonzeros(A, b)
-    n = b.shape[0]
-    max_iter = 10 * n
+    M, free, x, res = free_block(A, b)  # M: the free block
     minv = jacobi_precondition(A)
+    n = free.size
+    max_iter = 10 * n
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True)
+        return x, SolveReport(0, 0.0, True)
     mbnorm = float(np.linalg.norm(minv * b))
     mbnorm = mbnorm if mbnorm > 0.0 else bnorm
+    b_free = res[free]
+    shift = int(np.frexp(np.abs(b_free).max(initial=0.0))[1])
+    b_free = np.ldexp(b_free, -shift)
+    m_free = minv[free]
 
-    x = np.zeros(n)
+    xs = np.zeros(n)                     # the free unknowns, scaled by 2**-shift
     work = np.empty(n)                   # scratch of the in-place updates
     tiny = 1e-300
 
     def rel(res_vec):
-        return float(np.linalg.norm(res_vec)) / bnorm
+        """|r| / |b| of a recursive residual of the scaled free block."""
+        return math.ldexp(float(np.linalg.norm(res_vec)), shift) / bnorm
 
     def small(res_vec, res_rel):
-        """Both tests, given res_rel = rel(res_vec)."""
+        """Both tests on a recursive residual, given res_rel = rel(res_vec).
+        The residual is unscaled before D^-1 multiplies it: where the matrix
+        spans many decades, the scaled product can overflow."""
         if res_rel > tol:
             return False
-        return float(np.linalg.norm(minv * res_vec)) / mbnorm <= tol
+        return float(np.linalg.norm(m_free * np.ldexp(res_vec, shift))) / mbnorm <= tol
+
+    def true_test(xv):
+        """The caller's true relative residual at xv, and whether it passes
+        both tests."""
+        res[free] = np.ldexp(b_free - M @ xv, shift)
+        res_rel = float(np.linalg.norm(res)) / bnorm
+        return res_rel, res_rel <= tol and float(np.linalg.norm(minv * res)) / mbnorm <= tol
 
     iterations = jacobi_iterations = 0
     method, restart = "bicgstab", ""
 
     def report(xv, res_rel, converged):
+        x[free] = np.ldexp(xv, shift)
         jacobi = iterations if method == "bicgstab" else jacobi_iterations
-        return xv, SolveReport(iterations, res_rel, converged, method, jacobi, restart)
+        return x, SolveReport(iterations, res_rel, converged, method, jacobi, restart)
 
-    precond = minv.__mul__
+    if not b_free.any():                 # the decoupled rows were the whole solve
+        return report(xs, *true_test(xs))
+
+    precond = m_free.__mul__
     stop = min(max_iter, AMG_AFTER)
     for attempt in range(2):             # attempt 1 is the single allowed restart
         if attempt == 1:
-            precond = SmoothedAggregation(A)
+            precond = SmoothedAggregation(M, free)
             method, jacobi_iterations = "bicgstab-amg", iterations
             stop = min(max_iter, iterations + AMG_MAX_ITER)
-        r = b - A @ x                    # fresh (shadow) residual per attempt
+        r = b_free - M @ xs              # fresh (shadow) residual per attempt
         r_hat = r.copy()
         rho = alpha = omega = 1.0
         v = np.zeros(n)
         p = np.zeros(n)
+        last_rel = math.inf
         broke = False
         while iterations < stop:
             rho_new = float(r_hat @ r)
@@ -399,7 +469,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
             p *= beta
             p += r
             p_hat = precond(p)
-            v = A @ p_hat
+            v = M @ p_hat
             denom = float(r_hat @ v)
             if abs(denom) < tiny:
                 broke = True
@@ -409,33 +479,34 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
             s -= np.multiply(v, alpha, out=work)
             iterations += 1
             if small(s, rel(s)):
-                x_try = x + alpha * p_hat
-                true_res = b - A @ x_try
-                if small(true_res, res_rel := rel(true_res)):
+                x_try = xs + alpha * p_hat
+                res_rel, passed = true_test(x_try)
+                if passed:
                     return report(x_try, res_rel, True)
             s_hat = precond(s)
-            t = A @ s_hat
+            t = M @ s_hat
             tt = float(t @ t)
             if tt < tiny:
                 broke = True
                 break
             omega = float(t @ s) / tt
-            x += np.multiply(p_hat, alpha, out=work)  # x = x + alpha * p_hat + omega * s_hat
-            x += np.multiply(s_hat, omega, out=work)
+            xs += np.multiply(p_hat, alpha, out=work)  # x = x + alpha * p_hat + omega * s_hat
+            xs += np.multiply(s_hat, omega, out=work)
             r = s                                # r = s - omega * t
             r -= np.multiply(t, omega, out=work)
             if small(r, r_rel := rel(r)):
-                true_res = b - A @ x
-                if small(true_res, res_rel := rel(true_res)):
-                    return report(x, res_rel, True)
-            if attempt == 0 and r_rel > tol ** (iterations / AMG_AFTER):
+                res_rel, passed = true_test(xs)
+                if passed:
+                    return report(xs, res_rel, True)
+            if attempt == 0 and min(r_rel, last_rel) > tol ** (iterations / AMG_AFTER):
                 break                    # behind the pace to tol
+            last_rel = r_rel
         if not broke and iterations >= max_iter:
             break                        # ran out of iterations
         if attempt == 0:
             restart = "breakdown" if broke else "behind pace"
 
-    return report(x, rel(b - A @ x), False)
+    return report(xs, true_test(xs)[0], False)
 
 
 def _splu(A: sp.spmatrix):
@@ -448,8 +519,12 @@ def _splu(A: sp.spmatrix):
 
 
 def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse LU (SuperLU, COLAMD ordering) of A's stored nonzeros, at any size."""
-    return _splu(stored_nonzeros(A, b)).solve(np.asarray(b, dtype=float))
+    """Sparse LU (SuperLU, COLAMD ordering) of the free block of
+    ``free_block(A, b)``, at any size."""
+    M, free, x, res = free_block(A, b)
+    if free.size:
+        x[free] = _splu(M).solve(res[free])
+    return x
 
 
 def solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8,

@@ -345,27 +345,32 @@ def test_interface_error_reported_per_mode(tmp_path):
 # points and sides did not move; in the VTK file, phi moved by at most
 # 4.9e-15 of the largest |phi| and cell E by at most 1.9e-14 of the largest
 # |E|.  sphere (eps1 = 1) did not move.
-# cylinder was pinned at commit f8df55c.  It is the one bundled case whose
-# solve reaches the AMG phase (24 Jacobi iterations, then one AMG
-# iteration); its 784 unknowns are below COARSEST_SIZE, so that phase's
-# V-cycle is the coarsest LU alone.  tests/test_solver.py pins longer AMG
-# solves through a full hierarchy.
+# cylinder is the one bundled case whose solve reaches the AMG phase (22
+# Jacobi iterations, then one AMG iteration); its 784 unknowns are below
+# COARSEST_SIZE, so that phase's V-cycle is the coarsest LU alone.
+# tests/test_solver.py pins longer AMG solves through a full hierarchy.
+# All four re-pinned when BiCGSTAB came to iterate on the free block only
+# (solver.free_block), a different Krylov space: 5 -> 4, 19 -> 19, 44 -> 44
+# and 25 -> 23 iterations, and the sampled potentials moved by at most
+# 9.4e-15 (planar_q3), 3.8e-9 (inclined), 4.9e-8 (sphere) and 1.9e-15
+# (cylinder) of the largest |phi|, within tol = 1e-8; the sampled points and
+# sides did not move.
 ARTIFACT_DIGESTS = {
     "planar_q3": {
-        "line_mid.csv": "bb69f8bbc6d03ff1d4195388e2846ff5a9c536a1eaa7f43256cf951683e40478",
-        "planar_q3.vtk": "73be7260b14d9ea674704a903fec7c97a034d8e0532eb6103c6d9208001922bc",
+        "line_mid.csv": "df16cb49915f7bdc22b7b1fb4f3779966cbdafa3e0ae4a1cc242cf6412e3cc5c",
+        "planar_q3.vtk": "e58160359175e57c7be10b946a32bb53f31cbaacd1edea0e6514f522757ccba5",
     },
     "inclined": {
-        "line_x0.csv": "35a12914645f2a3ac83e83845f8a651dd4489f2c868337ba4c9955325f68256b",
-        "line_y07.csv": "8fd18af811c561da68da7359c242cb6122085901abfdb8b0cc46aa34928bf9bc",
+        "line_x0.csv": "983be76671eb6ff48ce162d9f5529f880aac0aa2f2160bbbb67b1fc9902b6ab7",
+        "line_y07.csv": "c7080cdc4f24812ee100cf076096e0a0daa4bece47481ccf44ce6081bf1d3a3a",
     },
     "sphere": {
-        "line_poles.csv": "d6186fbf2189c55b48c2c7422c409d8bee88b21aa616ffd5ba30f99f49ec3b08",
-        "sphere.vtk": "047dd9aa9bf808876ad8b1de02646b37db3eb44b4261000f860f07d555e5fab3",
+        "line_poles.csv": "3cb2cd87909243685875f1cc385f788a8eb8e145f56cd39fe2892e5ae1e2c83a",
+        "sphere.vtk": "7119a7c3129ad86afafc1a846625ba7ffd854b0ea5829f215d084a3d53b0ac71",
     },
     "cylinder": {
-        "cylinder.vtk": "5f06888f12565816912a9201f7eca469a9df309467028984d1819996bbde642d",
-        "line_x025.csv": "d41efcf2b3ceaf247f7753700647cb38ca62b85432ed30312422d78d0a196ca6",
+        "cylinder.vtk": "ec416e7d6ea3c449d0071c8675a349691b08c888a47ad9d01ea718a3255b91c6",
+        "line_x025.csv": "6a33ea8a6042852ca817a56065bc6f863c7cce8459c386f7f566bd4a9273f2f8",
     },
 }
 
@@ -538,6 +543,10 @@ def _bundled(case):
      "output: vtk '../escaped.vtk' must be a file name, with no directory part"),
     ("solve", "planar_q3", "vtk = planar_q3.vtk", "vtk = ..",
      "output: vtk '..' must be a file name, with no directory part"),
+    ("solve", "planar_q3", "vtk = planar_q3.vtk", "vtk = summary.json",
+     "output: vtk 'summary.json' names another output of the run"),
+    ("solve", "planar_q3", "vtk = planar_q3.vtk", "vtk = line_mid.csv",
+     "output: vtk 'line_mid.csv' names another output of the run"),
 ])
 def test_case_that_cannot_fit_its_outputs_exits_2_before_solving(tmp_path, capsys, monkeypatch,
                                                                   command, case, old, new, named):
@@ -565,6 +574,74 @@ def test_sample_line_that_leaves_the_mesh_exits_4_naming_it(tmp_path, capsys, co
     assert rc == 4
     assert capsys.readouterr().err == "error: output: line_mid: point [ 0.5 -0.5] is outside the mesh\n"
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_vtk_named_like_a_csv_the_case_does_not_write_is_kept(tmp_path):
+    """Only the CSVs a case writes are taken: with csv = no the name is free."""
+    text = _bundled("planar_q3").replace("csv = yes", "csv = no").replace(
+        "vtk = planar_q3.vtk", "vtk = line_mid.csv")
+    assert main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "line_mid.csv").read_text().startswith("# vtk DataFile")
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_permittivity_that_overflows_the_matrix_exits_4_naming_materials(tmp_path, capsys,
+                                                                         command):
+    """q = 1e308 is a valid number, but eps1 times the unit stiffness of this
+    mesh is not finite."""
+    text = _bundled("planar_q3").replace("[materials]\nq = 3.0", "[materials]\nq = 1e308")
+    extra = ["--h-list", "0.3,0.15"] if command == "converge" else []
+    rc = main([command, write_case(tmp_path, text), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert capsys.readouterr().err == ("error: materials: eps1 = 1e+308 and eps2 = 1 overflow "
+                                       "the assembled matrix on this mesh\n")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_dirichlet_value_that_overflows_the_rhs_exits_4(tmp_path, capsys):
+    text = _bundled("planar_q3").replace("top = dirichlet 1.0", "top = dirichlet 1e308")
+    rc = main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert capsys.readouterr().err == ("error: materials and boundary: the permittivities and "
+                                       "Dirichlet values overflow the assembled right-hand side "
+                                       "on this mesh\n")
+
+
+def test_tiny_permittivity_solves(tmp_path):
+    """q = 1e-300 leaves the free rows a right-hand side near 1e-300, which
+    the solver scales up before its absolute breakdown tests see it."""
+    text = _bundled("planar_q3").replace("[materials]\nq = 3.0", "[materials]\nq = 1e-300")
+    assert main(["solve", write_case(tmp_path, text), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] and summary["residual"] <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_solve_writes_null_for_a_non_finite_line_error(tmp_path):
+    """With [reference] q = 1e308 the planar reference is not finite on the
+    line, so its L2 error is null in summary.json, never NaN."""
+    text = _bundled("planar_q3").replace("kind = planar\nq = 3.0", "kind = planar\nq = 1e308")
+    assert main(["solve", write_case(tmp_path, text), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
+    assert summary["lines"]["line_mid"]["l2_error"] is None
+    assert math.isfinite(summary["residual"]) and math.isfinite(summary["interface_mismatch"])
+
+
+def test_solve_that_ends_in_nan_writes_null_and_exits_3(tmp_path, capsys, monkeypatch):
+    from efem import cli
+    from efem.solver import SolveReport
+
+    def diverged(A, b, tol, direct):
+        return np.full(b.size, np.nan), SolveReport(7, math.nan, False)
+
+    monkeypatch.setattr(cli, "solve", diverged)
+    rc = main(["solve", write_case(tmp_path, GOOD_CASE), "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.endswith("solver stalled at residual n/a\n")
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
+    assert summary["residual"] is None and summary["lines"]["line_mid"]["l2_error"] is None
 
 
 @pytest.mark.parametrize("command", ["solve", "converge"])

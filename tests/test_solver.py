@@ -206,16 +206,17 @@ def test_3d_sphere_system_stays_on_jacobi():
 
 
 # x.tobytes() sha256 and report of two solves that run a dozen AMG
-# iterations through a two-level hierarchy, pinned at commit f8df55c with
-# single-threaded BLAS (conftest.py).  Any change to the hierarchy, the
-# V-cycle or the BiCGSTAB updates that moves a bit of x shows here.
+# iterations through a two-level hierarchy, pinned with single-threaded BLAS
+# (conftest.py) for the solve on the free block (solver.free_block).  Any
+# change to the hierarchy, the V-cycle or the BiCGSTAB updates that moves a
+# bit of x shows here.
 PINNED_AMG_SOLVES = {
     "2d-n100-circle-q100": (
-        "e40be9514731a1859dfbb3c881a9fdd5513a7aa071b5f4f7c9748039203b3cc1",
-        SolveReport(34, 3.3965395173042766e-09, True, "bicgstab-amg", 22, "behind pace")),
+        "e7a892237132cdeb07a2111aafbaec9c80244d6b793149a5d89069fe8232bad6",
+        SolveReport(33, 7.671270591528726e-09, True, "bicgstab-amg", 22, "behind pace")),
     "3d-n16-sphere-q1e4": (
-        "ee5636d2eadfd498e0615adb086ae4a708a56f36050bbb7328d59d96b649cf93",
-        SolveReport(40, 1.209214551096875e-09, True, "bicgstab-amg", 29, "behind pace")),
+        "7f015ccbab79dfe6182c745c86090a9a875a783c4795846e02ba6cc09c33cb4e",
+        SolveReport(40, 8.146193098329938e-09, True, "bicgstab-amg", 29, "behind pace")),
 }
 
 

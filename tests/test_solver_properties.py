@@ -9,6 +9,9 @@ BiCGSTAB with the V-cycle from its first iteration must pass the dual
 stopping test and agree with sparse LU; a solve that never restarts must be
 the plain Jacobi solve.  Explicit zeros stored anywhere
 in a system change no solve, iterative or direct, in any bit.  On random
+nonsymmetric systems with decoupled rows, both solvers agree with spsolve
+on the full system, each decoupled unknown is b_i / a_ii bit for bit, and
+the free block's level-0 aggregates are the full matrix's on its nodes.  On random
 symmetric graphs, some with a star's hub, the neighbour table's maximum is
 the plain per-row maximum, aggregation gives the aggregates of the
 unbounded table and leaves out exactly the isolated nodes, and a star's
@@ -19,6 +22,7 @@ from functools import lru_cache
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,9 +31,11 @@ from efem import solver
 from efem.efem_core import MODES, MaterialPair, assemble_global
 from efem.interface import CircleLevelSet, SphereLevelSet
 from efem.mesh import generate_structured
-from efem.oracles import box_boundary
+from efem.oracles import (SphereCase, analytic_boundary, box_boundary, cylinder_levelset,
+                          cylinder_materials, sphere_levelset, sphere_materials)
 from efem.solver import (SmoothedAggregation, _neighbour_max, _neighbour_table, aggregate,
-                         bicgstab, direct_solve, jacobi_precondition, strength_graph)
+                         bicgstab, direct_solve, free_block, jacobi_precondition,
+                         strength_graph)
 
 TOL = 1e-10
 # max-norm agreement with sparse LU, relative: the worst seen at TOL was
@@ -183,6 +189,80 @@ def test_stored_zeros_change_no_solve(case, seed, k):
     assert rep_padded == rep
     assert np.array_equal(x_padded, x)
     assert np.array_equal(direct_solve(padded, b), direct_solve(A, b))
+
+
+def _decoupled_system(n, k, seed):
+    """A random nonsymmetric, strictly diagonally dominant n x n system with
+    k decoupled rows at random positions (diagonal only, row and column
+    otherwise stored as zeros), and, when two free rows are left, one more
+    row whose only stored nonzero is its diagonal but whose column another
+    row still uses.  Returns A, b, the decoupled rows and that lone row."""
+    rng = np.random.default_rng(seed)
+    A = sp.random(n, n, density=min(1.0, 4.0 / n), random_state=rng,
+                  data_rvs=lambda size: rng.uniform(-1.0, 1.0, size)).tolil()
+    A.setdiag(0.0)
+    fixed = np.sort(rng.choice(n, size=k, replace=False))
+    others = np.setdiff1d(np.arange(n), fixed)
+    lone = None
+    if others.size >= 2:
+        lone, user = rng.choice(others, size=2, replace=False)
+        A[user, lone] = rng.uniform(0.5, 1.0)       # column `lone` stays coupled
+    A = (A + sp.diags(abs(A).sum(axis=1).A1 + rng.uniform(0.5, 2.0, size=n))).tocsr()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    cut = (np.isin(rows, fixed) | np.isin(A.indices, fixed) | (rows == lone)) & (rows != A.indices)
+    A.data[cut] = 0.0                               # kept as stored zeros
+    return A, rng.standard_normal(n), fixed, lone
+
+
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(5, 1.0, 0, False)                          # every row decoupled
+@example(6, 0.0, 1, True)                           # none decoupled, AMG from the start
+def test_decoupled_rows_leave_the_solve(n, share, seed, amg_first):
+    """Exactly the decoupled rows leave; both solvers agree with spsolve on
+    the whole system and give b_i / a_ii there bit for bit."""
+    from scipy.sparse.linalg import spsolve
+
+    k = int(round(share * n))
+    A, b, fixed, lone = _decoupled_system(n, k, seed)
+    nz = A.toarray() != 0.0                 # random rows with no off-diagonal entry decouple too
+    decoupled = np.flatnonzero((nz.sum(axis=1) == 1) & (nz.sum(axis=0) == 1))
+    assert np.isin(fixed, decoupled).all() and lone not in decoupled
+    M, free, x0, res = free_block(A, b)
+    assert np.array_equal(free, np.setdiff1d(np.arange(n), decoupled))
+    assert M.shape == (free.size, free.size) and (M.data != 0.0).all()
+    assert np.array_equal(res, b - A @ x0)
+    exact = b[decoupled] / A.diagonal()[decoupled]
+    ref = np.atleast_1d(spsolve(A.tocsc(), b))
+    with mock.patch.object(solver, "AMG_AFTER", 0 if amg_first else solver.AMG_AFTER):
+        x, rep = bicgstab(A, b, tol=TOL)
+    assert rep.converged
+    assert rep.residual == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    if k == n:
+        assert rep.iterations == 0
+    x_lu = direct_solve(A, b)
+    for xv in (x0, x, x_lu):
+        assert np.array_equal(xv[decoupled], exact)
+    scale = np.abs(ref).max()
+    assert np.abs(x - ref).max() <= AGREE_RTOL * scale
+    assert np.abs(x_lu - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_free_block_aggregates_are_the_full_ones_on_its_nodes(dim):
+    """The level-0 ranks hash the caller's node ids, so taking the Dirichlet
+    rows out moves no aggregate."""
+    if dim == 2:
+        asm = assemble_global(generate_structured(2, 100), cylinder_levelset(),
+                              cylinder_materials(100.0), "efem", box_boundary(2))
+    else:
+        exact = SphereCase(3.0)
+        asm = assemble_global(generate_structured(3, 16), sphere_levelset(),
+                              sphere_materials(3.0), "efem", analytic_boundary(3, exact.phi))
+    full = SmoothedAggregation(asm.matrix).levels[0].aggregates
+    M, free, _, _ = free_block(asm.matrix, asm.rhs)
+    assert np.array_equal(np.setdiff1d(np.arange(asm.rhs.size), free), asm.dirichlet_nodes)
+    assert np.array_equal(SmoothedAggregation(M, free).levels[0].aggregates, full[free])
 
 
 @st.composite

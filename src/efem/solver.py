@@ -1,13 +1,18 @@
 """Sparse linear solvers for the condensed systems.
 
 The condensed matrix is nonsymmetric whenever the displacement terms are
-active, so the workhorse is BiCGSTAB.  It starts with diagonal (Jacobi)
-preconditioning, which is cheapest for the well-conditioned 3D systems, and
-its single restart switches to a smoothed-aggregation AMG V-cycle, which
-the Poisson-like 2D systems on fine meshes need.  The restart comes as soon
-as the Jacobi phase falls behind the geometric pace that would reach tol in
-``AMG_AFTER`` iterations.  Sparse LU serves the ``--direct`` path;
-scipy.sparse.linalg is imported on the first factorization only.
+active, so the workhorse is BiCGSTAB.  Its preconditioner is chosen from
+the stored pattern alone.  A triangle-mesh stencil (fewer than
+``AMG_FIRST_ROW_NNZ`` stored entries per row on average) whose free block
+is larger than ``COARSEST_SIZE`` starts with a smoothed-aggregation AMG
+V-cycle, which the Poisson-like 2D systems need and whose set-up they
+repay at once.  Every other system, the tetrahedral stencils among them,
+starts with diagonal (Jacobi) preconditioning, which is cheapest for the
+well-conditioned 3D systems, and its single restart switches to the
+V-cycle as soon as the Jacobi phase falls behind the geometric pace that
+would reach tol in ``AMG_AFTER`` iterations.  Sparse LU serves the
+``--direct`` path; scipy.sparse.linalg is imported on the first
+factorization only.
 
 Both paths solve on the free block of the system (``free_block``), and the
 same pass rejects non-finite input.  Assembly keeps the full P1 pattern
@@ -39,6 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+# Start of the solve: AMG from the first iteration on a triangle-mesh
+# stencil, fewer than AMG_FIRST_ROW_NNZ stored entries per row on average,
+# whose free block is larger than COARSEST_SIZE (a smaller one would be one
+# sparse LU, not a hierarchy); Jacobi otherwise.  Assembly stores the full
+# P1 pattern, so the mean row length depends on the mesh alone: 6.96 on the
+# 2D n=200 sweep mesh, 6.92 on the perturbed cylinder mesh, 14.28 at 3D
+# n=32.  The hierarchy costs about as much as 60 Jacobi iterations at 2D
+# n=200 (47 ms); the 2D benchmark systems fell behind the pace at k = 23 to
+# 28 and built it anyway, and from the start AMG takes 7 to 10 iterations.
+# At 3D n=32 it costs about 90 (73 ms), more than the 72 to 76 the Jacobi
+# solves take.
+AMG_FIRST_ROW_NNZ = 10
 # Pace of the Jacobi phase: BiCGSTAB restarts with the AMG preconditioner
 # once the smaller of its last two recursive residuals after iteration k
 # exceeds tol ** (k / AMG_AFTER) of |b|, the geometric pace that reaches tol
@@ -47,16 +64,14 @@ import scipy.sparse as sp
 # the free-block residuals of the 3D n=32 sphere reach 0.61 to 0.78 of the
 # pace line for one iteration (seeds 10, 15 and 17, k = 51 to 71), while the
 # smaller of two peaks at 0.08 to 0.32 (seeds 1 to 20), so those solves (72
-# to 76 iterations) never build the hierarchy.  Every 2D n=200 sweep system
-# falls behind the pace at k = 28 and the seed-1 perturbed 2D cylinder mesh
-# at k = 23, and AMG finishes them 7 to 10 iterations later.  Building the
-# hierarchy costs about as much as 60 Jacobi iterations at 2D n=200 (47 ms)
-# and 90 at 3D n=32 (73 ms), which is why the 3D systems should not switch.
+# to 76 iterations) never build the hierarchy.  Systems that start with AMG
+# have no Jacobi phase and no pace.
 AMG_AFTER = 100
-# Iteration cap of the AMG phase.  An AMG iteration costs five to six Jacobi
-# ones; the converging systems measured need at most 89 (2D n=200, q=1e4,
-# efem), and without the cap a stalled solve would run up to the overall
-# cap of 10 n iterations.
+# Iteration cap of the AMG phase, counted from its first iteration across
+# a breakdown restart.  An AMG iteration costs five to six Jacobi ones; the
+# converging systems measured need at most 89 (2D n=200, q=1e4, efem), and
+# without the cap a stalled solve would run up to the overall cap of 10 n
+# iterations.
 AMG_MAX_ITER = 1000
 # Smoothed aggregation: strength threshold, size below which the coarsest
 # level is factored, and damped-Jacobi sweeps before and after each
@@ -76,13 +91,13 @@ class SolveReport:
     residual: float          # final true relative residual |Ax-b| / |b|
     converged: bool
     method: str = "bicgstab"  # "bicgstab-amg" when the AMG phase finished the solve
-    jacobi_iterations: int = 0   # length of the Jacobi phase
-    restart: str = ""         # why the AMG phase began: "behind pace" or "breakdown"
+    jacobi_iterations: int = 0   # length of the Jacobi phase, 0 when AMG started
+    restart: str = ""         # why BiCGSTAB restarted: "behind pace" or "breakdown"
 
     @property
     def restarted(self) -> bool:
-        """Whether the solve restarted into its AMG phase."""
-        return self.method == "bicgstab-amg"
+        """Whether the solve restarted."""
+        return self.restart != ""
 
 
 def jacobi_precondition(A: sp.spmatrix) -> np.ndarray:
@@ -330,7 +345,8 @@ def free_block(A: sp.spmatrix, b: np.ndarray
     decoupled unknowns set and 0 at the free ones, and the caller's residual
     b - A x at that x (b itself on the free rows).  Rejects non-finite A or
     b, naming the caller's row.  A itself is left alone: the pass works on
-    one copy of its stored entries.  A stored zero never changes a CSR row
+    one copy of its stored entries, and the block's arrays hold its own
+    entries and no more.  A stored zero never changes a CSR row
     sum of finite values, and each free row keeps its entries in order, so
     a product with the block gives the caller's row sums bit for bit.
     """
@@ -362,7 +378,11 @@ def free_block(A: sp.spmatrix, b: np.ndarray
     free = np.flatnonzero(keep)
     column = np.cumsum(keep, dtype=C.indices.dtype) - 1
     indices = np.take(column, C.indices)           # twice as fast as column[C.indices]
-    block = sp.csr_matrix((C.data, indices, C.indptr[np.append(free, n)]),
+    # scipy's prune keeps a view when it keeps over half the entries, and the
+    # block would hold the whole copied buffer for the solve (281k entries
+    # for its 200k at 2D n=200)
+    data = C.data if C.data.base is None else C.data.copy()
+    block = sp.csr_matrix((data, indices, C.indptr[np.append(free, n)]),
                           shape=(free.size, free.size))
     return block, free, x, res
 
@@ -384,15 +404,21 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     the absolute breakdown tests do not fire on a tiny right-hand side,
     while every iterate of a normal system scales exactly.
 
-    The iteration starts from zero with Jacobi preconditioning.  It restarts
-    once from the current iterate, with a fresh shadow residual and a
-    smoothed-aggregation V-cycle as preconditioner, for at most
-    ``AMG_MAX_ITER`` further iterations, on a rho or omega breakdown or as
-    soon as the recursive residual falls behind the pace that reaches tol in
-    ``AMG_AFTER`` iterations: the smaller of |r_k| / |b| and |r_(k-1)| / |b|
-    above tol ** (k / AMG_AFTER) after iteration k, which at k = ``AMG_AFTER``
-    is tol itself.  A second breakdown reports failure.  No solve runs past
-    10 n iterations in all, n the number of free unknowns.
+    The iteration starts from zero.  A triangle-mesh stencil (A stores
+    fewer than ``AMG_FIRST_ROW_NNZ`` entries per row on average) whose free
+    block is larger than ``COARSEST_SIZE`` starts with the smoothed-
+    aggregation V-cycle as preconditioner, and on a rho or omega breakdown
+    restarts once from the current iterate with a fresh shadow residual and
+    the same hierarchy.  Every other system starts with Jacobi
+    preconditioning and restarts once from the current iterate, with a
+    fresh shadow residual and the V-cycle, on a breakdown or as soon as the
+    recursive residual falls behind the pace that reaches tol in
+    ``AMG_AFTER`` iterations: the smaller of |r_k| / |b| and
+    |r_(k-1)| / |b| above tol ** (k / AMG_AFTER) after iteration k, which at
+    k = ``AMG_AFTER`` is tol itself.  The AMG phase runs at most
+    ``AMG_MAX_ITER`` iterations, and a second breakdown reports failure.
+    No solve runs past 10 n iterations in all, n the number of free
+    unknowns.
     """
     M, free, x, res = free_block(A, b)  # M: the free block
     minv = jacobi_precondition(A)
@@ -443,10 +469,14 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     if not b_free.any():                 # the decoupled rows were the whole solve
         return report(xs, *true_test(xs))
 
-    precond = m_free.__mul__
-    stop = min(max_iter, AMG_AFTER)
+    if A.nnz < AMG_FIRST_ROW_NNZ * A.shape[0] and n > COARSEST_SIZE:
+        precond, method = SmoothedAggregation(M, free), "bicgstab-amg"
+        stop = min(max_iter, AMG_MAX_ITER)
+    else:
+        precond = m_free.__mul__
+        stop = min(max_iter, AMG_AFTER)
     for attempt in range(2):             # attempt 1 is the single allowed restart
-        if attempt == 1:
+        if attempt == 1 and method == "bicgstab":
             precond = SmoothedAggregation(M, free)
             method, jacobi_iterations = "bicgstab-amg", iterations
             stop = min(max_iter, iterations + AMG_MAX_ITER)
@@ -498,10 +528,10 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 res_rel, passed = true_test(xs)
                 if passed:
                     return report(xs, res_rel, True)
-            if attempt == 0 and min(r_rel, last_rel) > tol ** (iterations / AMG_AFTER):
+            if method == "bicgstab" and min(r_rel, last_rel) > tol ** (iterations / AMG_AFTER):
                 break                    # behind the pace to tol
             last_rel = r_rel
-        if not broke and iterations >= max_iter:
+        if not broke and (iterations >= max_iter or method == "bicgstab-amg"):
             break                        # ran out of iterations
         if attempt == 0:
             restart = "breakdown" if broke else "behind pace"

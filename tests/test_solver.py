@@ -14,7 +14,8 @@ from efem.mesh import generate_structured
 from efem.oracles import (SphereCase, analytic_boundary, box_boundary, cylinder_levelset,
                           cylinder_materials, planar_levelset, planar_materials, sphere_levelset,
                           sphere_materials)
-from efem.solver import AMG_AFTER, SolveReport, bicgstab, direct_solve, jacobi_precondition, solve
+from efem.solver import (AMG_AFTER, AMG_FIRST_ROW_NNZ, COARSEST_SIZE, SolveReport, bicgstab,
+                         direct_solve, free_block, jacobi_precondition, solve)
 
 
 def test_identity_converges_immediately():
@@ -93,9 +94,13 @@ def test_solve_direct_path_reports_lu():
     assert np.allclose(A @ x, b, atol=1e-12)
 
 
-def test_restarted_is_read_from_the_method():
-    assert SolveReport(3, 0.0, True, "bicgstab-amg").restarted is True
-    for method in ("bicgstab", "lu"):
+def test_restarted_is_read_from_the_restart():
+    """A solve that starts with AMG has not restarted; one whose AMG phase
+    follows a Jacobi phase, or a breakdown, has."""
+    for why in ("behind pace", "breakdown"):
+        assert SolveReport(3, 0.0, True, "bicgstab-amg", 1, why).restarted is True
+    assert SolveReport(3, 0.0, True, "bicgstab-amg", 0, "breakdown").restarted is True
+    for method in ("bicgstab-amg", "bicgstab", "lu"):
         assert SolveReport(3, 0.0, True, method).restarted is False
     with pytest.raises(AttributeError):
         SolveReport(3, 0.0, True).restarted = True
@@ -154,16 +159,16 @@ def fine_2d_mesh():
     return generate_structured(2, 200, 200)
 
 
-def test_fine_2d_solve_switches_to_amg(fine_2d_mesh):
-    """2D n=200, q=100: Jacobi falls behind the pace to tol within about 30
-    iterations, and the AMG restart converges quickly."""
+def test_fine_2d_solve_starts_with_amg(fine_2d_mesh):
+    """2D n=200, q=100: a triangle stencil with more than COARSEST_SIZE free
+    rows starts with the AMG V-cycle, which converges quickly; the pace rule
+    took 28 Jacobi iterations before its restart."""
     asm = assemble_global(fine_2d_mesh, cylinder_levelset(), cylinder_materials(100.0), "efem",
                           box_boundary(2))
     x, rep = bicgstab(asm.matrix, asm.rhs)
-    assert rep.converged and rep.restarted
-    assert rep.method == "bicgstab-amg" and rep.restart == "behind pace"
-    assert 0 < rep.jacobi_iterations <= 40
-    assert rep.jacobi_iterations < rep.iterations <= rep.jacobi_iterations + 30
+    assert rep.converged and not rep.restarted
+    assert rep.method == "bicgstab-amg" and rep.restart == ""
+    assert rep.jacobi_iterations == 0 and rep.iterations <= 15
     ref = direct_solve(asm.matrix, asm.rhs)
     assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
 
@@ -180,40 +185,84 @@ def test_high_contrast_amg_solve_reaches_tol(fine_2d_mesh):
 
 def test_amg_phase_is_capped(monkeypatch):
     """The AMG phase stops at its own cap, well before the overall cap of 10 n.
-    At tol=1e-300 the pace line after iteration 1 is 1e-3, so the switch
-    comes right after it."""
+    The 2D n=30 system (899 free rows) starts with AMG.  The 3D n=16 one
+    starts on Jacobi: at tol=1e-300 the pace line after iteration 1 is
+    1e-3, so the switch comes right after it."""
     monkeypatch.setattr(solver, "AMG_MAX_ITER", 5)
-    mesh = generate_structured(2, 30, 30)
-    asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", box_boundary(2))
-    x, rep = bicgstab(asm.matrix, asm.rhs, tol=1e-300)
-    assert not rep.converged and rep.method == "bicgstab-amg"
-    assert rep.restart == "behind pace" and rep.jacobi_iterations == 1
-    assert rep.iterations - rep.jacobi_iterations == 5
-    check = np.linalg.norm(asm.rhs - asm.matrix @ x) / np.linalg.norm(asm.rhs)
-    assert abs(rep.residual - check) < 1e-12
+    planar = assemble_global(generate_structured(2, 30, 30), planar_levelset(),
+                             planar_materials(3.0), "efem", box_boundary(2))
+    sphere = assemble_global(generate_structured(3, 16), sphere_levelset(),
+                             sphere_materials(3.0), "efem", box_boundary(3))
+    for asm, jacobi, why in ((planar, 0, ""), (sphere, 1, "behind pace")):
+        x, rep = bicgstab(asm.matrix, asm.rhs, tol=1e-300)
+        assert not rep.converged and rep.method == "bicgstab-amg"
+        assert rep.restart == why and rep.jacobi_iterations == jacobi
+        assert rep.iterations - rep.jacobi_iterations == 5
+        check = np.linalg.norm(asm.rhs - asm.matrix @ x) / np.linalg.norm(asm.rhs)
+        assert abs(rep.residual - check) < 1e-12
 
 
 def test_3d_sphere_system_stays_on_jacobi():
     """The benchmark's 3D sphere system (n=32, q=3, analytic boundary; here
-    centred) stays ahead of the pace to tol, so it never builds the AMG
-    hierarchy."""
+    centred) has a tetrahedral stencil, 14.3 stored entries per row, so it
+    starts on Jacobi although its free block is far above COARSEST_SIZE.  It
+    stays ahead of the pace to tol and never builds the AMG hierarchy."""
     exact = SphereCase(3.0)
     asm = assemble_global(generate_structured(3, 32), sphere_levelset(), sphere_materials(3.0),
                           "efem", analytic_boundary(3, exact.phi))
-    x, rep = bicgstab(asm.matrix, asm.rhs)
+    A = asm.matrix
+    assert A.nnz >= AMG_FIRST_ROW_NNZ * A.shape[0]
+    assert free_block(A, asm.rhs)[1].size > COARSEST_SIZE
+    x, rep = bicgstab(A, asm.rhs)
     assert rep.converged and rep.method == "bicgstab"
     assert rep.restart == "" and rep.jacobi_iterations == rep.iterations < AMG_AFTER
 
 
+@pytest.mark.parametrize("again", [False, True])
+def test_amg_start_restarts_once_on_breakdown(monkeypatch, again):
+    """A breakdown in the AMG phase that started the solve restarts it once,
+    with a fresh shadow residual and the hierarchy already built; a second
+    breakdown reports failure.  A zero third V-cycle (the p_hat of iteration
+    2) makes r_hat . v vanish."""
+    built = []
+
+    class Failing(solver.SmoothedAggregation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+            self.calls = 0
+
+        def __call__(self, b):
+            self.calls += 1
+            if self.calls == 3 or (again and self.calls > 3):
+                return np.zeros_like(b)
+            return super().__call__(b)
+
+    monkeypatch.setattr(solver, "SmoothedAggregation", Failing)
+    asm = assemble_global(generate_structured(2, 30, 30), planar_levelset(),
+                          planar_materials(3.0), "efem", box_boundary(2))
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    assert len(built) == 1
+    assert rep.method == "bicgstab-amg" and rep.jacobi_iterations == 0
+    assert rep.restart == "breakdown" and rep.restarted
+    if again:
+        assert not rep.converged and rep.iterations == 1
+        return
+    assert rep.converged and rep.iterations > 1
+    ref = direct_solve(asm.matrix, asm.rhs)
+    assert np.abs(x - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
 # x.tobytes() sha256 and report of two solves that run a dozen AMG
 # iterations through a two-level hierarchy, pinned with single-threaded BLAS
-# (conftest.py) for the solve on the free block (solver.free_block).  Any
+# (conftest.py) for the solve on the free block (solver.free_block): the 2D
+# one starts with AMG, the 3D one after its Jacobi phase.  Any
 # change to the hierarchy, the V-cycle or the BiCGSTAB updates that moves a
 # bit of x shows here.
 PINNED_AMG_SOLVES = {
     "2d-n100-circle-q100": (
-        "e7a892237132cdeb07a2111aafbaec9c80244d6b793149a5d89069fe8232bad6",
-        SolveReport(33, 7.671270591528726e-09, True, "bicgstab-amg", 22, "behind pace")),
+        "b4440eb034a6c4d9d8ded7607f646c92c770b5fc4de70b1e26a4a3ac97a105a7",
+        SolveReport(11, 4.228240910383986e-09, True, "bicgstab-amg", 0, "")),
     "3d-n16-sphere-q1e4": (
         "7f015ccbab79dfe6182c745c86090a9a875a783c4795846e02ba6cc09c33cb4e",
         SolveReport(40, 8.146193098329938e-09, True, "bicgstab-amg", 29, "behind pace")),

@@ -6,9 +6,11 @@ enough for a two- or three-level hierarchy.  The V-cycle must be a
 fixed linear operator, repeatable bit for bit; Dirichlet rows must stay out
 of every aggregate; every coarse matrix must keep a positive diagonal; and
 BiCGSTAB with the V-cycle from its first iteration must pass the dual
-stopping test and agree with sparse LU; a solve that never restarts must be
-the plain Jacobi solve.  Explicit zeros stored anywhere
-in a system change no solve, iterative or direct, in any bit.  On random
+stopping test and agree with sparse LU; a solve that starts on Jacobi and
+never restarts must be the plain Jacobi solve.  Whether a solve starts with
+AMG depends on the mesh alone, never on the inclusion, q or mode.  Explicit
+zeros stored anywhere in a system change no solve, iterative or direct, in
+any bit.  On random
 nonsymmetric systems with decoupled rows, both solvers agree with spsolve
 on the full system, each decoupled unknown is b_i / a_ii bit for bit, and
 the free block's level-0 aggregates are the full matrix's on its nodes.  On random
@@ -136,14 +138,24 @@ def test_amg_bicgstab_passes_dual_test_and_agrees_with_lu(case):
     assert np.abs(x - ref).max() <= AGREE_RTOL * np.abs(ref).max()
 
 
+def _started_with_amg(rep):
+    """Whether a BiCGSTAB report shows a solve that started with AMG."""
+    return (rep.method == "bicgstab-amg" and rep.jacobi_iterations == 0
+            and rep.restart in ("", "breakdown"))
+
+
 @given(cut_systems())
 @settings(max_examples=25, deadline=None)
 def test_solves_that_keep_the_pace_match_plain_jacobi(case):
-    """A solve that never falls behind the pace to tol is the Jacobi solve
-    that never restarts, bit for bit, with the same report."""
+    """A solve that starts on Jacobi (every 3D one here) and never falls
+    behind the pace to tol is the Jacobi solve that never restarts, bit for
+    bit, with the same report.  The 2D ones start with AMG."""
     asm = _assemble(case)
     A, b = asm.matrix, asm.rhs
     x, rep = bicgstab(A, b)
+    if case[0] == 2:
+        assert _started_with_amg(rep)
+        return
     if rep.method != "bicgstab":
         assert rep.restart in ("behind pace", "breakdown")
         assert 0 <= rep.jacobi_iterations < rep.iterations
@@ -153,6 +165,30 @@ def test_solves_that_keep_the_pace_match_plain_jacobi(case):
         x_plain, rep_plain = bicgstab(A, b)
     assert rep_plain == rep
     assert np.array_equal(x_plain, x)
+
+
+# mesh -> whether its systems start with AMG: 2D n=30 has 899 free rows,
+# more than COARSEST_SIZE, and 2D n=20 only 399
+START_WITH_AMG = {(2, 20): False, (2, 30): True, (3, 10): False, (3, 16): False}
+
+
+@given(st.sampled_from(sorted(START_WITH_AMG)), st.data())
+@settings(max_examples=25, deadline=None)
+def test_the_start_depends_on_the_mesh_only(mesh, data):
+    """Only a triangle stencil (6.6 and 6.7 stored entries per row on the 2D
+    meshes here, 12.9 and 13.6 on the 3D ones) with more than COARSEST_SIZE
+    free rows starts with AMG; inclusion, q and mode never change the start."""
+    dim, n = mesh
+    centre = tuple(data.draw(st.floats(0.35, 0.65)) for _ in range(dim))
+    radius = data.draw(st.floats(0.12, 0.25))
+    q = data.draw(st.sampled_from([1e-6, 3.0, 100.0, 1e4]))
+    mode = data.draw(st.sampled_from(MODES))
+    asm = _assemble((dim, n, centre, radius, q, mode))
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    if START_WITH_AMG[mesh]:
+        assert _started_with_amg(rep)
+    else:
+        assert rep.jacobi_iterations > 0
 
 
 def _with_stored_zeros(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
@@ -248,17 +284,35 @@ def test_decoupled_rows_leave_the_solve(n, share, seed, amg_first):
     assert np.abs(x_lu - ref).max() <= 1e-12 * scale
 
 
+def _benchmark_like_system(dim):
+    if dim == 2:
+        return assemble_global(generate_structured(2, 100), cylinder_levelset(),
+                               cylinder_materials(100.0), "efem", box_boundary(2))
+    exact = SphereCase(3.0)
+    return assemble_global(generate_structured(3, 16), sphere_levelset(),
+                           sphere_materials(3.0), "efem", analytic_boundary(3, exact.phi))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_free_block_owns_exactly_its_entries(dim):
+    """The block's data and indices are no views of a larger buffer.  scipy's
+    prune keeps a view of the whole buffer when it keeps more than half of
+    it: 49,891 of the 70,601 stored entries of the 2D system, and the 22,687
+    left of the 3D one's 24,225 stored nonzeros once its decoupled rows go."""
+    asm = _benchmark_like_system(dim)
+    M, _, _, _ = free_block(asm.matrix, asm.rhs)
+    for a in (M.data, M.indices):
+        root = a
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == a.nbytes
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_free_block_aggregates_are_the_full_ones_on_its_nodes(dim):
     """The level-0 ranks hash the caller's node ids, so taking the Dirichlet
     rows out moves no aggregate."""
-    if dim == 2:
-        asm = assemble_global(generate_structured(2, 100), cylinder_levelset(),
-                              cylinder_materials(100.0), "efem", box_boundary(2))
-    else:
-        exact = SphereCase(3.0)
-        asm = assemble_global(generate_structured(3, 16), sphere_levelset(),
-                              sphere_materials(3.0), "efem", analytic_boundary(3, exact.phi))
+    asm = _benchmark_like_system(dim)
     full = SmoothedAggregation(asm.matrix).levels[0].aggregates
     M, free, _, _ = free_block(asm.matrix, asm.rhs)
     assert np.array_equal(np.setdiff1d(np.arange(asm.rhs.size), free), asm.dirichlet_nodes)

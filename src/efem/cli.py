@@ -233,6 +233,10 @@ def parse_case(text: str, name: str) -> CaseConfig:
         raise ConfigError(f"reference: unknown kind {reference['kind']!r}")
     if dim not in _REFERENCES[reference["kind"]][0]:
         raise ConfigError(f"reference: kind {reference['kind']!r} does not fit dim {dim}")
+    q = reference.get("q")
+    if q is not None and not all(map(math.isfinite, oracles.planar_slopes(q))):
+        raise ConfigError(f"reference: q = {q!r} overflows the closed-form slopes "
+                          "2q/(q + 1) and 2/(q + 1)")
 
     return CaseConfig(name, dim, mesh_kind, mesh_n, mesh_file, levelset,
                       materials, boundary, mode, tol, lines, vtk, csv, reference)
@@ -282,7 +286,10 @@ def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
 def _reference_evaluator(cfg: CaseConfig):
     """The case's point-to-phi reference, or None for kind none."""
     ref = cfg.reference
-    return _REFERENCES[ref["kind"]][1](ref.get("q", 3.0), ref.get("fine_h"))
+    try:
+        return _REFERENCES[ref["kind"]][1](ref.get("q", 3.0), ref.get("fine_h"))
+    except OverflowError as exc:
+        raise IncompatibleError(f"reference: {exc}") from exc
 
 
 def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):

@@ -768,16 +768,18 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 
 
 # Rows of numbers as text, exactly as (fmt * n) % tuple(rows.ravel().tolist())
-# writes them, formatted by numpy kernels a block of _RUN rows at a time.  A
-# block is laid out slot-major: row c of a (slots, n) uint8 array holds
-# character c of n values, so every step is a whole-row array operation.  Each
-# value takes a fixed run of slot rows between the literal text of the format,
-# and a slot it does not use holds a 0 byte.  The block is then transposed to
-# row order, and one bytes.translate deletes the 0 bytes.  %d takes integer
-# columns only.
+# writes them, formatted by numpy kernels a block of _RUN rows at a time.
+# Every conversion has one fixed width: %+.16e is _E_WIDTH characters for a
+# finite value whose decimal exponent has two digits, and %{w}d is w
+# characters for an integer in [0, 10**w).  A block is laid out slot-major:
+# row c of a (row width, n) uint8 array holds character c of the n rows, so
+# every step is a whole-row array operation, and the block's text is its
+# transpose.  A block holding a value whose text has another width (a
+# three-digit exponent, nan, inf, an integer that is negative or has more
+# than w digits) is written by % instead.
 #
-# %.17g: a value x = M 2**(e-53) (M the 53-bit integer mantissa) with
-# _G_LOW <= |x| < _G_HIGH has decimal exponent k = floor(log10 |x|) and 17
+# %+.16e: a value x = M 2**(e-53) (M the 53-bit integer mantissa) with
+# _E_LOW <= |x| < _E_HIGH has decimal exponent k = floor(log10 |x|) and 17
 # digits N = round-half-even(y), y = M 5**p 2**(e-53+p) and p = 16 - k, with
 # N in [1e16, 1e17).  M 5**p is exact in two uint64 limbs, and the right shift
 # by 53 - e - p bits stays below 64.  k starts from log10 and moves by one
@@ -786,53 +788,59 @@ def generate_structured(dim: int, nx: int, ny: int | None = None, nz: int | None
 # 1e17 at k would swap between the two (no double of the window does).  A
 # value still unresolved goes through %.  In the window 5**p fits in 64 bits
 # (p <= 27, also when k starts one too low at 1e-10).  Zeros take the same
-# path with N = 0; any other value, non-finite ones included, goes through %
-# on its own.
+# path with N = 0 and k = 0; any other value goes through % on its own.
 
-_CONVERSION = re.compile(r"(%\.17g|%d)")
+_CONVERSION = re.compile(r"(%\+\.16e|%[1-9][0-9]*d)")
 _RUN = 1 << 13                  # rows per block: its temporaries stay in cache
-_G_LOW, _G_HIGH = 1e-10, 1e14
-_G_WIDTH = 24                   # the longest %.17g text, '-2.2250738585072014e-308'
+_E_WIDTH = 23                   # '%+.16e' % x: sign, 17 digits, '.', 'e', exponent sign, 2 digits
+_E_LOW, _E_HIGH = 1e-10, 1e14
 _POW5 = np.array([5**p for p in range(28)], dtype=np.uint64)
 _U32 = np.uint64(0xFFFFFFFF)
-_ZERO, _POINT, _MINUS, _E = (np.uint8(ord(c)) for c in "0.-e")
+_ZERO, _POINT, _PLUS, _E, _SPACE = (np.uint8(ord(c)) for c in "0.+e ")
 
 
-def _row_format(fmt: str) -> tuple[list[bytes], str]:
-    """The literal text around each conversion of fmt, and the conversions ('g' or 'd')."""
-    if "\0" in fmt:
-        raise ValueError(f"row format {fmt!r} holds a NUL character")
+def _row_format(fmt: str) -> tuple[list[np.ndarray], list[int]]:
+    """The literal bytes around each conversion of fmt, and each conversion's
+    width: 0 for %+.16e, w for %{w}d."""
     parts = _CONVERSION.split(fmt)
     if any("%" in text for text in parts[0::2]):
-        raise ValueError(f"row format {fmt!r} holds a conversion other than %.17g and %d")
-    return [text.encode() for text in parts[0::2]], "".join(c[-1] for c in parts[1::2])
+        raise ValueError(f"row format {fmt!r} holds a conversion other than %+.16e and %{{w}}d")
+    return ([np.frombuffer(text.encode(), dtype=np.uint8)[:, None] for text in parts[0::2]],
+            [0 if c[-1] == "e" else int(c[1:-1]) for c in parts[1::2]])
 
 
 def _write_rows(f, fmt: str, rows: np.ndarray) -> None:
-    """Write rows (N, k) with the %-format fmt of one row, _RUN rows at a time.
+    """Write rows (N, k) to the binary file f with the %-format fmt of one row.
 
-    fmt holds k conversions, each %.17g or %d (integer columns only), and the
-    text written is exactly (fmt * N) % tuple(rows.ravel().tolist()).
+    fmt holds k conversions, each %+.16e or %{w}d (integer columns only),
+    and the bytes written are exactly (fmt * N) % tuple(rows.ravel().tolist())
+    in UTF-8.  A block of _RUN rows whose values all have the conversions'
+    widths is filled by the kernels and written as one transpose; any other
+    block is written by %.
     """
-    literals, kinds = _row_format(fmt)
-    if rows.ndim != 2 or rows.shape[1] != len(kinds):
-        raise ValueError(f"row format {fmt!r} has {len(kinds)} conversions, "
+    lits, widths = _row_format(fmt)
+    if rows.ndim != 2 or rows.shape[1] != len(widths):
+        raise ValueError(f"row format {fmt!r} has {len(widths)} conversions, "
                          f"rows have shape {rows.shape}")
-    lits = [np.frombuffer(lit, dtype=np.uint8)[:, None] for lit in literals]
+    if any(widths) and rows.dtype.kind not in "biu":
+        raise TypeError(f"%d cannot write values of dtype {rows.dtype}")
+    ends = np.cumsum([lit.size + (w or _E_WIDTH) for lit, w in zip(lits, widths)])
     for r in range(0, rows.shape[0], _RUN):
         block = rows[r:r + _RUN]
-        widths = [_G_WIDTH if kind == "g" else _d_width(block[:, j])
-                  for j, kind in enumerate(kinds)]
-        out = np.empty((sum(map(len, lits)) + sum(widths), block.shape[0]), dtype=np.uint8)
-        at = 0
-        for j, (lit, kind) in enumerate(zip(lits, kinds)):
+        out = np.empty((ends[-1] + lits[-1].size, block.shape[0]), dtype=np.uint8)
+        at, fixed = 0, True
+        for j, (lit, w) in enumerate(zip(lits, widths)):
             out[at:at + lit.size] = lit
-            at += lit.size
-            (_g_slots if kind == "g" else _d_slots)(block[:, j], out[at:at + widths[j]])
-            at += widths[j]
-        out[at:] = lits[-1]
-        used = np.flatnonzero(out.any(axis=1))      # drop slot rows no value of the block uses
-        f.write(out[used].T.tobytes().translate(None, b"\0").decode())
+            slots = out[at + lit.size:ends[j]]
+            fixed = _d_slots(block[:, j], slots) if w else _e_slots(block[:, j], slots)
+            if not fixed:
+                break
+            at = ends[j]
+        if fixed:
+            out[at:] = lits[-1]
+            f.write(out.T.tobytes())
+        else:
+            f.write(((fmt * block.shape[0]) % tuple(block.ravel().tolist())).encode())
 
 
 def _digit_rows(u: np.ndarray, width: int) -> np.ndarray:
@@ -855,12 +863,15 @@ def _digit_rows(u: np.ndarray, width: int) -> np.ndarray:
     return out.reshape(4 * n_groups, -1)[4 * n_groups - width:]
 
 
-def _g_slots(values: np.ndarray, slots: np.ndarray) -> None:
-    """Fill the (24, n) uint8 slots with '%.17g' % v for each of the n values."""
+def _e_slots(values: np.ndarray, slots: np.ndarray) -> bool:
+    """Fill the (23, n) uint8 slots with '%+.16e' % v for each of the n values.
+
+    False, with the slots partly filled, when the text of a value has another
+    width.
+    """
     x = np.ascontiguousarray(values, dtype=np.float64)
-    n = x.size
     a = np.abs(x)
-    fast = (a >= _G_LOW) & (a < _G_HIGH)
+    fast = (a >= _E_LOW) & (a < _E_HIGH)
     zero = x == 0.0
     a[~fast] = 1.0
     m, e = np.frexp(a)
@@ -877,37 +888,22 @@ def _g_slots(values: np.ndarray, slots: np.ndarray) -> None:
     digits[zero], k[zero] = 0, 0
 
     d = _digit_rows(digits, 17)
-    rank = np.arange(1, 18, dtype=np.int8)[:, None]
-    n_sig = (rank * (d != _ZERO)).max(axis=0)         # digits up to the last nonzero one
-    fixed, small = k >= 0, (k < 0) & (k >= -4)          # ddd.ddd, 0.000ddd; else d.ddde-XX
-    keep = np.where(fixed, np.maximum(n_sig, k + 1), n_sig)
-    d *= rank <= keep
-
-    # Digit i goes to slot 1 + i, and one slot further after the point,
-    # which follows digit k (ddd.ddd) or digit 0 (d.ddde-XX).  In 0.000ddd
-    # it goes to slot 6 + i, after '0.' and up to three '0's in slots 3-5.
-    slots[:] = 0
-    split = np.where(fixed, k, np.where(small, np.int8(16), np.int8(0)))
-    before = rank <= split + 1
-    slots[1:18] |= d * (before & ~small)
-    slots[2:19] |= d * ~before
-    slots[6:23] |= d * small
-    slots[2:18] |= (before[:-1] & ~before[1:] & (n_sig > split + 1)) * _POINT
-    slots[1] |= small * _ZERO
-    slots[2] |= small * _POINT
-    for c in range(3, 6):
-        slots[c] |= (small & (k <= 1 - c)) * _ZERO
-    expo = ~fixed & ~small
-    if expo.any():
-        exponent = (-k).astype(np.uint8)
-        tail = (_E, _MINUS, exponent // 10 + _ZERO, exponent % 10 + _ZERO)   # e-XX
-        for c, ch in zip(range(19, 23), tail):
-            slots[c] |= expo * ch
-    slots[0] = np.signbit(x) * _MINUS
+    exponent = np.abs(k).astype(np.uint8)
+    tens = (exponent >= 10).view(np.uint8)             # |k| <= 14 in the window
+    slots[0] = _PLUS + 2 * np.signbit(x).view(np.uint8)      # '+' or '-', two apart
+    slots[1] = d[0]
+    slots[2] = _POINT
+    slots[3:19] = d[1:]
+    slots[19] = _E
+    slots[20] = _PLUS + 2 * (k < 0).view(np.uint8)
+    slots[21] = _ZERO + tens
+    slots[22] = _ZERO + exponent - 10 * tens
     for i in np.flatnonzero((~fast & ~zero) | unresolved):
-        t = ("%.17g" % x[i]).encode()
-        slots[:, i] = 0
-        slots[:len(t), i] = np.frombuffer(t, dtype=np.uint8)
+        t = ("%+.16e" % x[i]).encode()
+        if len(t) != _E_WIDTH:
+            return False
+        slots[:, i] = np.frombuffer(t, dtype=np.uint8)
+    return True
 
 
 def _seventeen_digits(mant: np.ndarray, e: np.ndarray, k: np.ndarray):
@@ -932,40 +928,30 @@ def _seventeen_digits(mant: np.ndarray, e: np.ndarray, k: np.ndarray):
     return n + ((half & np.uint64(1)) & ((n & np.uint64(1)) | sticky)), n < 10**16
 
 
-def _d_split(values: np.ndarray):
-    """Sign and magnitude (uint64) of integer values, for %d."""
-    if values.dtype.kind not in "biu":
-        raise TypeError(f"%d cannot write values of dtype {values.dtype}")
-    neg = values < 0
-    mag = values.astype(np.uint64)                      # two's complement: negate below
-    mag[neg] = -mag[neg]
-    return neg, mag
+def _d_slots(values: np.ndarray, slots: np.ndarray) -> bool:
+    """Fill the (w, n) uint8 slots with '%{w}d' % v for each of the n values.
 
-
-def _d_width(values: np.ndarray) -> int:
-    """Slots %d needs for the widest of values: a sign and the digits."""
-    mag = _d_split(values)[1]
-    return 1 + len(str(int(mag.max()))) if mag.size else 1
-
-
-def _d_slots(values: np.ndarray, slots: np.ndarray) -> None:
-    """Fill the (w, n) uint8 slots with '%d' % v for each of the n values."""
-    neg, mag = _d_split(values)
-    d = _digit_rows(mag, slots.shape[0] - 1)
-    started = d != _ZERO                                # at or after the first nonzero digit
-    for i in range(1, d.shape[0]):
-        started[i] |= started[i - 1]
-    started[-1] = True
-    slots[0] = neg * _MINUS
-    np.multiply(d, started, out=slots[1:])
+    False, with the slots untouched, when a value is negative or has more
+    than w digits.
+    """
+    w = slots.shape[0]
+    if values.size and (int(values.min()) < 0 or int(values.max()) >= 10**w):
+        return False
+    u = values.astype(np.uint64)
+    slots[:] = _digit_rows(u, w)
+    for i in range(w - 1):              # a leading zero of a value below 10**(w-1-i) is a space
+        slots[i] -= (_ZERO - _SPACE) * (u < 10**(w - 1 - i)).view(np.uint8)
+    return True
 
 
 def write_mesh(mesh: Mesh, path) -> None:
     """Write mesh as a UTF-8 mesh file that read_mesh reads back bit for bit.
 
-    A tag must be the one token a row can hold, non-empty and without
-    whitespace or '#', and encode as UTF-8 (a lone surrogate does not); each
-    distinct tag is checked once, and a bad one raises ValueError for its first face.
+    Coordinates are written with %+.16e, and node and element indices each
+    with one width, that of the largest index.  A tag must be the one token a
+    row can hold, non-empty and without whitespace or '#', and encode as
+    UTF-8 (a lone surrogate does not); each distinct tag is checked once, and
+    a bad one raises ValueError for its first face.
     """
     names, first = np.unique(mesh.boundary_tags, return_index=True)
     for i, tag in sorted(zip(first.tolist(), names.tolist())):
@@ -974,12 +960,19 @@ def write_mesh(mesh: Mesh, path) -> None:
             raise ValueError(f"boundary face {i} (element {e}, local face {lf}) has tag {tag!r}, "
                              "which a mesh file cannot hold: a tag is one token, a non-empty "
                              "UTF-8 str without whitespace or '#'")
-    rows = np.column_stack([mesh.boundary_faces.astype(str), mesh.boundary_tags])
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(rows)}\n")
-        _write_rows(f, " ".join(["%.17g"] * mesh.dim) + "\n", mesh.nodes)
-        _write_rows(f, " ".join(["%d"] * (mesh.dim + 1)) + "\n", mesh.elements)
-        f.write(("%s %s %s\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    faces = np.column_stack([mesh.boundary_faces.astype(object), mesh.boundary_tags])
+    face_row = f"%{_index_width(mesh.n_elements)}d %d %s\n"
+    with open(path, "wb") as f:
+        f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(faces)}\n".encode())
+        _write_rows(f, " ".join(["%+.16e"] * mesh.dim) + "\n", mesh.nodes)
+        _write_rows(f, " ".join([f"%{_index_width(mesh.n_nodes)}d"] * (mesh.dim + 1)) + "\n",
+                    mesh.elements)
+        f.write(((face_row * len(faces)) % tuple(faces.ravel().tolist())).encode())
+
+
+def _index_width(n: int) -> int:
+    """Characters of the largest of n indices 0..n-1: the width of their %{w}d."""
+    return len(str(max(n - 1, 0)))
 
 
 def read_mesh(path) -> Mesh:

@@ -33,7 +33,8 @@ import numpy as np
 
 from efem.efem_core import AssembledSystem, CutState, hat_value
 from efem.interface import Classification, _finite
-from efem.mesh import Mesh, _write_rows, local_faces, row_blocks, row_dot, stacked_values
+from efem.mesh import (Mesh, _index_width, _write_rows, local_faces, row_blocks, row_dot,
+                       stacked_values)
 
 _CONTAIN_TOL = 1e-9
 # Pieces of a segment shorter than this, relative to the mesh extent, are
@@ -563,8 +564,11 @@ def export_vtk(sol: SolutionField, path) -> None:
     element in element order.  They are duplicated per element on purpose:
     the two reconstructions may disagree there and the jump should be
     visible.  A cut element's children take its place in the cell order;
-    every cell carries its constant E, a child's from its own side.  Both
-    come from reconstruct.
+    every cell carries its constant E, a child's from its own side.  An
+    uncut cell's E is the P1 gradient, taken a row block of elements at a
+    time; the children's E and the virtual points' phi come from
+    reconstruct.  Values are written with %+.16e (17 significant digits,
+    lossless) and point indices with the width of the largest one.
     """
     m = sol.mesh
     conn = m.elements
@@ -586,58 +590,57 @@ def export_vtk(sol: SolutionField, path) -> None:
     child_rows = np.where(refs < nv,
                           np.take_along_axis(conn[ids[k]], np.minimum(refs, nv - 1), axis=1),
                           (first_virtual[k] - nv)[:, None] + refs)
-    per_element = np.ones(m.n_elements, dtype=np.int32)
+    per_element = np.ones(m.n_elements, dtype=np.int64)
     per_element[ids] = b.n_children             # two or more
+    bounds = np.concatenate([[0], np.cumsum(per_element)])     # element e has cells bounds[e:e+2]
+    n_cells = int(bounds[-1])
+    child_cell = (bounds[ids][:, None] + np.arange(real_c.shape[1]))[real_c]
     # cell and point indices take int32 while their counts stay below 2**31
-    n_cells = int(per_element.sum(dtype=np.int64))
     index = np.int32 if max(n_cells, points.shape[0]) < 2**31 else np.int64
-    cell_elem = np.repeat(np.arange(m.n_elements, dtype=index), per_element)
-    is_child = (per_element > 1)[cell_elem]
     cells = np.empty((n_cells, nv), dtype=index)
-    cells[~is_child], cells[is_child] = conn[per_element == 1], child_rows
-    side = np.ones(n_cells, dtype=np.int8)
-    side[is_child] = b.child_sign[real_c]
-    # a cell's E is constant, so it is read at the element centroid; row
-    # blocks keep the gathered gradients small
-    cdata = np.empty((cell_elem.size, m.dim))
-    for rows in row_blocks(cell_elem.size):
-        e = cell_elem[rows]
-        cdata[rows] = reconstruct(sol, e, np.broadcast_to(1.0 / nv, (e.size, nv)), side[rows])[1]
+    cdata = np.empty((n_cells, m.dim))
+    # a row block of elements at a time, every cell takes its element's nodes
+    # and P1 gradient; then the children of cut elements take their own
+    for rows in row_blocks(m.n_elements):
+        at = slice(bounds[rows.start], bounds[min(rows.stop, m.n_elements)])
+        E = np.einsum("pid,pi->pd", m.grads[rows], sol.phi[conn[rows]])
+        cells[at] = np.repeat(conn[rows], per_element[rows], axis=0)
+        cdata[at] = np.repeat(E, per_element[rows], axis=0)
+    cells[child_cell] = child_rows
+    cdata[child_cell] = reconstruct(sol, ids[k], np.full((k.size, nv), 1.0 / nv),
+                                    b.child_sign[real_c])[1]
 
     n_points = points.shape[0]
-    xyz = " ".join(["%.17g"] * m.dim + ["0"] * (3 - m.dim)) + "\n"     # 2D rows get z = 0
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("efem solution\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n_points} double\n")
+    xyz = " ".join(["%+.16e"] * m.dim + ["0"] * (3 - m.dim)) + "\n"     # 2D rows get z = 0
+    with open(path, "wb") as f:
+        f.write(b"# vtk DataFile Version 3.0\nefem solution\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {n_points} double\n".encode())
         _write_rows(f, xyz, points)
-        f.write(f"CELLS {n_cells} {n_cells * (nv + 1)}\n")
-        _write_rows(f, f"{nv}" + " %d" * nv + "\n", cells)
-        f.write(f"CELL_TYPES {n_cells}\n")
-        f.write(f"{_VTK_CELL[m.dim]}\n" * n_cells)
-        f.write(f"POINT_DATA {n_points}\n")
-        f.write("SCALARS phi double 1\nLOOKUP_TABLE default\n")
-        _write_rows(f, "%.17g\n", pdata[:, None])
-        f.write(f"CELL_DATA {n_cells}\n")
-        f.write("VECTORS efield double\n")
+        f.write(f"CELLS {n_cells} {n_cells * (nv + 1)}\n".encode())
+        _write_rows(f, f"{nv}" + f" %{_index_width(n_points)}d" * nv + "\n", cells)
+        f.write(f"CELL_TYPES {n_cells}\n".encode())
+        f.write(f"{_VTK_CELL[m.dim]}\n".encode() * n_cells)
+        f.write(f"POINT_DATA {n_points}\n".encode())
+        f.write(b"SCALARS phi double 1\nLOOKUP_TABLE default\n")
+        _write_rows(f, "%+.16e\n", pdata[:, None])
+        f.write(f"CELL_DATA {n_cells}\n".encode())
+        f.write(b"VECTORS efield double\n")
         _write_rows(f, xyz, cdata)
 
 
 def export_csv(sample: LineSample, path) -> None:
-    """Line sample as CSV with 17 significant digits (lossless round-trip).
+    """Line sample as CSV, every column (side too) with %+.16e: 17
+    significant digits, a lossless round trip.
 
-    Lines end in CR LF, as the csv module's default dialect writes them.  The
-    side column is written with %.17g too, which writes +-1 as 1 and -1.
+    Lines end in CR LF, as the csv module's default dialect writes them.
     """
     dim = sample.points.shape[1]
     cols = ["x", "y", "z"][:dim]
     header = cols + ["phi"] + [f"E{c}" for c in cols] + ["side"]
     rows = np.column_stack([sample.points, sample.phi, sample.E, sample.side])
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        _write_rows(f, ",".join(["%.17g"] * (2 * dim + 2)) + "\r\n", rows)
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\r\n").encode())
+        _write_rows(f, ",".join(["%+.16e"] * (2 * dim + 2)) + "\r\n", rows)
 
 
 def read_csv_sample(path):

@@ -378,14 +378,17 @@ def test_face_slots_hold_the_tagged_boundary_and_pair_equal_keys(kind, dim, coun
 
 
 def _oracle_write_mesh(mesh, path):
+    """Coordinates with %+.16e; node and element indices each padded to the
+    width of the largest one."""
+    w_node, w_elem = (len(str(max(n - 1, 0))) for n in (mesh.n_nodes, mesh.n_elements))
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{mesh.dim} {mesh.n_nodes} {mesh.n_elements} {len(mesh.boundary_faces)}\n")
         for x in mesh.nodes:
-            f.write(" ".join(f"{v:.17g}" for v in x) + "\n")
+            f.write(" ".join(f"{v:+.16e}" for v in x) + "\n")
         for conn in mesh.elements:
-            f.write(" ".join(str(int(c)) for c in conn) + "\n")
+            f.write(" ".join(f"{int(c):{w_node}d}" for c in conn) + "\n")
         for e, lf, tag in _triples(mesh):
-            f.write(f"{e} {lf} {tag}\n")
+            f.write(f"{e:{w_elem}d} {lf} {tag}\n")
 
 
 def _oracle_read_mesh(path):
@@ -680,11 +683,11 @@ def _python_only(token, rnd):
 
 def _respell(line, rnd, python_only):
     """line with separators Python and numpy both split at, a '+' sign, or Python-only tokens."""
-    toks = line.split(" ")
+    toks = line.split()
     c = rnd.randrange(len(toks))
     if python_only:
         toks[c] = _python_only(toks[c], rnd)
-    elif not toks[c].startswith("-") and rnd.random() < 0.5:
+    elif not toks[c].startswith(("-", "+")) and rnd.random() < 0.5:
         toks[c] = "+" + toks[c]
     return rnd.choice([" ", *_SPACES]).join(toks) + rnd.choice(["", *_SPACES])
 

@@ -346,8 +346,7 @@ def test_csv_matches_csv_module_writer(tmp_path, monkeypatch, planar_q3_efem, ro
         w = csv.writer(f)
         w.writerow(["x", "y", "phi", "Ex", "Ey", "side"])
         for i in range(s.t.size):
-            w.writerow([f"{v:.17g}" for v in (*s.points[i], s.phi[i], *s.E[i])]
-                       + [str(int(s.side[i]))])
+            w.writerow([f"{v:+.16e}" for v in (*s.points[i], s.phi[i], *s.E[i], s.side[i])])
     assert (tmp_path / "line.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -378,11 +377,12 @@ def _assert_csv_round_trip(s, path):
 # VTK export against a per-element reference writer
 
 
-def _reference_vtk(sol: SolutionField, path) -> None:
-    """The export written one element at a time, from a fresh decomposition of
-    each enriched element.  Its values are the reconstruction kernel's, in
-    one call over the points and one over the cells it collects: phi at each
-    virtual node, and E of each cell, a child's from its own side (E is
+def _reference_arrays(sol: SolutionField):
+    """The export's points (P, dim), cells (C, dim + 1), point phi (P,) and
+    cell E (C, dim), built one element at a time from a fresh decomposition
+    of each enriched element.  Its values are the reconstruction kernel's,
+    in one call over the points and one over the cells it collects: phi at
+    each virtual node, and E of each cell, a child's from its own side (E is
     constant per cell, so any point of it will do)."""
     m = sol.mesh
     points = [m.nodes[i] for i in range(m.n_nodes)]
@@ -411,25 +411,31 @@ def _reference_vtk(sol: SolutionField, path) -> None:
     pdata = np.concatenate([sol.phi, reconstruct(sol, virt_elem, lam, np.ones(len(lam)))[0]])
     centroid = np.full((len(cells), m.dim + 1), 1.0 / (m.dim + 1))
     cdata = reconstruct(sol, cell_elem, centroid, np.array(cell_sign))[1]
+    return np.array(points), np.array(cells), pdata, cdata
 
-    cell_type = {2: 5, 3: 10}[m.dim]
+
+def _reference_vtk(sol: SolutionField, path) -> None:
+    """The export written a line at a time from _reference_arrays: values
+    with %+.16e, point indices with the width of the largest one."""
+    points, cells, pdata, cdata = _reference_arrays(sol)
+    dim = sol.mesh.dim
+    cell_type = {2: 5, 3: 10}[dim]
+    w = len(str(len(points) - 1))
 
     def xyz(v):
-        out = np.zeros(3)
-        out[: m.dim] = v
-        return " ".join(f"{c:.17g}" for c in out) + "\n"
+        return " ".join([f"{c:+.16e}" for c in v] + ["0"] * (3 - dim)) + "\n"
 
-    nv = m.dim + 1
+    nv = dim + 1
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\nefem solution\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(points)} double\n")
         f.writelines(xyz(p) for p in points)
         f.write(f"CELLS {len(cells)} {len(cells) * (nv + 1)}\n")
-        f.writelines(f"{nv} " + " ".join(str(i) for i in c) + "\n" for c in cells)
+        f.writelines(f"{nv} " + " ".join(f"{i:{w}d}" for i in c) + "\n" for c in cells)
         f.write(f"CELL_TYPES {len(cells)}\n")
         f.writelines(f"{cell_type}\n" for _ in cells)
         f.write(f"POINT_DATA {len(points)}\nSCALARS phi double 1\nLOOKUP_TABLE default\n")
-        f.writelines(f"{v:.17g}\n" for v in pdata)
+        f.writelines(f"{v:+.16e}\n" for v in pdata)
         f.write(f"CELL_DATA {len(cells)}\nVECTORS efield double\n")
         f.writelines(xyz(v) for v in cdata)
 
@@ -522,6 +528,51 @@ def test_vtk_matches_reference_across_write_chunks(tmp_path):
     assert mesh_io._RUN < mesh.n_nodes < mesh_io._ROW_BLOCK < mesh.n_elements
     _, sol = _solved(mesh, CircleLevelSet((0.5, 0.5), 0.3), "efem")
     _assert_vtk_matches_reference(sol, tmp_path)
+
+
+def _read_vtk(path, dim):
+    """points (P, dim), cells (C, dim + 1), phi (P,) and efield (C, dim) parsed
+    with numpy from an exported VTK file; 2D rows must have z = 0."""
+    lines = path.read_text().split("\n")
+
+    def section(header, skip=0, dtype=float):
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(header + " "))
+        n = int(lines[i].split()[1])
+        return np.loadtxt(lines[i + 1 + skip:i + 1 + skip + n], dtype=dtype, ndmin=2)
+
+    points, efield = section("POINTS"), section("CELL_DATA", skip=1)
+    assert not points[:, dim:].any() and not efield[:, dim:].any()
+    cells = section("CELLS", dtype=np.int64)
+    assert (cells[:, 0] == dim + 1).all()
+    return points[:, :dim], cells[:, 1:], section("POINT_DATA", skip=2)[:, 0], efield[:, :dim]
+
+
+def _same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exports_read_back_bit_for_bit(tmp_path, dim):
+    if dim == 2:
+        mesh, levelset = generate_structured(2, 9, 7), CircleLevelSet((0.45, 0.55), 0.27)
+        line = ((0.1, 0.0), (0.8, 1.0))
+    else:
+        mesh, levelset = generate_structured(3, 5), SphereLevelSet((0.48, 0.5, 0.53), 0.3)
+        line = ((0.2, 0.0, 0.3), (0.7, 1.0, 0.9))
+    _, sol = _solved(mesh, levelset, "efem")
+    assert sol.cut_data
+    export_vtk(sol, tmp_path / "field.vtk")
+    got = _read_vtk(tmp_path / "field.vtk", dim)
+    points, cells, phi, E = _reference_arrays(sol)
+    for name, a, b in zip(("points", "cells", "phi", "efield"), got, (points, cells, phi, E)):
+        assert _same_bits(a, b), name
+    s = sample_line(sol, *line, count=73)
+    assert set(s.side.tolist()) == {-1, 1}
+    export_csv(s, tmp_path / "line.csv")
+    pts, phi, E, side = read_csv_sample(tmp_path / "line.csv")
+    for a, b in ((pts, s.points), (phi, s.phi), (E, s.E), (side, s.side.astype(side.dtype))):
+        assert _same_bits(a, b)
 
 
 def test_dimension_mismatch_names_both_dimensions(planar_q3_efem):

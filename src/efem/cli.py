@@ -24,7 +24,7 @@ from efem import oracles
 from efem.efem_core import MODES, MaterialPair, assemble_global
 from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet, classify_elements
 from efem.mesh import BoundaryTag, Mesh, MeshError, generate_structured, read_mesh
-from efem.postprocess import (build_solution, export_csv, export_vtk,
+from efem.postprocess import (SolutionField, build_solution, export_csv, export_vtk,
                               interface_potential_mismatch, observed_order,
                               sample_l2_error, sample_line)
 from efem.solver import solve
@@ -58,7 +58,7 @@ class CaseConfig:
     lines: dict[str, tuple]        # name -> (start, end)
     vtk: str | None
     csv: bool
-    reference: dict
+    reference: str                  # the reference kind
 
 
 def _floats(raw: str, want: int | None = None) -> list[float]:
@@ -90,37 +90,53 @@ _LEVELSETS = {
     "sphere": ((3,), SphereLevelSet, {"center": "dim", "radius": 1}),
 }
 
-# reference kind -> (dimensions it fits, factory (q, fine_h) -> the point-to-phi
-# callable, with the oracles' phi contract, that line errors are measured against)
-_REFERENCES = {
-    "none": ((2, 3), lambda q, fine_h: None),
-    "planar": ((2,), lambda q, fine_h: oracles.PlanarCase(q).phi),
-    "sphere": ((3,), lambda q, fine_h: oracles.SphereCase(q).phi),
-    "cylinder-model": ((2,), lambda q, fine_h: oracles.CylinderCase(q).phi),
-    "conforming-inclined": ((2,), lambda q, fine_h: oracles.phi_evaluator(
-        oracles.reference_solve("inclined", fine_h, q=q))),
-    "self": ((2,), lambda q, fine_h: oracles.phi_evaluator(
-        oracles.reference_solve("cylinder", fine_h, q=q))),
+# section -> the key sets it takes, of which a case file gives one;
+# [output] also takes line* keys, and [boundary] the mesh's tags
+_KEYS = {
+    "mesh": ("kind dim n", "kind dim h", "kind dim file"),
+    "levelset": tuple(" ".join(["kind", *keys]) for _, _, keys in _LEVELSETS.values()),
+    "materials": ("q", "eps1 eps2"),
+    "boundary": None,
+    "solver": ("mode tol",),
+    "output": ("csv vtk",),
+    "reference": ("kind",),
 }
+# where the values of keys that case files once took come from now
+_GONE = {"q": "; the permittivity ratio comes from [materials]",
+         "fine_h": "; each reference kind fixes its own mesh"}
+
+
+def _check_keys(section: str, keys: list[str]) -> None:
+    """ConfigError naming a key that the section does not take, or two keys
+    that no key set of the section holds together."""
+    choices = [set(names.split()) for names in _KEYS[section]]
+    for i, key in enumerate(keys):
+        if not any(key in taken for taken in choices):
+            raise ConfigError(f"{section}: unknown key {key!r}{_GONE.get(key, '')}")
+        for first in keys[:i]:
+            if not any({first, key} <= taken for taken in choices):
+                raise ConfigError(f"{section}: keys {first!r} and {key!r} conflict; give one")
 
 
 def parse_case(text: str, name: str) -> CaseConfig:
     import configparser
 
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.optionxform = str            # keys keep their case: mesh tags may hold capitals
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse case file: {exc}") from exc
-    cp.read_dict(dict.fromkeys(("solver", "output", "reference"), {}))   # optional: empty if absent
-
-    def need(section: str) -> "configparser.SectionProxy":
-        if not cp.has_section(section):
-            raise ConfigError(f"missing [{section}] section")
-        return cp[section]
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        if section != "boundary":
+            _check_keys(section, [key for key in cp[section]
+                                  if not (section == "output" and key.startswith("line"))])
+    cp.read_dict(dict.fromkeys(_KEYS, {}))    # a section left out is empty: its keys are missing
 
     def get(section, key, cast=str, default=None, required=False):
-        sec = need(section)
+        sec = cp[section]
         if key not in sec:
             if required:
                 raise ConfigError(f"{section}: missing key {key!r}")
@@ -171,7 +187,7 @@ def parse_case(text: str, name: str) -> CaseConfig:
     except ValueError as exc:
         raise ConfigError(f"levelset: {exc}") from exc
 
-    mat = need("materials")
+    mat = cp["materials"]
     try:
         if "q" in mat:
             materials = MaterialPair(float(mat["q"]), 1.0)
@@ -183,7 +199,7 @@ def parse_case(text: str, name: str) -> CaseConfig:
         raise ConfigError(f"materials: {exc}") from exc
 
     boundary: dict[str, BoundaryTag] = {}
-    for tag, raw in need("boundary").items():
+    for tag, raw in cp["boundary"].items():
         parts = raw.split()
         kind = parts[0] if parts else ""
         if kind == "dirichlet":
@@ -219,24 +235,15 @@ def parse_case(text: str, name: str) -> CaseConfig:
     vtk = get("output", "vtk") or None
     if vtk is not None and (vtk == ".." or Path(vtk).name != vtk):
         raise ConfigError(f"output: vtk {vtk!r} must be a file name, with no directory part")
-    csv = get("output", "csv", str, "no").strip().lower() in ("yes", "true", "1", "on")
+    csv = get("output", "csv", lambda raw: cp.getboolean("output", "csv"), False)
     if vtk == "summary.json" or (csv and vtk in {f"{key}.csv" for key in lines}):
         raise ConfigError(f"output: vtk {vtk!r} names another output of the run")
 
-    reference = {"kind": get("reference", "kind", str, "none")}
-    for key in ("q", "fine_h"):
-        what = f"reference: {key}"
-        value = get("reference", key, lambda raw: _positive(what, _number(what, raw)))
-        if value is not None:
-            reference[key] = value
-    if reference["kind"] not in _REFERENCES:
-        raise ConfigError(f"reference: unknown kind {reference['kind']!r}")
-    if dim not in _REFERENCES[reference["kind"]][0]:
-        raise ConfigError(f"reference: kind {reference['kind']!r} does not fit dim {dim}")
-    q = reference.get("q")
-    if q is not None and not all(map(math.isfinite, oracles.planar_slopes(q))):
-        raise ConfigError(f"reference: q = {q!r} overflows the closed-form slopes "
-                          "2q/(q + 1) and 2/(q + 1)")
+    reference = get("reference", "kind", str, "none")
+    if reference not in _REFERENCES:
+        raise ConfigError(f"reference: unknown kind {reference!r}")
+    if dim not in _REFERENCES[reference][0]:
+        raise ConfigError(f"reference: kind {reference!r} does not fit dim {dim}")
 
     return CaseConfig(name, dim, mesh_kind, mesh_n, mesh_file, levelset,
                       materials, boundary, mode, tol, lines, vtk, csv, reference)
@@ -264,10 +271,7 @@ def _case_text(name_or_path: str) -> tuple[str, str, Path | None]:
 def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
     if cfg.mesh_kind == "structured":
         return generate_structured(cfg.dim, cfg.mesh_n)
-    candidates = []
-    if base is not None:
-        candidates.append(base / cfg.mesh_file)
-    candidates.append(Path(cfg.mesh_file))
+    candidates = ([] if base is None else [base / cfg.mesh_file]) + [Path(cfg.mesh_file)]
     try:
         for cand in candidates:
             if cand.exists():
@@ -281,15 +285,6 @@ def _load_mesh(cfg: CaseConfig, base: Path | None) -> Mesh:
     except OSError as exc:          # a directory, no read permission, ...
         raise ConfigError(f"mesh: file {cfg.mesh_file!r}: cannot read: {exc.strerror or exc}") from exc
     raise ConfigError(f"mesh: file {cfg.mesh_file!r} not found")
-
-
-def _reference_evaluator(cfg: CaseConfig):
-    """The case's point-to-phi reference, or None for kind none."""
-    ref = cfg.reference
-    try:
-        return _REFERENCES[ref["kind"]][1](ref.get("q", 3.0), ref.get("fine_h"))
-    except OverflowError as exc:
-        raise IncompatibleError(f"reference: {exc}") from exc
 
 
 def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
@@ -311,6 +306,62 @@ def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
             yield assembled
     except (MeshError, ValueError, KeyError) as exc:
         raise IncompatibleError(f"case is incompatible with the mesh: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# references: each kind builds its field from the case's own sections
+
+
+def _closed_form(cfg: CaseConfig):
+    """The planar or inclusion closed form of the case's level set, with the
+    ratio q of its materials; a ConfigError naming the reference kind for a
+    case that the kind cannot represent."""
+    ls, eps, kind = cfg.levelset, cfg.materials, cfg.reference
+    plane = isinstance(ls, PlaneLevelSet)
+    if kind == "planar" and not (plane and ls.normal[0] == 0.0
+                                 and ls.point[1] == oracles.PLANAR_INTERFACE_Y):
+        raise ConfigError(f"reference: kind 'planar' needs the plane "
+                          f"y = {oracles.PLANAR_INTERFACE_Y}")
+    if kind != "planar" and plane:
+        raise ConfigError(f"reference: kind {kind!r} needs a circle or sphere level set, "
+                          "not a plane")
+    # q is the permittivity above over the one below (eps1 is on the normal's
+    # side), or the one inside (eps2) over the one outside
+    num, den = (eps.eps1, eps.eps2) if plane and ls.normal[1] > 0.0 else (eps.eps2, eps.eps1)
+    q = num / den
+    if not 0.0 < q < math.inf:
+        raise ConfigError(f"reference: kind {kind!r}: the permittivity ratio {num:g} / {den:g} "
+                          "is not a positive finite number")
+    if plane:
+        return oracles.PlanarCase(q).phi
+    return oracles.InclusionCase(q, tuple(ls.center.tolist()), ls.radius).phi
+
+
+def fine_solution(cfg: CaseConfig, mode: str, h: float) -> SolutionField:
+    """The case's own level set, materials and boundary solved in this mode on
+    the structured mesh of size h by sparse LU, which the iterative solver
+    cannot move.  A standard-mode reference refuses a cut mesh."""
+    n = oracles.resolution(h)
+    assembled = next(_assemble(cfg, generate_structured(cfg.dim, n), [mode]))
+    cut = np.count_nonzero(assembled.classification.is_cut)
+    if mode == "standard" and cut:
+        raise ConfigError(f"reference: kind {cfg.reference!r} needs an interface along "
+                          f"the edges of its n = {n} mesh; this one cuts {cut} elements")
+    phi, _ = solve(assembled.matrix, assembled.rhs, direct=True)
+    return build_solution(assembled, phi)
+
+
+# reference kind -> (dimensions it fits, the case -> the point-to-phi callable,
+# with the oracles' phi contract, that line errors are measured against)
+_REFERENCES = {
+    "none": ((2, 3), lambda cfg: None),
+    "planar": ((2,), _closed_form),
+    "sphere": ((3,), _closed_form),
+    "cylinder-model": ((2,), _closed_form),
+    "conforming-inclined": ((2,), lambda cfg: oracles.phi_evaluator(
+        fine_solution(cfg, "standard", 0.01))),
+    "self": ((2,), lambda cfg: oracles.phi_evaluator(fine_solution(cfg, "efem", 0.005))),
+}
 
 
 def _solutions(cfg: CaseConfig, mesh: Mesh, modes: list[str], reference,
@@ -345,18 +396,16 @@ def _json_number(value: float | None) -> float | None:
 def run_case(cfg: CaseConfig, base: Path | None, out_dir: Path,
              direct: bool = False) -> tuple[int, dict]:
     t0 = time.perf_counter()
+    reference = _REFERENCES[cfg.reference][1](cfg)      # before the mesh: it may refuse the case
     mesh = _load_mesh(cfg, base)
-    reference = _reference_evaluator(cfg)
     assembled, report, sol, lines = next(_solutions(cfg, mesh, [cfg.mode], reference, direct))
 
     line_report: dict[str, dict] = {}
     for name, (sample, l2_error) in sorted(lines.items()):
-        entry: dict = {"l2_error": _json_number(l2_error), "csv": None}
-        if cfg.csv:
-            fname = f"{name}.csv"
-            export_csv(sample, out_dir / fname)
-            entry["csv"] = fname
-        line_report[name] = entry
+        csv = f"{name}.csv" if cfg.csv else None
+        if csv:
+            export_csv(sample, out_dir / csv)
+        line_report[name] = {"l2_error": _json_number(l2_error), "csv": csv}
 
     if cfg.vtk:
         export_vtk(sol, out_dir / cfg.vtk)
@@ -423,7 +472,7 @@ def run_convergence(cfg: CaseConfig, base: Path | None, out_dir: Path,
             raise ConfigError(f"converge: unknown mode {m!r}")
         if m in modes[:i]:
             raise ConfigError(f"converge: mode {m!r} listed twice")
-    reference = _reference_evaluator(cfg)
+    reference = _REFERENCES[cfg.reference][1](cfg)
     if reference is None:
         raise ConfigError("converge: case has no reference to measure against")
 

@@ -1,42 +1,37 @@
-"""Closed-form reference fields and reference-solve recipes.
+"""Closed-form reference fields and benchmark inputs; nothing here solves.
 
-The benchmark family is fixed here in one place: a horizontal planar
-interface, an inclined planar interface and a dielectric inclusion (a
-cylinder's disc in 2D, a sphere in 3D), all in the unit box with bottom/top electrode plates
-at 0 and 1 volt.  Region numbering follows the convention that region 1
-is the steeper-gradient (lower-permittivity) side for the planar cases
-and the inclusion for the curved ones.
+The closed forms are a horizontal planar interface and a dielectric
+inclusion (a cylinder's disc in 2D, a sphere in 3D), in the unit box with
+bottom/top electrode plates at 0 and 1 volt.  Region numbering follows the
+convention that region 1 is the steeper-gradient (lower-permittivity) side
+for the planar case and the inclusion for the curved ones.  A reference
+that needs a solve, such as that of the bundled inclined interface, is
+built from a case file's own sections by efem.cli.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from efem.efem_core import MaterialPair, assemble_global
+from efem.efem_core import MaterialPair
 from efem.interface import CircleLevelSet, PlaneLevelSet, SphereLevelSet
 from efem.mesh import BoundaryTag, Mesh, generate_structured, row_dot
-from efem.postprocess import SolutionField, build_solution, eval_field
-from efem.solver import solve
+from efem.postprocess import SolutionField, eval_field
 
 PLANAR_INTERFACE_Y = 0.5
-INCLINED_OFFSET = 0.2
 CYLINDER_CENTER = (0.25, 0.75)
 CYLINDER_RADIUS = 0.2
 SPHERE_CENTER = (0.5, 0.5, 0.5)
 SPHERE_RADIUS = 0.1
-
-_SQ2 = math.sqrt(2.0)
 
 
 def resolution(h: float) -> int:
     """Structured divisions for a target element size, n = round(1/h)."""
     if h <= 0:
         raise ValueError("element size must be positive")
-    n = round(1.0 / h)
-    return max(n, 1)
+    return max(round(1.0 / h), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +43,10 @@ def planar_slopes(q: float) -> tuple[float, float]:
 
     Flux continuity across y = 0.5 fixes the two constant slopes at
     2q/(q+1) below and 2/(q+1) above; q -> inf is the conductor limit
-    with all the drop in the lower layer.
+    with all the drop in the lower layer.  Doubling is exact, so the lower
+    slope has the bits of 2q/(q+1) and stays finite for every finite q.
     """
-    return 2.0 * q / (q + 1.0), 2.0 / (q + 1.0)
+    return 2.0 * (q / (q + 1.0)), 2.0 / (q + 1.0)
 
 
 def _heights(x) -> np.ndarray:
@@ -185,16 +181,11 @@ class SphereCase(InclusionCase):
 
 
 # ---------------------------------------------------------------------------
-# benchmark geometry builders shared by tests and the CLI
+# benchmark inputs shared by the tests and perfbench
 
 
 def planar_levelset() -> PlaneLevelSet:
     return PlaneLevelSet((0.0, PLANAR_INTERFACE_Y), (0.0, 1.0))
-
-
-def inclined_levelset() -> PlaneLevelSet:
-    """45 degree interface y = x + 0.2; positive side is the upper-left."""
-    return PlaneLevelSet((0.0, INCLINED_OFFSET), (-1.0 / _SQ2, 1.0 / _SQ2))
 
 
 def cylinder_levelset() -> CircleLevelSet:
@@ -220,14 +211,10 @@ sphere_materials = cylinder_materials
 
 def box_boundary(dim: int) -> dict[str, BoundaryTag]:
     """Electrode plates at 0 volt (bottom) and 1 volt (top), insulated elsewhere."""
-    tags = {"bottom": BoundaryTag("bottom", "dirichlet", 0.0),
-            "top": BoundaryTag("top", "dirichlet", 1.0),
-            "left": BoundaryTag("left", "neumann"),
-            "right": BoundaryTag("right", "neumann")}
-    if dim == 3:
-        tags["front"] = BoundaryTag("front", "neumann")
-        tags["back"] = BoundaryTag("back", "neumann")
-    return tags
+    plates = {"bottom": BoundaryTag("bottom", "dirichlet", 0.0),
+              "top": BoundaryTag("top", "dirichlet", 1.0)}
+    sides = ["left", "right"] + (["front", "back"] if dim == 3 else [])
+    return plates | {n: BoundaryTag(n, "neumann") for n in sides}
 
 
 def analytic_boundary(dim: int, func) -> dict[str, BoundaryTag]:
@@ -264,44 +251,6 @@ def cylinder_benchmark_mesh(n: int = 27, seed: int = 0) -> Mesh:
     """The curved-interface benchmark's n x n jittered mesh, at jittered_mesh's
     2D amplitude of a quarter cell."""
     return jittered_mesh((n, n), seed)
-
-
-def conforming_inclined_mesh(n: int) -> Mesh:
-    """Structured mesh whose diagonals trace the inclined interface.
-
-    The line y = x + 0.2 runs through nodes and along element diagonals
-    exactly when n is a multiple of 5, making the mesh conforming.
-    """
-    if n % 5 != 0:
-        raise ValueError(
-            f"n = {n} gives no node line on y = x + {INCLINED_OFFSET}; "
-            "use a multiple of 5")
-    return generate_structured(2, n, n)
-
-
-def reference_solve(case: str, fine_h: float | None = None, q: float = 3.0) -> SolutionField:
-    """Reference field for a benchmark that has no closed form, solved by
-    sparse LU, so it does not move with the iterative solver.  OverflowError
-    names a q that overflows the reference matrix.
-
-    inclined: standard FEM on a conforming mesh (default h = 0.01);
-    cylinder: fine-mesh enriched self-reference (default h = 0.005).
-    """
-    if case == "inclined":
-        mesh = conforming_inclined_mesh(resolution(0.01 if fine_h is None else fine_h))
-        recipe = (inclined_levelset(), planar_materials(q), "standard")
-    elif case == "cylinder":
-        n = resolution(0.005 if fine_h is None else fine_h)
-        mesh = generate_structured(2, n, n)
-        recipe = (cylinder_levelset(), cylinder_materials(q), "efem")
-    else:
-        raise ValueError(f"no reference recipe for case {case!r}")
-    with np.errstate(over="ignore"):         # reported below, naming q
-        assembled = assemble_global(mesh, *recipe, box_boundary(2))
-    if not np.isfinite(assembled.matrix.data).all():
-        raise OverflowError(f"q = {q!r} overflows the {case} reference matrix")
-    phi, _ = solve(assembled.matrix, assembled.rhs, direct=True)
-    return build_solution(assembled, phi)
 
 
 def phi_evaluator(sol: SolutionField):

@@ -1,4 +1,5 @@
-"""Shared fixtures: solved planar fields reused across test modules."""
+"""Shared fixtures: solved planar fields and bundled case configs reused
+across test modules."""
 
 import logging
 import os
@@ -29,6 +30,14 @@ def solve_planar(q, n, mode, tol=1e-8, direct=False):
     phi, report = solve(asm.matrix, asm.rhs, tol=tol, direct=direct)
     assert report.converged
     return build_solution(asm, phi)
+
+
+def bundled_case(name):
+    """The parsed config of a bundled case."""
+    from efem import cli
+
+    text, name, _ = cli._case_text(name)
+    return cli.parse_case(text, name)
 
 
 @pytest.fixture(scope="session")

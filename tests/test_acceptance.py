@@ -39,10 +39,7 @@ from efem.oracles import (
     cylinder_benchmark_mesh,
     cylinder_levelset,
     cylinder_materials,
-    inclined_levelset,
     phi_evaluator,
-    planar_materials,
-    reference_solve,
     resolution,
     sphere_levelset,
     sphere_materials,
@@ -59,6 +56,8 @@ from efem.postprocess import (
 )
 from efem.solver import bicgstab, solve
 
+from conftest import bundled_case
+from efem.cli import fine_solution
 from face_reference import ref_faces, ref_virtual_nodes
 
 
@@ -153,7 +152,8 @@ def test_interface_mismatch_suppression(planar_solver, capsys):
 
 def test_inclined_convergence_orders(capsys):
     t0 = time.perf_counter()
-    ref_phi = phi_evaluator(reference_solve("inclined"))
+    cfg = bundled_case("inclined")          # y = x + 0.2, q = 3, plates 0 and 1 volt
+    ref_phi = phi_evaluator(fine_solution(cfg, "standard", 0.01))
     hs = [0.3, 0.15, 0.075, 0.0375]
     # sampled away from x=0, where the Dirichlet corner of the coarse
     # meshes pollutes the error and hides the convergence rate
@@ -164,8 +164,7 @@ def test_inclined_convergence_orders(capsys):
         for h in hs:
             n = resolution(h)
             mesh = generate_structured(2, n, n)
-            asm = assemble_global(mesh, inclined_levelset(), planar_materials(3.0),
-                                  mode, box_boundary(2))
+            asm = assemble_global(mesh, cfg.levelset, cfg.materials, mode, cfg.boundary)
             phi, rep = bicgstab(asm.matrix, asm.rhs)
             assert rep.converged
             errs.append(l2_line_error(build_solution(asm, phi), ref_phi, *line))
@@ -203,7 +202,7 @@ def _crossing_field_errors(sol, ref):
 
 def test_cylinder_field_jump_accuracy(capsys):
     t0 = time.perf_counter()
-    ref = reference_solve("cylinder")
+    ref = fine_solution(bundled_case("cylinder"), "efem", 0.005)
     mesh = cylinder_benchmark_mesh()
     errs = {}
     for mode in ("efem", "efem-nod"):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efem.cli import main
+from efem.oracles import CylinderCase, SphereCase
 from efem.postprocess import read_csv_sample
 
 GOOD_CASE = """\
@@ -47,7 +48,6 @@ csv = yes
 
 [reference]
 kind = planar
-q = 3.0
 """
 
 CYLINDER_CASE = resources.files("efem").joinpath("cases", "cylinder.cfg").read_text()
@@ -212,14 +212,67 @@ def test_bad_levelset_geometry_exits_2_naming_key(tmp_path, capsys, case, old, n
     ("n = 5", "h = nan", "mesh: h"),
     ("[output]", "[solver]\ntol = nan\n\n[output]", "solver: tol"),
     ("[output]", "[solver]\ntol = -1\n\n[output]", "solver: tol"),
-    ("kind = planar\nq = 3.0", "kind = planar\nq = abc", "reference: q"),
-    ("kind = planar\nq = 3.0", "kind = planar\nq = 3.0\nfine_h = nan", "reference: fine_h"),
 ])
 def test_malformed_case_number_exits_2_naming_key(tmp_path, capsys, old, new, named):
     assert old in GOOD_CASE
     rc = main(["solve", write_case(tmp_path, GOOD_CASE.replace(old, new)), "--out", str(tmp_path)])
     assert rc == 2
     assert f"config error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("[output]", "[solver]\ntolerance = 1e-3\n\n[output]", "solver: unknown key 'tolerance'"),
+    ("[output]", "[solvr]\nmode = efem\n\n[output]", "unknown section [solvr]"),
+    ("kind = plane\n", "Kind = plane\n", "levelset: unknown key 'Kind'"),
+    ("n = 5", "n = 5\nh = 0.1", "mesh: keys 'n' and 'h' conflict; give one"),
+    ("n = 5", "n = 5\nfile = mesh.msh", "mesh: keys 'n' and 'file' conflict; give one"),
+    ("kind = structured\ndim = 2\nn = 5", "kind = file\ndim = 2\nfile = mesh.msh\nh = 0.2",
+     "mesh: keys 'file' and 'h' conflict; give one"),
+    ("q = 3.0\n", "q = 3.0\neps1 = 1.0\neps2 = 3.0\n",
+     "materials: keys 'q' and 'eps1' conflict; give one"),
+    ("kind = planar\n", "kind = planar\nfine_h = 0.01\n",
+     "reference: unknown key 'fine_h'; each reference kind fixes its own mesh"),
+    ("csv = yes", "csv = yse", "output: bad value for 'csv': Not a boolean: yse"),
+])
+def test_unknown_or_conflicting_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, old, new,
+                                                      named):
+    from efem import cli
+
+    monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
+    assert GOOD_CASE.count(old) == 1
+    rc = main(["solve", write_case(tmp_path, GOOD_CASE.replace(old, new)), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+
+
+@pytest.mark.parametrize("value, written", [("yes", True), ("On", True), ("1", True),
+                                            ("no", False), ("FALSE", False)])
+def test_csv_takes_configparser_booleans(tmp_path, value, written):
+    text = GOOD_CASE.replace("csv = yes", f"csv = {value}")
+    assert main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "line_mid.csv").exists() == written
+
+
+def test_boundary_tags_keep_their_case(tmp_path):
+    """A mesh file tagged Cathode and Anode is solved with those tags assigned,
+    as its structured twin is with bottom and top."""
+    from efem.mesh import Mesh, generate_structured, write_mesh
+
+    grid = generate_structured(2, 5)
+    tags = [{"bottom": "Cathode", "top": "Anode"}.get(tag, tag) for tag in grid.boundary_tags]
+    write_mesh(Mesh.build(2, grid.nodes, grid.elements, grid.boundary_faces, tags),
+               tmp_path / "plates.msh")
+    text = GOOD_CASE.replace("kind = structured\ndim = 2\nn = 5",
+                             "kind = file\ndim = 2\nfile = plates.msh")
+    text = text.replace("bottom = dirichlet 0.0\ntop = dirichlet 1.0",
+                        "Cathode = dirichlet 0.0\nAnode = dirichlet 1.0")
+    summaries = []
+    for name, case in (("tagged", text), ("grid", GOOD_CASE)):
+        out = tmp_path / name
+        assert main(["solve", write_case(tmp_path, case, f"{name}.cfg"), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        summaries.append({k: v for k, v in summary.items() if k not in ("case", "wall_time_s")})
+    assert summaries[0] == summaries[1]
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -380,9 +433,10 @@ ARTIFACT_DIGESTS = {
     },
 }
 
-# The line L2 errors of the two cases whose reference is a solve
-# (oracles.reference_solve, by sparse LU), to a relative 1e-12: a change to
-# the case's solve, its sampling or its reference shows here.
+# The line L2 errors of the two cases whose reference is a solve (cli's
+# fine_solution of the case's own sections, by sparse LU), to a relative
+# 1e-12: a change to the case's solve, its sampling or its reference shows
+# here.
 PINNED_L2_ERRORS = {
     "inclined": {"line_x0": 0.006208089081316111, "line_y07": 0.0006746193849250861},
     "cylinder": {"line_x025": 0.00011376499353980828},
@@ -433,7 +487,7 @@ def test_solve_clips_each_line_once_and_reports_its_l2_error(tmp_path, case):
     cfg = cli.parse_case(text, name)
     asm = next(cli._assemble(cfg, cli._load_mesh(cfg, base), [cfg.mode]))
     phi, _ = cli.solve(asm.matrix, asm.rhs, tol=cfg.tol)
-    sol, reference = postprocess.build_solution(asm, phi), cli._reference_evaluator(cfg)
+    sol, reference = postprocess.build_solution(asm, phi), cli._REFERENCES[cfg.reference][1](cfg)
     for line, (start, end) in cfg.lines.items():
         want = postprocess.l2_line_error(sol, reference, start, end)
         assert summary["lines"][line]["l2_error"] == want
@@ -545,6 +599,7 @@ def _bundled(case):
 @pytest.mark.parametrize("command, case, old, new, named", [
     ("solve", "planar_q3", "kind = planar", "kind = sphere",
      "reference: kind 'sphere' does not fit dim 2"),
+    ("solve", "planar_q3", "kind = planar", "kind = torus", "reference: unknown kind 'torus'"),
     ("converge", "inclined", "kind = conforming-inclined", "kind = sphere",
      "reference: kind 'sphere' does not fit dim 2"),
     ("solve", "sphere", "[reference]\nkind = sphere", "[reference]\nkind = planar",
@@ -637,7 +692,7 @@ def _nan_planar_reference(monkeypatch):
     from efem import cli
 
     monkeypatch.setitem(cli._REFERENCES, "planar",
-                        ((2,), lambda q, fine_h: lambda x: np.full(len(x), np.nan)))
+                        ((2,), lambda cfg: lambda x: np.full(len(x), np.nan)))
 
 
 def test_solve_writes_null_for_a_non_finite_line_error(tmp_path, monkeypatch):
@@ -656,29 +711,138 @@ def test_solve_writes_null_for_a_non_finite_line_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["solve", "converge"])
 def test_reference_q_whose_slopes_overflow_exits_2(tmp_path, capsys, monkeypatch, command, case,
                                                     kind):
+    """A [reference] q, as case files once gave it, exits 2 before any mesh is
+    built, whatever its value: the key is gone, and every reference kind takes
+    its permittivity ratio from [materials]."""
     from efem import cli
 
     monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
     monkeypatch.setattr(cli, "generate_structured", lambda *args: pytest.fail("mesh built"))
-    text = re.sub(r"(\[reference\]\nkind = \S+\n)q = \S+", r"\1q = 1e308", _bundled(case))
+    text = re.sub(r"(\[reference\]\nkind = \S+\n)", r"\1q = 1e308\n", _bundled(case))
     assert f"kind = {kind}\nq = 1e308" in text
     extra = ["--h-list", "0.3,0.15"] if command == "converge" else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main([command, write_case(tmp_path, text), *extra, "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == ("config error: reference: q = 1e+308 overflows the "
-                                       "closed-form slopes 2q/(q + 1) and 2/(q + 1)\n")
+    assert capsys.readouterr().err == ("config error: reference: unknown key 'q'; the "
+                                       "permittivity ratio comes from [materials]\n")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("case, kind", [("planar_q3", "planar"), ("sphere", "sphere"),
+                                        ("cylinder", "cylinder-model")])
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_materials_whose_ratio_overflows_a_closed_form_exit_2(tmp_path, capsys, monkeypatch,
+                                                              command, case, kind):
+    """eps1 = 1e300 and eps2 = 1e-300 are valid permittivities, but their
+    ratio is not a finite positive number (1e300 / 1e-300 overflows and
+    1e-300 / 1e300 underflows): each closed form refuses them before any
+    mesh is built, naming its kind."""
+    from efem import cli
+
+    monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(cli, "generate_structured", lambda *args: pytest.fail("mesh built"))
+    text = re.sub(r"\[materials\]\n[^[]*", "[materials]\neps1 = 1e300\neps2 = 1e-300\n\n",
+                  _bundled(case)).replace("kind = file\ndim = 2\nfile = cylinder_h0375.msh",
+                                          "kind = structured\ndim = 2\nn = 5")
+    text = re.sub(r"(\[reference\]\nkind = )\S+", rf"\g<1>{kind}", text)
+    extra = ["--h-list", "0.3,0.15"] if command == "converge" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, write_case(tmp_path, text), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    ratio = "1e+300 / 1e-300" if kind == "planar" else "1e-300 / 1e+300"
+    assert capsys.readouterr().err == (f"config error: reference: kind {kind!r}: the permittivity "
+                                       f"ratio {ratio} is not a positive finite number\n")
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_reference_q_that_overflows_the_reference_matrix_exits_4(tmp_path, capsys):
-    text = _bundled("cylinder").replace("kind = self\nq = 3.0", "kind = self\nq = 1e307")
-    assert "q = 1e307" in text                  # the mesh file is found among the bundled cases
+    """eps2 = 1e307 leaves the case's own matrix finite, but not the matrix of
+    the self reference's fine solve (n = 200), which reports it the same way."""
+    text = _bundled("cylinder").replace("eps2 = 3.0", "eps2 = 1e307")
+    assert "eps2 = 1e307" in text               # the mesh file is found among the bundled cases
     rc = main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")])
     assert rc == 4
-    assert capsys.readouterr().err == ("error: reference: q = 1e+307 overflows the cylinder "
-                                       "reference matrix\n")
+    assert capsys.readouterr().err == ("error: materials: eps1 = 1 and eps2 = 1e+307 overflow "
+                                       "the assembled matrix on this mesh\n")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("case, edits, exact", [
+    ("sphere", {"center = 0.5 0.5 0.5": "center = 0.42 0.5 0.5", "radius = 0.1": "radius = 0.12",
+                "eps2 = 3.0": "eps2 = 5.0"},
+     SphereCase(5.0, center=(0.42, 0.5, 0.5), radius=0.12)),
+    ("cylinder", {"center = 0.25 0.75": "center = 0.3 0.45", "eps1 = 1.0": "eps1 = 2.0",
+                  "kind = self": "kind = cylinder-model"},
+     CylinderCase(1.5, center=(0.3, 0.45), radius=0.2)),
+])
+def test_inclusion_reference_takes_the_case_centre_radius_and_ratio(tmp_path, case, edits, exact):
+    """A moved, resized inclusion with another permittivity is measured against
+    its own closed form, q = eps2 / eps1, and not against the bundled one."""
+    from efem import cli, postprocess
+
+    text = _bundled(case)
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    assert main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    cfg = cli.parse_case(text, case)
+    asm = next(cli._assemble(cfg, cli._load_mesh(cfg, tmp_path), [cfg.mode]))
+    phi, _ = cli.solve(asm.matrix, asm.rhs, tol=cfg.tol)
+    sol = postprocess.build_solution(asm, phi)
+    for line, (start, end) in cfg.lines.items():
+        want = postprocess.l2_line_error(sol, exact.phi, start, end)
+        assert summary["lines"][line]["l2_error"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        bundled = postprocess.l2_line_error(sol, type(exact)(3.0).phi, start, end)
+        assert abs(bundled - want) > 1e-4 * want
+
+
+@pytest.mark.parametrize("case, old, new, named", [
+    ("planar_q3", "point = 0.0 0.5", "point = 0.0 0.4",
+     "reference: kind 'planar' needs the plane y = 0.5"),
+    ("planar_q3", "normal = 0.0 1.0", "normal = 0.1 1.0",
+     "reference: kind 'planar' needs the plane y = 0.5"),
+    ("sphere", "kind = sphere\ncenter = 0.5 0.5 0.5\nradius = 0.1",
+     "kind = plane\npoint = 0.5 0.5 0.5\nnormal = 0 1 0",
+     "reference: kind 'sphere' needs a circle or sphere level set, not a plane"),
+    ("planar_q3", "[reference]\nkind = planar", "[reference]\nkind = cylinder-model",
+     "reference: kind 'cylinder-model' needs a circle or sphere level set, not a plane"),
+])
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_closed_form_that_cannot_represent_the_case_exits_2_before_any_mesh(
+        tmp_path, capsys, monkeypatch, command, case, old, new, named):
+    from efem import cli
+
+    monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(cli, "generate_structured", lambda *args: pytest.fail("mesh built"))
+    text = _bundled(case)
+    assert old in text
+    extra = ["--h-list", "0.3,0.15"] if command == "converge" else []
+    rc = main([command, write_case(tmp_path, text.replace(old, new, 1)), *extra,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_conforming_reference_of_an_interface_that_cuts_its_mesh_exits_2(tmp_path, capsys,
+                                                                           monkeypatch):
+    """y = x + 0.215 runs through no node row of the n = 100 reference mesh,
+    so the standard-mode reference would not conform; the case's own mesh is
+    never built."""
+    from efem import cli
+
+    monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
+    text = _bundled("inclined").replace("point = 0.0 0.2", "point = 0.0 0.215")
+    rc = main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert re.fullmatch(r"config error: reference: kind 'conforming-inclined' needs an interface "
+                        r"along the edges of its n = 100 mesh; this one cuts \d+ elements\n",
+                        capsys.readouterr().err)
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_solve_that_ends_in_nan_writes_null_and_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,21 +1,25 @@
-"""Closed-form reference fields: values, jump conditions, reference recipes."""
+"""Closed-form reference fields: values, jump conditions; and the solved
+references that the CLI builds from a case's own sections."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from conftest import bundled_case
+from efem.cli import fine_solution
+from efem.efem_core import MaterialPair
 from efem.mesh import generate_structured, read_mesh
 from efem.oracles import (
     CylinderCase,
     PlanarCase,
     SphereCase,
     box_boundary,
-    conforming_inclined_mesh,
     cylinder_benchmark_mesh,
     fd_laplacian,
     jittered_mesh,
     phi_evaluator,
     planar_slopes,
-    reference_solve,
     resolution,
 )
 from efem.postprocess import l2_line_error
@@ -29,6 +33,13 @@ def test_resolution_rounding():
     assert resolution(0.08) == 12
     assert resolution(0.04) == 25
     assert resolution(0.2) == 5
+
+
+def test_planar_slopes_keep_their_bits_and_stay_finite():
+    for q in (0.1, 0.5, 1.0, 3.0, 7.3, 1e6, 1e-300):
+        assert planar_slopes(q) == (2.0 * q / (q + 1.0), 2.0 / (q + 1.0))
+    lower, upper = planar_slopes(1e308)       # 2q overflows; q / (q + 1) does not
+    assert lower == 2.0 and 0.0 < upper < 1e-307
 
 
 def test_planar_q3_interface_value():
@@ -163,15 +174,6 @@ def test_fd_laplacian_on_quadratic():
     assert abs(fd_laplacian(f, np.array([0.3, 0.4, 0.5])) - 6.0) < 1e-5
 
 
-def test_conforming_mesh_requires_multiple_of_five():
-    with pytest.raises(ValueError, match="multiple of 5"):
-        conforming_inclined_mesh(12)
-    mesh = conforming_inclined_mesh(10)
-    # the interface line must run through mesh nodes
-    on_line = np.isclose(mesh.nodes[:, 1] - mesh.nodes[:, 0], 0.2, atol=1e-12)
-    assert on_line.sum() == 9
-
-
 def test_box_boundary_tags():
     tags = box_boundary(3)
     assert tags["bottom"].kind == "dirichlet" and tags["bottom"].value == 0.0
@@ -179,20 +181,18 @@ def test_box_boundary_tags():
     assert tags["front"].kind == "neumann"
 
 
-def test_reference_solve_rejects_unknown_case():
-    with pytest.raises(ValueError, match="no reference recipe"):
-        reference_solve("torus")
-
-
 def test_conforming_reference_q1_is_uniform_field():
-    sol = reference_solve("inclined", fine_h=0.05, q=1.0)
+    cfg = dataclasses.replace(bundled_case("inclined"), materials=MaterialPair(1.0, 1.0))
+    sol = fine_solution(cfg, "standard", 0.05)
     err = l2_line_error(sol, lambda p: p[:, 1], (0.3, 0.0), (0.3, 1.0))
     assert err < 1e-8
 
 
 def test_conforming_reference_two_levels_agree():
-    coarse = reference_solve("inclined", fine_h=0.02)
-    fine = reference_solve("inclined", fine_h=0.01)
+    """The conforming-inclined kind solves at h = 0.01; half as fine agrees."""
+    cfg = bundled_case("inclined")
+    coarse = fine_solution(cfg, "standard", 0.02)
+    fine = fine_solution(cfg, "standard", 0.01)
     ref = phi_evaluator(fine)
     diff = l2_line_error(coarse, ref, (0.0, 0.7), (1.0, 0.7))
     assert diff < 1e-4
@@ -200,8 +200,10 @@ def test_conforming_reference_two_levels_agree():
 
 @pytest.mark.slow
 def test_cylinder_self_reference_two_levels_agree():
-    coarse = reference_solve("cylinder", fine_h=0.005)
-    fine = reference_solve("cylinder", fine_h=0.0025)
+    """The self kind solves at h = 0.005; twice as fine agrees."""
+    cfg = bundled_case("cylinder")
+    coarse = fine_solution(cfg, "efem", 0.005)
+    fine = fine_solution(cfg, "efem", 0.0025)
     ref = phi_evaluator(fine)
     diff = l2_line_error(coarse, ref, (0.25, 0.0), (0.25, 1.0))
     assert diff < 5e-4

@@ -292,7 +292,8 @@ def _assemble(cfg: CaseConfig, mesh: Mesh, modes: list[str]):
     try:
         classification = classify_elements(mesh, cfg.levelset)
         for mode in modes:
-            with np.errstate(over="ignore"):     # reported below, naming its cause
+            # inf and inf - inf reported below, naming their cause
+            with np.errstate(over="ignore", invalid="ignore"):
                 assembled = assemble_global(mesh, cfg.levelset, cfg.materials, mode,
                                             cfg.boundary, classification=classification)
             if not np.isfinite(assembled.matrix.data).all():
@@ -340,9 +341,14 @@ def _closed_form(cfg: CaseConfig):
 def fine_solution(cfg: CaseConfig, mode: str, h: float) -> SolutionField:
     """The case's own level set, materials and boundary solved in this mode on
     the structured mesh of size h by sparse LU, which the iterative solver
-    cannot move.  A standard-mode reference refuses a cut mesh."""
+    cannot move.  A standard-mode reference refuses a cut mesh.  An error of
+    the assembly names the reference kind and its mesh, not the case's."""
     n = oracles.resolution(h)
-    assembled = next(_assemble(cfg, generate_structured(cfg.dim, n), [mode]))
+    try:
+        assembled = next(_assemble(cfg, generate_structured(cfg.dim, n), [mode]))
+    except IncompatibleError as exc:
+        raise IncompatibleError(f"reference: kind {cfg.reference!r} on its structured "
+                                f"n = {n} mesh: {exc}") from exc
     cut = np.count_nonzero(assembled.classification.is_cut)
     if mode == "standard" and cut:
         raise ConfigError(f"reference: kind {cfg.reference!r} needs an interface along "

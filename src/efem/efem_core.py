@@ -371,8 +371,10 @@ def _collect_dirichlet(mesh: Mesh, boundary: dict[str, BoundaryTag]):
     values = np.zeros(nodes.size)
     is_dir = np.zeros(nodes.size, dtype=bool)
     missing = []
-    for name in dict.fromkeys(tags.tolist()):
-        sel = np.flatnonzero(tags == name)
+    names, first, which = np.unique(tags, return_index=True, return_inverse=True)
+    for k in np.argsort(first):                  # the tags in walk order
+        sel = np.flatnonzero(which == k)
+        name = str(names[k])
         tag = boundary.get(name)
         if tag is None:
             missing.append(int(sel[0]))
@@ -406,27 +408,24 @@ def _apply_dirichlet(pattern, data: np.ndarray, rhs: np.ndarray, nodes: np.ndarr
     """Row-identity plus column elimination on the CSR data of the pattern.
 
     Off-diagonal entries are zeroed in place (kept as structural entries) so
-    the matrix graph stays identical across modes and level sets.
+    the matrix graph stays identical across modes and level sets.  Only the
+    Dirichlet rows' slots and their mirrors (pattern.mirror), the slots of
+    the Dirichlet columns, are read or written.  Row j of rhs subtracts its
+    a_ji v_i in CSR order, ascending i, because nodes ascend (as
+    _collect_dirichlet returns them) and each row holds column i once; a
+    Dirichlet row's rhs is set last.
     """
-    n = rhs.shape[0]
-    isdir = np.zeros(n, dtype=bool)
-    isdir[nodes] = True
-    val_of = np.zeros(n)
-    val_of[nodes] = values
-    indptr, indices = pattern.indptr, pattern.indices
-
-    # move Dirichlet columns to the rhs, in CSR order (a Dirichlet row's rhs
-    # is set last)
-    m = np.flatnonzero(isdir[indices])
-    np.subtract.at(rhs, np.searchsorted(indptr, m, "right") - 1, data[m] * val_of[indices[m]])
-    data[m] = 0.0
-
-    # identity rows for constrained nodes: their CSR ranges, and the row of
-    # each position
+    indptr = pattern.indptr
+    # the Dirichlet rows' CSR ranges, and the row and column of each slot
     start = indptr[nodes]
     count = indptr[nodes + 1] - start
     row = np.repeat(nodes, count)
     at = np.arange(row.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    col = pattern.indices[at]
+    column = pattern.mirror[at]                      # slots of (col, row): the Dirichlet columns
+
+    np.subtract.at(rhs, col, data[column] * np.repeat(values, count))
+    data[column] = 0.0
     data[at] = 0.0
-    data[at[indices[at] == row]] = 1.0
+    data[at[col == row]] = 1.0
     rhs[nodes] = values

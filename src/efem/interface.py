@@ -170,8 +170,18 @@ def classify_elements(mesh: Mesh, levelset) -> Classification:
     seen = code[conn[:, 0]]
     for i in range(1, mesh.dim + 1):
         seen |= code[conn[:, i]]
+    return Classification(d, _SIGN_OF_SEEN.take(seen))
+
+
+def _sign_of_seen() -> np.ndarray:
+    """The element sign of each union of node codes (0..15): the clear nodes'
+    sides decide, else the small nodes' own signs; a side of 3 is both."""
+    seen = np.arange(16)
     sides = np.where(seen & 3, seen & 3, seen >> 2)      # 1 positive, 2 negative, 3 both
-    return Classification(d, np.where(sides == 3, 0, np.where(sides == 1, 1, -1)))
+    return np.where(sides == 3, 0, np.where(sides == 1, 1, -1))
+
+
+_SIGN_OF_SEEN = _sign_of_seen()
 
 
 # ---------------------------------------------------------------------------

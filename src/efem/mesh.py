@@ -619,13 +619,16 @@ class P1Pattern:
 
     slots (n_elements, dim+1, dim+1) maps local entry (i, j) of element e to
     the position in the CSR data of entry (elements[e, i], elements[e, j]).
-    All arrays are read-only and share one index dtype: int32 while nnz and
-    n_nodes are below 2**31.
+    mirror (nnz,) maps the slot of each entry (i, j) to the slot of (j, i),
+    which the symmetric graph always holds: a diagonal slot is its own
+    mirror.  All arrays are read-only and share one index dtype: int32 while
+    nnz and n_nodes are below 2**31.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
+    mirror: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -640,7 +643,9 @@ def p1_pattern(n_nodes: int, elements: np.ndarray) -> P1Pattern:
     made distinct by one stable argsort and a mask of where each run of
     equal keys starts.  Every array of one entry per element edge is built
     a local edge (a column) at a time, and the index arrays, slots
-    included, take the pattern's index dtype.
+    included, take the pattern's index dtype.  Each distinct edge has an
+    upper (lo, hi) and a lower (hi, lo) entry, whose slots are each other's
+    mirror, with no further sort.
     """
     m, nv = elements.shape
     edges = local_edges(nv - 1)
@@ -686,10 +691,13 @@ def p1_pattern(n_nodes: int, elements: np.ndarray) -> P1Pattern:
         slots[:, i, j] = np.where(forward[:, k], up, down)
         slots[:, j, i] = np.where(forward[:, k], down, up)
 
+    mirror = np.empty(nnz, dtype=index)
+    mirror[upper], mirror[lower], mirror[diag] = lower, upper, diag
+
     indptr = np.zeros(n_nodes + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
-    pattern = P1Pattern(indptr, cols[order].astype(index), slots)
-    for arr in (pattern.indptr, pattern.indices, pattern.slots):
+    pattern = P1Pattern(indptr, cols[order].astype(index), slots, mirror)
+    for arr in (pattern.indptr, pattern.indices, pattern.slots, pattern.mirror):
         arr.setflags(write=False)
     return pattern
 

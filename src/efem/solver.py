@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -419,6 +420,12 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     ``AMG_MAX_ITER`` iterations, and a second breakdown reports failure.
     No solve runs past 10 n iterations in all, n the number of free
     unknowns.
+
+    A Jacobi-phase iteration allocates no vector but the two products with
+    M (and a trial iterate where a recursive residual passes): the vector
+    updates run in place, the preconditioner writes into one of two
+    buffers, and |r| is sqrt(r . r), the value np.linalg.norm gives a 1-D
+    float vector.
     """
     M, free, x, res = free_block(A, b)  # M: the free block
     minv = jacobi_precondition(A)
@@ -436,12 +443,12 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     m_free = minv[free]
 
     xs = np.zeros(n)                     # the free unknowns, scaled by 2**-shift
-    work = np.empty(n)                   # scratch of the in-place updates
+    work = np.empty(n)                   # alpha * v, whose v is read again
     tiny = 1e-300
 
     def rel(res_vec):
         """|r| / |b| of a recursive residual of the scaled free block."""
-        return math.ldexp(float(np.linalg.norm(res_vec)), shift) / bnorm
+        return math.ldexp(math.sqrt(float(res_vec @ res_vec)), shift) / bnorm
 
     def small(res_vec, res_rel):
         """Both tests on a recursive residual, given res_rel = rel(res_vec).
@@ -469,18 +476,26 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     if not b_free.any():                 # the decoupled rows were the whole solve
         return report(xs, *true_test(xs))
 
+    # precond(vec, out) is M^-1 vec: Jacobi writes it into out, one of two
+    # buffers because p_hat is still read after s_hat is formed; the V-cycle
+    # returns a new vector
+    def v_cycle(hierarchy):
+        return lambda vec, out: hierarchy(vec)
+
+    p_buf = s_buf = None
     if A.nnz < AMG_FIRST_ROW_NNZ * A.shape[0] and n > COARSEST_SIZE:
-        precond, method = SmoothedAggregation(M, free), "bicgstab-amg"
+        precond, method = v_cycle(SmoothedAggregation(M, free)), "bicgstab-amg"
         stop = min(max_iter, AMG_MAX_ITER)
     else:
-        precond = m_free.__mul__
+        precond, p_buf, s_buf = partial(np.multiply, m_free), np.empty(n), np.empty(n)
         stop = min(max_iter, AMG_AFTER)
     for attempt in range(2):             # attempt 1 is the single allowed restart
         if attempt == 1 and method == "bicgstab":
-            precond = SmoothedAggregation(M, free)
+            precond = v_cycle(SmoothedAggregation(M, free))
             method, jacobi_iterations = "bicgstab-amg", iterations
             stop = min(max_iter, iterations + AMG_MAX_ITER)
-        r = b_free - M @ xs              # fresh (shadow) residual per attempt
+        # fresh (shadow) residual per attempt; M @ 0 is +0.0 in every row
+        r = b_free - M @ xs if attempt else b_free.copy()
         r_hat = r.copy()
         rho = alpha = omega = 1.0
         v = np.zeros(n)
@@ -494,11 +509,11 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 break
             beta = (rho_new / rho) * (alpha / omega)
             rho = rho_new
-            np.multiply(v, omega, out=work)      # p = r + beta * (p - omega * v)
-            p -= work
+            v *= omega                           # p = r + beta * (p - omega * v); v is spent
+            p -= v
             p *= beta
             p += r
-            p_hat = precond(p)
+            p_hat = precond(p, p_buf)
             v = M @ p_hat
             denom = float(r_hat @ v)
             if abs(denom) < tiny:
@@ -513,17 +528,20 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 res_rel, passed = true_test(x_try)
                 if passed:
                     return report(x_try, res_rel, True)
-            s_hat = precond(s)
+            s_hat = precond(s, s_buf)
             t = M @ s_hat
             tt = float(t @ t)
             if tt < tiny:
                 broke = True
                 break
             omega = float(t @ s) / tt
-            xs += np.multiply(p_hat, alpha, out=work)  # x = x + alpha * p_hat + omega * s_hat
-            xs += np.multiply(s_hat, omega, out=work)
+            p_hat *= alpha                       # x = x + alpha * p_hat + omega * s_hat;
+            xs += p_hat                          # p_hat, s_hat and t are spent from here
+            s_hat *= omega
+            xs += s_hat
             r = s                                # r = s - omega * t
-            r -= np.multiply(t, omega, out=work)
+            t *= omega
+            r -= t
             if small(r, r_rel := rel(r)):
                 res_rel, passed = true_test(xs)
                 if passed:

@@ -760,13 +760,52 @@ def test_materials_whose_ratio_overflows_a_closed_form_exit_2(tmp_path, capsys, 
 
 def test_reference_q_that_overflows_the_reference_matrix_exits_4(tmp_path, capsys):
     """eps2 = 1e307 leaves the case's own matrix finite, but not the matrix of
-    the self reference's fine solve (n = 200), which reports it the same way."""
+    the self reference's fine solve (n = 200): the error names the reference
+    and its mesh."""
     text = _bundled("cylinder").replace("eps2 = 3.0", "eps2 = 1e307")
     assert "eps2 = 1e307" in text               # the mesh file is found among the bundled cases
     rc = main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")])
     assert rc == 4
-    assert capsys.readouterr().err == ("error: materials: eps1 = 1 and eps2 = 1e+307 overflow "
+    assert capsys.readouterr().err == ("error: reference: kind 'self' on its structured n = 200 "
+                                       "mesh: materials: eps1 = 1 and eps2 = 1e+307 overflow "
                                        "the assembled matrix on this mesh\n")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_permittivity_whose_matrix_holds_inf_minus_inf_prints_one_error_line(tmp_path, capsys):
+    """eps2 = 1e308 overflows the cylinder mesh's cut blocks to inf - inf, an
+    invalid operation, not an overflow: stderr holds the error line alone,
+    with no numpy warning before it."""
+    text = _bundled("cylinder").replace("eps2 = 3.0", "eps2 = 1e308").replace(
+        "kind = self", "kind = none")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert capsys.readouterr().err == ("error: materials: eps1 = 1 and eps2 = 1e+308 overflow "
+                                       "the assembled matrix on this mesh\n")
+
+
+def test_reference_mesh_whose_tags_the_case_does_not_assign_exits_4_naming_it(tmp_path, capsys):
+    """A mesh file tagged Cathode and Anode solves (test_boundary_tags_keep_their_case),
+    but the self reference's structured mesh has a bottom and a top, which the
+    case leaves unassigned: the error names the reference's mesh, not the case's."""
+    from efem.mesh import Mesh, generate_structured, write_mesh
+
+    grid = generate_structured(2, 5)
+    tags = [{"bottom": "Cathode", "top": "Anode"}.get(tag, tag) for tag in grid.boundary_tags]
+    write_mesh(Mesh.build(2, grid.nodes, grid.elements, grid.boundary_faces, tags),
+               tmp_path / "plates.msh")
+    text = GOOD_CASE.replace("kind = structured\ndim = 2\nn = 5",
+                             "kind = file\ndim = 2\nfile = plates.msh")
+    text = text.replace("bottom = dirichlet 0.0\ntop = dirichlet 1.0",
+                        "Cathode = dirichlet 0.0\nAnode = dirichlet 1.0")
+    text = text.replace("kind = planar", "kind = self")
+    rc = main(["solve", write_case(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert capsys.readouterr().err == ("error: reference: kind 'self' on its structured n = 200 "
+                                       "mesh: case is incompatible with the mesh: \"mesh tag "
+                                       "'bottom' has no boundary assignment\"\n")
     assert not (tmp_path / "out" / "summary.json").exists()
 
 

@@ -269,12 +269,24 @@ PINNED_AMG_SOLVES = {
 }
 
 
+# The same pin for a solve that stays on Jacobi from start to finish: the
+# bundled sphere (q = 3, analytic boundary) at 3D n=16, whose free block has
+# 3,375 unknowns and takes 45 Jacobi iterations.  It pins the Jacobi phase's
+# preconditioner products and residual norms, which no AMG solve reaches.
+PINNED_JACOBI_SOLVES = {
+    "3d-n16-sphere-q3": (
+        "ddf68a919de56aff530d6e80befb673adcb15bb3eface13ee2e4b2ae26869669",
+        SolveReport(45, 3.2949247708360447e-09, True, "bicgstab", 45, "")),
+}
+
+
 def _pinned_system(name):
     if name == "2d-n100-circle-q100":
         return assemble_global(generate_structured(2, 100), cylinder_levelset(),
                                cylinder_materials(100.0), "efem", box_boundary(2))
-    exact = SphereCase(1e4)
-    return assemble_global(generate_structured(3, 16), sphere_levelset(), sphere_materials(1e4),
+    q = 3.0 if name == "3d-n16-sphere-q3" else 1e4
+    exact = SphereCase(q)
+    return assemble_global(generate_structured(3, 16), sphere_levelset(), sphere_materials(q),
                            "efem", analytic_boundary(3, exact.phi))
 
 
@@ -283,5 +295,15 @@ def test_amg_solves_are_pinned_bit_for_bit(name):
     asm = _pinned_system(name)
     x, rep = bicgstab(asm.matrix, asm.rhs)
     digest, report = PINNED_AMG_SOLVES[name]
+    assert rep == report
+    assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JACOBI_SOLVES))
+def test_jacobi_solves_are_pinned_bit_for_bit(name):
+    asm = _pinned_system(name)
+    assert free_block(asm.matrix, asm.rhs)[1].size == 3375
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    digest, report = PINNED_JACOBI_SOLVES[name]
     assert rep == report
     assert hashlib.sha256(x.tobytes()).hexdigest() == digest

@@ -231,6 +231,10 @@ def parse_case(text: str, name: str) -> CaseConfig:
                 raise ConfigError(f"output: {key}: {exc}") from exc
             if not np.isfinite(vals).all():
                 raise ConfigError(f"output: {key} must be finite, got {raw!r}")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.subtract(vals[dim:], vals[:dim])).all():
+                    raise ConfigError(f"output: {key}: direction end - start is not finite, "
+                                      f"got {raw!r}")
             lines[key] = (tuple(vals[:dim]), tuple(vals[dim:]))
     vtk = get("output", "vtk") or None
     if vtk is not None and (vtk == ".." or Path(vtk).name != vtk):

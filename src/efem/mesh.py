@@ -404,7 +404,7 @@ def _pair_faces(dim: int, elements: np.ndarray, codes: list[np.ndarray]):
     ascending, with -1 where there is no second.  The sort is stable, so the
     first slot is the one of the smaller element.
     """
-    order = np.argsort(codes[0], kind="stable") if len(codes) == 1 else np.lexsort(codes[::-1])
+    order = np.lexsort(codes[::-1])
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
     for code in codes:

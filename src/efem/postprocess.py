@@ -319,7 +319,6 @@ def _near_segment(m: Mesh, start: np.ndarray, v: np.ndarray) -> np.ndarray:
     (any frame for a point); along each axis it spans the segment's ends,
     widened by a margin on both sides.  A node gets one outcode bit per
     face it lies beyond, and an element whose nodes share a bit is dropped.
-    Non-finite ends drop nothing.
 
     The margin keeps every element that _clip would make a candidate.  That
     needs a point x of the segment with every barycentric coordinate
@@ -334,7 +333,7 @@ def _near_segment(m: Mesh, start: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     scale = max(np.abs(m.nodes).max(), np.abs(start).max(), np.abs(start + v).max())
     margin = m.dim * 2.0 * _CONTAIN_TOL * m.char_lengths.max() + 1e-12 * scale
-    frame = np.linalg.svd(v[None])[2] if np.isfinite(v).all() else np.eye(m.dim)
+    frame = np.linalg.svd(v[None])[2]
     ends = frame @ np.column_stack([start, start + v])          # (d, 2)
     proj = m.nodes @ frame.T
     code = np.zeros(m.n_nodes, dtype=np.uint8)
@@ -408,7 +407,10 @@ def sample_line(sol: SolutionField, start, end, count: int = 1001) -> LineSample
     end = _finite("line end", end)
     _check_dim("line start", start, sol.mesh.dim)
     _check_dim("line end", end, sol.mesh.dim)
-    v = end - start
+    with np.errstate(over="ignore"):
+        v = end - start
+    if not np.isfinite(v).all():
+        raise ValueError(f"line direction end - start is not finite, got {v}")
 
     base_t = np.linspace(0.0, 1.0, count)
     base_pts = start + base_t[:, None] * v
@@ -502,18 +504,22 @@ def sample_l2_error(sample: LineSample, reference) -> float:
 def observed_order(hs, errors) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    ValueError for fewer than two levels, or naming the first level whose
-    error is not positive and finite (None reads as NaN): its log is no number.
+    ValueError for fewer than two distinct h, or naming the first level
+    whose h or error is not positive and finite (None reads as NaN): its log
+    is no number.
     """
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if hs.size < 2:
         raise ValueError("need at least two levels for an order estimate")
-    bad = np.flatnonzero(~(np.isfinite(errors) & (errors > 0.0)))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"level {i} (h = {hs[i]:g}) has error {float(errors[i])}; "
-                         "an order needs positive finite errors")
+    for name, values in (("h", hs), ("error", errors)):
+        bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"level {i} (h = {hs[i]:g}) has {name} {float(values[i])}; "
+                             "an order needs positive finite h and errors")
+    if np.unique(hs).size < 2:
+        raise ValueError(f"every level has h = {hs[0]:g}; an order needs two distinct h")
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import cycle
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,10 +69,10 @@ AMG_FIRST_ROW_NNZ = 10
 # have no Jacobi phase and no pace.
 AMG_AFTER = 100
 # Iteration cap of the AMG phase, counted from its first iteration across
-# a breakdown restart.  An AMG iteration costs five to six Jacobi ones; the
+# a breakdown restart; the Jacobi phase ends at AMG_AFTER, so these two caps
+# bound every solve.  An AMG iteration costs five to six Jacobi ones; the
 # converging systems measured need at most 89 (2D n=200, q=1e4, efem), and
-# without the cap a stalled solve would run up to the overall cap of 10 n
-# iterations.
+# the cap ends a stalled AMG phase.
 AMG_MAX_ITER = 1000
 # Smoothed aggregation: strength threshold, size below which the coarsest
 # level is factored, and damped-Jacobi sweeps before and after each
@@ -388,6 +388,23 @@ def free_block(A: sp.spmatrix, b: np.ndarray
     return block, free, x, res
 
 
+def _unit_scaled(vec: np.ndarray) -> tuple[np.ndarray, int]:
+    """vec scaled by 2**-e to a largest magnitude in [0.5, 1), and e (0 for a
+    zero vector).  The scaling is exact for every entry that stays normal."""
+    shift = int(np.frexp(np.abs(vec).max(initial=0.0))[1])
+    return np.ldexp(vec, -shift), shift
+
+
+def _norm(vec: np.ndarray) -> float:
+    """|vec| of a finite 1-D float vector, summed over ``_unit_scaled(vec)`` so
+    that no square under- or overflows: np.linalg.norm squares the entries
+    as they are, and gives 0 past about 1e-154 and inf past about 1e154.
+    Wherever no square under- or overflows, the value is np.linalg.norm's
+    bit for bit, since scaling by a power of two is exact."""
+    unit, shift = _unit_scaled(vec)
+    return math.ldexp(math.sqrt(float(unit @ unit)), shift)
+
+
 def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned BiCGSTAB on the true relative residual |Ax-b|/|b|.
 
@@ -403,10 +420,15 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     full system (|b|, |D^-1 b| and |b - A x|).  The free right-hand side is
     scaled by a power of two to a largest entry in [0.5, 1), and x back, so
     the absolute breakdown tests do not fire on a tiny right-hand side,
-    while every iterate of a normal system scales exactly.
+    while every iterate of a normal system scales exactly.  The norms of the
+    caller's vectors are taken by ``_norm``, so b scaled by a power of two
+    gives x scaled by it, bit for bit, and the same report, wherever no
+    entry leaves the normal range (b at 2**-600 and 2**600 times a normal
+    system's, say).
 
-    The iteration starts from zero.  A triangle-mesh stencil (A stores
-    fewer than ``AMG_FIRST_ROW_NNZ`` entries per row on average) whose free
+    The iteration starts from zero.  The start is chosen from A's stored
+    entries, zeros included: a triangle-mesh stencil (fewer than
+    ``AMG_FIRST_ROW_NNZ`` stored entries per row on average) whose free
     block is larger than ``COARSEST_SIZE`` starts with the smoothed-
     aggregation V-cycle as preconditioner, and on a rho or omega breakdown
     restarts once from the current iterate with a fresh shadow residual and
@@ -416,30 +438,28 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
     recursive residual falls behind the pace that reaches tol in
     ``AMG_AFTER`` iterations: the smaller of |r_k| / |b| and
     |r_(k-1)| / |b| above tol ** (k / AMG_AFTER) after iteration k, which at
-    k = ``AMG_AFTER`` is tol itself.  The AMG phase runs at most
-    ``AMG_MAX_ITER`` iterations, and a second breakdown reports failure.
-    No solve runs past 10 n iterations in all, n the number of free
-    unknowns.
+    k = ``AMG_AFTER`` is tol itself, where the Jacobi phase ends in any
+    case.  The AMG phase runs at most ``AMG_MAX_ITER`` iterations, and a
+    second breakdown reports failure.  A caller who strips the stored zeros
+    of a tetrahedral system (``A.eliminate_zeros()``) may so bring it under
+    ``AMG_FIRST_ROW_NNZ`` and get the AMG start, with other bits.
 
     A Jacobi-phase iteration allocates no vector but the two products with
     M (and a trial iterate where a recursive residual passes): the vector
-    updates run in place, the preconditioner writes into one of two
-    buffers, and |r| is sqrt(r . r), the value np.linalg.norm gives a 1-D
-    float vector.
+    updates run in place, the preconditioner writes M^-1 p and M^-1 s into
+    two buffers of its own, allocated when the Jacobi phase starts, and |r|
+    is sqrt(r . r), the value np.linalg.norm gives a 1-D float vector.
     """
     M, free, x, res = free_block(A, b)  # M: the free block
     minv = jacobi_precondition(A)
     n = free.size
-    max_iter = 10 * n
 
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return x, SolveReport(0, 0.0, True)
-    mbnorm = float(np.linalg.norm(minv * b))
+    mbnorm = _norm(minv * b)
     mbnorm = mbnorm if mbnorm > 0.0 else bnorm
-    b_free = res[free]
-    shift = int(np.frexp(np.abs(b_free).max(initial=0.0))[1])
-    b_free = np.ldexp(b_free, -shift)
+    b_free, shift = _unit_scaled(res[free])
     m_free = minv[free]
 
     xs = np.zeros(n)                     # the free unknowns, scaled by 2**-shift
@@ -456,44 +476,41 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
         spans many decades, the scaled product can overflow."""
         if res_rel > tol:
             return False
-        return float(np.linalg.norm(m_free * np.ldexp(res_vec, shift))) / mbnorm <= tol
+        return _norm(m_free * np.ldexp(res_vec, shift)) / mbnorm <= tol
 
     def true_test(xv):
         """The caller's true relative residual at xv, and whether it passes
         both tests."""
         res[free] = np.ldexp(b_free - M @ xv, shift)
-        res_rel = float(np.linalg.norm(res)) / bnorm
-        return res_rel, res_rel <= tol and float(np.linalg.norm(minv * res)) / mbnorm <= tol
+        res_rel = _norm(res) / bnorm
+        return res_rel, res_rel <= tol and _norm(minv * res) / mbnorm <= tol
 
     iterations = jacobi_iterations = 0
-    method, restart = "bicgstab", ""
+    hierarchy, restart = None, ""        # hierarchy: the V-cycle, once the AMG phase runs
 
     def report(xv, res_rel, converged):
         x[free] = np.ldexp(xv, shift)
-        jacobi = iterations if method == "bicgstab" else jacobi_iterations
+        method, jacobi = (("bicgstab", iterations) if hierarchy is None
+                          else ("bicgstab-amg", jacobi_iterations))
         return x, SolveReport(iterations, res_rel, converged, method, jacobi, restart)
 
     if not b_free.any():                 # the decoupled rows were the whole solve
         return report(xs, *true_test(xs))
 
-    # precond(vec, out) is M^-1 vec: Jacobi writes it into out, one of two
-    # buffers because p_hat is still read after s_hat is formed; the V-cycle
-    # returns a new vector
-    def v_cycle(hierarchy):
-        return lambda vec, out: hierarchy(vec)
-
-    p_buf = s_buf = None
+    # precond(vec) is M^-1 vec; Jacobi writes it into two buffers in turn,
+    # since p_hat is still read after s_hat is formed
     if A.nnz < AMG_FIRST_ROW_NNZ * A.shape[0] and n > COARSEST_SIZE:
-        precond, method = v_cycle(SmoothedAggregation(M, free)), "bicgstab-amg"
-        stop = min(max_iter, AMG_MAX_ITER)
+        precond = hierarchy = SmoothedAggregation(M, free)
     else:
-        precond, p_buf, s_buf = partial(np.multiply, m_free), np.empty(n), np.empty(n)
-        stop = min(max_iter, AMG_AFTER)
+        buffers = cycle((np.empty(n), np.empty(n)))
+
+        def precond(vec):
+            return np.multiply(m_free, vec, out=next(buffers))
     for attempt in range(2):             # attempt 1 is the single allowed restart
-        if attempt == 1 and method == "bicgstab":
-            precond = v_cycle(SmoothedAggregation(M, free))
-            method, jacobi_iterations = "bicgstab-amg", iterations
-            stop = min(max_iter, iterations + AMG_MAX_ITER)
+        if attempt == 1 and hierarchy is None:
+            precond = hierarchy = SmoothedAggregation(M, free)
+            jacobi_iterations = iterations
+        stop = AMG_AFTER if hierarchy is None else jacobi_iterations + AMG_MAX_ITER
         # fresh (shadow) residual per attempt; M @ 0 is +0.0 in every row
         r = b_free - M @ xs if attempt else b_free.copy()
         r_hat = r.copy()
@@ -513,7 +530,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
             p -= v
             p *= beta
             p += r
-            p_hat = precond(p, p_buf)
+            p_hat = precond(p)
             v = M @ p_hat
             denom = float(r_hat @ v)
             if abs(denom) < tiny:
@@ -528,7 +545,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 res_rel, passed = true_test(x_try)
                 if passed:
                     return report(x_try, res_rel, True)
-            s_hat = precond(s, s_buf)
+            s_hat = precond(s)
             t = M @ s_hat
             tt = float(t @ t)
             if tt < tiny:
@@ -546,11 +563,11 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarr
                 res_rel, passed = true_test(xs)
                 if passed:
                     return report(xs, res_rel, True)
-            if method == "bicgstab" and min(r_rel, last_rel) > tol ** (iterations / AMG_AFTER):
+            if hierarchy is None and min(r_rel, last_rel) > tol ** (iterations / AMG_AFTER):
                 break                    # behind the pace to tol
             last_rel = r_rel
-        if not broke and (iterations >= max_iter or method == "bicgstab-amg"):
-            break                        # ran out of iterations
+        if not broke and hierarchy is not None:
+            break                        # the AMG phase ran out of iterations
         if attempt == 0:
             restart = "breakdown" if broke else "behind pace"
 
@@ -580,6 +597,6 @@ def solve(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-8,
     """The one solve entry point: BiCGSTAB by default, sparse LU on request."""
     if direct:
         x = direct_solve(A, b)
-        res = float(np.linalg.norm(b - A @ x)) / max(float(np.linalg.norm(b)), 1e-300)
+        res = _norm(b - A @ x) / max(_norm(b), 1e-300)
         return x, SolveReport(0, res, True, method="lu")
     return bicgstab(A, b, tol=tol)

@@ -656,6 +656,26 @@ def test_vtk_named_like_a_csv_the_case_does_not_write_is_kept(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "converge"])
+def test_line_whose_direction_overflows_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                                          command):
+    """Both ends are finite, but end - start is not: the one error line names
+    the line before any mesh is built, with no numpy warning before it."""
+    from efem import cli
+
+    monkeypatch.setattr(cli, "_load_mesh", lambda *args: pytest.fail("mesh built"))
+    monkeypatch.setattr(cli, "generate_structured", lambda *args: pytest.fail("mesh built"))
+    text = _bundled("planar_q3").replace("line_mid = 0.5 0.0 0.5 1.0",
+                                         "line_mid = -1e308 0.5 1e308 0.5")
+    extra = ["--h-list", "0.3,0.15"] if command == "converge" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, write_case(tmp_path, text), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("config error: output: line_mid: direction end - start "
+                                       "is not finite, got '-1e308 0.5 1e308 0.5'\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
 def test_permittivity_that_overflows_the_matrix_exits_4_naming_materials(tmp_path, capsys,
                                                                          command):
     """q = 1e308 is a valid number, but eps1 times the unit stiffness of this

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,10 @@ def test_observed_order_recovers_synthetic_slope():
 def test_observed_order_needs_two_levels():
     with pytest.raises(ValueError):
         observed_order([0.1], [0.01])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^every level has h = 0.1; an order needs two "):
+            observed_order([0.1, 0.1], [1e-3, 1e-4])
 
 
 @pytest.mark.parametrize("errors, named", [
@@ -184,6 +189,28 @@ def test_observed_order_needs_two_levels():
 def test_observed_order_names_the_level_without_a_log(errors, named):
     with pytest.raises(ValueError, match=rf"^{re.escape(named)}; an order needs positive finite"):
         observed_order([0.2, 0.1, 0.05], errors)
+
+
+@pytest.mark.parametrize("hs, named", [
+    ([0.2, 0.0, 0.05], "level 1 (h = 0) has h 0.0"),
+    ([0.2, -0.1, 0.05], "level 1 (h = -0.1) has h -0.1"),
+    ([0.2, 0.1, float("nan")], "level 2 (h = nan) has h nan"),
+    ([float("inf"), 0.1, 0.05], "level 0 (h = inf) has h inf"),
+])
+def test_observed_order_names_the_level_whose_h_has_no_log(hs, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)}; an order needs positive finite"):
+            observed_order(hs, [1e-3, 1e-4, 1e-5])
+
+
+def test_sample_line_rejects_a_direction_that_overflows(planar_q3_efem):
+    """Finite ends whose difference overflows raise before any sampling,
+    with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^line direction end - start is not finite"):
+            sample_line(planar_q3_efem, (-1e308, 0.5), (1e308, 0.5))
 
 
 def test_mismatch_small_with_D_large_without(planar_solver, planar_q1_nod):

@@ -1,6 +1,7 @@
 """BiCGSTAB behavior against small hand cases and the LU oracles."""
 
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 
 from efem import solver
 from efem.efem_core import assemble_global
-from efem.mesh import generate_structured
+from efem.mesh import BoundaryTag, generate_structured
 from efem.oracles import (SphereCase, analytic_boundary, box_boundary, cylinder_levelset,
                           cylinder_materials, planar_levelset, planar_materials, sphere_levelset,
                           sphere_materials)
@@ -184,10 +185,11 @@ def test_high_contrast_amg_solve_reaches_tol(fine_2d_mesh):
 
 
 def test_amg_phase_is_capped(monkeypatch):
-    """The AMG phase stops at its own cap, well before the overall cap of 10 n.
-    The 2D n=30 system (899 free rows) starts with AMG.  The 3D n=16 one
-    starts on Jacobi: at tol=1e-300 the pace line after iteration 1 is
-    1e-3, so the switch comes right after it."""
+    """The AMG phase stops AMG_MAX_ITER iterations after it starts, whether
+    it started the solve or followed a Jacobi phase.  The 2D n=30 system
+    (899 free rows) starts with AMG.  The 3D n=16 one starts on Jacobi: at
+    tol=1e-300 the pace line after iteration 1 is 1e-3, so the switch comes
+    right after it."""
     monkeypatch.setattr(solver, "AMG_MAX_ITER", 5)
     planar = assemble_global(generate_structured(2, 30, 30), planar_levelset(),
                              planar_materials(3.0), "efem", box_boundary(2))
@@ -307,3 +309,42 @@ def test_jacobi_solves_are_pinned_bit_for_bit(name):
     digest, report = PINNED_JACOBI_SOLVES[name]
     assert rep == report
     assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+
+def _plates(dim, k):
+    """box_boundary(dim) with the top plate at 2**k volt."""
+    return box_boundary(dim) | {"top": BoundaryTag("top", "dirichlet", math.ldexp(1.0, k))}
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+@pytest.mark.parametrize("dim, n", [(3, 6), (3, 16), (2, 40)])
+def test_dirichlet_data_scaled_by_a_power_of_two_scale_the_solve(dim, n, k):
+    """A top plate at 2**k volt, k = -600 or 600, gives 2**k times the
+    solution at 1 volt, bit for bit, with the same report.  |b| squared
+    under- or overflows there: np.linalg.norm read 0 and ended the 2**-600
+    solves before the first iteration, and inf stalled the 2**600 ones.
+    The 3D systems start on Jacobi (the n=6 one has 245 free unknowns), the
+    2D one with AMG."""
+    mesh = generate_structured(dim, n)
+    levelset, materials = ((sphere_levelset(), sphere_materials(3.0)) if dim == 3
+                           else (cylinder_levelset(), cylinder_materials(3.0)))
+    asm, scaled = (assemble_global(mesh, levelset, materials, "efem", _plates(dim, j))
+                   for j in (0, k))
+    x, rep = bicgstab(asm.matrix, asm.rhs)
+    x_scaled, rep_scaled = bicgstab(scaled.matrix, scaled.rhs)
+    assert rep.converged
+    assert rep_scaled == rep
+    assert np.array_equal(x_scaled, np.ldexp(x, k))
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_direct_residual_scales_with_the_data(k):
+    """The --direct path's residual norms do not under- or overflow either."""
+    mesh = generate_structured(2, 8)
+    asm = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem", _plates(2, 0))
+    scaled = assemble_global(mesh, planar_levelset(), planar_materials(3.0), "efem",
+                             _plates(2, k))
+    x, rep = solve(asm.matrix, asm.rhs, direct=True)
+    x_scaled, rep_scaled = solve(scaled.matrix, scaled.rhs, direct=True)
+    assert rep_scaled == rep
+    assert np.array_equal(x_scaled, np.ldexp(x, k))

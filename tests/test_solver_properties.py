@@ -210,7 +210,12 @@ def _with_stored_zeros(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
 @settings(max_examples=20, deadline=None)
 def test_stored_zeros_change_no_solve(case, seed, k):
     """Zeros inserted anywhere, Dirichlet rows included, leave x bit for bit
-    and the report as they were, in the Jacobi and the AMG phase and in LU."""
+    and the report as they were, in the Jacobi and the AMG phase and in LU,
+    as long as the mean stored row length stays on the same side of
+    AMG_FIRST_ROW_NNZ: the start rule counts stored entries, zeros included,
+    so zeros that lift a triangle stencil to that mean would start it on
+    Jacobi.  Here at most 120 zeros go into at least 961 rows, which moves
+    the mean by at most 0.13 from 6.7 to 6.9 (2D) or 12.9 to 13.6 (3D)."""
     asm = _assemble(case)
     A, b = asm.matrix, asm.rhs
     rng = np.random.default_rng(seed)
